@@ -1,11 +1,13 @@
 """Experiment harness: single runs, the ansatz sweep grid, and reports.
 
 Every run owns a directory under the results root (the ``QNLP_RESULTS_ROOT``
-environment variable, else ``./results``) named by its full configuration
-and seed.  A run directory holds ``config.json``, per-epoch ``metrics.csv``,
-a final ``checkpoint.json``, and ``summary.json``.  The presence of
-``summary.json`` is the completion ledger: sweeps and repeated invocations
-skip any run that already has one, which makes long grids resumable.
+environment variable, else ``./results``) named by a readable prefix, a hash
+of its full configuration, and its seed.  A run directory holds
+``config.json``, per-epoch ``metrics.csv``, a final ``checkpoint.json``, and
+``summary.json``.  The presence of ``summary.json`` is the completion
+ledger: sweeps and repeated invocations skip any run that already has one,
+which makes long grids resumable.  It is written last, to a temporary file
+renamed into place, so a run cut short mid-write leaves no summary.
 
 A model with an empty symbol table cannot train; its summary records the
 accuracy fields as literal ``NaN`` (the grid report keeps those cells as
@@ -15,7 +17,9 @@ recorded as aborted without failing the surrounding sweep.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import json
 import os
 import time
@@ -124,10 +128,20 @@ class ExperimentConfig:
         return f"gen{self.dataset_seed}-{a}-{b}-{c}"
 
     def run_id(self, seed: int) -> str:
+        """A readable prefix, a hash of the whole configuration, the seed.
+
+        The hash covers every field but ``seeds``, so two configurations
+        that differ anywhere never share a run directory, while adding
+        seeds leaves finished runs where they are.
+        """
+        canonical = {k: v for k, v in self.to_dict().items() if k != "seeds"}
+        digest = hashlib.sha256(
+            json.dumps(canonical, sort_keys=True).encode("utf-8")
+        ).hexdigest()[:10]
         return (
             f"{self.backend}_{self.ansatz}_{self.scheme}"
             f"_L{self.n_layers}_r{self.n_single_qubit_params}"
-            f"_{self.dataset_tag()}_s{seed}"
+            f"_{self.dataset_tag()}_{digest}_s{seed}"
         )
 
 
@@ -317,10 +331,26 @@ def _finish_run(
             (run_dir / "checkpoint.json").write_text(
                 json.dumps(checkpoint, indent=2) + "\n", encoding="utf-8"
             )
-    # summary.json written last: its presence marks the run complete
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, allow_nan=True) + "\n", encoding="utf-8"
-    )
+    _write_summary(run_dir, summary)
+
+
+def _write_summary(run_dir: Path, summary: dict) -> None:
+    """Write ``summary.json``, whose presence marks the run complete.
+
+    The summary goes to a temporary file in the run directory that is
+    then renamed over ``summary.json``, so a failed write leaves no
+    summary and the next invocation runs the cell again.
+    """
+    tmp = run_dir / f".summary.json.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, allow_nan=True)
+            fh.write("\n")
+        os.replace(tmp, run_dir / "summary.json")
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            tmp.unlink()
+        raise
 
 
 def run_experiment(
@@ -372,9 +402,7 @@ def _sweep_worker(args: tuple) -> dict:
         summary = _nan_summary(cfg, seed, "error", str(exc))
         run_dir = results_root(root) / cfg.run_id(seed)
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "summary.json").write_text(
-            json.dumps(summary, indent=2, allow_nan=True) + "\n", encoding="utf-8"
-        )
+        _write_summary(run_dir, summary)
         return summary
 
 

@@ -5,7 +5,12 @@ one shared parameter vector, so identical words with identical types train
 one set of weights no matter how many sentences mention them.  Two model
 families implement the same ensemble surface: circuits evaluated by the
 statevector simulator and networks evaluated by tensor contraction, the
-latter squaring its real output vector into probabilities.
+latter squaring its real output vector into probabilities.  A circuit model
+groups each split's circuits by structure when it is built and runs every
+group as one batched statevector pass, its gradient's shift probes
+included; :func:`qnlp.simulator.sentence_distribution` and
+:func:`qnlp.simulator.distribution_gradient` are the per-sentence
+reference for that path.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -35,8 +40,15 @@ from qnlp.corpus import CorpusSplits, LabeledSet
 from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import Lexicon, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
-from qnlp.simulator import (
+# sentence_distribution and distribution_gradient are the per-sentence
+# reference of the batched circuit path; they stay importable from this
+# module, where the benchmark's tracer wraps them by name.
+from qnlp.simulator import (  # noqa: F401
+    CircuitBatch,
     WrongOutputArity,
+    batch_distribution,
+    batch_distribution_gradient,
+    compile_batches,
     distribution_gradient,
     sentence_distribution,
 )
@@ -216,7 +228,12 @@ def _parse_and_rewrite(
 
 
 class CircuitModel:
-    """A shared-parameter ensemble of compiled sentence circuits."""
+    """A shared-parameter ensemble of compiled sentence circuits.
+
+    Each split's circuits are grouped by structure and every group is
+    compiled once into a :class:`CircuitBatch` (:func:`compile_batches`);
+    evaluation and gradients run one batched pass per group.
+    """
 
     def __init__(self, circuits_by_split: dict[str, list[Circuit]]):
         self.circuits_by_split = circuits_by_split
@@ -231,12 +248,9 @@ class CircuitModel:
         if not self.symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
         pos = {s: i for i, s in enumerate(self.symbols)}
-        self._maps: dict[str, list[np.ndarray]] = {
-            name: [
-                np.array([pos[s] for s in circ.symbols], dtype=int)
-                for circ in split
-            ]
-            for name, split in circuits_by_split.items()
+        # per split: (row positions in the split, their compiled batch)
+        self._groups: dict[str, list[tuple[np.ndarray, CircuitBatch]]] = {
+            name: compile_batches(split, pos) for name, split in circuits_by_split.items()
         }
 
     @classmethod
@@ -261,30 +275,29 @@ class CircuitModel:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
 
     def eval_split(self, name: str, theta: np.ndarray):
-        probs = []
+        probs = np.empty((len(self.circuits_by_split[name]), 2))
         degenerate = 0
-        for circ, idx in zip(self.circuits_by_split[name], self._maps[name]):
-            dist = sentence_distribution(circ, theta[idx])
-            probs.append(dist.probs)
-            degenerate += int(dist.degenerate)
-        return np.array(probs), degenerate
+        for rows, batch in self._groups[name]:
+            probs[rows], degen = batch_distribution(batch, theta)
+            degenerate += int(degen.sum())
+        return probs, degenerate
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
         """Mean-loss gradient, exact per-parameter shift rules."""
         n = len(self.circuits_by_split[name])
         if n == 0:
             raise EmptyEvalSet("no sentences to differentiate")
+        labels = np.asarray(labels)
         grad = np.zeros(self.n_params)
         total = 0.0
         degenerate = 0
-        for circ, idx, y in zip(
-            self.circuits_by_split[name], self._maps[name], labels
-        ):
-            res = distribution_gradient(circ, theta[idx])
-            degenerate += int(res.degenerate)
-            total += bce_loss(res.probs, y)
-            upstream = bce_grad(res.probs, y)
-            np.add.at(grad, idx, (res.jacobian @ upstream) / n)
+        for rows, batch in self._groups[name]:
+            probs, jacobian, degen = batch_distribution_gradient(batch, theta)
+            ys = labels[rows]
+            total += sum(bce_loss(p, y) for p, y in zip(probs, ys))
+            upstream = np.array([bce_grad(p, y) for p, y in zip(probs, ys)])
+            degenerate += int(degen.sum())
+            np.add.at(grad, batch.gather, np.einsum("rsk,rk->rs", jacobian, upstream) / n)
         return grad, total / n, degenerate
 
     def params_to_named(self, theta: np.ndarray) -> dict[str, float]:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from qnlp import experiment
 from qnlp.circuit import circuit_from_json
 from qnlp.cli import main
 from qnlp.diagram import diagram_from_json
@@ -71,6 +72,26 @@ class TestConfig:
         c = small_cfg(ansatz="sim14").run_id(0)
         assert len({a, b, c}) == 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 300),
+            ("optimizer", "spsa"),
+            ("d_n", 3),
+            ("d_s", 3),
+            ("bond_dim", 8),
+            ("max_legs", 3),
+        ],
+    )
+    def test_run_id_covers_every_field(self, field, value):
+        base = small_cfg(backend="tensor", ansatz="mps", scheme="re")
+        assert base.run_id(0) != small_cfg(
+            backend="tensor", ansatz="mps", scheme="re", **{field: value}
+        ).run_id(0)
+
+    def test_run_id_ignores_seed_list(self):
+        assert small_cfg(seeds=(0,)).run_id(0) == small_cfg(seeds=(0, 1, 2)).run_id(0)
+
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "none.json")
@@ -113,6 +134,32 @@ class TestRunOne:
         path.write_text(json.dumps(stored))
         again = run_one(cfg, 0, root=tmp_path)
         assert again["note"] == "already done"
+
+    def test_failed_summary_write_leaves_run_incomplete(self, tmp_path, monkeypatch):
+        cfg = small_cfg(epochs=1)
+        real_summarize = experiment.summarize
+
+        def unwritable(history, last_k):
+            # json.dump fails part-way through the file on this value
+            return {**real_summarize(history, last_k), "zz_unwritable": object()}
+
+        monkeypatch.setattr(experiment, "summarize", unwritable)
+        with pytest.raises(TypeError):
+            run_one(cfg, 0, root=tmp_path)
+        run_dir = tmp_path / cfg.run_id(0)
+        assert run_dir.is_dir()
+        assert sorted(p.name for p in run_dir.glob("*summary*")) == []
+
+        monkeypatch.setattr(experiment, "summarize", real_summarize)
+        fits = []
+        real_fit = experiment.fit
+        monkeypatch.setattr(
+            experiment, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k)
+        )
+        summary = run_one(cfg, 0, root=tmp_path)
+        assert fits == [1]
+        assert summary["status"] == "ok"
+        assert json.loads((run_dir / "summary.json").read_text()) == summary
 
     def test_zero_parameter_cell_records_nan(self, tmp_path):
         cfg = small_cfg(n_layers=0, n_single_qubit_params=0)

@@ -14,6 +14,7 @@ from qnlp.circuit import (
     Symbol,
     compile_circuit,
 )
+from qnlp.errors import Error
 from qnlp.pregroup import parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
@@ -22,8 +23,8 @@ from qnlp.simulator import (
     WrongOutputArity,
     ZeroSurvival,
     apply,
+    compile_batches,
     distribution_gradient,
-    gradient,
     param_vector,
     run,
     sentence_distribution,
@@ -237,9 +238,10 @@ class TestGradient:
     def test_upstream_chain(self):
         g = Gate(GateKind.RX, (0,), THETA)
         c = one_qubit_circuit(g, symbols=[THETA])
-        grads, degenerate = gradient(c, [np.pi / 2], upstream=[0.0, 2.0])
+        res = distribution_gradient(c, [np.pi / 2])
+        grads = res.jacobian @ np.array([0.0, 2.0])
         assert grads[0] == pytest.approx(1.0, abs=1e-12)
-        assert not degenerate
+        assert not res.degenerate
 
     def test_degenerate_zero_gradient(self):
         sym = Symbol("w", "->s", 0)
@@ -254,3 +256,35 @@ class TestGradient:
         assert res.degenerate
         np.testing.assert_allclose(res.jacobian, 0.0)
         np.testing.assert_allclose(res.probs, [0.5, 0.5])
+
+
+class TestCompileBatches:
+    def test_rejects_what_the_reference_rejects(self):
+        positions = {THETA: 0}
+        rx = Gate(GateKind.RX, (0,), THETA)
+        bad = [
+            (Circuit(1, (rx,), (), (), (THETA,)), WrongOutputArity),
+            (Circuit(1, (Gate(GateKind.RX, (1,), THETA),), (), (0,), (THETA,)), IndexOutOfRange),
+            (Circuit(2, (Gate(GateKind.CNOT, (0, 0)),), (), (0,), ()), Error),
+            (Circuit(1, (Gate(GateKind.RZ, (0,)),), (), (0,), ()), Error),
+            (Circuit(2, (rx,), (0,), (0,), (THETA,)), Error),
+        ]
+        for circuit, exc in bad:
+            with pytest.raises(exc):
+                compile_batches([circuit], positions)
+
+    def test_groups_by_structure(self):
+        other = Symbol("x", "->s", 0)
+        a = one_qubit_circuit(Gate(GateKind.RX, (0,), THETA), symbols=[THETA])
+        b = one_qubit_circuit(Gate(GateKind.RX, (0,), other), symbols=[other])
+        c = one_qubit_circuit(Gate(GateKind.RY, (0,), other), symbols=[other])
+        groups = compile_batches([a, c, b], {THETA: 0, other: 1})
+        assert [rows.tolist() for rows, _ in groups] == [[0, 2], [1]]
+        assert groups[0][1].gather.tolist() == [[0], [1]]
+
+    def test_slot_never_matches_a_constant_angle(self):
+        other = Symbol("x", "->s", 0)
+        rx = Gate(GateKind.RX, (0,), THETA)
+        slot_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), other), symbols=[THETA, other])
+        angle_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), 1.0), symbols=[THETA, other])
+        assert len(compile_batches([slot_1, angle_1], {THETA: 0, other: 1})) == 2

@@ -5,10 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qnlp.circuit import CircuitAnsatz, CircuitAnsatzConfig, ZeroParameterModel
+from qnlp.circuit import (
+    Circuit,
+    CircuitAnsatz,
+    CircuitAnsatzConfig,
+    Gate,
+    GateKind,
+    Symbol,
+    ZeroParameterModel,
+)
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon
 from qnlp.errors import Error
 from qnlp.rewrite import RewriteScheme
+from qnlp.simulator import (
+    BATCH_AMPLITUDES,
+    distribution_gradient,
+    sentence_distribution,
+)
 from qnlp.tensornet import TensorAnsatz, TensorAnsatzConfig
 from qnlp.training import (
     SPSA,
@@ -230,6 +243,141 @@ class TestCircuitFit:
             CircuitModel.build(
                 tiny_splits(), default_lexicon(), RewriteScheme.RE_NORM_CUR_NORM, ansatz
             )
+
+
+def pattern_splits(extra_train=()) -> CorpusSplits:
+    """All four MC sentence patterns; train holds two of the widest."""
+
+    def lset(name, items):
+        return LabeledSet(name, tuple((tuple(w.split()), y) for w, y in items))
+
+    return CorpusSplits(
+        train=lset(
+            "train",
+            [
+                ("man cooks meal", 1),
+                ("woman debugs software", 0),
+                ("skillful man prepares sauce", 1),
+                ("skillful woman runs program", 0),
+                ("woman bakes tasty dinner", 1),
+                ("man executes useful application", 0),
+                ("skillful woman cooks tasty meal", 1),
+                ("skillful man debugs useful software", 0),
+                *extra_train,
+            ],
+        ),
+        dev=lset("dev", [("woman prepares dinner", 1), ("skillful man runs useful program", 0)]),
+        test=lset("test", [("man bakes tasty sauce", 1), ("skillful woman executes software", 0)]),
+    )
+
+
+def reference_split(model: CircuitModel, name: str, theta, labels):
+    """Per-sentence probabilities, mean-loss gradient and degenerate count."""
+    pos = {s: i for i, s in enumerate(model.symbols)}
+    circuits = model.circuits_by_split[name]
+    probs, grad, degenerate = [], np.zeros(model.n_params), 0
+    for circ, y in zip(circuits, labels):
+        idx = np.array([pos[s] for s in circ.symbols], dtype=int)
+        dist = sentence_distribution(circ, theta[idx])
+        res = distribution_gradient(circ, theta[idx])
+        probs.append(dist.probs)
+        degenerate += int(dist.degenerate)
+        np.add.at(grad, idx, res.jacobian @ bce_grad(res.probs, y) / len(circuits))
+    return np.array(probs), grad, degenerate
+
+
+ANSATZE = tuple(CircuitAnsatz)
+SCHEMES = (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM)
+
+
+class TestCircuitBatching:
+    """Batched groups against the per-sentence simulator."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", ANSATZE, ids=lambda k: k.value)
+    def test_matches_per_sentence_reference(self, kind, scheme, rng):
+        splits = pattern_splits()
+        ansatz = CircuitAnsatzConfig(kind=kind, n_layers=1)
+        model = CircuitModel.build(splits, default_lexicon(), scheme, ansatz)
+        theta = model.init_params(rng)
+        for lset in splits:
+            probs, degenerate = model.eval_split(lset.name, theta)
+            want, want_grad, want_degenerate = reference_split(
+                model, lset.name, theta, lset.labels()
+            )
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+            assert degenerate == want_degenerate
+            if lset.name == "train":
+                grad, total, _ = model.grad_split("train", theta, lset.labels())
+                np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+                losses = [bce_loss(p, y) for p, y in zip(want, lset.labels())]
+                assert total == pytest.approx(np.mean(losses), abs=1e-12)
+
+    def test_groups_follow_sentence_patterns(self):
+        ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
+        model = CircuitModel.build(
+            pattern_splits(), default_lexicon(), RewriteScheme.RE, ansatz
+        )
+        assert [len(rows) for rows, _ in model._groups["train"]] == [2, 2, 2, 2]
+        assert len(model._groups["dev"]) == 2
+
+    def test_group_wider_than_one_chunk(self, rng):
+        ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
+        splits = pattern_splits()
+        model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
+        rows, batch = max(model._groups["train"], key=lambda g: g[1].n_qubits)
+        assert batch.n_qubits == 9 and len(rows) == 2
+        probes = batch.probe_shift.shape[0]
+        assert len(rows) * probes * 2**batch.n_qubits > BATCH_AMPLITUDES
+        theta = model.init_params(rng)
+        labels = splits.train.labels()
+        grad, _, _ = model.grad_split("train", theta, labels)
+        _, want, _ = reference_split(model, "train", theta, labels)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
+
+    def test_repeated_word_takes_finite_differences(self, rng):
+        # "man" twice ties both boxes to one symbol set, so each of its
+        # parameters has two uses and the central-difference rule, whose
+        # 1 / (2 * 1e-6) factor amplifies rounding.
+        splits = pattern_splits(extra_train=[("man cooks man", 1)])
+        ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
+        model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
+        shifts = np.concatenate([b.probe_shift.ravel() for _, b in model._groups["train"]])
+        assert np.any(np.abs(shifts) == 1e-6)
+        theta = model.init_params(rng)
+        labels = splits.train.labels()
+        probs, _ = model.eval_split("train", theta)
+        grad, _, _ = model.grad_split("train", theta, labels)
+        want_probs, want, _ = reference_split(model, "train", theta, labels)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-8)
+
+    def test_degenerate_row(self):
+        # RX(pi) on the postselected qubit annihilates the state, while
+        # the shift probes of u move it off pi and survive.
+        w, u, v = (Symbol(x, "->s", 0) for x in "wuv")
+        dead = Circuit(
+            2,
+            (Gate(GateKind.RX, (0,), w), Gate(GateKind.RX, (1,), u)),
+            postselect=(1,),
+            outputs=(0,),
+            symbols=(w, u),
+        )
+        alive = Circuit(1, (Gate(GateKind.RY, (0,), v),), (), (0,), (v,))
+        model = CircuitModel({"train": [dead, alive, dead]})
+        theta = np.array([0.4, np.pi, 1.1])
+        labels = [1, 0, 0]
+        probs, degenerate = model.eval_split("train", theta)
+        assert degenerate == 2
+        np.testing.assert_allclose(probs[[0, 2]], 0.5)
+        grad, total, degenerate = model.grad_split("train", theta, labels)
+        assert degenerate == 2
+        assert grad[0] == grad[1] == 0.0
+        want_probs, want, _ = reference_split(model, "train", theta, labels)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
+        losses = [bce_loss(p, y) for p, y in zip(want_probs, labels)]
+        assert total == pytest.approx(np.mean(losses), abs=1e-12)
 
 
 class TestTensorFit:
