@@ -4,10 +4,13 @@ Every run owns a directory under the results root (the ``QNLP_RESULTS_ROOT``
 environment variable, else ``./results``) named by a readable prefix, a hash
 of its full configuration, and its seed.  A run directory holds
 ``config.json``, per-epoch ``metrics.csv``, a final ``checkpoint.json``, and
-``summary.json``.  The presence of ``summary.json`` is the completion
-ledger: sweeps and repeated invocations skip any run that already has one,
-which makes long grids resumable.  It is written last, to a temporary file
-renamed into place, so a run cut short mid-write leaves no summary.
+``summary.json``.  ``summary.json`` is the completion ledger, which makes
+long grids resumable.  Its ``status`` sets the retry policy: sweeps and
+repeated invocations skip a run recorded as ``ok``, ``zero_params`` or
+``aborted``, since the same configuration and budget would end the same
+way, and rerun one recorded as ``error``, which a sweep writes for a cell
+that raised.  The summary is written last, to a temporary file renamed
+into place, so a run cut short mid-write leaves no summary.
 
 A model with an empty symbol table cannot train; its summary records the
 accuracy fields as literal ``NaN`` (the grid report keeps those cells as
@@ -250,13 +253,17 @@ def run_one(
     """Execute (or resume) one seed of a configuration; returns its summary.
 
     Pipeline errors carry a stage tag; a zero-parameter model or a blown
-    budget is recorded in the summary instead of raised.
+    budget is recorded in the summary instead of raised.  A stored summary
+    is returned as it is unless its status is ``error``, which reruns the
+    cell.
     """
     base = results_root(root)
     run_dir = base / cfg.run_id(seed)
     summary_path = run_dir / "summary.json"
     if summary_path.exists():
-        return json.loads(summary_path.read_text(encoding="utf-8"))
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        if summary["status"] != "error":
+            return summary
 
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
@@ -414,8 +421,8 @@ def run_sweep(
 ) -> list[dict]:
     """Run all (cell, seed) pairs, in a process pool when workers > 1.
 
-    Completed runs (summary.json on disk) are skipped, so an interrupted
-    sweep picks up where it stopped.
+    Completed runs (summary.json on disk) are skipped, except those recorded
+    as ``error``, so an interrupted sweep picks up where it stopped.
     """
     base = results_root(root)
     base.mkdir(parents=True, exist_ok=True)

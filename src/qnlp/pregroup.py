@@ -48,13 +48,6 @@ class Base(enum.Enum):
     S = "s"
 
 
-class Side(enum.Enum):
-    """Which adjoint of a simple type to take."""
-
-    LEFT = "left"
-    RIGHT = "right"
-
-
 _SIMPLE_RE = re.compile(r"([ns])((?:\.[lr])*)")
 
 
@@ -87,11 +80,6 @@ class SimpleType:
             raise LexiconError(f"bad simple type expression: {expr!r}")
         z = m.group(2).count(".r") - m.group(2).count(".l")
         return cls(Base(m.group(1)), z)
-
-
-def adjoint(t: SimpleType, side: Side) -> SimpleType:
-    """Left adjoint decrements ``z``, right adjoint increments it."""
-    return t.l if side is Side.LEFT else t.r
 
 
 def contractible(t: SimpleType, u: SimpleType) -> bool:

@@ -10,12 +10,15 @@ elementwise along the boundary index.
 Cups become unnormalized delta nodes (identity matrices); a copy spider is
 the generalized Kronecker tensor, 1 exactly when all incident indices
 agree.  Contraction fuses delta- and spider-connected legs into shared
-einsum indices rather than materializing those tensors.  Gradients are
-exact hole contractions: each network is multilinear in every parameter
-node, so the derivative with respect to one node is the network contracted
-with that node removed and its legs left open, chained with the upstream
-cotangent.  A parameter tensor used by several nodes accumulates one hole
-term per use.
+einsum indices rather than materializing those tensors.  This plan (the
+validation, the labels and the closed-loop factor) is built once per
+network, on first use, and cached on it.  ``diagram.eval_tensor`` stays a
+separate contraction on purpose: it is the independent oracle the tests
+compare ``contract`` against.  Gradients are exact hole contractions: each
+network is multilinear in every parameter node, so the derivative with
+respect to one node is the network contracted with that node removed and
+its legs left open, chained with the upstream cotangent.  A parameter
+tensor used by several nodes accumulates one hole term per use.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -83,14 +87,6 @@ Node = ParamNode | CupDeltaNode | SpiderCopyNode
 Leg = tuple[int, int]  # (node index, leg index)
 
 
-def node_arity(node: Node) -> int:
-    if isinstance(node, ParamNode):
-        return len(node.shape)
-    if isinstance(node, CupDeltaNode):
-        return 2
-    return node.arity
-
-
 def node_leg_dims(node: Node) -> tuple[int, ...]:
     if isinstance(node, ParamNode):
         return node.shape
@@ -123,6 +119,10 @@ class Network:
     def output_dims(self) -> tuple[int, ...]:
         return tuple(node_leg_dims(self.nodes[n])[leg] for n, leg in self.outputs)
 
+    @cached_property
+    def _plan(self) -> "_Plan":
+        return _build_plan(self)
+
 
 def validate_network(net: Network) -> None:
     """Every leg bound exactly once (edge end or output); dims consistent."""
@@ -132,7 +132,7 @@ def validate_network(net: Network) -> None:
         n, l = leg
         if not (0 <= n < len(net.nodes)):
             raise Error(f"{where} references missing node {n}")
-        if not (0 <= l < node_arity(net.nodes[n])):
+        if not (0 <= l < len(node_leg_dims(net.nodes[n]))):
             raise Error(f"leg {l} out of range for node {n}")
         if leg in seen:
             raise Error(f"leg {leg} bound twice ({seen[leg]} and {where})")
@@ -148,7 +148,7 @@ def validate_network(net: Network) -> None:
     for leg in net.outputs:
         bind(leg, "output")
     for n, node in enumerate(net.nodes):
-        for l in range(node_arity(node)):
+        for l in range(len(node_leg_dims(node))):
             if (n, l) not in seen:
                 raise Error(f"leg ({n}, {l}) is neither bound nor open")
 
@@ -319,7 +319,7 @@ def _lower(net: Network, cfg: TensorAnsatzConfig) -> Network:
         else:
             base = len(nodes)
             nodes.append(node)
-            for leg in range(node_arity(node)):
+            for leg in range(len(node_leg_dims(node))):
                 leg_map[(ni, leg)] = (base, leg)
 
     edges = [(leg_map[a], leg_map[b]) for a, b in net.edges]
@@ -331,72 +331,71 @@ def _lower(net: Network, cfg: TensorAnsatzConfig) -> Network:
 # -- contraction ----------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+@dataclass(frozen=True)
+class _Plan:
+    """Einsum labels of the parameter nodes ``params`` and the open legs,
+    fresh ``holes`` labels per parameter leg for ``gradient_hole``, and the
+    dimension product of the closed loops no labeled leg touches."""
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    params: tuple[int, ...]
+    sublists: tuple[tuple[int, ...], ...]
+    outputs: tuple[int, ...]
+    holes: tuple[tuple[int, ...], ...]
+    n_labels: int
+    factor: float
+
+
+def _build_plan(net: Network) -> _Plan:
+    """Validate ``net`` and assign its einsum labels.
+
+    Edge-connected legs share an index and a delta or spider node fuses
+    all of its own legs into one, by union-find over the flat leg list.
+    """
+    validate_network(net)
+    flat: dict[Leg, int] = {}
+    dims: list[int] = []
+    for ni, node in enumerate(net.nodes):
+        for l, dim in enumerate(node_leg_dims(node)):
+            flat[(ni, l)] = len(dims)
+            dims.append(dim)
+    parent = list(range(len(dims)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    links = [(flat[a], flat[b]) for a, b in net.edges]
+    for ni, node in enumerate(net.nodes):
+        if not isinstance(node, ParamNode):
+            arity = len(node_leg_dims(node))
+            links += [(flat[(ni, 0)], flat[(ni, l)]) for l in range(1, arity)]
+    for a, b in links:
+        parent[find(b)] = find(a)
+
+    label_of: dict[int, int] = {}
+
+    def label(leg: Leg) -> int:
+        return label_of.setdefault(find(flat[leg]), len(label_of))
+
+    params = tuple(ni for ni, node in enumerate(net.nodes) if isinstance(node, ParamNode))
+    sublists = tuple(
+        tuple(label((ni, l)) for l in range(len(net.nodes[ni].shape))) for ni in params
+    )
+    outputs = tuple(label(leg) for leg in net.outputs)
+    if len(set(outputs)) != len(outputs):
+        raise Error("two open legs share one fused index; cannot contract")
+    n_labels = len(label_of)
+    holes = tuple(tuple(range(n_labels, n_labels + len(sub))) for sub in sublists)
+    loops = {find(x) for x in range(len(dims))} - label_of.keys()
+    factor = float(np.prod([dims[root] for root in loops]))
+    return _Plan(params, sublists, outputs, holes, n_labels, factor)
 
 
-class _Indexer:
-    """Fused einsum index classes over all legs of a network.
-
-    Edge-connected legs share an index; a delta or spider node fuses all
-    of its own legs into one.  Labels are handed out only to classes the
-    contraction touches; classes of pure delta loops stay unlabeled and
-    enter as a multiplicative dimension factor.
-    """
-
-    def __init__(self, net: Network):
-        self.net = net
-        self.offsets: list[int] = []
-        total = 0
-        for node in net.nodes:
-            self.offsets.append(total)
-            total += node_arity(node)
-        self.uf = _UnionFind(total)
-        for a, b in net.edges:
-            self.uf.union(self._flat(a), self._flat(b))
-        for ni, node in enumerate(net.nodes):
-            if isinstance(node, (CupDeltaNode, SpiderCopyNode)):
-                first = self._flat((ni, 0))
-                for l in range(1, node_arity(node)):
-                    self.uf.union(first, self._flat((ni, l)))
-        self.label_of: dict[int, int] = {}
-
-    def _flat(self, leg: Leg) -> int:
-        return self.offsets[leg[0]] + leg[1]
-
-    def label(self, leg: Leg) -> int:
-        root = self.uf.find(self._flat(leg))
-        if root not in self.label_of:
-            self.label_of[root] = len(self.label_of)
-        return self.label_of[root]
-
-    def n_labels(self) -> int:
-        return len(self.label_of)
-
-    def loop_factor(self) -> float:
-        """Dimension product of classes no labeled leg belongs to."""
-        seen: set[int] = set()
-        factor = 1.0
-        for ni, node in enumerate(self.net.nodes):
-            for l in range(node_arity(node)):
-                root = self.uf.find(self._flat((ni, l)))
-                if root in self.label_of or root in seen:
-                    continue
-                seen.add(root)
-                factor *= node_leg_dims(node)[l]
-        return factor
+def _check_labels(needed: int) -> None:
+    if needed > _MAX_EINSUM_LABELS:
+        raise Error(f"network needs {needed} indices; limit is {_MAX_EINSUM_LABELS}")
 
 
 def _store_tensor(store: Mapping[Symbol, np.ndarray], node: ParamNode) -> np.ndarray:
@@ -412,33 +411,16 @@ def _store_tensor(store: Mapping[Symbol, np.ndarray], node: ParamNode) -> np.nda
 
 def contract(net: Network, store: Mapping[Symbol, np.ndarray]) -> np.ndarray:
     """Fully contract; the result is shaped by the open boundary legs."""
-    validate_network(net)
-    idx = _Indexer(net)
-
-    operands: list = []
-    for ni, node in enumerate(net.nodes):
-        if not isinstance(node, ParamNode):
-            continue
-        operands.append(_store_tensor(store, node))
-        operands.append([idx.label((ni, l)) for l in range(len(node.shape))])
-
-    out_labels: list[int] = []
-    for leg in net.outputs:
-        lab = idx.label(leg)
-        if lab in out_labels:
-            raise Error("two open legs share one fused index; cannot contract")
-        out_labels.append(lab)
-
-    if idx.n_labels() > _MAX_EINSUM_LABELS:
-        raise Error(
-            f"network needs {idx.n_labels()} indices; limit is {_MAX_EINSUM_LABELS}"
-        )
-    factor = idx.loop_factor()
-    if not operands:
-        if out_labels:
+    plan = net._plan
+    _check_labels(plan.n_labels)
+    if not plan.params:
+        if plan.outputs:
             raise Error("open legs with no tensor operands")
-        return np.array(factor)
-    return np.einsum(*operands, out_labels) * factor
+        return np.array(plan.factor)
+    operands: list = []
+    for ni, sub in zip(plan.params, plan.sublists):
+        operands += [_store_tensor(store, net.nodes[ni]), sub]
+    return np.einsum(*operands, plan.outputs) * plan.factor
 
 
 def gradient_hole(
@@ -449,52 +431,26 @@ def gradient_hole(
     Each hole leg gets a fresh output index bridged to its fused class by
     an identity operand, which keeps repeated or open classes well formed.
     """
-    validate_network(net)
-    idx = _Indexer(net)
-
-    param_indices = [
-        ni for ni, node in enumerate(net.nodes) if isinstance(node, ParamNode)
-    ]
-    # assign labels up front so bridge ids are stable across holes
-    for ni in param_indices:
-        for l in range(len(net.nodes[ni].shape)):
-            idx.label((ni, l))
-    out_labels = [idx.label(leg) for leg in net.outputs]
-
+    plan = net._plan
+    _check_labels(plan.n_labels + max(map(len, plan.holes), default=0))
     up = np.asarray(upstream, dtype=float)
     if up.shape != net.output_dims():
         raise ShapeMismatch(
             f"upstream shape {up.shape} does not match outputs {net.output_dims()}"
         )
-    factor = idx.loop_factor()
-    n_base = idx.n_labels()
+    nodes = [net.nodes[ni] for ni in plan.params]
+    tensors = [_store_tensor(store, node) for node in nodes]
 
-    grads: dict[Symbol, np.ndarray] = {
-        net.nodes[ni].symbol: np.zeros(net.nodes[ni].shape) for ni in param_indices
-    }
-    for hole in param_indices:
-        hole_node = net.nodes[hole]
+    grads: dict[Symbol, np.ndarray] = {node.symbol: np.zeros(node.shape) for node in nodes}
+    for hole, (node, fresh) in enumerate(zip(nodes, plan.holes)):
         operands: list = []
-        for ni in param_indices:
-            if ni == hole:
-                continue
-            node = net.nodes[ni]
-            operands.append(_store_tensor(store, node))
-            operands.append([idx.label((ni, l)) for l in range(len(node.shape))])
-        operands.append(up)
-        operands.append(list(out_labels))
-        fresh: list[int] = []
-        for l in range(len(hole_node.shape)):
-            bridge = n_base + l
-            operands.append(np.eye(hole_node.shape[l]))
-            operands.append([bridge, idx.label((hole, l))])
-            fresh.append(bridge)
-        if n_base + len(hole_node.shape) > _MAX_EINSUM_LABELS:
-            raise Error(
-                f"network needs {n_base + len(hole_node.shape)} indices; "
-                f"limit is {_MAX_EINSUM_LABELS}"
-            )
-        grads[hole_node.symbol] += np.einsum(*operands, fresh) * factor
+        for i, sub in enumerate(plan.sublists):
+            if i != hole:
+                operands += [tensors[i], sub]
+        operands += [up, plan.outputs]
+        for dim, bridge, lab in zip(node.shape, fresh, plan.sublists[hole]):
+            operands += [np.eye(dim), (bridge, lab)]
+        grads[node.symbol] += np.einsum(*operands, fresh) * plan.factor
     return grads
 
 

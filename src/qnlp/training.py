@@ -62,6 +62,7 @@ from qnlp.tensornet import (
 
 PROB_CLIP = 1e-7
 DEGENERATE_EPS = 1e-12
+TIE_EPS = 1e-12
 
 
 class EmptyEvalSet(Error):
@@ -83,35 +84,50 @@ class BudgetExceeded(Error):
 # -- loss and metrics -----------------------------------------------------
 
 
-def bce_loss(probs: Sequence[float], label: int) -> float:
-    """Binary cross-entropy with probabilities clipped to [1e-7, 1-1e-7]."""
-    p0 = min(max(float(probs[0]), PROB_CLIP), 1.0 - PROB_CLIP)
-    p1 = min(max(float(probs[1]), PROB_CLIP), 1.0 - PROB_CLIP)
-    if label:
-        return -float(np.log(p1))
-    return -float(np.log(p0))
+def _picked(probs, label) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's probability of its labelled class, and the label one-hot."""
+    p = np.asarray(probs, dtype=float)
+    y = np.asarray(label) != 0
+    return np.where(y, p[..., 1], p[..., 0]), np.stack([~y, y], axis=-1)
 
 
-def bce_grad(probs: Sequence[float], label: int) -> np.ndarray:
-    """d loss/d probs; zero where the clip is active (flat region)."""
-    grad = np.zeros(2)
-    p = float(probs[1] if label else probs[0])
-    if PROB_CLIP < p < 1.0 - PROB_CLIP:
-        grad[1 if label else 0] = -1.0 / p
-    return grad
+def bce_loss(probs, label):
+    """Binary cross-entropy with probabilities clipped to [1e-7, 1-1e-7].
+
+    ``probs`` is one ``(2,)`` distribution with an int label, giving a
+    float, or a ``(B, 2)`` array with ``(B,)`` labels, giving ``(B,)``
+    per-row losses.
+    """
+    picked, _ = _picked(probs, label)
+    loss = -np.log(np.clip(picked, PROB_CLIP, 1.0 - PROB_CLIP))
+    return float(loss) if loss.ndim == 0 else loss
 
 
-def predict(probs: Sequence[float]) -> int:
-    """Argmax with ties resolved to class 0."""
-    return 1 if float(probs[1]) > float(probs[0]) else 0
+def bce_grad(probs, label) -> np.ndarray:
+    """d loss/d probs, shaped like ``probs``; zero where the clip is active."""
+    picked, onehot = _picked(probs, label)
+    active = (picked > PROB_CLIP) & (picked < 1.0 - PROB_CLIP)
+    g = np.divide(-1.0, picked, out=np.zeros_like(picked), where=active)
+    return np.where(onehot, g[..., None], 0.0)
 
 
-def accuracy(dists: Sequence[Sequence[float]], labels: Sequence[int]) -> float:
+def predict(probs):
+    """Argmax per distribution; ``|p1 - p0| <= TIE_EPS`` is a tie, read as 0.
+
+    Probabilities equal in exact arithmetic differ by rounding, so the
+    tolerance keeps the per-sentence and batched paths on one class.
+    """
+    p = np.asarray(probs, dtype=float)
+    cls = (p[..., 1] - p[..., 0] > TIE_EPS).astype(int)
+    return int(cls) if cls.ndim == 0 else cls
+
+
+def accuracy(dists, labels: Sequence[int]) -> float:
     if len(dists) == 0:
         raise EmptyEvalSet("no sentences to score")
     if len(dists) != len(labels):
         raise Error(f"{len(dists)} distributions vs {len(labels)} labels")
-    hits = sum(1 for p, y in zip(dists, labels) if predict(p) == int(y))
+    hits = int(np.count_nonzero(predict(dists) == np.asarray(labels)))
     return hits / len(dists)
 
 
@@ -293,9 +309,8 @@ class CircuitModel:
         degenerate = 0
         for rows, batch in self._groups[name]:
             probs, jacobian, degen = batch_distribution_gradient(batch, theta)
-            ys = labels[rows]
-            total += sum(bce_loss(p, y) for p, y in zip(probs, ys))
-            upstream = np.array([bce_grad(p, y) for p, y in zip(probs, ys)])
+            total += float(bce_loss(probs, labels[rows]).sum())
+            upstream = bce_grad(probs, labels[rows])
             degenerate += int(degen.sum())
             np.add.at(grad, batch.gather, np.einsum("rsk,rk->rs", jacobian, upstream) / n)
         return grad, total / n, degenerate
@@ -371,26 +386,26 @@ class TensorModel:
             s: theta[self._slices[s]].reshape(self.shapes[s]) for s in self.symbols
         }
 
-    def _readout(self, vec: np.ndarray):
-        v = np.asarray(vec, dtype=float).reshape(-1)
-        if v.shape[0] != 2:
-            raise WrongOutputArity(
-                f"expected a 2-dimensional sentence vector, got {v.shape[0]}"
-            )
-        norm = float(v @ v)
-        if norm < DEGENERATE_EPS:
-            return np.array([0.5, 0.5]), v, norm, True
-        return v**2 / norm, v, norm, False
+    def _readout(self, name: str, store: dict[Symbol, np.ndarray]):
+        """Probabilities, vectors, squared norms and the degenerate mask of
+        a split, one row per sentence."""
+        vecs = np.empty((len(self.networks_by_split[name]), 2))
+        for i, net in enumerate(self.networks_by_split[name]):
+            v = np.asarray(contract(net, store), dtype=float).reshape(-1)
+            if v.shape[0] != 2:
+                raise WrongOutputArity(
+                    f"expected a 2-dimensional sentence vector, got {v.shape[0]}"
+                )
+            vecs[i] = v
+        norms = (vecs**2).sum(axis=1)
+        degen = norms < DEGENERATE_EPS
+        probs = np.full_like(vecs, 0.5)
+        probs[~degen] = vecs[~degen] ** 2 / norms[~degen, None]
+        return probs, vecs, norms, degen
 
     def eval_split(self, name: str, theta: np.ndarray):
-        store = self.store(theta)
-        probs = []
-        degenerate = 0
-        for net in self.networks_by_split[name]:
-            p, _, _, degen = self._readout(contract(net, store))
-            probs.append(p)
-            degenerate += int(degen)
-        return np.array(probs), degenerate
+        probs, _, _, degen = self._readout(name, self.store(theta))
+        return probs, int(degen.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
         nets = self.networks_by_split[name]
@@ -398,22 +413,17 @@ class TensorModel:
         if n == 0:
             raise EmptyEvalSet("no sentences to differentiate")
         store = self.store(theta)
+        probs, vecs, norms, degen = self._readout(name, store)
+        g_probs = bce_grad(probs, labels)
         grad = np.zeros(self.n_params)
-        total = 0.0
-        degenerate = 0
-        for net, y in zip(nets, labels):
-            p, v, norm, degen = self._readout(contract(net, store))
-            total += bce_loss(p, y)
-            if degen:
-                degenerate += 1
-                continue
-            g_p = bce_grad(p, y)
+        for i in np.flatnonzero(~degen):
             # chain through p_i = v_i^2 / norm
-            g_v = (2.0 * v / norm) * (g_p - float(g_p @ p))
-            holes = gradient_hole(net, store, g_v.reshape(net.output_dims()))
+            g_p = g_probs[i]
+            g_v = (2.0 * vecs[i] / norms[i]) * (g_p - float(g_p @ probs[i]))
+            holes = gradient_hole(nets[i], store, g_v.reshape(nets[i].output_dims()))
             for sym, g_t in holes.items():
                 grad[self._slices[sym]] += g_t.reshape(-1) / n
-        return grad, total / n, degenerate
+        return grad, float(bce_loss(probs, labels).mean()), int(degen.sum())
 
     def params_to_named(self, theta: np.ndarray) -> dict[str, list]:
         store = self.store(theta)
@@ -430,10 +440,15 @@ class TensorModel:
 # -- fit loop -------------------------------------------------------------
 
 
-def _check_finite(value: float, what: str, epoch: int) -> float:
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"{what} became {value} at epoch {epoch}")
-    return value
+def _split_loss(probs: np.ndarray, labels: np.ndarray, what: str, epoch: int) -> float:
+    """Mean loss of a split; a non-finite probability fails the fit.
+
+    The clip bounds the loss of finite probabilities, so the check on
+    them covers the loss too.
+    """
+    if not np.isfinite(probs).all():
+        raise NonFiniteLoss(f"{what} became non-finite at epoch {epoch}")
+    return float(bce_loss(probs, labels).mean())
 
 
 def fit(
@@ -446,7 +461,8 @@ def fit(
     for lset in splits:
         if len(lset) == 0:
             raise EmptyEvalSet(f"split {lset.name!r} is empty")
-    train_labels = splits.train.labels()
+    train_labels = np.asarray(splits.train.labels())
+    dev_labels = np.asarray(splits.dev.labels())
     rng = np.random.default_rng(cfg.seed)
     theta = model.init_params(rng)
     history = History()
@@ -467,10 +483,7 @@ def fit(
             )
         train_probs, degen = model.eval_split("train", theta)
         history.degenerate_evals += degen
-        train_loss = float(
-            np.mean([bce_loss(p, y) for p, y in zip(train_probs, train_labels)])
-        )
-        history.train_loss.append(_check_finite(train_loss, "train loss", epoch))
+        history.train_loss.append(_split_loss(train_probs, train_labels, "train loss", epoch))
         history.train_acc.append(accuracy(train_probs, train_labels))
 
         if spsa is not None:
@@ -478,9 +491,7 @@ def fit(
             def probe_loss(vec: np.ndarray) -> float:
                 probs, d = model.eval_split("train", vec)
                 history.degenerate_evals += d
-                return float(
-                    np.mean([bce_loss(p, y) for p, y in zip(probs, train_labels)])
-                )
+                return float(bce_loss(probs, train_labels).mean())
 
             theta = spsa.step(theta, probe_loss)
         else:
@@ -490,13 +501,8 @@ def fit(
 
         dev_probs, degen = model.eval_split("dev", theta)
         history.degenerate_evals += degen
-        val_loss = float(
-            np.mean(
-                [bce_loss(p, y) for p, y in zip(dev_probs, splits.dev.labels())]
-            )
-        )
-        history.val_loss.append(_check_finite(val_loss, "validation loss", epoch))
-        history.val_acc.append(accuracy(dev_probs, splits.dev.labels()))
+        history.val_loss.append(_split_loss(dev_probs, dev_labels, "validation loss", epoch))
+        history.val_acc.append(accuracy(dev_probs, dev_labels))
 
     test_probs, degen = model.eval_split("test", theta)
     history.degenerate_evals += degen

@@ -161,6 +161,26 @@ class TestRunOne:
         assert summary["status"] == "ok"
         assert json.loads((run_dir / "summary.json").read_text()) == summary
 
+    def test_error_summary_is_rerun(self, tmp_path, monkeypatch):
+        cfg = small_cfg(epochs=1)
+        real_fit = experiment.fit
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("transient failure")
+
+        monkeypatch.setattr(experiment, "fit", broken)
+        (first,) = run_sweep([cfg], root=tmp_path, workers=1)
+        assert first["status"] == "error"
+        monkeypatch.setattr(experiment, "fit", real_fit)
+        (again,) = run_sweep([cfg], root=tmp_path, workers=1)
+        assert again["status"] == "ok"
+        assert json.loads((tmp_path / cfg.run_id(0) / "summary.json").read_text()) == again
+
+    def test_aborted_summary_is_final(self, tmp_path):
+        cfg = small_cfg(epochs=1)
+        assert run_one(cfg, 0, root=tmp_path, budget_seconds=0.0)["status"] == "aborted"
+        assert run_one(cfg, 0, root=tmp_path)["status"] == "aborted"
+
     def test_zero_parameter_cell_records_nan(self, tmp_path):
         cfg = small_cfg(n_layers=0, n_single_qubit_params=0)
         summary = run_one(cfg, 0, root=tmp_path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qnlp import tensornet
 from qnlp.circuit import Symbol
 from qnlp.diagram import Box, Diagram, Port, ShapeMismatch, Wire, WireDims, eval_tensor, random_assignment
 from qnlp.errors import Error
@@ -287,6 +288,95 @@ class TestGradientHole:
         fd = finite_difference(loss, flat0).reshape(-1)
         got = np.concatenate([grads[s].ravel() for s in symbols])
         np.testing.assert_allclose(got, fd, atol=1e-6)
+
+
+def chain(n: int, dim: int = 2) -> Network:
+    """``n`` matrices joined end to end, with both chain ends open."""
+    nodes = tuple(ParamNode(Symbol(f"m{i}", "n->n", 0), (dim, dim)) for i in range(n))
+    edges = tuple(((i, 1), (i + 1, 0)) for i in range(n - 1))
+    return Network(nodes, edges, ((0, 0), (n - 1, 1)))
+
+
+class TestContractionPlan:
+    """Error and edge paths of the plan that contract and gradient_hole share."""
+
+    def test_two_open_legs_on_one_fused_class(self):
+        net = Network(nodes=(CupDeltaNode(2),), edges=(), outputs=((0, 0), (0, 1)))
+        with pytest.raises(Error, match="share one fused index"):
+            contract(net, {})
+        with pytest.raises(Error, match="share one fused index"):
+            gradient_hole(net, {}, np.ones((2, 2)))
+
+    def test_open_legs_without_parameter_operand(self):
+        net = Network(nodes=(SpiderCopyNode(1, 2),), edges=(), outputs=((0, 0),))
+        with pytest.raises(Error, match="no tensor operands"):
+            contract(net, {})
+
+    def test_contract_label_guard(self, rng):
+        net = chain(53)
+        with pytest.raises(Error, match="54 indices; limit is 52"):
+            contract(net, random_store(net, rng))
+
+    def test_gradient_hole_guard_counts_hole_width(self):
+        # two 27-leg tensors joined leg to leg: 27 labels contract, but a
+        # hole adds 27 bridge labels
+        a, b = Symbol("a", "->n", 0), Symbol("b", "->n", 0)
+        shape = (1,) * 27
+        net = Network(
+            nodes=(ParamNode(a, shape), ParamNode(b, shape)),
+            edges=tuple(((0, l), (1, l)) for l in range(27)),
+            outputs=(),
+        )
+        store = {a: np.full(shape, 2.0), b: np.full(shape, 3.0)}
+        np.testing.assert_allclose(contract(net, store), 6.0)
+        with pytest.raises(Error, match="54 indices; limit is 52"):
+            gradient_hole(net, store, np.array(1.0))
+
+    def test_upstream_shape_mismatch(self, toy_lexicon, rng):
+        d = parse_sentence(["Alice", "likes", "Bob"], toy_lexicon)
+        net = compile_network(d, cfg())
+        with pytest.raises(ShapeMismatch, match="upstream shape"):
+            gradient_hole(net, random_store(net, rng), np.ones(3))
+
+    def test_closed_delta_loop_factor(self):
+        u = Symbol("u", "->n", 0)
+        loop = (CupDeltaNode(3), CupDeltaNode(3))
+        edges = (((0, 0), (1, 0)), ((0, 1), (1, 1)))
+        np.testing.assert_allclose(contract(Network(loop, edges, ()), {}), 3.0)
+        net = Network(
+            (ParamNode(u, (2,)),) + loop,
+            tuple(((a + 1, la), (b + 1, lb)) for (a, la), (b, lb) in edges),
+            ((0, 0),),
+        )
+        vec, up = np.array([2.0, -1.0]), np.array([0.5, 4.0])
+        np.testing.assert_allclose(contract(net, {u: vec}), 3.0 * vec)
+        np.testing.assert_allclose(gradient_hole(net, {u: vec}, up)[u], 3.0 * up)
+
+    def test_plan_built_once_per_network(self, toy_lexicon, rng, monkeypatch):
+        calls = []
+        real = tensornet.validate_network
+        monkeypatch.setattr(
+            tensornet, "validate_network", lambda net: calls.append(net) or real(net)
+        )
+        d = parse_sentence(["Alice", "likes", "Bob"], toy_lexicon)
+        net = compile_network(d, cfg(TensorAnsatz.MPS))
+        store = random_store(net, rng)
+        for _ in range(3):
+            contract(net, store)
+            gradient_hole(net, store, rng.standard_normal(2))
+        assert len(calls) == 1
+
+    def test_store_checked_on_every_call(self, toy_lexicon, rng):
+        d = parse_sentence(["Alice", "likes", "Bob"], toy_lexicon)
+        net = compile_network(d, cfg())
+        store = random_store(net, rng)
+        contract(net, store)
+        missing = dict(store)
+        del missing[next(iter(missing))]
+        with pytest.raises(ShapeMismatch, match="no tensor bound"):
+            contract(net, missing)
+        with pytest.raises(ShapeMismatch, match="no tensor bound"):
+            gradient_hole(net, missing, np.ones(2))
 
 
 class TestMpsExpressivity:

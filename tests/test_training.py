@@ -14,7 +14,7 @@ from qnlp.circuit import (
     Symbol,
     ZeroParameterModel,
 )
-from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon
+from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
 from qnlp.errors import Error
 from qnlp.rewrite import RewriteScheme
 from qnlp.simulator import (
@@ -96,11 +96,32 @@ class TestLoss:
     def test_grad_zero_in_clip_region(self):
         np.testing.assert_allclose(bce_grad([1.0, 0.0], 1), [0.0, 0.0])
 
+    def test_batched_rows_match_single_calls(self):
+        # rows 1-3 sit in the clip region, below and above
+        probs = np.array(
+            [[0.25, 0.75], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.6, 0.4], [0.3, 0.7]]
+        )
+        labels = np.array([1, 1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(
+            bce_loss(probs, labels), [bce_loss(p, y) for p, y in zip(probs, labels)]
+        )
+        np.testing.assert_array_equal(
+            bce_grad(probs, labels), [bce_grad(p, y) for p, y in zip(probs, labels)]
+        )
+        np.testing.assert_array_equal(predict(probs), [predict(p) for p in probs])
+        assert accuracy(probs, labels) == pytest.approx(4 / 6)
+        assert isinstance(bce_loss(probs[0], 1), float)
+        assert isinstance(predict(probs[0]), int)
+
 
 class TestMetrics:
     def test_predict_tie_goes_to_zero(self):
         assert predict([0.5, 0.5]) == 0
         assert predict([0.4, 0.6]) == 1
+
+    def test_rounding_tie_goes_to_zero(self):
+        assert predict([0.5 - 1e-16, 0.5 + 1e-16]) == 0
+        assert predict([0.5 - 1e-9, 0.5 + 1e-9]) == 1
 
     def test_accuracy(self):
         dists = [[0.9, 0.1]] * 29 + [[0.1, 0.9]]
@@ -312,6 +333,21 @@ class TestCircuitBatching:
                 np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
                 losses = [bce_loss(p, y) for p, y in zip(want, lset.labels())]
                 assert total == pytest.approx(np.mean(losses), abs=1e-12)
+
+    def test_uniform_cell_scores_alike_on_both_paths(self, rng):
+        # iqp/L1/r1 reads every sentence as uniform in exact arithmetic, so
+        # |p1 - p0| is rounding noise that differs between the two paths
+        splits = generate_mc(5)
+        ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1, n_single_qubit_params=1)
+        model = CircuitModel.build(
+            splits, default_lexicon(), RewriteScheme.RE_NORM_CUR_NORM, ansatz
+        )
+        theta = model.init_params(rng)
+        for lset in splits:
+            probs, _ = model.eval_split(lset.name, theta)
+            want, _, _ = reference_split(model, lset.name, theta, lset.labels())
+            assert np.abs(probs[:, 1] - probs[:, 0]).max() < 1e-15
+            assert accuracy(probs, lset.labels()) == accuracy(want, lset.labels())
 
     def test_groups_follow_sentence_patterns(self):
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
