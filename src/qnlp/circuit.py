@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from qnlp.diagram import Box, Diagram, InvalidDiagram, validate
 from qnlp.errors import Error
@@ -140,21 +140,6 @@ def type_fingerprint(box: Box) -> str:
 # -- block generators -----------------------------------------------------
 
 
-def block_param_count(kind: CircuitAnsatz, k: int, cfg: CircuitAnsatzConfig) -> int:
-    """Number of parameters of one ansatz block on ``k`` qubits."""
-    if k < 1:
-        return 0
-    if k == 1:
-        return cfg.n_single_qubit_params
-    per_layer = {
-        CircuitAnsatz.IQP: k - 1,
-        CircuitAnsatz.STRONGLY_ENTANGLING: 3 * k,
-        CircuitAnsatz.SIM14: 4 * k,
-        CircuitAnsatz.SIM15: 2 * k,
-    }[kind]
-    return per_layer * cfg.n_layers
-
-
 def _ring(k: int, descending: bool) -> list[tuple[int, int]]:
     order = range(k - 1, -1, -1) if descending else range(k)
     return [(i, (i + 1) % k) for i in order]
@@ -228,19 +213,8 @@ def cup_block(q1: int, q2: int) -> tuple[list[Gate], list[int]]:
 # -- compilation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Qubit layout shared by compilation and parameter counting."""
-
-    n_qubits: int
-    block_qubits: dict[int, tuple[int, ...]]  # box -> block qubit tuple
-    box_postselect: dict[int, tuple[int, ...]]
-    wire_qubits: dict[int, tuple[int, ...]]
-    cup_qubit_pairs: list[tuple[int, int]]
-    output_qubits: tuple[int, ...]
-
-
-def _plan(d: Diagram, cfg: CircuitAnsatzConfig) -> _Plan:
+def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
+    """Lower a diagram to a parameterized circuit under the given ansatz."""
     violations = validate(d)
     if violations:
         raise InvalidDiagram(violations)
@@ -249,26 +223,18 @@ def _plan(d: Diagram, cfg: CircuitAnsatzConfig) -> _Plan:
                     "run the normal-form pass first")
 
     wire_qubits: dict[int, tuple[int, ...]] = {}
-    block_qubits: dict[int, tuple[int, ...]] = {}
-    box_postselect: dict[int, tuple[int, ...]] = {}
-    counter = 0
-
-    def fresh(n: int) -> list[int]:
-        nonlocal counter
-        qs = list(range(counter, counter + n))
-        counter += n
-        return qs
+    gates: list[Gate] = []
+    symbols: dict[Symbol, None] = {}  # first-appearance order
+    postselect: set[int] = set()
+    n_qubits = 0
 
     for b in d.topological_boxes():
         box = d.boxes[b]
-        dom_qubits: list[int] = []
-        for w in d.dom_wires(b):
-            dom_qubits.extend(wire_qubits[w])
-        cod_need = cfg.qubits_of_type(box.cod)
-        if len(dom_qubits) >= cod_need:
-            qubits = dom_qubits
-        else:
-            qubits = dom_qubits + fresh(cod_need - len(dom_qubits))
+        qubits = [q for w in d.dom_wires(b) for q in wire_qubits[w]]
+        fresh = cfg.qubits_of_type(box.cod) - len(qubits)
+        if fresh > 0:
+            qubits += range(n_qubits, n_qubits + fresh)
+            n_qubits += fresh
         # Codomain wires take the leading block qubits; surplus inputs are
         # postselected away.
         pos = 0
@@ -276,79 +242,34 @@ def _plan(d: Diagram, cfg: CircuitAnsatzConfig) -> _Plan:
             width = cfg.qubits_of(d.wires[w].stype)
             wire_qubits[w] = tuple(qubits[pos : pos + width])
             pos += width
-        block_qubits[b] = tuple(qubits)
-        box_postselect[b] = tuple(qubits[pos:])
-
-    cup_qubit_pairs: list[tuple[int, int]] = []
-    for wl, wr in d.cup_pairs():
-        for a, b2 in zip(wire_qubits[wl], wire_qubits[wr]):
-            cup_qubit_pairs.append((a, b2))
-
-    output_qubits = tuple(
-        q for w in d.open_wires() for q in wire_qubits[w]
-    )
-    if counter > cfg.max_qubits:
-        raise WidthOverflow(
-            f"diagram needs {counter} qubits, limit is {cfg.max_qubits}"
-        )
-    return _Plan(counter, block_qubits, box_postselect, wire_qubits,
-                 cup_qubit_pairs, output_qubits)
-
-
-def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
-    """Lower a diagram to a parameterized circuit under the given ansatz."""
-    plan = _plan(d, cfg)
-    gates: list[Gate] = []
-    symbols: list[Symbol] = []
-    seen: set[Symbol] = set()
-    postselect: set[int] = set()
-
-    for b in d.topological_boxes():
-        box = d.boxes[b]
+        postselect.update(qubits[pos:])
         block_gates, block_symbols = word_block(
-            box.name, type_fingerprint(box), plan.block_qubits[b], cfg
+            box.name, type_fingerprint(box), tuple(qubits), cfg
         )
         gates.extend(block_gates)
-        for s in block_symbols:
-            if s not in seen:
-                seen.add(s)
-                symbols.append(s)
-        postselect.update(plan.box_postselect[b])
+        symbols.update(dict.fromkeys(block_symbols))
+    if n_qubits > cfg.max_qubits:
+        raise WidthOverflow(
+            f"diagram needs {n_qubits} qubits, limit is {cfg.max_qubits}"
+        )
 
-    for q1, q2 in plan.cup_qubit_pairs:
-        cup_gates, cup_post = cup_block(q1, q2)
-        gates.extend(cup_gates)
-        postselect.update(cup_post)
+    for wl, wr in d.cup_pairs():
+        for q1, q2 in zip(wire_qubits[wl], wire_qubits[wr]):
+            cup_gates, cup_post = cup_block(q1, q2)
+            gates.extend(cup_gates)
+            postselect.update(cup_post)
 
     if not symbols:
         raise ZeroParameterModel(
             "no trainable parameters: every block in the circuit is empty"
         )
     return Circuit(
-        n_qubits=plan.n_qubits,
+        n_qubits=n_qubits,
         gates=tuple(gates),
         postselect=tuple(sorted(postselect)),
-        outputs=plan.output_qubits,
+        outputs=tuple(q for w in d.open_wires() for q in wire_qubits[w]),
         symbols=tuple(symbols),
     )
-
-
-def param_count(d: Diagram, cfg: CircuitAnsatzConfig) -> int:
-    """Size of the circuit's symbol table, without building any gates."""
-    plan = _plan(d, cfg)
-    distinct: set[tuple[str, str]] = set()
-    total = 0
-    for b, box in enumerate(d.boxes):
-        key = (box.name, type_fingerprint(box))
-        if key in distinct:
-            continue
-        distinct.add(key)
-        total += block_param_count(cfg.kind, len(plan.block_qubits[b]), cfg)
-    if total == 0:
-        raise ZeroParameterModel(
-            "no trainable parameters: every block in the circuit is empty"
-        )
-    return total
 
 
 # -- serialization --------------------------------------------------------

@@ -5,8 +5,9 @@ follow the ``exp(-i * theta * P / 2)`` convention, so ``RZ(theta)`` is
 ``diag(e^{-i theta/2}, e^{+i theta/2})`` and controlled rotations apply the
 same half-angle block on the target when the control is 1.  Postselection
 slices the outcome-0 component without renormalizing; the squared norm of
-what survives is reported as ``survival_norm``, and renormalization happens
-only in :func:`sentence_distribution`.
+what survives is reported as ``survival_norm``.  Only the per-sentence
+:func:`sentence_distribution` renormalizes; batched runs leave that to the
+model.
 
 Gradients of the renormalized distribution come from parameter-shift rules
 chained through the quotient ``p = N / D`` (``N``: unnormalized output
@@ -22,10 +23,12 @@ Training runs batched: circuits that share a structure (see
 :func:`structure_key`) compile once into a :class:`CircuitBatch`, and one
 statevector pass over a ``(rows, 2, ..., 2)`` state serves every sentence
 of the group, with the gradient's shift probes stacked into the row axis
-(:func:`batch_distribution`, :func:`batch_distribution_gradient`).  The
-per-gate :func:`apply` and the per-sentence :func:`sentence_distribution`
-and :func:`distribution_gradient` are the reference the batched path is
-tested against.
+(:func:`batch_marginal`, :func:`batch_marginal_jacobian`).  Batches return
+the unnormalized marginal ``N`` and its derivative only; the model
+normalizes and chains the quotient rule.  The per-gate :func:`apply` and
+the per-sentence :func:`sentence_distribution` and
+:func:`distribution_gradient` are the reference the batched path is tested
+against.
 """
 
 from __future__ import annotations
@@ -148,17 +151,8 @@ class RunResult:
     survival_norm: float
 
 
-def _execute(circuit: Circuit, theta: np.ndarray, initial_state=None) -> np.ndarray:
-    if initial_state is None:
-        state = zero_state(circuit.n_qubits)
-    else:
-        state = np.asarray(initial_state, dtype=np.complex128)
-        if state.size != 2**circuit.n_qubits:
-            raise Error(
-                f"initial state has {state.size} amplitudes, "
-                f"expected {2**circuit.n_qubits}"
-            )
-        state = state.reshape((2,) * circuit.n_qubits).copy()
+def _execute(circuit: Circuit, theta: np.ndarray) -> np.ndarray:
+    state = zero_state(circuit.n_qubits)
     values = dict(zip(circuit.symbols, theta))
     for gate in circuit.gates:
         if isinstance(gate.param, Symbol):
@@ -169,8 +163,8 @@ def _execute(circuit: Circuit, theta: np.ndarray, initial_state=None) -> np.ndar
     return state
 
 
-def _project(circuit: Circuit, theta: np.ndarray, initial_state=None):
-    state = _execute(circuit, theta, initial_state)
+def _project(circuit: Circuit, theta: np.ndarray):
+    state = _execute(circuit, theta)
     post = set(circuit.postselect)
     indexer = tuple(0 if q in post else slice(None) for q in range(circuit.n_qubits))
     amps = state[indexer]
@@ -179,27 +173,27 @@ def _project(circuit: Circuit, theta: np.ndarray, initial_state=None):
     return amps, kept, survival
 
 
-def run(circuit: Circuit, params=None, initial_state=None) -> RunResult:
-    """Execute and project; ``initial_state`` is a test-only entry point.
+def run(circuit: Circuit, params=None) -> RunResult:
+    """Execute from ``|0...0>`` and project.
 
     Raises :class:`ZeroSurvival` when the projection leaves less than
     ``SURVIVAL_EPS`` of the squared norm.
     """
     theta = np.zeros(0) if params is None else param_vector(circuit, params)
-    amps, kept, survival = _project(circuit, theta, initial_state)
+    amps, kept, survival = _project(circuit, theta)
     if survival < SURVIVAL_EPS:
         raise ZeroSurvival(f"survival norm {survival:.3e} below {SURVIVAL_EPS}")
     return RunResult(amps, kept, survival)
 
 
-def _marginal(circuit: Circuit, theta: np.ndarray, initial_state=None):
+def _marginal(circuit: Circuit, theta: np.ndarray):
     """Unnormalized probability marginal over the output qubits.
 
     Returns ``(N, D)`` with ``N`` flat of length ``2**n_outputs`` (output
     order, first output = most significant bit) and ``D`` the survival
     norm.  Non-output kept qubits are summed out.
     """
-    amps, kept, survival = _project(circuit, theta, initial_state)
+    amps, kept, survival = _project(circuit, theta)
     axis_of = {q: i for i, q in enumerate(kept)}
     for q in circuit.outputs:
         if q not in axis_of:
@@ -221,14 +215,14 @@ class Distribution:
     degenerate: bool
 
 
-def sentence_distribution(circuit: Circuit, params, initial_state=None) -> Distribution:
+def sentence_distribution(circuit: Circuit, params) -> Distribution:
     """Renormalized two-outcome distribution of the single output qubit."""
     if len(circuit.outputs) != 1:
         raise WrongOutputArity(
             f"expected exactly one output qubit, circuit has {len(circuit.outputs)}"
         )
     theta = param_vector(circuit, params)
-    n, d = _marginal(circuit, theta, initial_state)
+    n, d = _marginal(circuit, theta)
     if d < SURVIVAL_EPS:
         return Distribution(np.array([0.5, 0.5]), d, True)
     return Distribution(n / d, d, False)
@@ -271,7 +265,7 @@ def _uses_of(circuit: Circuit) -> dict[Symbol, list[Gate]]:
     return uses
 
 
-def distribution_gradient(circuit: Circuit, params, initial_state=None) -> DistributionGradient:
+def distribution_gradient(circuit: Circuit, params) -> DistributionGradient:
     """Jacobian of the renormalized distribution w.r.t. every parameter.
 
     Each parameter's derivative follows :func:`shift_rule`.  The quotient
@@ -283,7 +277,7 @@ def distribution_gradient(circuit: Circuit, params, initial_state=None) -> Distr
         )
     theta = param_vector(circuit, params)
     n_params = len(circuit.symbols)
-    n0, d0 = _marginal(circuit, theta, initial_state)
+    n0, d0 = _marginal(circuit, theta)
     if d0 < SURVIVAL_EPS:
         return DistributionGradient(
             np.array([0.5, 0.5]), np.zeros((n_params, 2)), d0, True
@@ -297,7 +291,7 @@ def distribution_gradient(circuit: Circuit, params, initial_state=None) -> Distr
         for shift, coef in shift_rule(uses_of[s]):
             shifted = theta.copy()
             shifted[i] += shift
-            n, d = _marginal(circuit, shifted, initial_state)
+            n, d = _marginal(circuit, shifted)
             dn += coef * n
             dd += coef * d
         jac[i] = (dn - p * dd) / d0
@@ -336,8 +330,8 @@ class CircuitBatch:
     position of its slot-``j`` symbol in the model's parameter vector.  A
     gradient pass runs row ``r`` at the angles
     ``theta[gather[r]] + probe_shift[k]`` for every probe ``k``, probe 0
-    unshifted; ``probe_coef @ f[1:]`` is then the derivative of ``f`` for
-    every slot, where ``f`` is the marginal or the survival norm.
+    unshifted; ``probe_coef @ N[1:]`` is then the derivative of the
+    output marginal ``N`` for every slot.
     """
 
     n_qubits: int
@@ -472,8 +466,8 @@ def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
     b += ms * old
 
 
-def _run_rows(batch: CircuitBatch, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output marginal ``N`` (rows, 2) and survival ``D`` (rows,) per row.
+def _run_rows(batch: CircuitBatch, angles: np.ndarray) -> np.ndarray:
+    """Unnormalized output marginal ``N`` (rows, 2), one row per run.
 
     ``angles`` holds one row of slot values per run.  Rows run in chunks
     of at most ``BATCH_AMPLITUDES`` amplitudes.
@@ -481,7 +475,6 @@ def _run_rows(batch: CircuitBatch, angles: np.ndarray) -> tuple[np.ndarray, np.n
     rows = angles.shape[0]
     n = batch.n_qubits
     marginal = np.empty((rows, 2))
-    survival = np.empty(rows)
     step = max(1, BATCH_AMPLITUDES >> n)
     origin = (slice(None),) + (0,) * n
     for start in range(0, rows, step):
@@ -492,46 +485,29 @@ def _run_rows(batch: CircuitBatch, angles: np.ndarray) -> tuple[np.ndarray, np.n
         for op in batch.ops:
             _apply_rows(state, op, block)
         probs = np.abs(state[batch.postselect]) ** 2
-        survival[start : start + m] = probs.reshape(m, -1).sum(axis=1)
         by_output = np.moveaxis(probs, batch.output_axis, 1).reshape(m, 2, -1)
         marginal[start : start + m] = by_output.sum(axis=2)
-    return marginal, survival
+    return marginal
 
 
-def _normalize(marginal: np.ndarray, survival: np.ndarray):
-    degenerate = survival < SURVIVAL_EPS
-    probs = marginal / np.where(degenerate, 1.0, survival)[:, None]
-    probs[degenerate] = 0.5
-    return probs, degenerate
-
-
-def batch_distribution(batch: CircuitBatch, theta: np.ndarray):
-    """:func:`sentence_distribution` of every row in one pass.
+def batch_marginal(batch: CircuitBatch, theta: np.ndarray) -> np.ndarray:
+    """Unnormalized output marginal ``N`` of every row in one pass.
 
     ``theta`` is the parameter vector ``batch.gather`` indexes.  Returns
-    ``(probs, degenerate)`` of shapes ``(rows, 2)`` and ``(rows,)``.
+    ``(rows, 2)``; a row's sum is its survival norm.
     """
-    return _normalize(*_run_rows(batch, theta[batch.gather]))
+    return _run_rows(batch, theta[batch.gather])
 
 
-def batch_distribution_gradient(batch: CircuitBatch, theta: np.ndarray):
-    """:func:`distribution_gradient` of every row in one pass.
+def batch_marginal_jacobian(batch: CircuitBatch, theta: np.ndarray):
+    """:func:`batch_marginal` and its derivative in one pass.
 
     Every row's shift probes run in the same pass as the row itself.
-    Returns ``(probs, jacobian, degenerate)`` of shapes ``(rows, 2)``,
-    ``(rows, slots, 2)`` and ``(rows,)``; a degenerate row reads
-    ``[0.5, 0.5]`` with a zero Jacobian.
+    Returns ``(N, dN)`` of shapes ``(rows, 2)`` and ``(rows, slots, 2)``,
+    ``dN[r, j, k] = d N[r, k] / d slot j``.
     """
     rows, slots = batch.gather.shape
     probes = batch.probe_shift.shape[0]
     angles = theta[batch.gather][:, None, :] + batch.probe_shift
-    marginal, survival = _run_rows(batch, angles.reshape(rows * probes, slots))
-    marginal = marginal.reshape(rows, probes, 2)
-    survival = survival.reshape(rows, probes)
-    probs, degenerate = _normalize(marginal[:, 0], survival[:, 0])
-    d_marginal = np.einsum("sp,rpk->rsk", batch.probe_coef, marginal[:, 1:])
-    d_survival = np.einsum("sp,rp->rs", batch.probe_coef, survival[:, 1:])
-    d0 = np.where(degenerate, 1.0, survival[:, 0])
-    jacobian = (d_marginal - probs[:, None, :] * d_survival[:, :, None]) / d0[:, None, None]
-    jacobian[degenerate] = 0.0
-    return probs, jacobian, degenerate
+    marginal = _run_rows(batch, angles.reshape(rows * probes, slots)).reshape(rows, probes, 2)
+    return marginal[:, 0], np.einsum("sp,rpk->rsk", batch.probe_coef, marginal[:, 1:])

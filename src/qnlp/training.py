@@ -2,13 +2,17 @@
 
 A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
-one set of weights no matter how many sentences mention them.  Two model
-families implement the same ensemble surface: circuits evaluated by the
-statevector simulator and networks evaluated by tensor contraction, the
-latter squaring its real output vector into probabilities.  A circuit model
-groups each split's circuits by structure when it is built and runs every
-group as one batched statevector pass, its gradient's shift probes
-included; :func:`qnlp.simulator.sentence_distribution` and
+one set of weights no matter how many sentences mention them.  Both model
+families share one surface: each hands every sentence two non-negative
+weights ``u``, and one readout turns them into probabilities
+``p = u / sum(u)`` and one pullback chains the loss back to ``u``.  A
+circuit's ``u`` is its unnormalized postselected output marginal, whose
+sum is the survival norm; a network's ``u`` is its squared real output
+vector.  A circuit model groups each split's circuits by structure when it
+is built and runs every group as one batched statevector pass, its
+gradient's shift probes included; the batches return unnormalized
+marginals and the model normalizes.
+:func:`qnlp.simulator.sentence_distribution` and
 :func:`qnlp.simulator.distribution_gradient` are the per-sentence
 reference for that path.
 
@@ -23,6 +27,7 @@ split is scored once after the final epoch.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -36,7 +41,7 @@ from qnlp.circuit import (
     ZeroParameterModel,
     compile_circuit,
 )
-from qnlp.corpus import CorpusSplits, LabeledSet
+from qnlp.corpus import CorpusSplits
 from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import Lexicon, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
@@ -46,8 +51,8 @@ from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (  # noqa: F401
     CircuitBatch,
     WrongOutputArity,
-    batch_distribution,
-    batch_distribution_gradient,
+    batch_marginal,
+    batch_marginal_jacobian,
     compile_batches,
     distribution_gradient,
     sentence_distribution,
@@ -234,35 +239,94 @@ class TrainConfig:
 # -- models ---------------------------------------------------------------
 
 
-def _parse_and_rewrite(
-    sentences: Sequence[Sequence[str]], lexicon: Lexicon, scheme: RewriteScheme
-):
-    return [
-        rewrite(parse_sentence(list(words), lexicon), scheme)
-        for words in sentences
-    ]
+def _compile_splits(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme, compile_fn, cfg):
+    """Parse, rewrite and compile every sentence, keyed by split name."""
+    def one(words):
+        return compile_fn(rewrite(parse_sentence(list(words), lexicon), scheme), cfg)
+
+    return {lset.name: [one(words) for words in lset.sentences()] for lset in splits}
 
 
-class CircuitModel:
+def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities ``p = u / sum(u)`` per row, and the degenerate mask.
+
+    A row whose sum is below ``DEGENERATE_EPS`` reads out as uniform.
+    """
+    norm = u.sum(axis=1)
+    degenerate = norm < DEGENERATE_EPS
+    probs = u / np.where(degenerate, 1.0, norm)[:, None]
+    probs[degenerate] = 0.5
+    return probs, degenerate
+
+
+def _pullback(u: np.ndarray, labels, n: int):
+    """Summed loss of the rows, d(mean loss)/du, and the degenerate mask.
+
+    ``n`` is the split size the mean divides by.  The cotangent chains
+    through ``p = u / sum(u)``: ``(g - g . p) / sum(u)`` with
+    ``g = d loss / d p``; it is zero on degenerate rows.
+    """
+    probs, degenerate = _readout(u)
+    g = bce_grad(probs, labels)
+    norm = np.where(degenerate, 1.0, u.sum(axis=1))[:, None]
+    g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm)
+    g_u[degenerate] = 0.0
+    return float(bce_loss(probs, labels).sum()), g_u, degenerate
+
+
+class _Model:
+    """The parameter table both model families share.
+
+    Every sentence reads out two non-negative weights ``u``, and
+    :func:`_readout` turns them into probabilities.  Symbols are kept in
+    first-use order, each with its shape (``()`` for a circuit angle) and
+    its slice of the flat parameter vector.
+    """
+
+    def __init__(self, symbol_shapes):
+        self.shapes: dict[Symbol, tuple[int, ...]] = {}
+        for sym, shape in symbol_shapes:
+            if self.shapes.setdefault(sym, shape) != shape:
+                raise Error(f"symbol {sym.name} has conflicting shapes")
+        self.symbols: list[Symbol] = list(self.shapes)
+        self._slices: dict[Symbol, slice] = {}
+        offset = 0
+        for s in self.symbols:
+            size = math.prod(self.shapes[s])
+            self._slices[s] = slice(offset, offset + size)
+            offset += size
+        self.n_params = offset
+
+    def store(self, theta: np.ndarray) -> dict[Symbol, np.ndarray]:
+        return {s: theta[self._slices[s]].reshape(self.shapes[s]) for s in self.symbols}
+
+    def params_to_named(self, theta: np.ndarray) -> dict:
+        """Name to float for a circuit angle, to nested lists for a tensor."""
+        return {s.name: v.tolist() for s, v in self.store(theta).items()}
+
+    def named_to_params(self, named: dict) -> np.ndarray:
+        theta = np.empty(self.n_params)
+        for s in self.symbols:
+            theta[self._slices[s]] = np.ravel(named[s.name])
+        return theta
+
+
+class CircuitModel(_Model):
     """A shared-parameter ensemble of compiled sentence circuits.
 
-    Each split's circuits are grouped by structure and every group is
-    compiled once into a :class:`CircuitBatch` (:func:`compile_batches`);
-    evaluation and gradients run one batched pass per group.
+    A sentence's weights are its unnormalized postselected output
+    marginal, whose sum is the survival norm.  Each split's circuits are
+    grouped by structure and every group is compiled once into a
+    :class:`CircuitBatch` (:func:`compile_batches`); evaluation and
+    gradients run one batched pass per group.
     """
 
     def __init__(self, circuits_by_split: dict[str, list[Circuit]]):
-        self.circuits_by_split = circuits_by_split
-        self.symbols: list[Symbol] = []
-        seen: set[Symbol] = set()
-        for split in circuits_by_split.values():
-            for circ in split:
-                for s in circ.symbols:
-                    if s not in seen:
-                        seen.add(s)
-                        self.symbols.append(s)
+        super().__init__((s, ()) for split in circuits_by_split.values()
+                         for c in split for s in c.symbols)
         if not self.symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
+        self.circuits_by_split = circuits_by_split
         pos = {s: i for i, s in enumerate(self.symbols)}
         # per split: (row positions in the split, their compiled batch)
         self._groups: dict[str, list[tuple[np.ndarray, CircuitBatch]]] = {
@@ -270,125 +334,65 @@ class CircuitModel:
         }
 
     @classmethod
-    def build(
-        cls,
-        splits: CorpusSplits,
-        lexicon: Lexicon,
-        scheme: RewriteScheme,
-        ansatz: CircuitAnsatzConfig,
-    ) -> "CircuitModel":
-        by_split: dict[str, list[Circuit]] = {}
-        for lset in splits:
-            diagrams = _parse_and_rewrite(lset.sentences(), lexicon, scheme)
-            by_split[lset.name] = [compile_circuit(d, ansatz) for d in diagrams]
-        return cls(by_split)
-
-    @property
-    def n_params(self) -> int:
-        return len(self.symbols)
+    def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
+              ansatz: CircuitAnsatzConfig) -> "CircuitModel":
+        return cls(_compile_splits(splits, lexicon, scheme, compile_circuit, ansatz))
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
 
     def eval_split(self, name: str, theta: np.ndarray):
-        probs = np.empty((len(self.circuits_by_split[name]), 2))
-        degenerate = 0
+        u = np.empty((len(self.circuits_by_split[name]), 2))
         for rows, batch in self._groups[name]:
-            probs[rows], degen = batch_distribution(batch, theta)
-            degenerate += int(degen.sum())
-        return probs, degenerate
+            u[rows] = batch_marginal(batch, theta)
+        probs, degenerate = _readout(u)
+        return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
         """Mean-loss gradient, exact per-parameter shift rules."""
         n = len(self.circuits_by_split[name])
         if n == 0:
             raise EmptyEvalSet("no sentences to differentiate")
-        labels = np.asarray(labels)
-        grad = np.zeros(self.n_params)
-        total = 0.0
-        degenerate = 0
+        u = np.empty((n, 2))
+        d_u = []
         for rows, batch in self._groups[name]:
-            probs, jacobian, degen = batch_distribution_gradient(batch, theta)
-            total += float(bce_loss(probs, labels[rows]).sum())
-            upstream = bce_grad(probs, labels[rows])
-            degenerate += int(degen.sum())
-            np.add.at(grad, batch.gather, np.einsum("rsk,rk->rs", jacobian, upstream) / n)
-        return grad, total / n, degenerate
-
-    def params_to_named(self, theta: np.ndarray) -> dict[str, float]:
-        return {s.name: float(v) for s, v in zip(self.symbols, theta)}
-
-    def named_to_params(self, named: dict[str, float]) -> np.ndarray:
-        return np.array([float(named[s.name]) for s in self.symbols])
+            u[rows], d = batch_marginal_jacobian(batch, theta)
+            d_u.append(d)
+        total, g_u, degenerate = _pullback(u, labels, n)
+        grad = np.zeros(self.n_params)
+        for (rows, batch), d in zip(self._groups[name], d_u):
+            np.add.at(grad, batch.gather, np.einsum("rsk,rk->rs", d, g_u[rows]))
+        return grad, total / n, int(degenerate.sum())
 
 
-class TensorModel:
+class TensorModel(_Model):
     """A shared-parameter ensemble of sentence tensor networks.
 
-    The real output vector ``v`` over the sentence wire is squared and
-    renormalized into probabilities, ``p_i = v_i^2 / sum v^2``; a collapsed
-    vector (squared norm below 1e-12) reads out as uniform.
+    A sentence's weights are its squared real output vector ``v**2``, so
+    ``p_i = v_i^2 / sum v^2``; a collapsed vector (squared norm below
+    1e-12) reads out as uniform.
     """
 
     def __init__(self, networks_by_split: dict[str, list[Network]]):
+        super().__init__(kv for split in networks_by_split.values() for net in split
+                         for kv in net.param_shapes().items())
         self.networks_by_split = networks_by_split
-        self.shapes: dict[Symbol, tuple[int, ...]] = {}
-        self.symbols: list[Symbol] = []
-        for split in networks_by_split.values():
-            for net in split:
-                for sym, shape in net.param_shapes().items():
-                    if sym in self.shapes:
-                        if self.shapes[sym] != shape:
-                            raise Error(
-                                f"symbol {sym.name} has conflicting shapes"
-                            )
-                    else:
-                        self.shapes[sym] = shape
-                        self.symbols.append(sym)
-        self._slices: dict[Symbol, slice] = {}
-        offset = 0
-        for s in self.symbols:
-            size = int(np.prod(self.shapes[s], dtype=int)) if self.shapes[s] else 1
-            self._slices[s] = slice(offset, offset + size)
-            offset += size
-        self._total = offset
 
     @classmethod
-    def build(
-        cls,
-        splits: CorpusSplits,
-        lexicon: Lexicon,
-        scheme: RewriteScheme,
-        cfg: TensorAnsatzConfig,
-    ) -> "TensorModel":
-        by_split: dict[str, list[Network]] = {}
-        for lset in splits:
-            diagrams = _parse_and_rewrite(lset.sentences(), lexicon, scheme)
-            by_split[lset.name] = [compile_network(d, cfg) for d in diagrams]
-        return cls(by_split)
-
-    @property
-    def n_params(self) -> int:
-        return self._total
+    def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
+              cfg: TensorAnsatzConfig) -> "TensorModel":
+        return cls(_compile_splits(splits, lexicon, scheme, compile_network, cfg))
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        chunks = []
+        chunks = [np.zeros(0)]
         for s in self.symbols:
             shape = self.shapes[s]
-            fan_in = int(np.prod(shape[:-1], dtype=int)) if len(shape) > 1 else 1
-            std = 1.0 / np.sqrt(fan_in)
-            size = int(np.prod(shape, dtype=int)) if shape else 1
-            chunks.append(rng.normal(0.0, std, size=size))
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+            std = 1.0 / np.sqrt(math.prod(shape[:-1]))
+            chunks.append(rng.normal(0.0, std, size=math.prod(shape)))
+        return np.concatenate(chunks)
 
-    def store(self, theta: np.ndarray) -> dict[Symbol, np.ndarray]:
-        return {
-            s: theta[self._slices[s]].reshape(self.shapes[s]) for s in self.symbols
-        }
-
-    def _readout(self, name: str, store: dict[Symbol, np.ndarray]):
-        """Probabilities, vectors, squared norms and the degenerate mask of
-        a split, one row per sentence."""
+    def _vectors(self, name: str, store: dict[Symbol, np.ndarray]) -> np.ndarray:
+        """The sentence vector ``v`` of every network in a split."""
         vecs = np.empty((len(self.networks_by_split[name]), 2))
         for i, net in enumerate(self.networks_by_split[name]):
             v = np.asarray(contract(net, store), dtype=float).reshape(-1)
@@ -397,15 +401,11 @@ class TensorModel:
                     f"expected a 2-dimensional sentence vector, got {v.shape[0]}"
                 )
             vecs[i] = v
-        norms = (vecs**2).sum(axis=1)
-        degen = norms < DEGENERATE_EPS
-        probs = np.full_like(vecs, 0.5)
-        probs[~degen] = vecs[~degen] ** 2 / norms[~degen, None]
-        return probs, vecs, norms, degen
+        return vecs
 
     def eval_split(self, name: str, theta: np.ndarray):
-        probs, _, _, degen = self._readout(name, self.store(theta))
-        return probs, int(degen.sum())
+        probs, degenerate = _readout(self._vectors(name, self.store(theta)) ** 2)
+        return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
         nets = self.networks_by_split[name]
@@ -413,41 +413,31 @@ class TensorModel:
         if n == 0:
             raise EmptyEvalSet("no sentences to differentiate")
         store = self.store(theta)
-        probs, vecs, norms, degen = self._readout(name, store)
-        g_probs = bce_grad(probs, labels)
+        vecs = self._vectors(name, store)
+        total, g_u, degenerate = _pullback(vecs**2, labels, n)
+        g_v = 2.0 * vecs * g_u
         grad = np.zeros(self.n_params)
-        for i in np.flatnonzero(~degen):
-            # chain through p_i = v_i^2 / norm
-            g_p = g_probs[i]
-            g_v = (2.0 * vecs[i] / norms[i]) * (g_p - float(g_p @ probs[i]))
-            holes = gradient_hole(nets[i], store, g_v.reshape(nets[i].output_dims()))
+        for i in np.flatnonzero(~degenerate):
+            holes = gradient_hole(nets[i], store, g_v[i].reshape(nets[i].output_dims()))
             for sym, g_t in holes.items():
-                grad[self._slices[sym]] += g_t.reshape(-1) / n
-        return grad, float(bce_loss(probs, labels).mean()), int(degen.sum())
-
-    def params_to_named(self, theta: np.ndarray) -> dict[str, list]:
-        store = self.store(theta)
-        return {s.name: store[s].tolist() for s in self.symbols}
-
-    def named_to_params(self, named: dict[str, list]) -> np.ndarray:
-        chunks = []
-        for s in self.symbols:
-            arr = np.asarray(named[s.name], dtype=float).reshape(-1)
-            chunks.append(arr)
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+                grad[self._slices[sym]] += g_t.reshape(-1)
+        return grad, total / n, int(degenerate.sum())
 
 
 # -- fit loop -------------------------------------------------------------
 
 
-def _split_loss(probs: np.ndarray, labels: np.ndarray, what: str, epoch: int) -> float:
-    """Mean loss of a split; a non-finite probability fails the fit.
+def _split_loss(probs: np.ndarray, labels: np.ndarray, split: str, epoch: int) -> float:
+    """Mean loss of a split; non-finite probabilities or a row count that
+    differs from the split's fail the fit.
 
     The clip bounds the loss of finite probabilities, so the check on
     them covers the loss too.
     """
     if not np.isfinite(probs).all():
-        raise NonFiniteLoss(f"{what} became non-finite at epoch {epoch}")
+        raise NonFiniteLoss(f"{split} loss became non-finite at epoch {epoch}")
+    if np.shape(probs) != (len(labels), 2):
+        raise Error(f"{split} split: {len(labels)} sentences, probabilities {np.shape(probs)}")
     return float(bce_loss(probs, labels).mean())
 
 
@@ -475,34 +465,32 @@ def fit(
     else:
         raise ConfigError(f"unknown optimizer config: {cfg.optimizer!r}")
 
+    def score(split: str, labels: np.ndarray, vec: np.ndarray, epoch: int):
+        """Probabilities and checked mean loss; counts degenerate readouts."""
+        probs, degenerate = model.eval_split(split, vec)
+        history.degenerate_evals += degenerate
+        return probs, _split_loss(probs, labels, split, epoch)
+
     start = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             raise BudgetExceeded(
                 f"epoch {epoch}: exceeded budget of {budget_seconds:.0f} s"
             )
-        train_probs, degen = model.eval_split("train", theta)
-        history.degenerate_evals += degen
-        history.train_loss.append(_split_loss(train_probs, train_labels, "train loss", epoch))
-        history.train_acc.append(accuracy(train_probs, train_labels))
+        probs, loss = score("train", train_labels, theta, epoch)
+        history.train_loss.append(loss)
+        history.train_acc.append(accuracy(probs, train_labels))
 
         if spsa is not None:
-
-            def probe_loss(vec: np.ndarray) -> float:
-                probs, d = model.eval_split("train", vec)
-                history.degenerate_evals += d
-                return float(bce_loss(probs, train_labels).mean())
-
-            theta = spsa.step(theta, probe_loss)
+            theta = spsa.step(theta, lambda vec: score("train", train_labels, vec, epoch)[1])
         else:
             grad, _, d = model.grad_split("train", theta, train_labels)
             history.degenerate_evals += d
             theta = adaptive.step(theta, grad)
 
-        dev_probs, degen = model.eval_split("dev", theta)
-        history.degenerate_evals += degen
-        history.val_loss.append(_split_loss(dev_probs, dev_labels, "validation loss", epoch))
-        history.val_acc.append(accuracy(dev_probs, dev_labels))
+        probs, loss = score("dev", dev_labels, theta, epoch)
+        history.val_loss.append(loss)
+        history.val_acc.append(accuracy(probs, dev_labels))
 
     test_probs, degen = model.eval_split("test", theta)
     history.degenerate_evals += degen
