@@ -74,25 +74,17 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    d = _load_diagram(args)
-    d = rewrite(d, RewriteScheme(args.scheme))
-    if args.backend == "circuit":
-        cfg = circuit_mod.CircuitAnsatzConfig(
-            kind=circuit_mod.CircuitAnsatz(args.ansatz),
-            n_layers=args.layers,
-            n_single_qubit_params=args.rotations,
-        )
-        circ = circuit_mod.compile_circuit(d, cfg)
+    cfg = experiment.ExperimentConfig(
+        backend=args.backend, ansatz=args.ansatz, scheme=args.scheme,
+        n_layers=args.layers, n_single_qubit_params=args.rotations,
+        d_n=args.d_n, d_s=args.d_s, bond_dim=args.bond_dim, max_legs=args.max_legs,
+    )
+    d = rewrite(_load_diagram(args), cfg.rewrite_scheme())
+    if cfg.backend == "circuit":
+        circ = circuit_mod.compile_circuit(d, cfg.ansatz_config())
         _emit(circuit_mod.circuit_to_json(circ), args.out)
     else:
-        cfg = tensornet.TensorAnsatzConfig(
-            kind=tensornet.TensorAnsatz(args.ansatz),
-            d_n=args.d_n,
-            d_s=args.d_s,
-            bond_dim=args.bond_dim,
-            max_legs=args.max_legs,
-        )
-        net = tensornet.compile_network(d, cfg)
+        net = tensornet.compile_network(d, cfg.ansatz_config())
         _emit(tensornet.network_to_json(net), args.out)
     return 0
 

@@ -243,12 +243,14 @@ def validate(d: Diagram) -> list[Violation]:
                 out.append(Violation("DanglingPort", f"wire {w} produced by missing box port"))
 
     # Cups: two legs each, contractible left-to-right.
+    cups: list[tuple[int, int, int]] = []  # (cup, left wire, right wire)
     for c in range(d.n_cups):
         left = consumer_slots.get(("cup", c, 0))
         right = consumer_slots.get(("cup", c, 1))
         if left is None or right is None:
             out.append(Violation("DanglingPort", f"cup {c} is missing a leg"))
             continue
+        cups.append((c, left, right))
         t, u = d.wires[left].stype, d.wires[right].stype
         if not contractible(t, u):
             out.append(
@@ -292,7 +294,7 @@ def validate(d: Diagram) -> list[Violation]:
             return offsets[p.index] + p.leg
 
         intervals = []
-        for c, (wl, wr) in enumerate(d.cup_pairs()):
+        for c, wl, wr in cups:
             a, b = position(wl), position(wr)
             if a > b:
                 a, b = b, a

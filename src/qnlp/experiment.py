@@ -59,7 +59,6 @@ RESULTS_ENV = "QNLP_RESULTS_ROOT"
 
 _CIRCUIT_ANSATZE = tuple(a.value for a in CircuitAnsatz)
 _TENSOR_ANSATZE = tuple(a.value for a in TensorAnsatz)
-_SCHEMES = tuple(s.value for s in RewriteScheme)
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,38 @@ class ExperimentConfig:
                 f"ansatz {self.ansatz!r} is not valid for backend "
                 f"{self.backend!r}; choose from {sorted(allowed)}"
             )
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"unknown rewrite scheme: {self.scheme!r}")
         if self.optimizer not in ("default", "spsa", "adaptive_gd"):
             raise ConfigError(f"unknown optimizer: {self.optimizer!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.n_layers < 0 or self.n_single_qubit_params < 0:
             raise ConfigError("layer and rotation counts must be non-negative")
+        try:  # the typed configs check their own fields
+            self.rewrite_scheme()
+            self.ansatz_config()
+            self.train_config(self.seeds[0])
+        except (Error, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+
+    def rewrite_scheme(self) -> RewriteScheme:
+        return RewriteScheme(self.scheme)
+
+    def ansatz_config(self) -> CircuitAnsatzConfig | TensorAnsatzConfig:
+        if self.backend == "circuit":
+            return CircuitAnsatzConfig(
+                CircuitAnsatz(self.ansatz), self.n_layers, self.n_single_qubit_params
+            )
+        return TensorAnsatzConfig(
+            TensorAnsatz(self.ansatz), self.d_n, self.d_s, self.bond_dim, self.max_legs
+        )
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """The ``default`` optimizer is SPSA for circuits, adaptive GD for tensors."""
+        choice = self.optimizer
+        if choice == "default":
+            choice = "spsa" if self.backend == "circuit" else "adaptive_gd"
+        optimizer = SPSAConfig() if choice == "spsa" else AdaptiveGDConfig()
+        return TrainConfig(epochs=self.epochs, seed=seed, optimizer=optimizer)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -182,33 +203,6 @@ def load_splits(cfg: ExperimentConfig) -> tuple[CorpusSplits, Lexicon]:
     return CorpusSplits(parts["train"], parts["dev"], parts["test"]), lexicon
 
 
-def _build_model(cfg: ExperimentConfig, splits: CorpusSplits, lexicon: Lexicon):
-    scheme = RewriteScheme(cfg.scheme)
-    if cfg.backend == "circuit":
-        ansatz = CircuitAnsatzConfig(
-            kind=CircuitAnsatz(cfg.ansatz),
-            n_layers=cfg.n_layers,
-            n_single_qubit_params=cfg.n_single_qubit_params,
-        )
-        return CircuitModel.build(splits, lexicon, scheme, ansatz)
-    tensor_cfg = TensorAnsatzConfig(
-        kind=TensorAnsatz(cfg.ansatz),
-        d_n=cfg.d_n,
-        d_s=cfg.d_s,
-        bond_dim=cfg.bond_dim,
-        max_legs=cfg.max_legs,
-    )
-    return TensorModel.build(splits, lexicon, scheme, tensor_cfg)
-
-
-def _train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    choice = cfg.optimizer
-    if choice == "default":
-        choice = "spsa" if cfg.backend == "circuit" else "adaptive_gd"
-    optimizer = SPSAConfig() if choice == "spsa" else AdaptiveGDConfig()
-    return TrainConfig(epochs=cfg.epochs, seed=seed, optimizer=optimizer)
-
-
 def _write_metrics_csv(path: Path, history: History) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -225,22 +219,36 @@ def _write_metrics_csv(path: Path, history: History) -> None:
             )
 
 
-def _nan_summary(cfg: ExperimentConfig, seed: int, status: str, note: str) -> dict:
-    nan = float("nan")
+def _run_config(cfg: ExperimentConfig, seed: int) -> dict:
+    return {**cfg.to_dict(), "seeds": [seed]}
+
+
+def _summary(
+    cfg: ExperimentConfig,
+    seed: int,
+    status: str,
+    note: str = "",
+    history: History | None = None,
+    wall_seconds: float = 0.0,
+) -> dict:
+    """The ``summary.json`` record; without a history the scores are NaN."""
+    if history is None:
+        scores = dict.fromkeys(
+            ("mean_train_loss", "mean_val_loss", "mean_train_acc", "mean_val_acc",
+             "test_acc"), float("nan"))
+    else:
+        scores = {**summarize(history, last_k=min(10, len(history))),
+                  "test_acc": history.test_acc}
     return {
         "run_id": cfg.run_id(seed),
         "seed": seed,
         "status": status,
         "note": note,
-        "config": {**cfg.to_dict(), "seeds": [seed]},
-        "mean_train_loss": nan,
-        "mean_val_loss": nan,
-        "mean_train_acc": nan,
-        "mean_val_acc": nan,
-        "test_acc": nan,
-        "degenerate_evals": 0,
-        "epochs": 0,
-        "wall_seconds": 0.0,
+        "config": _run_config(cfg, seed),
+        **scores,
+        "degenerate_evals": 0 if history is None else history.degenerate_evals,
+        "epochs": 0 if history is None else len(history),
+        "wall_seconds": wall_seconds,
     }
 
 
@@ -279,37 +287,27 @@ def run_one(
         raise fail("data", exc) from exc
 
     try:
-        model = _build_model(cfg, splits, lexicon)
+        build = CircuitModel.build if cfg.backend == "circuit" else TensorModel.build
+        model = build(splits, lexicon, cfg.rewrite_scheme(), cfg.ansatz_config())
     except ZeroParameterModel as exc:
-        summary = _nan_summary(cfg, seed, "zero_params", str(exc))
+        summary = _summary(cfg, seed, "zero_params", str(exc))
         _finish_run(run_dir, cfg, seed, summary, history=None, model=None)
         return summary
     except Error as exc:
         raise fail("compile", exc) from exc
 
     try:
-        history = fit(model, splits, _train_config(cfg, seed), budget_seconds)
+        history = fit(model, splits, cfg.train_config(seed), budget_seconds)
     except BudgetExceeded as exc:
-        summary = _nan_summary(cfg, seed, "aborted", str(exc))
-        summary["wall_seconds"] = time.monotonic() - started
+        summary = _summary(cfg, seed, "aborted", str(exc),
+                           wall_seconds=time.monotonic() - started)
         _finish_run(run_dir, cfg, seed, summary, history=None, model=None)
         return summary
     except Error as exc:
         raise fail("train", exc) from exc
 
-    stats = summarize(history, last_k=min(10, len(history)))
-    summary = {
-        "run_id": cfg.run_id(seed),
-        "seed": seed,
-        "status": "ok",
-        "note": "",
-        "config": {**cfg.to_dict(), "seeds": [seed]},
-        **stats,
-        "test_acc": history.test_acc,
-        "degenerate_evals": history.degenerate_evals,
-        "epochs": len(history),
-        "wall_seconds": time.monotonic() - started,
-    }
+    summary = _summary(cfg, seed, "ok", history=history,
+                       wall_seconds=time.monotonic() - started)
     _finish_run(run_dir, cfg, seed, summary, history, model)
     return summary
 
@@ -323,7 +321,7 @@ def _finish_run(
     model,
 ) -> None:
     (run_dir / "config.json").write_text(
-        json.dumps({**cfg.to_dict(), "seeds": [seed]}, indent=2) + "\n",
+        json.dumps(_run_config(cfg, seed), indent=2) + "\n",
         encoding="utf-8",
     )
     if history is not None:
@@ -332,7 +330,7 @@ def _finish_run(
             checkpoint = {
                 "kind": cfg.backend,
                 "epoch": len(history),
-                "config": {**cfg.to_dict(), "seeds": [seed]},
+                "config": _run_config(cfg, seed),
                 "params": model.params_to_named(history.final_params),
             }
             (run_dir / "checkpoint.json").write_text(
@@ -406,7 +404,7 @@ def _sweep_worker(args: tuple) -> dict:
     try:
         return run_one(cfg, seed, root, budget)
     except Exception as exc:  # recorded, sweep continues
-        summary = _nan_summary(cfg, seed, "error", str(exc))
+        summary = _summary(cfg, seed, "error", str(exc))
         run_dir = results_root(root) / cfg.run_id(seed)
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_summary(run_dir, summary)

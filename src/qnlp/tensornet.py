@@ -5,7 +5,10 @@ single dense parameter tensor shaped by its wire types.  ``MPS`` splits
 every parameter tensor of order >= 3 into a bond-linked chain.  ``SPIDER``
 splits tensors with more legs than ``max_legs`` into overlapping chunks
 whose shared boundary legs meet at 3-ary copy spiders, so the chunks merge
-elementwise along the boundary index.
+elementwise along the boundary index.  Lowering happens during
+compilation: each word box is placed as its lowered nodes, and the
+diagram's wires attach straight to the node legs that stand for the box's
+legs, so no dense network is built first.
 
 Cups become unnormalized delta nodes (identity matrices); a copy spider is
 the generalized Kronecker tensor, 1 exactly when all incident indices
@@ -173,50 +176,69 @@ class SpiderSplit:
     """Overlapping chunks of a leg list, meeting at 3-ary copy spiders.
 
     ``chunk_shapes[i]`` covers a contiguous span of the original legs;
-    consecutive chunks share exactly one boundary leg.  ``leg_map`` sends
-    each original leg either to a chunk leg ("param", chunk, leg) or to
-    the free leg of its boundary spider ("spider", ordinal).  Spider
-    ordinal ``j`` sits on original leg ``boundaries[j]`` and joins the
-    left chunk's last leg with the right chunk's first leg.
+    consecutive chunks share exactly one boundary leg.  Spider ``j`` sits
+    on original leg ``boundaries[j]`` and joins the left chunk's last leg
+    with the right chunk's first leg; its free leg stands for the original.
     """
 
     chunk_shapes: tuple[tuple[int, ...], ...]
     boundaries: tuple[int, ...]
-    leg_map: tuple[tuple, ...]
 
 
 def spider_split(shape: tuple[int, ...], max_legs: int) -> SpiderSplit:
     if max_legs < 2:
         raise Error("spider split threshold must be at least 2")
+    # a chunk starts every max_legs - 1 legs, so neighbours share one leg
+    starts = range(0, max(len(shape) - 1, 1), max_legs - 1)
+    return SpiderSplit(
+        tuple(tuple(shape[s : s + max_legs]) for s in starts), tuple(starts[1:])
+    )
+
+
+def _lower_word(
+    symbol: Symbol, shape: tuple[int, ...], cfg: TensorAnsatzConfig, base: int
+) -> tuple[list[Node], list[tuple[Leg, Leg]], list[Leg]]:
+    """One word tensor as nodes numbered from ``base``: the nodes, the edges
+    among them, and the node leg standing for each leg of the dense tensor."""
     k = len(shape)
-    if k <= max_legs:
-        return SpiderSplit(
-            (tuple(shape),), (), tuple(("param", 0, i) for i in range(k))
-        )
-    spans: list[tuple[int, int]] = []
-    start = 0
-    while True:
-        end = min(start + max_legs, k)
-        spans.append((start, end))
-        if end == k:
-            break
-        start = end - 1
-    chunk_shapes = tuple(tuple(shape[s:e]) for s, e in spans)
-    boundaries = tuple(s for s, _ in spans[1:])
-    leg_map: list[tuple] = []
-    for leg in range(k):
-        if leg in boundaries:
-            leg_map.append(("spider", boundaries.index(leg)))
-        else:
-            owner = next(i for i, (s, e) in enumerate(spans) if s <= leg < e)
-            leg_map.append(("param", owner, leg - spans[owner][0]))
-    return SpiderSplit(chunk_shapes, boundaries, tuple(leg_map))
+
+    def pieces(shapes) -> list[Node]:
+        word, fp = symbol.word, symbol.type_fingerprint
+        return [ParamNode(Symbol(word, fp, i), s) for i, s in enumerate(shapes)]
+
+    if cfg.kind is TensorAnsatz.MPS and k >= 3:
+        nodes = pieces(mps_split(shape, cfg.bond_dim))
+        edges = [((base + i, 1 if i == 0 else 2), (base + i + 1, 0)) for i in range(k - 1)]
+        return nodes, edges, [(base + i, 0 if i == 0 else 1) for i in range(k)]
+    if cfg.kind is TensorAnsatz.SPIDER and k > cfg.max_legs:
+        split = spider_split(shape, cfg.max_legs)
+        chunks = split.chunk_shapes
+        nodes = pieces(chunks)
+        spiders = base + len(chunks)
+        nodes += [SpiderCopyNode(3, shape[leg]) for leg in split.boundaries]
+        edges: list[tuple[Leg, Leg]] = []
+        legs: list[Leg] = []
+        for j, chunk in enumerate(chunks):
+            last = j == len(chunks) - 1
+            stop = len(chunk) if last else len(chunk) - 1
+            legs += [(base + j, l) for l in range(1 if j else 0, stop)]
+            if not last:
+                edges += [((base + j, len(chunk) - 1), (spiders + j, 0)),
+                          ((base + j + 1, 0), (spiders + j, 1))]
+                legs.append((spiders + j, 2))
+        return nodes, edges, legs
+    return [ParamNode(symbol, shape)], [], [(base, l) for l in range(k)]
 
 
 # -- compilation ----------------------------------------------------------
 
 
 def compile_network(d: Diagram, cfg: TensorAnsatzConfig) -> Network:
+    """Lower ``d`` to a network, each word box lowered where it is placed.
+
+    Nodes are the words' nodes in box order, then one delta per cup.  Edges
+    are the diagram's wires, then each word's inner edges in box order.
+    """
     violations = validate(d)
     if violations:
         raise InvalidDiagram(violations)
@@ -225,29 +247,27 @@ def compile_network(d: Diagram, cfg: TensorAnsatzConfig) -> Network:
                     "run the normal-form pass first")
 
     nodes: list[Node] = []
-    edges: list[tuple[Leg, Leg]] = []
-    box_node: dict[int, int] = {}
-    cup_node: dict[int, int] = {}
-
-    for b, box in enumerate(d.boxes):
-        shape = tuple(cfg.dim(t.base) for t in box.dom) + tuple(
-            cfg.dim(t.base) for t in box.cod
-        )
-        box_node[b] = len(nodes)
-        nodes.append(ParamNode(Symbol(box.name, type_fingerprint(box), 0), shape))
-    for c, (wl, _) in enumerate(d.cup_pairs()):
-        cup_node[c] = len(nodes)
-        nodes.append(CupDeltaNode(cfg.dim(d.wires[wl].stype.base)))
+    inner: list[tuple[Leg, Leg]] = []
+    box_legs: list[list[Leg]] = []  # dom legs first, then cod
+    for box in d.boxes:
+        shape = tuple(cfg.dim(t.base) for t in box.dom + box.cod)
+        symbol = Symbol(box.name, type_fingerprint(box), 0)
+        word_nodes, word_edges, legs = _lower_word(symbol, shape, cfg, len(nodes))
+        nodes += word_nodes
+        inner += word_edges
+        box_legs.append(legs)
+    first_cup = len(nodes)
+    nodes += [CupDeltaNode(cfg.dim(d.wires[wl].stype.base)) for wl, _ in d.cup_pairs()]
 
     def leg_of(port, producer: bool) -> Leg:
         if port.owner == "box":
-            # box legs are addressed dom-first, then cod
             base = len(d.boxes[port.index].dom) if producer else 0
-            return (box_node[port.index], base + port.leg)
+            return box_legs[port.index][base + port.leg]
         if port.owner == "cup":
-            return (cup_node[port.index], port.leg)
+            return (first_cup + port.index, port.leg)
         raise Error(f"unsupported port owner: {port.owner}")
 
+    edges: list[tuple[Leg, Leg]] = []
     outputs: list[Leg] = [(-1, -1)] * d.n_outputs
     for wire in d.wires:
         src = leg_of(wire.producer, producer=True)
@@ -255,77 +275,7 @@ def compile_network(d: Diagram, cfg: TensorAnsatzConfig) -> Network:
             outputs[wire.consumer.index] = src
         else:
             edges.append((src, leg_of(wire.consumer, producer=False)))
-    net = Network(tuple(nodes), tuple(edges), tuple(outputs))
-    return _lower(net, cfg)
-
-
-def _lower(net: Network, cfg: TensorAnsatzConfig) -> Network:
-    if cfg.kind is TensorAnsatz.TENSOR:
-        return net
-
-    nodes: list[Node] = []
-    leg_map: dict[Leg, Leg] = {}
-    extra_edges: list[tuple[Leg, Leg]] = []
-
-    for ni, node in enumerate(net.nodes):
-        split_mps = (
-            isinstance(node, ParamNode)
-            and cfg.kind is TensorAnsatz.MPS
-            and len(node.shape) >= 3
-        )
-        split_spider = (
-            isinstance(node, ParamNode)
-            and cfg.kind is TensorAnsatz.SPIDER
-            and len(node.shape) > cfg.max_legs
-        )
-        if split_mps:
-            pieces = mps_split(node.shape, cfg.bond_dim)
-            base = len(nodes)
-            for i, shape in enumerate(pieces):
-                nodes.append(
-                    ParamNode(
-                        Symbol(node.symbol.word, node.symbol.type_fingerprint, i),
-                        shape,
-                    )
-                )
-            k = len(pieces)
-            for i in range(k):
-                leg_map[(ni, i)] = (base + i, 0 if i == 0 else 1)
-            for i in range(k - 1):
-                right = (base + i, 1 if i == 0 else 2)
-                extra_edges.append((right, (base + i + 1, 0)))
-        elif split_spider:
-            split = spider_split(node.shape, cfg.max_legs)
-            base = len(nodes)
-            for i, shape in enumerate(split.chunk_shapes):
-                nodes.append(
-                    ParamNode(
-                        Symbol(node.symbol.word, node.symbol.type_fingerprint, i),
-                        shape,
-                    )
-                )
-            spider_base = len(nodes)
-            for j, leg in enumerate(split.boundaries):
-                nodes.append(SpiderCopyNode(3, node.shape[leg]))
-                left_leg = len(split.chunk_shapes[j]) - 1
-                extra_edges.append(((base + j, left_leg), (spider_base + j, 0)))
-                extra_edges.append(((base + j + 1, 0), (spider_base + j, 1)))
-            for leg, entry in enumerate(split.leg_map):
-                if entry[0] == "param":
-                    _, chunk, chunk_leg = entry
-                    leg_map[(ni, leg)] = (base + chunk, chunk_leg)
-                else:
-                    leg_map[(ni, leg)] = (spider_base + entry[1], 2)
-        else:
-            base = len(nodes)
-            nodes.append(node)
-            for leg in range(len(node_leg_dims(node))):
-                leg_map[(ni, leg)] = (base, leg)
-
-    edges = [(leg_map[a], leg_map[b]) for a, b in net.edges]
-    edges.extend(extra_edges)
-    outputs = tuple(leg_map[l] for l in net.outputs)
-    return Network(tuple(nodes), tuple(edges), outputs)
+    return Network(tuple(nodes), tuple(edges + inner), tuple(outputs))
 
 
 # -- contraction ----------------------------------------------------------

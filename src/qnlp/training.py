@@ -22,7 +22,7 @@ and ``c / k^gamma``) and an adaptive moment-based gradient descent with
 exact gradients for tensors.  Either can be pointed at either model
 family.  Epoch protocol: record full-batch train metrics at the current
 parameters, take one optimizer step, then evaluate the dev split; the test
-split is scored once after the final epoch.
+split is scored once after the final epoch, through the same checks.
 """
 
 from __future__ import annotations
@@ -492,8 +492,8 @@ def fit(
         history.val_loss.append(loss)
         history.val_acc.append(accuracy(probs, dev_labels))
 
-    test_probs, degen = model.eval_split("test", theta)
-    history.degenerate_evals += degen
-    history.test_acc = accuracy(test_probs, splits.test.labels())
+    test_labels = np.asarray(splits.test.labels())
+    test_probs, _ = score("test", test_labels, theta, cfg.epochs)
+    history.test_acc = accuracy(test_probs, test_labels)
     history.final_params = theta
     return history

@@ -115,6 +115,19 @@ class TestValidate:
         assert validate(snake_diagram()) == []
         assert validate(circle_diagram()) == []
 
+    def test_cup_missing_a_leg_is_reported(self, mc_lexicon):
+        # re-route the object's cup wire to a second output; the planarity
+        # check must skip the half cup rather than fail on it
+        d = parse_sentence(["man", "cooks", "meal"], mc_lexicon)
+        wires = list(d.wires)
+        w = next(i for i, wire in enumerate(wires) if wire.consumer == Port("cup", 1, 1))
+        wires[w] = Wire(wires[w].stype, wires[w].producer, Port("out", 1, 0))
+        broken = Diagram(d.boxes, tuple(wires), d.n_cups, d.n_caps, d.n_outputs)
+        violations = validate(broken)
+        assert [(v.kind, v.message) for v in violations] == [
+            ("DanglingPort", "cup 1 is missing a leg")
+        ]
+
 
 class TestCountStats:
     def test_transitive_sentence(self, toy_lexicon):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from qnlp import experiment
-from qnlp.circuit import circuit_from_json
+from qnlp.circuit import CircuitAnsatz, CircuitAnsatzConfig, circuit_from_json
 from qnlp.cli import main
-from qnlp.diagram import diagram_from_json
+from qnlp.corpus import default_lexicon
+from qnlp.diagram import Diagram, Port, Wire, diagram_from_json, diagram_to_json
 from qnlp.errors import ConfigError
 from qnlp.experiment import (
     RESULTS_ENV,
@@ -25,6 +26,10 @@ from qnlp.experiment import (
     run_sweep,
     sweep_cells,
 )
+from qnlp.pregroup import parse_sentence
+from qnlp.rewrite import RewriteScheme
+from qnlp.tensornet import TensorAnsatz, TensorAnsatzConfig
+from qnlp.training import AdaptiveGDConfig, SPSAConfig, TrainConfig
 
 
 def small_cfg(**kw) -> ExperimentConfig:
@@ -88,6 +93,29 @@ class TestConfig:
         assert base.run_id(0) != small_cfg(
             backend="tensor", ansatz="mps", scheme="re", **{field: value}
         ).run_id(0)
+
+    def test_run_id_separates_dataset_dirs_with_one_basename(self, tmp_path):
+        a = small_cfg(dataset_dir=str(tmp_path / "a" / "data"))
+        b = small_cfg(dataset_dir=str(tmp_path / "b" / "data"))
+        assert a.dataset_tag() == b.dataset_tag() == "data"
+        assert a.run_id(0) != b.run_id(0)
+
+    def test_typed_configs(self):
+        circuit = small_cfg(n_layers=2, n_single_qubit_params=1, seeds=(4,))
+        assert circuit.rewrite_scheme() is RewriteScheme.RE_NORM_CUR_NORM
+        assert circuit.ansatz_config() == CircuitAnsatzConfig(CircuitAnsatz.IQP, 2, 1)
+        assert circuit.train_config(4) == TrainConfig(3, 4, SPSAConfig())
+        tensor = small_cfg(backend="tensor", ansatz="mps", d_n=3, bond_dim=4)
+        assert tensor.ansatz_config() == TensorAnsatzConfig(TensorAnsatz.MPS, 3, 2, 4, 2)
+        assert tensor.train_config(0).optimizer == AdaptiveGDConfig()
+        spsa = small_cfg(backend="tensor", ansatz="tensor", optimizer="spsa")
+        assert spsa.train_config(0).optimizer == SPSAConfig()
+
+    def test_bad_tensor_dimension_fails_at_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "d_n": 1}))
+        with pytest.raises(ConfigError, match="wire dimensions"):
+            load_config(path)
 
     def test_run_id_ignores_seed_list(self):
         assert small_cfg(seeds=(0,)).run_id(0) == small_cfg(seeds=(0, 1, 2)).run_id(0)
@@ -316,6 +344,25 @@ class TestCli:
         )
         assert code == 0
         assert "nodes" in json.loads(out.read_text())
+
+    def test_compile_tensor_backend_with_circuit_ansatz(self, capsys):
+        # the default --ansatz is iqp, which is no tensor ansatz
+        assert main(["compile", "--sentence", "man cooks meal", "--backend", "tensor"]) == 2
+        assert "not valid for backend 'tensor'" in capsys.readouterr().err
+
+    def test_compile_negative_layers_is_config_error(self, capsys):
+        assert main(["compile", "--sentence", "man cooks meal", "--layers", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_rewrite_diagram_missing_a_cup_leg(self, tmp_path, capsys):
+        d = parse_sentence(["man", "cooks", "meal"], default_lexicon())
+        wires = list(d.wires)
+        w = next(i for i, wire in enumerate(wires) if wire.consumer == Port("cup", 1, 1))
+        wires[w] = Wire(wires[w].stype, wires[w].producer, Port("out", 1, 0))
+        path = tmp_path / "bad.json"
+        path.write_text(diagram_to_json(Diagram(d.boxes, tuple(wires), 2, 0, 1)))
+        assert main(["rewrite", "--diagram", str(path)]) == 3
+        assert "cup 1 is missing a leg" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["simulate", "--circuit", "/nonexistent.json"]) == 2

@@ -397,6 +397,37 @@ class TestMpsExpressivity:
         np.testing.assert_allclose(contract(net, store), target, atol=1e-6)
 
 
+class TestWideWordLowering:
+    """A 5-leg word box, wider than any corpus word, against its pieces.
+
+    With ``max_legs`` 2 the middle spider chunks have a spider leg at both
+    ends.  Mixed wire dimensions catch a transposed leg.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, kw, spec, n_spiders",
+        [
+            (TensorAnsatz.SPIDER, {"max_legs": 2}, "ab,bc,cd,de->abcde", 3),
+            (TensorAnsatz.SPIDER, {"max_legs": 3}, "abc,cde->abcde", 1),
+            (TensorAnsatz.MPS, {"bond_dim": 2}, "ax,xby,ycz,zdw,we->abcde", 0),
+        ],
+    )
+    def test_contract_equals_dense_rebuilt_from_pieces(self, kind, kw, spec, n_spiders, rng):
+        types = ty("n@s@n@s@n")
+        box = Box("w", PregroupType(()), types)
+        wires = tuple(
+            Wire(t, Port("box", 0, i), Port("out", i, 0)) for i, t in enumerate(types)
+        )
+        d = Diagram((box,), wires, 0, 0, 5)
+        net = compile_network(d, cfg(kind, d_n=2, d_s=3, **kw))
+        assert sum(isinstance(n, SpiderCopyNode) for n in net.nodes) == n_spiders
+        store = random_store(net, rng)
+        pieces = [store[s] for s in sorted(store, key=lambda s: s.index)]
+        dense = np.einsum(spec, *pieces)
+        assert dense.shape == (2, 3, 2, 3, 2)
+        np.testing.assert_allclose(contract(net, store), dense, rtol=1e-12, atol=1e-12)
+
+
 class TestJson:
     def test_round_trip(self, toy_lexicon, corpus_diagrams, rng):
         for kind in TensorAnsatz:

@@ -260,6 +260,25 @@ class TestCircuitFit:
         with pytest.raises(NonFiniteLoss):
             fit(BrokenModel(), tiny_splits(), TrainConfig(epochs=1))
 
+    def test_non_finite_test_split_detected(self):
+        class NanTestSplitModel:
+            # finite on train and dev, NaN only when the test split is scored
+            n_params = 2
+
+            def init_params(self, rng):
+                return np.zeros(2)
+
+            def eval_split(self, name, theta):
+                rows = len(getattr(tiny_splits(), name))
+                return np.full((rows, 2), np.nan if name == "test" else 0.5), 0
+
+            def grad_split(self, name, theta, labels):
+                return np.zeros(2), 0.0, 0
+
+        for optimizer in (SPSAConfig(), AdaptiveGDConfig()):
+            with pytest.raises(NonFiniteLoss, match="test"):
+                fit(NanTestSplitModel(), tiny_splits(), TrainConfig(epochs=1, optimizer=optimizer))
+
     def test_row_count_mismatch_names_the_split(self):
         class OneRowModel:
             n_params = 2
