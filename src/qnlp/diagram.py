@@ -237,6 +237,8 @@ def validate(d: Diagram) -> list[Violation]:
         if owner == "box":
             if index >= len(d.boxes) or leg >= len(d.boxes[index].dom):
                 out.append(Violation("DanglingPort", f"wire {w} consumed by missing box port"))
+        elif owner == "out" and not 0 <= index < d.n_outputs:
+            out.append(Violation("DanglingPort", f"wire {w} consumed by missing output {index}"))
     for (owner, index, leg), w in producer_slots.items():
         if owner == "box":
             if index >= len(d.boxes) or leg >= len(d.boxes[index].cod):

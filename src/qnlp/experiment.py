@@ -178,7 +178,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return ExperimentConfig.from_dict(obj)
+    cfg = ExperimentConfig.from_dict(obj)
+    if cfg.backend == "tensor" and cfg.d_s != 2:
+        # a tensor model reads its two class weights off the sentence wire;
+        # ``qnlp compile`` builds configs directly and takes any d_s
+        raise ConfigError(f"{path}: a tensor model needs d_s 2, got {cfg.d_s}")
+    return cfg
 
 
 def results_root(override: str | Path | None = None) -> Path:

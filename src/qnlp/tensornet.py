@@ -22,15 +22,26 @@ network is multilinear in every parameter node, so the derivative with
 respect to one node is the network contracted with that node removed and
 its legs left open, chained with the upstream cotangent.  A parameter
 tensor used by several nodes accumulates one hole term per use.
+
+Training runs batched: networks whose plans agree (see
+:func:`structure_key`) compile once into a :class:`TensorBatch`, which
+gathers every row's tensors from the flat parameter vector and contracts
+the whole group in one einsum with an extra row label
+(:func:`batch_contract`), and each hole in one more (:func:`batch_holes`).
+Contraction paths are chosen once per group.  The per-network
+:func:`contract` and :func:`gradient_hole` are the reference the batched
+path is tested against.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
+import string
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -401,6 +412,143 @@ def gradient_hole(
         for dim, bridge, lab in zip(node.shape, fresh, plan.sublists[hole]):
             operands += [np.eye(dim), (bridge, lab)]
         grads[node.symbol] += np.einsum(*operands, fresh) * plan.factor
+    return grads
+
+
+# -- batched contraction --------------------------------------------------
+
+_LETTERS = string.ascii_letters  # np.einsum's 52 subscript letters, in label order
+
+
+def structure_key(net: Network) -> tuple:
+    """What networks must share to contract as one batch: the parameter
+    nodes' shapes and every einsum label of the cached plan.
+
+    Sentences of one grammatical pattern under one lowering share a key
+    whatever their words, a repeated word included.
+    """
+    plan = net._plan
+    shapes = tuple(net.nodes[ni].shape for ni in plan.params)
+    return (shapes, plan.sublists, plan.outputs, plan.factor, plan.n_labels)
+
+
+@dataclass(frozen=True, eq=False)
+class TensorBatch:
+    """Networks of one structure, compiled once to contract as one batch.
+
+    Row ``r`` is the group's ``r``-th network.  ``gather[p][r]`` holds the
+    positions in the parameter vector of row ``r``'s tensor at parameter
+    position ``p`` (the plan's ``p``-th parameter node), flattened in C
+    order.  Every einsum carries one extra label for the row axis.
+    """
+
+    shapes: tuple[tuple[int, ...], ...]  # per position, rows first
+    gather: tuple[np.ndarray, ...]  # per position, (rows, size)
+    forward: tuple[str, list]  # subscripts and contraction path
+    # per position: subscripts, path, and the identity bridges that give a
+    # repeated hole label, or one no other operand carries, its own output
+    holes: tuple[tuple[str, list, tuple[np.ndarray, ...]], ...]
+    out_shape: tuple[int, ...]  # rows, then the output dimensions
+    factor: float
+
+
+def compile_batches(
+    networks: Sequence[Network], positions: Mapping[Symbol, int]
+) -> list[tuple[np.ndarray, TensorBatch]]:
+    """Group networks by :func:`structure_key` and compile each group once.
+
+    Returns ``(rows, batch)`` per group, in order of first appearance:
+    ``rows`` are the group's positions in ``networks``.  ``positions``
+    maps every symbol to the offset of its flattened tensor in the
+    parameter vector that the batch functions receive.
+    """
+    rows_of: dict[tuple, list[int]] = {}
+    for r, net in enumerate(networks):
+        rows_of.setdefault(structure_key(net), []).append(r)
+    return [
+        (np.array(rows), _compile_group([networks[r] for r in rows], positions))
+        for rows in rows_of.values()
+    ]
+
+
+def _einsum_plan(inputs, output, shapes) -> tuple[str, list]:
+    """Subscripts of an einsum over integer labels, and its greedy path."""
+    _check_labels(1 + max(output + [lab for sub in inputs for lab in sub]))
+
+    def word(labels):
+        return "".join(_LETTERS[lab] for lab in labels)
+
+    subscripts = ",".join(map(word, inputs)) + "->" + word(output)
+    dummies = [np.empty(shape) for shape in shapes]
+    return subscripts, np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+
+
+def _compile_group(nets: list[Network], positions: Mapping[Symbol, int]) -> TensorBatch:
+    first = nets[0]
+    plan = first._plan
+    if not plan.params:
+        raise Error("network has no tensor operands")
+    if not set(plan.outputs) <= {lab for sub in plan.sublists for lab in sub}:
+        raise Error("open legs with no tensor operands")
+    n = len(nets)
+    shapes = [(n,) + first.nodes[ni].shape for ni in plan.params]
+    out_shape = (n,) + first.output_dims()
+    row = plan.n_labels  # the row axis's label; bridge labels follow it
+    subs = [[row, *sub] for sub in plan.sublists]
+    out = [row, *plan.outputs]
+    forward = _einsum_plan(subs, out, shapes)
+    holes = []
+    for p in range(len(subs)):
+        inputs = subs[:p] + subs[p + 1 :] + [out]
+        dims = shapes[:p] + shapes[p + 1 :] + [out_shape]
+        carried = {lab for sub in inputs for lab in sub}
+        result, eyes = [row], []
+        for lab, dim in zip(plan.sublists[p], shapes[p][1:]):
+            if lab in result or lab not in carried:
+                bridge = row + 1 + len(eyes)
+                eyes.append(np.eye(dim))
+                inputs.append([bridge, lab])
+                dims.append((dim, dim))
+                lab = bridge
+            result.append(lab)
+        holes.append((*_einsum_plan(inputs, result, dims), tuple(eyes)))
+    gather = []
+    for ni, shape in zip(plan.params, shapes):
+        starts = np.array([positions[net.nodes[ni].symbol] for net in nets], dtype=np.intp)
+        gather.append(starts[:, None] + np.arange(math.prod(shape[1:])))
+    return TensorBatch(tuple(shapes), tuple(gather), forward, tuple(holes), out_shape,
+                       plan.factor)
+
+
+def _operands(batch: TensorBatch, theta: np.ndarray) -> list[np.ndarray]:
+    return [theta[g].reshape(shape) for g, shape in zip(batch.gather, batch.shapes)]
+
+
+def batch_contract(batch: TensorBatch, theta: np.ndarray) -> np.ndarray:
+    """Every row's network fully contracted, in one einsum.
+
+    ``theta`` is the parameter vector ``batch.gather`` indexes.  Returns
+    ``(rows, outputs)``: each row's output tensor, flattened.
+    """
+    subscripts, path = batch.forward
+    v = np.einsum(subscripts, *_operands(batch, theta), optimize=path)
+    return v.reshape(len(v), -1) * batch.factor
+
+
+def batch_holes(batch: TensorBatch, theta: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
+    """d(upstream . output)/d(tensor) at every parameter position, per row.
+
+    ``upstream`` is shaped like :func:`batch_contract`'s result.  Returns
+    one ``(rows, size)`` array per position, laid out like ``gather``, so
+    scattering them through ``gather`` with ``np.add.at`` sums the terms
+    of a symbol met at several positions or in several rows.
+    """
+    ops = _operands(batch, theta)
+    up = upstream.reshape(batch.out_shape) * batch.factor
+    grads = []
+    for p, (subscripts, path, eyes) in enumerate(batch.holes):
+        g = np.einsum(subscripts, *ops[:p], *ops[p + 1 :], up, *eyes, optimize=path)
+        grads.append(g.reshape(len(g), -1))
     return grads
 
 

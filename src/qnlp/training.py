@@ -14,7 +14,11 @@ gradient's shift probes included; the batches return unnormalized
 marginals and the model normalizes.
 :func:`qnlp.simulator.sentence_distribution` and
 :func:`qnlp.simulator.distribution_gradient` are the per-sentence
-reference for that path.
+reference for that path.  A tensor model groups each split's networks by
+structure on the split's first use and contracts every group in one
+einsum, and every hole of its gradient in one more;
+:func:`qnlp.tensornet.contract` and :func:`qnlp.tensornet.gradient_hole`
+are the per-network reference.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -57,13 +61,19 @@ from qnlp.simulator import (  # noqa: F401
     distribution_gradient,
     sentence_distribution,
 )
-from qnlp.tensornet import (
+# contract and gradient_hole are the per-network reference of the batched
+# tensor path, kept importable here for the same reason.
+from qnlp.tensornet import (  # noqa: F401
     Network,
     TensorAnsatzConfig,
+    TensorBatch,
+    batch_contract,
+    batch_holes,
     compile_network,
     contract,
     gradient_hole,
 )
+from qnlp.tensornet import compile_batches as compile_tensor_batches
 
 PROB_CLIP = 1e-7
 DEGENERATE_EPS = 1e-12
@@ -370,13 +380,18 @@ class TensorModel(_Model):
 
     A sentence's weights are its squared real output vector ``v**2``, so
     ``p_i = v_i^2 / sum v^2``; a collapsed vector (squared norm below
-    1e-12) reads out as uniform.
+    1e-12) reads out as uniform.  Each split's networks are grouped by
+    structure and every group is compiled into a :class:`TensorBatch`
+    on the split's first use; evaluation runs one einsum per group, and
+    gradients one more per parameter position.
     """
 
     def __init__(self, networks_by_split: dict[str, list[Network]]):
         super().__init__(kv for split in networks_by_split.values() for net in split
                          for kv in net.param_shapes().items())
         self.networks_by_split = networks_by_split
+        # per split, compiled on first use: (row positions, their batch)
+        self._batches: dict[str, list[tuple[np.ndarray, TensorBatch]]] = {}
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
@@ -391,36 +406,43 @@ class TensorModel(_Model):
             chunks.append(rng.normal(0.0, std, size=math.prod(shape)))
         return np.concatenate(chunks)
 
-    def _vectors(self, name: str, store: dict[Symbol, np.ndarray]) -> np.ndarray:
+    def _groups(self, name: str) -> list[tuple[np.ndarray, TensorBatch]]:
+        groups = self._batches.get(name)
+        if groups is None:
+            offsets = {s: sl.start for s, sl in self._slices.items()}
+            groups = compile_tensor_batches(self.networks_by_split[name], offsets)
+            for _, batch in groups:
+                size = math.prod(batch.out_shape[1:])
+                if size != 2:
+                    raise WrongOutputArity(
+                        f"expected a 2-dimensional sentence vector, got {size}"
+                    )
+            self._batches[name] = groups
+        return groups
+
+    def _vectors(self, name: str, theta: np.ndarray) -> np.ndarray:
         """The sentence vector ``v`` of every network in a split."""
         vecs = np.empty((len(self.networks_by_split[name]), 2))
-        for i, net in enumerate(self.networks_by_split[name]):
-            v = np.asarray(contract(net, store), dtype=float).reshape(-1)
-            if v.shape[0] != 2:
-                raise WrongOutputArity(
-                    f"expected a 2-dimensional sentence vector, got {v.shape[0]}"
-                )
-            vecs[i] = v
+        for rows, batch in self._groups(name):
+            vecs[rows] = batch_contract(batch, theta)
         return vecs
 
     def eval_split(self, name: str, theta: np.ndarray):
-        probs, degenerate = _readout(self._vectors(name, self.store(theta)) ** 2)
+        probs, degenerate = _readout(self._vectors(name, theta) ** 2)
         return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
-        nets = self.networks_by_split[name]
-        n = len(nets)
+        """Mean-loss gradient, exact hole contractions."""
+        n = len(self.networks_by_split[name])
         if n == 0:
             raise EmptyEvalSet("no sentences to differentiate")
-        store = self.store(theta)
-        vecs = self._vectors(name, store)
+        vecs = self._vectors(name, theta)
         total, g_u, degenerate = _pullback(vecs**2, labels, n)
-        g_v = 2.0 * vecs * g_u
+        g_v = 2.0 * vecs * g_u  # zero on degenerate rows, as g_u is
         grad = np.zeros(self.n_params)
-        for i in np.flatnonzero(~degenerate):
-            holes = gradient_hole(nets[i], store, g_v[i].reshape(nets[i].output_dims()))
-            for sym, g_t in holes.items():
-                grad[self._slices[sym]] += g_t.reshape(-1)
+        for rows, batch in self._groups(name):
+            for gather, g in zip(batch.gather, batch_holes(batch, theta, g_v[rows])):
+                np.add.at(grad, gather, g)
         return grad, total / n, int(degenerate.sum())
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qnlp.corpus import default_lexicon, food_pool, it_pool
-from qnlp.pregroup import Lexicon, parse_sentence
+from qnlp.diagram import Box, Diagram, Port, Wire
+from qnlp.pregroup import Lexicon, PregroupType, parse_sentence, ty
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,16 @@ def corpus_diagrams(corpus_sentences, mc_lexicon):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def output_past_boundary() -> Diagram:
+    """Two states, an ``s`` wire to output 0 and an ``n`` wire to output 1,
+    on a boundary of one output."""
+    s, n = ty("s"), ty("n")
+    boxes = (Box("a", PregroupType(()), s), Box("b", PregroupType(()), n))
+    wires = (
+        Wire(s[0], Port("box", 0, 0), Port("out", 0, 0)),
+        Wire(n[0], Port("box", 1, 0), Port("out", 1, 0)),
+    )
+    return Diagram(boxes=boxes, wires=wires, n_cups=0, n_caps=0, n_outputs=1)

@@ -122,10 +122,15 @@ class TestValidate:
         wires = list(d.wires)
         w = next(i for i, wire in enumerate(wires) if wire.consumer == Port("cup", 1, 1))
         wires[w] = Wire(wires[w].stype, wires[w].producer, Port("out", 1, 0))
-        broken = Diagram(d.boxes, tuple(wires), d.n_cups, d.n_caps, d.n_outputs)
+        broken = Diagram(d.boxes, tuple(wires), d.n_cups, d.n_caps, d.n_outputs + 1)
         violations = validate(broken)
         assert [(v.kind, v.message) for v in violations] == [
             ("DanglingPort", "cup 1 is missing a leg")
+        ]
+
+    def test_output_port_past_the_boundary_is_reported(self, output_past_boundary):
+        assert [(v.kind, v.message) for v in validate(output_past_boundary)] == [
+            ("DanglingPort", "wire 1 consumed by missing output 1")
         ]
 
 

@@ -117,6 +117,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="wire dimensions"):
             load_config(path)
 
+    def test_tensor_sentence_dimension_fails_at_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backend": "tensor", "ansatz": "mps", "d_s": 3}))
+        with pytest.raises(ConfigError, match="d_s"):
+            load_config(path)
+        # circuits ignore d_s, and the config alone still takes any value
+        path.write_text(json.dumps({"backend": "circuit", "ansatz": "iqp", "d_s": 3}))
+        assert load_config(path).d_s == 3
+        assert small_cfg(backend="tensor", ansatz="mps", d_s=3).d_s == 3
+
     def test_run_id_ignores_seed_list(self):
         assert small_cfg(seeds=(0,)).run_id(0) == small_cfg(seeds=(0, 1, 2)).run_id(0)
 
@@ -364,6 +374,17 @@ class TestCli:
         assert main(["rewrite", "--diagram", str(path)]) == 3
         assert "cup 1 is missing a leg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rewrite"], ["compile", "--backend", "tensor", "--ansatz", "tensor", "--scheme", "re"]],
+        ids=["rewrite", "compile"],
+    )
+    def test_output_port_past_the_boundary(self, argv, output_past_boundary, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(diagram_to_json(output_past_boundary))
+        assert main([*argv, "--diagram", str(path)]) == 3
+        assert "wire 1 consumed by missing output 1" in capsys.readouterr().err
+
     def test_missing_file_is_config_error(self, capsys):
         assert main(["simulate", "--circuit", "/nonexistent.json"]) == 2
 
@@ -391,6 +412,19 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"backend": "circuit", "ansatz": "iqp", "shots": 5}))
         assert main(["train", "--config", str(cfg_path)]) == 2
+
+    def test_train_tensor_sentence_dimension_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "d_s": 3}))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "needs d_s 2, got 3" in capsys.readouterr().err
+
+    def test_compile_takes_any_sentence_dimension(self, tmp_path):
+        out = tmp_path / "net.json"
+        argv = ["compile", "--sentence", "man cooks meal", "--backend", "tensor",
+                "--ansatz", "tensor", "--scheme", "re", "--d-s", "3", "-o", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["nodes"][1]["shape"] == [2, 3, 2]
 
     def test_report_empty_is_pipeline_error(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none")]) == 3

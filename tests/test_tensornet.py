@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from qnlp.tensornet import (
     SpiderCopyNode,
     TensorAnsatz,
     TensorAnsatzConfig,
+    batch_contract,
+    batch_holes,
+    compile_batches,
     compile_network,
     contract,
     gradient_hole,
@@ -426,6 +431,116 @@ class TestWideWordLowering:
         dense = np.einsum(spec, *pieces)
         assert dense.shape == (2, 3, 2, 3, 2)
         np.testing.assert_allclose(contract(net, store), dense, rtol=1e-12, atol=1e-12)
+
+
+def check_batches_against_reference(nets: list[Network], rng) -> list:
+    """Batched contraction and holes against per-network ``contract`` and
+    ``gradient_hole``, with a random upstream per row; returns the groups."""
+    shapes: dict[Symbol, tuple[int, ...]] = {}
+    for net in nets:
+        shapes.update(net.param_shapes())
+    offsets = dict(zip(shapes, np.cumsum([0] + [math.prod(s) for s in shapes.values()])))
+    theta = rng.standard_normal(sum(math.prod(s) for s in shapes.values()))
+    store = {s: theta[offsets[s] : offsets[s] + math.prod(shape)].reshape(shape)
+             for s, shape in shapes.items()}
+    groups = compile_batches(nets, offsets)
+    assert sorted(np.concatenate([rows for rows, _ in groups])) == list(range(len(nets)))
+    for rows, batch in groups:
+        v = batch_contract(batch, theta)
+        up = rng.standard_normal(v.shape)
+        grad = np.zeros_like(theta)
+        for gather, g in zip(batch.gather, batch_holes(batch, theta, up)):
+            np.add.at(grad, gather, g)
+        want = np.zeros_like(theta)
+        for r, i in enumerate(rows):
+            np.testing.assert_allclose(
+                v[r], contract(nets[i], store).reshape(-1), rtol=0, atol=1e-12
+            )
+            holes = gradient_hole(nets[i], store, up[r].reshape(nets[i].output_dims()))
+            for sym, g in holes.items():
+                want[offsets[sym] : offsets[sym] + g.size] += g.ravel()
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+    return groups
+
+
+class TestBatches:
+    """compile_batches, batch_contract and batch_holes against the
+    per-network reference."""
+
+    @pytest.mark.parametrize("kind", tuple(TensorAnsatz), ids=lambda k: k.value)
+    def test_corpus_matches_per_network_reference(self, kind, corpus_diagrams, rng):
+        for scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM):
+            nets = [compile_network(rewrite(d, scheme), cfg(kind)) for d in corpus_diagrams]
+            groups = check_batches_against_reference(nets, rng)
+            assert len(groups) == 4  # one per sentence pattern
+
+    def test_open_legs_and_mixed_dimensions(self, rng):
+        types = ty("n@s@n")
+        wires = tuple(Wire(t, Port("box", 0, i), Port("out", i, 0)) for i, t in enumerate(types))
+        nets = [
+            compile_network(
+                Diagram((Box(kind.value, PregroupType(()), types),), wires, 0, 0, 3),
+                cfg(kind, d_s=3),
+            )
+            for kind in TensorAnsatz
+        ]
+        groups = check_batches_against_reference(nets, rng)
+        assert [batch.out_shape for _, batch in groups] == [(1, 2, 3, 2)] * 3
+
+    def test_bridged_holes_and_loop_factor(self, rng):
+        u, v = Symbol("u", "->n@n", 0), Symbol("v", "->n", 0)
+        # tr(u) * v: both of u's legs fuse into one class that no other
+        # operand carries
+        trace = Network(
+            (ParamNode(u, (2, 2)), CupDeltaNode(2), ParamNode(v, (2,))),
+            (((0, 0), (1, 0)), ((0, 1), (1, 1))),
+            ((2, 0),),
+        )
+        # u @ ones: the copy spider of arity 1 leaves u's second leg alone
+        summed = Network(
+            (ParamNode(u, (2, 2)), SpiderCopyNode(1, 2)), (((0, 1), (1, 0)),), ((0, 0),)
+        )
+        # a closed loop of dimension 3 scales v
+        looped = Network(
+            (ParamNode(v, (2,)), CupDeltaNode(3), CupDeltaNode(3)),
+            (((1, 0), (2, 0)), ((1, 1), (2, 1))),
+            ((0, 0),),
+        )
+        groups = check_batches_against_reference([trace, summed, looped, trace], rng)
+        assert [list(rows) for rows, _ in groups] == [[0, 3], [1], [2]]
+        assert [len(eyes) for _, _, eyes in groups[0][1].holes] == [2, 0]
+        assert [len(eyes) for _, _, eyes in groups[1][1].holes] == [1]
+        assert groups[2][1].factor == 3.0
+
+    def test_repeated_word_gathers_one_symbol_twice(self, toy_lexicon, rng):
+        nets = [
+            compile_network(parse_sentence(words, toy_lexicon), cfg())
+            for words in (["Alice", "likes", "Bob"], ["Alice", "likes", "Alice"])
+        ]
+        (rows, batch), = check_batches_against_reference(nets, rng)
+        assert list(rows) == [0, 1]
+        first, _, last = batch.gather
+        np.testing.assert_array_equal(first[1], last[1])
+        assert not np.array_equal(first[0], last[0])
+
+    def test_label_guard_counts_the_row_label(self):
+        # 52 open legs of dimension 1: the per-network limit exactly
+        a = Symbol("a", "->n", 0)
+        net = Network((ParamNode(a, (1,) * 52),), (), tuple((0, l) for l in range(52)))
+        np.testing.assert_allclose(contract(net, {a: np.full((1,) * 52, 2.0)}).ravel(), 2.0)
+        with pytest.raises(Error, match="53 indices; limit is 52"):
+            compile_batches([net], {a: 0})
+
+    def test_legs_without_parameter_operand(self):
+        # v's leg is open, and so is a copy spider's, whose class holds no tensor
+        v = Symbol("v", "->n", 0)
+        net = Network((ParamNode(v, (2,)), SpiderCopyNode(1, 2)), (), ((0, 0), (1, 0)))
+        with pytest.raises(Error, match="open legs with no tensor operands"):
+            compile_batches([net], {v: 0})
+        # a closed loop alone contracts to its factor, but has no rows to batch
+        loop = Network((CupDeltaNode(3), CupDeltaNode(3)), (((0, 0), (1, 0)), ((0, 1), (1, 1))), ())
+        with pytest.raises(Error, match="network has no tensor operands"):
+            compile_batches([loop], {})
 
 
 class TestJson:

@@ -20,11 +20,18 @@ from qnlp.pregroup import parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
     BATCH_AMPLITUDES,
+    WrongOutputArity,
     distribution_gradient,
     sentence_distribution,
 )
 from qnlp import training
-from qnlp.tensornet import TensorAnsatz, TensorAnsatzConfig, compile_network, contract
+from qnlp.tensornet import (
+    TensorAnsatz,
+    TensorAnsatzConfig,
+    compile_network,
+    contract,
+    gradient_hole,
+)
 from qnlp.training import (
     SPSA,
     AdaptiveGD,
@@ -481,6 +488,84 @@ class TestCircuitBatching:
         assert degenerate == 1
         np.testing.assert_array_equal(grad, 0.0)
         assert total == pytest.approx(np.log(2), abs=1e-12)
+
+
+def tensor_reference_split(model: TensorModel, name: str, theta, labels):
+    """Per-network probabilities and summed hole gradient of the mean loss;
+    assumes no degenerate row."""
+    store = model.store(theta)
+    nets = model.networks_by_split[name]
+    probs, named = [], {s.name: np.zeros(shape) for s, shape in model.shapes.items()}
+    for net, y in zip(nets, labels):
+        v = np.asarray(contract(net, store), dtype=float).reshape(-1)
+        p = v**2 / (v @ v)
+        g = bce_grad(p, y)
+        g_v = 2.0 * v * (g - g @ p) / ((v @ v) * len(nets))
+        for sym, g_t in gradient_hole(net, store, g_v.reshape(net.output_dims())).items():
+            named[sym.name] += g_t
+        probs.append(p)
+    return np.array(probs), model.named_to_params(named)
+
+
+KINDS = tuple(TensorAnsatz)
+
+
+class TestTensorBatching:
+    """Batched groups against per-network contract and gradient_hole."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_matches_per_network_reference(self, kind, scheme, rng):
+        splits = pattern_splits()
+        model = TensorModel.build(splits, default_lexicon(), scheme, TensorAnsatzConfig(kind))
+        theta = model.init_params(rng)
+        for lset in splits:
+            probs, degenerate = model.eval_split(lset.name, theta)
+            want, want_grad = tensor_reference_split(model, lset.name, theta, lset.labels())
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+            assert degenerate == 0
+            grad, total, _ = model.grad_split(lset.name, theta, lset.labels())
+            assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+            losses = [bce_loss(p, y) for p, y in zip(want, lset.labels())]
+            assert total == pytest.approx(np.mean(losses), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_repeated_word_accumulates_both_holes(self, kind, rng):
+        splits = pattern_splits(extra_train=[("man cooks man", 1)])
+        model = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
+                                  TensorAnsatzConfig(kind))
+        # the sentence batches with "man cooks meal", its subject and
+        # object positions gathering one tensor
+        (rows, batch), = [g for g in model._groups("train") if 8 in g[0]]
+        r = list(rows).index(8)
+        assert sum(np.array_equal(g[r], batch.gather[0][r]) for g in batch.gather) == 2
+        theta = model.init_params(rng)
+        labels = splits.train.labels()
+        grad, _, _ = model.grad_split("train", theta, labels)
+        _, want = tensor_reference_split(model, "train", theta, labels)
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_four_groups_per_split(self, kind):
+        model = TensorModel.build(generate_mc(0), default_lexicon(), RewriteScheme.RE,
+                                  TensorAnsatzConfig(kind))
+        assert not model._batches  # compiled on first use, not at build
+        for name in ("train", "dev", "test"):
+            assert len(model._groups(name)) == 4
+            assert model._groups(name) is model._batches[name]
+
+    def test_wrong_output_arity_fails_when_compiled(self):
+        nets = [
+            compile_network(
+                rewrite(parse_sentence(list(words), default_lexicon()), RewriteScheme.RE),
+                TensorAnsatzConfig(TensorAnsatz.TENSOR, d_s=3),
+            )
+            for words in tiny_splits().train.sentences()
+        ]
+        model = TensorModel({"train": nets})
+        with pytest.raises(WrongOutputArity, match="got 3"):
+            model.eval_split("train", np.ones(model.n_params))
+        assert not model._batches
 
 
 class TestTensorFit:
