@@ -1,9 +1,8 @@
 """Compilation of diagrams to parameterized quantum circuits.
 
-Wire-to-qubit budget: a noun wire occupies ``q_n`` qubits and a sentence
-wire ``q_s`` (both default 1).  Word boxes allocate fresh qubits for their
+Every wire is one qubit.  Word boxes allocate fresh qubits for their
 codomain and carry a parameterized block; a curried box with ``a`` domain
-and ``b`` codomain qubits places its block on ``max(a, b)`` qubits, with
+and ``b`` codomain wires places its block on ``max(a, b)`` qubits, with
 surplus inputs postselected to 0 or fresh zero-initialized qubits appended.
 Each cup lowers to the unnormalized Bell effect: ``CNOT`` then ``H`` on the
 first qubit, then both qubits postselected to 0.
@@ -36,7 +35,6 @@ from typing import Mapping
 
 from qnlp.diagram import Box, Diagram, InvalidDiagram, validate
 from qnlp.errors import Error
-from qnlp.pregroup import Base, PregroupType, SimpleType
 
 
 class ZeroParameterModel(Error):
@@ -115,21 +113,11 @@ class CircuitAnsatzConfig:
     kind: CircuitAnsatz
     n_layers: int = 1
     n_single_qubit_params: int = 3
-    q_n: int = 1
-    q_s: int = 1
     max_qubits: int = 20
 
     def __post_init__(self):
         if self.n_layers < 0 or self.n_single_qubit_params < 0:
             raise Error("layer and rotation counts must be non-negative")
-        if self.q_n < 1 or self.q_s < 1:
-            raise Error("wire qubit budgets must be at least 1")
-
-    def qubits_of(self, t: SimpleType) -> int:
-        return self.q_n if t.base is Base.N else self.q_s
-
-    def qubits_of_type(self, ts: PregroupType) -> int:
-        return sum(self.qubits_of(t) for t in ts)
 
 
 def type_fingerprint(box: Box) -> str:
@@ -222,7 +210,7 @@ def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
         raise Error("cap wires are not supported by the circuit backend; "
                     "run the normal-form pass first")
 
-    wire_qubits: dict[int, tuple[int, ...]] = {}
+    wire_qubit: dict[int, int] = {}
     gates: list[Gate] = []
     symbols: dict[Symbol, None] = {}  # first-appearance order
     postselect: set[int] = set()
@@ -230,19 +218,16 @@ def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
 
     for b in d.topological_boxes():
         box = d.boxes[b]
-        qubits = [q for w in d.dom_wires(b) for q in wire_qubits[w]]
-        fresh = cfg.qubits_of_type(box.cod) - len(qubits)
+        qubits = [wire_qubit[w] for w in d.dom_wires(b)]
+        fresh = len(box.cod) - len(qubits)
         if fresh > 0:
             qubits += range(n_qubits, n_qubits + fresh)
             n_qubits += fresh
         # Codomain wires take the leading block qubits; surplus inputs are
         # postselected away.
-        pos = 0
-        for w in d.cod_wires(b):
-            width = cfg.qubits_of(d.wires[w].stype)
-            wire_qubits[w] = tuple(qubits[pos : pos + width])
-            pos += width
-        postselect.update(qubits[pos:])
+        cod = d.cod_wires(b)
+        wire_qubit.update(zip(cod, qubits))
+        postselect.update(qubits[len(cod):])
         block_gates, block_symbols = word_block(
             box.name, type_fingerprint(box), tuple(qubits), cfg
         )
@@ -254,10 +239,9 @@ def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
         )
 
     for wl, wr in d.cup_pairs():
-        for q1, q2 in zip(wire_qubits[wl], wire_qubits[wr]):
-            cup_gates, cup_post = cup_block(q1, q2)
-            gates.extend(cup_gates)
-            postselect.update(cup_post)
+        cup_gates, cup_post = cup_block(wire_qubit[wl], wire_qubit[wr])
+        gates.extend(cup_gates)
+        postselect.update(cup_post)
 
     if not symbols:
         raise ZeroParameterModel(
@@ -267,7 +251,7 @@ def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
         n_qubits=n_qubits,
         gates=tuple(gates),
         postselect=tuple(sorted(postselect)),
-        outputs=tuple(q for w in d.open_wires() for q in wire_qubits[w]),
+        outputs=tuple(wire_qubit[w] for w in d.open_wires()),
         symbols=tuple(symbols),
     )
 

@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown optimizer: {self.optimizer!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(self.split_sizes) != 3:
+            raise ConfigError(f"split_sizes needs 3 sizes, got {self.split_sizes}")
         if self.n_layers < 0 or self.n_single_qubit_params < 0:
             raise ConfigError("layer and rotation counts must be non-negative")
         try:  # the typed configs check their own fields
@@ -136,10 +138,12 @@ class ExperimentConfig:
         if "backend" not in obj or "ansatz" not in obj:
             raise ConfigError("config needs at least 'backend' and 'ansatz'")
         kwargs = dict(obj)
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(int(s) for s in kwargs["seeds"])
-        if "split_sizes" in kwargs:
-            kwargs["split_sizes"] = tuple(int(n) for n in kwargs["split_sizes"])
+        for key in [k for k in ("seeds", "split_sizes") if k in kwargs]:
+            value = kwargs[key]
+            # JSON gives lists; configs built in Python may give tuples
+            if not isinstance(value, (list, tuple)) or not all(type(v) is int for v in value):
+                raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+            kwargs[key] = tuple(value)
         try:
             return cls(**kwargs)
         except TypeError as exc:

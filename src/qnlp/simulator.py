@@ -19,14 +19,15 @@ frequencies, so the plain two-term rule is not exact for them.  Parameters
 reused across gates fall back to central finite differences;
 :func:`shift_rule` holds that rule table.
 
-Training runs batched: circuits that share a structure (see
-:func:`structure_key`) compile once into a :class:`CircuitBatch`, and one
-statevector pass over a ``(rows, 2, ..., 2)`` state serves every sentence
-of the group, with the gradient's shift probes stacked into the row axis
-(:func:`batch_marginal`, :func:`batch_marginal_jacobian`).  Batches return
-the unnormalized marginal ``N`` and its derivative only; the model
-normalizes and chains the quotient rule.  The per-gate :func:`apply` and
-the per-sentence :func:`sentence_distribution` and
+Training runs batched: the model groups a split's circuits by
+:func:`structure_key` on the split's first use and compiles each group
+once into a :class:`CircuitBatch` (:func:`compile_batch`).  One
+statevector pass over a ``(rows, 2, ..., 2)`` state then serves every
+sentence of the group, with the gradient's shift probes stacked into the
+row axis (:func:`batch_marginal`, :func:`batch_marginal_jacobian`).
+Batches return the unnormalized marginal ``N`` and its derivative only;
+the model normalizes and chains the quotient rule.  The per-gate
+:func:`apply` and the per-sentence :func:`sentence_distribution` and
 :func:`distribution_gradient` are the reference the batched path is tested
 against.
 """
@@ -346,26 +347,9 @@ class CircuitBatch:
     probe_coef: np.ndarray  # (slots, probes)
 
 
-def compile_batches(
-    circuits: Sequence[Circuit], positions: Mapping[Symbol, int]
-) -> list[tuple[np.ndarray, CircuitBatch]]:
-    """Group circuits by :func:`structure_key` and compile each group once.
-
-    Returns ``(rows, batch)`` per group, in order of first appearance:
-    ``rows`` are the group's positions in ``circuits``.  ``positions``
-    maps every symbol to its index in the parameter vector that the batch
-    functions receive.
-    """
-    rows_of: dict[tuple, list[int]] = {}
-    for r, circ in enumerate(circuits):
-        rows_of.setdefault(structure_key(circ), []).append(r)
-    return [
-        (np.array(rows), _compile_group([circuits[r] for r in rows], positions))
-        for rows in rows_of.values()
-    ]
-
-
-def _compile_group(circuits: list[Circuit], positions: Mapping[Symbol, int]) -> CircuitBatch:
+def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) -> CircuitBatch:
+    """Compile circuits of one :func:`structure_key` into a batch; ``offsets``
+    maps every symbol to its index in the parameter vector."""
     first = circuits[0]
     if len(first.outputs) != 1:
         raise WrongOutputArity(
@@ -412,7 +396,7 @@ def _compile_group(circuits: list[Circuit], positions: Mapping[Symbol, int]) -> 
             k += 1
 
     gather = np.array(
-        [[positions[s] for s in c.symbols] for c in circuits], dtype=np.intp
+        [[offsets[s] for s in c.symbols] for c in circuits], dtype=np.intp
     ).reshape(len(circuits), n_slots)
     return CircuitBatch(
         n_qubits=n,

@@ -23,14 +23,14 @@ respect to one node is the network contracted with that node removed and
 its legs left open, chained with the upstream cotangent.  A parameter
 tensor used by several nodes accumulates one hole term per use.
 
-Training runs batched: networks whose plans agree (see
-:func:`structure_key`) compile once into a :class:`TensorBatch`, which
-gathers every row's tensors from the flat parameter vector and contracts
-the whole group in one einsum with an extra row label
-(:func:`batch_contract`), and each hole in one more (:func:`batch_holes`).
-Contraction paths are chosen once per group.  The per-network
-:func:`contract` and :func:`gradient_hole` are the reference the batched
-path is tested against.
+Training runs batched: the model groups a split's networks by
+:func:`structure_key` on the split's first use and compiles each group
+once into a :class:`TensorBatch` (:func:`compile_batch`), which gathers
+every row's tensors from the flat parameter vector and contracts the
+whole group in one einsum with an extra row label (:func:`batch_contract`),
+and each hole in one more (:func:`batch_holes`).  Contraction paths are
+chosen once per group.  The per-network :func:`contract` and
+:func:`gradient_hole` are the reference the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -452,25 +452,6 @@ class TensorBatch:
     factor: float
 
 
-def compile_batches(
-    networks: Sequence[Network], positions: Mapping[Symbol, int]
-) -> list[tuple[np.ndarray, TensorBatch]]:
-    """Group networks by :func:`structure_key` and compile each group once.
-
-    Returns ``(rows, batch)`` per group, in order of first appearance:
-    ``rows`` are the group's positions in ``networks``.  ``positions``
-    maps every symbol to the offset of its flattened tensor in the
-    parameter vector that the batch functions receive.
-    """
-    rows_of: dict[tuple, list[int]] = {}
-    for r, net in enumerate(networks):
-        rows_of.setdefault(structure_key(net), []).append(r)
-    return [
-        (np.array(rows), _compile_group([networks[r] for r in rows], positions))
-        for rows in rows_of.values()
-    ]
-
-
 def _einsum_plan(inputs, output, shapes) -> tuple[str, list]:
     """Subscripts of an einsum over integer labels, and its greedy path."""
     _check_labels(1 + max(output + [lab for sub in inputs for lab in sub]))
@@ -483,7 +464,9 @@ def _einsum_plan(inputs, output, shapes) -> tuple[str, list]:
     return subscripts, np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
 
 
-def _compile_group(nets: list[Network], positions: Mapping[Symbol, int]) -> TensorBatch:
+def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> TensorBatch:
+    """Compile networks of one :func:`structure_key` into a batch; ``offsets``
+    maps every symbol to its flattened tensor's offset in the parameter vector."""
     first = nets[0]
     plan = first._plan
     if not plan.params:
@@ -514,7 +497,7 @@ def _compile_group(nets: list[Network], positions: Mapping[Symbol, int]) -> Tens
         holes.append((*_einsum_plan(inputs, result, dims), tuple(eyes)))
     gather = []
     for ni, shape in zip(plan.params, shapes):
-        starts = np.array([positions[net.nodes[ni].symbol] for net in nets], dtype=np.intp)
+        starts = np.array([offsets[net.nodes[ni].symbol] for net in nets], dtype=np.intp)
         gather.append(starts[:, None] + np.arange(math.prod(shape[1:])))
     return TensorBatch(tuple(shapes), tuple(gather), forward, tuple(holes), out_shape,
                        plan.factor)

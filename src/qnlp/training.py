@@ -8,17 +8,13 @@ weights ``u``, and one readout turns them into probabilities
 ``p = u / sum(u)`` and one pullback chains the loss back to ``u``.  A
 circuit's ``u`` is its unnormalized postselected output marginal, whose
 sum is the survival norm; a network's ``u`` is its squared real output
-vector.  A circuit model groups each split's circuits by structure when it
-is built and runs every group as one batched statevector pass, its
-gradient's shift probes included; the batches return unnormalized
-marginals and the model normalizes.
-:func:`qnlp.simulator.sentence_distribution` and
-:func:`qnlp.simulator.distribution_gradient` are the per-sentence
-reference for that path.  A tensor model groups each split's networks by
-structure on the split's first use and contracts every group in one
-einsum, and every hole of its gradient in one more;
-:func:`qnlp.tensornet.contract` and :func:`qnlp.tensornet.gradient_hole`
-are the per-network reference.
+vector.  On a split's first use, either model groups its items by the
+backend's ``structure_key`` and compiles each group once with the
+backend's ``compile_batch``: one batched statevector pass per circuit
+group, shift probes included, or one einsum per network group and one
+more per gradient hole.  :mod:`qnlp.simulator`'s ``sentence_distribution``
+and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
+and ``gradient_hole``, are the per-item reference of these paths.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -27,6 +23,8 @@ exact gradients for tensors.  Either can be pointed at either model
 family.  Epoch protocol: record full-batch train metrics at the current
 parameters, take one optimizer step, then evaluate the dev split; the test
 split is scored once after the final epoch, through the same checks.
+Under gradient descent the train metrics come from the gradient pass,
+which reads out the same probabilities, so no forward runs twice.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from qnlp import simulator, tensornet
 from qnlp.circuit import (
     Circuit,
     CircuitAnsatzConfig,
@@ -53,11 +52,9 @@ from qnlp.rewrite import RewriteScheme, rewrite
 # reference of the batched circuit path; they stay importable from this
 # module, where the benchmark's tracer wraps them by name.
 from qnlp.simulator import (  # noqa: F401
-    CircuitBatch,
     WrongOutputArity,
     batch_marginal,
     batch_marginal_jacobian,
-    compile_batches,
     distribution_gradient,
     sentence_distribution,
 )
@@ -66,14 +63,12 @@ from qnlp.simulator import (  # noqa: F401
 from qnlp.tensornet import (  # noqa: F401
     Network,
     TensorAnsatzConfig,
-    TensorBatch,
     batch_contract,
     batch_holes,
     compile_network,
     contract,
     gradient_hole,
 )
-from qnlp.tensornet import compile_batches as compile_tensor_batches
 
 PROB_CLIP = 1e-7
 DEGENERATE_EPS = 1e-12
@@ -153,6 +148,8 @@ class History:
     train_acc: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     test_acc: float = float("nan")
+    # degenerate rows over every split readout of the fit; under adaptive GD
+    # an epoch's train readout is its gradient pass's, counted once
     degenerate_evals: int = 0
     final_params: np.ndarray | None = None
 
@@ -269,31 +266,37 @@ def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, degenerate
 
 
-def _pullback(u: np.ndarray, labels, n: int):
-    """Summed loss of the rows, d(mean loss)/du, and the degenerate mask.
+def _pullback(u: np.ndarray, labels):
+    """Probabilities of the rows, d(mean loss)/du, and the degenerate mask.
 
-    ``n`` is the split size the mean divides by.  The cotangent chains
-    through ``p = u / sum(u)``: ``(g - g . p) / sum(u)`` with
-    ``g = d loss / d p``; it is zero on degenerate rows.
+    The mean divides by the row count.  The cotangent chains through
+    ``p = u / sum(u)``: ``(g - g . p) / sum(u)`` with ``g = d loss / d p``;
+    it is zero on degenerate rows.
     """
+    n = len(u)
+    if n == 0:
+        raise EmptyEvalSet("no sentences to differentiate")
     probs, degenerate = _readout(u)
     g = bce_grad(probs, labels)
     norm = np.where(degenerate, 1.0, u.sum(axis=1))[:, None]
     g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm)
     g_u[degenerate] = 0.0
-    return float(bce_loss(probs, labels).sum()), g_u, degenerate
+    return probs, g_u, degenerate
 
 
 class _Model:
-    """The parameter table both model families share.
+    """The parameter table and batch lifecycle both model families share.
 
     Every sentence reads out two non-negative weights ``u``, and
     :func:`_readout` turns them into probabilities.  Symbols are kept in
     first-use order, each with its shape (``()`` for a circuit angle) and
-    its slice of the flat parameter vector.
+    its slice of the flat parameter vector.  On a split's first use its
+    items are grouped by the family's ``_structure_key`` and each group is
+    compiled once by its ``_compile_batch``, which receives every symbol's
+    offset in the parameter vector (for a circuit angle, its index).
     """
 
-    def __init__(self, symbol_shapes):
+    def __init__(self, items_by_split: dict[str, list], symbol_shapes):
         self.shapes: dict[Symbol, tuple[int, ...]] = {}
         for sym, shape in symbol_shapes:
             if self.shapes.setdefault(sym, shape) != shape:
@@ -306,6 +309,30 @@ class _Model:
             self._slices[s] = slice(offset, offset + size)
             offset += size
         self.n_params = offset
+        self.items_by_split = items_by_split
+        # per split, compiled on first use: (row positions, their batch)
+        self._batches: dict[str, list[tuple[np.ndarray, object]]] = {}
+
+    def _groups(self, name: str) -> list[tuple[np.ndarray, object]]:
+        groups = self._batches.get(name)
+        if groups is None:
+            items = self.items_by_split[name]
+            rows_of: dict[tuple, list[int]] = {}
+            for r, item in enumerate(items):
+                rows_of.setdefault(self._structure_key(item), []).append(r)
+            offsets = {s: sl.start for s, sl in self._slices.items()}
+            groups = self._batches[name] = [
+                (np.array(rows), self._compile_batch([items[r] for r in rows], offsets))
+                for rows in rows_of.values()
+            ]
+        return groups
+
+    def _per_row(self, name: str, run) -> np.ndarray:
+        """``run(batch)`` of every group, placed at the group's rows."""
+        out = np.empty((len(self.items_by_split[name]), 2))
+        for rows, batch in self._groups(name):
+            out[rows] = run(batch)
+        return out
 
     def store(self, theta: np.ndarray) -> dict[Symbol, np.ndarray]:
         return {s: theta[self._slices[s]].reshape(self.shapes[s]) for s in self.symbols}
@@ -325,23 +352,18 @@ class CircuitModel(_Model):
     """A shared-parameter ensemble of compiled sentence circuits.
 
     A sentence's weights are its unnormalized postselected output
-    marginal, whose sum is the survival norm.  Each split's circuits are
-    grouped by structure and every group is compiled once into a
-    :class:`CircuitBatch` (:func:`compile_batches`); evaluation and
-    gradients run one batched pass per group.
+    marginal, whose sum is the survival norm.  Each group of a split runs
+    as one batched statevector pass, for evaluation and for gradients.
     """
 
-    def __init__(self, circuits_by_split: dict[str, list[Circuit]]):
-        super().__init__((s, ()) for split in circuits_by_split.values()
-                         for c in split for s in c.symbols)
+    _structure_key = staticmethod(simulator.structure_key)
+    _compile_batch = staticmethod(simulator.compile_batch)
+
+    def __init__(self, items_by_split: dict[str, list[Circuit]]):
+        super().__init__(items_by_split, ((s, ()) for split in items_by_split.values()
+                                          for c in split for s in c.symbols))
         if not self.symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
-        self.circuits_by_split = circuits_by_split
-        pos = {s: i for i, s in enumerate(self.symbols)}
-        # per split: (row positions in the split, their compiled batch)
-        self._groups: dict[str, list[tuple[np.ndarray, CircuitBatch]]] = {
-            name: compile_batches(split, pos) for name, split in circuits_by_split.items()
-        }
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
@@ -352,27 +374,23 @@ class CircuitModel(_Model):
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
 
     def eval_split(self, name: str, theta: np.ndarray):
-        u = np.empty((len(self.circuits_by_split[name]), 2))
-        for rows, batch in self._groups[name]:
-            u[rows] = batch_marginal(batch, theta)
-        probs, degenerate = _readout(u)
+        probs, degenerate = _readout(self._per_row(name, lambda b: batch_marginal(b, theta)))
         return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
-        """Mean-loss gradient, exact per-parameter shift rules."""
-        n = len(self.circuits_by_split[name])
-        if n == 0:
-            raise EmptyEvalSet("no sentences to differentiate")
-        u = np.empty((n, 2))
+        """Mean-loss gradient by exact per-parameter shift rules, then the
+        probabilities and degenerate count that :meth:`eval_split` returns."""
+        groups = self._groups(name)
+        u = np.empty((len(self.items_by_split[name]), 2))
         d_u = []
-        for rows, batch in self._groups[name]:
+        for rows, batch in groups:
             u[rows], d = batch_marginal_jacobian(batch, theta)
             d_u.append(d)
-        total, g_u, degenerate = _pullback(u, labels, n)
+        probs, g_u, degenerate = _pullback(u, labels)
         grad = np.zeros(self.n_params)
-        for (rows, batch), d in zip(self._groups[name], d_u):
+        for (rows, batch), d in zip(groups, d_u):
             np.add.at(grad, batch.gather, np.einsum("rsk,rk->rs", d, g_u[rows]))
-        return grad, total / n, int(degenerate.sum())
+        return grad, probs, int(degenerate.sum())
 
 
 class TensorModel(_Model):
@@ -380,18 +398,23 @@ class TensorModel(_Model):
 
     A sentence's weights are its squared real output vector ``v**2``, so
     ``p_i = v_i^2 / sum v^2``; a collapsed vector (squared norm below
-    1e-12) reads out as uniform.  Each split's networks are grouped by
-    structure and every group is compiled into a :class:`TensorBatch`
-    on the split's first use; evaluation runs one einsum per group, and
-    gradients one more per parameter position.
+    1e-12) reads out as uniform.  Each group of a split contracts in one
+    einsum, and its gradient in one more per parameter position.
     """
 
-    def __init__(self, networks_by_split: dict[str, list[Network]]):
-        super().__init__(kv for split in networks_by_split.values() for net in split
-                         for kv in net.param_shapes().items())
-        self.networks_by_split = networks_by_split
-        # per split, compiled on first use: (row positions, their batch)
-        self._batches: dict[str, list[tuple[np.ndarray, TensorBatch]]] = {}
+    _structure_key = staticmethod(tensornet.structure_key)
+
+    def __init__(self, items_by_split: dict[str, list[Network]]):
+        super().__init__(items_by_split, (kv for split in items_by_split.values()
+                                          for net in split for kv in net.param_shapes().items()))
+
+    @staticmethod
+    def _compile_batch(nets, offsets):
+        batch = tensornet.compile_batch(nets, offsets)
+        size = math.prod(batch.out_shape[1:])
+        if size != 2:
+            raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
+        return batch
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
@@ -406,44 +429,22 @@ class TensorModel(_Model):
             chunks.append(rng.normal(0.0, std, size=math.prod(shape)))
         return np.concatenate(chunks)
 
-    def _groups(self, name: str) -> list[tuple[np.ndarray, TensorBatch]]:
-        groups = self._batches.get(name)
-        if groups is None:
-            offsets = {s: sl.start for s, sl in self._slices.items()}
-            groups = compile_tensor_batches(self.networks_by_split[name], offsets)
-            for _, batch in groups:
-                size = math.prod(batch.out_shape[1:])
-                if size != 2:
-                    raise WrongOutputArity(
-                        f"expected a 2-dimensional sentence vector, got {size}"
-                    )
-            self._batches[name] = groups
-        return groups
-
-    def _vectors(self, name: str, theta: np.ndarray) -> np.ndarray:
-        """The sentence vector ``v`` of every network in a split."""
-        vecs = np.empty((len(self.networks_by_split[name]), 2))
-        for rows, batch in self._groups(name):
-            vecs[rows] = batch_contract(batch, theta)
-        return vecs
-
     def eval_split(self, name: str, theta: np.ndarray):
-        probs, degenerate = _readout(self._vectors(name, theta) ** 2)
+        vecs = self._per_row(name, lambda b: batch_contract(b, theta))
+        probs, degenerate = _readout(vecs**2)
         return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
-        """Mean-loss gradient, exact hole contractions."""
-        n = len(self.networks_by_split[name])
-        if n == 0:
-            raise EmptyEvalSet("no sentences to differentiate")
-        vecs = self._vectors(name, theta)
-        total, g_u, degenerate = _pullback(vecs**2, labels, n)
+        """Mean-loss gradient by exact hole contractions, then the
+        probabilities and degenerate count that :meth:`eval_split` returns."""
+        vecs = self._per_row(name, lambda b: batch_contract(b, theta))
+        probs, g_u, degenerate = _pullback(vecs**2, labels)
         g_v = 2.0 * vecs * g_u  # zero on degenerate rows, as g_u is
         grad = np.zeros(self.n_params)
         for rows, batch in self._groups(name):
             for gather, g in zip(batch.gather, batch_holes(batch, theta, g_v[rows])):
                 np.add.at(grad, gather, g)
-        return grad, total / n, int(degenerate.sum())
+        return grad, probs, int(degenerate.sum())
 
 
 # -- fit loop -------------------------------------------------------------
@@ -487,9 +488,10 @@ def fit(
     else:
         raise ConfigError(f"unknown optimizer config: {cfg.optimizer!r}")
 
-    def score(split: str, labels: np.ndarray, vec: np.ndarray, epoch: int):
-        """Probabilities and checked mean loss; counts degenerate readouts."""
-        probs, degenerate = model.eval_split(split, vec)
+    def score(split: str, labels: np.ndarray, readout, epoch: int):
+        """Probabilities and checked mean loss of a ``(probs, degenerate)``
+        readout; counts its degenerate rows."""
+        probs, degenerate = readout
         history.degenerate_evals += degenerate
         return probs, _split_loss(probs, labels, split, epoch)
 
@@ -499,23 +501,26 @@ def fit(
             raise BudgetExceeded(
                 f"epoch {epoch}: exceeded budget of {budget_seconds:.0f} s"
             )
-        probs, loss = score("train", train_labels, theta, epoch)
+        if spsa is not None:
+            readout = model.eval_split("train", theta)
+        else:
+            grad, *readout = model.grad_split("train", theta, train_labels)
+        probs, loss = score("train", train_labels, readout, epoch)
         history.train_loss.append(loss)
         history.train_acc.append(accuracy(probs, train_labels))
 
         if spsa is not None:
-            theta = spsa.step(theta, lambda vec: score("train", train_labels, vec, epoch)[1])
+            theta = spsa.step(theta, lambda vec: score(
+                "train", train_labels, model.eval_split("train", vec), epoch)[1])
         else:
-            grad, _, d = model.grad_split("train", theta, train_labels)
-            history.degenerate_evals += d
             theta = adaptive.step(theta, grad)
 
-        probs, loss = score("dev", dev_labels, theta, epoch)
+        probs, loss = score("dev", dev_labels, model.eval_split("dev", theta), epoch)
         history.val_loss.append(loss)
         history.val_acc.append(accuracy(probs, dev_labels))
 
     test_labels = np.asarray(splits.test.labels())
-    test_probs, _ = score("test", test_labels, theta, cfg.epochs)
+    test_probs, _ = score("test", test_labels, model.eval_split("test", theta), cfg.epochs)
     history.test_acc = accuracy(test_probs, test_labels)
     history.final_params = theta
     return history

@@ -413,6 +413,20 @@ class TestCli:
         cfg_path.write_text(json.dumps({"backend": "circuit", "ansatz": "iqp", "shots": 5}))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", 5),
+        ("split_sizes", 7),
+        ("seeds", "12"),  # a string iterates as the seeds 1 and 2
+        ("seeds", [1.5]),
+        ("split_sizes", [7]),
+    ])
+    def test_train_rejects_malformed_int_lists(self, key, value, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", key: value}))
+        assert main(["train", "--config", str(cfg_path), "--results", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert [p for p in tmp_path.iterdir() if p != cfg_path] == []  # no run started
+
     def test_train_tensor_sentence_dimension_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "d_s": 3}))

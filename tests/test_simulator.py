@@ -23,11 +23,12 @@ from qnlp.simulator import (
     WrongOutputArity,
     ZeroSurvival,
     apply,
-    compile_batches,
+    compile_batch,
     distribution_gradient,
     param_vector,
     run,
     sentence_distribution,
+    structure_key,
     zero_state,
 )
 
@@ -274,20 +275,19 @@ class TestCompileBatches:
         ]
         for circuit, exc in bad:
             with pytest.raises(exc):
-                compile_batches([circuit], positions)
+                compile_batch([circuit], positions)
 
     def test_groups_by_structure(self):
         other = Symbol("x", "->s", 0)
         a = one_qubit_circuit(Gate(GateKind.RX, (0,), THETA), symbols=[THETA])
         b = one_qubit_circuit(Gate(GateKind.RX, (0,), other), symbols=[other])
         c = one_qubit_circuit(Gate(GateKind.RY, (0,), other), symbols=[other])
-        groups = compile_batches([a, c, b], {THETA: 0, other: 1})
-        assert [rows.tolist() for rows, _ in groups] == [[0, 2], [1]]
-        assert groups[0][1].gather.tolist() == [[0], [1]]
+        assert structure_key(a) == structure_key(b) != structure_key(c)
+        assert compile_batch([a, b], {THETA: 0, other: 1}).gather.tolist() == [[0], [1]]
 
     def test_slot_never_matches_a_constant_angle(self):
         other = Symbol("x", "->s", 0)
         rx = Gate(GateKind.RX, (0,), THETA)
         slot_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), other), symbols=[THETA, other])
         angle_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), 1.0), symbols=[THETA, other])
-        assert len(compile_batches([slot_1, angle_1], {THETA: 0, other: 1})) == 2
+        assert structure_key(slot_1) != structure_key(angle_1)

@@ -22,7 +22,7 @@ from qnlp.tensornet import (
     TensorAnsatzConfig,
     batch_contract,
     batch_holes,
-    compile_batches,
+    compile_batch,
     compile_network,
     contract,
     gradient_hole,
@@ -30,6 +30,7 @@ from qnlp.tensornet import (
     network_from_json,
     network_to_json,
     spider_split,
+    structure_key,
     validate_network,
 )
 
@@ -443,7 +444,11 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
     theta = rng.standard_normal(sum(math.prod(s) for s in shapes.values()))
     store = {s: theta[offsets[s] : offsets[s] + math.prod(shape)].reshape(shape)
              for s, shape in shapes.items()}
-    groups = compile_batches(nets, offsets)
+    rows_of: dict[tuple, list[int]] = {}
+    for r, net in enumerate(nets):
+        rows_of.setdefault(structure_key(net), []).append(r)
+    groups = [(np.array(rows), compile_batch([nets[r] for r in rows], offsets))
+              for rows in rows_of.values()]
     assert sorted(np.concatenate([rows for rows, _ in groups])) == list(range(len(nets)))
     for rows, batch in groups:
         v = batch_contract(batch, theta)
@@ -464,8 +469,8 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
 
 
 class TestBatches:
-    """compile_batches, batch_contract and batch_holes against the
-    per-network reference."""
+    """structure_key, compile_batch, batch_contract and batch_holes against
+    the per-network reference."""
 
     @pytest.mark.parametrize("kind", tuple(TensorAnsatz), ids=lambda k: k.value)
     def test_corpus_matches_per_network_reference(self, kind, corpus_diagrams, rng):
@@ -529,18 +534,18 @@ class TestBatches:
         net = Network((ParamNode(a, (1,) * 52),), (), tuple((0, l) for l in range(52)))
         np.testing.assert_allclose(contract(net, {a: np.full((1,) * 52, 2.0)}).ravel(), 2.0)
         with pytest.raises(Error, match="53 indices; limit is 52"):
-            compile_batches([net], {a: 0})
+            compile_batch([net], {a: 0})
 
     def test_legs_without_parameter_operand(self):
         # v's leg is open, and so is a copy spider's, whose class holds no tensor
         v = Symbol("v", "->n", 0)
         net = Network((ParamNode(v, (2,)), SpiderCopyNode(1, 2)), (), ((0, 0), (1, 0)))
         with pytest.raises(Error, match="open legs with no tensor operands"):
-            compile_batches([net], {v: 0})
+            compile_batch([net], {v: 0})
         # a closed loop alone contracts to its factor, but has no rows to batch
         loop = Network((CupDeltaNode(3), CupDeltaNode(3)), (((0, 0), (1, 0)), ((0, 1), (1, 1))), ())
         with pytest.raises(Error, match="network has no tensor operands"):
-            compile_batches([loop], {})
+            compile_batch([loop], {})
 
 
 class TestJson:

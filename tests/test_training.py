@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,7 +283,7 @@ class TestCircuitFit:
                 return np.full((rows, 2), np.nan if name == "test" else 0.5), 0
 
             def grad_split(self, name, theta, labels):
-                return np.zeros(2), 0.0, 0
+                return np.zeros(2), *self.eval_split(name, theta)
 
         for optimizer in (SPSAConfig(), AdaptiveGDConfig()):
             with pytest.raises(NonFiniteLoss, match="test"):
@@ -313,6 +316,55 @@ class TestCircuitFit:
 
         with pytest.raises(Error, match="train split"):
             fit(ProbeBreaksModel(), tiny_splits(), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("train_probs, error, match", [
+        (np.full((4, 2), np.nan), NonFiniteLoss, "train"),
+        (np.full((1, 2), 0.5), Error, "train split"),
+    ], ids=["nan", "row_count"])
+    def test_gd_train_readout_is_checked(self, train_probs, error, match):
+        class GradReadoutModel:
+            # dev and test read out fine; only the gradient pass is broken
+            n_params = 2
+
+            def init_params(self, rng):
+                return np.zeros(2)
+
+            def eval_split(self, name, theta):
+                return np.full((len(getattr(tiny_splits(), name)), 2), 0.5), 0
+
+            def grad_split(self, name, theta, labels):
+                return np.zeros(2), train_probs, 0
+
+        with pytest.raises(error, match=match):
+            fit(GradReadoutModel(), tiny_splits(),
+                TrainConfig(epochs=1, optimizer=AdaptiveGDConfig()))
+
+    def test_gd_epoch_reads_train_from_the_gradient_pass(self):
+        class CountingModel:
+            n_params = 2
+
+            def __init__(self):
+                self.evaluated = []
+
+            def init_params(self, rng):
+                return np.zeros(2)
+
+            def eval_split(self, name, theta):
+                self.evaluated.append(name)
+                return np.full((len(getattr(tiny_splits(), name)), 2), 0.5), 0
+
+            def grad_split(self, name, theta, labels):
+                # one degenerate row, and a readout eval_split would not give
+                return np.ones(2), np.array([[0.2, 0.8]] * 4), 1
+
+        model = CountingModel()
+        h = fit(model, tiny_splits(), TrainConfig(epochs=3, optimizer=AdaptiveGDConfig()))
+        assert model.evaluated == ["dev", "dev", "dev", "test"]
+        labels = tiny_splits().train.labels()
+        want = bce_loss(np.array([[0.2, 0.8]] * 4), labels).mean()
+        assert h.train_loss == [want] * 3
+        assert h.train_acc == [0.5] * 3
+        assert h.degenerate_evals == 3  # the train readout counted once per epoch
 
     def test_zero_parameter_model_propagates(self):
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=0, n_single_qubit_params=0)
@@ -351,7 +403,7 @@ def pattern_splits(extra_train=()) -> CorpusSplits:
 def reference_split(model: CircuitModel, name: str, theta, labels):
     """Per-sentence probabilities, mean-loss gradient and degenerate count."""
     pos = {s: i for i, s in enumerate(model.symbols)}
-    circuits = model.circuits_by_split[name]
+    circuits = model.items_by_split[name]
     probs, grad, degenerate = [], np.zeros(model.n_params), 0
     for circ, y in zip(circuits, labels):
         idx = np.array([pos[s] for s in circ.symbols], dtype=int)
@@ -385,8 +437,9 @@ class TestCircuitBatching:
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
             assert degenerate == want_degenerate
             if lset.name == "train":
-                grad, total, _ = model.grad_split("train", theta, lset.labels())
+                grad, grad_probs, _ = model.grad_split("train", theta, lset.labels())
                 np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+                total = bce_loss(grad_probs, lset.labels()).mean()
                 losses = [bce_loss(p, y) for p, y in zip(want, lset.labels())]
                 assert total == pytest.approx(np.mean(losses), abs=1e-12)
 
@@ -410,14 +463,14 @@ class TestCircuitBatching:
         model = CircuitModel.build(
             pattern_splits(), default_lexicon(), RewriteScheme.RE, ansatz
         )
-        assert [len(rows) for rows, _ in model._groups["train"]] == [2, 2, 2, 2]
-        assert len(model._groups["dev"]) == 2
+        assert [len(rows) for rows, _ in model._groups("train")] == [2, 2, 2, 2]
+        assert len(model._groups("dev")) == 2
 
     def test_group_wider_than_one_chunk(self, rng):
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
         splits = pattern_splits()
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        rows, batch = max(model._groups["train"], key=lambda g: g[1].n_qubits)
+        rows, batch = max(model._groups("train"), key=lambda g: g[1].n_qubits)
         assert batch.n_qubits == 9 and len(rows) == 2
         probes = batch.probe_shift.shape[0]
         assert len(rows) * probes * 2**batch.n_qubits > BATCH_AMPLITUDES
@@ -434,7 +487,7 @@ class TestCircuitBatching:
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        shifts = np.concatenate([b.probe_shift.ravel() for _, b in model._groups["train"]])
+        shifts = np.concatenate([b.probe_shift.ravel() for _, b in model._groups("train")])
         assert np.any(np.abs(shifts) == 1e-6)
         theta = model.init_params(rng)
         labels = splits.train.labels()
@@ -462,7 +515,8 @@ class TestCircuitBatching:
         probs, degenerate = model.eval_split("train", theta)
         assert degenerate == 2
         np.testing.assert_allclose(probs[[0, 2]], 0.5)
-        grad, total, degenerate = model.grad_split("train", theta, labels)
+        grad, grad_probs, degenerate = model.grad_split("train", theta, labels)
+        total = bce_loss(grad_probs, labels).mean()
         assert degenerate == 2
         assert grad[0] == grad[1] == 0.0
         want_probs, want, _ = reference_split(model, "train", theta, labels)
@@ -484,7 +538,8 @@ class TestCircuitBatching:
         )
         model = CircuitModel({"train": [dying]})
         theta = np.array([0.4, np.pi - 1e-7])
-        grad, total, degenerate = model.grad_split("train", theta, [1])
+        grad, grad_probs, degenerate = model.grad_split("train", theta, [1])
+        total = bce_loss(grad_probs, [1]).mean()
         assert degenerate == 1
         np.testing.assert_array_equal(grad, 0.0)
         assert total == pytest.approx(np.log(2), abs=1e-12)
@@ -494,7 +549,7 @@ def tensor_reference_split(model: TensorModel, name: str, theta, labels):
     """Per-network probabilities and summed hole gradient of the mean loss;
     assumes no degenerate row."""
     store = model.store(theta)
-    nets = model.networks_by_split[name]
+    nets = model.items_by_split[name]
     probs, named = [], {s.name: np.zeros(shape) for s, shape in model.shapes.items()}
     for net, y in zip(nets, labels):
         v = np.asarray(contract(net, store), dtype=float).reshape(-1)
@@ -524,7 +579,8 @@ class TestTensorBatching:
             want, want_grad = tensor_reference_split(model, lset.name, theta, lset.labels())
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
             assert degenerate == 0
-            grad, total, _ = model.grad_split(lset.name, theta, lset.labels())
+            grad, grad_probs, _ = model.grad_split(lset.name, theta, lset.labels())
+            total = bce_loss(grad_probs, lset.labels()).mean()
             assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
             losses = [bce_loss(p, y) for p, y in zip(want, lset.labels())]
             assert total == pytest.approx(np.mean(losses), abs=1e-12)
@@ -568,6 +624,32 @@ class TestTensorBatching:
         assert not model._batches
 
 
+class TestBatchLifecycle:
+    """Both families group a split by structure on its first use, once."""
+
+    @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
+    def test_groups_compiled_on_first_use_and_cached(self, make, rng):
+        model = make()
+        assert not model._batches  # nothing compiled at build
+        model.eval_split("dev", model.init_params(rng))
+        assert list(model._batches) == ["dev"]
+        for name in ("train", "dev", "test"):
+            groups = model._groups(name)
+            assert model._groups(name) is groups is model._batches[name]
+
+    def test_rows_grouped_in_order_of_first_appearance(self):
+        theta, other = Symbol("w", "->s", 0), Symbol("x", "->s", 0)
+
+        def one_gate(kind, sym):
+            return Circuit(1, (Gate(kind, (0,), sym),), (), (0,), (sym,))
+
+        a, b = one_gate(GateKind.RX, theta), one_gate(GateKind.RX, other)
+        c = one_gate(GateKind.RY, other)
+        groups = CircuitModel({"train": [a, c, b]})._groups("train")
+        assert [rows.tolist() for rows, _ in groups] == [[0, 2], [1]]
+        assert groups[0][1].gather.tolist() == [[0], [1]]
+
+
 class TestTensorFit:
     def test_reaches_perfect_train_accuracy(self):
         cfg = TrainConfig(epochs=40, seed=0, optimizer=AdaptiveGDConfig())
@@ -578,7 +660,8 @@ class TestTensorFit:
         model = tensor_model()
         labels = tiny_splits().train.labels()
         theta = model.init_params(rng)
-        grad, total, _ = model.grad_split("train", theta, labels)
+        grad, grad_probs, _ = model.grad_split("train", theta, labels)
+        total = bce_loss(grad_probs, labels).mean()
 
         def loss(vec):
             probs, _ = model.eval_split("train", vec)
@@ -620,7 +703,7 @@ class TestModelSurface:
         for lset in splits:
             probs, degenerate = model.eval_split(lset.name, theta)
             want = []
-            for net in model.networks_by_split[lset.name]:
+            for net in model.items_by_split[lset.name]:
                 v = np.asarray(contract(net, store), dtype=float).reshape(-1)
                 want.append(v**2 / (v @ v))
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
@@ -628,7 +711,7 @@ class TestModelSurface:
 
     def test_tensor_degenerate_row_adds_no_gradient(self, rng):
         model = tensor_model()
-        nets = model.networks_by_split["train"]
+        nets = model.items_by_split["train"]
         labels = tiny_splits().train.labels()
         # "man cooks meal" is the only train sentence with "cooks" and "meal"
         rest = TensorModel({"train": nets[1:]})
@@ -640,9 +723,11 @@ class TestModelSurface:
         probs, degenerate = model.eval_split("train", theta)
         assert degenerate == 1
         np.testing.assert_allclose(probs[0], 0.5)
-        grad, total, degenerate = model.grad_split("train", theta, labels)
+        grad, grad_probs, degenerate = model.grad_split("train", theta, labels)
+        total = bce_loss(grad_probs, labels).mean()
         assert degenerate == 1
-        want, want_total, _ = rest.grad_split("train", rest.named_to_params(named), labels[1:])
+        want, rest_probs, _ = rest.grad_split("train", rest.named_to_params(named), labels[1:])
+        want_total = bce_loss(rest_probs, labels[1:]).mean()
         got = model.params_to_named(grad)
         for name, g in rest.params_to_named(want).items():
             np.testing.assert_allclose(got.pop(name), np.multiply(g, 3 / 4), rtol=0, atol=1e-12)
@@ -691,3 +776,39 @@ class TestTracerContract:
             "rewrite",
         ):
             assert callable(getattr(training, name, None)), name
+
+    @staticmethod
+    def tracing():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("optimizer", (SPSAConfig(), AdaptiveGDConfig()), ids=("spsa", "gd"))
+    @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
+    def test_tracer_records_a_fit(self, make, optimizer):
+        with self.tracing().Tracer() as tr:
+            model = make()
+            h = training.fit(model, tiny_splits(), TrainConfig(epochs=2, optimizer=optimizer))
+        gd = isinstance(optimizer, AdaptiveGDConfig)
+        assert len(tr.named("training.build")) == 1
+        assert len(tr.named("training.fit")) == 1
+        assert len(tr.named("training.step")) == 2
+        # per epoch dev, plus train and both probes under SPSA; then test
+        assert len(tr.named("training.eval_split")) == 2 * (1 if gd else 4) + 1
+        grads = tr.named("training.grad_split")
+        assert len(grads) == (2 if gd else 0)
+        spans = tr.named("training.eval_split") + grads
+        assert all(s.info[:2] == (type(model).__name__, 4) for s in grads)
+        assert sum(s.info[-1] for s in spans) == h.degenerate_evals
+
+    def test_tracer_reads_the_degenerate_count_of_grad_split(self, monkeypatch):
+        # zero tensors read out every row as degenerate, and their gradient
+        # is zero, so every epoch's gradient pass counts all four rows
+        monkeypatch.setattr(TensorModel, "init_params", lambda self, rng: np.zeros(self.n_params))
+        with self.tracing().Tracer() as tr:
+            h = training.fit(tensor_model(), tiny_splits(),
+                             TrainConfig(epochs=2, optimizer=AdaptiveGDConfig()))
+        assert [s.info for s in tr.named("training.grad_split")] == [("TensorModel", 4, 4)] * 2
+        assert h.degenerate_evals == 2 * 4 + 2 * 2 + 2  # train, dev, test
