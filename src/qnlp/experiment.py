@@ -59,6 +59,8 @@ RESULTS_ENV = "QNLP_RESULTS_ROOT"
 
 _CIRCUIT_ANSATZE = tuple(a.value for a in CircuitAnsatz)
 _TENSOR_ANSATZE = tuple(a.value for a in TensorAnsatz)
+_INT_FIELDS = ("n_layers", "n_single_qubit_params", "d_n", "d_s", "bond_dim", "max_legs",
+               "epochs", "dataset_seed")
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,10 @@ class ExperimentConfig:
     split_sizes: tuple[int, int, int] = (70, 30, 30)
 
     def __post_init__(self):
+        for key in _INT_FIELDS:
+            value = getattr(self, key)
+            if type(value) is not int:  # a bool or a float such as 2.0 too
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.backend not in ("circuit", "tensor"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
         allowed = _CIRCUIT_ANSATZE if self.backend == "circuit" else _TENSOR_ANSATZE

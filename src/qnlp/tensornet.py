@@ -24,12 +24,11 @@ its legs left open, chained with the upstream cotangent.  A parameter
 tensor used by several nodes accumulates one hole term per use.
 
 Training runs batched: the model groups a split's networks by
-:func:`structure_key` on the split's first use and compiles each group
-once into a :class:`TensorBatch` (:func:`compile_batch`), which gathers
-every row's tensors from the flat parameter vector and contracts the
-whole group in one einsum with an extra row label (:func:`batch_contract`),
-and each hole in one more (:func:`batch_holes`).  Contraction paths are
-chosen once per group.  The per-network :func:`contract` and
+:func:`structure_key` and compiles each group once (:func:`compile_batch`)
+with an extra row label.  The greedy path of the group's einsum, searched
+once, becomes a tree of pairwise steps, each one plain einsum
+(:func:`batch_forward`); every hole comes from one reverse sweep over it
+(:func:`batch_holes`).  The per-network :func:`contract` and
 :func:`gradient_hole` are the reference the batched path is tested against.
 """
 
@@ -432,6 +431,18 @@ def structure_key(net: Network) -> tuple:
     return (shapes, plan.sublists, plan.outputs, plan.factor, plan.n_labels)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One contraction of a batch's tree: the nodes it joins (numbered
+    gathered tensors first, then step results), its einsum, the labels it
+    keeps, and per input the einsum and bridges of that input's cotangent."""
+
+    inputs: tuple[int, ...]
+    subscripts: str
+    kept: tuple[int, ...]
+    cotangents: tuple[tuple[str, tuple[np.ndarray, ...]], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class TensorBatch:
     """Networks of one structure, compiled once to contract as one batch.
@@ -439,34 +450,41 @@ class TensorBatch:
     Row ``r`` is the group's ``r``-th network.  ``gather[p][r]`` holds the
     positions in the parameter vector of row ``r``'s tensor at parameter
     position ``p`` (the plan's ``p``-th parameter node), flattened in C
-    order.  Every einsum carries one extra label for the row axis.
+    order.  Every step carries one extra label for the row axis.
     """
 
     shapes: tuple[tuple[int, ...], ...]  # per position, rows first
     gather: tuple[np.ndarray, ...]  # per position, (rows, size)
-    forward: tuple[str, list]  # subscripts and contraction path
-    # per position: subscripts, path, and the identity bridges that give a
-    # repeated hole label, or one no other operand carries, its own output
-    holes: tuple[tuple[str, list, tuple[np.ndarray, ...]], ...]
+    steps: tuple[_Step, ...]  # the last one keeps the row, then the outputs
     out_shape: tuple[int, ...]  # rows, then the output dimensions
     factor: float
 
 
-def _einsum_plan(inputs, output, shapes) -> tuple[str, list]:
-    """Subscripts of an einsum over integer labels, and its greedy path."""
-    _check_labels(1 + max(output + [lab for sub in inputs for lab in sub]))
+def _subscripts(inputs, output) -> str:
+    words = ["".join(_LETTERS[lab] for lab in labels) for labels in [*inputs, output]]
+    return ",".join(words[:-1]) + "->" + words[-1]
 
-    def word(labels):
-        return "".join(_LETTERS[lab] for lab in labels)
 
-    subscripts = ",".join(map(word, inputs)) + "->" + word(output)
-    dummies = [np.empty(shape) for shape in shapes]
-    return subscripts, np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+def _cotangent(child, others, dims, bridge) -> tuple[str, tuple[np.ndarray, ...]]:
+    """The einsum of ``child``'s cotangent from the ``others``.  A repeated
+    label of ``child``, or one no other operand carries, becomes a fresh
+    label from ``bridge`` on, joined to it by an identity operand."""
+    carried = {lab for sub in others for lab in sub}
+    inputs, result, eyes = list(others), [], []
+    for lab in child:
+        if lab in result or lab not in carried:
+            inputs.append((bridge + len(eyes), lab))
+            eyes.append(np.eye(dims[lab]))
+            lab = bridge + len(eyes) - 1
+        result.append(lab)
+    _check_labels(bridge + len(eyes))
+    return _subscripts(inputs, result), tuple(eyes)
 
 
 def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> TensorBatch:
     """Compile networks of one :func:`structure_key` into a batch; ``offsets``
-    maps every symbol to its flattened tensor's offset in the parameter vector."""
+    maps every symbol to its flattened tensor's offset in the parameter vector.
+    The greedy path of the forward einsum, searched once, becomes the steps."""
     first = nets[0]
     plan = first._plan
     if not plan.params:
@@ -475,89 +493,80 @@ def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> Ten
         raise Error("open legs with no tensor operands")
     n = len(nets)
     shapes = [(n,) + first.nodes[ni].shape for ni in plan.params]
-    out_shape = (n,) + first.output_dims()
     row = plan.n_labels  # the row axis's label; bridge labels follow it
-    subs = [[row, *sub] for sub in plan.sublists]
-    out = [row, *plan.outputs]
-    forward = _einsum_plan(subs, out, shapes)
-    holes = []
-    for p in range(len(subs)):
-        inputs = subs[:p] + subs[p + 1 :] + [out]
-        dims = shapes[:p] + shapes[p + 1 :] + [out_shape]
-        carried = {lab for sub in inputs for lab in sub}
-        result, eyes = [row], []
-        for lab, dim in zip(plan.sublists[p], shapes[p][1:]):
-            if lab in result or lab not in carried:
-                bridge = row + 1 + len(eyes)
-                eyes.append(np.eye(dim))
-                inputs.append([bridge, lab])
-                dims.append((dim, dim))
-                lab = bridge
-            result.append(lab)
-        holes.append((*_einsum_plan(inputs, result, dims), tuple(eyes)))
+    _check_labels(row + 1)
+    labels = [(row, *sub) for sub in plan.sublists]  # per tree node
+    out = (row, *plan.outputs)
+    dims = {lab: d for sub, shape in zip(labels, shapes) for lab, d in zip(sub, shape)}
+    path = np.einsum_path(_subscripts(labels, out), *map(np.empty, shapes), optimize="greedy")
+    live, steps = list(range(len(labels))), []
+    for joined in path[0][1:]:
+        inputs = tuple(live.pop(i) for i in sorted(joined, reverse=True))
+        subs = [labels[m] for m in inputs]
+        needed = {lab for m in live for lab in labels[m]}.union(out)
+        kept = tuple(sorted({lab for sub in subs for lab in sub} & needed)) if live else out
+        cotangents = tuple(_cotangent(sub, [kept, *subs[:j], *subs[j + 1 :]], dims, row + 1)
+                           for j, sub in enumerate(subs))
+        steps.append(_Step(inputs, _subscripts(subs, kept), kept, cotangents))
+        live.append(len(labels))
+        labels.append(kept)
     gather = []
     for ni, shape in zip(plan.params, shapes):
         starts = np.array([offsets[net.nodes[ni].symbol] for net in nets], dtype=np.intp)
         gather.append(starts[:, None] + np.arange(math.prod(shape[1:])))
-    return TensorBatch(tuple(shapes), tuple(gather), forward, tuple(holes), out_shape,
-                       plan.factor)
+    return TensorBatch(tuple(shapes), tuple(gather), tuple(steps),
+                       (n,) + first.output_dims(), plan.factor)
 
 
-def _operands(batch: TensorBatch, theta: np.ndarray) -> list[np.ndarray]:
-    return [theta[g].reshape(shape) for g, shape in zip(batch.gather, batch.shapes)]
+def batch_forward(batch: TensorBatch, theta: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every row's network contracted step by step, from the parameter
+    vector ``theta`` that ``batch.gather`` indexes: ``(rows, outputs)``,
+    each row's output flattened, and the tree's nodes for :func:`batch_holes`."""
+    nodes = [theta[g].reshape(shape) for g, shape in zip(batch.gather, batch.shapes)]
+    for step in batch.steps:
+        nodes.append(np.einsum(step.subscripts, *(nodes[m] for m in step.inputs), optimize=False))
+    v = nodes[-1]
+    return v.reshape(len(v), -1) * batch.factor, nodes
 
 
 def batch_contract(batch: TensorBatch, theta: np.ndarray) -> np.ndarray:
-    """Every row's network fully contracted, in one einsum.
-
-    ``theta`` is the parameter vector ``batch.gather`` indexes.  Returns
-    ``(rows, outputs)``: each row's output tensor, flattened.
-    """
-    subscripts, path = batch.forward
-    v = np.einsum(subscripts, *_operands(batch, theta), optimize=path)
-    return v.reshape(len(v), -1) * batch.factor
+    return batch_forward(batch, theta)[0]
 
 
-def batch_holes(batch: TensorBatch, theta: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
-    """d(upstream . output)/d(tensor) at every parameter position, per row.
-
-    ``upstream`` is shaped like :func:`batch_contract`'s result.  Returns
-    one ``(rows, size)`` array per position, laid out like ``gather``, so
-    scattering them through ``gather`` with ``np.add.at`` sums the terms
-    of a symbol met at several positions or in several rows.
-    """
-    ops = _operands(batch, theta)
-    up = upstream.reshape(batch.out_shape) * batch.factor
-    grads = []
-    for p, (subscripts, path, eyes) in enumerate(batch.holes):
-        g = np.einsum(subscripts, *ops[:p], *ops[p + 1 :], up, *eyes, optimize=path)
-        grads.append(g.reshape(len(g), -1))
-    return grads
+def batch_holes(batch: TensorBatch, nodes: list[np.ndarray], upstream: np.ndarray) -> list[np.ndarray]:
+    """d(upstream . output)/d(tensor) at every parameter position, per row,
+    by one reverse sweep from ``upstream``, shaped like the output of the
+    :func:`batch_forward` that gave ``nodes``.  One ``(rows, size)`` array
+    per position, laid out like ``gather`` for ``np.add.at``."""
+    first = len(batch.gather)  # node number of the first step's result
+    cotangent = {len(nodes) - 1: upstream.reshape(batch.out_shape) * batch.factor}
+    for k in range(len(batch.steps) - 1, -1, -1):
+        step, g = batch.steps[k], cotangent.pop(first + k)
+        for node, (subscripts, eyes) in zip(step.inputs, step.cotangents):
+            siblings = [nodes[m] for m in step.inputs if m != node]
+            cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
+    return [cotangent[p].reshape(len(cotangent[p]), -1) for p in range(first)]
 
 
 # -- serialization --------------------------------------------------------
 
 
-def network_to_dict(net: Network) -> dict:
+def network_to_json(net: Network, indent: int | None = 2) -> str:
     def node_json(node: Node) -> dict:
         if isinstance(node, ParamNode):
-            return {
-                "kind": "param",
-                "symbol": node.symbol.name,
-                "shape": list(node.shape),
-            }
+            return {"kind": "param", "symbol": node.symbol.name, "shape": list(node.shape)}
         if isinstance(node, CupDeltaNode):
             return {"kind": "cup_delta", "dim": node.dim}
         return {"kind": "spider_copy", "arity": node.arity, "dim": node.dim}
 
-    return {
+    return json.dumps({
         "nodes": [node_json(n) for n in net.nodes],
         "edges": [[list(a), list(b)] for a, b in net.edges],
         "outputs": [list(l) for l in net.outputs],
-    }
+    }, indent=indent)
 
 
-def network_from_dict(obj: Mapping) -> Network:
+def network_from_json(text: str) -> Network:
     def node_from(nj: Mapping) -> Node:
         if nj["kind"] == "param":
             return ParamNode(Symbol.from_name(nj["symbol"]), tuple(nj["shape"]))
@@ -567,18 +576,9 @@ def network_from_dict(obj: Mapping) -> Network:
             return SpiderCopyNode(int(nj["arity"]), int(nj["dim"]))
         raise Error(f"unknown node kind: {nj['kind']!r}")
 
+    obj = json.loads(text)
     return Network(
         nodes=tuple(node_from(nj) for nj in obj["nodes"]),
-        edges=tuple(
-            ((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in obj["edges"]
-        ),
+        edges=tuple(((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in obj["edges"]),
         outputs=tuple((int(l[0]), int(l[1])) for l in obj["outputs"]),
     )
-
-
-def network_to_json(net: Network, indent: int | None = 2) -> str:
-    return json.dumps(network_to_dict(net), indent=indent)
-
-
-def network_from_json(text: str) -> Network:
-    return network_from_dict(json.loads(text))

@@ -11,10 +11,11 @@ sum is the survival norm; a network's ``u`` is its squared real output
 vector.  On a split's first use, either model groups its items by the
 backend's ``structure_key`` and compiles each group once with the
 backend's ``compile_batch``: one batched statevector pass per circuit
-group, shift probes included, or one einsum per network group and one
-more per gradient hole.  :mod:`qnlp.simulator`'s ``sentence_distribution``
-and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
-and ``gradient_hole``, are the per-item reference of these paths.
+group, shift probes included, or one walk of each network group's
+contraction tree, plus one reverse sweep over it for the gradient.
+:mod:`qnlp.simulator`'s ``sentence_distribution`` and
+``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
+``gradient_hole``, are the per-item reference of these paths.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -64,6 +65,7 @@ from qnlp.tensornet import (  # noqa: F401
     Network,
     TensorAnsatzConfig,
     batch_contract,
+    batch_forward,
     batch_holes,
     compile_network,
     contract,
@@ -398,8 +400,9 @@ class TensorModel(_Model):
 
     A sentence's weights are its squared real output vector ``v**2``, so
     ``p_i = v_i^2 / sum v^2``; a collapsed vector (squared norm below
-    1e-12) reads out as uniform.  Each group of a split contracts in one
-    einsum, and its gradient in one more per parameter position.
+    1e-12) reads out as uniform.  Each group of a split contracts along
+    its compiled tree of pairwise steps, and its gradient is one reverse
+    sweep over that tree.
     """
 
     _structure_key = staticmethod(tensornet.structure_key)
@@ -435,14 +438,20 @@ class TensorModel(_Model):
         return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
-        """Mean-loss gradient by exact hole contractions, then the
-        probabilities and degenerate count that :meth:`eval_split` returns."""
-        vecs = self._per_row(name, lambda b: batch_contract(b, theta))
+        """Mean-loss gradient by exact hole contractions, one reverse sweep
+        per group over its forward pass's nodes, then the probabilities and
+        degenerate count that :meth:`eval_split` returns."""
+        groups = self._groups(name)
+        vecs = np.empty((len(self.items_by_split[name]), 2))
+        trees = []
+        for rows, batch in groups:
+            vecs[rows], nodes = batch_forward(batch, theta)
+            trees.append(nodes)
         probs, g_u, degenerate = _pullback(vecs**2, labels)
         g_v = 2.0 * vecs * g_u  # zero on degenerate rows, as g_u is
         grad = np.zeros(self.n_params)
-        for rows, batch in self._groups(name):
-            for gather, g in zip(batch.gather, batch_holes(batch, theta, g_v[rows])):
+        for (rows, batch), nodes in zip(groups, trees):
+            for gather, g in zip(batch.gather, batch_holes(batch, nodes, g_v[rows])):
                 np.add.at(grad, gather, g)
         return grad, probs, int(degenerate.sum())
 

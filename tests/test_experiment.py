@@ -427,6 +427,23 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert [p for p in tmp_path.iterdir() if p != cfg_path] == []  # no run started
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 1.5),
+        ("n_layers", "2"),
+        ("dataset_seed", 1.0),
+        ("d_n", True),
+        ("n_single_qubit_params", None),
+        ("bond_dim", 2.0),
+        ("max_legs", "3"),
+        ("d_s", [2]),
+    ])
+    def test_train_rejects_non_integer_scalars(self, key, value, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", key: value}))
+        assert main(["train", "--config", str(cfg_path), "--results", str(tmp_path)]) == 2
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert [p for p in tmp_path.iterdir() if p != cfg_path] == []  # no run started
+
     def test_train_tensor_sentence_dimension_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "d_s": 3}))

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnlp import tensornet
 from qnlp.circuit import Symbol
@@ -21,6 +23,7 @@ from qnlp.tensornet import (
     TensorAnsatz,
     TensorAnsatzConfig,
     batch_contract,
+    batch_forward,
     batch_holes,
     compile_batch,
     compile_network,
@@ -451,10 +454,13 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
               for rows in rows_of.values()]
     assert sorted(np.concatenate([rows for rows, _ in groups])) == list(range(len(nets)))
     for rows, batch in groups:
-        v = batch_contract(batch, theta)
+        plan = nets[rows[0]]._plan
+        assert batch.steps[-1].kept == (plan.n_labels, *plan.outputs)
+        v, nodes = batch_forward(batch, theta)
+        np.testing.assert_array_equal(batch_contract(batch, theta), v)
         up = rng.standard_normal(v.shape)
         grad = np.zeros_like(theta)
-        for gather, g in zip(batch.gather, batch_holes(batch, theta, up)):
+        for gather, g in zip(batch.gather, batch_holes(batch, nodes, up)):
             np.add.at(grad, gather, g)
         want = np.zeros_like(theta)
         for r, i in enumerate(rows):
@@ -466,6 +472,12 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
                 want[offsets[sym] : offsets[sym] + g.size] += g.ravel()
         assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
     return groups
+
+
+def bridges(batch) -> dict[int, int]:
+    """Identity bridges of each tree node's cotangent, by node number."""
+    return {node: len(eyes) for step in batch.steps
+            for node, (_, eyes) in zip(step.inputs, step.cotangents)}
 
 
 class TestBatches:
@@ -513,8 +525,10 @@ class TestBatches:
         )
         groups = check_batches_against_reference([trace, summed, looped, trace], rng)
         assert [list(rows) for rows, _ in groups] == [[0, 3], [1], [2]]
-        assert [len(eyes) for _, _, eyes in groups[0][1].holes] == [2, 0]
-        assert [len(eyes) for _, _, eyes in groups[1][1].holes] == [1]
+        # identity bridges per parameter position, over the tree's steps:
+        # both of u's trace legs and the leg summed alone, none for v
+        assert bridges(groups[0][1]) == {0: 2, 1: 0}
+        assert bridges(groups[1][1]) == {0: 1}
         assert groups[2][1].factor == 3.0
 
     def test_repeated_word_gathers_one_symbol_twice(self, toy_lexicon, rng):
@@ -546,6 +560,66 @@ class TestBatches:
         loop = Network((CupDeltaNode(3), CupDeltaNode(3)), (((0, 0), (1, 0)), ((0, 1), (1, 1))), ())
         with pytest.raises(Error, match="network has no tensor operands"):
             compile_batch([loop], {})
+
+
+@st.composite
+def random_networks(draw) -> list[Network]:
+    """One random network structure, as 1-3 rows with their own symbols.
+
+    1-4 parameter nodes with 1-3 legs of dimension 2 or 3.  The shuffled
+    legs go to an optional 3-ary copy spider (whose third leg may be open),
+    then to 0-2 open legs, then in pairs to a cup or a direct edge; a pair
+    on one node is a trace.  An odd leg left over is summed alone, by a
+    1-ary copy spider.  Two nodes of one shape may share a symbol.
+    """
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    legs = draw(st.permutations([(n, l) for n, k in enumerate(arities) for l in range(k)]))
+    spider_open = draw(st.booleans())
+    spider = len(legs) >= 3 - spider_open and draw(st.booleans())
+    used = 3 - spider_open if spider else 0
+    n_open = draw(st.integers(0, min(2 - (spider and spider_open), len(legs) - used)))
+    opened, paired = legs[used : used + n_open], legs[used + n_open :]
+    capped = paired[len(paired) - len(paired) % 2 :]
+    pairs = [(paired[i], paired[i + 1], draw(st.booleans())) for i in range(0, len(paired) - 1, 2)]
+    # one dimension per class of joined legs
+    classes = [list(legs[:used])] if spider else []
+    classes += [[a, b] for a, b, _ in pairs] + [[leg] for leg in opened + capped]
+    dim = {leg: d for cls in classes for d in [draw(st.sampled_from([2, 3]))] for leg in cls}
+    shapes = [tuple(dim[(n, l)] for l in range(k)) for n, k in enumerate(arities)]
+    tie = len(shapes) > 1 and shapes[0] == shapes[1] and draw(st.booleans())
+
+    nodes: list = []
+    edges, outputs = [], list(opened)
+    base = len(arities)  # the first node after the parameter nodes
+    if spider:
+        nodes.append(SpiderCopyNode(3, dim[legs[0]]))
+        edges += [(leg, (base, j)) for j, leg in enumerate(legs[:used])]
+        if spider_open:
+            outputs.insert(draw(st.integers(0, len(outputs))), (base, 2))
+    for leg in capped:
+        edges.append((leg, (base + len(nodes), 0)))
+        nodes.append(SpiderCopyNode(1, dim[leg]))
+    for a, b, via_cup in pairs:
+        if via_cup:
+            edges += [(a, (base + len(nodes), 0)), (b, (base + len(nodes), 1))]
+            nodes.append(CupDeltaNode(dim[a]))
+        else:
+            edges.append((a, b))
+
+    def row(r: int) -> Network:
+        words = [f"w{r}_{0 if tie and n == 1 else n}" for n in range(len(shapes))]
+        params = tuple(ParamNode(Symbol(w, "n", 0), s) for w, s in zip(words, shapes))
+        return Network(params + tuple(nodes), tuple(edges), tuple(outputs))
+
+    return [row(r) for r in range(draw(st.integers(1, 3)))]
+
+
+class TestBatchProperties:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(nets=random_networks(), seed=st.integers(0, 2**32 - 1))
+    def test_random_networks_match_per_network_reference(self, nets, seed):
+        groups = check_batches_against_reference(nets, np.random.default_rng(seed))
+        assert len(groups) == 1
 
 
 class TestJson:

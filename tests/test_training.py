@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import types
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from qnlp.simulator import (
     distribution_gradient,
     sentence_distribution,
 )
-from qnlp import training
+from qnlp import tensornet, training
 from qnlp.tensornet import (
     TensorAnsatz,
     TensorAnsatzConfig,
@@ -565,6 +566,13 @@ def tensor_reference_split(model: TensorModel, name: str, theta, labels):
 KINDS = tuple(TensorAnsatz)
 
 
+def numpy_with(**overrides) -> types.ModuleType:
+    """A copy of the ``numpy`` namespace with some attributes replaced."""
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(np.__dict__, **overrides)
+    return proxy
+
+
 class TestTensorBatching:
     """Batched groups against per-network contract and gradient_hole."""
 
@@ -609,6 +617,36 @@ class TestTensorBatching:
         for name in ("train", "dev", "test"):
             assert len(model._groups(name)) == 4
             assert model._groups(name) is model._batches[name]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_one_path_search_per_group(self, kind, monkeypatch, rng):
+        splits = generate_mc(0)
+        model = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
+                                  TensorAnsatzConfig(kind))
+        searches = []
+
+        def counting_search(*args, **kwargs):
+            searches.append(args[0])
+            return np.einsum_path(*args, **kwargs)
+
+        monkeypatch.setattr(tensornet, "np", numpy_with(einsum_path=counting_search))
+        assert len(model._groups("train")) == len(searches) == 4
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("contraction path searched after compile")
+
+        def plain_einsum(*operands, optimize=False):
+            # np.einsum given a path still rebuilds its contraction list
+            assert optimize is False
+            return np.einsum(*operands, optimize=False)
+
+        monkeypatch.setattr(tensornet, "np",
+                            numpy_with(einsum_path=no_search, einsum=plain_einsum))
+        theta = model.init_params(rng)
+        probs, _ = model.eval_split("train", theta)
+        grad, grad_probs, _ = model.grad_split("train", theta, splits.train.labels())
+        np.testing.assert_array_equal(grad_probs, probs)
+        assert np.abs(grad).max() > 0
 
     def test_wrong_output_arity_fails_when_compiled(self):
         nets = [
