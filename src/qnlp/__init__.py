@@ -27,7 +27,7 @@ from qnlp.pregroup import (
     ty,
 )
 from qnlp.rewrite import RewriteScheme, curry, normal_form, rewrite
-from qnlp.simulator import run, sentence_distribution
+from qnlp.simulator import sentence_distribution
 from qnlp.tensornet import (
     Network,
     TensorAnsatz,
@@ -87,7 +87,6 @@ __all__ = [
     "parse_sentence",
     "reduce_types",
     "rewrite",
-    "run",
     "sentence_distribution",
     "summarize",
     "ty",

@@ -33,15 +33,31 @@ def _lexicon_from(args) -> Lexicon:
     return default_lexicon()
 
 
+def _read_json(path: str, decode):
+    """``decode`` of a JSON file's contents; a file that is not JSON, or
+    that ``decode`` rejects, is a config error naming the file."""
+    try:
+        return decode(json.loads(Path(path).read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError, IndexError, Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _load_diagram(args) -> diagram_mod.Diagram:
     if getattr(args, "sentence", None):
         lexicon = _lexicon_from(args)
         return parse_sentence(args.sentence.split(), lexicon)
     if getattr(args, "diagram", None):
-        return diagram_mod.diagram_from_json(
-            Path(args.diagram).read_text(encoding="utf-8")
-        )
+        return _read_json(args.diagram, diagram_mod.diagram_from_dict)
     raise ConfigError("provide either --sentence or --diagram")
+
+
+def _params_from(bound) -> dict | np.ndarray:
+    """``{symbol name: angle}`` or a flat list of angles."""
+    if isinstance(bound, dict):
+        return {circuit_mod.Symbol.from_name(name): float(v) for name, v in bound.items()}
+    return np.asarray(bound, dtype=float)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -90,18 +106,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    circ = circuit_mod.circuit_from_json(
-        Path(args.circuit).read_text(encoding="utf-8")
-    )
+    circ = _read_json(args.circuit, circuit_mod.circuit_from_dict)
     if args.params:
-        bound = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        if isinstance(bound, dict):
-            params = {
-                circuit_mod.Symbol.from_name(name): float(v)
-                for name, v in bound.items()
-            }
-        else:
-            params = np.asarray(bound, dtype=float)
+        params = _read_json(args.params, _params_from)
     else:
         params = np.zeros(len(circ.symbols))
     dist = simulator.sentence_distribution(circ, params)

@@ -98,6 +98,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown optimizer: {self.optimizer!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0 or self.dataset_seed < 0:
+            raise ConfigError(f"seeds and dataset_seed must be non-negative, got "
+                              f"{list(self.seeds)} and {self.dataset_seed}")
+        if self.dataset_dir is not None and not isinstance(self.dataset_dir, str):
+            raise ConfigError(f"dataset_dir must be a string, got {self.dataset_dir!r}")
         if len(self.split_sizes) != 3:
             raise ConfigError(f"split_sizes needs 3 sizes, got {self.split_sizes}")
         if self.n_layers < 0 or self.n_single_qubit_params < 0:

@@ -11,31 +11,31 @@ model.
 
 Gradients of the renormalized distribution come from parameter-shift rules
 chained through the quotient ``p = N / D`` (``N``: unnormalized output
-marginal, ``D``: survival norm).  A parameter used by exactly one
-single-qubit rotation gets the two-term ``+-pi/2`` rule.  A parameter used
-by exactly one controlled rotation gets a four-term rule with shifts
-``+-pi/2, +-3pi/2``: controlled rotations mix half-integer and integer
-frequencies, so the plain two-term rule is not exact for them.  Parameters
-reused across gates fall back to central finite differences;
-:func:`shift_rule` holds that rule table.
+marginal, ``D``: survival norm).  Parameters are bound per gate use: each
+parametric gate gets its own shift rule, shifting its angle alone, and a
+parameter read by several gates sums their terms (the product rule).  A
+single-qubit rotation takes the two-term ``+-pi/2`` rule; a controlled
+rotation takes a four-term rule with shifts ``+-pi/2, +-3pi/2``, because
+controlled rotations mix half-integer and integer frequencies, so the plain
+two-term rule is not exact for them.  :func:`shift_rule` holds both rules.
 
 Training runs batched: the model groups a split's circuits by
 :func:`structure_key` on the split's first use and compiles each group
 once into a :class:`CircuitBatch` (:func:`compile_batch`).  One
 statevector pass over a ``(rows, 2, ..., 2)`` state then serves every
-sentence of the group, with the gradient's shift probes stacked into the
-row axis (:func:`batch_marginal`, :func:`batch_marginal_jacobian`).
-Batches return the unnormalized marginal ``N`` and its derivative only;
-the model normalizes and chains the quotient rule.  The per-gate
-:func:`apply` and the per-sentence :func:`sentence_distribution` and
-:func:`distribution_gradient` are the reference the batched path is tested
-against.
+sentence of the group, with the gradient's shift probes (one rule per
+parametric gate) stacked into the row axis (:func:`batch_marginal`,
+:func:`batch_marginal_jacobian`).  Batches return the unnormalized
+marginal ``N`` and its derivative only; the model normalizes and chains
+the quotient rule.  The per-gate :func:`apply` and the per-sentence
+:func:`sentence_distribution` and :func:`distribution_gradient` are the
+reference the batched path is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,10 +46,6 @@ from qnlp.errors import Error
 
 class IndexOutOfRange(Error):
     """A gate addresses a qubit the state does not have."""
-
-
-class ZeroSurvival(Error):
-    """Postselection annihilated the state (survival norm below 1e-12)."""
 
 
 class WrongOutputArity(Error):
@@ -64,8 +60,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # of controlled rotations.
 _C_PLUS = (math.sqrt(2.0) + 1.0) / (4.0 * math.sqrt(2.0))
 _C_MINUS = (math.sqrt(2.0) - 1.0) / (4.0 * math.sqrt(2.0))
-
-_FD_STEP = 1e-6
 
 
 def _mat_1q(kind: GateKind, angle: float | None) -> np.ndarray:
@@ -143,15 +137,6 @@ def param_vector(circuit: Circuit, params) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Post-projection amplitudes over the surviving (kept) qubits."""
-
-    amplitudes: np.ndarray
-    kept_qubits: tuple[int, ...]
-    survival_norm: float
-
-
 def _execute(circuit: Circuit, theta: np.ndarray) -> np.ndarray:
     state = zero_state(circuit.n_qubits)
     values = dict(zip(circuit.symbols, theta))
@@ -164,48 +149,25 @@ def _execute(circuit: Circuit, theta: np.ndarray) -> np.ndarray:
     return state
 
 
-def _project(circuit: Circuit, theta: np.ndarray):
-    state = _execute(circuit, theta)
-    post = set(circuit.postselect)
-    indexer = tuple(0 if q in post else slice(None) for q in range(circuit.n_qubits))
-    amps = state[indexer]
-    kept = tuple(q for q in range(circuit.n_qubits) if q not in post)
-    survival = float(np.sum(np.abs(amps) ** 2))
-    return amps, kept, survival
-
-
-def run(circuit: Circuit, params=None) -> RunResult:
-    """Execute from ``|0...0>`` and project.
-
-    Raises :class:`ZeroSurvival` when the projection leaves less than
-    ``SURVIVAL_EPS`` of the squared norm.
-    """
-    theta = np.zeros(0) if params is None else param_vector(circuit, params)
-    amps, kept, survival = _project(circuit, theta)
-    if survival < SURVIVAL_EPS:
-        raise ZeroSurvival(f"survival norm {survival:.3e} below {SURVIVAL_EPS}")
-    return RunResult(amps, kept, survival)
-
-
 def _marginal(circuit: Circuit, theta: np.ndarray):
     """Unnormalized probability marginal over the output qubits.
 
     Returns ``(N, D)`` with ``N`` flat of length ``2**n_outputs`` (output
     order, first output = most significant bit) and ``D`` the survival
-    norm.  Non-output kept qubits are summed out.
+    norm.  Postselected qubits are projected onto 0 without renormalizing;
+    the other non-output qubits are summed out.
     """
-    amps, kept, survival = _project(circuit, theta)
-    axis_of = {q: i for i, q in enumerate(kept)}
+    post = set(circuit.postselect)
     for q in circuit.outputs:
-        if q not in axis_of:
+        if q in post:
             raise Error(f"output qubit {q} is postselected")
-    probs = np.abs(amps) ** 2
-    drop = tuple(i for i, q in enumerate(kept) if q not in set(circuit.outputs))
-    if drop:
-        probs = probs.sum(axis=drop)
-    remaining = [q for q in kept if q in set(circuit.outputs)]
-    perm = [remaining.index(q) for q in circuit.outputs]
-    probs = np.transpose(probs, perm) if perm else probs
+    index = tuple(0 if q in post else slice(None) for q in range(circuit.n_qubits))
+    probs = np.abs(_execute(circuit, theta)[index]) ** 2
+    survival = float(np.sum(probs))
+    kept = [q for q in range(circuit.n_qubits) if q not in post]
+    probs = probs.sum(axis=tuple(i for i, q in enumerate(kept) if q not in circuit.outputs))
+    remaining = [q for q in kept if q in circuit.outputs]
+    probs = np.transpose(probs, [remaining.index(q) for q in circuit.outputs])
     return probs.reshape(-1), survival
 
 
@@ -237,40 +199,31 @@ class DistributionGradient:
     degenerate: bool
 
 
-def shift_rule(uses: Sequence[Gate]) -> tuple[tuple[float, float], ...]:
-    """``(shift, coefficient)`` pairs of one parameter's derivative rule.
+def shift_rule(kind: GateKind) -> tuple[tuple[float, float], ...]:
+    """``(shift, coefficient)`` pairs of one parametric gate's derivative rule.
 
-    ``df/dtheta = sum_k coefficient_k * f(theta + shift_k)`` holds for the
-    unnormalized marginal and for the survival norm.  ``uses`` are the
-    gates that read the parameter: two-term shift for a single 1-qubit
-    rotation, four-term shift for a single controlled rotation, central
-    finite differences (h = 1e-6) otherwise.
+    ``df/dangle = sum_k coefficient_k * f(angle + shift_k)`` holds for the
+    unnormalized marginal and for the survival norm when only that gate's
+    angle moves: the two-term rule for a single-qubit rotation, the
+    four-term rule for a controlled rotation.
     """
-    if len(uses) == 1 and uses[0].kind in PARAMETRIC_1Q:
-        return ((math.pi / 2, 0.5), (-math.pi / 2, -0.5))
-    if len(uses) == 1 and uses[0].kind in PARAMETRIC_2Q:
+    if kind in PARAMETRIC_2Q:
         return (
             (math.pi / 2, _C_PLUS),
             (-math.pi / 2, -_C_PLUS),
             (3 * math.pi / 2, -_C_MINUS),
             (-3 * math.pi / 2, _C_MINUS),
         )
-    return ((_FD_STEP, 0.5 / _FD_STEP), (-_FD_STEP, -0.5 / _FD_STEP))
-
-
-def _uses_of(circuit: Circuit) -> dict[Symbol, list[Gate]]:
-    uses: dict[Symbol, list[Gate]] = {s: [] for s in circuit.symbols}
-    for g in circuit.gates:
-        if isinstance(g.param, Symbol):
-            uses[g.param].append(g)
-    return uses
+    return ((math.pi / 2, 0.5), (-math.pi / 2, -0.5))
 
 
 def distribution_gradient(circuit: Circuit, params) -> DistributionGradient:
     """Jacobian of the renormalized distribution w.r.t. every parameter.
 
-    Each parameter's derivative follows :func:`shift_rule`.  The quotient
-    rule ``dp = (dN - p * dD) / D`` folds in the renormalization.
+    Every parametric gate adds its :func:`shift_rule` term to the row of
+    the parameter it reads, its angle shifted alone, so a parameter read
+    by several gates sums one exact rule per use.  The quotient rule
+    ``dp = (dN - p * dD) / D`` folds in the renormalization.
     """
     if len(circuit.outputs) != 1:
         raise WrongOutputArity(
@@ -285,17 +238,19 @@ def distribution_gradient(circuit: Circuit, params) -> DistributionGradient:
         )
     p = n0 / d0
     jac = np.zeros((n_params, 2))
-    uses_of = _uses_of(circuit)
-    for i, s in enumerate(circuit.symbols):
+    row = {s: i for i, s in enumerate(circuit.symbols)}
+    for k, g in enumerate(circuit.gates):
+        if not isinstance(g.param, Symbol):
+            continue
         dn = np.zeros_like(n0)
         dd = 0.0
-        for shift, coef in shift_rule(uses_of[s]):
-            shifted = theta.copy()
-            shifted[i] += shift
-            n, d = _marginal(circuit, shifted)
+        for shift, coef in shift_rule(g.kind):
+            gates = list(circuit.gates)
+            gates[k] = replace(g, param=theta[row[g.param]] + shift)
+            n, d = _marginal(replace(circuit, gates=tuple(gates)), theta)
             dn += coef * n
             dd += coef * d
-        jac[i] = (dn - p * dd) / d0
+        jac[row[g.param]] += (dn - p * dd) / d0
     return DistributionGradient(p, jac, d0, False)
 
 
@@ -312,33 +267,36 @@ _2Q_KINDS = frozenset({GateKind.CNOT}) | PARAMETRIC_2Q
 def structure_key(circuit: Circuit) -> tuple:
     """What circuits must share to run as one batch.
 
-    The qubit count, then per gate its kind, its qubits, and its
-    symbol-table slot or constant angle, then the postselected and output
-    qubits.  Sentences of one grammatical pattern under one ansatz share
-    a key whatever their words, unless a word repeats.
+    The qubit count, then per gate its kind, its qubits, and its constant
+    angle or, for a gate that reads a parameter, the :class:`Symbol` class
+    (a marker that never equals an angle), then the postselected and
+    output qubits.  Sentences of one grammatical pattern under one ansatz
+    share a key whatever their words, a repeated word included.
     """
-    # a slot is keyed as a 1-tuple so that it never equals a constant angle
-    slot = {s: (j,) for j, s in enumerate(circuit.symbols)}
-    gates = tuple((g.kind, g.qubits, slot.get(g.param, g.param)) for g in circuit.gates)
-    return (circuit.n_qubits, len(circuit.symbols), gates, circuit.postselect, circuit.outputs)
+    gates = tuple(
+        (g.kind, g.qubits, Symbol if isinstance(g.param, Symbol) else g.param)
+        for g in circuit.gates
+    )
+    return (circuit.n_qubits, gates, circuit.postselect, circuit.outputs)
 
 
 @dataclass(frozen=True, eq=False)
 class CircuitBatch:
     """Circuits of one structure, compiled once to run as one batch.
 
-    Row ``r`` is the group's ``r``-th circuit, and ``gather[r, j]`` is the
-    position of its slot-``j`` symbol in the model's parameter vector.  A
-    gradient pass runs row ``r`` at the angles
-    ``theta[gather[r]] + probe_shift[k]`` for every probe ``k``, probe 0
-    unshifted; ``probe_coef @ N[1:]`` is then the derivative of the
-    output marginal ``N`` for every slot.
+    Every parametric gate is a slot of its own, in gate order.  Row ``r``
+    is the group's ``r``-th circuit, and ``gather[r, j]`` is the position
+    in the model's parameter vector of the symbol its ``j``-th parametric
+    gate reads; a symbol read twice fills two slots.  A gradient pass runs
+    row ``r`` at the angles ``theta[gather[r]] + probe_shift[k]`` for every
+    probe ``k``, probe 0 unshifted; ``probe_coef @ N[1:]`` is then the
+    derivative of the output marginal ``N`` for every slot.
     """
 
     n_qubits: int
     # (kind, state index of the target-0 slice, of the target-1 slice,
-    # symbol slot or None, constant angle or None); a two-qubit gate's
-    # slices fix its control to 1
+    # slot or None, constant angle or None); a two-qubit gate's slices fix
+    # its control to 1
     ops: tuple[tuple, ...]
     postselect: tuple  # state index keeping outcome 0 of postselected qubits
     output_axis: int  # axis of the output qubit after postselection
@@ -361,7 +319,7 @@ def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) ->
     if output in post:
         raise Error(f"output qubit {output} is postselected")
 
-    slot = {s: j for j, s in enumerate(first.symbols)}
+    rules = []
     ops = []
     for g in first.gates:
         for q in g.qubits:
@@ -379,11 +337,11 @@ def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) ->
         low[g.qubits[-1] + 1] = 0
         high[g.qubits[-1] + 1] = 1
         if isinstance(g.param, Symbol):
-            ops.append((g.kind, tuple(low), tuple(high), slot[g.param], None))
+            ops.append((g.kind, tuple(low), tuple(high), len(rules), None))
+            rules.append(shift_rule(g.kind))
         else:
             ops.append((g.kind, tuple(low), tuple(high), None, g.param))
 
-    rules = [shift_rule(uses) for uses in _uses_of(first).values()]
     n_slots = len(rules)
     n_probes = sum(len(r) for r in rules)
     probe_shift = np.zeros((1 + n_probes, n_slots))
@@ -396,7 +354,8 @@ def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) ->
             k += 1
 
     gather = np.array(
-        [[offsets[s] for s in c.symbols] for c in circuits], dtype=np.intp
+        [[offsets[g.param] for g in c.gates if isinstance(g.param, Symbol)] for c in circuits],
+        dtype=np.intp,
     ).reshape(len(circuits), n_slots)
     return CircuitBatch(
         n_qubits=n,

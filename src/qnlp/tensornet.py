@@ -537,7 +537,7 @@ def batch_holes(batch: TensorBatch, nodes: list[np.ndarray], upstream: np.ndarra
     """d(upstream . output)/d(tensor) at every parameter position, per row,
     by one reverse sweep from ``upstream``, shaped like the output of the
     :func:`batch_forward` that gave ``nodes``.  One ``(rows, size)`` array
-    per position, laid out like ``gather`` for ``np.add.at``."""
+    per position, laid out like ``gather``."""
     first = len(batch.gather)  # node number of the first step's result
     cotangent = {len(nodes) - 1: upstream.reshape(batch.out_shape) * batch.factor}
     for k in range(len(batch.steps) - 1, -1, -1):

@@ -12,7 +12,12 @@ vector.  On a split's first use, either model groups its items by the
 backend's ``structure_key`` and compiles each group once with the
 backend's ``compile_batch``: one batched statevector pass per circuit
 group, shift probes included, or one walk of each network group's
-contraction tree, plus one reverse sweep over it for the gradient.
+contraction tree, plus one reverse sweep over it for the gradient.  Both
+backends bind parameters per use: a circuit's parametric gate, or a
+network's parameter tensor, is a slot of its own, gathered from the
+parameter vector, and one ``np.bincount`` per split sums the slots'
+gradient terms back per parameter, so a word repeated in a sentence gets
+the terms of both uses.
 :mod:`qnlp.simulator`'s ``sentence_distribution`` and
 ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
 ``gradient_hole``, are the per-item reference of these paths.
@@ -336,6 +341,13 @@ class _Model:
             out[rows] = run(batch)
         return out
 
+    def _scatter(self, gathers, values) -> np.ndarray:
+        """Sum every ``values`` entry into the parameter vector at the
+        position its ``gathers`` entry names, in order, so a position
+        gathered twice (a word repeated in a sentence) gets both terms."""
+        return np.bincount(np.concatenate([g.ravel() for g in gathers]),
+                           np.concatenate([v.ravel() for v in values]), self.n_params)
+
     def store(self, theta: np.ndarray) -> dict[Symbol, np.ndarray]:
         return {s: theta[self._slices[s]].reshape(self.shapes[s]) for s in self.symbols}
 
@@ -380,8 +392,9 @@ class CircuitModel(_Model):
         return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
-        """Mean-loss gradient by exact per-parameter shift rules, then the
-        probabilities and degenerate count that :meth:`eval_split` returns."""
+        """Mean-loss gradient by exact shift rules, one per parametric gate
+        and summed per parameter, then the probabilities and degenerate
+        count that :meth:`eval_split` returns."""
         groups = self._groups(name)
         u = np.empty((len(self.items_by_split[name]), 2))
         d_u = []
@@ -389,9 +402,9 @@ class CircuitModel(_Model):
             u[rows], d = batch_marginal_jacobian(batch, theta)
             d_u.append(d)
         probs, g_u, degenerate = _pullback(u, labels)
-        grad = np.zeros(self.n_params)
-        for (rows, batch), d in zip(groups, d_u):
-            np.add.at(grad, batch.gather, np.einsum("rsk,rk->rs", d, g_u[rows]))
+        grad = self._scatter([batch.gather for _, batch in groups],
+                             [np.einsum("rsk,rk->rs", d, g_u[rows])
+                              for (rows, _), d in zip(groups, d_u)])
         return grad, probs, int(degenerate.sum())
 
 
@@ -449,10 +462,9 @@ class TensorModel(_Model):
             trees.append(nodes)
         probs, g_u, degenerate = _pullback(vecs**2, labels)
         g_v = 2.0 * vecs * g_u  # zero on degenerate rows, as g_u is
-        grad = np.zeros(self.n_params)
-        for (rows, batch), nodes in zip(groups, trees):
-            for gather, g in zip(batch.gather, batch_holes(batch, nodes, g_v[rows])):
-                np.add.at(grad, gather, g)
+        grad = self._scatter([g for _, batch in groups for g in batch.gather],
+                             [h for (rows, batch), nodes in zip(groups, trees)
+                              for h in batch_holes(batch, nodes, g_v[rows])])
         return grad, probs, int(degenerate.sum())
 
 

@@ -388,6 +388,33 @@ class TestCli:
     def test_missing_file_is_config_error(self, capsys):
         assert main(["simulate", "--circuit", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("flag, text", [
+        ("rewrite --diagram", "{not json"),
+        ("compile --diagram", '{"boxes": []}'),
+        ("compile --diagram", '{"boxes": [{"name": "x", "dom": "n?", "cod": "n"}]}'),
+        ("simulate --circuit", "[1, 2"),
+        ("simulate --circuit", '{"n_qubits": 1, "gates": []}'),
+        ("simulate --circuit",
+         '{"n_qubits": 1, "gates": [{"kind": "rx", "qubits": [0], "param": "x"}],'
+         ' "postselect": [], "outputs": [0], "symbols": []}'),
+        ("simulate --params", '{"no bars": 0.1}'),
+        ("simulate --params", '["half"]'),
+        ("simulate --params", '{"man|n|0": "half"}'),
+    ], ids=["diagram-not-json", "diagram-missing-key", "diagram-bad-type", "circuit-not-json",
+            "circuit-missing-key", "circuit-bad-symbol", "params-bad-symbol",
+            "params-list-not-numeric", "params-angle-not-numeric"])
+    def test_malformed_file_is_config_error(self, flag, text, tmp_path, capsys):
+        circ_path = tmp_path / "c.json"
+        assert main(["compile", "--sentence", "man cooks meal", "-o", str(circ_path)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        command, option = flag.split()
+        argv = [command, option, str(bad)]
+        if option == "--params":
+            argv[1:1] = ["--circuit", str(circ_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: ")
+
     def test_train_and_report(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -419,6 +446,9 @@ class TestCli:
         ("seeds", "12"),  # a string iterates as the seeds 1 and 2
         ("seeds", [1.5]),
         ("split_sizes", [7]),
+        ("seeds", [-1]),
+        ("dataset_seed", -1),
+        ("dataset_dir", 5),
     ])
     def test_train_rejects_malformed_int_lists(self, key, value, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnlp.circuit import (
+    PARAMETRIC_1Q,
+    PARAMETRIC_2Q,
     Circuit,
     CircuitAnsatz,
     CircuitAnsatzConfig,
@@ -18,15 +22,14 @@ from qnlp.errors import Error
 from qnlp.pregroup import parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
-    Distribution,
+    SURVIVAL_EPS,
     IndexOutOfRange,
     WrongOutputArity,
-    ZeroSurvival,
     apply,
+    batch_marginal,
+    batch_marginal_jacobian,
     compile_batch,
     distribution_gradient,
-    param_vector,
-    run,
     sentence_distribution,
     structure_key,
     zero_state,
@@ -69,22 +72,22 @@ class TestApply:
 
 class TestRun:
     def test_empty_circuit(self):
-        res = run(one_qubit_circuit())
-        np.testing.assert_allclose(res.amplitudes, [1, 0])
-        assert res.survival_norm == pytest.approx(1.0)
+        dist = sentence_distribution(one_qubit_circuit(), [])
+        np.testing.assert_allclose(dist.probs, [1, 0])
+        assert dist.survival_norm == pytest.approx(1.0)
 
     def test_param_vector_forms(self):
         g = Gate(GateKind.RX, (0,), THETA)
         c = one_qubit_circuit(g, symbols=[THETA])
-        by_map = run(c, {THETA: 0.4})
-        by_seq = run(c, [0.4])
-        np.testing.assert_allclose(by_map.amplitudes, by_seq.amplitudes)
+        by_map = sentence_distribution(c, {THETA: 0.4})
+        by_seq = sentence_distribution(c, [0.4])
+        np.testing.assert_allclose(by_map.probs, by_seq.probs)
 
     def test_param_length_mismatch(self):
         g = Gate(GateKind.RX, (0,), THETA)
         c = one_qubit_circuit(g, symbols=[THETA])
-        with pytest.raises(Exception):
-            param_vector(c, [0.1, 0.2])
+        with pytest.raises(Error):
+            sentence_distribution(c, [0.1, 0.2])
 
     def test_zero_survival(self):
         c = Circuit(
@@ -94,16 +97,15 @@ class TestRun:
             outputs=(0,),
             symbols=(),
         )
-        with pytest.raises(ZeroSurvival):
-            run(c)
+        assert sentence_distribution(c, []).survival_norm < SURVIVAL_EPS
 
     def test_postselection_is_unnormalized(self):
         c = Circuit(
-            1, (Gate(GateKind.H, (0,)),), postselect=(0,), outputs=(), symbols=()
+            2, (Gate(GateKind.H, (1,)),), postselect=(1,), outputs=(0,), symbols=()
         )
-        res = run(c)
-        np.testing.assert_allclose(res.amplitudes.reshape(()), 1 / np.sqrt(2), atol=1e-12)
-        assert res.survival_norm == pytest.approx(0.5)
+        dist = sentence_distribution(c, [])
+        np.testing.assert_allclose(dist.probs, [1, 0], atol=1e-12)
+        assert dist.survival_norm == pytest.approx(0.5)
 
     def test_linearity_in_initial_state(self, rng):
         gates = (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1)))
@@ -133,19 +135,17 @@ class TestUnitarity:
         for c in corpus_circuits(corpus_diagrams, RewriteScheme.RE_NORM_CUR_NORM):
             for _ in range(4):
                 theta = rng.uniform(0, 2 * np.pi, size=len(c.symbols))
-                bare = Circuit(c.n_qubits, c.gates, (), tuple(range(c.n_qubits)), c.symbols)
-                res = run(bare, theta)
-                assert np.linalg.norm(res.amplitudes) == pytest.approx(1.0, abs=1e-10)
+                bare = Circuit(c.n_qubits, c.gates, (), c.outputs, c.symbols)
+                dist = sentence_distribution(bare, theta)
+                assert dist.survival_norm == pytest.approx(1.0, abs=1e-10)
 
     def test_survival_in_unit_interval(self, corpus_diagrams, rng):
         for c in corpus_circuits(corpus_diagrams, RewriteScheme.RE, step=11):
             for _ in range(3):
                 theta = rng.uniform(0, 2 * np.pi, size=len(c.symbols))
-                try:
-                    res = run(c, theta)
-                except ZeroSurvival:
-                    continue
-                assert 0.0 < res.survival_norm <= 1.0 + 1e-12
+                dist = sentence_distribution(c, theta)
+                if not dist.degenerate:
+                    assert 0.0 < dist.survival_norm <= 1.0 + 1e-12
 
 
 class TestSentenceDistribution:
@@ -208,7 +208,7 @@ class TestGradient:
         c = one_qubit_circuit(*gates, symbols=[THETA])
         theta = 0.3
         res = distribution_gradient(c, [theta])
-        assert res.jacobian[0, 1] == pytest.approx(np.sin(2 * theta), abs=1e-6)
+        assert res.jacobian[0, 1] == pytest.approx(np.sin(2 * theta), abs=1e-12)
 
     def test_controlled_rotation_vs_fd(self, rng):
         sym = Symbol("v", "->s", 0)
@@ -217,6 +217,10 @@ class TestGradient:
             Gate(GateKind.H, (1,)),
             Gate(GateKind.CRX, (0, 1), sym),
             Gate(GateKind.CRZ, (1, 0), Symbol("v", "->s", 1)),
+            # interfere the control branches, or the half-integer frequency
+            # of a controlled rotation never reaches the readout
+            Gate(GateKind.H, (0,)),
+            Gate(GateKind.H, (1,)),
         )
         c = Circuit(2, gates, (1,), (0,), (sym, Symbol("v", "->s", 1)))
         theta = rng.uniform(0, 2 * np.pi, size=2)
@@ -291,3 +295,92 @@ class TestCompileBatches:
         slot_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), other), symbols=[THETA, other])
         angle_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), 1.0), symbols=[THETA, other])
         assert structure_key(slot_1) != structure_key(angle_1)
+
+    def test_repeated_symbol_fills_a_slot_per_gate(self):
+        other = Symbol("x", "->s", 0)
+        rx, ry = Gate(GateKind.RX, (0,), THETA), Gate(GateKind.RY, (0,), THETA)
+        once = one_qubit_circuit(rx, Gate(GateKind.RY, (0,), other), symbols=[THETA, other])
+        twice = one_qubit_circuit(rx, ry, symbols=[THETA])
+        assert structure_key(once) == structure_key(twice)
+        assert compile_batch([once, twice], {THETA: 0, other: 1}).gather.tolist() == [
+            [0, 1],
+            [0, 0],
+        ]
+
+
+@st.composite
+def random_circuits(draw) -> list[Circuit]:
+    """One random circuit structure, as 1-3 rows that bind their own symbols.
+
+    1-3 qubits and 1-8 gates of every kind the width allows, between two
+    layers of ``H``: the first puts every control in superposition and the
+    last makes the branches interfere, without which a controlled
+    rotation's half-integer frequency never shows and the two-term rule
+    would pass for it.  A parametric gate reads a constant angle or a
+    symbol.  Each row binds its
+    symbol-reading gates to words ``w0, w1, ...`` in turn, each word read
+    by 1-3 gates, so rows share symbols as sentences of a corpus do.  Every
+    qubit but the output may be postselected.
+    """
+    n = draw(st.integers(1, 3))
+    kinds = [k for k in GateKind if n > 1 or k in PARAMETRIC_1Q or k is GateKind.H]
+    parametric = PARAMETRIC_1Q | PARAMETRIC_2Q
+    hadamards = [Gate(GateKind.H, (q,)) for q in range(n)]
+    gates = list(hadamards)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds))
+        arity = 1 if kind is GateKind.H or kind in PARAMETRIC_1Q else 2
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        param = None
+        if kind in parametric:
+            param = draw(st.one_of(st.just(Symbol), st.floats(-2 * np.pi, 2 * np.pi)))
+        gates.append(Gate(kind, qubits, param))
+    gates += hadamards
+    output = draw(st.integers(0, n - 1))
+    post = tuple(q for q in range(n) if q != output and draw(st.booleans()))
+
+    def row() -> Circuit:
+        uses: dict[Symbol, int] = {}
+        bound = []
+        for g in gates:
+            if g.param is Symbol:
+                free = [s for s, k in uses.items() if k < 3]
+                fresh = Symbol(f"w{len(uses)}", "->s", 0)
+                sym = draw(st.sampled_from(free + [fresh]))
+                uses[sym] = uses.get(sym, 0) + 1
+                g = Gate(g.kind, g.qubits, sym)
+            bound.append(g)
+        return Circuit(n, tuple(bound), post, (output,), tuple(uses))
+
+    return [row() for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestBatchProperties:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(circuits=random_circuits(), seed=st.integers(0, 2**32 - 1))
+    def test_random_circuits_match_per_sentence_reference(self, circuits, seed):
+        symbols = list(dict.fromkeys(s for c in circuits for s in c.symbols))
+        offsets = {s: i for i, s in enumerate(symbols)}
+        theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=len(symbols))
+        assert len({structure_key(c) for c in circuits}) == 1
+        batch = compile_batch(circuits, offsets)
+        n, dn = batch_marginal_jacobian(batch, theta)
+        np.testing.assert_allclose(batch_marginal(batch, theta), n, rtol=0, atol=1e-15)
+        for r, c in enumerate(circuits):
+            x = theta[[offsets[s] for s in c.symbols]]
+            want = distribution_gradient(c, x)
+            assert n[r].sum() == pytest.approx(want.survival_norm, rel=0, abs=1e-12)
+            if want.degenerate:
+                continue
+            # sum the per-gate slots onto the row's symbols, then chain the
+            # quotient rule of p = N / D
+            reads = [c.symbols.index(g.param) for g in c.gates if isinstance(g.param, Symbol)]
+            d_sym = np.zeros((len(c.symbols), 2))
+            np.add.at(d_sym, reads, dn[r])
+            p = n[r] / n[r].sum()
+            jac = (d_sym - np.outer(d_sym.sum(axis=1), p)) / n[r].sum()
+            np.testing.assert_allclose(p, want.probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jac, want.jacobian, rtol=0, atol=1e-12)
+            fd = finite_difference(lambda v: sentence_distribution(c, v).probs, x)
+            np.testing.assert_allclose(want.jacobian, fd, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6)

@@ -481,22 +481,23 @@ class TestCircuitBatching:
         _, want, _ = reference_split(model, "train", theta, labels)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
-    def test_repeated_word_takes_finite_differences(self, rng):
-        # "man" twice ties both boxes to one symbol set, so each of its
-        # parameters has two uses and the central-difference rule, whose
-        # 1 / (2 * 1e-6) factor amplifies rounding.
+    def test_repeated_word_takes_shift_rules(self, rng):
+        # "man" twice reads each of its symbols at two gates; every gate is
+        # a batch slot of its own, so the sentence joins the "man cooks
+        # meal" group and each use takes an exact shift rule
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
+        assert [len(rows) for rows, _ in model._groups("train")] == [3, 2, 2, 2]
         shifts = np.concatenate([b.probe_shift.ravel() for _, b in model._groups("train")])
-        assert np.any(np.abs(shifts) == 1e-6)
+        assert set(np.unique(np.abs(shifts))) == {0.0, np.pi / 2, 3 * np.pi / 2}
         theta = model.init_params(rng)
         labels = splits.train.labels()
         probs, _ = model.eval_split("train", theta)
         grad, _, _ = model.grad_split("train", theta, labels)
         want_probs, want, _ = reference_split(model, "train", theta, labels)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
     def test_degenerate_row(self):
         # RX(pi) on the postselected qubit annihilates the state, while
