@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,13 @@ def _params_from(bound) -> dict | np.ndarray:
     if isinstance(bound, dict):
         return {circuit_mod.Symbol.from_name(name): float(v) for name, v in bound.items()}
     return np.asarray(bound, dtype=float)
+
+
+def _budget(seconds: float | None, flag: str) -> float | None:
+    """A wall-clock budget flag's value: absent, or finite and above 0."""
+    if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+        raise ConfigError(f"{flag} must be a finite number of seconds above 0, got {seconds}")
+    return seconds
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,8 +134,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    budget = _budget(args.budget, "--budget")
     cfg = experiment.load_config(args.config)
-    summaries = experiment.run_experiment(cfg, args.results, args.budget)
+    summaries = experiment.run_experiment(cfg, args.results, budget)
     for s in summaries:
         print(
             f"{s['run_id']}\tstatus={s['status']}"
@@ -137,18 +146,24 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    budget = _budget(args.budget_per_cell, "--budget-per-cell")
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    for flag, value in (("--max-layers", args.max_layers), ("--max-rotations", args.max_rotations)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be non-negative, got {value}")
     cells = experiment.sweep_cells(
         scheme=args.scheme,
         ansatze=tuple(args.ansatze.split(",")),
         layer_range=tuple(range(args.max_layers + 1)),
         rotation_range=tuple(range(args.max_rotations + 1)),
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        seeds=seeds,
         epochs=args.epochs,
         dataset_seed=args.dataset_seed,
     )
-    summaries = experiment.run_sweep(
-        cells, args.results, args.workers, args.budget_per_cell
-    )
+    summaries = experiment.run_sweep(cells, args.results, args.workers, budget)
     done = sum(1 for s in summaries if s["status"] == "ok")
     print(f"completed {done}/{len(summaries)} runs")
     paths = experiment.report(args.results)

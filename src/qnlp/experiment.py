@@ -7,9 +7,9 @@ of its full configuration, and its seed.  A run directory holds
 ``summary.json``.  ``summary.json`` is the completion ledger, which makes
 long grids resumable.  Its ``status`` sets the retry policy: sweeps and
 repeated invocations skip a run recorded as ``ok``, ``zero_params`` or
-``aborted``, since the same configuration and budget would end the same
-way, and rerun one recorded as ``error``, which a sweep writes for a cell
-that raised.  The summary is written last, to a temporary file renamed
+``aborted``, and rerun one recorded as ``error``, which a sweep writes for
+a cell that raised.  The budget is not part of the run id, so an aborted
+run stays aborted under any later budget until its directory is removed.  The summary is written last, to a temporary file renamed
 into place, so a run cut short mid-write leaves no summary.
 
 A model with an empty symbol table cannot train; its summary records the

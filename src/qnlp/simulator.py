@@ -9,27 +9,31 @@ what survives is reported as ``survival_norm``.  Only the per-sentence
 :func:`sentence_distribution` renormalizes; batched runs leave that to the
 model.
 
-Gradients of the renormalized distribution come from parameter-shift rules
-chained through the quotient ``p = N / D`` (``N``: unnormalized output
-marginal, ``D``: survival norm).  Parameters are bound per gate use: each
-parametric gate gets its own shift rule, shifting its angle alone, and a
-parameter read by several gates sums their terms (the product rule).  A
-single-qubit rotation takes the two-term ``+-pi/2`` rule; a controlled
-rotation takes a four-term rule with shifts ``+-pi/2, +-3pi/2``, because
-controlled rotations mix half-integer and integer frequencies, so the plain
-two-term rule is not exact for them.  :func:`shift_rule` holds both rules.
+The per-sentence gradient, :func:`distribution_gradient`, comes from
+parameter-shift rules chained through the quotient ``p = N / D`` (``N``:
+unnormalized output marginal, ``D``: survival norm).  Parameters are bound
+per gate use: each parametric gate gets its own shift rule, shifting its
+angle alone, and a parameter read by several gates sums their terms (the
+product rule).  A single-qubit rotation takes the two-term ``+-pi/2``
+rule; a controlled rotation takes a four-term rule with shifts ``+-pi/2,
++-3pi/2``, because controlled rotations mix half-integer and integer
+frequencies, so the plain two-term rule is not exact for them.
+:func:`shift_rule` holds both rules.
 
 Training runs batched: the model groups a split's circuits by
 :func:`structure_key` on the split's first use and compiles each group
 once into a :class:`CircuitBatch` (:func:`compile_batch`).  One
 statevector pass over a ``(rows, 2, ..., 2)`` state then serves every
-sentence of the group, with the gradient's shift probes (one rule per
-parametric gate) stacked into the row axis (:func:`batch_marginal`,
-:func:`batch_marginal_jacobian`).  Batches return the unnormalized
-marginal ``N`` and its derivative only; the model normalizes and chains
-the quotient rule.  The per-gate :func:`apply` and the per-sentence
+sentence of the group (:func:`batch_marginal`).  The batched gradient is
+adjoint differentiation (:func:`batch_vjp`): per chunk of rows, one
+forward pass and one reverse sweep give the vector-Jacobian product of
+the model's upstream weights with ``dN`` for every parametric gate at
+once, with no shifted runs.  Batches return the unnormalized marginal
+``N`` and that product only; the model normalizes and chains the
+quotient rule.  The per-gate :func:`apply` and the per-sentence
 :func:`sentence_distribution` and :func:`distribution_gradient` are the
-reference the batched path is tested against.
+reference the batched path is tested against, shift rules against the
+adjoint.
 """
 
 from __future__ import annotations
@@ -256,8 +260,9 @@ def distribution_gradient(circuit: Circuit, params) -> DistributionGradient:
 
 # -- batched execution ----------------------------------------------------
 
-# Most amplitudes one chunk of batch rows holds; a row wider than this
-# runs alone.
+# Most amplitudes one chunk of batch rows holds, per state: a gradient
+# chunk holds two, the forward state and its upstream-weighted copy.  A
+# row wider than this runs alone.
 BATCH_AMPLITUDES = 2**14
 
 _1Q_KINDS = frozenset({GateKind.H}) | PARAMETRIC_1Q
@@ -287,10 +292,7 @@ class CircuitBatch:
     Every parametric gate is a slot of its own, in gate order.  Row ``r``
     is the group's ``r``-th circuit, and ``gather[r, j]`` is the position
     in the model's parameter vector of the symbol its ``j``-th parametric
-    gate reads; a symbol read twice fills two slots.  A gradient pass runs
-    row ``r`` at the angles ``theta[gather[r]] + probe_shift[k]`` for every
-    probe ``k``, probe 0 unshifted; ``probe_coef @ N[1:]`` is then the
-    derivative of the output marginal ``N`` for every slot.
+    gate reads; a symbol read twice fills two slots.
     """
 
     n_qubits: int
@@ -301,8 +303,6 @@ class CircuitBatch:
     postselect: tuple  # state index keeping outcome 0 of postselected qubits
     output_axis: int  # axis of the output qubit after postselection
     gather: np.ndarray  # (rows, slots)
-    probe_shift: np.ndarray  # (1 + probes, slots)
-    probe_coef: np.ndarray  # (slots, probes)
 
 
 def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) -> CircuitBatch:
@@ -319,8 +319,8 @@ def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) ->
     if output in post:
         raise Error(f"output qubit {output} is postselected")
 
-    rules = []
     ops = []
+    n_slots = 0
     for g in first.gates:
         for q in g.qubits:
             if not 0 <= q < n:
@@ -337,21 +337,10 @@ def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) ->
         low[g.qubits[-1] + 1] = 0
         high[g.qubits[-1] + 1] = 1
         if isinstance(g.param, Symbol):
-            ops.append((g.kind, tuple(low), tuple(high), len(rules), None))
-            rules.append(shift_rule(g.kind))
+            ops.append((g.kind, tuple(low), tuple(high), n_slots, None))
+            n_slots += 1
         else:
             ops.append((g.kind, tuple(low), tuple(high), None, g.param))
-
-    n_slots = len(rules)
-    n_probes = sum(len(r) for r in rules)
-    probe_shift = np.zeros((1 + n_probes, n_slots))
-    probe_coef = np.zeros((n_slots, n_probes))
-    k = 0
-    for j, rule in enumerate(rules):
-        for shift, coef in rule:
-            probe_shift[1 + k, j] = shift
-            probe_coef[j, k] = coef
-            k += 1
 
     gather = np.array(
         [[offsets[g.param] for g in c.gates if isinstance(g.param, Symbol)] for c in circuits],
@@ -363,8 +352,6 @@ def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) ->
         postselect=(slice(None),) + tuple(0 if q in post else slice(None) for q in range(n)),
         output_axis=1 + sum(1 for q in range(output) if q not in post),
         gather=gather,
-        probe_shift=probe_shift,
-        probe_coef=probe_coef,
     )
 
 
@@ -409,28 +396,19 @@ def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
     b += ms * old
 
 
-def _run_rows(batch: CircuitBatch, angles: np.ndarray) -> np.ndarray:
-    """Unnormalized output marginal ``N`` (rows, 2), one row per run.
+def _chunks(batch: CircuitBatch, rows: int):
+    """Row slices of at most ``BATCH_AMPLITUDES`` amplitudes each; a row
+    wider than that runs alone."""
+    step = max(1, BATCH_AMPLITUDES >> batch.n_qubits)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
-    ``angles`` holds one row of slot values per run.  Rows run in chunks
-    of at most ``BATCH_AMPLITUDES`` amplitudes.
-    """
-    rows = angles.shape[0]
-    n = batch.n_qubits
-    marginal = np.empty((rows, 2))
-    step = max(1, BATCH_AMPLITUDES >> n)
-    origin = (slice(None),) + (0,) * n
-    for start in range(0, rows, step):
-        block = angles[start : start + step]
-        m = block.shape[0]
-        state = np.zeros((m,) + (2,) * n, dtype=np.complex128)
-        state[origin] = 1.0
-        for op in batch.ops:
-            _apply_rows(state, op, block)
-        probs = np.abs(state[batch.postselect]) ** 2
-        by_output = np.moveaxis(probs, batch.output_axis, 1).reshape(m, 2, -1)
-        marginal[start : start + m] = by_output.sum(axis=2)
-    return marginal
+
+def _forward(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> None:
+    """Run every gate in place on the all-zero ``state``, each row from
+    ``|0...0>`` at its own row of slot ``angles``."""
+    state[(slice(None),) + (0,) * batch.n_qubits] = 1.0
+    for op in batch.ops:
+        _apply_rows(state, op, angles)
 
 
 def batch_marginal(batch: CircuitBatch, theta: np.ndarray) -> np.ndarray:
@@ -439,18 +417,69 @@ def batch_marginal(batch: CircuitBatch, theta: np.ndarray) -> np.ndarray:
     ``theta`` is the parameter vector ``batch.gather`` indexes.  Returns
     ``(rows, 2)``; a row's sum is its survival norm.
     """
-    return _run_rows(batch, theta[batch.gather])
+    angles = theta[batch.gather]
+    marginal = np.empty((len(angles), 2))
+    for chunk in _chunks(batch, len(angles)):
+        block = angles[chunk]
+        state = np.zeros((len(block),) + (2,) * batch.n_qubits, dtype=np.complex128)
+        _forward(batch, state, block)
+        probs = np.abs(state[batch.postselect]) ** 2
+        by_output = np.moveaxis(probs, batch.output_axis, 1).reshape(len(block), 2, -1)
+        marginal[chunk] = by_output.sum(axis=2)
+    return marginal
 
 
-def batch_marginal_jacobian(batch: CircuitBatch, theta: np.ndarray):
-    """:func:`batch_marginal` and its derivative in one pass.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``<x|y>`` of every row."""
+    return (x.conj() * y).reshape(len(x), -1).sum(axis=1)
 
-    Every row's shift probes run in the same pass as the row itself.
-    Returns ``(N, dN)`` of shapes ``(rows, 2)`` and ``(rows, slots, 2)``,
-    ``dN[r, j, k] = d N[r, k] / d slot j``.
+
+def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """``Im <lam|P|psi>`` per row for the generator ``P`` of one gate.
+
+    ``a`` and ``b`` are the gate's target-0 and target-1 slices of the
+    stacked state, ``psi`` in its first ``m`` rows and ``lam`` in the rest.
     """
-    rows, slots = batch.gather.shape
-    probes = batch.probe_shift.shape[0]
-    angles = theta[batch.gather][:, None, :] + batch.probe_shift
-    marginal = _run_rows(batch, angles.reshape(rows * probes, slots)).reshape(rows, probes, 2)
-    return marginal[:, 0], np.einsum("sp,rpk->rsk", batch.probe_coef, marginal[:, 1:])
+    psi_a, psi_b, lam_a, lam_b = a[:m], b[:m], a[m:], b[m:]
+    if kind is GateKind.RZ or kind is GateKind.CRZ:
+        return (_dot(lam_a, psi_a) - _dot(lam_b, psi_b)).imag
+    if kind is GateKind.RY:
+        return (_dot(lam_b, psi_a) - _dot(lam_a, psi_b)).real
+    # RX and CRX
+    return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
+
+
+def batch_vjp(batch: CircuitBatch, theta: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """``sum_k upstream[r, k] * d N[r, k] / d slot j`` of every row and slot.
+
+    Adjoint differentiation: one forward pass gives ``psi``, then
+    ``lam = W psi``, where ``W`` weights each amplitude by the upstream of
+    its output outcome and is zero off postselection, so the weighted
+    marginal is ``<psi|W|psi>``.  A reverse sweep undoes every gate on
+    ``psi`` and ``lam`` alike; before undoing a gate ``exp(-i angle P/2)``
+    it reads that slot's derivative ``Im <lam|P|psi>``, over the control-1
+    slices for a controlled rotation.  ``psi`` and ``lam`` stack as one
+    ``(2m, 2, ..., 2)`` state per chunk of ``m`` rows, so every inverse
+    gate is one in-place update.  Returns ``(rows, slots)``.
+    """
+    angles = theta[batch.gather]
+    rows, slots = angles.shape
+    out = np.empty((rows, slots))
+    for chunk in _chunks(batch, rows):
+        block = angles[chunk]
+        m = len(block)
+        both = np.zeros((2 * m,) + (2,) * batch.n_qubits, dtype=np.complex128)
+        psi, lam = both[:m], both[m:]
+        _forward(batch, psi, block)
+        kept = psi[batch.postselect]
+        shape = [m] + [1] * (kept.ndim - 1)
+        shape[batch.output_axis] = 2
+        lam[batch.postselect] = kept * upstream[chunk].reshape(shape)
+        inverse = -np.concatenate([block, block])
+        for kind, low, high, slot, angle in reversed(batch.ops):
+            if slot is not None:
+                out[chunk, slot] = _generator_term(kind, both[low], both[high], m)
+                if slot == 0:  # the first parametric gate: nothing left to read
+                    break
+            _apply_rows(both, (kind, low, high, slot, None if angle is None else -angle), inverse)
+    return out

@@ -11,13 +11,15 @@ sum is the survival norm; a network's ``u`` is its squared real output
 vector.  On a split's first use, either model groups its items by the
 backend's ``structure_key`` and compiles each group once with the
 backend's ``compile_batch``: one batched statevector pass per circuit
-group, shift probes included, or one walk of each network group's
-contraction tree, plus one reverse sweep over it for the gradient.  Both
-backends bind parameters per use: a circuit's parametric gate, or a
-network's parameter tensor, is a slot of its own, gathered from the
-parameter vector, and one ``np.bincount`` per split sums the slots'
-gradient terms back per parameter, so a word repeated in a sentence gets
-the terms of both uses.
+group, or one walk of each network group's contraction tree.  A gradient
+adds one reverse sweep: adjoint differentiation reruns a circuit group's
+forward pass chunk by chunk and sweeps back through its gates, and hole
+contractions run back down a network group's tree from the intermediates
+its forward walk kept.  Both backends bind parameters per use: a
+circuit's parametric gate, or a network's parameter tensor, is a slot of
+its own, gathered from the parameter vector, and one ``np.bincount`` per
+split sums the slots' gradient terms back per parameter, so a word
+repeated in a sentence gets the terms of both uses.
 :mod:`qnlp.simulator`'s ``sentence_distribution`` and
 ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
 ``gradient_hole``, are the per-item reference of these paths.
@@ -60,7 +62,7 @@ from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (  # noqa: F401
     WrongOutputArity,
     batch_marginal,
-    batch_marginal_jacobian,
+    batch_vjp,
     distribution_gradient,
     sentence_distribution,
 )
@@ -392,19 +394,15 @@ class CircuitModel(_Model):
         return probs, int(degenerate.sum())
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
-        """Mean-loss gradient by exact shift rules, one per parametric gate
-        and summed per parameter, then the probabilities and degenerate
-        count that :meth:`eval_split` returns."""
-        groups = self._groups(name)
-        u = np.empty((len(self.items_by_split[name]), 2))
-        d_u = []
-        for rows, batch in groups:
-            u[rows], d = batch_marginal_jacobian(batch, theta)
-            d_u.append(d)
+        """Mean-loss gradient by adjoint differentiation, one forward pass
+        and one reverse sweep per group chunk, summed per parameter, then
+        the probabilities and degenerate count that :meth:`eval_split`
+        returns."""
+        u = self._per_row(name, lambda b: batch_marginal(b, theta))
         probs, g_u, degenerate = _pullback(u, labels)
+        groups = self._groups(name)
         grad = self._scatter([batch.gather for _, batch in groups],
-                             [np.einsum("rsk,rk->rs", d, g_u[rows])
-                              for (rows, _), d in zip(groups, d_u)])
+                             [batch_vjp(batch, theta, g_u[rows]) for rows, batch in groups])
         return grad, probs, int(degenerate.sum())
 
 

@@ -474,6 +474,31 @@ class TestCli:
         assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
         assert [p for p in tmp_path.iterdir() if p != cfg_path] == []  # no run started
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seeds", "a"],
+        ["sweep", "--seeds", "0,1.5"],
+        ["sweep", "--max-layers", "-1"],
+        ["sweep", "--max-rotations", "-1"],
+        ["sweep", "--budget-per-cell", "-1"],
+        ["sweep", "--budget-per-cell", "0"],
+        ["sweep", "--budget-per-cell", "nan"],
+        ["train", "--budget", "nan"],
+        ["train", "--budget", "inf"],
+        ["train", "--budget", "-2"],
+    ], ids="_".join)
+    def test_bad_run_flag_is_config_error(self, argv, tmp_path, capsys):
+        flag = argv[1]
+        results = tmp_path / "results"
+        if argv[0] == "train":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "epochs": 2}))
+            argv = [*argv, "--config", str(cfg_path)]
+        else:
+            argv = [*argv, "--ansatze", "iqp", "--epochs", "2"]
+        assert main([*argv, "--results", str(results)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag} ")
+        assert not results.exists()  # no run started
+
     def test_train_tensor_sentence_dimension_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "d_s": 3}))

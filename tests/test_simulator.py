@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from qnlp.simulator import (
     WrongOutputArity,
     apply,
     batch_marginal,
-    batch_marginal_jacobian,
+    batch_vjp,
     compile_batch,
     distribution_gradient,
     sentence_distribution,
@@ -35,7 +37,7 @@ from qnlp.simulator import (
     zero_state,
 )
 
-from oracles import finite_difference
+from oracles import finite_difference, five_point_difference
 
 
 def one_qubit_circuit(*gates: Gate, symbols=()) -> Circuit:
@@ -361,26 +363,38 @@ class TestBatchProperties:
     def test_random_circuits_match_per_sentence_reference(self, circuits, seed):
         symbols = list(dict.fromkeys(s for c in circuits for s in c.symbols))
         offsets = {s: i for i, s in enumerate(symbols)}
-        theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=len(symbols))
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
         assert len({structure_key(c) for c in circuits}) == 1
         batch = compile_batch(circuits, offsets)
-        n, dn = batch_marginal_jacobian(batch, theta)
-        np.testing.assert_allclose(batch_marginal(batch, theta), n, rtol=0, atol=1e-15)
+        n = batch_marginal(batch, theta)
+        # a random upstream g_p on p = N / D per row, chained to N as the
+        # model's pullback does; a degenerate row keeps g_p as drawn
+        g_p = rng.normal(size=n.shape)
+        d = n.sum(axis=1, keepdims=True)
+        alive = d[:, 0] >= SURVIVAL_EPS
+        p = n / np.where(alive[:, None], d, 1.0)
+        upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
+        vjp = batch_vjp(batch, theta, upstream)
+        assert vjp.shape == batch.gather.shape
         for r, c in enumerate(circuits):
             x = theta[[offsets[s] for s in c.symbols]]
             want = distribution_gradient(c, x)
-            assert n[r].sum() == pytest.approx(want.survival_norm, rel=0, abs=1e-12)
+            assert d[r, 0] == pytest.approx(want.survival_norm, rel=0, abs=1e-12)
             if want.degenerate:
                 continue
-            # sum the per-gate slots onto the row's symbols, then chain the
-            # quotient rule of p = N / D
+            # sum the per-gate slots onto the row's symbols
             reads = [c.symbols.index(g.param) for g in c.gates if isinstance(g.param, Symbol)]
-            d_sym = np.zeros((len(c.symbols), 2))
-            np.add.at(d_sym, reads, dn[r])
-            p = n[r] / n[r].sum()
-            jac = (d_sym - np.outer(d_sym.sum(axis=1), p)) / n[r].sum()
-            np.testing.assert_allclose(p, want.probs, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(jac, want.jacobian, rtol=0, atol=1e-12)
+            d_sym = np.bincount(reads, vjp[r], len(c.symbols))
+            np.testing.assert_allclose(p[r], want.probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(d_sym, want.jacobian @ g_p[r], rtol=0, atol=1e-12)
             fd = finite_difference(lambda v: sentence_distribution(c, v).probs, x)
             np.testing.assert_allclose(want.jacobian, fd, rtol=0, atol=1e-6)
-            np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6)
+        # every slot on its own: the same batch with each slot reading a
+        # parameter of its own, differentiated numerically
+        per_slot = replace(batch, gather=np.arange(vjp.size).reshape(vjp.shape))
+        fd = five_point_difference(
+            lambda a: float((upstream * batch_marginal(per_slot, a)).sum()),
+            theta[batch.gather].ravel(),
+        )
+        np.testing.assert_allclose(vjp.ravel(), fd, rtol=0, atol=1e-6)

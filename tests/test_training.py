@@ -23,12 +23,11 @@ from qnlp.errors import Error
 from qnlp.pregroup import parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
-    BATCH_AMPLITUDES,
     WrongOutputArity,
     distribution_gradient,
     sentence_distribution,
 )
-from qnlp import tensornet, training
+from qnlp import simulator, tensornet, training
 from qnlp.tensornet import (
     TensorAnsatz,
     TensorAnsatzConfig,
@@ -467,30 +466,37 @@ class TestCircuitBatching:
         assert [len(rows) for rows, _ in model._groups("train")] == [2, 2, 2, 2]
         assert len(model._groups("dev")) == 2
 
-    def test_group_wider_than_one_chunk(self, rng):
+    def test_group_wider_than_one_chunk(self, rng, monkeypatch):
+        # a chunk of one 9-qubit row, so the gradient's forward pass and
+        # reverse sweep run twice per group and join through the chunk slices
+        monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 2**9)
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
         splits = pattern_splits()
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
         rows, batch = max(model._groups("train"), key=lambda g: g[1].n_qubits)
         assert batch.n_qubits == 9 and len(rows) == 2
-        probes = batch.probe_shift.shape[0]
-        assert len(rows) * probes * 2**batch.n_qubits > BATCH_AMPLITUDES
+        assert 2**batch.n_qubits == simulator.BATCH_AMPLITUDES
         theta = model.init_params(rng)
         labels = splits.train.labels()
-        grad, _, _ = model.grad_split("train", theta, labels)
-        _, want, _ = reference_split(model, "train", theta, labels)
+        grad, probs, _ = model.grad_split("train", theta, labels)
+        want_probs, want, _ = reference_split(model, "train", theta, labels)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
-    def test_repeated_word_takes_shift_rules(self, rng):
+    def test_repeated_word_fills_a_slot_per_use(self, rng):
         # "man" twice reads each of its symbols at two gates; every gate is
         # a batch slot of its own, so the sentence joins the "man cooks
-        # meal" group and each use takes an exact shift rule
+        # meal" group and its adjoint terms sum over both uses
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        assert [len(rows) for rows, _ in model._groups("train")] == [3, 2, 2, 2]
-        shifts = np.concatenate([b.probe_shift.ravel() for _, b in model._groups("train")])
-        assert set(np.unique(np.abs(shifts))) == {0.0, np.pi / 2, 3 * np.pi / 2}
+        groups = model._groups("train")
+        assert [len(rows) for rows, _ in groups] == [3, 2, 2, 2]
+        last = len(splits.train) - 1
+        ((rows, batch),) = [g for g in groups if last in g[0]]
+        slots = batch.gather[list(rows).index(last)].tolist()
+        man = [model._slices[s].start for s in model.symbols if s.word == "man"]
+        assert man and [slots.count(i) for i in man] == [2] * len(man)
         theta = model.init_params(rng)
         labels = splits.train.labels()
         probs, _ = model.eval_split("train", theta)
@@ -500,8 +506,8 @@ class TestCircuitBatching:
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
     def test_degenerate_row(self):
-        # RX(pi) on the postselected qubit annihilates the state, while
-        # the shift probes of u move it off pi and survive.
+        # RX(pi) on the postselected qubit annihilates the state; the
+        # pullback gives such a row zero upstream, so it adds no gradient.
         w, u, v = (Symbol(x, "->s", 0) for x in "wuv")
         dead = Circuit(
             2,
