@@ -42,7 +42,11 @@ class ZeroParameterModel(Error):
 
 
 class WidthOverflow(Error):
-    """The diagram needs more qubits than the configured limit."""
+    """The diagram needs more qubits than ``MAX_QUBITS``."""
+
+
+# Widest circuit compile_circuit accepts; a state of 2**20 amplitudes is 16 MiB.
+MAX_QUBITS = 20
 
 
 class GateKind(enum.Enum):
@@ -113,7 +117,6 @@ class CircuitAnsatzConfig:
     kind: CircuitAnsatz
     n_layers: int = 1
     n_single_qubit_params: int = 3
-    max_qubits: int = 20
 
     def __post_init__(self):
         if self.n_layers < 0 or self.n_single_qubit_params < 0:
@@ -233,10 +236,8 @@ def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
         )
         gates.extend(block_gates)
         symbols.update(dict.fromkeys(block_symbols))
-    if n_qubits > cfg.max_qubits:
-        raise WidthOverflow(
-            f"diagram needs {n_qubits} qubits, limit is {cfg.max_qubits}"
-        )
+    if n_qubits > MAX_QUBITS:
+        raise WidthOverflow(f"diagram needs {n_qubits} qubits, limit is {MAX_QUBITS}")
 
     for wl, wr in d.cup_pairs():
         cup_gates, cup_post = cup_block(wire_qubit[wl], wire_qubit[wr])
@@ -304,8 +305,8 @@ def circuit_from_dict(obj: Mapping) -> Circuit:
     )
 
 
-def circuit_to_json(c: Circuit, indent: int | None = 2) -> str:
-    return json.dumps(circuit_to_dict(c), indent=indent)
+def circuit_to_json(c: Circuit) -> str:
+    return json.dumps(circuit_to_dict(c), indent=2)
 
 
 def circuit_from_json(text: str) -> Circuit:

@@ -518,8 +518,8 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
     )
 
 
-def diagram_to_json(d: Diagram, indent: int | None = 2) -> str:
-    return json.dumps(diagram_to_dict(d), indent=indent)
+def diagram_to_json(d: Diagram) -> str:
+    return json.dumps(diagram_to_dict(d), indent=2)
 
 
 def diagram_from_json(text: str) -> Diagram:

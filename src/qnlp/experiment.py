@@ -6,11 +6,13 @@ of its full configuration, and its seed.  A run directory holds
 ``config.json``, per-epoch ``metrics.csv``, a final ``checkpoint.json``, and
 ``summary.json``.  ``summary.json`` is the completion ledger, which makes
 long grids resumable.  Its ``status`` sets the retry policy: sweeps and
-repeated invocations skip a run recorded as ``ok``, ``zero_params`` or
-``aborted``, and rerun one recorded as ``error``, which a sweep writes for
-a cell that raised.  The budget is not part of the run id, so an aborted
-run stays aborted under any later budget until its directory is removed.  The summary is written last, to a temporary file renamed
-into place, so a run cut short mid-write leaves no summary.
+repeated invocations skip a run recorded as ``ok`` or ``zero_params``, and
+rerun one recorded as ``error``, which a sweep writes for a cell that
+raised.  The budget is not part of the run id; the summary records it
+instead, so a run recorded as ``aborted`` is rerun under a larger budget
+or none, and skipped under the same or a smaller one.  The summary is
+written last, to a temporary file renamed into place, so a run cut short
+mid-write leaves no summary.
 
 A model with an empty symbol table cannot train; its summary records the
 accuracy fields as literal ``NaN`` (the grid report keeps those cells as
@@ -250,6 +252,7 @@ def _summary(
     note: str = "",
     history: History | None = None,
     wall_seconds: float = 0.0,
+    budget_seconds: float | None = None,
 ) -> dict:
     """The ``summary.json`` record; without a history the scores are NaN."""
     if history is None:
@@ -269,6 +272,7 @@ def _summary(
         "degenerate_evals": 0 if history is None else history.degenerate_evals,
         "epochs": 0 if history is None else len(history),
         "wall_seconds": wall_seconds,
+        "budget_seconds": budget_seconds,
     }
 
 
@@ -282,15 +286,21 @@ def run_one(
 
     Pipeline errors carry a stage tag; a zero-parameter model or a blown
     budget is recorded in the summary instead of raised.  A stored summary
-    is returned as it is unless its status is ``error``, which reruns the
-    cell.
+    is returned as it is unless its status is ``error``, or ``aborted``
+    under a recorded budget that ``budget_seconds`` is absent or larger
+    than; either reruns the cell.
     """
     base = results_root(root)
     run_dir = base / cfg.run_id(seed)
     summary_path = run_dir / "summary.json"
     if summary_path.exists():
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        if summary["status"] != "error":
+        status, recorded = summary["status"], summary.get("budget_seconds")
+        if status == "aborted":  # rerun only if this call allows more time
+            rerun = budget_seconds is None or recorded is None or budget_seconds > recorded
+        else:
+            rerun = status == "error"
+        if not rerun:
             return summary
 
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -310,7 +320,7 @@ def run_one(
         build = CircuitModel.build if cfg.backend == "circuit" else TensorModel.build
         model = build(splits, lexicon, cfg.rewrite_scheme(), cfg.ansatz_config())
     except ZeroParameterModel as exc:
-        summary = _summary(cfg, seed, "zero_params", str(exc))
+        summary = _summary(cfg, seed, "zero_params", str(exc), budget_seconds=budget_seconds)
         _finish_run(run_dir, cfg, seed, summary, history=None, model=None)
         return summary
     except Error as exc:
@@ -320,14 +330,14 @@ def run_one(
         history = fit(model, splits, cfg.train_config(seed), budget_seconds)
     except BudgetExceeded as exc:
         summary = _summary(cfg, seed, "aborted", str(exc),
-                           wall_seconds=time.monotonic() - started)
+                           wall_seconds=time.monotonic() - started, budget_seconds=budget_seconds)
         _finish_run(run_dir, cfg, seed, summary, history=None, model=None)
         return summary
     except Error as exc:
         raise fail("train", exc) from exc
 
     summary = _summary(cfg, seed, "ok", history=history,
-                       wall_seconds=time.monotonic() - started)
+                       wall_seconds=time.monotonic() - started, budget_seconds=budget_seconds)
     _finish_run(run_dir, cfg, seed, summary, history, model)
     return summary
 
@@ -424,7 +434,7 @@ def _sweep_worker(args: tuple) -> dict:
     try:
         return run_one(cfg, seed, root, budget)
     except Exception as exc:  # recorded, sweep continues
-        summary = _summary(cfg, seed, "error", str(exc))
+        summary = _summary(cfg, seed, "error", str(exc), budget_seconds=budget)
         run_dir = results_root(root) / cfg.run_id(seed)
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_summary(run_dir, summary)
@@ -539,32 +549,32 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
                 ]
             )
 
-    # Accuracy grid: one row per (ansatz, layers), one column per rotation
-    # count, mean test accuracy across seeds; NaN marks untrainable cells.
+    # Accuracy grid: one row per configuration up to its seeds and rotation
+    # count, one column per rotation count, mean test accuracy across seeds;
+    # NaN marks untrainable cells.  The fixed columns tell rows apart.
     grid_path = out / "grid.csv"
-    circuit_runs = [
-        s for s in runs if s.get("config", {}).get("backend") == "circuit"
-    ]
-    cells: dict[tuple[str, int, int], list[float]] = {}
-    for s in circuit_runs:
-        cfg = s.get("config", {})
-        key = (cfg["ansatz"], int(cfg["n_layers"]), int(cfg["n_single_qubit_params"]))
-        cells.setdefault(key, []).append(float(s.get("test_acc", float("nan"))))
-    rotations = sorted({k[2] for k in cells}) if cells else []
+    labels: dict[str, tuple] = {}  # row key -> its fixed columns
+    cells: dict[tuple[str, int], list[float]] = {}
+    for s in runs:
+        if s.get("config", {}).get("backend") != "circuit":
+            continue
+        cfg = ExperimentConfig.from_dict(s["config"])
+        fields = {k: v for k, v in cfg.to_dict().items()
+                  if k not in ("seeds", "n_single_qubit_params")}
+        row = json.dumps(fields, sort_keys=True)
+        labels[row] = (cfg.scheme, cfg.dataset_tag(), cfg.optimizer, cfg.epochs,
+                       cfg.ansatz, cfg.n_layers)
+        cells.setdefault((row, cfg.n_single_qubit_params), []).append(
+            float(s.get("test_acc", float("nan"))))
+    rotations = sorted({r for _, r in cells})
     with grid_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["ansatz", "n_layers"] + [f"rot{r}" for r in rotations])
-        for ansatz in sorted({k[0] for k in cells}):
-            for layers in sorted({k[1] for k in cells if k[0] == ansatz}):
-                row = [ansatz, layers]
-                for r in rotations:
-                    values = cells.get((ansatz, layers, r))
-                    if values is None:
-                        row.append("")
-                    else:
-                        mean = float(np.mean(values))
-                        row.append(_fmt(mean))
-                writer.writerow(row)
+        writer.writerow(["scheme", "dataset", "optimizer", "epochs", "ansatz", "n_layers"]
+                        + [f"rot{r}" for r in rotations])
+        for row in sorted(labels, key=lambda k: (labels[k], k)):
+            values = [cells.get((row, r)) for r in rotations]
+            writer.writerow([*labels[row]]
+                            + ["" if v is None else _fmt(float(np.mean(v))) for v in values])
 
     curves_path = out / "curves.csv"
     with curves_path.open("w", newline="", encoding="utf-8") as fh:

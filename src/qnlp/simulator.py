@@ -20,20 +20,19 @@ rule; a controlled rotation takes a four-term rule with shifts ``+-pi/2,
 frequencies, so the plain two-term rule is not exact for them.
 :func:`shift_rule` holds both rules.
 
-Training runs batched: the model groups a split's circuits by
-:func:`structure_key` on the split's first use and compiles each group
-once into a :class:`CircuitBatch` (:func:`compile_batch`).  One
-statevector pass over a ``(rows, 2, ..., 2)`` state then serves every
-sentence of the group (:func:`batch_marginal`).  The batched gradient is
-adjoint differentiation (:func:`batch_vjp`): per chunk of rows, one
-forward pass and one reverse sweep give the vector-Jacobian product of
-the model's upstream weights with ``dN`` for every parametric gate at
-once, with no shifted runs.  Batches return the unnormalized marginal
-``N`` and that product only; the model normalizes and chains the
-quotient rule.  The per-gate :func:`apply` and the per-sentence
-:func:`sentence_distribution` and :func:`distribution_gradient` are the
-reference the batched path is tested against, shift rules against the
-adjoint.
+Training runs batched, through the batch contract :mod:`qnlp.tensornet`
+shares: :func:`structure_key` groups a split's circuits, each group
+compiles once into a :class:`CircuitBatch` (:func:`compile_batch`),
+:func:`batch_forward` gives every row's two weights ``u`` (its
+unnormalized output marginal ``N``, whose sum is the survival norm) in
+one statevector pass over a ``(rows, 2, ..., 2)`` state, and
+:func:`batch_backward` pulls the model's cotangent on ``u`` back to every
+parametric gate by adjoint differentiation: per chunk of rows, one
+forward pass and one reverse sweep, with no shifted runs.  The model
+normalizes and chains the quotient rule.  The per-gate :func:`apply` and
+the per-sentence :func:`sentence_distribution` and
+:func:`distribution_gradient` are the reference the batched path is
+tested against, shift rules against the adjoint.
 """
 
 from __future__ import annotations
@@ -411,12 +410,10 @@ def _forward(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> None
         _apply_rows(state, op, angles)
 
 
-def batch_marginal(batch: CircuitBatch, theta: np.ndarray) -> np.ndarray:
-    """Unnormalized output marginal ``N`` of every row in one pass.
-
-    ``theta`` is the parameter vector ``batch.gather`` indexes.  Returns
-    ``(rows, 2)``; a row's sum is its survival norm.
-    """
+def batch_forward(batch: CircuitBatch, theta: np.ndarray) -> tuple[np.ndarray, None]:
+    """Every row's two weights ``u``, its unnormalized output marginal (sum:
+    the survival norm), in one pass from the ``theta`` that ``batch.gather``
+    indexes, and no tape: :func:`batch_backward` reruns the pass."""
     angles = theta[batch.gather]
     marginal = np.empty((len(angles), 2))
     for chunk in _chunks(batch, len(angles)):
@@ -426,7 +423,7 @@ def batch_marginal(batch: CircuitBatch, theta: np.ndarray) -> np.ndarray:
         probs = np.abs(state[batch.postselect]) ** 2
         by_output = np.moveaxis(probs, batch.output_axis, 1).reshape(len(block), 2, -1)
         marginal[chunk] = by_output.sum(axis=2)
-    return marginal
+    return marginal, None
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -449,18 +446,21 @@ def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, m: int) -> np.
     return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
 
 
-def batch_vjp(batch: CircuitBatch, theta: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """``sum_k upstream[r, k] * d N[r, k] / d slot j`` of every row and slot.
+def batch_backward(batch: CircuitBatch, theta: np.ndarray, tape: None,
+                   g_u: np.ndarray) -> np.ndarray:
+    """``sum_k g_u[r, k] * d u[r, k] / d slot j`` of every row and slot,
+    laid out like ``batch.gather``: ``(rows, slots)``.
 
-    Adjoint differentiation: one forward pass gives ``psi``, then
-    ``lam = W psi``, where ``W`` weights each amplitude by the upstream of
-    its output outcome and is zero off postselection, so the weighted
-    marginal is ``<psi|W|psi>``.  A reverse sweep undoes every gate on
-    ``psi`` and ``lam`` alike; before undoing a gate ``exp(-i angle P/2)``
-    it reads that slot's derivative ``Im <lam|P|psi>``, over the control-1
-    slices for a controlled rotation.  ``psi`` and ``lam`` stack as one
-    ``(2m, 2, ..., 2)`` state per chunk of ``m`` rows, so every inverse
-    gate is one in-place update.  Returns ``(rows, slots)``.
+    Adjoint differentiation: the forward pass reruns chunk by chunk, so
+    memory stays within ``BATCH_AMPLITUDES`` and ``tape`` is unused.  It
+    gives ``psi``, then ``lam = W psi``, where ``W`` weights each
+    amplitude by the ``g_u`` of its output outcome and is zero off
+    postselection, so the weighted marginal is ``<psi|W|psi>``.  A reverse
+    sweep undoes every gate on ``psi`` and ``lam`` alike; before undoing a
+    gate ``exp(-i angle P/2)`` it reads that slot's derivative
+    ``Im <lam|P|psi>``, over the control-1 slices for a controlled
+    rotation.  ``psi`` and ``lam`` stack as one ``(2m, 2, ..., 2)`` state
+    per chunk of ``m`` rows, so every inverse gate is one in-place update.
     """
     angles = theta[batch.gather]
     rows, slots = angles.shape
@@ -474,7 +474,7 @@ def batch_vjp(batch: CircuitBatch, theta: np.ndarray, upstream: np.ndarray) -> n
         kept = psi[batch.postselect]
         shape = [m] + [1] * (kept.ndim - 1)
         shape[batch.output_axis] = 2
-        lam[batch.postselect] = kept * upstream[chunk].reshape(shape)
+        lam[batch.postselect] = kept * g_u[chunk].reshape(shape)
         inverse = -np.concatenate([block, block])
         for kind, low, high, slot, angle in reversed(batch.ops):
             if slot is not None:

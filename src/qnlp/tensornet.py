@@ -23,12 +23,15 @@ respect to one node is the network contracted with that node removed and
 its legs left open, chained with the upstream cotangent.  A parameter
 tensor used by several nodes accumulates one hole term per use.
 
-Training runs batched: the model groups a split's networks by
-:func:`structure_key` and compiles each group once (:func:`compile_batch`)
-with an extra row label.  The greedy path of the group's einsum, searched
-once, becomes a tree of pairwise steps, each one plain einsum
-(:func:`batch_forward`); every hole comes from one reverse sweep over it
-(:func:`batch_holes`).  The per-network :func:`contract` and
+Training runs batched, through the batch contract :mod:`qnlp.simulator`
+shares: :func:`structure_key` groups a split's networks, and each group
+compiles once (:func:`compile_batch`) with an extra row label.  The greedy
+path of the group's einsum, searched once, becomes a tree of pairwise
+steps, each one plain einsum.  :func:`batch_forward` walks the tree and
+reads out every row's weights ``u = v**2`` from its output vector ``v``,
+keeping the tree's nodes as its tape; :func:`batch_backward` chains the
+model's cotangent on ``u`` through ``v**2`` and gets every hole from one
+reverse sweep over the kept nodes.  The per-network :func:`contract` and
 :func:`gradient_hole` are the reference the batched path is tested against.
 """
 
@@ -518,28 +521,26 @@ def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> Ten
                        (n,) + first.output_dims(), plan.factor)
 
 
-def batch_forward(batch: TensorBatch, theta: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Every row's network contracted step by step, from the parameter
-    vector ``theta`` that ``batch.gather`` indexes: ``(rows, outputs)``,
-    each row's output flattened, and the tree's nodes for :func:`batch_holes`."""
+def batch_forward(batch: TensorBatch, theta: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Every row's weights ``u = v**2`` and the tape for :func:`batch_backward`:
+    ``v``, each row's network contracted step by step from the ``theta``
+    that ``batch.gather`` indexes, output flattened, and the tree's nodes."""
     nodes = [theta[g].reshape(shape) for g, shape in zip(batch.gather, batch.shapes)]
     for step in batch.steps:
         nodes.append(np.einsum(step.subscripts, *(nodes[m] for m in step.inputs), optimize=False))
-    v = nodes[-1]
-    return v.reshape(len(v), -1) * batch.factor, nodes
+    v = nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor
+    return v**2, (v, nodes)
 
 
-def batch_contract(batch: TensorBatch, theta: np.ndarray) -> np.ndarray:
-    return batch_forward(batch, theta)[0]
-
-
-def batch_holes(batch: TensorBatch, nodes: list[np.ndarray], upstream: np.ndarray) -> list[np.ndarray]:
-    """d(upstream . output)/d(tensor) at every parameter position, per row,
-    by one reverse sweep from ``upstream``, shaped like the output of the
-    :func:`batch_forward` that gave ``nodes``.  One ``(rows, size)`` array
-    per position, laid out like ``gather``."""
+def batch_backward(batch: TensorBatch, theta: np.ndarray, tape: tuple,
+                   g_u: np.ndarray) -> list[np.ndarray]:
+    """d(g_u . u)/d(tensor) at every parameter position, per row, laid out
+    like ``batch.gather``: the cotangent ``2 v g_u`` of ``v`` runs back down
+    the tree over the tape's nodes in one reverse sweep."""
+    v, nodes = tape
     first = len(batch.gather)  # node number of the first step's result
-    cotangent = {len(nodes) - 1: upstream.reshape(batch.out_shape) * batch.factor}
+    g_v = 2.0 * v * g_u
+    cotangent = {len(nodes) - 1: g_v.reshape(batch.out_shape) * batch.factor}
     for k in range(len(batch.steps) - 1, -1, -1):
         step, g = batch.steps[k], cotangent.pop(first + k)
         for node, (subscripts, eyes) in zip(step.inputs, step.cotangents):
@@ -551,7 +552,7 @@ def batch_holes(batch: TensorBatch, nodes: list[np.ndarray], upstream: np.ndarra
 # -- serialization --------------------------------------------------------
 
 
-def network_to_json(net: Network, indent: int | None = 2) -> str:
+def network_to_json(net: Network) -> str:
     def node_json(node: Node) -> dict:
         if isinstance(node, ParamNode):
             return {"kind": "param", "symbol": node.symbol.name, "shape": list(node.shape)}
@@ -563,7 +564,7 @@ def network_to_json(net: Network, indent: int | None = 2) -> str:
         "nodes": [node_json(n) for n in net.nodes],
         "edges": [[list(a), list(b)] for a, b in net.edges],
         "outputs": [list(l) for l in net.outputs],
-    }, indent=indent)
+    }, indent=2)
 
 
 def network_from_json(text: str) -> Network:

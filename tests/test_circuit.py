@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qnlp import circuit
 from qnlp.circuit import (
     Circuit,
     CircuitAnsatz,
@@ -183,10 +184,11 @@ class TestCompile:
         with pytest.raises(ZeroParameterModel):
             compile_circuit(d, cfg(layers=0, rots=0))
 
-    def test_width_overflow(self, mc_lexicon):
+    def test_width_overflow(self, mc_lexicon, monkeypatch):
         d = parse_sentence(["skillful", "man", "prepares", "tasty", "sauce"], mc_lexicon)
-        with pytest.raises(WidthOverflow):
-            compile_circuit(d, cfg(max_qubits=4))
+        monkeypatch.setattr(circuit, "MAX_QUBITS", 4)
+        with pytest.raises(WidthOverflow, match="limit is 4"):
+            compile_circuit(d, cfg())
 
     def test_weight_tying_across_sentences(self, mc_lexicon):
         d1 = parse_sentence(["man", "cooks", "meal"], mc_lexicon)

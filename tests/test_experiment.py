@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -215,9 +216,17 @@ class TestRunOne:
         assert json.loads((tmp_path / cfg.run_id(0) / "summary.json").read_text()) == again
 
     def test_aborted_summary_is_final(self, tmp_path):
+        # final under the budget it was recorded with; rerun with none, or
+        # with a larger one
         cfg = small_cfg(epochs=1)
-        assert run_one(cfg, 0, root=tmp_path, budget_seconds=0.0)["status"] == "aborted"
-        assert run_one(cfg, 0, root=tmp_path)["status"] == "aborted"
+        first = run_one(cfg, 0, root=tmp_path, budget_seconds=0.0)
+        assert (first["status"], first["budget_seconds"]) == ("aborted", 0.0)
+        stored = run_one(cfg, 0, root=tmp_path, budget_seconds=0.0)
+        assert json.dumps(stored, sort_keys=True) == json.dumps(first, sort_keys=True)
+        assert run_one(cfg, 0, root=tmp_path)["status"] == "ok"
+        assert run_one(cfg, 1, root=tmp_path, budget_seconds=0.0)["status"] == "aborted"
+        again = run_one(cfg, 1, root=tmp_path, budget_seconds=3600.0)
+        assert (again["status"], again["budget_seconds"]) == ("ok", 3600.0)
 
     def test_zero_parameter_cell_records_nan(self, tmp_path):
         cfg = small_cfg(n_layers=0, n_single_qubit_params=0)
@@ -270,15 +279,32 @@ class TestSweepAndReport:
 
         paths = report(root=tmp_path)
         grid = (tmp_path / "grid.csv").read_text().strip().splitlines()
-        assert grid[0] == "ansatz,n_layers,rot0,rot1"
+        assert grid[0] == "scheme,dataset,optimizer,epochs,ansatz,n_layers,rot0,rot1"
         for line in grid[1:]:
-            ansatz, layers, rot0, rot1 = line.split(",")
+            *_, layers, rot0, rot1 = line.split(",")
             if layers == "0":
                 assert rot0 == "NaN"
                 assert rot1 != "NaN"
             else:
                 assert rot0 != "NaN"
         assert sorted(paths) == ["curves", "grid", "runs"]
+
+    def test_grid_keeps_unlike_runs_apart(self, tmp_path):
+        # two runs of one (ansatz, layers, rotations) cell that differ only
+        # in epochs are two grid rows, not one mean
+        for epochs in (2, 1):
+            run_one(small_cfg(epochs=epochs), 0, root=tmp_path)
+        report(root=tmp_path)
+        with (tmp_path / "grid.csv").open(newline="") as fh:
+            grid = list(csv.DictReader(fh))
+        assert [(r["epochs"], r["ansatz"], r["n_layers"]) for r in grid] == [
+            ("1", "iqp", "1"), ("2", "iqp", "1")]
+        summaries = [json.loads(p.read_text()) for p in tmp_path.glob("*/summary.json")]
+        acc = {s["config"]["epochs"]: s["test_acc"] for s in summaries}
+        for r in grid:
+            assert r["rot3"] == f"{acc[int(r['epochs'])]:.6f}"
+            assert (r["scheme"], r["dataset"], r["optimizer"]) == (
+                "re_norm_cur_norm", "gen0-10-4-4", "default")
 
     def test_sweep_resumes(self, tmp_path):
         cells = [small_cfg(epochs=1)]

@@ -28,8 +28,8 @@ from qnlp.simulator import (
     IndexOutOfRange,
     WrongOutputArity,
     apply,
-    batch_marginal,
-    batch_vjp,
+    batch_backward,
+    batch_forward,
     compile_batch,
     distribution_gradient,
     sentence_distribution,
@@ -367,7 +367,7 @@ class TestBatchProperties:
         theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
         assert len({structure_key(c) for c in circuits}) == 1
         batch = compile_batch(circuits, offsets)
-        n = batch_marginal(batch, theta)
+        n, tape = batch_forward(batch, theta)
         # a random upstream g_p on p = N / D per row, chained to N as the
         # model's pullback does; a degenerate row keeps g_p as drawn
         g_p = rng.normal(size=n.shape)
@@ -375,7 +375,7 @@ class TestBatchProperties:
         alive = d[:, 0] >= SURVIVAL_EPS
         p = n / np.where(alive[:, None], d, 1.0)
         upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
-        vjp = batch_vjp(batch, theta, upstream)
+        vjp = batch_backward(batch, theta, tape, upstream)
         assert vjp.shape == batch.gather.shape
         for r, c in enumerate(circuits):
             x = theta[[offsets[s] for s in c.symbols]]
@@ -394,7 +394,7 @@ class TestBatchProperties:
         # parameter of its own, differentiated numerically
         per_slot = replace(batch, gather=np.arange(vjp.size).reshape(vjp.shape))
         fd = five_point_difference(
-            lambda a: float((upstream * batch_marginal(per_slot, a)).sum()),
+            lambda a: float((upstream * batch_forward(per_slot, a)[0]).sum()),
             theta[batch.gather].ravel(),
         )
         np.testing.assert_allclose(vjp.ravel(), fd, rtol=0, atol=1e-6)

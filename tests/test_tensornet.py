@@ -22,9 +22,8 @@ from qnlp.tensornet import (
     SpiderCopyNode,
     TensorAnsatz,
     TensorAnsatzConfig,
-    batch_contract,
+    batch_backward,
     batch_forward,
-    batch_holes,
     compile_batch,
     compile_network,
     contract,
@@ -438,8 +437,9 @@ class TestWideWordLowering:
 
 
 def check_batches_against_reference(nets: list[Network], rng) -> list:
-    """Batched contraction and holes against per-network ``contract`` and
-    ``gradient_hole``, with a random upstream per row; returns the groups."""
+    """Batched forward and backward passes against per-network ``contract``
+    and ``gradient_hole``, with a random cotangent on ``u`` per row; returns
+    the groups."""
     shapes: dict[Symbol, tuple[int, ...]] = {}
     for net in nets:
         shapes.update(net.param_shapes())
@@ -456,11 +456,13 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
     for rows, batch in groups:
         plan = nets[rows[0]]._plan
         assert batch.steps[-1].kept == (plan.n_labels, *plan.outputs)
-        v, nodes = batch_forward(batch, theta)
-        np.testing.assert_array_equal(batch_contract(batch, theta), v)
-        up = rng.standard_normal(v.shape)
+        u, tape = batch_forward(batch, theta)
+        v = tape[0]
+        np.testing.assert_array_equal(u, v**2)
+        g_u = rng.standard_normal(v.shape)
+        up = 2.0 * v * g_u  # the cotangent of v, chained through u = v**2
         grad = np.zeros_like(theta)
-        for gather, g in zip(batch.gather, batch_holes(batch, nodes, up)):
+        for gather, g in zip(batch.gather, batch_backward(batch, theta, tape, g_u)):
             np.add.at(grad, gather, g)
         want = np.zeros_like(theta)
         for r, i in enumerate(rows):
@@ -481,7 +483,7 @@ def bridges(batch) -> dict[int, int]:
 
 
 class TestBatches:
-    """structure_key, compile_batch, batch_contract and batch_holes against
+    """structure_key, compile_batch, batch_forward and batch_backward against
     the per-network reference."""
 
     @pytest.mark.parametrize("kind", tuple(TensorAnsatz), ids=lambda k: k.value)
