@@ -16,7 +16,8 @@ mid-write leaves no summary.
 
 A model with an empty symbol table cannot train; its summary records the
 accuracy fields as literal ``NaN`` (the grid report keeps those cells as
-``NaN`` text).  A run that exceeds the per-cell wall-clock budget is
+``NaN`` text).  A grid cell averages its ``ok`` runs only; one with runs
+but none ``ok`` reads ``none_ok``.  A run that exceeds the per-cell wall-clock budget is
 recorded as aborted without failing the surrounding sweep.
 """
 
@@ -550,11 +551,13 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
             )
 
     # Accuracy grid: one row per configuration up to its seeds and rotation
-    # count, one column per rotation count, mean test accuracy across seeds;
-    # NaN marks untrainable cells.  The fixed columns tell rows apart.
+    # count, one column per rotation count, mean test accuracy over the
+    # cell's ``ok`` runs.  NaN marks an untrainable cell and ``none_ok`` one
+    # whose runs were all aborted or failed.  The fixed columns tell rows
+    # apart.
     grid_path = out / "grid.csv"
     labels: dict[str, tuple] = {}  # row key -> its fixed columns
-    cells: dict[tuple[str, int], list[float]] = {}
+    cells: dict[tuple[str, int], list[tuple[str, float]]] = {}
     for s in runs:
         if s.get("config", {}).get("backend") != "circuit":
             continue
@@ -565,16 +568,23 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
         labels[row] = (cfg.scheme, cfg.dataset_tag(), cfg.optimizer, cfg.epochs,
                        cfg.ansatz, cfg.n_layers)
         cells.setdefault((row, cfg.n_single_qubit_params), []).append(
-            float(s.get("test_acc", float("nan"))))
+            (s.get("status"), float(s.get("test_acc", float("nan")))))
+
+    def cell(runs) -> str:
+        if runs is None:
+            return ""
+        ok = [acc for status, acc in runs if status == "ok"]
+        if ok:
+            return _fmt(float(np.mean(ok)))
+        return "NaN" if all(status == "zero_params" for status, _ in runs) else "none_ok"
+
     rotations = sorted({r for _, r in cells})
     with grid_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "dataset", "optimizer", "epochs", "ansatz", "n_layers"]
                         + [f"rot{r}" for r in rotations])
         for row in sorted(labels, key=lambda k: (labels[k], k)):
-            values = [cells.get((row, r)) for r in rotations]
-            writer.writerow([*labels[row]]
-                            + ["" if v is None else _fmt(float(np.mean(v))) for v in values])
+            writer.writerow([*labels[row]] + [cell(cells.get((row, r))) for r in rotations])
 
     curves_path = out / "curves.csv"
     with curves_path.open("w", newline="", encoding="utf-8") as fh:

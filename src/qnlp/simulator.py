@@ -26,13 +26,15 @@ compiles once into a :class:`CircuitBatch` (:func:`compile_batch`),
 :func:`batch_forward` gives every row's two weights ``u`` (its
 unnormalized output marginal ``N``, whose sum is the survival norm) in
 one statevector pass over a ``(rows, 2, ..., 2)`` state, and
-:func:`batch_backward` pulls the model's cotangent on ``u`` back to every
-parametric gate by adjoint differentiation: per chunk of rows, one
-forward pass and one reverse sweep, with no shifted runs.  The model
-normalizes and chains the quotient rule.  The per-gate :func:`apply` and
-the per-sentence :func:`sentence_distribution` and
-:func:`distribution_gradient` are the reference the batched path is
-tested against, shift rules against the adjoint.
+:func:`batch_backward` returns ``u`` from its own forward pass and pulls
+the model's cotangent on ``u`` back to every parametric gate by adjoint
+differentiation: per chunk of rows, one forward pass, then the model's
+cotangent for the chunk's leading rows and one reverse sweep over those
+rows alone, with no shifted runs.  The model normalizes and chains the
+quotient rule.  The per-gate :func:`apply` and the per-sentence
+:func:`sentence_distribution` and :func:`distribution_gradient` are the
+reference the batched path is tested against, shift rules against the
+adjoint.
 """
 
 from __future__ import annotations
@@ -410,20 +412,25 @@ def _forward(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> None
         _apply_rows(state, op, angles)
 
 
-def batch_forward(batch: CircuitBatch, theta: np.ndarray) -> tuple[np.ndarray, None]:
+def _weights(batch: CircuitBatch, psi: np.ndarray) -> np.ndarray:
+    """Every row's unnormalized output marginal: the postselected
+    probabilities of ``psi`` summed per outcome of the output qubit."""
+    probs = np.abs(psi[batch.postselect]) ** 2
+    return np.moveaxis(probs, batch.output_axis, 1).reshape(len(psi), 2, -1).sum(axis=2)
+
+
+def batch_forward(batch: CircuitBatch, theta: np.ndarray) -> np.ndarray:
     """Every row's two weights ``u``, its unnormalized output marginal (sum:
     the survival norm), in one pass from the ``theta`` that ``batch.gather``
-    indexes, and no tape: :func:`batch_backward` reruns the pass."""
+    indexes."""
     angles = theta[batch.gather]
-    marginal = np.empty((len(angles), 2))
+    u = np.empty((len(angles), 2))
     for chunk in _chunks(batch, len(angles)):
         block = angles[chunk]
         state = np.zeros((len(block),) + (2,) * batch.n_qubits, dtype=np.complex128)
         _forward(batch, state, block)
-        probs = np.abs(state[batch.postselect]) ** 2
-        by_output = np.moveaxis(probs, batch.output_axis, 1).reshape(len(block), 2, -1)
-        marginal[chunk] = by_output.sum(axis=2)
-    return marginal, None
+        u[chunk] = _weights(batch, state)
+    return u
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -431,13 +438,13 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj() * y).reshape(len(x), -1).sum(axis=1)
 
 
-def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
     """``Im <lam|P|psi>`` per row for the generator ``P`` of one gate.
 
     ``a`` and ``b`` are the gate's target-0 and target-1 slices of the
-    stacked state, ``psi`` in its first ``m`` rows and ``lam`` in the rest.
+    stacked state, ``lam`` in its first ``t`` rows and ``psi`` in the rest.
     """
-    psi_a, psi_b, lam_a, lam_b = a[:m], b[:m], a[m:], b[m:]
+    lam_a, lam_b, psi_a, psi_b = a[:t], b[:t], a[t:], b[t:]
     if kind is GateKind.RZ or kind is GateKind.CRZ:
         return (_dot(lam_a, psi_a) - _dot(lam_b, psi_b)).imag
     if kind is GateKind.RY:
@@ -446,40 +453,54 @@ def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, m: int) -> np.
     return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
 
 
-def batch_backward(batch: CircuitBatch, theta: np.ndarray, tape: None,
-                   g_u: np.ndarray) -> np.ndarray:
-    """``sum_k g_u[r, k] * d u[r, k] / d slot j`` of every row and slot,
-    laid out like ``batch.gather``: ``(rows, slots)``.
+def batch_backward(batch: CircuitBatch, theta: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's weights ``u`` and, for the rows ``pull`` gives a cotangent,
+    ``sum_k g_u[r, k] * d u[r, k] / d slot j`` of every slot, laid out like
+    the leading rows of ``batch.gather``: ``(rows, slots)``.
 
-    Adjoint differentiation: the forward pass reruns chunk by chunk, so
-    memory stays within ``BATCH_AMPLITUDES`` and ``tape`` is unused.  It
-    gives ``psi``, then ``lam = W psi``, where ``W`` weights each
+    Per chunk of rows, one forward pass gives ``psi`` and the chunk's
+    ``u``; ``pull(rows, u)`` takes the chunk's row slice and weights and
+    returns the cotangent ``g_u`` of its leading ``t`` rows, the rows to
+    differentiate, and ``t`` may be zero.  Those rows are pulled back by
+    adjoint differentiation: ``lam = W psi``, where ``W`` weights each
     amplitude by the ``g_u`` of its output outcome and is zero off
     postselection, so the weighted marginal is ``<psi|W|psi>``.  A reverse
-    sweep undoes every gate on ``psi`` and ``lam`` alike; before undoing a
+    sweep undoes every gate on ``lam`` and ``psi`` alike; before undoing a
     gate ``exp(-i angle P/2)`` it reads that slot's derivative
     ``Im <lam|P|psi>``, over the control-1 slices for a controlled
-    rotation.  ``psi`` and ``lam`` stack as one ``(2m, 2, ..., 2)`` state
-    per chunk of ``m`` rows, so every inverse gate is one in-place update.
+    rotation.  ``lam`` sits just before ``psi`` in one buffer of twice the
+    chunk, so the ``t`` rows of each stack as one ``(2t, 2, ..., 2)`` state
+    and every inverse gate is one in-place update; memory stays within two
+    states of ``BATCH_AMPLITUDES`` per chunk.
     """
     angles = theta[batch.gather]
     rows, slots = angles.shape
+    u = np.empty((rows, 2))
     out = np.empty((rows, slots))
+    pulled = 0
     for chunk in _chunks(batch, rows):
         block = angles[chunk]
         m = len(block)
-        both = np.zeros((2 * m,) + (2,) * batch.n_qubits, dtype=np.complex128)
-        psi, lam = both[:m], both[m:]
+        buffer = np.zeros((2 * m,) + (2,) * batch.n_qubits, dtype=np.complex128)
+        psi = buffer[m:]
         _forward(batch, psi, block)
-        kept = psi[batch.postselect]
-        shape = [m] + [1] * (kept.ndim - 1)
+        u[chunk] = _weights(batch, psi)
+        g_u = pull(chunk, u[chunk])
+        t = len(g_u)
+        if t == 0:
+            continue
+        both = buffer[m - t : m + t]
+        kept = psi[:t][batch.postselect]
+        shape = [t] + [1] * (kept.ndim - 1)
         shape[batch.output_axis] = 2
-        lam[batch.postselect] = kept * g_u[chunk].reshape(shape)
-        inverse = -np.concatenate([block, block])
+        both[:t][batch.postselect] = kept * g_u.reshape(shape)
+        inverse = -np.concatenate([block[:t], block[:t]])
+        start = chunk.start
         for kind, low, high, slot, angle in reversed(batch.ops):
             if slot is not None:
-                out[chunk, slot] = _generator_term(kind, both[low], both[high], m)
+                out[start : start + t, slot] = _generator_term(kind, both[low], both[high], t)
                 if slot == 0:  # the first parametric gate: nothing left to read
                     break
             _apply_rows(both, (kind, low, high, slot, None if angle is None else -angle), inverse)
-    return out
+        pulled = start + t
+    return u, out[:pulled]

@@ -24,14 +24,15 @@ its legs left open, chained with the upstream cotangent.  A parameter
 tensor used by several nodes accumulates one hole term per use.
 
 Training runs batched, through the batch contract :mod:`qnlp.simulator`
-shares: :func:`structure_key` groups a split's networks, and each group
-compiles once (:func:`compile_batch`) with an extra row label.  The greedy
-path of the group's einsum, searched once, becomes a tree of pairwise
-steps, each one plain einsum.  :func:`batch_forward` walks the tree and
-reads out every row's weights ``u = v**2`` from its output vector ``v``,
-keeping the tree's nodes as its tape; :func:`batch_backward` chains the
-model's cotangent on ``u`` through ``v**2`` and gets every hole from one
-reverse sweep over the kept nodes.  The per-network :func:`contract` and
+shares: :func:`structure_key` groups a corpus's networks, and each group
+compiles once (:func:`compile_batch`) with an extra row label; only its
+gather depends on the row count.  The greedy path of the group's einsum,
+searched once, becomes a tree of pairwise steps, each one plain einsum.
+:func:`batch_forward` walks the tree and reads out every row's weights
+``u = v**2`` from its output vector ``v``; :func:`batch_backward` walks it
+too, keeping the tree's nodes, chains the model's cotangent on ``u`` for
+the leading rows through ``v**2`` and gets every hole of those rows from
+one reverse sweep over the kept nodes.  The per-network :func:`contract` and
 :func:`gradient_hole` are the reference the batched path is tested against.
 """
 
@@ -453,13 +454,16 @@ class TensorBatch:
     Row ``r`` is the group's ``r``-th network.  ``gather[p][r]`` holds the
     positions in the parameter vector of row ``r``'s tensor at parameter
     position ``p`` (the plan's ``p``-th parameter node), flattened in C
-    order.  Every step carries one extra label for the row axis.
+    order; nothing else depends on the row count.  Every step carries one
+    extra label for the row axis, the largest label, so a step result
+    keeps its rows on its last axis; the last step keeps the row first,
+    then the outputs.
     """
 
-    shapes: tuple[tuple[int, ...], ...]  # per position, rows first
+    shapes: tuple[tuple[int, ...], ...]  # per position, without the rows
     gather: tuple[np.ndarray, ...]  # per position, (rows, size)
-    steps: tuple[_Step, ...]  # the last one keeps the row, then the outputs
-    out_shape: tuple[int, ...]  # rows, then the output dimensions
+    steps: tuple[_Step, ...]
+    out_shape: tuple[int, ...]  # the output dimensions
     factor: float
 
 
@@ -494,8 +498,7 @@ def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> Ten
         raise Error("network has no tensor operands")
     if not set(plan.outputs) <= {lab for sub in plan.sublists for lab in sub}:
         raise Error("open legs with no tensor operands")
-    n = len(nets)
-    shapes = [(n,) + first.nodes[ni].shape for ni in plan.params]
+    shapes = [(len(nets),) + first.nodes[ni].shape for ni in plan.params]
     row = plan.n_labels  # the row axis's label; bridge labels follow it
     _check_labels(row + 1)
     labels = [(row, *sub) for sub in plan.sublists]  # per tree node
@@ -517,36 +520,52 @@ def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> Ten
     for ni, shape in zip(plan.params, shapes):
         starts = np.array([offsets[net.nodes[ni].symbol] for net in nets], dtype=np.intp)
         gather.append(starts[:, None] + np.arange(math.prod(shape[1:])))
-    return TensorBatch(tuple(shapes), tuple(gather), tuple(steps),
-                       (n,) + first.output_dims(), plan.factor)
+    return TensorBatch(tuple(shape[1:] for shape in shapes), tuple(gather), tuple(steps),
+                       first.output_dims(), plan.factor)
 
 
-def batch_forward(batch: TensorBatch, theta: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Every row's weights ``u = v**2`` and the tape for :func:`batch_backward`:
-    ``v``, each row's network contracted step by step from the ``theta``
-    that ``batch.gather`` indexes, output flattened, and the tree's nodes."""
-    nodes = [theta[g].reshape(shape) for g, shape in zip(batch.gather, batch.shapes)]
+def _contract_rows(batch: TensorBatch, theta: np.ndarray) -> tuple[list, np.ndarray]:
+    """The tree's nodes, gathered tensors first, and every row's output
+    vector ``v``, flattened, contracted step by step from the ``theta``
+    that ``batch.gather`` indexes."""
+    nodes = [theta[g].reshape(g.shape[:1] + shape) for g, shape in zip(batch.gather, batch.shapes)]
     for step in batch.steps:
         nodes.append(np.einsum(step.subscripts, *(nodes[m] for m in step.inputs), optimize=False))
-    v = nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor
-    return v**2, (v, nodes)
+    return nodes, nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor
 
 
-def batch_backward(batch: TensorBatch, theta: np.ndarray, tape: tuple,
-                   g_u: np.ndarray) -> list[np.ndarray]:
-    """d(g_u . u)/d(tensor) at every parameter position, per row, laid out
-    like ``batch.gather``: the cotangent ``2 v g_u`` of ``v`` runs back down
-    the tree over the tape's nodes in one reverse sweep."""
-    v, nodes = tape
+def batch_forward(batch: TensorBatch, theta: np.ndarray) -> np.ndarray:
+    """Every row's weights ``u = v**2``."""
+    return _contract_rows(batch, theta)[1] ** 2
+
+
+def batch_backward(batch: TensorBatch, theta: np.ndarray, pull) -> tuple[np.ndarray, list]:
+    """Every row's weights ``u = v**2`` and, for the rows ``pull`` gives a
+    cotangent, d(g_u . u)/d(tensor) at every parameter position, laid out
+    like the leading rows of ``batch.gather``.
+
+    ``pull(rows, u)`` takes the slice of all rows and their weights and
+    returns the cotangent ``g_u`` of the leading ``t`` rows to
+    differentiate.  The cotangent ``2 v g_u`` of ``v`` runs back down the
+    tree over those rows of the forward pass's nodes in one reverse sweep.
+    """
+    nodes, v = _contract_rows(batch, theta)
+    u = v**2
+    g_u = pull(slice(0, len(u)), u)
+    t = len(g_u)
     first = len(batch.gather)  # node number of the first step's result
-    g_v = 2.0 * v * g_u
-    cotangent = {len(nodes) - 1: g_v.reshape(batch.out_shape) * batch.factor}
+    # the rows to differentiate: gathered tensors and the output keep their
+    # rows first, the other step results last
+    last = len(nodes) - 1
+    nodes = [n[:t] if m < first or m == last else n[..., :t] for m, n in enumerate(nodes)]
+    g_v = 2.0 * v[:t] * g_u
+    cotangent = {last: g_v.reshape((t,) + batch.out_shape) * batch.factor}
     for k in range(len(batch.steps) - 1, -1, -1):
         step, g = batch.steps[k], cotangent.pop(first + k)
         for node, (subscripts, eyes) in zip(step.inputs, step.cotangents):
             siblings = [nodes[m] for m in step.inputs if m != node]
             cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
-    return [cotangent[p].reshape(len(cotangent[p]), -1) for p in range(first)]
+    return u, [cotangent[p].reshape(t, -1) for p in range(first)]
 
 
 # -- serialization --------------------------------------------------------

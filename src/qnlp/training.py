@@ -4,20 +4,28 @@ A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
 one set of weights no matter how many sentences mention them.  Both model
 families run one loop over one engine contract, which :mod:`qnlp.simulator`
-and :mod:`qnlp.tensornet` both provide: ``structure_key`` groups a split's
-items on its first use, ``compile_batch`` compiles each group once,
-``batch_forward(batch, theta)`` gives each row two non-negative weights
-``u`` and a tape, and ``batch_backward(batch, theta, tape, g_u)`` pulls a
-cotangent on ``u`` back to the group's parameter slots, laid out like
-``batch.gather``.  A circuit's ``u`` is its unnormalized postselected
-output marginal, whose sum is the survival norm; a network's ``u`` is its
-squared real output vector.  One readout turns a split's ``u`` into
-probabilities ``p = u / sum(u)``, one pullback chains the loss back to
-``u``, and one ``np.bincount`` per split sums the slots' gradient terms
-back per parameter, so a word repeated in a sentence gets the terms of
-both uses.  :mod:`qnlp.simulator`'s ``sentence_distribution`` and
-``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
+and :mod:`qnlp.tensornet` both provide: ``structure_key`` groups the items
+of all splits on the model's first use, ``compile_batch`` compiles each
+group once with the train rows first, ``batch_forward(batch, theta)`` gives
+each row two non-negative weights ``u``, and ``batch_backward(batch,
+theta, pull)`` gives ``u`` from its own forward pass and pulls the
+cotangent that ``pull`` returns for the leading rows back to the group's
+parameter slots, laid out like ``batch.gather``.  A circuit's ``u`` is its
+unnormalized postselected output marginal, whose sum is the survival norm;
+a network's ``u`` is its squared real output vector.  One readout turns a
+split's ``u`` into probabilities ``p = u / sum(u)``, one pullback per row
+chains the loss back to ``u``, and one ``np.bincount`` sums the slots'
+gradient terms back per parameter, so a word repeated in a sentence gets
+the terms of both uses.  :mod:`qnlp.simulator`'s ``sentence_distribution``
+and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
 ``gradient_hole``, are the per-item reference of these paths.
+
+A request (:meth:`_Model.evaluate`) names several parameter points, each
+with a run of consecutive splits.  Every group serves it with one engine
+call: it stacks each point's rows of those splits, the ``k``-th point's
+copy of ``batch.gather`` offset by ``k * n_params`` into the points'
+concatenated vectors.  ``eval_split`` and ``grad_split`` are requests for
+one split at one point.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -25,18 +33,30 @@ and ``c / k^gamma``) and an adaptive moment-based gradient descent with
 exact gradients for tensors.  Either can be pointed at either model
 family.  Epoch protocol: record full-batch train metrics at the current
 parameters, take one optimizer step, then evaluate the dev split; the test
-split is scored once after the final epoch, through the same checks.
-Under gradient descent the train metrics come from the gradient pass,
-which reads out the same probabilities, so the train split is not
-evaluated a second time.
+split is scored once after the final epoch, through the same checks.  Each
+epoch ``k`` is one request.  Under SPSA it reads train and dev at
+``theta_k`` and train at ``theta_k +- c_k delta_k``, with ``delta_k``
+drawn before the call; under adaptive GD it reads train and dev at
+``theta_k`` and differentiates the train rows alone, so the train metrics
+come from the gradient pass.  Dev at ``theta_k`` is epoch ``k - 1``'s dev
+readout (the first epoch's, at the initial parameters, is not recorded),
+and the last epoch's dev readout and the test score share one closing
+request.  Every readout passes the same checks, in the order the epochs
+define, so the histories equal those of a loop that reads one split per
+call.
+
+The parsed and rewritten diagrams of the most recent corpus are kept in
+the process, keyed on content: the scheme, each split's sentences, and the
+lexicon types of their words.  Cells of a sweep that share a corpus and a
+scheme parse it once per worker; a corpus that fails to parse is not kept.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -193,7 +213,11 @@ OptimizerConfig = SPSAConfig | AdaptiveGDConfig
 
 
 class SPSA:
-    """Gradient-free step from one +-c_k simultaneous perturbation pair."""
+    """Gradient-free step from one +-c_k simultaneous perturbation pair.
+
+    Step ``k`` is two calls: :meth:`probes` draws ``delta`` and returns the
+    pair ``theta +- c_k * delta``, and :meth:`step` takes the losses there.
+    """
 
     def __init__(self, cfg: SPSAConfig, n_params: int, epochs: int, rng: np.random.Generator):
         self.cfg = cfg
@@ -202,14 +226,15 @@ class SPSA:
         self.rng = rng
         self.k = 0
 
-    def step(self, theta: np.ndarray, loss_fn: Callable[[np.ndarray], float]) -> np.ndarray:
+    def probes(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.k += 1
+        self.c_k = self.cfg.c / self.k**self.cfg.gamma
+        self.delta = self.rng.choice([-1.0, 1.0], size=self.n)
+        return theta + self.c_k * self.delta, theta - self.c_k * self.delta
+
+    def step(self, theta: np.ndarray, loss_plus: float, loss_minus: float) -> np.ndarray:
         a_k = self.cfg.a / (self.k + self.big_a) ** self.cfg.alpha
-        c_k = self.cfg.c / self.k**self.cfg.gamma
-        delta = self.rng.choice([-1.0, 1.0], size=self.n)
-        loss_plus = loss_fn(theta + c_k * delta)
-        loss_minus = loss_fn(theta - c_k * delta)
-        ghat = (loss_plus - loss_minus) / (2.0 * c_k) * delta
+        ghat = (loss_plus - loss_minus) / (2.0 * self.c_k) * self.delta
         return theta - a_k * ghat
 
 
@@ -246,12 +271,31 @@ class TrainConfig:
 # -- models ---------------------------------------------------------------
 
 
+# The parsed and rewritten diagrams of the most recent corpus, keyed on its
+# content: the scheme, every split's sentences, and the lexicon types of
+# their words.  A sweep's cells share one corpus and scheme, so a process
+# that runs many cells parses them once.  One corpus only is held.
+_front_end: tuple[tuple, dict[str, list]] | None = None
+
+
+def _diagrams(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> dict[str, list]:
+    """Every split's parsed and rewritten diagrams, keyed by split name."""
+    global _front_end
+    sentences = tuple((lset.name, lset.sentences()) for lset in splits)
+    words = dict.fromkeys(w for _, split in sentences for ws in split for w in ws)
+    key = (scheme, sentences, tuple((w, lexicon.lookup(w.lower())) for w in words))
+    if _front_end is None or _front_end[0] != key:
+        _front_end = None  # hold one corpus, and none that failed to parse
+        diagrams = {name: [rewrite(parse_sentence(list(ws), lexicon), scheme) for ws in split]
+                    for name, split in sentences}
+        _front_end = (key, diagrams)
+    return _front_end[1]
+
+
 def _compile_splits(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme, compile_fn, cfg):
     """Parse, rewrite and compile every sentence, keyed by split name."""
-    def one(words):
-        return compile_fn(rewrite(parse_sentence(list(words), lexicon), scheme), cfg)
-
-    return {lset.name: [one(words) for words in lset.sentences()] for lset in splits}
+    return {name: [compile_fn(d, cfg) for d in diagrams]
+            for name, diagrams in _diagrams(splits, lexicon, scheme).items()}
 
 
 def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,34 +310,59 @@ def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, degenerate
 
 
-def _pullback(u: np.ndarray, labels):
-    """Probabilities of the rows, d(mean loss)/du, and the degenerate mask.
+def _pullback(u: np.ndarray, labels, n: int) -> np.ndarray:
+    """d(mean loss)/du of some rows of a split of ``n`` rows.
 
-    The mean divides by the row count.  The cotangent chains through
-    ``p = u / sum(u)``: ``(g - g . p) / sum(u)`` with ``g = d loss / d p``;
-    it is zero on degenerate rows.
+    The cotangent chains through ``p = u / sum(u)``: ``(g - g . p) /
+    (n sum(u))`` with ``g = d loss / d p``; it is zero on degenerate rows.
+    Each row's depends on its own ``u`` and label only, so a split's rows
+    can be pulled back chunk by chunk.
     """
-    n = len(u)
-    if n == 0:
-        raise EmptyEvalSet("no sentences to differentiate")
     probs, degenerate = _readout(u)
     g = bce_grad(probs, labels)
     norm = np.where(degenerate, 1.0, u.sum(axis=1))[:, None]
     g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm)
     g_u[degenerate] = 0.0
-    return probs, g_u, degenerate
+    return g_u
+
+
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """Items of one structure over all splits, compiled once; ``rows``
+    holds, per split, the split rows of its items.  The batch's rows run
+    split by split in the model's split order."""
+
+    batch: object
+    rows: dict[str, np.ndarray]
+
+    def span(self, names: tuple[str, ...]) -> tuple[int, int]:
+        """The batch rows of a run of consecutive splits."""
+        counts = [len(r) for r in self.rows.values()]
+        first = list(self.rows).index(names[0])
+        lo = sum(counts[:first])
+        return lo, lo + sum(counts[first : first + len(names)])
+
+
+def _stack(gather, spans, n_params: int):
+    """The rows ``spans[k]`` of a gather, offset by ``k * n_params`` into
+    ``k`` stacked parameter vectors; a tensor gather is one array per
+    parameter position."""
+    if isinstance(gather, tuple):
+        return tuple(_stack(g, spans, n_params) for g in gather)
+    return np.concatenate([gather[lo:hi] + k * n_params for k, (lo, hi) in enumerate(spans)])
 
 
 class _Model:
-    """The parameter table, batch lifecycle and eval/grad loop both model
+    """The parameter table, batch lifecycle and evaluation loop both model
     families share.
 
     Symbols are kept in first-use order, each with its shape (``()`` for a
     circuit angle) and its slice of the flat parameter vector.  A subclass
-    names its engine module as ``_engine``.  On a split's first use its
-    items are grouped by the engine's ``structure_key`` and each group is
-    compiled once by :meth:`_compile_batch`, which receives every symbol's
-    offset in the parameter vector (for a circuit angle, its index).
+    names its engine module as ``_engine``.  On first use the items of all
+    splits are grouped by the engine's ``structure_key``, in order of first
+    use with train first, and each group is compiled once by
+    :meth:`_compile_batch`, which receives every symbol's offset in the
+    parameter vector (for a circuit angle, its index).
     """
 
     def __init__(self, items_by_split: dict[str, list], symbol_shapes):
@@ -310,59 +379,121 @@ class _Model:
             offset += size
         self.n_params = offset
         self.items_by_split = items_by_split
-        # per split, compiled on first use: (row positions, their batch)
-        self._batches: dict[str, list[tuple[np.ndarray, object]]] = {}
+        self._batches: list[_Group] | None = None  # compiled on first use
+        # per request shape, each group's stacked batch and output rows
+        self._requests: dict[tuple, list] = {}
 
     def _compile_batch(self, items, offsets):
         return self._engine.compile_batch(items, offsets)
 
-    def _groups(self, name: str) -> list[tuple[np.ndarray, object]]:
-        groups = self._batches.get(name)
-        if groups is None:
-            items = self.items_by_split[name]
-            rows_of: dict[tuple, list[int]] = {}
-            for r, item in enumerate(items):
-                rows_of.setdefault(self._engine.structure_key(item), []).append(r)
+    def _groups(self) -> list[_Group]:
+        if self._batches is None:
+            members: dict[tuple, dict[str, list[int]]] = {}
+            for name, items in self.items_by_split.items():
+                for r, item in enumerate(items):
+                    rows = members.setdefault(self._engine.structure_key(item), {})
+                    rows.setdefault(name, []).append(r)
             offsets = {s: sl.start for s, sl in self._slices.items()}
-            groups = self._batches[name] = [
-                (np.array(rows), self._compile_batch([items[r] for r in rows], offsets))
-                for rows in rows_of.values()
+            self._batches = [
+                _Group(self._compile_batch([self.items_by_split[name][r]
+                                            for name, rs in rows.items() for r in rs], offsets),
+                       {name: np.array(rows.get(name, []), dtype=np.intp)
+                        for name in self.items_by_split})
+                for rows in members.values()
             ]
-        return groups
+        return self._batches
 
-    def _forward(self, name: str, theta: np.ndarray) -> tuple[np.ndarray, list]:
-        """Every row's weights ``u`` from one forward pass per group, and
-        the groups' tapes."""
-        u = np.empty((len(self.items_by_split[name]), 2))
-        tapes = []
-        for rows, batch in self._groups(name):
-            u[rows], tape = self._engine.batch_forward(batch, theta)
-            tapes.append(tape)
-        return u, tapes
+    def _request(self, runs: tuple[tuple[str, ...], ...]) -> list:
+        """Per group with rows in the request, its batch stacked over the
+        runs of splits and where each of its rows lands in the request's
+        output, which holds every run's splits in turn."""
+        plan = self._requests.get(runs)
+        if plan is None:
+            order = list(self.items_by_split)
+            base, at = {}, 0
+            for k, names in enumerate(runs):
+                first = order.index(names[0])
+                if tuple(order[first : first + len(names)]) != names:
+                    raise Error(f"splits {names} are not consecutive in {order}")
+                for name in names:
+                    base[k, name] = at
+                    at += len(self.items_by_split[name])
+            plan = []
+            for group in self._groups():
+                dest = np.concatenate([base[k, name] + group.rows[name]
+                                       for k, names in enumerate(runs) for name in names])
+                if len(dest):
+                    spans = [group.span(names) for names in runs]
+                    batch = replace(group.batch,
+                                    gather=_stack(group.batch.gather, spans, self.n_params))
+                    plan.append((group, batch, dest))
+            plan = self._requests[runs] = plan
+        return plan
+
+    def evaluate(self, points, labels=None):
+        """Readouts at several parameter points from one engine call per group.
+
+        ``points`` is a sequence of ``(names, theta)``: a run of
+        consecutive split names and a parameter vector.  Every group stacks
+        each point's rows of its splits into one batch over the points'
+        concatenated vectors.  Returns the gradient and, per point, per
+        split, its probabilities and degenerate count.  With ``labels``,
+        the labels of the first point's first split, the mean-loss
+        gradient of that split at the first point comes from the same
+        call: its rows lead every group's batch, and only they are pulled
+        back.  Without, the gradient is ``None``.
+        """
+        runs = tuple(tuple(names) for names, _ in points)
+        theta = np.concatenate([vec for _, vec in points])
+        u = np.empty((sum(len(self.items_by_split[n]) for names in runs for n in names), 2))
+        terms = None
+        if labels is not None:
+            split = runs[0][0]
+            n = len(self.items_by_split[split])
+            if n == 0:
+                raise EmptyEvalSet("no sentences to differentiate")
+            labels, terms = np.asarray(labels), []
+        for group, batch, dest in self._request(runs):
+            rows = () if labels is None else group.rows[split]
+            if not len(rows):
+                u[dest] = self._engine.batch_forward(batch, theta)
+                continue
+
+            def pull(chunk, u_chunk, rows=rows):
+                stop = min(chunk.stop, len(rows))
+                if stop <= chunk.start:
+                    return np.empty((0, 2))
+                return _pullback(u_chunk[: stop - chunk.start], labels[rows[chunk.start : stop]], n)
+
+            u[dest], group_terms = self._engine.batch_backward(batch, theta, pull)
+            terms.append((batch.gather, group_terms))
+        grad = None if terms is None else self._scatter(terms)
+        readouts, at = [], 0
+        for names in runs:
+            readouts.append([])
+            for name in names:
+                probs, degenerate = _readout(u[at : at + len(self.items_by_split[name])])
+                readouts[-1].append((probs, int(degenerate.sum())))
+                at += len(probs)
+        return grad, readouts
 
     def eval_split(self, name: str, theta: np.ndarray):
         """Probabilities of every row of the split and its degenerate count."""
-        probs, degenerate = _readout(self._forward(name, theta)[0])
-        return probs, int(degenerate.sum())
+        return self.evaluate([((name,), theta)])[1][0][0]
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
-        """Mean-loss gradient, one forward pass and one backward pass per
-        group, summed per parameter, then the probabilities and degenerate
-        count that :meth:`eval_split` returns."""
-        u, tapes = self._forward(name, theta)
-        probs, g_u, degenerate = _pullback(u, labels)
-        groups = self._groups(name)
-        terms = [self._engine.batch_backward(batch, theta, tape, g_u[rows])
-                 for (rows, batch), tape in zip(groups, tapes)]
-        return self._scatter(groups, terms), probs, int(degenerate.sum())
+        """Mean-loss gradient of the split, then the probabilities and
+        degenerate count that :meth:`eval_split` returns."""
+        grad, [[(probs, degenerate)]] = self.evaluate([((name,), theta)], labels)
+        return grad, probs, degenerate
 
-    def _scatter(self, groups, terms) -> np.ndarray:
+    def _scatter(self, terms) -> np.ndarray:
         """Sum every term into the parameter vector at the position its
-        ``batch.gather`` entry names.  A group's gather and terms iterate in
-        step (a circuit's by row, a network's by parameter position), and
-        the sum runs in order, so a position gathered twice (a word
-        repeated in a sentence) gets both terms."""
-        pairs = [(g, t) for (_, batch), ts in zip(groups, terms) for g, t in zip(batch.gather, ts)]
+        gather entry names.  A group's gather and terms iterate in step (a
+        circuit's by row, a network's by parameter position), and the sum
+        runs in order, so a position gathered twice (a word repeated in a
+        sentence) gets both terms."""
+        pairs = [(g[: len(t)], t) for gather, ts in terms for g, t in zip(gather, ts)]
         return np.bincount(np.concatenate([g.ravel() for g, _ in pairs]),
                            np.concatenate([t.ravel() for _, t in pairs]), self.n_params)
 
@@ -427,7 +558,7 @@ class TensorModel(_Model):
 
     def _compile_batch(self, nets, offsets):
         batch = super()._compile_batch(nets, offsets)
-        size = math.prod(batch.out_shape[1:])
+        size = math.prod(batch.out_shape)
         if size != 2:
             raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
         return batch
@@ -497,32 +628,41 @@ def fit(
         history.degenerate_evals += degenerate
         return probs, _split_loss(probs, labels, split, epoch)
 
+    def record_dev(readout, epoch: int) -> None:
+        probs, loss = score("dev", dev_labels, readout, epoch)
+        history.val_loss.append(loss)
+        history.val_acc.append(accuracy(probs, dev_labels))
+
     start = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             raise BudgetExceeded(
                 f"epoch {epoch}: exceeded budget of {budget_seconds:.0f} s"
             )
+        # dev at this epoch's parameters is the previous epoch's dev readout
         if spsa is not None:
-            readout = model.eval_split("train", theta)
+            plus, minus = spsa.probes(theta)
+            _, ((train, dev), (train_plus,), (train_minus,)) = model.evaluate(
+                [(("train", "dev"), theta), (("train",), plus), (("train",), minus)])
         else:
-            grad, *readout = model.grad_split("train", theta, train_labels)
-        probs, loss = score("train", train_labels, readout, epoch)
+            grad, ((train, dev),) = model.evaluate([(("train", "dev"), theta)], train_labels)
+        if epoch > 1:
+            record_dev(dev, epoch - 1)
+        probs, loss = score("train", train_labels, train, epoch)
         history.train_loss.append(loss)
         history.train_acc.append(accuracy(probs, train_labels))
 
         if spsa is not None:
-            theta = spsa.step(theta, lambda vec: score(
-                "train", train_labels, model.eval_split("train", vec), epoch)[1])
+            theta = spsa.step(theta, score("train", train_labels, train_plus, epoch)[1],
+                              score("train", train_labels, train_minus, epoch)[1])
         else:
             theta = adaptive.step(theta, grad)
 
-        probs, loss = score("dev", dev_labels, model.eval_split("dev", theta), epoch)
-        history.val_loss.append(loss)
-        history.val_acc.append(accuracy(probs, dev_labels))
-
+    # the closing call: the last epoch's dev readout and the test score
     test_labels = np.asarray(splits.test.labels())
-    test_probs, _ = score("test", test_labels, model.eval_split("test", theta), cfg.epochs)
+    _, ((dev, test),) = model.evaluate([(("dev", "test"), theta)])
+    record_dev(dev, cfg.epochs)
+    test_probs, _ = score("test", test_labels, test, cfg.epochs)
     history.test_acc = accuracy(test_probs, test_labels)
     history.final_params = theta
     return history

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with a different algorithm than the
 code under test: the reducer enumerates cup sets by free adjacent-pair choice
-instead of a stack scan, and the evaluator loops over explicit index
-assignments instead of calling einsum.  Slow is fine; these only ever see
-small inputs.
+instead of a stack scan, the evaluator loops over explicit index
+assignments instead of calling einsum, and the reference fit loop reads
+one split per model call instead of stacking splits and parameter points.
+Slow is fine; these only ever see small inputs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from qnlp import training
 from qnlp.pregroup import SimpleType, contractible
 
 
@@ -144,3 +146,54 @@ def five_point_difference(f: Callable[[np.ndarray], float], x: np.ndarray, h: fl
         e.flat[i] = h
         out[i] = (8 * (f(x + e) - f(x - e)) - (f(x + 2 * e) - f(x - 2 * e))) / (12 * h)
     return out
+
+
+def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
+    """The fit loop one split at a time, through ``eval_split`` and ``grad_split``.
+
+    Each epoch records train metrics at the current parameters (under
+    adaptive GD from the gradient pass), takes one optimizer step, then
+    evaluates dev at the new parameters; test is scored after the last
+    epoch.  SPSA scores each probe with its own train readout.  Every
+    readout's degenerate rows are counted, and every loss passes the same
+    checks as in ``training.fit``.
+    """
+    train_labels = np.asarray(splits.train.labels())
+    dev_labels = np.asarray(splits.dev.labels())
+    rng = np.random.default_rng(cfg.seed)
+    theta = model.init_params(rng)
+    history = training.History()
+    if isinstance(cfg.optimizer, training.SPSAConfig):
+        spsa, adaptive = training.SPSA(cfg.optimizer, model.n_params, cfg.epochs, rng), None
+    else:
+        spsa, adaptive = None, training.AdaptiveGD(cfg.optimizer, model.n_params)
+
+    def score(split, labels, readout, epoch):
+        probs, degenerate = readout
+        history.degenerate_evals += degenerate
+        return probs, training._split_loss(probs, labels, split, epoch)
+
+    for epoch in range(1, cfg.epochs + 1):
+        if spsa is not None:
+            readout = model.eval_split("train", theta)
+        else:
+            grad, *readout = model.grad_split("train", theta, train_labels)
+        probs, loss = score("train", train_labels, readout, epoch)
+        history.train_loss.append(loss)
+        history.train_acc.append(training.accuracy(probs, train_labels))
+        if spsa is not None:
+            plus, minus = spsa.probes(theta)
+            loss_plus = score("train", train_labels, model.eval_split("train", plus), epoch)[1]
+            loss_minus = score("train", train_labels, model.eval_split("train", minus), epoch)[1]
+            theta = spsa.step(theta, loss_plus, loss_minus)
+        else:
+            theta = adaptive.step(theta, grad)
+        probs, loss = score("dev", dev_labels, model.eval_split("dev", theta), epoch)
+        history.val_loss.append(loss)
+        history.val_acc.append(training.accuracy(probs, dev_labels))
+
+    test_labels = np.asarray(splits.test.labels())
+    probs, _ = score("test", test_labels, model.eval_split("test", theta), cfg.epochs)
+    history.test_acc = training.accuracy(probs, test_labels)
+    history.final_params = theta
+    return history

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qnlp import experiment
+from qnlp import experiment, training
 from qnlp.circuit import CircuitAnsatz, CircuitAnsatzConfig, circuit_from_json
 from qnlp.cli import main
 from qnlp.corpus import default_lexicon
@@ -164,6 +164,29 @@ class TestRunOne:
         assert lines[0] == "epoch,train_loss,val_loss,train_acc,val_acc"
         assert len(lines) == 4
 
+    def test_dataset_dir_edited_between_runs_is_read_afresh(self, tmp_path, monkeypatch):
+        # one process, one dataset path: the run after the edit must train
+        # on the edited sentences, though the parsed corpus of the run
+        # before it is still held
+        data = tmp_path / "data"
+        assert main(["dataset", "--seed", "1", "--sizes", "10", "4", "4",
+                     "--out", str(data)]) == 0
+        cfg = small_cfg(dataset_dir=str(data), epochs=2)
+
+        def params(root):
+            run_one(cfg, 0, root=tmp_path / root)
+            path = tmp_path / root / cfg.run_id(0) / "checkpoint.json"
+            return json.loads(path.read_text())["params"]
+
+        before = params("before")
+        # a repeated sentence: the same words in the same order of first use
+        first = (data / "train.tsv").read_text().splitlines()[0]
+        with (data / "train.tsv").open("a", encoding="utf-8") as fh:
+            fh.write(first + "\n")
+        after = params("after")
+        monkeypatch.setattr(training, "_front_end", None)  # as in a fresh process
+        assert after == params("fresh") != before
+
     def test_resume_returns_stored_summary(self, tmp_path):
         cfg = small_cfg()
         run_one(cfg, 0, root=tmp_path)
@@ -288,6 +311,23 @@ class TestSweepAndReport:
             else:
                 assert rot0 != "NaN"
         assert sorted(paths) == ["curves", "grid", "runs"]
+
+    def test_grid_averages_ok_runs_only(self, tmp_path):
+        # iqp/L1/r3: seed 0 ok and seed 1 aborted; sim15/L1/r3: its only
+        # seed aborted; iqp/L0/r0: untrainable
+        cfg = small_cfg(seeds=(0, 1))
+        ok = run_one(cfg, 0, root=tmp_path)
+        assert run_one(cfg, 1, root=tmp_path, budget_seconds=0.0)["status"] == "aborted"
+        assert run_one(small_cfg(ansatz="sim15"), 0, root=tmp_path,
+                       budget_seconds=0.0)["status"] == "aborted"
+        zero = run_one(small_cfg(n_layers=0, n_single_qubit_params=0), 0, root=tmp_path)
+        assert zero["status"] == "zero_params"
+        report(root=tmp_path)
+        with (tmp_path / "grid.csv").open(newline="") as fh:
+            grid = {(r["ansatz"], r["n_layers"]): r for r in csv.DictReader(fh)}
+        assert grid["iqp", "1"]["rot3"] == f"{ok['test_acc']:.6f}"
+        assert grid["sim15", "1"]["rot3"] == "none_ok"
+        assert grid["iqp", "0"]["rot0"] == "NaN"
 
     def test_grid_keeps_unlike_runs_apart(self, tmp_path):
         # two runs of one (ansatz, layers, rotations) cell that differ only

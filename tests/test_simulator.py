@@ -367,7 +367,7 @@ class TestBatchProperties:
         theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
         assert len({structure_key(c) for c in circuits}) == 1
         batch = compile_batch(circuits, offsets)
-        n, tape = batch_forward(batch, theta)
+        n = batch_forward(batch, theta)
         # a random upstream g_p on p = N / D per row, chained to N as the
         # model's pullback does; a degenerate row keeps g_p as drawn
         g_p = rng.normal(size=n.shape)
@@ -375,8 +375,15 @@ class TestBatchProperties:
         alive = d[:, 0] >= SURVIVAL_EPS
         p = n / np.where(alive[:, None], d, 1.0)
         upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
-        vjp = batch_backward(batch, theta, tape, upstream)
+        u, vjp = batch_backward(batch, theta, lambda rows, _: upstream[rows])
+        np.testing.assert_array_equal(u, n)  # the backward pass's own forward
         assert vjp.shape == batch.gather.shape
+        # pulling back only the leading rows reads the same terms for them
+        lead = len(circuits) - 1
+        u, led = batch_backward(batch, theta,
+                                lambda rows, _: upstream[rows][: max(0, lead - rows.start)])
+        np.testing.assert_array_equal(u, n)
+        np.testing.assert_array_equal(led, vjp[:lead])
         for r, c in enumerate(circuits):
             x = theta[[offsets[s] for s in c.symbols]]
             want = distribution_gradient(c, x)
@@ -394,7 +401,7 @@ class TestBatchProperties:
         # parameter of its own, differentiated numerically
         per_slot = replace(batch, gather=np.arange(vjp.size).reshape(vjp.shape))
         fd = five_point_difference(
-            lambda a: float((upstream * batch_forward(per_slot, a)[0]).sum()),
+            lambda a: float((upstream * batch_forward(per_slot, a)).sum()),
             theta[batch.gather].ravel(),
         )
         np.testing.assert_allclose(vjp.ravel(), fd, rtol=0, atol=1e-6)

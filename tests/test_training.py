@@ -17,10 +17,12 @@ from qnlp.circuit import (
     GateKind,
     Symbol,
     ZeroParameterModel,
+    circuit_to_json,
+    compile_circuit,
 )
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
 from qnlp.errors import Error
-from qnlp.pregroup import parse_sentence
+from qnlp.pregroup import Lexicon, UnknownWord, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
     WrongOutputArity,
@@ -56,7 +58,7 @@ from qnlp.training import (
     summarize,
 )
 
-from oracles import finite_difference
+from oracles import finite_difference, reference_fit
 
 
 def tiny_splits() -> CorpusSplits:
@@ -178,14 +180,17 @@ class TestSpsa:
             probes.append(v.copy())
             return 0.0
 
+        def step(theta):
+            return opt.step(theta, *(flat(v) for v in opt.probes(theta)))
+
         theta = np.zeros(4)
-        after = opt.step(theta, flat)
+        after = step(theta)
         np.testing.assert_allclose(after, theta)
         assert len(probes) == 2
         np.testing.assert_allclose(np.abs(probes[0]), 0.15)
         np.testing.assert_allclose(probes[0], -probes[1])
 
-        opt.step(theta, flat)
+        step(theta)
         np.testing.assert_allclose(np.abs(probes[2]), 0.15 / 2**0.101)
 
     def test_descends_a_quadratic(self):
@@ -197,7 +202,8 @@ class TestSpsa:
             theta = np.zeros(3)
             start = float(np.sum((theta - target) ** 2))
             for _ in range(30):
-                theta = opt.step(theta, lambda v: float(np.sum((v - target) ** 2)))
+                plus, minus = opt.probes(theta)
+                theta = opt.step(theta, *(float(np.sum((v - target) ** 2)) for v in (plus, minus)))
             wins += int(np.sum((theta - target) ** 2) < start)
         assert wins >= 4
 
@@ -214,6 +220,28 @@ class TestAdaptiveGd:
         for _ in range(500):
             theta = opt.step(theta, 2.0 * (theta - target))
         np.testing.assert_allclose(theta, target, atol=1e-4)
+
+
+class SplitModel:
+    """A stand-in model that serves ``fit``'s requests one split at a time
+    from its ``eval_split`` and, for the differentiated split, ``grad_split``."""
+
+    n_params = 2
+
+    def init_params(self, rng):
+        return np.zeros(2)
+
+    def evaluate(self, points, labels=None):
+        grad, readouts = None, []
+        for k, (names, theta) in enumerate(points):
+            readouts.append([])
+            for j, name in enumerate(names):
+                if labels is not None and k == j == 0:
+                    grad, *readout = self.grad_split(name, theta, labels)
+                else:
+                    readout = self.eval_split(name, theta)
+                readouts[-1].append(tuple(readout))
+        return grad, readouts
 
 
 class TestCircuitFit:
@@ -258,12 +286,7 @@ class TestCircuitFit:
             )
 
     def test_non_finite_loss_detected(self):
-        class BrokenModel:
-            n_params = 2
-
-            def init_params(self, rng):
-                return np.zeros(2)
-
+        class BrokenModel(SplitModel):
             def eval_split(self, name, theta):
                 return np.full((2, 2), np.nan), 0
 
@@ -271,13 +294,8 @@ class TestCircuitFit:
             fit(BrokenModel(), tiny_splits(), TrainConfig(epochs=1))
 
     def test_non_finite_test_split_detected(self):
-        class NanTestSplitModel:
+        class NanTestSplitModel(SplitModel):
             # finite on train and dev, NaN only when the test split is scored
-            n_params = 2
-
-            def init_params(self, rng):
-                return np.zeros(2)
-
             def eval_split(self, name, theta):
                 rows = len(getattr(tiny_splits(), name))
                 return np.full((rows, 2), np.nan if name == "test" else 0.5), 0
@@ -290,12 +308,7 @@ class TestCircuitFit:
                 fit(NanTestSplitModel(), tiny_splits(), TrainConfig(epochs=1, optimizer=optimizer))
 
     def test_row_count_mismatch_names_the_split(self):
-        class OneRowModel:
-            n_params = 2
-
-            def init_params(self, rng):
-                return np.zeros(2)
-
+        class OneRowModel(SplitModel):
             def eval_split(self, name, theta):
                 return np.full((1, 2), 0.5), 0
 
@@ -303,13 +316,8 @@ class TestCircuitFit:
             fit(OneRowModel(), tiny_splits(), TrainConfig(epochs=1))
 
     def test_spsa_probe_row_count_checked(self):
-        class ProbeBreaksModel:
+        class ProbeBreaksModel(SplitModel):
             # four rows at the initial parameters, one row at any probe
-            n_params = 2
-
-            def init_params(self, rng):
-                return np.zeros(2)
-
             def eval_split(self, name, theta):
                 rows = 4 if not theta.any() else 1
                 return np.full((rows, 2), 0.5), 0
@@ -322,13 +330,8 @@ class TestCircuitFit:
         (np.full((1, 2), 0.5), Error, "train split"),
     ], ids=["nan", "row_count"])
     def test_gd_train_readout_is_checked(self, train_probs, error, match):
-        class GradReadoutModel:
+        class GradReadoutModel(SplitModel):
             # dev and test read out fine; only the gradient pass is broken
-            n_params = 2
-
-            def init_params(self, rng):
-                return np.zeros(2)
-
             def eval_split(self, name, theta):
                 return np.full((len(getattr(tiny_splits(), name)), 2), 0.5), 0
 
@@ -340,14 +343,9 @@ class TestCircuitFit:
                 TrainConfig(epochs=1, optimizer=AdaptiveGDConfig()))
 
     def test_gd_epoch_reads_train_from_the_gradient_pass(self):
-        class CountingModel:
-            n_params = 2
-
+        class CountingModel(SplitModel):
             def __init__(self):
                 self.evaluated = []
-
-            def init_params(self, rng):
-                return np.zeros(2)
 
             def eval_split(self, name, theta):
                 self.evaluated.append(name)
@@ -359,7 +357,9 @@ class TestCircuitFit:
 
         model = CountingModel()
         h = fit(model, tiny_splits(), TrainConfig(epochs=3, optimizer=AdaptiveGDConfig()))
-        assert model.evaluated == ["dev", "dev", "dev", "test"]
+        # dev beside train in each epoch's call (the first epoch's, at the
+        # initial parameters, unrecorded), then dev and test in the closing call
+        assert model.evaluated == ["dev", "dev", "dev", "dev", "test"]
         labels = tiny_splits().train.labels()
         want = bce_loss(np.array([[0.2, 0.8]] * 4), labels).mean()
         assert h.train_loss == [want] * 3
@@ -463,8 +463,10 @@ class TestCircuitBatching:
         model = CircuitModel.build(
             pattern_splits(), default_lexicon(), RewriteScheme.RE, ansatz
         )
-        assert [len(rows) for rows, _ in model._groups("train")] == [2, 2, 2, 2]
-        assert len(model._groups("dev")) == 2
+        groups = model._groups()
+        assert [len(g.rows["train"]) for g in groups] == [2, 2, 2, 2]
+        assert [len(g.rows["dev"]) for g in groups] == [1, 0, 0, 1]
+        assert [len(g.rows["test"]) for g in groups] == [0, 1, 1, 0]
 
     def test_group_wider_than_one_chunk(self, rng, monkeypatch):
         # a chunk of one 9-qubit row, so the gradient's forward pass and
@@ -473,8 +475,9 @@ class TestCircuitBatching:
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
         splits = pattern_splits()
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        rows, batch = max(model._groups("train"), key=lambda g: g[1].n_qubits)
-        assert batch.n_qubits == 9 and len(rows) == 2
+        group = max(model._groups(), key=lambda g: g.batch.n_qubits)
+        batch = group.batch
+        assert batch.n_qubits == 9 and len(group.rows["train"]) == 2
         assert 2**batch.n_qubits == simulator.BATCH_AMPLITUDES
         theta = model.init_params(rng)
         labels = splits.train.labels()
@@ -490,11 +493,11 @@ class TestCircuitBatching:
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        groups = model._groups("train")
-        assert [len(rows) for rows, _ in groups] == [3, 2, 2, 2]
+        groups = model._groups()
+        assert [len(g.rows["train"]) for g in groups] == [3, 2, 2, 2]
         last = len(splits.train) - 1
-        ((rows, batch),) = [g for g in groups if last in g[0]]
-        slots = batch.gather[list(rows).index(last)].tolist()
+        (group,) = [g for g in groups if last in g.rows["train"]]
+        slots = group.batch.gather[list(group.rows["train"]).index(last)].tolist()
         man = [model._slices[s].start for s in model.symbols if s.word == "man"]
         assert man and [slots.count(i) for i in man] == [2] * len(man)
         theta = model.init_params(rng)
@@ -607,8 +610,8 @@ class TestTensorBatching:
                                   TensorAnsatzConfig(kind))
         # the sentence batches with "man cooks meal", its subject and
         # object positions gathering one tensor
-        (rows, batch), = [g for g in model._groups("train") if 8 in g[0]]
-        r = list(rows).index(8)
+        group, = [g for g in model._groups() if 8 in g.rows["train"]]
+        r, batch = list(group.rows["train"]).index(8), group.batch
         assert sum(np.array_equal(g[r], batch.gather[0][r]) for g in batch.gather) == 2
         theta = model.init_params(rng)
         labels = splits.train.labels()
@@ -621,9 +624,10 @@ class TestTensorBatching:
         model = TensorModel.build(generate_mc(0), default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
         assert not model._batches  # compiled on first use, not at build
+        groups = model._groups()
+        assert len(groups) == 4 and model._groups() is groups is model._batches
         for name in ("train", "dev", "test"):
-            assert len(model._groups(name)) == 4
-            assert model._groups(name) is model._batches[name]
+            assert all(len(g.rows[name]) for g in groups)
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_one_path_search_per_group(self, kind, monkeypatch, rng):
@@ -637,7 +641,7 @@ class TestTensorBatching:
             return np.einsum_path(*args, **kwargs)
 
         monkeypatch.setattr(tensornet, "np", numpy_with(einsum_path=counting_search))
-        assert len(model._groups("train")) == len(searches) == 4
+        assert len(model._groups()) == len(searches) == 4
 
         def no_search(*args, **kwargs):
             raise AssertionError("contraction path searched after compile")
@@ -677,10 +681,11 @@ class TestBatchLifecycle:
         model = make()
         assert not model._batches  # nothing compiled at build
         model.eval_split("dev", model.init_params(rng))
-        assert list(model._batches) == ["dev"]
-        for name in ("train", "dev", "test"):
-            groups = model._groups(name)
-            assert model._groups(name) is groups is model._batches[name]
+        groups = model._batches
+        assert model._groups() is groups
+        for name, items in model.items_by_split.items():  # every split's rows
+            rows = np.concatenate([g.rows[name] for g in groups])
+            assert sorted(rows) == list(range(len(items)))
 
     def test_rows_grouped_in_order_of_first_appearance(self):
         theta, other = Symbol("w", "->s", 0), Symbol("x", "->s", 0)
@@ -689,10 +694,13 @@ class TestBatchLifecycle:
             return Circuit(1, (Gate(kind, (0,), sym),), (), (0,), (sym,))
 
         a, b = one_gate(GateKind.RX, theta), one_gate(GateKind.RX, other)
-        c = one_gate(GateKind.RY, other)
-        groups = CircuitModel({"train": [a, c, b]})._groups("train")
-        assert [rows.tolist() for rows, _ in groups] == [[0, 2], [1]]
-        assert groups[0][1].gather.tolist() == [[0], [1]]
+        c, d = one_gate(GateKind.RY, other), one_gate(GateKind.RZ, theta)
+        # over all splits, in order of first use with train first; a
+        # group's train rows lead its batch
+        groups = CircuitModel({"train": [a, c, b], "dev": [d, b]})._groups()
+        assert [g.rows["train"].tolist() for g in groups] == [[0, 2], [1], []]
+        assert [g.rows["dev"].tolist() for g in groups] == [[1], [], [0]]
+        assert groups[0].batch.gather.tolist() == [[0], [1], [1]]
 
 
 class TestTensorFit:
@@ -801,6 +809,176 @@ class TestModelSurface:
             TensorModel({"train": narrow, "dev": wide})
 
 
+def assert_same_history(h: History, ref: History) -> None:
+    """Bit for bit: losses, accuracies, degenerate count, test accuracy, final θ."""
+    for field in ("train_loss", "val_loss", "train_acc", "val_acc", "test_acc", "final_params"):
+        got, want = np.asarray(getattr(h, field)), np.asarray(getattr(ref, field))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+    assert h.degenerate_evals == ref.degenerate_evals
+
+
+OPTIMIZERS = (SPSAConfig(), AdaptiveGDConfig())
+
+
+class TestFitMatchesReference:
+    """``fit`` stacks splits and SPSA probes into one call per group; the
+    reference loop reads one split per call.  Their histories agree bit for
+    bit."""
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=("spsa", "gd"))
+    @pytest.mark.parametrize("backend, kind, scheme", [
+        ("circuit", "sim15", "re_norm_cur_norm"),
+        ("circuit", "iqp", "re"),
+        ("tensor", "tensor", "re_norm_cur_norm"),
+        ("tensor", "mps", "re"),
+        ("tensor", "spider", "re"),
+    ])
+    def test_families_and_optimizers(self, backend, kind, scheme, optimizer):
+        splits = generate_mc(1)
+        if backend == "circuit":
+            build = lambda: CircuitModel.build(splits, default_lexicon(), RewriteScheme(scheme),
+                                               CircuitAnsatzConfig(CircuitAnsatz(kind), 1))
+        else:
+            build = lambda: TensorModel.build(splits, default_lexicon(), RewriteScheme(scheme),
+                                              TensorAnsatzConfig(TensorAnsatz(kind)))
+        cfg = TrainConfig(epochs=6, seed=2, optimizer=optimizer)
+        assert_same_history(fit(build(), splits, cfg), reference_fit(build(), splits, cfg))
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=("spsa", "gd"))
+    def test_groups_spanning_several_chunks(self, optimizer, monkeypatch):
+        # 8 rows per 9-qubit chunk: the 9-qubit group's 25 train rows end in
+        # a chunk that also holds dev rows
+        monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 2**12)
+        splits = generate_mc(2)
+        ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, 1)
+        model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
+        wide = [g for g in model._groups() if g.batch.n_qubits == 9]
+        assert [(len(g.rows["train"]), len(g.rows["dev"])) for g in wide] == [(25, 4)]
+        cfg = TrainConfig(epochs=3, seed=1, optimizer=optimizer)
+        ref = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
+        assert_same_history(fit(model, splits, cfg), reference_fit(ref, splits, cfg))
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=("spsa", "gd"))
+    @pytest.mark.parametrize("family", ("circuit", "tensor"))
+    def test_repeated_word(self, family, optimizer):
+        splits = pattern_splits(extra_train=[("man cooks man", 1)])
+
+        def build():
+            if family == "circuit":
+                return CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE,
+                                          CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1))
+            return TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
+                                     TensorAnsatzConfig(TensorAnsatz.MPS))
+
+        cfg = TrainConfig(epochs=5, seed=0, optimizer=optimizer)
+        assert_same_history(fit(build(), splits, cfg), reference_fit(build(), splits, cfg))
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=("spsa", "gd"))
+    def test_degenerate_readout(self, optimizer):
+        # RX(pi) on the postselected qubit annihilates every row of one
+        # structure at any parameters; the other structure stays alive
+        def dead(word):
+            w = Symbol(word, "->s", 0)
+            gates = (Gate(GateKind.RX, (0,), w), Gate(GateKind.RX, (1,), np.pi))
+            return Circuit(2, gates, postselect=(1,), outputs=(0,), symbols=(w,))
+
+        def alive(word):
+            v = Symbol(word, "->s", 0)
+            return Circuit(1, (Gate(GateKind.RY, (0,), v),), (), (0,), (v,))
+
+        def build():
+            return CircuitModel({"train": [dead("a"), alive("b"), alive("c"), dead("d")],
+                                 "dev": [alive("b"), dead("a")], "test": [dead("e"), alive("c")]})
+
+        cfg = TrainConfig(epochs=4, seed=0, optimizer=optimizer)
+        h = fit(build(), tiny_splits(), cfg)
+        assert h.degenerate_evals > 0
+        assert_same_history(h, reference_fit(build(), tiny_splits(), cfg))
+
+    def test_paper_cell_at_full_length(self):
+        # sim14/L2/r2, 120 SPSA epochs, as in the default sweep
+        splits = generate_mc(0)
+        ansatz = CircuitAnsatzConfig(CircuitAnsatz.SIM14, 2, 2)
+
+        def build():
+            return CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE_NORM_CUR_NORM,
+                                      ansatz)
+
+        cfg = TrainConfig(epochs=120, seed=0, optimizer=SPSAConfig())
+        assert_same_history(fit(build(), splits, cfg), reference_fit(build(), splits, cfg))
+
+
+class TestFrontEndMemo:
+    """The parsed and rewritten diagrams of the most recent corpus."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(training, "_front_end", None)
+
+    @staticmethod
+    def fresh(splits, lexicon, scheme):
+        return {lset.name: [rewrite(parse_sentence(list(ws), lexicon), scheme)
+                            for ws in lset.sentences()] for lset in splits}
+
+    def test_lexicon_types_are_part_of_the_key(self, toy_lexicon):
+        splits = CorpusSplits(*(LabeledSet(name, ((("Alice", "likes", "Bob"), 1),))
+                                for name in ("train", "dev", "test")))
+        # the same words under other types: s.n^l . n.n^l . n reduces to s
+        other = Lexicon.from_expressions({"Alice": "s@n.l", "likes": "n@n.l", "Bob": "n"})
+        first = training._diagrams(splits, toy_lexicon, RewriteScheme.RE)
+        second = training._diagrams(splits, other, RewriteScheme.RE)
+        assert first == self.fresh(splits, toy_lexicon, RewriteScheme.RE)
+        assert second == self.fresh(splits, other, RewriteScheme.RE)
+        assert first != second
+
+    def test_scheme_is_part_of_the_key(self, mc_lexicon):
+        splits = pattern_splits()
+        plain = training._diagrams(splits, mc_lexicon, RewriteScheme.RE)
+        normal = training._diagrams(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM)
+        assert plain == self.fresh(splits, mc_lexicon, RewriteScheme.RE)
+        assert normal == self.fresh(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM)
+        assert plain != normal
+
+    def test_one_corpus_held(self, mc_lexicon, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(training, "parse_sentence",
+                            lambda words, lex: parsed.append(words) or parse_sentence(words, lex))
+        a, b = pattern_splits(), tiny_splits()
+        first = training._diagrams(a, mc_lexicon, RewriteScheme.RE)
+        assert training._diagrams(a, mc_lexicon, RewriteScheme.RE) is first  # a hit
+        n = sum(len(lset) for lset in a)
+        assert len(parsed) == n
+        training._diagrams(b, mc_lexicon, RewriteScheme.RE)
+        assert training._front_end[1] == self.fresh(b, mc_lexicon, RewriteScheme.RE)
+        again = training._diagrams(a, mc_lexicon, RewriteScheme.RE)  # b pushed a out
+        assert again is not first and again == first
+        assert len(parsed) == 2 * n + sum(len(lset) for lset in b)
+
+    def test_unknown_word_is_not_cached(self, mc_lexicon):
+        good = pattern_splits()
+        held = training._diagrams(good, mc_lexicon, RewriteScheme.RE)
+        bad = CorpusSplits(LabeledSet("train", ((("man", "juggles", "meal"), 1),)),
+                           good.dev, good.test)
+        for _ in range(2):  # raised afresh, not served from the memo
+            with pytest.raises(UnknownWord, match="juggles"):
+                training._diagrams(bad, mc_lexicon, RewriteScheme.RE)
+            assert training._front_end[1] is held
+
+    @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
+    def test_compiled_circuits_identical_on_hit_and_miss(self, kind, mc_lexicon):
+        splits = generate_mc(3)
+        ansatz = CircuitAnsatzConfig(kind, 1, 2)
+        scheme = RewriteScheme.RE_NORM_CUR_NORM
+        miss = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
+        key = training._front_end[0]
+        hit = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
+        assert training._front_end[0] is key
+        for name, circuits in miss.items():
+            assert [circuit_to_json(c) for c in hit[name]] == [circuit_to_json(c) for c in circuits]
+            fresh = [compile_circuit(d, ansatz) for d in self.fresh(splits, mc_lexicon, scheme)[name]]
+            assert [circuit_to_json(c) for c in fresh] == [circuit_to_json(c) for c in circuits]
+
+
 class TestTracerContract:
     """The benchmark's traced run patches these names where they are looked up."""
 
@@ -833,27 +1011,35 @@ class TestTracerContract:
     @pytest.mark.parametrize("optimizer", (SPSAConfig(), AdaptiveGDConfig()), ids=("spsa", "gd"))
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
     def test_tracer_records_a_fit(self, make, optimizer):
+        cfg = TrainConfig(epochs=2, optimizer=optimizer)
         with self.tracing().Tracer() as tr:
             model = make()
-            h = training.fit(model, tiny_splits(), TrainConfig(epochs=2, optimizer=optimizer))
-        gd = isinstance(optimizer, AdaptiveGDConfig)
+            h = training.fit(model, tiny_splits(), cfg)
         assert len(tr.named("training.build")) == 1
         assert len(tr.named("training.fit")) == 1
         assert len(tr.named("training.step")) == 2
-        # per epoch dev, plus train and both probes under SPSA; then test
+        # fit stacks its splits and points into one request per epoch, so
+        # the per-split methods the tracer wraps are not called
+        assert not tr.named("training.eval_split") and not tr.named("training.grad_split")
+        # the reference loop reads one split per call: per epoch dev, plus
+        # train and both probes under SPSA; then test
+        with self.tracing().Tracer() as tr:
+            ref = reference_fit(model, tiny_splits(), cfg)
+        gd = isinstance(optimizer, AdaptiveGDConfig)
         assert len(tr.named("training.eval_split")) == 2 * (1 if gd else 4) + 1
         grads = tr.named("training.grad_split")
         assert len(grads) == (2 if gd else 0)
         spans = tr.named("training.eval_split") + grads
         assert all(s.info[:2] == (type(model).__name__, 4) for s in grads)
-        assert sum(s.info[-1] for s in spans) == h.degenerate_evals
+        assert sum(s.info[-1] for s in spans) == ref.degenerate_evals == h.degenerate_evals
 
     def test_tracer_reads_the_degenerate_count_of_grad_split(self, monkeypatch):
         # zero tensors read out every row as degenerate, and their gradient
         # is zero, so every epoch's gradient pass counts all four rows
         monkeypatch.setattr(TensorModel, "init_params", lambda self, rng: np.zeros(self.n_params))
+        cfg = TrainConfig(epochs=2, optimizer=AdaptiveGDConfig())
         with self.tracing().Tracer() as tr:
-            h = training.fit(tensor_model(), tiny_splits(),
-                             TrainConfig(epochs=2, optimizer=AdaptiveGDConfig()))
+            ref = reference_fit(tensor_model(), tiny_splits(), cfg)
         assert [s.info for s in tr.named("training.grad_split")] == [("TensorModel", 4, 4)] * 2
-        assert h.degenerate_evals == 2 * 4 + 2 * 2 + 2  # train, dev, test
+        h = training.fit(tensor_model(), tiny_splits(), cfg)
+        assert h.degenerate_evals == ref.degenerate_evals == 2 * 4 + 2 * 2 + 2  # train, dev, test
