@@ -24,6 +24,11 @@ Block layouts per ansatz family, on ``k`` qubits:
 Every rotation angle is a named :class:`Symbol` ``(word, type fingerprint,
 index)``; equal words with equal types share symbols, within a sentence and
 across a corpus, which is what ties weights during training.
+
+:func:`compile_circuit` is :func:`layout`, the ansatz-free work (validation,
+the cap and ``MAX_QUBITS`` checks, and placing every box and cup on qubits),
+then :func:`lower`, which emits the gates under one config; the layouts of
+a corpus serve every config of a sweep.
 """
 
 from __future__ import annotations
@@ -204,8 +209,20 @@ def cup_block(q1: int, q2: int) -> tuple[list[Gate], list[int]]:
 # -- compilation ----------------------------------------------------------
 
 
-def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
-    """Lower a diagram to a parameterized circuit under the given ansatz."""
+@dataclass(frozen=True)
+class Layout:
+    """A diagram's circuit without its gates: each box's ``(word, type
+    fingerprint, block qubits)`` in topological order and each cup's qubits."""
+
+    n_qubits: int
+    blocks: tuple[tuple[str, str, tuple[int, ...]], ...]
+    cups: tuple[tuple[int, int], ...]
+    postselect: tuple[int, ...]
+    outputs: tuple[int, ...]
+
+
+def layout(d: Diagram) -> Layout:
+    """Check a diagram and place its boxes and cups on qubits."""
     violations = validate(d)
     if violations:
         raise InvalidDiagram(violations)
@@ -214,11 +231,9 @@ def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
                     "run the normal-form pass first")
 
     wire_qubit: dict[int, int] = {}
-    gates: list[Gate] = []
-    symbols: dict[Symbol, None] = {}  # first-appearance order
+    blocks = []
     postselect: set[int] = set()
     n_qubits = 0
-
     for b in d.topological_boxes():
         box = d.boxes[b]
         qubits = [wire_qubit[w] for w in d.dom_wires(b)]
@@ -231,30 +246,37 @@ def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
         cod = d.cod_wires(b)
         wire_qubit.update(zip(cod, qubits))
         postselect.update(qubits[len(cod):])
-        block_gates, block_symbols = word_block(
-            box.name, type_fingerprint(box), tuple(qubits), cfg
-        )
-        gates.extend(block_gates)
-        symbols.update(dict.fromkeys(block_symbols))
+        blocks.append((box.name, type_fingerprint(box), tuple(qubits)))
     if n_qubits > MAX_QUBITS:
         raise WidthOverflow(f"diagram needs {n_qubits} qubits, limit is {MAX_QUBITS}")
 
-    for wl, wr in d.cup_pairs():
-        cup_gates, cup_post = cup_block(wire_qubit[wl], wire_qubit[wr])
-        gates.extend(cup_gates)
-        postselect.update(cup_post)
+    cups = tuple((wire_qubit[wl], wire_qubit[wr]) for wl, wr in d.cup_pairs())
+    postselect.update(q for pair in cups for q in pair)
+    return Layout(n_qubits, tuple(blocks), cups, tuple(sorted(postselect)),
+                  tuple(wire_qubit[w] for w in d.open_wires()))
 
+
+def lower(lay: Layout, cfg: CircuitAnsatzConfig, blocks: dict | None = None) -> Circuit:
+    """Emit a layout's gates under an ansatz; ``blocks`` memoizes
+    :func:`word_block` on ``(word, fingerprint, qubits)`` under one config."""
+    blocks = {} if blocks is None else blocks
+    gates: list[Gate] = []
+    symbols: dict[Symbol, None] = {}  # first-appearance order
+    for key in lay.blocks:
+        if key not in blocks:
+            blocks[key] = word_block(*key, cfg)
+        gates.extend(blocks[key][0])
+        symbols.update(dict.fromkeys(blocks[key][1]))
+    for q1, q2 in lay.cups:
+        gates.extend(cup_block(q1, q2)[0])
     if not symbols:
-        raise ZeroParameterModel(
-            "no trainable parameters: every block in the circuit is empty"
-        )
-    return Circuit(
-        n_qubits=n_qubits,
-        gates=tuple(gates),
-        postselect=tuple(sorted(postselect)),
-        outputs=tuple(wire_qubit[w] for w in d.open_wires()),
-        symbols=tuple(symbols),
-    )
+        raise ZeroParameterModel("no trainable parameters: every block in the circuit is empty")
+    return Circuit(lay.n_qubits, tuple(gates), lay.postselect, lay.outputs, tuple(symbols))
+
+
+def compile_circuit(d: Diagram, cfg: CircuitAnsatzConfig) -> Circuit:
+    """Lower a diagram to a parameterized circuit under the given ansatz."""
+    return lower(layout(d), cfg)
 
 
 # -- serialization --------------------------------------------------------

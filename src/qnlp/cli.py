@@ -154,6 +154,8 @@ def _cmd_sweep(args) -> int:
     for flag, value in (("--max-layers", args.max_layers), ("--max-rotations", args.max_rotations)):
         if value < 0:
             raise ConfigError(f"{flag} must be non-negative, got {value}")
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cells = experiment.sweep_cells(
         scheme=args.scheme,
         ansatze=tuple(args.ansatze.split(",")),

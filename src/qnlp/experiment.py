@@ -450,8 +450,9 @@ def run_sweep(
 ) -> list[dict]:
     """Run all (cell, seed) pairs, in a process pool when workers > 1.
 
-    Completed runs (summary.json on disk) are skipped, except those recorded
-    as ``error``, so an interrupted sweep picks up where it stopped.
+    The pool has no more workers than there are pairs.  Completed runs
+    (summary.json on disk) are skipped, except those recorded as
+    ``error``, so an interrupted sweep picks up where it stopped.
     """
     base = results_root(root)
     base.mkdir(parents=True, exist_ok=True)
@@ -462,6 +463,7 @@ def run_sweep(
     ]
     if workers is None:
         workers = os.cpu_count() or 1
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [_sweep_worker(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -357,6 +357,29 @@ class TestSweepAndReport:
         assert second[0]["note"] == "from first pass"
         assert first[0]["status"] == "ok"
 
+    def test_pool_has_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
+        pools = []
+
+        class Pool:  # records its size and runs the jobs in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
+        cells = [small_cfg(epochs=1), small_cfg(epochs=2)]
+        summaries = run_sweep(cells, root=tmp_path / "two", workers=8)
+        assert pools == [2]
+        assert [s["status"] for s in summaries] == ["ok", "ok"]
+        run_sweep(cells[:1], root=tmp_path / "one", workers=8)
+        assert pools == [2]  # one job runs without a pool
+
     def test_report_empty_root(self, tmp_path):
         with pytest.raises(EmptyResults):
             report(root=tmp_path / "nothing")
@@ -548,6 +571,8 @@ class TestCli:
         ["sweep", "--budget-per-cell", "-1"],
         ["sweep", "--budget-per-cell", "0"],
         ["sweep", "--budget-per-cell", "nan"],
+        ["sweep", "--workers", "0"],
+        ["sweep", "--workers", "-2"],
         ["train", "--budget", "nan"],
         ["train", "--budget", "inf"],
         ["train", "--budget", "-2"],

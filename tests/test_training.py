@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import itertools
 import types
 from pathlib import Path
 
@@ -17,19 +19,20 @@ from qnlp.circuit import (
     GateKind,
     Symbol,
     ZeroParameterModel,
-    circuit_to_json,
+    circuit_to_dict,
     compile_circuit,
 )
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
+from qnlp.diagram import Port, Wire, validate
 from qnlp.errors import Error
-from qnlp.pregroup import Lexicon, UnknownWord, parse_sentence
+from qnlp.pregroup import N, Lexicon, UnknownWord, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
     WrongOutputArity,
     distribution_gradient,
     sentence_distribution,
 )
-from qnlp import simulator, tensornet, training
+from qnlp import circuit, simulator, tensornet, training
 from qnlp.tensornet import (
     TensorAnsatz,
     TensorAnsatzConfig,
@@ -967,16 +970,71 @@ class TestFrontEndMemo:
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
     def test_compiled_circuits_identical_on_hit_and_miss(self, kind, mc_lexicon):
         splits = generate_mc(3)
-        ansatz = CircuitAnsatzConfig(kind, 1, 2)
-        scheme = RewriteScheme.RE_NORM_CUR_NORM
-        miss = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
-        key = training._front_end[0]
-        hit = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
-        assert training._front_end[0] is key
-        for name, circuits in miss.items():
-            assert [circuit_to_json(c) for c in hit[name]] == [circuit_to_json(c) for c in circuits]
-            fresh = [compile_circuit(d, ansatz) for d in self.fresh(splits, mc_lexicon, scheme)[name]]
-            assert [circuit_to_json(c) for c in fresh] == [circuit_to_json(c) for c in circuits]
+        for scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM):
+            training._front_end = None  # the scheme's first build is a miss
+            fresh = self.fresh(splits, mc_lexicon, scheme)
+            for layers, rots in itertools.product(range(3), range(3)):
+                ansatz = CircuitAnsatzConfig(kind, layers, rots)
+                if layers == rots == 0:
+                    for _ in range(2):
+                        with pytest.raises(ZeroParameterModel):
+                            CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+                    continue
+                first = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
+                key = training._front_end[0]
+                again = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
+                assert training._front_end[0] is key
+                # equal dicts serialize to equal JSON, and are faster to compare
+                for name, circuits in first.items():
+                    want = [circuit_to_dict(compile_circuit(d, ansatz)) for d in fresh[name]]
+                    assert [circuit_to_dict(c) for c in circuits] == want
+                    assert [circuit_to_dict(c) for c in again[name]] == want
+
+    def test_layouts_made_once_and_lowered_per_config(self, mc_lexicon, monkeypatch):
+        validated = []
+        monkeypatch.setattr(circuit, "validate", lambda d: validated.append(d) or validate(d))
+        splits, scheme = pattern_splits(), RewriteScheme.RE_NORM_CUR_NORM
+        # the second config differs in its one-qubit blocks only, the third in all
+        configs = [CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 2),
+                   CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 1),
+                   CircuitAnsatzConfig(CircuitAnsatz.SIM14, 2, 1)]
+        models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
+        assert len(validated) == sum(len(lset) for lset in splits)
+        fresh = self.fresh(splits, mc_lexicon, scheme)
+        for cfg, model in zip(configs, models):
+            for name, circuits in model.items_by_split.items():
+                assert [circuit_to_dict(c) for c in circuits] == [
+                    circuit_to_dict(compile_circuit(d, cfg)) for d in fresh[name]]
+        assert models[0].n_params != models[1].n_params != models[2].n_params
+
+    @staticmethod
+    def capped(d):
+        """``d`` with a cap whose legs are two more outputs: valid, not compilable."""
+        o = d.n_outputs
+        legs = (Wire(N.r, Port("cap", 0, 0), Port("out", o)),
+                Wire(N, Port("cap", 0, 1), Port("out", o + 1)))
+        return dataclasses.replace(d, wires=d.wires + legs, n_caps=1, n_outputs=o + 2)
+
+    @pytest.mark.parametrize("fault", ("invalid", "cap", "width", "zero_params"))
+    def test_build_raises_what_compile_circuit_raises(self, fault, mc_lexicon, monkeypatch):
+        splits, scheme = pattern_splits(), RewriteScheme.RE
+        ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, 0 if fault == "zero_params" else 1,
+                                     0 if fault == "zero_params" else 2)
+        if fault == "width":  # the two 5-qubit sentences lay out, the third overflows
+            monkeypatch.setattr(circuit, "MAX_QUBITS", 6)
+        breaks = {"invalid": lambda d: dataclasses.replace(d, n_outputs=d.n_outputs + 1),
+                  "cap": self.capped}.get(fault, lambda d: d)
+        fresh = [breaks(d) for ds in self.fresh(splits, mc_lexicon, scheme).values()
+                 for d in ds]
+        monkeypatch.setattr(training, "rewrite", lambda d, s: breaks(rewrite(d, s)))
+        with pytest.raises(Error) as first:  # the first sentence that fails
+            for d in fresh:
+                compile_circuit(d, ansatz)
+        want = first.value
+        for _ in range(2):  # raised afresh, not served from the memo
+            with pytest.raises(Error) as got:
+                CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+            assert (type(got.value), str(got.value)) == (type(want), str(want))
 
 
 class TestTracerContract:
