@@ -27,8 +27,10 @@ across a corpus, which is what ties weights during training.
 
 :func:`compile_circuit` is :func:`layout`, the ansatz-free work (validation,
 the cap and ``MAX_QUBITS`` checks, and placing every box and cup on qubits),
-then :func:`lower`, which emits the gates under one config; the layouts of
-a corpus serve every config of a sweep.
+then :func:`lower`, which emits the gates under one config.  A training
+build lays a corpus out once and lowers one sentence per layout group:
+sentences whose layouts differ only in their words get the same gates,
+each reading its own words' symbols.
 """
 
 from __future__ import annotations
@@ -256,17 +258,14 @@ def layout(d: Diagram) -> Layout:
                   tuple(wire_qubit[w] for w in d.open_wires()))
 
 
-def lower(lay: Layout, cfg: CircuitAnsatzConfig, blocks: dict | None = None) -> Circuit:
-    """Emit a layout's gates under an ansatz; ``blocks`` memoizes
-    :func:`word_block` on ``(word, fingerprint, qubits)`` under one config."""
-    blocks = {} if blocks is None else blocks
+def lower(lay: Layout, cfg: CircuitAnsatzConfig) -> Circuit:
+    """Emit a layout's gates under an ansatz."""
     gates: list[Gate] = []
     symbols: dict[Symbol, None] = {}  # first-appearance order
-    for key in lay.blocks:
-        if key not in blocks:
-            blocks[key] = word_block(*key, cfg)
-        gates.extend(blocks[key][0])
-        symbols.update(dict.fromkeys(blocks[key][1]))
+    for word, fingerprint, qubits in lay.blocks:
+        block_gates, block_symbols = word_block(word, fingerprint, qubits, cfg)
+        gates.extend(block_gates)
+        symbols.update(dict.fromkeys(block_symbols))
     for q1, q2 in lay.cups:
         gates.extend(cup_block(q1, q2)[0])
     if not symbols:

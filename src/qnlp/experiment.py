@@ -17,8 +17,11 @@ mid-write leaves no summary.
 A model with an empty symbol table cannot train; its summary records the
 accuracy fields as literal ``NaN`` (the grid report keeps those cells as
 ``NaN`` text).  A grid cell averages its ``ok`` runs only; one with runs
-but none ``ok`` reads ``none_ok``.  A run that exceeds the per-cell wall-clock budget is
-recorded as aborted without failing the surrounding sweep.
+but none ``ok`` reads ``none_ok``.  A run that exceeds the per-cell
+wall-clock budget is recorded as aborted without failing the surrounding
+sweep.  A process holds the generated corpus and bundled lexicon of its
+latest dataset seed and split sizes, so a worker's cells generate their
+corpus once; a ``dataset_dir`` is read afresh by every run.
 """
 
 from __future__ import annotations
@@ -210,10 +213,17 @@ def results_root(override: str | Path | None = None) -> Path:
     return Path(os.environ.get(RESULTS_ENV, "results"))
 
 
+# the generated corpus and bundled lexicon of the latest (seed, sizes)
+_generated: tuple[tuple, CorpusSplits, Lexicon] | None = None
+
+
 def load_splits(cfg: ExperimentConfig) -> tuple[CorpusSplits, Lexicon]:
+    global _generated
     if cfg.dataset_dir is None:
-        splits = generate_mc(cfg.dataset_seed, cfg.split_sizes)
-        return splits, default_lexicon()
+        key = (cfg.dataset_seed, cfg.split_sizes)
+        if _generated is None or _generated[0] != key:
+            _generated = (key, generate_mc(*key), default_lexicon())
+        return _generated[1], _generated[2]
     root = Path(cfg.dataset_dir)
     parts = {}
     for name in ("train", "dev", "test"):
@@ -230,31 +240,17 @@ def _write_metrics_csv(path: Path, history: History) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss", "train_acc", "val_acc"])
-        for e in range(len(history)):
-            writer.writerow(
-                [
-                    e + 1,
-                    repr(history.train_loss[e]),
-                    repr(history.val_loss[e]),
-                    repr(history.train_acc[e]),
-                    repr(history.val_acc[e]),
-                ]
-            )
+        rows = zip(history.train_loss, history.val_loss, history.train_acc, history.val_acc)
+        writer.writerows([e, *map(repr, row)] for e, row in enumerate(rows, start=1))
 
 
 def _run_config(cfg: ExperimentConfig, seed: int) -> dict:
     return {**cfg.to_dict(), "seeds": [seed]}
 
 
-def _summary(
-    cfg: ExperimentConfig,
-    seed: int,
-    status: str,
-    note: str = "",
-    history: History | None = None,
-    wall_seconds: float = 0.0,
-    budget_seconds: float | None = None,
-) -> dict:
+def _summary(run_id: str, config: dict, status: str, note: str = "",
+             history: History | None = None, wall_seconds: float = 0.0,
+             budget_seconds: float | None = None) -> dict:
     """The ``summary.json`` record; without a history the scores are NaN."""
     if history is None:
         scores = dict.fromkeys(
@@ -264,11 +260,11 @@ def _summary(
         scores = {**summarize(history, last_k=min(10, len(history))),
                   "test_acc": history.test_acc}
     return {
-        "run_id": cfg.run_id(seed),
-        "seed": seed,
+        "run_id": run_id,
+        "seed": config["seeds"][0],
         "status": status,
         "note": note,
-        "config": _run_config(cfg, seed),
+        "config": config,
         **scores,
         "degenerate_evals": 0 if history is None else history.degenerate_evals,
         "epochs": 0 if history is None else len(history),
@@ -291,8 +287,8 @@ def run_one(
     under a recorded budget that ``budget_seconds`` is absent or larger
     than; either reruns the cell.
     """
-    base = results_root(root)
-    run_dir = base / cfg.run_id(seed)
+    run_id = cfg.run_id(seed)
+    run_dir = results_root(root) / run_id
     summary_path = run_dir / "summary.json"
     if summary_path.exists():
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
@@ -305,6 +301,7 @@ def run_one(
             return summary
 
     run_dir.mkdir(parents=True, exist_ok=True)
+    config = _run_config(cfg, seed)
     started = time.monotonic()
 
     def fail(stage: str, exc: Exception) -> Error:
@@ -321,8 +318,8 @@ def run_one(
         build = CircuitModel.build if cfg.backend == "circuit" else TensorModel.build
         model = build(splits, lexicon, cfg.rewrite_scheme(), cfg.ansatz_config())
     except ZeroParameterModel as exc:
-        summary = _summary(cfg, seed, "zero_params", str(exc), budget_seconds=budget_seconds)
-        _finish_run(run_dir, cfg, seed, summary, history=None, model=None)
+        summary = _summary(run_id, config, "zero_params", str(exc), budget_seconds=budget_seconds)
+        _finish_run(run_dir, summary)
         return summary
     except Error as exc:
         raise fail("compile", exc) from exc
@@ -330,43 +327,30 @@ def run_one(
     try:
         history = fit(model, splits, cfg.train_config(seed), budget_seconds)
     except BudgetExceeded as exc:
-        summary = _summary(cfg, seed, "aborted", str(exc),
+        summary = _summary(run_id, config, "aborted", str(exc),
                            wall_seconds=time.monotonic() - started, budget_seconds=budget_seconds)
-        _finish_run(run_dir, cfg, seed, summary, history=None, model=None)
+        _finish_run(run_dir, summary)
         return summary
     except Error as exc:
         raise fail("train", exc) from exc
 
-    summary = _summary(cfg, seed, "ok", history=history,
+    summary = _summary(run_id, config, "ok", history=history,
                        wall_seconds=time.monotonic() - started, budget_seconds=budget_seconds)
-    _finish_run(run_dir, cfg, seed, summary, history, model)
+    _finish_run(run_dir, summary, history, model)
     return summary
 
 
-def _finish_run(
-    run_dir: Path,
-    cfg: ExperimentConfig,
-    seed: int,
-    summary: dict,
-    history: History | None,
-    model,
-) -> None:
-    (run_dir / "config.json").write_text(
-        json.dumps(_run_config(cfg, seed), indent=2) + "\n",
-        encoding="utf-8",
-    )
+def _finish_run(run_dir: Path, summary: dict, history: History | None = None,
+                model=None) -> None:
+    config = summary["config"]
+    (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     if history is not None:
         _write_metrics_csv(run_dir / "metrics.csv", history)
         if model is not None and history.final_params is not None:
-            checkpoint = {
-                "kind": cfg.backend,
-                "epoch": len(history),
-                "config": _run_config(cfg, seed),
-                "params": model.params_to_named(history.final_params),
-            }
+            checkpoint = {"kind": config["backend"], "epoch": len(history), "config": config,
+                          "params": model.params_to_named(history.final_params)}
             (run_dir / "checkpoint.json").write_text(
-                json.dumps(checkpoint, indent=2) + "\n", encoding="utf-8"
-            )
+                json.dumps(checkpoint, indent=2) + "\n", encoding="utf-8")
     _write_summary(run_dir, summary)
 
 
@@ -435,8 +419,10 @@ def _sweep_worker(args: tuple) -> dict:
     try:
         return run_one(cfg, seed, root, budget)
     except Exception as exc:  # recorded, sweep continues
-        summary = _summary(cfg, seed, "error", str(exc), budget_seconds=budget)
-        run_dir = results_root(root) / cfg.run_id(seed)
+        run_id = cfg.run_id(seed)
+        summary = _summary(run_id, _run_config(cfg, seed), "error", str(exc),
+                           budget_seconds=budget)
+        run_dir = results_root(root) / run_id
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_summary(run_dir, summary)
         return summary
@@ -518,39 +504,18 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
     out.mkdir(parents=True, exist_ok=True)
 
     runs_path = out / "runs.csv"
+    config_fields = ("backend", "ansatz", "scheme", "n_layers", "n_single_qubit_params")
+    scores = ("mean_train_loss", "mean_val_loss", "mean_train_acc", "mean_val_acc", "test_acc")
     with runs_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "run_id", "backend", "ansatz", "scheme", "n_layers",
-                "n_single_qubit_params", "seed", "status",
-                "mean_train_loss", "mean_val_loss", "mean_train_acc",
-                "mean_val_acc", "test_acc", "first_epoch_val_acc_1",
-                "degenerate_evals", "wall_seconds",
-            ]
-        )
+        writer.writerow(["run_id", *config_fields, "seed", "status", *scores,
+                         "first_epoch_val_acc_1", "degenerate_evals", "wall_seconds"])
         for s in runs:
             cfg = s.get("config", {})
-            writer.writerow(
-                [
-                    s["run_id"],
-                    cfg.get("backend", ""),
-                    cfg.get("ansatz", ""),
-                    cfg.get("scheme", ""),
-                    cfg.get("n_layers", ""),
-                    cfg.get("n_single_qubit_params", ""),
-                    s.get("seed", ""),
-                    s.get("status", ""),
-                    _fmt(s.get("mean_train_loss")),
-                    _fmt(s.get("mean_val_loss")),
-                    _fmt(s.get("mean_train_acc")),
-                    _fmt(s.get("mean_val_acc")),
-                    _fmt(s.get("test_acc")),
-                    _fmt(_crossing_epoch(s["_dir"])),
-                    s.get("degenerate_evals", ""),
-                    _fmt(s.get("wall_seconds")),
-                ]
-            )
+            writer.writerow([s["run_id"], *(cfg.get(k, "") for k in config_fields),
+                             s.get("seed", ""), s.get("status", ""),
+                             *(_fmt(s.get(k)) for k in scores), _fmt(_crossing_epoch(s["_dir"])),
+                             s.get("degenerate_evals", ""), _fmt(s.get("wall_seconds"))])
 
     # Accuracy grid: one row per configuration up to its seeds and rotation
     # count, one column per rotation count, mean test accuracy over the
@@ -592,15 +557,13 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
     with curves_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "epoch", "metric", "value"])
+        metrics = ("train_loss", "val_loss", "train_acc", "val_acc")
         for s in runs:
-            metrics = s["_dir"] / "metrics.csv"
-            if not metrics.exists():
+            path = s["_dir"] / "metrics.csv"
+            if not path.exists():
                 continue
-            with metrics.open(newline="", encoding="utf-8") as mf:
+            with path.open(newline="", encoding="utf-8") as mf:
                 for row in csv.DictReader(mf):
-                    for metric in ("train_loss", "val_loss", "train_acc", "val_acc"):
-                        writer.writerow(
-                            [s["run_id"], row["epoch"], metric, row[metric]]
-                        )
+                    writer.writerows([s["run_id"], row["epoch"], m, row[m]] for m in metrics)
 
     return {"runs": runs_path, "grid": grid_path, "curves": curves_path}

@@ -21,8 +21,9 @@ frequencies, so the plain two-term rule is not exact for them.
 :func:`shift_rule` holds both rules.
 
 Training runs batched, through the batch contract :mod:`qnlp.tensornet`
-shares: :func:`structure_key` groups a split's circuits, each group
-compiles once into a :class:`CircuitBatch` (:func:`compile_batch`),
+shares: circuits of one :func:`structure_key` compile once into a
+:class:`CircuitBatch` (:func:`compile_batch`, from one circuit's gates and
+every row's parameter positions),
 :func:`batch_forward` gives every row's two weights ``u`` (its
 unnormalized output marginal ``N``, whose sum is the survival norm) in
 one statevector pass over a ``(rows, 2, ..., 2)`` state, and
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -306,10 +307,12 @@ class CircuitBatch:
     gather: np.ndarray  # (rows, slots)
 
 
-def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) -> CircuitBatch:
-    """Compile circuits of one :func:`structure_key` into a batch; ``offsets``
-    maps every symbol to its index in the parameter vector."""
-    first = circuits[0]
+def compile_batch(first: Circuit, gather: np.ndarray) -> CircuitBatch:
+    """Compile the circuits of ``first``'s :func:`structure_key` into a batch.
+
+    The ops come from ``first`` alone; ``gather`` is laid out as
+    :attr:`CircuitBatch.gather`, one row per circuit of the batch.
+    """
     if len(first.outputs) != 1:
         raise WrongOutputArity(
             f"expected exactly one output qubit, circuit has {len(first.outputs)}"
@@ -343,10 +346,9 @@ def compile_batch(circuits: Sequence[Circuit], offsets: Mapping[Symbol, int]) ->
         else:
             ops.append((g.kind, tuple(low), tuple(high), None, g.param))
 
-    gather = np.array(
-        [[offsets[g.param] for g in c.gates if isinstance(g.param, Symbol)] for c in circuits],
-        dtype=np.intp,
-    ).reshape(len(circuits), n_slots)
+    gather = np.asarray(gather, dtype=np.intp)
+    if gather.ndim != 2 or gather.shape[1] != n_slots:
+        raise Error(f"gather of shape {gather.shape} for {n_slots} parametric gates")
     return CircuitBatch(
         n_qubits=n,
         ops=tuple(ops),

@@ -4,9 +4,9 @@ A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
 one set of weights no matter how many sentences mention them.  Both model
 families run one loop over one engine contract, which :mod:`qnlp.simulator`
-and :mod:`qnlp.tensornet` both provide: ``structure_key`` groups the items
-of all splits on the model's first use, ``compile_batch`` compiles each
-group once with the train rows first, ``batch_forward(batch, theta)`` gives
+and :mod:`qnlp.tensornet` both provide: the rows of all splits are grouped
+by ``structure_key``, ``compile_batch`` compiles each group once, on the
+model's first use, with the train rows first, ``batch_forward(batch, theta)`` gives
 each row two non-negative weights ``u``, and ``batch_backward(batch,
 theta, pull)`` gives ``u`` from its own forward pass and pulls the
 cotangent that ``pull`` returns for the leading rows back to the group's
@@ -49,9 +49,10 @@ The parsed and rewritten diagrams of the most recent corpus are kept in
 the process, keyed on content: the scheme, each split's sentences, and the
 lexicon types of their words.  Cells of a sweep that share a corpus and a
 scheme parse it once per worker; a corpus that fails to parse is not kept.
-Their circuit layouts (:func:`qnlp.circuit.layout`) are held with them,
-made by the first circuit build over the corpus, except those that raise;
-each build memoizes the word blocks it lowers, for its own config only.
+The first circuit build over a corpus adds its circuit plan (a word table
+and the sentences grouped by :func:`qnlp.circuit.layout` up to their
+words) unless a layout raises.  A circuit build lowers one sentence per
+layout group and merges the groups whose circuits share a structure.
 """
 
 from __future__ import annotations
@@ -64,38 +65,20 @@ from typing import Sequence
 import numpy as np
 
 from qnlp import simulator, tensornet
-from qnlp.circuit import (
-    Circuit,
-    CircuitAnsatzConfig,
-    Symbol,
-    ZeroParameterModel,
-    layout,
-    lower,
-)
+from qnlp.circuit import (Circuit, CircuitAnsatzConfig, Layout, Symbol, ZeroParameterModel,
+                          layout, lower, word_block)
 from qnlp.corpus import CorpusSplits
 from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import Lexicon, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
-# CircuitModel.build runs compile_circuit's two steps apart; it stays
-# importable here, where the benchmark's tracer wraps it by name.
+from qnlp.simulator import WrongOutputArity
+from qnlp.tensornet import Network, TensorAnsatzConfig, compile_network
+# Not called here: compile_circuit, which CircuitModel.build runs as its two
+# steps apart, and the per-item references of the batched paths.  They stay
+# importable from this module, where the benchmark's tracer wraps them by name.
 from qnlp.circuit import compile_circuit  # noqa: F401
-# sentence_distribution and distribution_gradient are the per-sentence
-# reference of the batched circuit path; they stay importable from this
-# module, where the benchmark's tracer wraps them by name.
-from qnlp.simulator import (  # noqa: F401
-    WrongOutputArity,
-    distribution_gradient,
-    sentence_distribution,
-)
-# contract and gradient_hole are the per-network reference of the batched
-# tensor path, kept importable here for the same reason.
-from qnlp.tensornet import (  # noqa: F401
-    Network,
-    TensorAnsatzConfig,
-    compile_network,
-    contract,
-    gradient_hole,
-)
+from qnlp.simulator import distribution_gradient, sentence_distribution  # noqa: F401
+from qnlp.tensornet import contract, gradient_hole  # noqa: F401
 
 PROB_CLIP = 1e-7
 DEGENERATE_EPS = 1e-12
@@ -280,10 +263,11 @@ class TrainConfig:
 
 # The parsed and rewritten diagrams of the most recent corpus, keyed on its
 # content: the scheme, every split's sentences, and the lexicon types of
-# their words; then circuit layouts by (split, row).  A sweep's cells share
-# one corpus and scheme, so a process that runs many cells parses and lays
-# them out once.  One corpus only is held.
-_front_end: tuple[tuple, dict[str, list], dict] | None = None
+# their words; then, once a circuit build has made it, the corpus's
+# circuit plan.  A sweep's cells share one corpus and scheme, so a process
+# that runs many cells parses and lays them out once.  One corpus only is
+# held.
+_front_end: tuple[tuple, dict[str, list], list] | None = None
 
 
 def _diagrams(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> dict[str, list]:
@@ -296,8 +280,48 @@ def _diagrams(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> 
         _front_end = None  # hold one corpus, and none that failed to parse
         diagrams = {name: [rewrite(parse_sentence(list(ws), lexicon), scheme) for ws in split]
                     for name, split in sentences}
-        _front_end = (key, diagrams, {})
+        _front_end = (key, diagrams, [])
     return _front_end[1]
+
+
+def _circuit_plan(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme):
+    """A corpus's circuits without an ansatz, and the error of the first
+    sentence whose layout raises.
+
+    The plan is ``(words, groups, sizes)``: each distinct ``(word, type
+    fingerprint)`` in first-use order with its block width; per layout up
+    to its words, in order of first use, ``(layout, at, ids)`` with each
+    member's position ``at`` in the corpus (every split's rows in turn) and
+    ``ids[i, b]``, the word index of member ``i``'s ``b``-th box; and each
+    split's row count.  A plan without an error is held with the diagrams;
+    one with an error covers the sentences before that one only.
+    """
+    diagrams = _diagrams(splits, lexicon, scheme)
+    held = _front_end[2]
+    if held:
+        return held[0], None
+    words: dict[tuple[str, str], tuple[int, int]] = {}  # to (index, block width)
+    members: dict[tuple, tuple[Layout, list[int], list[list[int]]]] = {}
+    error = None
+    for at, d in enumerate(d for ds in diagrams.values() for d in ds):
+        try:
+            lay = layout(d)
+        except Error as exc:
+            error = exc
+            break
+        key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect,
+               lay.outputs)
+        _, ats, ids = members.setdefault(key, (lay, [], []))
+        ats.append(at)
+        ids.append([words.setdefault((word, fp), (len(words), len(q)))[0]
+                    for word, fp, q in lay.blocks])
+    plan = ([(word, fp, width) for (word, fp), (_, width) in words.items()],
+            [(lay, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp))
+             for lay, ats, ids in members.values()],
+            {name: len(ds) for name, ds in diagrams.items()})
+    if error is None:
+        held.append(plan)
+    return plan, error
 
 
 def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,15 +383,14 @@ class _Model:
     families share.
 
     Symbols are kept in first-use order, each with its shape (``()`` for a
-    circuit angle) and its slice of the flat parameter vector.  A subclass
-    names its engine module as ``_engine``.  On first use the items of all
-    splits are grouped by the engine's ``structure_key``, in order of first
-    use with train first, and each group is compiled once by
-    :meth:`_compile_batch`, which receives every symbol's offset in the
-    parameter vector (for a circuit angle, its index).
+    circuit angle) and its slice of the flat parameter vector.  ``sizes``
+    holds each split's row count, in split order.  A subclass names its
+    engine module as ``_engine``, and its :meth:`_compile_groups` compiles
+    its groups on the model's first use: the rows of all splits by
+    structure, in order of first use with train first.
     """
 
-    def __init__(self, items_by_split: dict[str, list], symbol_shapes):
+    def __init__(self, sizes: dict[str, int], symbol_shapes):
         self.shapes: dict[Symbol, tuple[int, ...]] = {}
         for sym, shape in symbol_shapes:
             if self.shapes.setdefault(sym, shape) != shape:
@@ -380,29 +403,14 @@ class _Model:
             self._slices[s] = slice(offset, offset + size)
             offset += size
         self.n_params = offset
-        self.items_by_split = items_by_split
+        self.sizes = sizes
         self._batches: list[_Group] | None = None  # compiled on first use
         # per request shape, each group's stacked batch and output rows
         self._requests: dict[tuple, list] = {}
 
-    def _compile_batch(self, items, offsets):
-        return self._engine.compile_batch(items, offsets)
-
     def _groups(self) -> list[_Group]:
         if self._batches is None:
-            members: dict[tuple, dict[str, list[int]]] = {}
-            for name, items in self.items_by_split.items():
-                for r, item in enumerate(items):
-                    rows = members.setdefault(self._engine.structure_key(item), {})
-                    rows.setdefault(name, []).append(r)
-            offsets = {s: sl.start for s, sl in self._slices.items()}
-            self._batches = [
-                _Group(self._compile_batch([self.items_by_split[name][r]
-                                            for name, rs in rows.items() for r in rs], offsets),
-                       {name: np.array(rows.get(name, []), dtype=np.intp)
-                        for name in self.items_by_split})
-                for rows in members.values()
-            ]
+            self._batches = self._compile_groups()
         return self._batches
 
     def _request(self, runs: tuple[tuple[str, ...], ...]) -> list:
@@ -411,7 +419,7 @@ class _Model:
         output, which holds every run's splits in turn."""
         plan = self._requests.get(runs)
         if plan is None:
-            order = list(self.items_by_split)
+            order = list(self.sizes)
             base, at = {}, 0
             for k, names in enumerate(runs):
                 first = order.index(names[0])
@@ -419,7 +427,7 @@ class _Model:
                     raise Error(f"splits {names} are not consecutive in {order}")
                 for name in names:
                     base[k, name] = at
-                    at += len(self.items_by_split[name])
+                    at += self.sizes[name]
             plan = []
             for group in self._groups():
                 dest = np.concatenate([base[k, name] + group.rows[name]
@@ -447,11 +455,11 @@ class _Model:
         """
         runs = tuple(tuple(names) for names, _ in points)
         theta = np.concatenate([vec for _, vec in points])
-        u = np.empty((sum(len(self.items_by_split[n]) for names in runs for n in names), 2))
+        u = np.empty((sum(self.sizes[n] for names in runs for n in names), 2))
         terms = None
         if labels is not None:
             split = runs[0][0]
-            n = len(self.items_by_split[split])
+            n = self.sizes[split]
             if n == 0:
                 raise EmptyEvalSet("no sentences to differentiate")
             labels, terms = np.asarray(labels), []
@@ -474,7 +482,7 @@ class _Model:
         for names in runs:
             readouts.append([])
             for name in names:
-                probs, degenerate = _readout(u[at : at + len(self.items_by_split[name])])
+                probs, degenerate = _readout(u[at : at + self.sizes[name]])
                 readouts[-1].append((probs, int(degenerate.sum())))
                 at += len(probs)
         return grad, readouts
@@ -514,34 +522,66 @@ class _Model:
 
 
 class CircuitModel(_Model):
-    """A shared-parameter ensemble of compiled sentence circuits.
+    """A shared-parameter ensemble of sentence circuits, held by structure.
 
     A sentence's weights are its unnormalized postselected output
-    marginal, whose sum is the survival norm.  Each group of a split runs
-    as one batched statevector pass, for evaluation and for gradients.
+    marginal, whose sum is the survival norm.  ``groups`` holds, per
+    :func:`~qnlp.simulator.structure_key` in order of first use, one
+    circuit of that structure, the gather of its members (split by split,
+    in row order) and their rows per split.  Each group compiles on the
+    model's first use and runs as one batched statevector pass, for
+    evaluation and for gradients.
     """
 
     _engine = simulator
 
-    def __init__(self, items_by_split: dict[str, list[Circuit]]):
-        super().__init__(items_by_split, ((s, ()) for split in items_by_split.values()
-                                          for c in split for s in c.symbols))
+    def __init__(self, symbols: Sequence[Symbol], groups: list[tuple[Circuit, np.ndarray, dict]],
+                 sizes: dict[str, int]):
+        super().__init__(sizes, ((s, ()) for s in symbols))
         if not self.symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
+        self._uncompiled = groups
+
+    def _compile_groups(self) -> list[_Group]:
+        return [_Group(simulator.compile_batch(c, gather), rows)
+                for c, gather, rows in self._uncompiled]
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               ansatz: CircuitAnsatzConfig) -> "CircuitModel":
-        diagrams = _diagrams(splits, lexicon, scheme)
-        layouts, blocks = _front_end[2], {}  # blocks: this config's word blocks
+        """Lower one sentence per layout group of the corpus's circuit plan,
+        and merge the layout groups whose circuits share a structure.
 
-        def compile_one(name: str, r: int, d) -> Circuit:
-            if (name, r) not in layouts:  # a layout that raises is not stored
-                layouts[name, r] = layout(d)
-            return lower(layouts[name, r], ansatz, blocks)
-
-        return cls({name: [compile_one(name, r, d) for r, d in enumerate(ds)]
-                    for name, ds in diagrams.items()})
+        A word's angles sit together in the parameter vector, words in the
+        plan's order, so a box's gather columns are its word's offset plus
+        its block's slot indices.
+        """
+        (words, layouts, sizes), error = _circuit_plan(splits, lexicon, scheme)
+        # lowered first: a sentence before a failed layout may have no parameters
+        circuits = [lower(lay, ansatz) for lay, _, _ in layouts]
+        if error is not None:
+            raise error
+        slots = {k: len(word_block("", "", tuple(range(k)), ansatz)[1])
+                 for k in {k for *_, k in words}}
+        counts = np.array([slots[k] for *_, k in words], dtype=np.intp)
+        offsets = np.cumsum(counts) - counts
+        symbols = [Symbol(word, fp, i) for (word, fp, _), n in zip(words, counts)
+                   for i in range(n)]
+        merged: dict[tuple, list] = {}
+        for (lay, at, ids), c in zip(layouts, circuits):
+            gather = np.concatenate([offsets[ids[:, b], None] + np.arange(slots[len(q)])
+                                     for b, (*_, q) in enumerate(lay.blocks)], axis=1)
+            merged.setdefault(simulator.structure_key(c), []).append((c, at, gather))
+        bounds = np.cumsum([0, *sizes.values()])
+        groups = []
+        for parts in merged.values():
+            pos = np.concatenate([at for _, at, _ in parts])
+            order = np.argsort(pos)  # the rows run split by split, in row order
+            pos = pos[order]
+            cut = np.searchsorted(pos, bounds)
+            rows = {name: pos[cut[k] : cut[k + 1]] - bounds[k] for k, name in enumerate(sizes)}
+            groups.append((parts[0][0], np.concatenate([g for *_, g in parts])[order], rows))
+        return cls(symbols, groups, sizes)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
@@ -564,15 +604,27 @@ class TensorModel(_Model):
     _engine = tensornet
 
     def __init__(self, items_by_split: dict[str, list[Network]]):
-        super().__init__(items_by_split, (kv for split in items_by_split.values()
-                                          for net in split for kv in net.param_shapes().items()))
+        super().__init__({name: len(nets) for name, nets in items_by_split.items()},
+                         (kv for split in items_by_split.values()
+                          for net in split for kv in net.param_shapes().items()))
+        self.items_by_split = items_by_split
 
-    def _compile_batch(self, nets, offsets):
-        batch = super()._compile_batch(nets, offsets)
-        size = math.prod(batch.out_shape)
-        if size != 2:
-            raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
-        return batch
+    def _compile_groups(self) -> list[_Group]:
+        members: dict[tuple, dict[str, list[int]]] = {}
+        for name, nets in self.items_by_split.items():
+            for r, net in enumerate(nets):
+                members.setdefault(tensornet.structure_key(net), {}).setdefault(name, []).append(r)
+        offsets = {s: sl.start for s, sl in self._slices.items()}
+        groups = []
+        for rows in members.values():
+            batch = tensornet.compile_batch(
+                [self.items_by_split[name][r] for name, rs in rows.items() for r in rs], offsets)
+            size = math.prod(batch.out_shape)
+            if size != 2:
+                raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
+            groups.append(_Group(batch, {name: np.array(rows.get(name, []), dtype=np.intp)
+                                         for name in self.sizes}))
+        return groups
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,

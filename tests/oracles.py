@@ -3,8 +3,10 @@
 Everything here is deliberately written with a different algorithm than the
 code under test: the reducer enumerates cup sets by free adjacent-pair choice
 instead of a stack scan, the evaluator loops over explicit index
-assignments instead of calling einsum, and the reference fit loop reads
-one split per model call instead of stacking splits and parameter points.
+assignments instead of calling einsum, the reference fit loop reads
+one split per model call instead of stacking splits and parameter points,
+and the reference circuit grouping compiles every sentence and groups the
+circuits by structure instead of lowering one sentence per layout.
 Slow is fine; these only ever see small inputs.
 """
 
@@ -15,8 +17,10 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from qnlp import training
-from qnlp.pregroup import SimpleType, contractible
+from qnlp import simulator, training
+from qnlp.circuit import Symbol, compile_circuit
+from qnlp.pregroup import SimpleType, contractible, parse_sentence
+from qnlp.rewrite import rewrite
 
 
 def enumerate_reductions(
@@ -197,3 +201,46 @@ def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
     history.test_acc = training.accuracy(probs, test_labels)
     history.final_params = theta
     return history
+
+
+def reference_circuits(splits, lexicon, scheme, ansatz) -> dict[str, list]:
+    """Every split's sentences, each parsed, rewritten and compiled alone."""
+    return {lset.name: [compile_circuit(rewrite(parse_sentence(list(words), lexicon), scheme),
+                                        ansatz) for words in lset.sentences()]
+            for lset in splits}
+
+
+def reference_gather(circuits, offsets) -> np.ndarray:
+    """Per circuit, the parameter position each parametric gate reads."""
+    rows = [[offsets[g.param] for g in c.gates if isinstance(g.param, Symbol)] for c in circuits]
+    return np.array(rows, dtype=np.intp).reshape(len(circuits), len(rows[0]))
+
+
+def reference_groups(circuits_by_split: dict[str, list]):
+    """The circuit model's symbols and groups, sentence by sentence.
+
+    Symbols in first-use order over every circuit of every split; circuits
+    grouped by ``structure_key`` in order of first use, each group as its
+    first circuit, its gather and its rows per split.
+    """
+    symbols = list(dict.fromkeys(s for cs in circuits_by_split.values() for c in cs
+                                 for s in c.symbols))
+    offsets = {s: i for i, s in enumerate(symbols)}
+    members: dict[tuple, dict[str, list[int]]] = {}
+    for name, cs in circuits_by_split.items():
+        for r, c in enumerate(cs):
+            members.setdefault(simulator.structure_key(c), {}).setdefault(name, []).append(r)
+    groups = []
+    for rows in members.values():
+        cs = [circuits_by_split[name][r] for name, rs in rows.items() for r in rs]
+        groups.append((cs[0], reference_gather(cs, offsets),
+                       {name: np.array(rows.get(name, []), dtype=np.intp)
+                        for name in circuits_by_split}))
+    return symbols, groups
+
+
+def reference_circuit_model(circuits_by_split: dict[str, list]) -> training.CircuitModel:
+    """A circuit model over hand-made or separately compiled circuits."""
+    symbols, groups = reference_groups(circuits_by_split)
+    return training.CircuitModel(symbols, groups,
+                                 {name: len(cs) for name, cs in circuits_by_split.items()})

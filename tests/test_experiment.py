@@ -12,7 +12,7 @@ import pytest
 from qnlp import experiment, training
 from qnlp.circuit import CircuitAnsatz, CircuitAnsatzConfig, circuit_from_json
 from qnlp.cli import main
-from qnlp.corpus import default_lexicon
+from qnlp.corpus import default_lexicon, generate_mc
 from qnlp.diagram import Diagram, Port, Wire, diagram_from_json, diagram_to_json
 from qnlp.errors import ConfigError
 from qnlp.experiment import (
@@ -356,6 +356,24 @@ class TestSweepAndReport:
         second = run_sweep(cells, root=tmp_path, workers=1)
         assert second[0]["note"] == "from first pass"
         assert first[0]["status"] == "ok"
+
+    def test_one_worker_sweep_generates_its_corpus_once(self, tmp_path, monkeypatch):
+        made = []
+        monkeypatch.setattr(experiment, "_generated", None)  # as in a fresh process
+        monkeypatch.setattr(experiment, "generate_mc",
+                            lambda *args: made.append(args) or generate_mc(*args))
+        cells = [small_cfg(epochs=1), small_cfg(n_layers=2, epochs=1),
+                 small_cfg(ansatz="sim15", n_single_qubit_params=1, epochs=1)]
+        summaries = run_sweep(cells, root=tmp_path / "held", workers=1)
+        assert [s["status"] for s in summaries] == ["ok"] * 3
+        assert made == [(0, (10, 4, 4))]
+        # the held corpus trains as a fresh one does
+        monkeypatch.setattr(experiment, "_generated", None)
+        monkeypatch.setattr(training, "_front_end", None)
+        fresh = run_sweep(cells[2:], root=tmp_path / "fresh", workers=1)
+        assert [{**s, "wall_seconds": 0} for s in fresh] == [{**summaries[2], "wall_seconds": 0}]
+        run_sweep([small_cfg(dataset_seed=1, epochs=1)], root=tmp_path / "other", workers=1)
+        assert made == [(0, (10, 4, 4))] * 2 + [(1, (10, 4, 4))]
 
     def test_pool_has_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
         pools = []

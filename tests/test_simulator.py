@@ -37,7 +37,7 @@ from qnlp.simulator import (
     zero_state,
 )
 
-from oracles import finite_difference, five_point_difference
+from oracles import finite_difference, five_point_difference, reference_gather
 
 
 def one_qubit_circuit(*gates: Gate, symbols=()) -> Circuit:
@@ -270,7 +270,6 @@ class TestGradient:
 
 class TestCompileBatches:
     def test_rejects_what_the_reference_rejects(self):
-        positions = {THETA: 0}
         rx = Gate(GateKind.RX, (0,), THETA)
         bad = [
             (Circuit(1, (rx,), (), (), (THETA,)), WrongOutputArity),
@@ -281,7 +280,15 @@ class TestCompileBatches:
         ]
         for circuit, exc in bad:
             with pytest.raises(exc):
-                compile_batch([circuit], positions)
+                compile_batch(circuit, reference_gather([circuit], {THETA: 0}))
+
+    def test_gather_needs_a_column_per_parametric_gate(self):
+        c = one_qubit_circuit(Gate(GateKind.RX, (0,), THETA), Gate(GateKind.H, (0,)),
+                              symbols=[THETA])
+        assert compile_batch(c, [[0], [0]]).gather.tolist() == [[0], [0]]
+        for gather in ([[0, 0]], [[]], [0]):
+            with pytest.raises(Error, match="1 parametric gates"):
+                compile_batch(c, gather)
 
     def test_groups_by_structure(self):
         other = Symbol("x", "->s", 0)
@@ -289,7 +296,8 @@ class TestCompileBatches:
         b = one_qubit_circuit(Gate(GateKind.RX, (0,), other), symbols=[other])
         c = one_qubit_circuit(Gate(GateKind.RY, (0,), other), symbols=[other])
         assert structure_key(a) == structure_key(b) != structure_key(c)
-        assert compile_batch([a, b], {THETA: 0, other: 1}).gather.tolist() == [[0], [1]]
+        gather = reference_gather([a, b], {THETA: 0, other: 1})
+        assert compile_batch(a, gather).gather.tolist() == [[0], [1]]
 
     def test_slot_never_matches_a_constant_angle(self):
         other = Symbol("x", "->s", 0)
@@ -304,7 +312,8 @@ class TestCompileBatches:
         once = one_qubit_circuit(rx, Gate(GateKind.RY, (0,), other), symbols=[THETA, other])
         twice = one_qubit_circuit(rx, ry, symbols=[THETA])
         assert structure_key(once) == structure_key(twice)
-        assert compile_batch([once, twice], {THETA: 0, other: 1}).gather.tolist() == [
+        gather = reference_gather([once, twice], {THETA: 0, other: 1})
+        assert compile_batch(once, gather).gather.tolist() == [
             [0, 1],
             [0, 0],
         ]
@@ -366,7 +375,7 @@ class TestBatchProperties:
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
         assert len({structure_key(c) for c in circuits}) == 1
-        batch = compile_batch(circuits, offsets)
+        batch = compile_batch(circuits[0], reference_gather(circuits, offsets))
         n = batch_forward(batch, theta)
         # a random upstream g_p on p = N / D per row, chained to N as the
         # model's pullback does; a degenerate row keeps g_p as drawn

@@ -18,8 +18,8 @@ from qnlp.circuit import (
     Gate,
     GateKind,
     Symbol,
+    WidthOverflow,
     ZeroParameterModel,
-    circuit_to_dict,
     compile_circuit,
 )
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
@@ -61,7 +61,13 @@ from qnlp.training import (
     summarize,
 )
 
-from oracles import finite_difference, reference_fit
+from oracles import (
+    finite_difference,
+    reference_circuit_model,
+    reference_circuits,
+    reference_fit,
+    reference_groups,
+)
 
 
 def tiny_splits() -> CorpusSplits:
@@ -403,10 +409,10 @@ def pattern_splits(extra_train=()) -> CorpusSplits:
     )
 
 
-def reference_split(model: CircuitModel, name: str, theta, labels):
-    """Per-sentence probabilities, mean-loss gradient and degenerate count."""
+def reference_split(model: CircuitModel, circuits, theta, labels):
+    """Per-sentence probabilities, mean-loss gradient and degenerate count
+    of a split's circuits."""
     pos = {s: i for i, s in enumerate(model.symbols)}
-    circuits = model.items_by_split[name]
     probs, grad, degenerate = [], np.zeros(model.n_params), 0
     for circ, y in zip(circuits, labels):
         idx = np.array([pos[s] for s in circ.symbols], dtype=int)
@@ -431,11 +437,12 @@ class TestCircuitBatching:
         splits = pattern_splits()
         ansatz = CircuitAnsatzConfig(kind=kind, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), scheme, ansatz)
+        circuits = reference_circuits(splits, default_lexicon(), scheme, ansatz)
         theta = model.init_params(rng)
         for lset in splits:
             probs, degenerate = model.eval_split(lset.name, theta)
             want, want_grad, want_degenerate = reference_split(
-                model, lset.name, theta, lset.labels()
+                model, circuits[lset.name], theta, lset.labels()
             )
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
             assert degenerate == want_degenerate
@@ -454,10 +461,12 @@ class TestCircuitBatching:
         model = CircuitModel.build(
             splits, default_lexicon(), RewriteScheme.RE_NORM_CUR_NORM, ansatz
         )
+        circuits = reference_circuits(splits, default_lexicon(), RewriteScheme.RE_NORM_CUR_NORM,
+                                      ansatz)
         theta = model.init_params(rng)
         for lset in splits:
             probs, _ = model.eval_split(lset.name, theta)
-            want, _, _ = reference_split(model, lset.name, theta, lset.labels())
+            want, _, _ = reference_split(model, circuits[lset.name], theta, lset.labels())
             assert np.abs(probs[:, 1] - probs[:, 0]).max() < 1e-15
             assert accuracy(probs, lset.labels()) == accuracy(want, lset.labels())
 
@@ -485,7 +494,8 @@ class TestCircuitBatching:
         theta = model.init_params(rng)
         labels = splits.train.labels()
         grad, probs, _ = model.grad_split("train", theta, labels)
-        want_probs, want, _ = reference_split(model, "train", theta, labels)
+        circuits = reference_circuits(splits, default_lexicon(), RewriteScheme.RE, ansatz)
+        want_probs, want, _ = reference_split(model, circuits["train"], theta, labels)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
@@ -507,7 +517,8 @@ class TestCircuitBatching:
         labels = splits.train.labels()
         probs, _ = model.eval_split("train", theta)
         grad, _, _ = model.grad_split("train", theta, labels)
-        want_probs, want, _ = reference_split(model, "train", theta, labels)
+        circuits = reference_circuits(splits, default_lexicon(), RewriteScheme.RE, ansatz)
+        want_probs, want, _ = reference_split(model, circuits["train"], theta, labels)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
@@ -523,7 +534,7 @@ class TestCircuitBatching:
             symbols=(w, u),
         )
         alive = Circuit(1, (Gate(GateKind.RY, (0,), v),), (), (0,), (v,))
-        model = CircuitModel({"train": [dead, alive, dead]})
+        model = reference_circuit_model({"train": [dead, alive, dead]})
         theta = np.array([0.4, np.pi, 1.1])
         labels = [1, 0, 0]
         probs, degenerate = model.eval_split("train", theta)
@@ -533,7 +544,7 @@ class TestCircuitBatching:
         total = bce_loss(grad_probs, labels).mean()
         assert degenerate == 2
         assert grad[0] == grad[1] == 0.0
-        want_probs, want, _ = reference_split(model, "train", theta, labels)
+        want_probs, want, _ = reference_split(model, [dead, alive, dead], theta, labels)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
         losses = [bce_loss(p, y) for p, y in zip(want_probs, labels)]
@@ -550,7 +561,7 @@ class TestCircuitBatching:
             outputs=(0,),
             symbols=(w, u),
         )
-        model = CircuitModel({"train": [dying]})
+        model = reference_circuit_model({"train": [dying]})
         theta = np.array([0.4, np.pi - 1e-7])
         grad, grad_probs, degenerate = model.grad_split("train", theta, [1])
         total = bce_loss(grad_probs, [1]).mean()
@@ -686,9 +697,9 @@ class TestBatchLifecycle:
         model.eval_split("dev", model.init_params(rng))
         groups = model._batches
         assert model._groups() is groups
-        for name, items in model.items_by_split.items():  # every split's rows
+        for name, size in model.sizes.items():  # every split's rows
             rows = np.concatenate([g.rows[name] for g in groups])
-            assert sorted(rows) == list(range(len(items)))
+            assert sorted(rows) == list(range(size))
 
     def test_rows_grouped_in_order_of_first_appearance(self):
         theta, other = Symbol("w", "->s", 0), Symbol("x", "->s", 0)
@@ -700,7 +711,7 @@ class TestBatchLifecycle:
         c, d = one_gate(GateKind.RY, other), one_gate(GateKind.RZ, theta)
         # over all splits, in order of first use with train first; a
         # group's train rows lead its batch
-        groups = CircuitModel({"train": [a, c, b], "dev": [d, b]})._groups()
+        groups = reference_circuit_model({"train": [a, c, b], "dev": [d, b]})._groups()
         assert [g.rows["train"].tolist() for g in groups] == [[0, 2], [1], []]
         assert [g.rows["dev"].tolist() for g in groups] == [[1], [], [0]]
         assert groups[0].batch.gather.tolist() == [[0], [1], [1]]
@@ -890,8 +901,9 @@ class TestFitMatchesReference:
             return Circuit(1, (Gate(GateKind.RY, (0,), v),), (), (0,), (v,))
 
         def build():
-            return CircuitModel({"train": [dead("a"), alive("b"), alive("c"), dead("d")],
-                                 "dev": [alive("b"), dead("a")], "test": [dead("e"), alive("c")]})
+            return reference_circuit_model({"train": [dead("a"), alive("b"), alive("c"), dead("d")],
+                                            "dev": [alive("b"), dead("a")],
+                                            "test": [dead("e"), alive("c")]})
 
         cfg = TrainConfig(epochs=4, seed=0, optimizer=optimizer)
         h = fit(build(), tiny_splits(), cfg)
@@ -911,8 +923,30 @@ class TestFitMatchesReference:
         assert_same_history(fit(build(), splits, cfg), reference_fit(build(), splits, cfg))
 
 
+def assert_same_groups(model: CircuitModel, circuits_by_split) -> None:
+    """The model's symbols and compiled groups equal those of the
+    per-sentence grouping of ``circuits_by_split``, bit for bit."""
+    symbols, groups = reference_groups(circuits_by_split)
+    assert model.symbols == symbols and model.n_params == len(symbols)
+    assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
+    got = model._groups()
+    assert len(got) == len(groups)
+    for group, (first, gather, rows) in zip(got, groups):
+        want = simulator.compile_batch(first, gather)
+        assert (group.batch.n_qubits, group.batch.ops) == (want.n_qubits, want.ops)
+        assert group.batch.postselect == want.postselect
+        assert group.batch.output_axis == want.output_axis
+        assert group.batch.gather.dtype == want.gather.dtype
+        assert group.batch.gather.tobytes() == want.gather.tobytes()
+        assert group.batch.gather.shape == want.gather.shape
+        assert list(group.rows) == list(rows)
+        for name, want_rows in rows.items():
+            assert group.rows[name].tolist() == want_rows.tolist(), name
+
+
 class TestFrontEndMemo:
-    """The parsed and rewritten diagrams of the most recent corpus."""
+    """The parsed and rewritten diagrams of the most recent corpus, and
+    its circuit plan."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
@@ -969,30 +1003,33 @@ class TestFrontEndMemo:
 
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
     def test_compiled_circuits_identical_on_hit_and_miss(self, kind, mc_lexicon):
-        splits = generate_mc(3)
-        for scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM):
-            training._front_end = None  # the scheme's first build is a miss
-            fresh = self.fresh(splits, mc_lexicon, scheme)
-            for layers, rots in itertools.product(range(3), range(3)):
-                ansatz = CircuitAnsatzConfig(kind, layers, rots)
-                if layers == rots == 0:
-                    for _ in range(2):
-                        with pytest.raises(ZeroParameterModel):
-                            CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-                    continue
-                first = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
-                key = training._front_end[0]
-                again = CircuitModel.build(splits, mc_lexicon, scheme, ansatz).items_by_split
-                assert training._front_end[0] is key
-                # equal dicts serialize to equal JSON, and are faster to compare
-                for name, circuits in first.items():
-                    want = [circuit_to_dict(compile_circuit(d, ansatz)) for d in fresh[name]]
-                    assert [circuit_to_dict(c) for c in circuits] == want
-                    assert [circuit_to_dict(c) for c in again[name]] == want
+        # the plan's build against compile_circuit on every sentence, grouped
+        # by structure: on a generated corpus, and on one that repeats a word
+        for splits in (generate_mc(3), pattern_splits(extra_train=[("man cooks man", 1)])):
+            for scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM):
+                training._front_end = None  # the scheme's first build is a miss
+                fresh = self.fresh(splits, mc_lexicon, scheme)
+                for layers, rots in itertools.product(range(3), range(3)):
+                    ansatz = CircuitAnsatzConfig(kind, layers, rots)
+                    if layers == rots == 0:
+                        for _ in range(2):
+                            with pytest.raises(ZeroParameterModel):
+                                CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+                        continue
+                    first = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+                    key = training._front_end[0]
+                    again = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+                    assert training._front_end[0] is key
+                    want = {name: [compile_circuit(d, ansatz) for d in ds]
+                            for name, ds in fresh.items()}
+                    assert_same_groups(first, want)
+                    assert_same_groups(again, want)
 
     def test_layouts_made_once_and_lowered_per_config(self, mc_lexicon, monkeypatch):
-        validated = []
+        validated, lowered = [], []
         monkeypatch.setattr(circuit, "validate", lambda d: validated.append(d) or validate(d))
+        monkeypatch.setattr(training, "lower",
+                            lambda lay, cfg: lowered.append(lay) or circuit.lower(lay, cfg))
         splits, scheme = pattern_splits(), RewriteScheme.RE_NORM_CUR_NORM
         # the second config differs in its one-qubit blocks only, the third in all
         configs = [CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 2),
@@ -1000,11 +1037,14 @@ class TestFrontEndMemo:
                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 2, 1)]
         models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
         assert len(validated) == sum(len(lset) for lset in splits)
+        # one layout per sentence pattern, each lowered once per build
+        ((_, layouts, _),) = training._front_end[2]
+        assert len(layouts) == 4
+        assert lowered == [lay for lay, _, _ in layouts] * len(configs)
         fresh = self.fresh(splits, mc_lexicon, scheme)
         for cfg, model in zip(configs, models):
-            for name, circuits in model.items_by_split.items():
-                assert [circuit_to_dict(c) for c in circuits] == [
-                    circuit_to_dict(compile_circuit(d, cfg)) for d in fresh[name]]
+            assert_same_groups(model, {name: [compile_circuit(d, cfg) for d in ds]
+                                       for name, ds in fresh.items()})
         assert models[0].n_params != models[1].n_params != models[2].n_params
 
     @staticmethod
@@ -1035,6 +1075,21 @@ class TestFrontEndMemo:
             with pytest.raises(Error) as got:
                 CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
             assert (type(got.value), str(got.value)) == (type(want), str(want))
+
+    def test_no_parameters_before_a_failing_layout_raises_first(self, mc_lexicon, monkeypatch):
+        # the third sentence overflows; under L0/r0 the first has no parameters
+        monkeypatch.setattr(circuit, "MAX_QUBITS", 6)
+        splits, scheme = pattern_splits(), RewriteScheme.RE
+        first = self.fresh(splits, mc_lexicon, scheme)["train"][0]
+        for layers, rots, want in ((0, 0, ZeroParameterModel), (1, 1, WidthOverflow)):
+            ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, layers, rots)
+            if want is ZeroParameterModel:
+                with pytest.raises(ZeroParameterModel):
+                    compile_circuit(first, ansatz)
+            for _ in range(2):
+                with pytest.raises(want):
+                    CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+            assert training._front_end[2] == []  # a plan with an error is not held
 
 
 class TestTracerContract:
