@@ -318,7 +318,8 @@ def run_one(
         build = CircuitModel.build if cfg.backend == "circuit" else TensorModel.build
         model = build(splits, lexicon, cfg.rewrite_scheme(), cfg.ansatz_config())
     except ZeroParameterModel as exc:
-        summary = _summary(run_id, config, "zero_params", str(exc), budget_seconds=budget_seconds)
+        summary = _summary(run_id, config, "zero_params", str(exc),
+                           wall_seconds=time.monotonic() - started, budget_seconds=budget_seconds)
         _finish_run(run_dir, summary)
         return summary
     except Error as exc:
@@ -343,14 +344,14 @@ def run_one(
 def _finish_run(run_dir: Path, summary: dict, history: History | None = None,
                 model=None) -> None:
     config = summary["config"]
-    (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+    (run_dir / "config.json").write_text(json.dumps(config) + "\n", encoding="utf-8")
     if history is not None:
         _write_metrics_csv(run_dir / "metrics.csv", history)
         if model is not None and history.final_params is not None:
             checkpoint = {"kind": config["backend"], "epoch": len(history), "config": config,
                           "params": model.params_to_named(history.final_params)}
-            (run_dir / "checkpoint.json").write_text(
-                json.dumps(checkpoint, indent=2) + "\n", encoding="utf-8")
+            (run_dir / "checkpoint.json").write_text(json.dumps(checkpoint) + "\n",
+                                                     encoding="utf-8")
     _write_summary(run_dir, summary)
 
 
@@ -363,9 +364,7 @@ def _write_summary(run_dir: Path, summary: dict) -> None:
     """
     tmp = run_dir / f".summary.json.{os.getpid()}.tmp"
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, allow_nan=True)
-            fh.write("\n")
+        tmp.write_text(json.dumps(summary, allow_nan=True) + "\n", encoding="utf-8")
         os.replace(tmp, run_dir / "summary.json")
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

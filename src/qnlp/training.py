@@ -52,7 +52,17 @@ scheme parse it once per worker; a corpus that fails to parse is not kept.
 The first circuit build over a corpus adds its circuit plan (a word table
 and the sentences grouped by :func:`qnlp.circuit.layout` up to their
 words) unless a layout raises.  A circuit build lowers one sentence per
-layout group and merges the groups whose circuits share a structure.
+layout group and merges the groups whose circuits share a structure.  It
+then runs each structure in the batch of a longer host, when the host has
+the same qubit count, postselection and outputs and its gates are the
+structure's plus some that read a parameter: the member's gather reads
+``-1`` in the slots it lacks, and every request's stacked parameter
+vector ends in a zero for ``-1`` to read.  A rotation at angle 0 is an
+exact identity, so a member row's weights equal those of its own batch
+(unless that batch is one row, whose in-place NumPy products can round
+differently in the last bit), and the gradient terms of its ``-1`` slots
+are dropped.  On the MC corpus under ``re_norm_cur_norm``, every cell with
+rotations is one group.
 """
 
 from __future__ import annotations
@@ -371,38 +381,35 @@ class _Group:
 
 def _stack(gather, spans, n_params: int):
     """The rows ``spans[k]`` of a gather, offset by ``k * n_params`` into
-    ``k`` stacked parameter vectors; a tensor gather is one array per
-    parameter position."""
+    ``k`` stacked parameter vectors; a ``-1`` entry (a padded gate's) reads
+    the zero that follows the last vector.  A tensor gather is one array
+    per parameter position."""
     if isinstance(gather, tuple):
         return tuple(_stack(g, spans, n_params) for g in gather)
-    return np.concatenate([gather[lo:hi] + k * n_params for k, (lo, hi) in enumerate(spans)])
+    zero = len(spans) * n_params
+    return np.concatenate([np.where(g < 0, zero, g + k * n_params)
+                           for k, g in enumerate(gather[lo:hi] for lo, hi in spans)])
 
 
 class _Model:
     """The parameter table, batch lifecycle and evaluation loop both model
     families share.
 
-    Symbols are kept in first-use order, each with its shape (``()`` for a
-    circuit angle) and its slice of the flat parameter vector.  ``sizes``
+    ``symbols`` are in first-use order, and ``shapes`` holds each one's
+    shape (``()`` for a circuit angle); a symbol's entries follow the
+    previous symbol's in the flat parameter vector.  ``sizes``
     holds each split's row count, in split order.  A subclass names its
     engine module as ``_engine``, and its :meth:`_compile_groups` compiles
     its groups on the model's first use: the rows of all splits by
     structure, in order of first use with train first.
     """
 
-    def __init__(self, sizes: dict[str, int], symbol_shapes):
-        self.shapes: dict[Symbol, tuple[int, ...]] = {}
-        for sym, shape in symbol_shapes:
-            if self.shapes.setdefault(sym, shape) != shape:
-                raise Error(f"symbol {sym.name} has conflicting shapes")
-        self.symbols: list[Symbol] = list(self.shapes)
-        self._slices: dict[Symbol, slice] = {}
-        offset = 0
-        for s in self.symbols:
-            size = math.prod(self.shapes[s])
-            self._slices[s] = slice(offset, offset + size)
-            offset += size
-        self.n_params = offset
+    def __init__(self, sizes: dict[str, int], symbols: list[Symbol], shapes: list[tuple]):
+        self.symbols = symbols
+        self.shapes = shapes
+        # symbol i owns the slice bounds[i]:bounds[i + 1] of the parameter vector
+        self._bounds = np.cumsum([0, *map(math.prod, shapes)]).tolist()
+        self.n_params = self._bounds[-1]
         self.sizes = sizes
         self._batches: list[_Group] | None = None  # compiled on first use
         # per request shape, each group's stacked batch and output rows
@@ -454,7 +461,7 @@ class _Model:
         back.  Without, the gradient is ``None``.
         """
         runs = tuple(tuple(names) for names, _ in points)
-        theta = np.concatenate([vec for _, vec in points])
+        theta = np.concatenate([*(vec for _, vec in points), [0.0]])  # a padded gate's angle
         u = np.empty((sum(self.sizes[n] for names in runs for n in names), 2))
         terms = None
         if labels is not None:
@@ -502,13 +509,21 @@ class _Model:
         gather entry names.  A group's gather and terms iterate in step (a
         circuit's by row, a network's by parameter position), and the sum
         runs in order, so a position gathered twice (a word repeated in a
-        sentence) gets both terms."""
+        sentence) gets both terms.  A padded gate's entry names the zero
+        past the stacked vectors, so its terms fall in bins that are cut
+        off."""
         pairs = [(g[: len(t)], t) for gather, ts in terms for g, t in zip(gather, ts)]
         return np.bincount(np.concatenate([g.ravel() for g, _ in pairs]),
-                           np.concatenate([t.ravel() for _, t in pairs]), self.n_params)
+                           np.concatenate([t.ravel() for _, t in pairs]),
+                           self.n_params)[: self.n_params]
+
+    def _tables(self):
+        """Each symbol with its shape and its first and past-last entries."""
+        b = self._bounds
+        return zip(self.symbols, self.shapes, b, b[1:])
 
     def store(self, theta: np.ndarray) -> dict[Symbol, np.ndarray]:
-        return {s: theta[self._slices[s]].reshape(self.shapes[s]) for s in self.symbols}
+        return {s: theta[lo:hi].reshape(shape) for s, shape, lo, hi in self._tables()}
 
     def params_to_named(self, theta: np.ndarray) -> dict:
         """Name to float for a circuit angle, to nested lists for a tensor."""
@@ -516,9 +531,63 @@ class _Model:
 
     def named_to_params(self, named: dict) -> np.ndarray:
         theta = np.empty(self.n_params)
-        for s in self.symbols:
-            theta[self._slices[s]] = np.ravel(named[s.name])
+        for s, _, lo, hi in self._tables():
+            theta[lo:hi] = np.ravel(named[s.name])
         return theta
+
+
+def _slot_map(member: tuple, host: tuple) -> np.ndarray | None:
+    """Per parametric gate of the ``host`` structure, the member's slot that
+    runs there or ``-1``; ``None`` unless ``member`` is ``host`` with some
+    parametric gates left out.
+
+    Both are :func:`~qnlp.simulator.structure_key` keys, so the member must
+    share the host's qubit count, postselection and outputs.  The greedy
+    leftmost embedding decides exactly: a constant gate must match, and
+    matching an equal parametric gate early is never worse than later.
+    """
+    (n, gates, *ends), (host_n, host_gates, *host_ends) = member, host
+    if (n, ends) != (host_n, host_ends):
+        return None
+    cols, j, slot = [], 0, 0
+    for gate in host_gates:
+        parametric = gate[2] is Symbol
+        if j < len(gates) and gates[j] == gate:
+            j += 1
+            if parametric:
+                cols.append(slot)
+                slot += 1
+        elif parametric:
+            cols.append(-1)
+        else:
+            return None
+    return np.array(cols, dtype=np.intp) if j == len(gates) else None
+
+
+def _padded_groups(structures: dict[tuple, list]) -> list[list]:
+    """Merge structure groups into hosts that run their missing gates at angle 0.
+
+    ``structures`` maps a structure key to its parts ``(circuit, at,
+    gather)``.  Taken longest first, a structure joins the first host it
+    embeds in (:func:`_slot_map`), its gathers padded with ``-1`` in the
+    host slots it lacks, or becomes a host.  A ``-1`` slot reads the zero
+    that :meth:`_Model.evaluate` appends after the stacked parameter
+    vectors, and a rotation at angle 0 is an exact identity, so a member's
+    weights stay those of its own batch.  Hosts keep the structures'
+    order, and each host's own parts lead its list.
+    """
+    hosts: dict[tuple, list] = {}
+    for key in sorted(structures, key=lambda k: -len(k[1])):
+        for host, parts in hosts.items():
+            cols = _slot_map(key, host)
+            if cols is not None:
+                for c, at, gather in structures[key]:
+                    padded = np.append(gather, np.full((len(gather), 1), -1), axis=1)
+                    parts.append((c, at, padded[:, cols]))
+                break
+        else:
+            hosts[key] = list(structures[key])
+    return [hosts[key] for key in structures if key in hosts]
 
 
 class CircuitModel(_Model):
@@ -526,9 +595,9 @@ class CircuitModel(_Model):
 
     A sentence's weights are its unnormalized postselected output
     marginal, whose sum is the survival norm.  ``groups`` holds, per
-    :func:`~qnlp.simulator.structure_key` in order of first use, one
-    circuit of that structure, the gather of its members (split by split,
-    in row order) and their rows per split.  Each group compiles on the
+    group, one circuit of the group's structure, the gather of its members
+    (split by split, in row order) and their rows per split; a ``-1``
+    gather entry runs its gate at angle 0.  Each group compiles on the
     model's first use and runs as one batched statevector pass, for
     evaluation and for gradients.
     """
@@ -537,7 +606,7 @@ class CircuitModel(_Model):
 
     def __init__(self, symbols: Sequence[Symbol], groups: list[tuple[Circuit, np.ndarray, dict]],
                  sizes: dict[str, int]):
-        super().__init__(sizes, ((s, ()) for s in symbols))
+        super().__init__(sizes, list(symbols), [()] * len(symbols))
         if not self.symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
         self._uncompiled = groups
@@ -550,7 +619,9 @@ class CircuitModel(_Model):
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               ansatz: CircuitAnsatzConfig) -> "CircuitModel":
         """Lower one sentence per layout group of the corpus's circuit plan,
-        and merge the layout groups whose circuits share a structure.
+        merge the layout groups whose circuits share a structure, and merge
+        each structure into the longest host it embeds in
+        (:func:`_padded_groups`).
 
         A word's angles sit together in the parameter vector, words in the
         plan's order, so a box's gather columns are its word's offset plus
@@ -567,14 +638,14 @@ class CircuitModel(_Model):
         offsets = np.cumsum(counts) - counts
         symbols = [Symbol(word, fp, i) for (word, fp, _), n in zip(words, counts)
                    for i in range(n)]
-        merged: dict[tuple, list] = {}
+        structures: dict[tuple, list] = {}
         for (lay, at, ids), c in zip(layouts, circuits):
             gather = np.concatenate([offsets[ids[:, b], None] + np.arange(slots[len(q)])
                                      for b, (*_, q) in enumerate(lay.blocks)], axis=1)
-            merged.setdefault(simulator.structure_key(c), []).append((c, at, gather))
+            structures.setdefault(simulator.structure_key(c), []).append((c, at, gather))
         bounds = np.cumsum([0, *sizes.values()])
         groups = []
-        for parts in merged.values():
+        for parts in _padded_groups(structures):
             pos = np.concatenate([at for _, at, _ in parts])
             order = np.argsort(pos)  # the rows run split by split, in row order
             pos = pos[order]
@@ -604,9 +675,14 @@ class TensorModel(_Model):
     _engine = tensornet
 
     def __init__(self, items_by_split: dict[str, list[Network]]):
+        shapes: dict[Symbol, tuple[int, ...]] = {}
+        for nets in items_by_split.values():
+            for net in nets:
+                for sym, shape in net.param_shapes().items():
+                    if shapes.setdefault(sym, shape) != shape:
+                        raise Error(f"symbol {sym.name} has conflicting shapes")
         super().__init__({name: len(nets) for name, nets in items_by_split.items()},
-                         (kv for split in items_by_split.values()
-                          for net in split for kv in net.param_shapes().items()))
+                         list(shapes), list(shapes.values()))
         self.items_by_split = items_by_split
 
     def _compile_groups(self) -> list[_Group]:
@@ -614,7 +690,7 @@ class TensorModel(_Model):
         for name, nets in self.items_by_split.items():
             for r, net in enumerate(nets):
                 members.setdefault(tensornet.structure_key(net), {}).setdefault(name, []).append(r)
-        offsets = {s: sl.start for s, sl in self._slices.items()}
+        offsets = dict(zip(self.symbols, self._bounds))
         groups = []
         for rows in members.values():
             batch = tensornet.compile_batch(
@@ -634,8 +710,7 @@ class TensorModel(_Model):
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]
-        for s in self.symbols:
-            shape = self.shapes[s]
+        for shape in self.shapes:
             std = 1.0 / np.sqrt(math.prod(shape[:-1]))
             chunks.append(rng.normal(0.0, std, size=math.prod(shape)))
         return np.concatenate(chunks)

@@ -5,8 +5,11 @@ code under test: the reducer enumerates cup sets by free adjacent-pair choice
 instead of a stack scan, the evaluator loops over explicit index
 assignments instead of calling einsum, the reference fit loop reads
 one split per model call instead of stacking splits and parameter points,
-and the reference circuit grouping compiles every sentence and groups the
-circuits by structure instead of lowering one sentence per layout.
+the reference circuit grouping compiles every sentence and groups the
+circuits by structure instead of lowering one sentence per layout, and
+the padded merge embeds a structure in its host by a table over suffixes
+instead of a greedy scan, then pads each circuit with zero-angle gates
+explicitly.
 Slow is fine; these only ever see small inputs.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -239,8 +243,94 @@ def reference_groups(circuits_by_split: dict[str, list]):
     return symbols, groups
 
 
+# The symbol a padded gate reads in a reference circuit: its gather entry is -1,
+# which the model reads as angle 0.
+ZERO = Symbol("", "zero", -1)
+
+
+def leftmost_embedding(member: tuple, host: tuple) -> list[int] | None:
+    """Host position of each of ``member``'s gate keys in the leftmost
+    embedding whose unmatched host gates all read a parameter, or ``None``.
+
+    ``fits[i][j]`` records whether ``member[i:]`` embeds in ``host[j:]``,
+    filled from the back; the scan then matches a gate wherever the rest
+    still fits.
+    """
+    m, h = len(member), len(host)
+    fits = [[False] * (h + 1) for _ in range(m + 1)]
+    fits[m][h] = True
+    for i in range(m, -1, -1):
+        for j in range(h - 1, -1, -1):
+            skip = host[j][2] is Symbol and fits[i][j + 1]
+            fits[i][j] = skip or (i < m and member[i] == host[j] and fits[i + 1][j + 1])
+    if not fits[0][0]:
+        return None
+    at = []
+    for j in range(h):
+        i = len(at)
+        if i < m and member[i] == host[j] and fits[i + 1][j + 1]:
+            at.append(j)
+    return at
+
+
+def padded(circuit, host, at: list[int]):
+    """``circuit`` with the host's gates inserted where ``at`` skips them,
+    each reading :data:`ZERO`."""
+    gates = [replace(g, param=ZERO) for g in host.gates]
+    for j, g in zip(at, circuit.gates):
+        gates[j] = g
+    return replace(circuit, gates=tuple(gates))
+
+
+def reference_padded_groups(circuits_by_split: dict[str, list]):
+    """The circuit model's symbols and groups, structures merged by padding.
+
+    The structure groups of :func:`reference_groups`, taken longest first:
+    each joins the first host of equal qubit count, postselection and
+    outputs that it embeds in (:func:`leftmost_embedding`), or becomes a
+    host.  Every member circuit is padded with :data:`ZERO` gates
+    explicitly, must then share its host's ``structure_key``, and gives
+    its gather row with ``-1`` for ``ZERO``.  Groups keep the structures'
+    order of first use, each as its host's first circuit, the gather of
+    every row (split by split, in row order) and the rows per split.
+    """
+    symbols, _ = reference_groups(circuits_by_split)
+    offsets = {s: i for i, s in enumerate(symbols)} | {ZERO: -1}
+    first: dict[tuple, object] = {}
+    for cs in circuits_by_split.values():
+        for c in cs:
+            first.setdefault(simulator.structure_key(c), c)
+    hosts: dict[tuple, tuple] = {}  # structure to (host structure, embedding)
+    for key in sorted(first, key=lambda k: len(k[1]), reverse=True):
+        for host in [k for k, (h, _) in hosts.items() if h == k]:
+            same_ends = (key[0], key[2:]) == (host[0], host[2:])
+            at = leftmost_embedding(key[1], host[1]) if same_ends else None
+            if at is not None:
+                hosts[key] = (host, at)
+                break
+        else:
+            hosts[key] = (key, list(range(len(key[1]))))
+    groups = []
+    for host in [k for k in first if hosts[k][0] == k]:
+        rows: dict[str, list[int]] = {name: [] for name in circuits_by_split}
+        gather = []
+        for name, cs in circuits_by_split.items():
+            for r, c in enumerate(cs):
+                key = simulator.structure_key(c)
+                if hosts[key][0] != host:
+                    continue
+                pad = padded(c, first[host], hosts[key][1])
+                assert simulator.structure_key(pad) == host
+                rows[name].append(r)
+                gather.append(reference_gather([pad], offsets)[0])
+        groups.append((first[host], np.array(gather, dtype=np.intp).reshape(len(gather), -1),
+                       {name: np.array(rs, dtype=np.intp) for name, rs in rows.items()}))
+    return symbols, groups
+
+
 def reference_circuit_model(circuits_by_split: dict[str, list]) -> training.CircuitModel:
-    """A circuit model over hand-made or separately compiled circuits."""
+    """A circuit model over hand-made or separately compiled circuits, one
+    group per structure."""
     symbols, groups = reference_groups(circuits_by_split)
     return training.CircuitModel(symbols, groups,
                                  {name: len(cs) for name, cs in circuits_by_split.items()})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ class TestRunOne:
         real_summarize = experiment.summarize
 
         def unwritable(history, last_k):
-            # json.dump fails part-way through the file on this value
+            # json.dumps fails on this value, before the summary is written
             return {**real_summarize(history, last_k), "zz_unwritable": object()}
 
         monkeypatch.setattr(experiment, "summarize", unwritable)
@@ -222,6 +223,29 @@ class TestRunOne:
         assert fits == [1]
         assert summary["status"] == "ok"
         assert json.loads((run_dir / "summary.json").read_text()) == summary
+
+    def test_failed_rename_leaves_no_summary_file(self, tmp_path, monkeypatch):
+        cfg = small_cfg(epochs=1)
+
+        def no_rename(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(experiment.os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            run_one(cfg, 0, root=tmp_path)
+        run_dir = tmp_path / cfg.run_id(0)
+        assert (run_dir / "checkpoint.json").exists()
+        assert sorted(p.name for p in run_dir.glob("*summary*")) == []
+
+    def test_run_files_are_single_line_json(self, tmp_path):
+        cfg = small_cfg(epochs=1)
+        summary = run_one(cfg, 0, root=tmp_path)
+        run_dir = tmp_path / cfg.run_id(0)
+        for name in ("config.json", "checkpoint.json", "summary.json"):
+            text = (run_dir / name).read_text(encoding="utf-8")
+            assert text.endswith("}\n") and text.count("\n") == 1, name
+        assert json.loads((run_dir / "summary.json").read_text()) == summary
+        assert json.loads((run_dir / "config.json").read_text()) == summary["config"]
 
     def test_error_summary_is_rerun(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1)
@@ -260,6 +284,16 @@ class TestRunOne:
         run_dir = tmp_path / cfg.run_id(0)
         assert (run_dir / "summary.json").exists()
         assert not (run_dir / "metrics.csv").exists()
+
+    def test_zero_parameter_cell_records_its_wall_time(self, tmp_path, monkeypatch):
+        # the cell loads its corpus and lays it out before the model has no
+        # parameters; the summary records that time as ok and aborted runs do
+        clock = iter(range(100, 200, 7))
+        monkeypatch.setattr(experiment, "time",
+                            types.SimpleNamespace(monotonic=lambda: float(next(clock))))
+        summary = run_one(small_cfg(n_layers=0, n_single_qubit_params=0), 0, root=tmp_path)
+        assert summary["status"] == "zero_params"
+        assert summary["wall_seconds"] == 7.0
 
     def test_blown_budget_is_recorded_not_raised(self, tmp_path):
         summary = run_one(small_cfg(), 0, root=tmp_path, budget_seconds=0.0)

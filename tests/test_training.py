@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnlp.circuit import (
     Circuit,
@@ -66,7 +68,8 @@ from oracles import (
     reference_circuit_model,
     reference_circuits,
     reference_fit,
-    reference_groups,
+    reference_gather,
+    reference_padded_groups,
 )
 
 
@@ -511,7 +514,7 @@ class TestCircuitBatching:
         last = len(splits.train) - 1
         (group,) = [g for g in groups if last in g.rows["train"]]
         slots = group.batch.gather[list(group.rows["train"]).index(last)].tolist()
-        man = [model._slices[s].start for s in model.symbols if s.word == "man"]
+        man = [i for i, s in enumerate(model.symbols) if s.word == "man"]  # symbol i, slot i
         assert man and [slots.count(i) for i in man] == [2] * len(man)
         theta = model.init_params(rng)
         labels = splits.train.labels()
@@ -575,7 +578,7 @@ def tensor_reference_split(model: TensorModel, name: str, theta, labels):
     assumes no degenerate row."""
     store = model.store(theta)
     nets = model.items_by_split[name]
-    probs, named = [], {s.name: np.zeros(shape) for s, shape in model.shapes.items()}
+    probs, named = [], {s.name: np.zeros(shape) for s, shape in zip(model.symbols, model.shapes)}
     for net, y in zip(nets, labels):
         v = np.asarray(contract(net, store), dtype=float).reshape(-1)
         p = v**2 / (v @ v)
@@ -925,8 +928,8 @@ class TestFitMatchesReference:
 
 def assert_same_groups(model: CircuitModel, circuits_by_split) -> None:
     """The model's symbols and compiled groups equal those of the
-    per-sentence grouping of ``circuits_by_split``, bit for bit."""
-    symbols, groups = reference_groups(circuits_by_split)
+    per-sentence padded grouping of ``circuits_by_split``, bit for bit."""
+    symbols, groups = reference_padded_groups(circuits_by_split)
     assert model.symbols == symbols and model.n_params == len(symbols)
     assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
     got = model._groups()
@@ -1090,6 +1093,170 @@ class TestFrontEndMemo:
                 with pytest.raises(want):
                     CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
             assert training._front_end[2] == []  # a plan with an error is not held
+
+
+PARAMETRIC = circuit.PARAMETRIC_1Q | circuit.PARAMETRIC_2Q
+
+
+@st.composite
+def hosts_and_members(draw) -> list[Circuit]:
+    """A random host circuit and 1-3 members that leave out some of its
+    symbol-reading gates, each as two rows reading symbols of their own.
+
+    2-3 qubits and 1-10 gates of all seven kinds between two layers of
+    ``H``, so leaving a gate out changes the output.  A rotation reads a
+    symbol or a constant angle; only symbol-reading gates are left out.
+    Every qubit but the output may be postselected.  No batch is one row:
+    NumPy rounds an in-place complex product of one element differently
+    from a longer one's, so a one-row batch can differ in the last bit.
+    """
+    n = draw(st.integers(2, 3))
+    hadamards = [(GateKind.H, (q,), None) for q in range(n)]
+    gates = list(hadamards)
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(tuple(GateKind)))
+        arity = 1 if kind is GateKind.H or kind in circuit.PARAMETRIC_1Q else 2
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        param = None
+        if kind in PARAMETRIC:
+            param = draw(st.one_of(st.just(Symbol), st.floats(-2 * np.pi, 2 * np.pi)))
+        gates.append((kind, qubits, param))
+    gates += hadamards
+    output = draw(st.integers(0, n - 1))
+    post = tuple(q for q in range(n) if q != output and draw(st.booleans()))
+    optional = [i for i, (*_, param) in enumerate(gates) if param is Symbol]
+
+    def bind(row: int, kept) -> Circuit:
+        syms = [Symbol(f"m{row}", "->s", j) for j in range(len(optional))]
+        bound = [Gate(kind, qubits, syms.pop(0) if param is Symbol else param)
+                 for i, (kind, qubits, param) in enumerate(gates) if i in kept]
+        return Circuit(n, tuple(bound), post, (output,),
+                       tuple(g.param for g in bound if isinstance(g.param, Symbol)))
+
+    everything = set(range(len(gates)))
+    kept = [everything] + [everything - set(draw(st.lists(st.sampled_from(optional), unique=True)))
+                           for _ in range(draw(st.integers(1, 3)) if optional else 0)]
+    return [bind(r, kept[r // 2]) for r in range(2 * len(kept))]
+
+
+def structures_of(circuits, offsets) -> dict[tuple, list]:
+    """The parts ``CircuitModel.build`` merges: one per circuit, by structure."""
+    structures: dict[tuple, list] = {}
+    for r, c in enumerate(circuits):
+        structures.setdefault(simulator.structure_key(c), []).append(
+            (c, np.array([r]), reference_gather([c], offsets)))
+    return structures
+
+
+class TestPaddedGroups:
+    """A structure that is another with some parametric gates left out runs
+    in that host's batch, its missing gates at angle 0."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(circuits=hosts_and_members(), seed=st.integers(0, 2**32 - 1))
+    def test_padded_rows_equal_their_own_batch(self, circuits, seed):
+        symbols = [s for c in circuits for s in c.symbols]
+        offsets = {s: i for i, s in enumerate(symbols)}
+        (parts,) = training._padded_groups(structures_of(circuits, offsets))
+        host = parts[0][0]
+        assert host is circuits[0]
+        order = np.argsort(np.concatenate([at for _, at, _ in parts]))
+        gather = np.concatenate([g for *_, g in parts])[order]
+        merged = simulator.compile_batch(host, gather)
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
+        with_zero = np.append(theta, 0.0)  # as _Model.evaluate stacks it
+        u = simulator.batch_forward(merged, with_zero)
+        upstream = rng.normal(size=u.shape)
+        _, terms = simulator.batch_backward(merged, with_zero, lambda rows, _: upstream[rows])
+        for r in range(0, len(circuits), 2):  # each structure's own batch of two rows
+            own = simulator.compile_batch(circuits[r], reference_gather(circuits[r : r + 2], offsets))
+            assert u[r : r + 2].tobytes() == simulator.batch_forward(own, theta).tobytes()
+            _, want = simulator.batch_backward(own, theta, lambda rows, _: upstream[r : r + 2][rows])
+            real = gather[r : r + 2] >= 0
+            assert gather[r : r + 2][real].tolist() == own.gather.ravel().tolist()
+            np.testing.assert_array_equal(terms[r : r + 2][real], want.ravel())
+
+    @staticmethod
+    def pair(host_gates, member_gates, member_post=(), member_out=(0,)):
+        def make(gates, post, out, row):
+            syms = iter(Symbol(f"w{row}", "->s", j) for j in range(len(gates)))
+            bound = tuple(Gate(k, q, next(syms) if p is Symbol else p) for k, q, p in gates)
+            return Circuit(2, bound, post, out,
+                           tuple(g.param for g in bound if isinstance(g.param, Symbol)))
+        return [make(host_gates, (), (0,), 0), make(member_gates, member_post, member_out, 1)]
+
+    RX0 = (GateKind.RX, (0,), Symbol)
+
+    @pytest.mark.parametrize("left_out", [(GateKind.H, (1,), None),
+                                          (GateKind.CNOT, (0, 1), None),
+                                          (GateKind.RX, (1,), 0.5)],
+                             ids=("h", "cnot", "constant-angle"))
+    def test_unmatched_constant_gate_keeps_groups_apart(self, left_out):
+        circuits = self.pair([self.RX0, left_out, self.RX0], [self.RX0, self.RX0])
+        keys = [simulator.structure_key(c) for c in circuits]
+        assert training._slot_map(keys[1], keys[0]) is None
+        offsets = {s: i for i, s in enumerate(s for c in circuits for s in c.symbols)}
+        assert len(training._padded_groups(structures_of(circuits, offsets))) == 2
+
+    @pytest.mark.parametrize("ends", [{"member_post": (1,)}, {"member_out": (1,)}],
+                             ids=("postselect", "output"))
+    def test_other_ends_keep_groups_apart(self, ends):
+        circuits = self.pair([self.RX0, self.RX0], [self.RX0], **ends)
+        keys = [simulator.structure_key(c) for c in circuits]
+        assert training._slot_map(keys[1], keys[0]) is None
+        same = self.pair([self.RX0, self.RX0], [self.RX0])
+        keys = [simulator.structure_key(c) for c in same]
+        assert training._slot_map(keys[1], keys[0]).tolist() == [0, -1]  # leftmost
+
+    def test_member_gathers_pad_the_slots_they_lack(self):
+        ry1 = (GateKind.RY, (1,), Symbol)
+        crz = (GateKind.CRZ, (0, 1), Symbol)
+        circuits = self.pair([self.RX0, ry1, crz, self.RX0], [ry1, self.RX0])
+        offsets = {s: i for i, s in enumerate(s for c in circuits for s in c.symbols)}
+        (parts,) = training._padded_groups(structures_of(circuits, offsets))
+        assert [g.tolist() for *_, g in parts] == [[[0, 1, 2, 3]], [[-1, 4, -1, 5]]]
+
+    @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
+    def test_bench_grid_histories_equal_per_structure_models(self, kind, mc_lexicon):
+        # the default corpus: every cell with rotations is one group, and
+        # five SPSA epochs give the per-structure model's history bit for bit
+        splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
+        diagrams = {lset.name: [rewrite(parse_sentence(list(ws), mc_lexicon), scheme)
+                                for ws in lset.sentences()] for lset in splits}
+        cfg = TrainConfig(epochs=5, seed=0, optimizer=SPSAConfig())
+        for layers, rots in itertools.product(range(3), range(3)):
+            if layers == rots == 0:
+                continue
+            ansatz = CircuitAnsatzConfig(kind, layers, rots)
+            model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+            per_structure = reference_circuit_model(
+                {name: [compile_circuit(d, ansatz) for d in ds] for name, ds in diagrams.items()})
+            assert len(model._groups()) == 1
+            assert len(per_structure._groups()) == (1 if rots == 0 else 4)
+            assert_same_history(fit(model, splits, cfg), fit(per_structure, splits, cfg))
+
+    @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 1, 1), (CircuitAnsatz.SIM14, 2, 2),
+                                      (CircuitAnsatz.SIM15, 1, 2),
+                                      (CircuitAnsatz.STRONGLY_ENTANGLING, 2, 1)],
+                             ids=lambda c: f"{c[0].value}-L{c[1]}-r{c[2]}")
+    def test_adaptive_gd_matches_per_structure_model(self, cell, mc_lexicon, rng):
+        # the gradient sums its terms in another order, so within 1e-12
+        splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
+        ansatz = CircuitAnsatzConfig(*cell)
+        model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+        per_structure = reference_circuit_model(
+            reference_circuits(splits, mc_lexicon, scheme, ansatz))
+        theta, labels = model.init_params(rng), splits.train.labels()
+        grad, probs, _ = model.grad_split("train", theta, labels)
+        want, want_probs, _ = per_structure.grad_split("train", theta, labels)
+        assert probs.tobytes() == want_probs.tobytes()
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
+        cfg = TrainConfig(epochs=5, seed=0, optimizer=AdaptiveGDConfig())
+        h, ref = fit(model, splits, cfg), fit(per_structure, splits, cfg)
+        np.testing.assert_allclose(h.train_loss, ref.train_loss, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.val_loss, ref.val_loss, rtol=0, atol=1e-12)
+        assert (h.train_acc, h.val_acc, h.test_acc) == (ref.train_acc, ref.val_acc, ref.test_acc)
 
 
 class TestTracerContract:
