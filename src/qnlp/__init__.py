@@ -15,7 +15,7 @@ from qnlp.circuit import (
     compile_circuit,
 )
 from qnlp.corpus import LabeledSet, default_lexicon, generate_mc, load_tsv
-from qnlp.diagram import Diagram, count_stats, eval_tensor, validate
+from qnlp.diagram import Diagram, count_stats, validate
 from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import (
     Lexicon,
@@ -78,7 +78,6 @@ __all__ = [
     "count_stats",
     "curry",
     "default_lexicon",
-    "eval_tensor",
     "fit",
     "generate_mc",
     "gradient_hole",

@@ -328,7 +328,3 @@ def circuit_from_dict(obj: Mapping) -> Circuit:
 
 def circuit_to_json(c: Circuit) -> str:
     return json.dumps(circuit_to_dict(c), indent=2)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    return circuit_from_dict(json.loads(text))

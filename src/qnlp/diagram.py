@@ -1,4 +1,4 @@
-"""String-diagram intermediate representation and its reference evaluator.
+"""String-diagram intermediate representation.
 
 A diagram is a finite set of boxes (one per word, or per curried word) wired
 together by typed wires.  Every wire has exactly one producer and one
@@ -14,23 +14,22 @@ by curried boxes that consume other boxes' outputs, giving a shallow acyclic
 graph.  Caps never appear in parsed sentences; they exist so rewrite passes
 and tests can express wire-straightening identities.
 
-``eval_tensor`` gives diagrams their multilinear meaning: boxes are dense
-tensors indexed by domain then codomain wires, cups and caps are unnormalized
-index identifications (sum over equal indices), and the result is indexed by
-the open outputs in order.
+A diagram's meaning is multilinear: boxes are dense tensors indexed by
+domain then codomain wires, cups and caps are unnormalized index
+identifications (sum over equal indices), and the result is indexed by the
+open outputs in order.  :mod:`qnlp.tensornet` contracts it, and the test
+suite's oracles evaluate it independently.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from qnlp.errors import Error
-from qnlp.pregroup import Base, PregroupType, SimpleType, contractible
+from qnlp.pregroup import PregroupType, SimpleType, contractible
 
 
 class ShapeMismatch(Error):
@@ -86,17 +85,6 @@ class Wire:
 class Violation:
     kind: str
     message: str
-
-
-@dataclass(frozen=True)
-class WireDims:
-    """Per-base wire dimensions used by the tensor semantics."""
-
-    d_n: int = 2
-    d_s: int = 2
-
-    def dim(self, t: SimpleType) -> int:
-        return self.d_n if t.base is Base.N else self.d_s
 
 
 @dataclass(frozen=True)
@@ -356,104 +344,6 @@ def count_stats(d: Diagram) -> DiagramStats:
     return DiagramStats(len(d.boxes), d.n_cups, width, d.open_types())
 
 
-# -- tensor semantics -----------------------------------------------------
-
-
-def box_shape(box: Box, dims: WireDims) -> tuple[int, ...]:
-    """Expected dense shape: domain wire dims followed by codomain wire dims."""
-    return tuple(dims.dim(t) for t in box.dom) + tuple(dims.dim(t) for t in box.cod)
-
-
-def random_assignment(
-    d: Diagram, dims: WireDims, rng: np.random.Generator
-) -> dict[int, np.ndarray]:
-    """Standard-normal tensors for every box, keyed by box index."""
-    return {b: rng.standard_normal(box_shape(box, dims)) for b, box in enumerate(d.boxes)}
-
-
-def eval_tensor(
-    d: Diagram,
-    tensors: Mapping[int, np.ndarray],
-    dims: WireDims | None = None,
-) -> np.ndarray:
-    """Contract the diagram's multilinear meaning.
-
-    ``tensors`` maps box index to a dense array shaped like
-    :func:`box_shape`.  Cups and caps identify the indices of their two
-    wires (an unnormalized sum over equal indices).  The result is indexed
-    by the open outputs in boundary order; a diagram with no open wires
-    contracts to a scalar-shaped array.
-    """
-    if dims is None:
-        dims = WireDims()
-
-    # Union-find over wire ids: a cup or cap makes its two wires share an index.
-    parent = list(range(len(d.wires)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for wl, wr in d.cup_pairs():
-        union(wl, wr)
-    for wl, wr in d.cap_pairs():
-        union(wl, wr)
-
-    labels: dict[int, int] = {}
-
-    def label(w: int) -> int:
-        root = find(w)
-        if root not in labels:
-            labels[root] = len(labels)
-        return labels[root]
-
-    operands: list[np.ndarray] = []
-    sublists: list[list[int]] = []
-    for b, box in enumerate(d.boxes):
-        expected = box_shape(box, dims)
-        try:
-            arr = np.asarray(tensors[b], dtype=float)
-        except KeyError:
-            raise ShapeMismatch(f"no tensor for box {b} ({box.name!r})") from None
-        if arr.shape != expected:
-            raise ShapeMismatch(
-                f"box {b} ({box.name!r}) expects shape {expected}, got {arr.shape}"
-            )
-        wire_ids = list(d.dom_wires(b)) + list(d.cod_wires(b))
-        operands.append(arr)
-        sublists.append([label(w) for w in wire_ids])
-
-    out_labels = [label(w) for w in d.open_wires()]
-
-    # A cap feeding a cup directly forms a closed loop touching no box; its
-    # contraction contributes a bare dimension factor.
-    loop_factor = 1.0
-    seen_loops: set[int] = set()
-    for w, wire in enumerate(d.wires):
-        root = find(w)
-        if root not in labels and root not in seen_loops:
-            seen_loops.add(root)
-            loop_factor *= dims.dim(wire.stype)
-    if len(labels) > 52:
-        raise ShapeMismatch("diagram has too many independent wires to contract")
-
-    if not operands:
-        result = np.array(1.0)
-    else:
-        args: list[object] = []
-        for arr, subs in zip(operands, sublists):
-            args.append(arr)
-            args.append(subs)
-        args.append(out_labels)
-        result = np.einsum(*args)
-    return result * loop_factor
-
-
 # -- serialization --------------------------------------------------------
 
 
@@ -520,7 +410,3 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
 
 def diagram_to_json(d: Diagram) -> str:
     return json.dumps(diagram_to_dict(d), indent=2)
-
-
-def diagram_from_json(text: str) -> Diagram:
-    return diagram_from_dict(json.loads(text))

@@ -436,8 +436,10 @@ def run_sweep(
     """Run all (cell, seed) pairs, in a process pool when workers > 1.
 
     The pool has no more workers than there are pairs.  Completed runs
-    (summary.json on disk) are skipped, except those recorded as
-    ``error``, so an interrupted sweep picks up where it stopped.
+    (summary.json on disk) are skipped, so an interrupted sweep picks up
+    where it stopped; :func:`run_one` reruns those recorded as ``error``,
+    and those recorded as ``aborted`` when ``budget_per_cell`` is absent
+    or larger than the budget they ran under.
     """
     base = results_root(root)
     base.mkdir(parents=True, exist_ok=True)

@@ -15,25 +15,26 @@ the generalized Kronecker tensor, 1 exactly when all incident indices
 agree.  Contraction fuses delta- and spider-connected legs into shared
 einsum indices rather than materializing those tensors.  This plan (the
 validation, the labels and the closed-loop factor) is built once per
-network, on first use, and cached on it.  ``diagram.eval_tensor`` stays a
-separate contraction on purpose: it is the independent oracle the tests
-compare ``contract`` against.  Gradients are exact hole contractions: each
-network is multilinear in every parameter node, so the derivative with
-respect to one node is the network contracted with that node removed and
-its legs left open, chained with the upstream cotangent.  A parameter
-tensor used by several nodes accumulates one hole term per use.
+network, on first use, and cached on it.  The test suite evaluates
+diagrams apart from this module, as the oracle ``contract`` is compared
+against.  Gradients are exact hole contractions: each network is
+multilinear in every parameter node, so the derivative with respect to
+one node is the network contracted with that node removed and its legs
+left open, chained with the upstream cotangent.  A parameter tensor used
+by several nodes accumulates one hole term per use.
 
 Training runs batched, through the batch contract :mod:`qnlp.simulator`
-shares: :func:`structure_key` groups a corpus's networks, and each group
-compiles once (:func:`compile_batch`) with an extra row label; only its
-gather depends on the row count.  The greedy path of the group's einsum,
-searched once, becomes a tree of pairwise steps, each one plain einsum.
-:func:`batch_forward` walks the tree and reads out every row's weights
-``u = v**2`` from its output vector ``v``; :func:`batch_backward` walks it
-too, keeping the tree's nodes, chains the model's cotangent on ``u`` for
-the leading rows through ``v**2`` and gets every hole of those rows from
-one reverse sweep over the kept nodes.  The per-network :func:`contract` and
-:func:`gradient_hole` are the reference the batched path is tested against.
+shares: networks of one :func:`structure_key` compile once into a
+:class:`TensorBatch` (:func:`compile_batch`, from one network's plan and
+every row's parameter positions) with an extra row label.  The greedy
+path of the batch's einsum, searched once, becomes a tree of pairwise
+steps, each one plain einsum.  :func:`batch_forward` walks the tree and
+reads out every row's weights ``u = v**2`` from its output vector ``v``;
+:func:`batch_backward` walks it too, keeping the tree's nodes, chains the
+model's cotangent on ``u`` for the leading rows through ``v**2`` and gets
+every hole of those rows from one reverse sweep over the kept nodes.  The
+per-network :func:`contract` and :func:`gradient_hole` are the reference
+the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -488,17 +489,24 @@ def _cotangent(child, others, dims, bridge) -> tuple[str, tuple[np.ndarray, ...]
     return _subscripts(inputs, result), tuple(eyes)
 
 
-def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> TensorBatch:
-    """Compile networks of one :func:`structure_key` into a batch; ``offsets``
-    maps every symbol to its flattened tensor's offset in the parameter vector.
-    The greedy path of the forward einsum, searched once, becomes the steps."""
-    first = nets[0]
+def compile_batch(first: Network, gather: Sequence[np.ndarray]) -> TensorBatch:
+    """Compile the networks of ``first``'s :func:`structure_key` into a batch.
+
+    The steps come from ``first`` alone; ``gather`` is laid out as
+    :attr:`TensorBatch.gather`, one row per network of the batch.  The
+    greedy path of the forward einsum, searched once, becomes the steps.
+    """
     plan = first._plan
     if not plan.params:
         raise Error("network has no tensor operands")
     if not set(plan.outputs) <= {lab for sub in plan.sublists for lab in sub}:
         raise Error("open legs with no tensor operands")
-    shapes = [(len(nets),) + first.nodes[ni].shape for ni in plan.params]
+    gather = tuple(np.asarray(g, dtype=np.intp) for g in gather)
+    rows = len(gather[0]) if gather else 0
+    shapes = [(rows,) + first.nodes[ni].shape for ni in plan.params]
+    if [g.shape for g in gather] != [(rows, math.prod(s[1:])) for s in shapes]:
+        raise Error(f"gather of shapes {[g.shape for g in gather]} for parameter "
+                    f"tensors of shapes {[s[1:] for s in shapes]}")
     row = plan.n_labels  # the row axis's label; bridge labels follow it
     _check_labels(row + 1)
     labels = [(row, *sub) for sub in plan.sublists]  # per tree node
@@ -516,11 +524,7 @@ def compile_batch(nets: Sequence[Network], offsets: Mapping[Symbol, int]) -> Ten
         steps.append(_Step(inputs, _subscripts(subs, kept), kept, cotangents))
         live.append(len(labels))
         labels.append(kept)
-    gather = []
-    for ni, shape in zip(plan.params, shapes):
-        starts = np.array([offsets[net.nodes[ni].symbol] for net in nets], dtype=np.intp)
-        gather.append(starts[:, None] + np.arange(math.prod(shape[1:])))
-    return TensorBatch(tuple(shape[1:] for shape in shapes), tuple(gather), tuple(steps),
+    return TensorBatch(tuple(shape[1:] for shape in shapes), gather, tuple(steps),
                        first.output_dims(), plan.factor)
 
 

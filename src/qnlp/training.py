@@ -3,21 +3,24 @@
 A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
 one set of weights no matter how many sentences mention them.  Both model
-families run one loop over one engine contract, which :mod:`qnlp.simulator`
-and :mod:`qnlp.tensornet` both provide: the rows of all splits are grouped
-by ``structure_key``, ``compile_batch`` compiles each group once, on the
-model's first use, with the train rows first, ``batch_forward(batch, theta)`` gives
-each row two non-negative weights ``u``, and ``batch_backward(batch,
-theta, pull)`` gives ``u`` from its own forward pass and pulls the
-cotangent that ``pull`` returns for the leading rows back to the group's
-parameter slots, laid out like ``batch.gather``.  A circuit's ``u`` is its
-unnormalized postselected output marginal, whose sum is the survival norm;
-a network's ``u`` is its squared real output vector.  One readout turns a
-split's ``u`` into probabilities ``p = u / sum(u)``, one pullback per row
-chains the loss back to ``u``, and one ``np.bincount`` sums the slots'
-gradient terms back per parameter, so a word repeated in a sentence gets
-the terms of both uses.  :mod:`qnlp.simulator`'s ``sentence_distribution``
-and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
+families build one way and run one loop over one engine contract, which
+:mod:`qnlp.simulator` and :mod:`qnlp.tensornet` both provide.  A build
+lowers one sentence per group of its corpus plan (below); the model merges
+the groups whose items share a ``structure_key``, and
+``compile_batch(first, gather)`` compiles each merged group at build, from
+one item and every row's parameter positions, rows in corpus order.
+``batch_forward(batch, theta)`` gives each row two non-negative weights
+``u``, and ``batch_backward(batch, theta, pull)`` gives ``u`` from its own
+forward pass and pulls the cotangent that ``pull`` returns for the leading
+rows back to the group's parameter slots, laid out like ``batch.gather``.
+A circuit's ``u`` is its unnormalized postselected output marginal, whose
+sum is the survival norm; a network's ``u`` is its squared real output
+vector.  One readout turns a split's ``u`` into probabilities ``p = u /
+sum(u)``, one pullback per row chains the loss back to ``u``, and one
+``np.bincount`` sums the slots' gradient terms back per parameter, so a
+word repeated in a sentence gets the terms of both uses.
+:mod:`qnlp.simulator`'s ``sentence_distribution`` and
+``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
 ``gradient_hole``, are the per-item reference of these paths.
 
 A request (:meth:`_Model.evaluate`) names several parameter points, each
@@ -49,20 +52,14 @@ The parsed and rewritten diagrams of the most recent corpus are kept in
 the process, keyed on content: the scheme, each split's sentences, and the
 lexicon types of their words.  Cells of a sweep that share a corpus and a
 scheme parse it once per worker; a corpus that fails to parse is not kept.
-The first circuit build over a corpus adds its circuit plan (a word table
-and the sentences grouped by :func:`qnlp.circuit.layout` up to their
-words) unless a layout raises.  A circuit build lowers one sentence per
-layout group and merges the groups whose circuits share a structure.  It
-then runs each structure in the batch of a longer host, when the host has
-the same qubit count, postselection and outputs and its gates are the
-structure's plus some that read a parameter: the member's gather reads
-``-1`` in the slots it lacks, and every request's stacked parameter
-vector ends in a zero for ``-1`` to read.  A rotation at angle 0 is an
-exact identity, so a member row's weights equal those of its own batch
-(unless that batch is one row, whose in-place NumPy products can round
-differently in the last bit), and the gradient terms of its ``-1`` slots
-are dropped.  On the MC corpus under ``re_norm_cur_norm``, every cell with
-rotations is one group.
+Each family's first build adds its plan of the corpus, unless a placement
+raises: a word table, and the sentences grouped by their circuit layout
+or by their diagram with each box named by its index, each group with a
+word-index array.  On the MC corpus either plan has a group per sentence
+pattern.  A circuit model also runs a structure in the batch of a longer
+host whose extra gates all read a parameter (:func:`_merge_groups`); on
+the MC corpus under ``re_norm_cur_norm``, every cell with rotations is
+one group.
 """
 
 from __future__ import annotations
@@ -75,14 +72,15 @@ from typing import Sequence
 import numpy as np
 
 from qnlp import simulator, tensornet
-from qnlp.circuit import (Circuit, CircuitAnsatzConfig, Layout, Symbol, ZeroParameterModel,
-                          layout, lower, word_block)
+from qnlp.circuit import (CircuitAnsatzConfig, Symbol, ZeroParameterModel, layout, lower,
+                          type_fingerprint, word_block)
 from qnlp.corpus import CorpusSplits
+from qnlp.diagram import Diagram
 from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import Lexicon, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import WrongOutputArity
-from qnlp.tensornet import Network, TensorAnsatzConfig, compile_network
+from qnlp.tensornet import ParamNode, TensorAnsatzConfig, compile_network
 # Not called here: compile_circuit, which CircuitModel.build runs as its two
 # steps apart, and the per-item references of the batched paths.  They stay
 # importable from this module, where the benchmark's tracer wraps them by name.
@@ -271,13 +269,10 @@ class TrainConfig:
 # -- models ---------------------------------------------------------------
 
 
-# The parsed and rewritten diagrams of the most recent corpus, keyed on its
-# content: the scheme, every split's sentences, and the lexicon types of
-# their words; then, once a circuit build has made it, the corpus's
-# circuit plan.  A sweep's cells share one corpus and scheme, so a process
-# that runs many cells parses and lays them out once.  One corpus only is
-# held.
-_front_end: tuple[tuple, dict[str, list], list] | None = None
+# The most recent corpus's key (the scheme, every split's sentences and
+# the lexicon types of their words), its parsed and rewritten diagrams and,
+# per placement a build has made, its plan.  One corpus only is held.
+_front_end: tuple[tuple, dict[str, list], dict] | None = None
 
 
 def _diagrams(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> dict[str, list]:
@@ -290,47 +285,59 @@ def _diagrams(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> 
         _front_end = None  # hold one corpus, and none that failed to parse
         diagrams = {name: [rewrite(parse_sentence(list(ws), lexicon), scheme) for ws in split]
                     for name, split in sentences}
-        _front_end = (key, diagrams, [])
+        _front_end = (key, diagrams, {})
     return _front_end[1]
 
 
-def _circuit_plan(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme):
-    """A corpus's circuits without an ansatz, and the error of the first
-    sentence whose layout raises.
+def _place_circuit(d: Diagram):
+    """A diagram's layout, keyed up to its words, and each block's word
+    entry ``(word, type fingerprint, block width)``."""
+    lay = layout(d)
+    key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect, lay.outputs)
+    return key, lay, [(word, fp, len(q)) for word, fp, q in lay.blocks]
 
-    The plan is ``(words, groups, sizes)``: each distinct ``(word, type
-    fingerprint)`` in first-use order with its block width; per layout up
-    to its words, in order of first use, ``(layout, at, ids)`` with each
-    member's position ``at`` in the corpus (every split's rows in turn) and
-    ``ids[i, b]``, the word index of member ``i``'s ``b``-th box; and each
-    split's row count.  A plan without an error is held with the diagrams;
+
+def _place_network(d: Diagram):
+    """A diagram with each box named by its index, which is its shape up to
+    its words, and each box's word entry ``(word, type fingerprint)``."""
+    shape = replace(d, boxes=tuple(replace(box, name=str(b)) for b, box in enumerate(d.boxes)))
+    return shape, shape, [(box.name, type_fingerprint(box)) for box in d.boxes]
+
+
+def _corpus_plan(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme, place):
+    """A corpus's sentences grouped by ``place``, and the error of the
+    first sentence whose placement raises.
+
+    ``place(d)`` gives a diagram's group key, an item for its group, and
+    per box its word entry.  The plan is ``(words, groups, sizes)``: the
+    word entries in first-use order; per group, in order of first use,
+    ``(item, at, ids)`` with its members' corpus positions ``at`` (every
+    split's rows in turn) and ``ids[i, b]``, member ``i``'s ``b``-th word
+    index; and each split's row count.  A plan without an error is held;
     one with an error covers the sentences before that one only.
     """
     diagrams = _diagrams(splits, lexicon, scheme)
     held = _front_end[2]
-    if held:
-        return held[0], None
-    words: dict[tuple[str, str], tuple[int, int]] = {}  # to (index, block width)
-    members: dict[tuple, tuple[Layout, list[int], list[list[int]]]] = {}
+    if place in held:
+        return held[place], None
+    words: dict[tuple, int] = {}
+    members: dict[tuple, tuple[object, list[int], list[list[int]]]] = {}
     error = None
     for at, d in enumerate(d for ds in diagrams.values() for d in ds):
         try:
-            lay = layout(d)
+            key, item, entries = place(d)
         except Error as exc:
             error = exc
             break
-        key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect,
-               lay.outputs)
-        _, ats, ids = members.setdefault(key, (lay, [], []))
+        _, ats, ids = members.setdefault(key, (item, [], []))
         ats.append(at)
-        ids.append([words.setdefault((word, fp), (len(words), len(q)))[0]
-                    for word, fp, q in lay.blocks])
-    plan = ([(word, fp, width) for (word, fp), (_, width) in words.items()],
-            [(lay, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp))
-             for lay, ats, ids in members.values()],
+        ids.append([words.setdefault(w, len(words)) for w in entries])
+    plan = (list(words),
+            [(item, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp))
+             for item, ats, ids in members.values()],
             {name: len(ds) for name, ds in diagrams.items()})
     if error is None:
-        held.append(plan)
+        held[place] = plan
     return plan, error
 
 
@@ -362,23 +369,6 @@ def _pullback(u: np.ndarray, labels, n: int) -> np.ndarray:
     return g_u
 
 
-@dataclass(frozen=True, eq=False)
-class _Group:
-    """Items of one structure over all splits, compiled once; ``rows``
-    holds, per split, the split rows of its items.  The batch's rows run
-    split by split in the model's split order."""
-
-    batch: object
-    rows: dict[str, np.ndarray]
-
-    def span(self, names: tuple[str, ...]) -> tuple[int, int]:
-        """The batch rows of a run of consecutive splits."""
-        counts = [len(r) for r in self.rows.values()]
-        first = list(self.rows).index(names[0])
-        lo = sum(counts[:first])
-        return lo, lo + sum(counts[first : first + len(names)])
-
-
 def _stack(gather, spans, n_params: int):
     """The rows ``spans[k]`` of a gather, offset by ``k * n_params`` into
     ``k`` stacked parameter vectors; a ``-1`` entry (a padded gate's) reads
@@ -392,33 +382,35 @@ def _stack(gather, spans, n_params: int):
 
 
 class _Model:
-    """The parameter table, batch lifecycle and evaluation loop both model
+    """The parameter table, batches and evaluation loop both model
     families share.
 
     ``symbols`` are in first-use order, and ``shapes`` holds each one's
     shape (``()`` for a circuit angle); a symbol's entries follow the
-    previous symbol's in the flat parameter vector.  ``sizes``
-    holds each split's row count, in split order.  A subclass names its
-    engine module as ``_engine``, and its :meth:`_compile_groups` compiles
-    its groups on the model's first use: the rows of all splits by
-    structure, in order of first use with train first.
+    previous symbol's in the flat parameter vector.  ``sizes`` holds each
+    split's row count, in split order.  ``groups`` holds, per group of the
+    corpus plan, ``(first, at, gather)``: one item of the group, its
+    members' corpus positions (every split's rows in turn) and their
+    gather, one row each.  The model merges them (:func:`_merge_groups`)
+    and compiles each batch once, through the engine module its subclass
+    names as ``_engine``.
     """
 
-    def __init__(self, sizes: dict[str, int], symbols: list[Symbol], shapes: list[tuple]):
-        self.symbols = symbols
-        self.shapes = shapes
+    _embed = None  # a family's slot map of a structure into a longer host's
+
+    def __init__(self, symbols: Sequence[Symbol], shapes: Sequence[tuple],
+                 sizes: dict[str, int], groups: list):
+        self.symbols = list(symbols)
+        self.shapes = list(shapes)
         # symbol i owns the slice bounds[i]:bounds[i + 1] of the parameter vector
-        self._bounds = np.cumsum([0, *map(math.prod, shapes)]).tolist()
+        self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
         self.n_params = self._bounds[-1]
         self.sizes = sizes
-        self._batches: list[_Group] | None = None  # compiled on first use
+        # per batch, the compiled batch and its rows' corpus positions, ascending
+        self._groups = [(self._engine.compile_batch(first, gather), at) for first, at, gather
+                        in _merge_groups(groups, self._engine.structure_key, self._embed)]
         # per request shape, each group's stacked batch and output rows
         self._requests: dict[tuple, list] = {}
-
-    def _groups(self) -> list[_Group]:
-        if self._batches is None:
-            self._batches = self._compile_groups()
-        return self._batches
 
     def _request(self, runs: tuple[tuple[str, ...], ...]) -> list:
         """Per group with rows in the request, its batch stacked over the
@@ -427,24 +419,23 @@ class _Model:
         plan = self._requests.get(runs)
         if plan is None:
             order = list(self.sizes)
-            base, at = {}, 0
-            for k, names in enumerate(runs):
+            bounds = np.cumsum([0, *self.sizes.values()])
+            spans, out = [], 0  # per run: its corpus positions and first output row
+            for names in runs:
                 first = order.index(names[0])
                 if tuple(order[first : first + len(names)]) != names:
                     raise Error(f"splits {names} are not consecutive in {order}")
-                for name in names:
-                    base[k, name] = at
-                    at += self.sizes[name]
+                spans.append((bounds[first], bounds[first + len(names)], out))
+                out += bounds[first + len(names)] - bounds[first]
             plan = []
-            for group in self._groups():
-                dest = np.concatenate([base[k, name] + group.rows[name]
-                                       for k, names in enumerate(runs) for name in names])
+            for batch, at in self._groups:
+                rows = [np.searchsorted(at, (lo, hi)) for lo, hi, _ in spans]
+                dest = np.concatenate([base + at[a:b] - lo
+                                       for (lo, _, base), (a, b) in zip(spans, rows)])
                 if len(dest):
-                    spans = [group.span(names) for names in runs]
-                    batch = replace(group.batch,
-                                    gather=_stack(group.batch.gather, spans, self.n_params))
-                    plan.append((group, batch, dest))
-            plan = self._requests[runs] = plan
+                    plan.append((replace(batch, gather=_stack(batch.gather, rows, self.n_params)),
+                                 dest))
+            self._requests[runs] = plan
         return plan
 
     def evaluate(self, points, labels=None):
@@ -465,13 +456,13 @@ class _Model:
         u = np.empty((sum(self.sizes[n] for names in runs for n in names), 2))
         terms = None
         if labels is not None:
-            split = runs[0][0]
-            n = self.sizes[split]
+            n = self.sizes[runs[0][0]]
             if n == 0:
                 raise EmptyEvalSet("no sentences to differentiate")
             labels, terms = np.asarray(labels), []
-        for group, batch, dest in self._request(runs):
-            rows = () if labels is None else group.rows[split]
+        for batch, dest in self._request(runs):
+            # the first split's rows lead the output, as they lead the batch
+            rows = () if labels is None else dest[dest < n]
             if not len(rows):
                 u[dest] = self._engine.batch_forward(batch, theta)
                 continue
@@ -564,70 +555,70 @@ def _slot_map(member: tuple, host: tuple) -> np.ndarray | None:
     return np.array(cols, dtype=np.intp) if j == len(gates) else None
 
 
-def _padded_groups(structures: dict[tuple, list]) -> list[list]:
-    """Merge structure groups into hosts that run their missing gates at angle 0.
+def _merge_groups(groups: list, key, embed) -> list[tuple]:
+    """One batch per host structure from the plan groups ``(first, at,
+    gather)``.
 
-    ``structures`` maps a structure key to its parts ``(circuit, at,
-    gather)``.  Taken longest first, a structure joins the first host it
-    embeds in (:func:`_slot_map`), its gathers padded with ``-1`` in the
-    host slots it lacks, or becomes a host.  A ``-1`` slot reads the zero
-    that :meth:`_Model.evaluate` appends after the stacked parameter
-    vectors, and a rotation at angle 0 is an exact identity, so a member's
-    weights stay those of its own batch.  Hosts keep the structures'
-    order, and each host's own parts lead its list.
+    Taken longest first (a ``key``'s second entry), a group joins the first
+    host of its structure, or with ``embed`` (:func:`_slot_map`) the first
+    it embeds in, its gathers padded to the host's slots with ``-1``; else
+    it becomes a host.  A ``-1`` slot reads the zero that
+    :meth:`_Model.evaluate` appends after the stacked parameter vectors;
+    a rotation at angle 0 is an exact identity, so a member row's weights
+    equal those of its own batch (unless that batch is one row, whose
+    in-place NumPy products can round differently in the last bit).  Per
+    host, in order of first use: its own first group's item, its rows'
+    corpus positions in ascending order, and their gathers in that order.
     """
+    keys = [key(first) for first, _, _ in groups]
     hosts: dict[tuple, list] = {}
-    for key in sorted(structures, key=lambda k: -len(k[1])):
+    for i in sorted(range(len(groups)), key=lambda i: -len(keys[i][1])):
+        first, at, gather = groups[i]
         for host, parts in hosts.items():
-            cols = _slot_map(key, host)
+            if keys[i] == host:
+                parts.append(groups[i])
+                break
+            cols = None if embed is None else embed(keys[i], host)
             if cols is not None:
-                for c, at, gather in structures[key]:
-                    padded = np.append(gather, np.full((len(gather), 1), -1), axis=1)
-                    parts.append((c, at, padded[:, cols]))
+                padded = np.append(gather, np.full((len(gather), 1), -1), axis=1)
+                parts.append((first, at, padded[:, cols]))
                 break
         else:
-            hosts[key] = list(structures[key])
-    return [hosts[key] for key in structures if key in hosts]
+            hosts[keys[i]] = [groups[i]]
+    merged = []
+    for parts in (hosts[k] for k in dict.fromkeys(keys) if k in hosts):
+        at = np.concatenate([at for _, at, _ in parts])
+        order = np.argsort(at)
+        gathers = [g for *_, g in parts]  # a tensor's holds an array per parameter position
+        gather = (tuple(np.concatenate(gs)[order] for gs in zip(*gathers))
+                  if isinstance(gathers[0], tuple) else np.concatenate(gathers)[order])
+        merged.append((parts[0][0], at[order], gather))
+    return merged
 
 
 class CircuitModel(_Model):
     """A shared-parameter ensemble of sentence circuits, held by structure.
 
     A sentence's weights are its unnormalized postselected output
-    marginal, whose sum is the survival norm.  ``groups`` holds, per
-    group, one circuit of the group's structure, the gather of its members
-    (split by split, in row order) and their rows per split; a ``-1``
-    gather entry runs its gate at angle 0.  Each group compiles on the
-    model's first use and runs as one batched statevector pass, for
-    evaluation and for gradients.
+    marginal, whose sum is the survival norm.  Each batch runs as one
+    batched statevector pass, for evaluation and for gradients; a
+    structure runs in the batch of a longer host it embeds in
+    (:func:`_slot_map`), at angle 0 in the slots it lacks.
     """
 
     _engine = simulator
-
-    def __init__(self, symbols: Sequence[Symbol], groups: list[tuple[Circuit, np.ndarray, dict]],
-                 sizes: dict[str, int]):
-        super().__init__(sizes, list(symbols), [()] * len(symbols))
-        if not self.symbols:
-            raise ZeroParameterModel("no trainable parameters in any circuit")
-        self._uncompiled = groups
-
-    def _compile_groups(self) -> list[_Group]:
-        return [_Group(simulator.compile_batch(c, gather), rows)
-                for c, gather, rows in self._uncompiled]
+    _embed = staticmethod(_slot_map)
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               ansatz: CircuitAnsatzConfig) -> "CircuitModel":
-        """Lower one sentence per layout group of the corpus's circuit plan,
-        merge the layout groups whose circuits share a structure, and merge
-        each structure into the longest host it embeds in
-        (:func:`_padded_groups`).
+        """Lower one sentence per layout group of the corpus's circuit plan.
 
         A word's angles sit together in the parameter vector, words in the
         plan's order, so a box's gather columns are its word's offset plus
         its block's slot indices.
         """
-        (words, layouts, sizes), error = _circuit_plan(splits, lexicon, scheme)
+        (words, layouts, sizes), error = _corpus_plan(splits, lexicon, scheme, _place_circuit)
         # lowered first: a sentence before a failed layout may have no parameters
         circuits = [lower(lay, ansatz) for lay, _, _ in layouts]
         if error is not None:
@@ -638,21 +629,12 @@ class CircuitModel(_Model):
         offsets = np.cumsum(counts) - counts
         symbols = [Symbol(word, fp, i) for (word, fp, _), n in zip(words, counts)
                    for i in range(n)]
-        structures: dict[tuple, list] = {}
-        for (lay, at, ids), c in zip(layouts, circuits):
-            gather = np.concatenate([offsets[ids[:, b], None] + np.arange(slots[len(q)])
-                                     for b, (*_, q) in enumerate(lay.blocks)], axis=1)
-            structures.setdefault(simulator.structure_key(c), []).append((c, at, gather))
-        bounds = np.cumsum([0, *sizes.values()])
-        groups = []
-        for parts in _padded_groups(structures):
-            pos = np.concatenate([at for _, at, _ in parts])
-            order = np.argsort(pos)  # the rows run split by split, in row order
-            pos = pos[order]
-            cut = np.searchsorted(pos, bounds)
-            rows = {name: pos[cut[k] : cut[k + 1]] - bounds[k] for k, name in enumerate(sizes)}
-            groups.append((parts[0][0], np.concatenate([g for *_, g in parts])[order], rows))
-        return cls(symbols, groups, sizes)
+        if not symbols:
+            raise ZeroParameterModel("no trainable parameters in any circuit")
+        groups = [(c, at, np.concatenate([offsets[ids[:, b], None] + np.arange(slots[len(q)])
+                                          for b, (*_, q) in enumerate(lay.blocks)], axis=1))
+                  for (lay, at, ids), c in zip(layouts, circuits)]
+        return cls(symbols, [()] * len(symbols), sizes, groups)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
@@ -667,46 +649,45 @@ class TensorModel(_Model):
 
     A sentence's weights are its squared real output vector ``v**2``, so
     ``p_i = v_i^2 / sum v^2``; a collapsed vector (squared norm below
-    1e-12) reads out as uniform.  Each group of a split contracts along
-    its compiled tree of pairwise steps, and its gradient is one reverse
-    sweep over that tree.
+    1e-12) reads out as uniform.  Each batch contracts along its compiled
+    tree of pairwise steps, and its gradient is one reverse sweep over
+    that tree.
     """
 
     _engine = tensornet
 
-    def __init__(self, items_by_split: dict[str, list[Network]]):
-        shapes: dict[Symbol, tuple[int, ...]] = {}
-        for nets in items_by_split.values():
-            for net in nets:
-                for sym, shape in net.param_shapes().items():
-                    if shapes.setdefault(sym, shape) != shape:
-                        raise Error(f"symbol {sym.name} has conflicting shapes")
-        super().__init__({name: len(nets) for name, nets in items_by_split.items()},
-                         list(shapes), list(shapes.values()))
-        self.items_by_split = items_by_split
-
-    def _compile_groups(self) -> list[_Group]:
-        members: dict[tuple, dict[str, list[int]]] = {}
-        for name, nets in self.items_by_split.items():
-            for r, net in enumerate(nets):
-                members.setdefault(tensornet.structure_key(net), {}).setdefault(name, []).append(r)
-        offsets = dict(zip(self.symbols, self._bounds))
-        groups = []
-        for rows in members.values():
-            batch = tensornet.compile_batch(
-                [self.items_by_split[name][r] for name, rs in rows.items() for r in rs], offsets)
-            size = math.prod(batch.out_shape)
-            if size != 2:
-                raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
-            groups.append(_Group(batch, {name: np.array(rows.get(name, []), dtype=np.intp)
-                                         for name in self.sizes}))
-        return groups
-
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               cfg: TensorAnsatzConfig) -> "TensorModel":
-        return cls({name: [compile_network(d, cfg) for d in ds]
-                    for name, ds in _diagrams(splits, lexicon, scheme).items()})
+        """Compile one network per shape group of the corpus's network plan.
+
+        A group's network names each box by its index, so its parameter
+        node for piece ``i`` of box ``b`` reads, per member, piece ``i``
+        of the word at ``ids[:, b]``.  A word's pieces sit together in the
+        parameter vector, words in the plan's order.
+        """
+        # placing a network cannot fail; compiling it checks the diagram
+        (words, shaped, sizes), _ = _corpus_plan(splits, lexicon, scheme, _place_network)
+        nets = [compile_network(d, cfg) for d, _, _ in shaped]
+        for net in nets:
+            if (size := math.prod(net.output_dims())) != 2:
+                raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
+        params = [[node for node in net.nodes if isinstance(node, ParamNode)] for net in nets]
+        pieces = {}  # (word index, piece) to the piece's shape
+        for nodes, (_, _, ids) in zip(params, shaped):
+            for node in nodes:
+                word_ids = ids[:, int(node.symbol.word)].tolist()
+                pieces.update(dict.fromkeys(((w, node.symbol.index) for w in word_ids), node.shape))
+        keys = sorted(pieces)
+        firsts = np.array([k for k, (_, i) in enumerate(keys) if i == 0])  # per word
+        entries = np.cumsum([0, *(math.prod(pieces[k]) for k in keys)])
+        groups = []
+        for net, nodes, (_, at, ids) in zip(nets, params, shaped):
+            # per member, the flattened entries of its word's piece at each node
+            gather = tuple(entries[firsts[ids[:, int(n.symbol.word)]] + n.symbol.index, None]
+                           + np.arange(math.prod(n.shape)) for n in nodes)
+            groups.append((net, at, gather))
+        return cls([Symbol(*words[w], i) for w, i in keys], [pieces[k] for k in keys], sizes, groups)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]

@@ -2,14 +2,16 @@
 
 Everything here is deliberately written with a different algorithm than the
 code under test: the reducer enumerates cup sets by free adjacent-pair choice
-instead of a stack scan, the evaluator loops over explicit index
-assignments instead of calling einsum, the reference fit loop reads
-one split per model call instead of stacking splits and parameter points,
-the reference circuit grouping compiles every sentence and groups the
-circuits by structure instead of lowering one sentence per layout, and
-the padded merge embeds a structure in its host by a table over suffixes
-instead of a greedy scan, then pads each circuit with zero-angle gates
-explicitly.
+instead of a stack scan, ``eval_tensor`` contracts a diagram's boxes in
+one einsum over its wires instead of lowering it to a network, the
+brute-force evaluator loops over explicit index assignments instead of
+calling einsum, the reference fit loop reads one split per model call
+instead of stacking splits and parameter points, the reference circuit
+and tensor groupings compile every sentence and group the circuits or
+networks by structure instead of lowering one sentence per plan group,
+and the padded merge embeds a structure in its host by a table over
+suffixes instead of a greedy scan, then pads each circuit with
+zero-angle gates explicitly.
 Slow is fine; these only ever see small inputs.
 """
 
@@ -17,14 +19,123 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
-from qnlp import simulator, training
+from qnlp import simulator, tensornet, training
 from qnlp.circuit import Symbol, compile_circuit
-from qnlp.pregroup import SimpleType, contractible, parse_sentence
+from qnlp.diagram import Box, Diagram, ShapeMismatch
+from qnlp.pregroup import Base, SimpleType, contractible, parse_sentence
 from qnlp.rewrite import rewrite
+from qnlp.tensornet import ParamNode, compile_network
+
+
+@dataclass(frozen=True)
+class WireDims:
+    """Per-base wire dimensions used by the tensor semantics."""
+
+    d_n: int = 2
+    d_s: int = 2
+
+    def dim(self, t: SimpleType) -> int:
+        return self.d_n if t.base is Base.N else self.d_s
+
+
+def box_shape(box: Box, dims: WireDims) -> tuple[int, ...]:
+    """Expected dense shape: domain wire dims followed by codomain wire dims."""
+    return tuple(dims.dim(t) for t in box.dom) + tuple(dims.dim(t) for t in box.cod)
+
+
+def random_assignment(
+    d: Diagram, dims: WireDims, rng: np.random.Generator
+) -> dict[int, np.ndarray]:
+    """Standard-normal tensors for every box, keyed by box index."""
+    return {b: rng.standard_normal(box_shape(box, dims)) for b, box in enumerate(d.boxes)}
+
+
+def eval_tensor(
+    d: Diagram,
+    tensors: Mapping[int, np.ndarray],
+    dims: WireDims | None = None,
+) -> np.ndarray:
+    """Contract the diagram's multilinear meaning.
+
+    ``tensors`` maps box index to a dense array shaped like
+    :func:`box_shape`.  Cups and caps identify the indices of their two
+    wires (an unnormalized sum over equal indices).  The result is indexed
+    by the open outputs in boundary order; a diagram with no open wires
+    contracts to a scalar-shaped array.
+    """
+    if dims is None:
+        dims = WireDims()
+
+    # Union-find over wire ids: a cup or cap makes its two wires share an index.
+    parent = list(range(len(d.wires)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    for wl, wr in d.cup_pairs():
+        union(wl, wr)
+    for wl, wr in d.cap_pairs():
+        union(wl, wr)
+
+    labels: dict[int, int] = {}
+
+    def label(w: int) -> int:
+        root = find(w)
+        if root not in labels:
+            labels[root] = len(labels)
+        return labels[root]
+
+    operands: list[np.ndarray] = []
+    sublists: list[list[int]] = []
+    for b, box in enumerate(d.boxes):
+        expected = box_shape(box, dims)
+        try:
+            arr = np.asarray(tensors[b], dtype=float)
+        except KeyError:
+            raise ShapeMismatch(f"no tensor for box {b} ({box.name!r})") from None
+        if arr.shape != expected:
+            raise ShapeMismatch(
+                f"box {b} ({box.name!r}) expects shape {expected}, got {arr.shape}"
+            )
+        wire_ids = list(d.dom_wires(b)) + list(d.cod_wires(b))
+        operands.append(arr)
+        sublists.append([label(w) for w in wire_ids])
+
+    out_labels = [label(w) for w in d.open_wires()]
+
+    # A cap feeding a cup directly forms a closed loop touching no box; its
+    # contraction contributes a bare dimension factor.
+    loop_factor = 1.0
+    seen_loops: set[int] = set()
+    for w, wire in enumerate(d.wires):
+        root = find(w)
+        if root not in labels and root not in seen_loops:
+            seen_loops.add(root)
+            loop_factor *= dims.dim(wire.stype)
+    if len(labels) > 52:
+        raise ShapeMismatch("diagram has too many independent wires to contract")
+
+    if not operands:
+        result = np.array(1.0)
+    else:
+        args: list[object] = []
+        for arr, subs in zip(operands, sublists):
+            args.append(arr)
+            args.append(subs)
+        args.append(out_labels)
+        result = np.einsum(*args)
+    return result * loop_factor
 
 
 def enumerate_reductions(
@@ -328,9 +439,63 @@ def reference_padded_groups(circuits_by_split: dict[str, list]):
     return symbols, groups
 
 
+def split_starts(sizes: dict[str, int]) -> dict[str, int]:
+    """Each split's first corpus position: every split's rows in turn."""
+    return dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))
+
+
 def reference_circuit_model(circuits_by_split: dict[str, list]) -> training.CircuitModel:
     """A circuit model over hand-made or separately compiled circuits, one
     group per structure."""
     symbols, groups = reference_groups(circuits_by_split)
-    return training.CircuitModel(symbols, groups,
-                                 {name: len(cs) for name, cs in circuits_by_split.items()})
+    sizes = {name: len(cs) for name, cs in circuits_by_split.items()}
+    start = split_starts(sizes)
+    parts = [(first, np.concatenate([start[name] + rs for name, rs in rows.items()]), gather)
+             for first, gather, rows in groups]
+    return PerStructureCircuitModel(symbols, [()] * len(symbols), sizes, parts)
+
+
+class PerStructureCircuitModel(training.CircuitModel):
+    """A circuit model whose structures never run in a longer host's batch."""
+
+    _embed = None
+
+
+def reference_networks(splits, lexicon, scheme, cfg) -> dict[str, list]:
+    """Every split's sentences, each parsed, rewritten and compiled alone."""
+    return {lset.name: [compile_network(rewrite(parse_sentence(list(words), lexicon), scheme), cfg)
+                        for words in lset.sentences()]
+            for lset in splits}
+
+
+def reference_tensor_gather(nets, offsets) -> tuple[np.ndarray, ...]:
+    """Per parameter node, in node order, each network's flattened tensor
+    entries in the parameter vector, one row per network."""
+    nodes = [[n for n in net.nodes if isinstance(n, ParamNode)] for net in nets]
+    return tuple(np.array([offsets[row[p].symbol] for row in nodes], dtype=np.intp)[:, None]
+                 + np.arange(int(np.prod(nodes[0][p].shape))) for p in range(len(nodes[0])))
+
+
+def reference_tensor_model(nets_by_split: dict[str, list]) -> training.TensorModel:
+    """A tensor model over separately compiled networks.
+
+    Symbols in first-use order over every network of every split, each
+    with its shape; networks grouped by ``structure_key`` in order of first
+    use, each group as its first network, its members' corpus positions
+    and their gather.
+    """
+    shapes = {}
+    for nets in nets_by_split.values():
+        for net in nets:
+            shapes.update(net.param_shapes())
+    offsets = dict(zip(shapes, np.cumsum([0, *(int(np.prod(s)) for s in shapes.values())])))
+    sizes = {name: len(nets) for name, nets in nets_by_split.items()}
+    start = split_starts(sizes)
+    members: dict[tuple, list] = {}
+    for name, nets in nets_by_split.items():
+        for r, net in enumerate(nets):
+            members.setdefault(tensornet.structure_key(net), []).append((start[name] + r, net))
+    groups = [(rows[0][1], np.array([at for at, _ in rows], dtype=np.intp),
+               reference_tensor_gather([net for _, net in rows], offsets))
+              for rows in members.values()]
+    return training.TensorModel(list(shapes), list(shapes.values()), sizes, groups)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qnlp.circuit import (
     WidthOverflow,
     ZeroParameterModel,
     compile_circuit,
-    circuit_from_json,
+    circuit_from_dict,
     circuit_to_json,
     cup_block,
     type_fingerprint,
@@ -236,10 +238,10 @@ class TestJson:
         for d in corpus_diagrams[::19]:
             for scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM):
                 c = compile_circuit(rewrite(d, scheme), cfg(layers=2))
-                assert circuit_from_json(circuit_to_json(c)) == c
+                assert circuit_from_dict(json.loads(circuit_to_json(c))) == c
 
     def test_constant_params_survive(self):
         g = Gate(GateKind.RZ, (0,), 1.25)
         c = Circuit(1, (g,), (), (0,), ())
-        again = circuit_from_json(circuit_to_json(c))
+        again = circuit_from_dict(json.loads(circuit_to_json(c)))
         assert again.gates[0].param == 1.25

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from qnlp import experiment, training
-from qnlp.circuit import CircuitAnsatz, CircuitAnsatzConfig, circuit_from_json
+from qnlp.circuit import CircuitAnsatz, CircuitAnsatzConfig, circuit_from_dict
 from qnlp.cli import main
 from qnlp.corpus import default_lexicon, generate_mc
-from qnlp.diagram import Diagram, Port, Wire, diagram_from_json, diagram_to_json
-from qnlp.errors import ConfigError
+from qnlp.diagram import Diagram, Port, Wire, diagram_from_dict, diagram_to_json
+from qnlp.errors import ConfigError, Error
 from qnlp.experiment import (
     RESULTS_ENV,
     EmptyResults,
@@ -187,6 +187,13 @@ class TestRunOne:
         after = params("after")
         monkeypatch.setattr(training, "_front_end", None)  # as in a fresh process
         assert after == params("fresh") != before
+
+    def test_tensor_output_arity_fails_at_compile_stage(self, tmp_path):
+        # a 3-dimensional sentence wire: the groups compile at build
+        cfg = small_cfg(backend="tensor", ansatz="tensor", d_s=3, epochs=1)
+        with pytest.raises(Error, match="^stage compile: expected a 2-dimensional sentence "
+                                        "vector, got 3$"):
+            run_one(cfg, 0, root=tmp_path)
 
     def test_resume_returns_stored_summary(self, tmp_path):
         cfg = small_cfg()
@@ -451,7 +458,7 @@ class TestCli:
 
     def test_parse_json_output(self, capsys):
         assert main(["parse", "man cooks meal", "--json", "-"]) == 0
-        d = diagram_from_json(capsys.readouterr().out)
+        d = diagram_from_dict(json.loads(capsys.readouterr().out))
         assert d.n_cups == 2
 
     def test_parse_unknown_word_is_pipeline_error(self, capsys):
@@ -464,7 +471,7 @@ class TestCli:
             ["rewrite", "--sentence", "man cooks meal", "--scheme", "re_norm_cur_norm", "-o", str(out)]
         )
         assert code == 0
-        d = diagram_from_json(out.read_text())
+        d = diagram_from_dict(json.loads(out.read_text()))
         assert d.n_cups == 0
 
     def test_compile_and_simulate(self, tmp_path, capsys):
@@ -472,7 +479,7 @@ class TestCli:
         assert main(
             ["compile", "--sentence", "man cooks meal", "-o", str(circ_path)]
         ) == 0
-        circ = circuit_from_json(circ_path.read_text())
+        circ = circuit_from_dict(json.loads(circ_path.read_text()))
         assert circ.symbols
 
         assert main(["simulate", "--circuit", str(circ_path)]) == 0

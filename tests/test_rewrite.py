@@ -12,10 +12,7 @@ from qnlp.diagram import (
     InvalidDiagram,
     Port,
     Wire,
-    WireDims,
     count_stats,
-    eval_tensor,
-    random_assignment,
     validate,
 )
 from qnlp.pregroup import Base, PregroupType, SimpleType, parse_sentence, ty
@@ -29,6 +26,7 @@ from qnlp.rewrite import (
     rewrite,
 )
 
+from oracles import WireDims, eval_tensor, random_assignment
 from test_diagram import snake_diagram
 
 N = SimpleType(Base.N, 0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qnlp import tensornet
 from qnlp.circuit import Symbol
-from qnlp.diagram import Box, Diagram, Port, ShapeMismatch, Wire, WireDims, eval_tensor, random_assignment
+from qnlp.diagram import Box, Diagram, Port, ShapeMismatch, Wire
 from qnlp.errors import Error
 from qnlp.pregroup import Base, PregroupType, SimpleType, parse_sentence, ty
 from qnlp.rewrite import RewriteScheme, rewrite
@@ -36,7 +36,8 @@ from qnlp.tensornet import (
     validate_network,
 )
 
-from oracles import finite_difference, tensor_train
+from oracles import (WireDims, eval_tensor, finite_difference, random_assignment,
+                     reference_tensor_gather, tensor_train)
 
 N = SimpleType(Base.N, 0)
 
@@ -450,7 +451,8 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
     rows_of: dict[tuple, list[int]] = {}
     for r, net in enumerate(nets):
         rows_of.setdefault(structure_key(net), []).append(r)
-    groups = [(np.array(rows), compile_batch([nets[r] for r in rows], offsets))
+    groups = [(np.array(rows),
+               compile_batch(nets[rows[0]], reference_tensor_gather([nets[r] for r in rows], offsets)))
               for rows in rows_of.values()]
     assert sorted(np.concatenate([rows for rows, _ in groups])) == list(range(len(nets)))
     for rows, batch in groups:
@@ -557,18 +559,27 @@ class TestBatches:
         net = Network((ParamNode(a, (1,) * 52),), (), tuple((0, l) for l in range(52)))
         np.testing.assert_allclose(contract(net, {a: np.full((1,) * 52, 2.0)}).ravel(), 2.0)
         with pytest.raises(Error, match="53 indices; limit is 52"):
-            compile_batch([net], {a: 0})
+            compile_batch(net, reference_tensor_gather([net], {a: 0}))
 
     def test_legs_without_parameter_operand(self):
         # v's leg is open, and so is a copy spider's, whose class holds no tensor
         v = Symbol("v", "->n", 0)
         net = Network((ParamNode(v, (2,)), SpiderCopyNode(1, 2)), (), ((0, 0), (1, 0)))
         with pytest.raises(Error, match="open legs with no tensor operands"):
-            compile_batch([net], {v: 0})
+            compile_batch(net, reference_tensor_gather([net], {v: 0}))
         # a closed loop alone contracts to its factor, but has no rows to batch
         loop = Network((CupDeltaNode(3), CupDeltaNode(3)), (((0, 0), (1, 0)), ((0, 1), (1, 1))), ())
         with pytest.raises(Error, match="network has no tensor operands"):
-            compile_batch([loop], {})
+            compile_batch(loop, ())
+
+    def test_gather_must_match_the_parameter_tensors(self, toy_lexicon):
+        net = compile_network(parse_sentence(["Alice", "likes", "Bob"], toy_lexicon), cfg())
+        a, likes, b = (np.arange(k) + i for k, i in ((2, 0), (8, 2), (2, 10)))
+        batch = compile_batch(net, ([a], [likes], [b]))
+        assert [g.tolist() for g in batch.gather] == [[a.tolist()], [likes.tolist()], [b.tolist()]]
+        for gather in (([a], [likes]), ([a], [likes], [b[:1]]), ([a], [likes], [b, b])):
+            with pytest.raises(Error, match="gather of shapes"):
+                compile_batch(net, gather)
 
 
 @st.composite

@@ -69,7 +69,10 @@ from oracles import (
     reference_circuits,
     reference_fit,
     reference_gather,
+    reference_networks,
     reference_padded_groups,
+    reference_tensor_model,
+    split_starts,
 )
 
 
@@ -90,6 +93,13 @@ def tiny_splits() -> CorpusSplits:
         dev=lset("dev", [("woman cooks dinner", 1), ("man executes software", 0)]),
         test=lset("test", [("man bakes meal", 1), ("woman runs application", 0)]),
     )
+
+
+def rows_by_split(model, at) -> dict[str, list[int]]:
+    """A batch's corpus positions as each split's rows."""
+    start = split_starts(model.sizes)
+    return {name: [int(p) - start[name] for p in at if 0 <= p - start[name] < size]
+            for name, size in model.sizes.items()}
 
 
 def circuit_model(scheme=RewriteScheme.RE_NORM_CUR_NORM) -> CircuitModel:
@@ -478,10 +488,10 @@ class TestCircuitBatching:
         model = CircuitModel.build(
             pattern_splits(), default_lexicon(), RewriteScheme.RE, ansatz
         )
-        groups = model._groups()
-        assert [len(g.rows["train"]) for g in groups] == [2, 2, 2, 2]
-        assert [len(g.rows["dev"]) for g in groups] == [1, 0, 0, 1]
-        assert [len(g.rows["test"]) for g in groups] == [0, 1, 1, 0]
+        rows = [rows_by_split(model, at) for _, at in model._groups]
+        assert [len(r["train"]) for r in rows] == [2, 2, 2, 2]
+        assert [len(r["dev"]) for r in rows] == [1, 0, 0, 1]
+        assert [len(r["test"]) for r in rows] == [0, 1, 1, 0]
 
     def test_group_wider_than_one_chunk(self, rng, monkeypatch):
         # a chunk of one 9-qubit row, so the gradient's forward pass and
@@ -490,9 +500,8 @@ class TestCircuitBatching:
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
         splits = pattern_splits()
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        group = max(model._groups(), key=lambda g: g.batch.n_qubits)
-        batch = group.batch
-        assert batch.n_qubits == 9 and len(group.rows["train"]) == 2
+        batch, at = max(model._groups, key=lambda g: g[0].n_qubits)
+        assert batch.n_qubits == 9 and len(rows_by_split(model, at)["train"]) == 2
         assert 2**batch.n_qubits == simulator.BATCH_AMPLITUDES
         theta = model.init_params(rng)
         labels = splits.train.labels()
@@ -509,11 +518,11 @@ class TestCircuitBatching:
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        groups = model._groups()
-        assert [len(g.rows["train"]) for g in groups] == [3, 2, 2, 2]
-        last = len(splits.train) - 1
-        (group,) = [g for g in groups if last in g.rows["train"]]
-        slots = group.batch.gather[list(group.rows["train"]).index(last)].tolist()
+        groups = model._groups
+        assert [len(rows_by_split(model, at)["train"]) for _, at in groups] == [3, 2, 2, 2]
+        last = len(splits.train) - 1  # train rows lead the corpus
+        ((batch, at),) = [(b, at) for b, at in groups if last in at]
+        slots = batch.gather[list(at).index(last)].tolist()
         man = [i for i, s in enumerate(model.symbols) if s.word == "man"]  # symbol i, slot i
         assert man and [slots.count(i) for i in man] == [2] * len(man)
         theta = model.init_params(rng)
@@ -573,11 +582,10 @@ class TestCircuitBatching:
         assert total == pytest.approx(np.log(2), abs=1e-12)
 
 
-def tensor_reference_split(model: TensorModel, name: str, theta, labels):
-    """Per-network probabilities and summed hole gradient of the mean loss;
-    assumes no degenerate row."""
+def tensor_reference_split(model: TensorModel, nets, theta, labels):
+    """Per-network probabilities and summed hole gradient of the mean loss
+    of one split's networks; assumes no degenerate row."""
     store = model.store(theta)
-    nets = model.items_by_split[name]
     probs, named = [], {s.name: np.zeros(shape) for s, shape in zip(model.symbols, model.shapes)}
     for net, y in zip(nets, labels):
         v = np.asarray(contract(net, store), dtype=float).reshape(-1)
@@ -608,10 +616,11 @@ class TestTensorBatching:
     def test_matches_per_network_reference(self, kind, scheme, rng):
         splits = pattern_splits()
         model = TensorModel.build(splits, default_lexicon(), scheme, TensorAnsatzConfig(kind))
+        nets = reference_networks(splits, default_lexicon(), scheme, TensorAnsatzConfig(kind))
         theta = model.init_params(rng)
         for lset in splits:
             probs, degenerate = model.eval_split(lset.name, theta)
-            want, want_grad = tensor_reference_split(model, lset.name, theta, lset.labels())
+            want, want_grad = tensor_reference_split(model, nets[lset.name], theta, lset.labels())
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
             assert degenerate == 0
             grad, grad_probs, _ = model.grad_split(lset.name, theta, lset.labels())
@@ -627,30 +636,28 @@ class TestTensorBatching:
                                   TensorAnsatzConfig(kind))
         # the sentence batches with "man cooks meal", its subject and
         # object positions gathering one tensor
-        group, = [g for g in model._groups() if 8 in g.rows["train"]]
-        r, batch = list(group.rows["train"]).index(8), group.batch
+        ((batch, at),) = [(b, at) for b, at in model._groups if 8 in at]
+        r = list(at).index(8)
         assert sum(np.array_equal(g[r], batch.gather[0][r]) for g in batch.gather) == 2
         theta = model.init_params(rng)
         labels = splits.train.labels()
         grad, _, _ = model.grad_split("train", theta, labels)
-        _, want = tensor_reference_split(model, "train", theta, labels)
+        nets = reference_networks(splits, default_lexicon(), RewriteScheme.RE,
+                                  TensorAnsatzConfig(kind))
+        _, want = tensor_reference_split(model, nets["train"], theta, labels)
         assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_four_groups_per_split(self, kind):
         model = TensorModel.build(generate_mc(0), default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
-        assert not model._batches  # compiled on first use, not at build
-        groups = model._groups()
-        assert len(groups) == 4 and model._groups() is groups is model._batches
+        assert len(model._groups) == 4  # compiled at build
         for name in ("train", "dev", "test"):
-            assert all(len(g.rows[name]) for g in groups)
+            assert all(len(rows_by_split(model, at)[name]) for _, at in model._groups)
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_one_path_search_per_group(self, kind, monkeypatch, rng):
         splits = generate_mc(0)
-        model = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
-                                  TensorAnsatzConfig(kind))
         searches = []
 
         def counting_search(*args, **kwargs):
@@ -658,7 +665,9 @@ class TestTensorBatching:
             return np.einsum_path(*args, **kwargs)
 
         monkeypatch.setattr(tensornet, "np", numpy_with(einsum_path=counting_search))
-        assert len(model._groups()) == len(searches) == 4
+        model = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
+                                  TensorAnsatzConfig(kind))
+        assert len(model._groups) == len(searches) == 4  # one per group, during build
 
         def no_search(*args, **kwargs):
             raise AssertionError("contraction path searched after compile")
@@ -676,33 +685,30 @@ class TestTensorBatching:
         np.testing.assert_array_equal(grad_probs, probs)
         assert np.abs(grad).max() > 0
 
-    def test_wrong_output_arity_fails_when_compiled(self):
-        nets = [
-            compile_network(
-                rewrite(parse_sentence(list(words), default_lexicon()), RewriteScheme.RE),
-                TensorAnsatzConfig(TensorAnsatz.TENSOR, d_s=3),
-            )
-            for words in tiny_splits().train.sentences()
-        ]
-        model = TensorModel({"train": nets})
+    def test_wrong_output_arity_fails_at_build(self):
+        cfg = TensorAnsatzConfig(TensorAnsatz.TENSOR, d_s=3)
         with pytest.raises(WrongOutputArity, match="got 3"):
-            model.eval_split("train", np.ones(model.n_params))
-        assert not model._batches
+            TensorModel.build(tiny_splits(), default_lexicon(), RewriteScheme.RE, cfg)
 
 
 class TestBatchLifecycle:
-    """Both families group a split by structure on its first use, once."""
+    """Both families group the corpus by structure at build, once."""
 
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
-    def test_groups_compiled_on_first_use_and_cached(self, make, rng):
+    def test_groups_compiled_at_build_only(self, make, rng, monkeypatch):
         model = make()
-        assert not model._batches  # nothing compiled at build
-        model.eval_split("dev", model.init_params(rng))
-        groups = model._batches
-        assert model._groups() is groups
-        for name, size in model.sizes.items():  # every split's rows
-            rows = np.concatenate([g.rows[name] for g in groups])
-            assert sorted(rows) == list(range(size))
+        batches = [batch for batch, _ in model._groups]
+        at = np.concatenate([at for _, at in model._groups])
+        assert sorted(at) == list(range(sum(model.sizes.values())))  # every split's rows
+        assert all((np.diff(at) > 0).all() for _, at in model._groups)  # ascending
+
+        def no_compile(*args):
+            raise AssertionError("a batch compiled after build")
+
+        monkeypatch.setattr(model._engine, "compile_batch", no_compile)
+        for name in model.sizes:
+            model.eval_split(name, model.init_params(rng))
+        assert all(a is b for a, b in zip([batch for batch, _ in model._groups], batches))
 
     def test_rows_grouped_in_order_of_first_appearance(self):
         theta, other = Symbol("w", "->s", 0), Symbol("x", "->s", 0)
@@ -714,10 +720,11 @@ class TestBatchLifecycle:
         c, d = one_gate(GateKind.RY, other), one_gate(GateKind.RZ, theta)
         # over all splits, in order of first use with train first; a
         # group's train rows lead its batch
-        groups = reference_circuit_model({"train": [a, c, b], "dev": [d, b]})._groups()
-        assert [g.rows["train"].tolist() for g in groups] == [[0, 2], [1], []]
-        assert [g.rows["dev"].tolist() for g in groups] == [[1], [], [0]]
-        assert groups[0].batch.gather.tolist() == [[0], [1], [1]]
+        model = reference_circuit_model({"train": [a, c, b], "dev": [d, b]})
+        rows = [rows_by_split(model, at) for _, at in model._groups]
+        assert [r["train"] for r in rows] == [[0, 2], [1], []]
+        assert [r["dev"] for r in rows] == [[1], [], [0]]
+        assert model._groups[0][0].gather.tolist() == [[0], [1], [1]]
 
 
 class TestTensorFit:
@@ -759,21 +766,80 @@ class TestTensorFit:
         assert len(h) == 2
 
 
+def assert_same_tensor_model(model: TensorModel, nets_by_split) -> None:
+    """The model's symbols, shapes and compiled batches equal those of the
+    per-sentence grouping of ``nets_by_split``, gathers bit for bit."""
+    ref = reference_tensor_model(nets_by_split)
+    assert (model.symbols, model.shapes, model.sizes) == (ref.symbols, ref.shapes, ref.sizes)
+    assert len(model._groups) == len(ref._groups)
+    for (batch, at), (want, want_at) in zip(model._groups, ref._groups):
+        assert at.tolist() == want_at.tolist()
+        assert (batch.shapes, batch.out_shape, batch.factor) == (
+            want.shapes, want.out_shape, want.factor)
+        assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
+        assert [(g.dtype, g.shape) for g in batch.gather] == [(g.dtype, g.shape) for g in want.gather]
+        assert [g.tobytes() for g in batch.gather] == [g.tobytes() for g in want.gather]
+
+
+class TestTensorBuild:
+    """One network per shape group of the corpus plan, against every
+    sentence compiled alone and grouped by structure."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_matches_per_sentence_grouping(self, kind, scheme, mc_lexicon):
+        cfg = TensorAnsatzConfig(kind)
+        for seed in range(4):
+            splits = generate_mc(seed)
+            model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
+            assert_same_tensor_model(model, reference_networks(splits, mc_lexicon, scheme, cfg))
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_two_shapes_of_one_structure_share_a_batch(self, kind, rng):
+        # with d_n = d_s = 2 the s-typed pattern lowers to the network of
+        # its n-typed twin: two diagram shapes, one structure
+        lexicon = Lexicon.from_expressions({"Alice": "n", "Bob": "n", "likes": "n.r@s@n.l",
+                                            "rain": "s", "sun": "s", "brings": "s.r@s@s.l"})
+
+        def lset(name, items):
+            return LabeledSet(name, tuple((tuple(w.split()), y) for w, y in items))
+
+        splits = CorpusSplits(lset("train", [("Alice likes Bob", 1), ("rain brings sun", 0),
+                                             ("sun brings rain", 1)]),
+                              lset("dev", [("Bob likes Alice", 0)]),
+                              lset("test", [("sun brings sun", 1)]))
+        cfg = TensorAnsatzConfig(kind)
+        model = TensorModel.build(splits, lexicon, RewriteScheme.RE, cfg)
+        (_, shaped, _), _ = training._corpus_plan(splits, lexicon, RewriteScheme.RE,
+                                                  training._place_network)
+        assert [at.tolist() for _, at, _ in shaped] == [[0, 3], [1, 2, 4]]
+        ((_, at),) = model._groups
+        assert at.tolist() == [0, 1, 2, 3, 4]
+        nets = reference_networks(splits, lexicon, RewriteScheme.RE, cfg)
+        assert_same_tensor_model(model, nets)
+        theta = model.init_params(rng)
+        labels = splits.train.labels()
+        grad, probs, _ = model.grad_split("train", theta, labels)
+        want_probs, want = tensor_reference_split(model, nets["train"], theta, labels)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestModelSurface:
     """The parameter table and readout both model families share."""
 
     @pytest.mark.parametrize("kind", tuple(TensorAnsatz), ids=lambda k: k.value)
     def test_tensor_eval_matches_per_network_contract(self, kind, rng):
         splits = pattern_splits()
-        model = TensorModel.build(
-            splits, default_lexicon(), RewriteScheme.RE, TensorAnsatzConfig(kind=kind)
-        )
+        cfg = TensorAnsatzConfig(kind=kind)
+        model = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE, cfg)
+        nets = reference_networks(splits, default_lexicon(), RewriteScheme.RE, cfg)
         theta = model.init_params(rng)
         store = model.store(theta)
         for lset in splits:
             probs, degenerate = model.eval_split(lset.name, theta)
             want = []
-            for net in model.items_by_split[lset.name]:
+            for net in nets[lset.name]:
                 v = np.asarray(contract(net, store), dtype=float).reshape(-1)
                 want.append(v**2 / (v @ v))
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
@@ -781,10 +847,11 @@ class TestModelSurface:
 
     def test_tensor_degenerate_row_adds_no_gradient(self, rng):
         model = tensor_model()
-        nets = model.items_by_split["train"]
+        nets = reference_networks(tiny_splits(), default_lexicon(), RewriteScheme.RE,
+                                  TensorAnsatzConfig(TensorAnsatz.TENSOR))["train"]
         labels = tiny_splits().train.labels()
         # "man cooks meal" is the only train sentence with "cooks" and "meal"
-        rest = TensorModel({"train": nets[1:]})
+        rest = reference_tensor_model({"train": nets[1:]})
         named = model.params_to_named(model.init_params(rng))
         for name in named:
             if name.startswith("cooks|"):  # squared norm of about 1e-18
@@ -813,17 +880,6 @@ class TestModelSurface:
         assert list(named) == [s.name for s in model.symbols]
         assert all(type(v) is float for v in named.values())
         np.testing.assert_array_equal(model.named_to_params(named), theta)
-
-    def test_conflicting_symbol_shapes_rejected(self):
-        lset = tiny_splits().train
-        diagrams = [
-            rewrite(parse_sentence(list(words), default_lexicon()), RewriteScheme.RE)
-            for words in lset.sentences()
-        ]
-        narrow = [compile_network(d, TensorAnsatzConfig(TensorAnsatz.TENSOR)) for d in diagrams]
-        wide = [compile_network(d, TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n=3)) for d in diagrams]
-        with pytest.raises(Error, match="conflicting shapes"):
-            TensorModel({"train": narrow, "dev": wide})
 
 
 def assert_same_history(h: History, ref: History) -> None:
@@ -869,8 +925,8 @@ class TestFitMatchesReference:
         splits = generate_mc(2)
         ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, 1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        wide = [g for g in model._groups() if g.batch.n_qubits == 9]
-        assert [(len(g.rows["train"]), len(g.rows["dev"])) for g in wide] == [(25, 4)]
+        wide = [rows_by_split(model, at) for batch, at in model._groups if batch.n_qubits == 9]
+        assert [(len(r["train"]), len(r["dev"])) for r in wide] == [(25, 4)]
         cfg = TrainConfig(epochs=3, seed=1, optimizer=optimizer)
         ref = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
         assert_same_history(fit(model, splits, cfg), reference_fit(ref, splits, cfg))
@@ -932,19 +988,16 @@ def assert_same_groups(model: CircuitModel, circuits_by_split) -> None:
     symbols, groups = reference_padded_groups(circuits_by_split)
     assert model.symbols == symbols and model.n_params == len(symbols)
     assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
-    got = model._groups()
-    assert len(got) == len(groups)
-    for group, (first, gather, rows) in zip(got, groups):
+    assert len(model._groups) == len(groups)
+    for (batch, at), (first, gather, rows) in zip(model._groups, groups):
         want = simulator.compile_batch(first, gather)
-        assert (group.batch.n_qubits, group.batch.ops) == (want.n_qubits, want.ops)
-        assert group.batch.postselect == want.postselect
-        assert group.batch.output_axis == want.output_axis
-        assert group.batch.gather.dtype == want.gather.dtype
-        assert group.batch.gather.tobytes() == want.gather.tobytes()
-        assert group.batch.gather.shape == want.gather.shape
-        assert list(group.rows) == list(rows)
-        for name, want_rows in rows.items():
-            assert group.rows[name].tolist() == want_rows.tolist(), name
+        assert (batch.n_qubits, batch.ops) == (want.n_qubits, want.ops)
+        assert batch.postselect == want.postselect
+        assert batch.output_axis == want.output_axis
+        assert batch.gather.dtype == want.gather.dtype
+        assert batch.gather.tobytes() == want.gather.tobytes()
+        assert batch.gather.shape == want.gather.shape
+        assert rows_by_split(model, at) == {name: r.tolist() for name, r in rows.items()}
 
 
 class TestFrontEndMemo:
@@ -1004,6 +1057,45 @@ class TestFrontEndMemo:
                 training._diagrams(bad, mc_lexicon, RewriteScheme.RE)
             assert training._front_end[1] is held
 
+    def test_circuit_then_tensor_build_parse_once(self, mc_lexicon, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(training, "parse_sentence",
+                            lambda words, lex: parsed.append(words) or parse_sentence(words, lex))
+        splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
+        CircuitModel.build(splits, mc_lexicon, scheme, CircuitAnsatzConfig(CircuitAnsatz.IQP, 1))
+        TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(TensorAnsatz.MPS))
+        assert len(parsed) == sum(len(lset) for lset in splits)
+
+    def test_each_family_places_every_sentence_once(self, mc_lexicon, monkeypatch):
+        placed = {"circuit": 0, "network": 0}
+        for family in placed:
+            place = getattr(training, f"_place_{family}")
+
+            def counted(d, place=place, family=family):
+                placed[family] += 1
+                return place(d)
+
+            monkeypatch.setattr(training, f"_place_{family}", counted)
+        splits, scheme = generate_mc(0), RewriteScheme.RE
+        n = sum(len(lset) for lset in splits)
+        for _ in range(2):  # the second round's builds place none
+            for layers in (1, 2):
+                CircuitModel.build(splits, mc_lexicon, scheme,
+                                   CircuitAnsatzConfig(CircuitAnsatz.SIM14, layers))
+            for kind in TensorAnsatz:
+                TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
+            assert placed == {"circuit": n, "network": n}
+
+    def test_one_network_compiled_per_shape_group(self, mc_lexicon, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(training, "compile_network",
+                            lambda d, cfg: compiled.append(d) or compile_network(d, cfg))
+        for kind in TensorAnsatz:
+            compiled.clear()
+            TensorModel.build(generate_mc(0), mc_lexicon, RewriteScheme.RE, TensorAnsatzConfig(kind))
+            assert len(compiled) == 4  # one per sentence pattern, not per sentence
+            assert all(box.name == str(b) for d in compiled for b, box in enumerate(d.boxes))
+
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
     def test_compiled_circuits_identical_on_hit_and_miss(self, kind, mc_lexicon):
         # the plan's build against compile_circuit on every sentence, grouped
@@ -1041,7 +1133,7 @@ class TestFrontEndMemo:
         models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
         assert len(validated) == sum(len(lset) for lset in splits)
         # one layout per sentence pattern, each lowered once per build
-        ((_, layouts, _),) = training._front_end[2]
+        ((_, layouts, _),) = training._front_end[2].values()
         assert len(layouts) == 4
         assert lowered == [lay for lay, _, _ in layouts] * len(configs)
         fresh = self.fresh(splits, mc_lexicon, scheme)
@@ -1092,7 +1184,7 @@ class TestFrontEndMemo:
             for _ in range(2):
                 with pytest.raises(want):
                     CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-            assert training._front_end[2] == []  # a plan with an error is not held
+            assert training._front_end[2] == {}  # a plan with an error is not held
 
 
 PARAMETRIC = circuit.PARAMETRIC_1Q | circuit.PARAMETRIC_2Q
@@ -1139,13 +1231,10 @@ def hosts_and_members(draw) -> list[Circuit]:
     return [bind(r, kept[r // 2]) for r in range(2 * len(kept))]
 
 
-def structures_of(circuits, offsets) -> dict[tuple, list]:
-    """The parts ``CircuitModel.build`` merges: one per circuit, by structure."""
-    structures: dict[tuple, list] = {}
-    for r, c in enumerate(circuits):
-        structures.setdefault(simulator.structure_key(c), []).append(
-            (c, np.array([r]), reference_gather([c], offsets)))
-    return structures
+def merged(circuits, offsets) -> list[tuple]:
+    """The batches a circuit model merges from one group per circuit."""
+    groups = [(c, np.array([r]), reference_gather([c], offsets)) for r, c in enumerate(circuits)]
+    return training._merge_groups(groups, simulator.structure_key, training._slot_map)
 
 
 class TestPaddedGroups:
@@ -1157,18 +1246,16 @@ class TestPaddedGroups:
     def test_padded_rows_equal_their_own_batch(self, circuits, seed):
         symbols = [s for c in circuits for s in c.symbols]
         offsets = {s: i for i, s in enumerate(symbols)}
-        (parts,) = training._padded_groups(structures_of(circuits, offsets))
-        host = parts[0][0]
+        ((host, at, gather),) = merged(circuits, offsets)
         assert host is circuits[0]
-        order = np.argsort(np.concatenate([at for _, at, _ in parts]))
-        gather = np.concatenate([g for *_, g in parts])[order]
-        merged = simulator.compile_batch(host, gather)
+        assert at.tolist() == list(range(len(circuits)))
+        batch = simulator.compile_batch(host, gather)
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
         with_zero = np.append(theta, 0.0)  # as _Model.evaluate stacks it
-        u = simulator.batch_forward(merged, with_zero)
+        u = simulator.batch_forward(batch, with_zero)
         upstream = rng.normal(size=u.shape)
-        _, terms = simulator.batch_backward(merged, with_zero, lambda rows, _: upstream[rows])
+        _, terms = simulator.batch_backward(batch, with_zero, lambda rows, _: upstream[rows])
         for r in range(0, len(circuits), 2):  # each structure's own batch of two rows
             own = simulator.compile_batch(circuits[r], reference_gather(circuits[r : r + 2], offsets))
             assert u[r : r + 2].tobytes() == simulator.batch_forward(own, theta).tobytes()
@@ -1197,7 +1284,7 @@ class TestPaddedGroups:
         keys = [simulator.structure_key(c) for c in circuits]
         assert training._slot_map(keys[1], keys[0]) is None
         offsets = {s: i for i, s in enumerate(s for c in circuits for s in c.symbols)}
-        assert len(training._padded_groups(structures_of(circuits, offsets))) == 2
+        assert len(merged(circuits, offsets)) == 2
 
     @pytest.mark.parametrize("ends", [{"member_post": (1,)}, {"member_out": (1,)}],
                              ids=("postselect", "output"))
@@ -1214,8 +1301,8 @@ class TestPaddedGroups:
         crz = (GateKind.CRZ, (0, 1), Symbol)
         circuits = self.pair([self.RX0, ry1, crz, self.RX0], [ry1, self.RX0])
         offsets = {s: i for i, s in enumerate(s for c in circuits for s in c.symbols)}
-        (parts,) = training._padded_groups(structures_of(circuits, offsets))
-        assert [g.tolist() for *_, g in parts] == [[[0, 1, 2, 3]], [[-1, 4, -1, 5]]]
+        ((_, _, gather),) = merged(circuits, offsets)
+        assert gather.tolist() == [[0, 1, 2, 3], [-1, 4, -1, 5]]
 
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
     def test_bench_grid_histories_equal_per_structure_models(self, kind, mc_lexicon):
@@ -1232,8 +1319,8 @@ class TestPaddedGroups:
             model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
             per_structure = reference_circuit_model(
                 {name: [compile_circuit(d, ansatz) for d in ds] for name, ds in diagrams.items()})
-            assert len(model._groups()) == 1
-            assert len(per_structure._groups()) == (1 if rots == 0 else 4)
+            assert len(model._groups) == 1
+            assert len(per_structure._groups) == (1 if rots == 0 else 4)
             assert_same_history(fit(model, splits, cfg), fit(per_structure, splits, cfg))
 
     @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 1, 1), (CircuitAnsatz.SIM14, 2, 2),
