@@ -21,12 +21,12 @@ frequencies, so the plain two-term rule is not exact for them.
 :func:`shift_rule` holds both rules.
 
 Training runs batched, through the batch contract :mod:`qnlp.tensornet`
-shares: circuits of one :func:`structure_key` compile once into a
-:class:`CircuitBatch` (:func:`compile_batch`, from one circuit's gates and
-every row's parameter positions),
-:func:`batch_forward` gives every row's two weights ``u`` (its
-unnormalized output marginal ``N``, whose sum is the survival norm) in
-one statevector pass over a ``(rows, 2, ..., 2)`` state, and
+shares: circuits of one :func:`structure_key` compile once, from one
+circuit's gates, into a :class:`CircuitBatch` (:func:`compile_batch`)
+whose slots are its parametric gates.  The model gathers each row's
+angles per slot, and :func:`batch_forward` gives every row's two weights
+``u`` (its unnormalized output marginal ``N``, whose sum is the survival
+norm) in one statevector pass over a ``(rows, 2, ..., 2)`` state, and
 :func:`batch_backward` returns ``u`` from its own forward pass and pulls
 the model's cotangent on ``u`` back to every parametric gate by adjoint
 differentiation: per chunk of rows, one forward pass, then the model's
@@ -291,10 +291,10 @@ def structure_key(circuit: Circuit) -> tuple:
 class CircuitBatch:
     """Circuits of one structure, compiled once to run as one batch.
 
-    Every parametric gate is a slot of its own, in gate order.  Row ``r``
-    is the group's ``r``-th circuit, and ``gather[r, j]`` is the position
-    in the model's parameter vector of the symbol its ``j``-th parametric
-    gate reads; a symbol read twice fills two slots.
+    Every parametric gate is a slot of its own, in gate order, so a symbol
+    read twice fills two slots.  The engine takes a ``(rows, n_slots)``
+    array of angles, row ``r``'s ``j``-th entry the angle its ``j``-th
+    parametric gate reads; nothing here depends on the row count.
     """
 
     n_qubits: int
@@ -304,15 +304,11 @@ class CircuitBatch:
     ops: tuple[tuple, ...]
     postselect: tuple  # state index keeping outcome 0 of postselected qubits
     output_axis: int  # axis of the output qubit after postselection
-    gather: np.ndarray  # (rows, slots)
+    n_slots: int
 
 
-def compile_batch(first: Circuit, gather: np.ndarray) -> CircuitBatch:
-    """Compile the circuits of ``first``'s :func:`structure_key` into a batch.
-
-    The ops come from ``first`` alone; ``gather`` is laid out as
-    :attr:`CircuitBatch.gather`, one row per circuit of the batch.
-    """
+def compile_batch(first: Circuit) -> CircuitBatch:
+    """Compile the circuits of ``first``'s :func:`structure_key` into a batch."""
     if len(first.outputs) != 1:
         raise WrongOutputArity(
             f"expected exactly one output qubit, circuit has {len(first.outputs)}"
@@ -345,16 +341,12 @@ def compile_batch(first: Circuit, gather: np.ndarray) -> CircuitBatch:
             n_slots += 1
         else:
             ops.append((g.kind, tuple(low), tuple(high), None, g.param))
-
-    gather = np.asarray(gather, dtype=np.intp)
-    if gather.ndim != 2 or gather.shape[1] != n_slots:
-        raise Error(f"gather of shape {gather.shape} for {n_slots} parametric gates")
     return CircuitBatch(
         n_qubits=n,
         ops=tuple(ops),
         postselect=(slice(None),) + tuple(0 if q in post else slice(None) for q in range(n)),
         output_axis=1 + sum(1 for q in range(output) if q not in post),
-        gather=gather,
+        n_slots=n_slots,
     )
 
 
@@ -421,11 +413,9 @@ def _weights(batch: CircuitBatch, psi: np.ndarray) -> np.ndarray:
     return np.moveaxis(probs, batch.output_axis, 1).reshape(len(psi), 2, -1).sum(axis=2)
 
 
-def batch_forward(batch: CircuitBatch, theta: np.ndarray) -> np.ndarray:
+def batch_forward(batch: CircuitBatch, angles: np.ndarray) -> np.ndarray:
     """Every row's two weights ``u``, its unnormalized output marginal (sum:
-    the survival norm), in one pass from the ``theta`` that ``batch.gather``
-    indexes."""
-    angles = theta[batch.gather]
+    the survival norm), in one pass at its row of slot ``angles``."""
     u = np.empty((len(angles), 2))
     for chunk in _chunks(batch, len(angles)):
         block = angles[chunk]
@@ -455,10 +445,10 @@ def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, t: int) -> np.
     return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
 
 
-def batch_backward(batch: CircuitBatch, theta: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
+def batch_backward(batch: CircuitBatch, angles: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
     """Every row's weights ``u`` and, for the rows ``pull`` gives a cotangent,
     ``sum_k g_u[r, k] * d u[r, k] / d slot j`` of every slot, laid out like
-    the leading rows of ``batch.gather``: ``(rows, slots)``.
+    the leading rows of ``angles``: ``(rows, n_slots)``.
 
     Per chunk of rows, one forward pass gives ``psi`` and the chunk's
     ``u``; ``pull(rows, u)`` takes the chunk's row slice and weights and
@@ -475,7 +465,6 @@ def batch_backward(batch: CircuitBatch, theta: np.ndarray, pull) -> tuple[np.nda
     and every inverse gate is one in-place update; memory stays within two
     states of ``BATCH_AMPLITUDES`` per chunk.
     """
-    angles = theta[batch.gather]
     rows, slots = angles.shape
     u = np.empty((rows, 2))
     out = np.empty((rows, slots))

@@ -24,17 +24,19 @@ left open, chained with the upstream cotangent.  A parameter tensor used
 by several nodes accumulates one hole term per use.
 
 Training runs batched, through the batch contract :mod:`qnlp.simulator`
-shares: networks of one :func:`structure_key` compile once into a
-:class:`TensorBatch` (:func:`compile_batch`, from one network's plan and
-every row's parameter positions) with an extra row label.  The greedy
-path of the batch's einsum, searched once, becomes a tree of pairwise
-steps, each one plain einsum.  :func:`batch_forward` walks the tree and
-reads out every row's weights ``u = v**2`` from its output vector ``v``;
-:func:`batch_backward` walks it too, keeping the tree's nodes, chains the
-model's cotangent on ``u`` for the leading rows through ``v**2`` and gets
-every hole of those rows from one reverse sweep over the kept nodes.  The
-per-network :func:`contract` and :func:`gradient_hole` are the reference
-the batched path is tested against.
+shares: networks of one :func:`structure_key` compile once, from one
+network's plan, into a :class:`TensorBatch` (:func:`compile_batch`) with
+an extra row label.  Its slots are the flattened entries of its
+parameter tensors, position after position, and the model gathers each
+row's values per slot.  The greedy path of the batch's einsum, searched
+once, becomes a tree of pairwise steps, each one plain einsum.
+:func:`batch_forward` walks the tree and reads out every row's weights
+``u = v**2`` from its output vector ``v``; :func:`batch_backward` walks
+it too, keeping the tree's nodes, chains the model's cotangent on ``u``
+for the leading rows through ``v**2`` and gets every hole of those rows
+from one reverse sweep over the kept nodes.  The per-network
+:func:`contract` and :func:`gradient_hole` are the reference the batched
+path is tested against.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -439,7 +441,7 @@ def structure_key(net: Network) -> tuple:
 @dataclass(frozen=True)
 class _Step:
     """One contraction of a batch's tree: the nodes it joins (numbered
-    gathered tensors first, then step results), its einsum, the labels it
+    parameter tensors first, then step results), its einsum, the labels it
     keeps, and per input the einsum and bridges of that input's cotangent."""
 
     inputs: tuple[int, ...]
@@ -452,17 +454,17 @@ class _Step:
 class TensorBatch:
     """Networks of one structure, compiled once to contract as one batch.
 
-    Row ``r`` is the group's ``r``-th network.  ``gather[p][r]`` holds the
-    positions in the parameter vector of row ``r``'s tensor at parameter
-    position ``p`` (the plan's ``p``-th parameter node), flattened in C
-    order; nothing else depends on the row count.  Every step carries one
-    extra label for the row axis, the largest label, so a step result
-    keeps its rows on its last axis; the last step keeps the row first,
-    then the outputs.
+    The engine takes a ``(rows, n_slots)`` array of values: row ``r``'s
+    tensor at parameter position ``p`` (the plan's ``p``-th parameter
+    node), flattened in C order, fills the columns ``columns[p]``; nothing
+    here depends on the row count.  Every step carries one extra label for
+    the row axis, the largest label, so a step result keeps its rows on
+    its last axis; the last step keeps the row first, then the outputs.
     """
 
     shapes: tuple[tuple[int, ...], ...]  # per position, without the rows
-    gather: tuple[np.ndarray, ...]  # per position, (rows, size)
+    columns: tuple[slice, ...]  # per position, its slots
+    n_slots: int
     steps: tuple[_Step, ...]
     out_shape: tuple[int, ...]  # the output dimensions
     factor: float
@@ -489,24 +491,20 @@ def _cotangent(child, others, dims, bridge) -> tuple[str, tuple[np.ndarray, ...]
     return _subscripts(inputs, result), tuple(eyes)
 
 
-def compile_batch(first: Network, gather: Sequence[np.ndarray]) -> TensorBatch:
+def compile_batch(first: Network) -> TensorBatch:
     """Compile the networks of ``first``'s :func:`structure_key` into a batch.
 
-    The steps come from ``first`` alone; ``gather`` is laid out as
-    :attr:`TensorBatch.gather`, one row per network of the batch.  The
-    greedy path of the forward einsum, searched once, becomes the steps.
+    The greedy path of the forward einsum, searched once for one row,
+    becomes the steps.  Every operand and result carries the row label,
+    so the row count scales every size alike and leaves the path as it is.
     """
     plan = first._plan
     if not plan.params:
         raise Error("network has no tensor operands")
     if not set(plan.outputs) <= {lab for sub in plan.sublists for lab in sub}:
         raise Error("open legs with no tensor operands")
-    gather = tuple(np.asarray(g, dtype=np.intp) for g in gather)
-    rows = len(gather[0]) if gather else 0
-    shapes = [(rows,) + first.nodes[ni].shape for ni in plan.params]
-    if [g.shape for g in gather] != [(rows, math.prod(s[1:])) for s in shapes]:
-        raise Error(f"gather of shapes {[g.shape for g in gather]} for parameter "
-                    f"tensors of shapes {[s[1:] for s in shapes]}")
+    shapes = [(1,) + first.nodes[ni].shape for ni in plan.params]
+    bounds = np.cumsum([0, *(math.prod(s) for s in shapes)]).tolist()
     row = plan.n_labels  # the row axis's label; bridge labels follow it
     _check_labels(row + 1)
     labels = [(row, *sub) for sub in plan.sublists]  # per tree node
@@ -524,41 +522,42 @@ def compile_batch(first: Network, gather: Sequence[np.ndarray]) -> TensorBatch:
         steps.append(_Step(inputs, _subscripts(subs, kept), kept, cotangents))
         live.append(len(labels))
         labels.append(kept)
-    return TensorBatch(tuple(shape[1:] for shape in shapes), gather, tuple(steps),
-                       first.output_dims(), plan.factor)
+    return TensorBatch(tuple(shape[1:] for shape in shapes), tuple(map(slice, bounds, bounds[1:])),
+                       bounds[-1], tuple(steps), first.output_dims(), plan.factor)
 
 
-def _contract_rows(batch: TensorBatch, theta: np.ndarray) -> tuple[list, np.ndarray]:
-    """The tree's nodes, gathered tensors first, and every row's output
-    vector ``v``, flattened, contracted step by step from the ``theta``
-    that ``batch.gather`` indexes."""
-    nodes = [theta[g].reshape(g.shape[:1] + shape) for g, shape in zip(batch.gather, batch.shapes)]
+def _contract_rows(batch: TensorBatch, values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The tree's nodes, parameter tensors first, and every row's output
+    vector ``v``, flattened, contracted step by step from its row of
+    ``values``."""
+    nodes = [values[:, cols].reshape((len(values),) + shape)
+             for cols, shape in zip(batch.columns, batch.shapes)]
     for step in batch.steps:
         nodes.append(np.einsum(step.subscripts, *(nodes[m] for m in step.inputs), optimize=False))
     return nodes, nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor
 
 
-def batch_forward(batch: TensorBatch, theta: np.ndarray) -> np.ndarray:
+def batch_forward(batch: TensorBatch, values: np.ndarray) -> np.ndarray:
     """Every row's weights ``u = v**2``."""
-    return _contract_rows(batch, theta)[1] ** 2
+    return _contract_rows(batch, values)[1] ** 2
 
 
-def batch_backward(batch: TensorBatch, theta: np.ndarray, pull) -> tuple[np.ndarray, list]:
+def batch_backward(batch: TensorBatch, values: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
     """Every row's weights ``u = v**2`` and, for the rows ``pull`` gives a
-    cotangent, d(g_u . u)/d(tensor) at every parameter position, laid out
-    like the leading rows of ``batch.gather``.
+    cotangent, d(g_u . u)/d(value) of every slot, laid out like the leading
+    rows of ``values``: ``(rows, n_slots)``.
 
     ``pull(rows, u)`` takes the slice of all rows and their weights and
     returns the cotangent ``g_u`` of the leading ``t`` rows to
     differentiate.  The cotangent ``2 v g_u`` of ``v`` runs back down the
     tree over those rows of the forward pass's nodes in one reverse sweep.
     """
-    nodes, v = _contract_rows(batch, theta)
+    nodes, v = _contract_rows(batch, values)
     u = v**2
     g_u = pull(slice(0, len(u)), u)
     t = len(g_u)
-    first = len(batch.gather)  # node number of the first step's result
-    # the rows to differentiate: gathered tensors and the output keep their
+    first = len(batch.shapes)  # node number of the first step's result
+    # the rows to differentiate: parameter tensors and the output keep their
     # rows first, the other step results last
     last = len(nodes) - 1
     nodes = [n[:t] if m < first or m == last else n[..., :t] for m, n in enumerate(nodes)]
@@ -569,7 +568,7 @@ def batch_backward(batch: TensorBatch, theta: np.ndarray, pull) -> tuple[np.ndar
         for node, (subscripts, eyes) in zip(step.inputs, step.cotangents):
             siblings = [nodes[m] for m in step.inputs if m != node]
             cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
-    return u, [cotangent[p].reshape(t, -1) for p in range(first)]
+    return u, np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
 
 
 # -- serialization --------------------------------------------------------
@@ -589,20 +588,3 @@ def network_to_json(net: Network) -> str:
         "outputs": [list(l) for l in net.outputs],
     }, indent=2)
 
-
-def network_from_json(text: str) -> Network:
-    def node_from(nj: Mapping) -> Node:
-        if nj["kind"] == "param":
-            return ParamNode(Symbol.from_name(nj["symbol"]), tuple(nj["shape"]))
-        if nj["kind"] == "cup_delta":
-            return CupDeltaNode(int(nj["dim"]))
-        if nj["kind"] == "spider_copy":
-            return SpiderCopyNode(int(nj["arity"]), int(nj["dim"]))
-        raise Error(f"unknown node kind: {nj['kind']!r}")
-
-    obj = json.loads(text)
-    return Network(
-        nodes=tuple(node_from(nj) for nj in obj["nodes"]),
-        edges=tuple(((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in obj["edges"]),
-        outputs=tuple((int(l[0]), int(l[1])) for l in obj["outputs"]),
-    )

@@ -7,18 +7,22 @@ families build one way and run one loop over one engine contract, which
 :mod:`qnlp.simulator` and :mod:`qnlp.tensornet` both provide.  A build
 lowers one sentence per group of its corpus plan (below); the model merges
 the groups whose items share a ``structure_key``, and
-``compile_batch(first, gather)`` compiles each merged group at build, from
-one item and every row's parameter positions, rows in corpus order.
-``batch_forward(batch, theta)`` gives each row two non-negative weights
-``u``, and ``batch_backward(batch, theta, pull)`` gives ``u`` from its own
-forward pass and pulls the cotangent that ``pull`` returns for the leading
-rows back to the group's parameter slots, laid out like ``batch.gather``.
-A circuit's ``u`` is its unnormalized postselected output marginal, whose
-sum is the survival norm; a network's ``u`` is its squared real output
-vector.  One readout turns a split's ``u`` into probabilities ``p = u /
-sum(u)``, one pullback per row chains the loss back to ``u``, and one
-``np.bincount`` sums the slots' gradient terms back per parameter, so a
-word repeated in a sentence gets the terms of both uses.
+``compile_batch(first)`` compiles each merged group at build from one
+item.  An engine runs on values, not on the parameter vector: each batch
+has ``n_slots`` slots (a circuit's parametric gates, a network's
+flattened parameter tensor entries), and the model alone holds each
+batch's gather, one ``(rows, n_slots)`` array of parameter positions,
+rows in corpus order.  ``batch_forward(batch, values)`` takes a ``(rows,
+n_slots)`` array and gives each row two non-negative weights ``u``, and
+``batch_backward(batch, values, pull)`` gives ``u`` from its own forward
+pass and pulls the cotangent that ``pull`` returns for the leading rows
+back to their slots, one ``(t, n_slots)`` array.  A circuit's ``u`` is
+its unnormalized postselected output marginal, whose sum is the survival
+norm; a network's ``u`` is its squared real output vector.  One readout
+turns a split's ``u`` into probabilities ``p = u / sum(u)``, one pullback
+per row chains the loss back to ``u``, and one ``np.bincount`` over the
+gather sums the slots' gradient terms back per parameter, so a word
+repeated in a sentence gets the terms of both uses.
 :mod:`qnlp.simulator`'s ``sentence_distribution`` and
 ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
 ``gradient_hole``, are the per-item reference of these paths.
@@ -26,9 +30,10 @@ word repeated in a sentence gets the terms of both uses.
 A request (:meth:`_Model.evaluate`) names several parameter points, each
 with a run of consecutive splits.  Every group serves it with one engine
 call: it stacks each point's rows of those splits, the ``k``-th point's
-copy of ``batch.gather`` offset by ``k * n_params`` into the points'
-concatenated vectors.  ``eval_split`` and ``grad_split`` are requests for
-one split at one point.
+gather offset by ``k * (n_params + 1)`` into the points' vectors, each
+followed by a 0, and passes the values the stacked gather reads.
+``eval_split`` and ``grad_split`` are requests for one split at one
+point.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -369,18 +374,6 @@ def _pullback(u: np.ndarray, labels, n: int) -> np.ndarray:
     return g_u
 
 
-def _stack(gather, spans, n_params: int):
-    """The rows ``spans[k]`` of a gather, offset by ``k * n_params`` into
-    ``k`` stacked parameter vectors; a ``-1`` entry (a padded gate's) reads
-    the zero that follows the last vector.  A tensor gather is one array
-    per parameter position."""
-    if isinstance(gather, tuple):
-        return tuple(_stack(g, spans, n_params) for g in gather)
-    zero = len(spans) * n_params
-    return np.concatenate([np.where(g < 0, zero, g + k * n_params)
-                           for k, g in enumerate(gather[lo:hi] for lo, hi in spans)])
-
-
 class _Model:
     """The parameter table, batches and evaluation loop both model
     families share.
@@ -391,9 +384,10 @@ class _Model:
     split's row count, in split order.  ``groups`` holds, per group of the
     corpus plan, ``(first, at, gather)``: one item of the group, its
     members' corpus positions (every split's rows in turn) and their
-    gather, one row each.  The model merges them (:func:`_merge_groups`)
-    and compiles each batch once, through the engine module its subclass
-    names as ``_engine``.
+    gather, ``gather[i, j]`` the parameter position that member ``i``
+    reads in the engine's slot ``j``.  The model merges them
+    (:func:`_merge_groups`) and compiles each batch once, through the
+    engine module its subclass names as ``_engine``.
     """
 
     _embed = None  # a family's slot map of a structure into a longer host's
@@ -406,15 +400,22 @@ class _Model:
         self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
         self.n_params = self._bounds[-1]
         self.sizes = sizes
-        # per batch, the compiled batch and its rows' corpus positions, ascending
-        self._groups = [(self._engine.compile_batch(first, gather), at) for first, at, gather
-                        in _merge_groups(groups, self._engine.structure_key, self._embed)]
-        # per request shape, each group's stacked batch and output rows
+        # per batch, the compiled batch, its rows' corpus positions, ascending,
+        # and their gather
+        self._groups = []
+        for first, at, gather in _merge_groups(groups, self._engine.structure_key,
+                                               self._embed, self.n_params):
+            batch = self._engine.compile_batch(first)
+            if gather.shape[1:] != (batch.n_slots,):
+                raise Error(f"gather of shape {gather.shape} for {batch.n_slots} slots")
+            self._groups.append((batch, at, gather))
+        # per request shape, each group's stacked gather and output rows
         self._requests: dict[tuple, list] = {}
 
     def _request(self, runs: tuple[tuple[str, ...], ...]) -> list:
-        """Per group with rows in the request, its batch stacked over the
-        runs of splits and where each of its rows lands in the request's
+        """Per group with rows in the request, its batch, its gather stacked
+        over the runs of splits, the ``k``-th run's offset by ``k *
+        (n_params + 1)``, and where each of its rows lands in the request's
         output, which holds every run's splits in turn."""
         plan = self._requests.get(runs)
         if plan is None:
@@ -428,13 +429,14 @@ class _Model:
                 spans.append((bounds[first], bounds[first + len(names)], out))
                 out += bounds[first + len(names)] - bounds[first]
             plan = []
-            for batch, at in self._groups:
+            for batch, at, gather in self._groups:
                 rows = [np.searchsorted(at, (lo, hi)) for lo, hi, _ in spans]
                 dest = np.concatenate([base + at[a:b] - lo
                                        for (lo, _, base), (a, b) in zip(spans, rows)])
                 if len(dest):
-                    plan.append((replace(batch, gather=_stack(batch.gather, rows, self.n_params)),
-                                 dest))
+                    stacked = np.concatenate([gather[a:b] + k * (self.n_params + 1)
+                                              for k, (a, b) in enumerate(rows)])
+                    plan.append((batch, stacked, dest))
             self._requests[runs] = plan
         return plan
 
@@ -443,16 +445,17 @@ class _Model:
 
         ``points`` is a sequence of ``(names, theta)``: a run of
         consecutive split names and a parameter vector.  Every group stacks
-        each point's rows of its splits into one batch over the points'
-        concatenated vectors.  Returns the gradient and, per point, per
-        split, its probabilities and degenerate count.  With ``labels``,
-        the labels of the first point's first split, the mean-loss
-        gradient of that split at the first point comes from the same
-        call: its rows lead every group's batch, and only they are pulled
-        back.  Without, the gradient is ``None``.
+        each point's rows of its splits into one engine call, at the values
+        its stacked gather reads from the points' vectors, each followed by
+        the 0 that a padded slot reads.  Returns the gradient and, per
+        point, per split, its probabilities and degenerate count.  With
+        ``labels``, the labels of the first point's first split, the
+        mean-loss gradient of that split at the first point comes from the
+        same call: its rows lead every group's gather, and only they are
+        pulled back.  Without, the gradient is ``None``.
         """
         runs = tuple(tuple(names) for names, _ in points)
-        theta = np.concatenate([*(vec for _, vec in points), [0.0]])  # a padded gate's angle
+        theta = np.concatenate([np.append(vec, 0.0) for _, vec in points])
         u = np.empty((sum(self.sizes[n] for names in runs for n in names), 2))
         terms = None
         if labels is not None:
@@ -460,11 +463,11 @@ class _Model:
             if n == 0:
                 raise EmptyEvalSet("no sentences to differentiate")
             labels, terms = np.asarray(labels), []
-        for batch, dest in self._request(runs):
-            # the first split's rows lead the output, as they lead the batch
+        for batch, gather, dest in self._request(runs):
+            # the first split's rows lead the output, as they lead the gather
             rows = () if labels is None else dest[dest < n]
             if not len(rows):
-                u[dest] = self._engine.batch_forward(batch, theta)
+                u[dest] = self._engine.batch_forward(batch, theta[gather])
                 continue
 
             def pull(chunk, u_chunk, rows=rows):
@@ -473,9 +476,15 @@ class _Model:
                     return np.empty((0, 2))
                 return _pullback(u_chunk[: stop - chunk.start], labels[rows[chunk.start : stop]], n)
 
-            u[dest], group_terms = self._engine.batch_backward(batch, theta, pull)
-            terms.append((batch.gather, group_terms))
-        grad = None if terms is None else self._scatter(terms)
+            u[dest], group_terms = self._engine.batch_backward(batch, theta[gather], pull)
+            terms.append((gather[: len(group_terms)], group_terms))
+        grad = None
+        if terms is not None:
+            # in order, so a position gathered twice (a word repeated in a
+            # sentence) sums both terms; a padded slot's fall in the bin cut off
+            grad = np.bincount(np.concatenate([g.ravel() for g, _ in terms]),
+                               np.concatenate([t.ravel() for _, t in terms]),
+                               self.n_params)[: self.n_params]
         readouts, at = [], 0
         for names in runs:
             readouts.append([])
@@ -494,19 +503,6 @@ class _Model:
         degenerate count that :meth:`eval_split` returns."""
         grad, [[(probs, degenerate)]] = self.evaluate([((name,), theta)], labels)
         return grad, probs, degenerate
-
-    def _scatter(self, terms) -> np.ndarray:
-        """Sum every term into the parameter vector at the position its
-        gather entry names.  A group's gather and terms iterate in step (a
-        circuit's by row, a network's by parameter position), and the sum
-        runs in order, so a position gathered twice (a word repeated in a
-        sentence) gets both terms.  A padded gate's entry names the zero
-        past the stacked vectors, so its terms fall in bins that are cut
-        off."""
-        pairs = [(g[: len(t)], t) for gather, ts in terms for g, t in zip(gather, ts)]
-        return np.bincount(np.concatenate([g.ravel() for g, _ in pairs]),
-                           np.concatenate([t.ravel() for _, t in pairs]),
-                           self.n_params)[: self.n_params]
 
     def _tables(self):
         """Each symbol with its shape and its first and past-last entries."""
@@ -555,16 +551,16 @@ def _slot_map(member: tuple, host: tuple) -> np.ndarray | None:
     return np.array(cols, dtype=np.intp) if j == len(gates) else None
 
 
-def _merge_groups(groups: list, key, embed) -> list[tuple]:
+def _merge_groups(groups: list, key, embed, n_params: int) -> list[tuple]:
     """One batch per host structure from the plan groups ``(first, at,
     gather)``.
 
     Taken longest first (a ``key``'s second entry), a group joins the first
     host of its structure, or with ``embed`` (:func:`_slot_map`) the first
-    it embeds in, its gathers padded to the host's slots with ``-1``; else
-    it becomes a host.  A ``-1`` slot reads the zero that
-    :meth:`_Model.evaluate` appends after the stacked parameter vectors;
-    a rotation at angle 0 is an exact identity, so a member row's weights
+    it embeds in, its gathers padded to the host's slots with ``n_params``;
+    else it becomes a host.  A padded slot reads the zero that
+    :meth:`_Model.evaluate` appends to each parameter vector; a rotation
+    at angle 0 is an exact identity, so a member row's weights
     equal those of its own batch (unless that batch is one row, whose
     in-place NumPy products can round differently in the last bit).  Per
     host, in order of first use: its own first group's item, its rows'
@@ -580,7 +576,7 @@ def _merge_groups(groups: list, key, embed) -> list[tuple]:
                 break
             cols = None if embed is None else embed(keys[i], host)
             if cols is not None:
-                padded = np.append(gather, np.full((len(gather), 1), -1), axis=1)
+                padded = np.append(gather, np.full((len(gather), 1), n_params), axis=1)
                 parts.append((first, at, padded[:, cols]))
                 break
         else:
@@ -589,10 +585,7 @@ def _merge_groups(groups: list, key, embed) -> list[tuple]:
     for parts in (hosts[k] for k in dict.fromkeys(keys) if k in hosts):
         at = np.concatenate([at for _, at, _ in parts])
         order = np.argsort(at)
-        gathers = [g for *_, g in parts]  # a tensor's holds an array per parameter position
-        gather = (tuple(np.concatenate(gs)[order] for gs in zip(*gathers))
-                  if isinstance(gathers[0], tuple) else np.concatenate(gathers)[order])
-        merged.append((parts[0][0], at[order], gather))
+        merged.append((parts[0][0], at[order], np.concatenate([g for *_, g in parts])[order]))
     return merged
 
 
@@ -684,9 +677,9 @@ class TensorModel(_Model):
         groups = []
         for net, nodes, (_, at, ids) in zip(nets, params, shaped):
             # per member, the flattened entries of its word's piece at each node
-            gather = tuple(entries[firsts[ids[:, int(n.symbol.word)]] + n.symbol.index, None]
-                           + np.arange(math.prod(n.shape)) for n in nodes)
-            groups.append((net, at, gather))
+            gather = [entries[firsts[ids[:, int(n.symbol.word)]] + n.symbol.index, None]
+                      + np.arange(math.prod(n.shape)) for n in nodes]
+            groups.append((net, at, np.concatenate(gather, axis=1)))
         return cls([Symbol(*words[w], i) for w, i in keys], [pieces[k] for k in keys], sizes, groups)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:

@@ -354,8 +354,8 @@ def reference_groups(circuits_by_split: dict[str, list]):
     return symbols, groups
 
 
-# The symbol a padded gate reads in a reference circuit: its gather entry is -1,
-# which the model reads as angle 0.
+# The symbol a padded gate reads in a reference circuit: its gather entry is
+# the model's n_params, which the model reads as angle 0.
 ZERO = Symbol("", "zero", -1)
 
 
@@ -401,12 +401,13 @@ def reference_padded_groups(circuits_by_split: dict[str, list]):
     outputs that it embeds in (:func:`leftmost_embedding`), or becomes a
     host.  Every member circuit is padded with :data:`ZERO` gates
     explicitly, must then share its host's ``structure_key``, and gives
-    its gather row with ``-1`` for ``ZERO``.  Groups keep the structures'
-    order of first use, each as its host's first circuit, the gather of
-    every row (split by split, in row order) and the rows per split.
+    its gather row with ``len(symbols)`` for ``ZERO``.  Groups keep the
+    structures' order of first use, each as its host's first circuit, the
+    gather of every row (split by split, in row order) and the rows per
+    split.
     """
     symbols, _ = reference_groups(circuits_by_split)
-    offsets = {s: i for i, s in enumerate(symbols)} | {ZERO: -1}
+    offsets = {s: i for i, s in enumerate(symbols)} | {ZERO: len(symbols)}
     first: dict[tuple, object] = {}
     for cs in circuits_by_split.values():
         for c in cs:
@@ -468,34 +469,36 @@ def reference_networks(splits, lexicon, scheme, cfg) -> dict[str, list]:
             for lset in splits}
 
 
-def reference_tensor_gather(nets, offsets) -> tuple[np.ndarray, ...]:
-    """Per parameter node, in node order, each network's flattened tensor
-    entries in the parameter vector, one row per network."""
-    nodes = [[n for n in net.nodes if isinstance(n, ParamNode)] for net in nets]
-    return tuple(np.array([offsets[row[p].symbol] for row in nodes], dtype=np.intp)[:, None]
-                 + np.arange(int(np.prod(nodes[0][p].shape))) for p in range(len(nodes[0])))
+def reference_tensor_gather(nets, offsets) -> np.ndarray:
+    """Per network, one row: the positions in the parameter vector of its
+    parameter nodes' flattened tensor entries, node after node."""
+    rows = [[offsets[n.symbol] + i for n in net.nodes if isinstance(n, ParamNode)
+             for i in range(int(np.prod(n.shape)))] for net in nets]
+    return np.array(rows, dtype=np.intp).reshape(len(nets), len(rows[0]))
 
 
 def reference_tensor_model(nets_by_split: dict[str, list]) -> training.TensorModel:
-    """A tensor model over separately compiled networks.
+    """A tensor model over separately compiled networks."""
+    shapes, groups = reference_tensor_groups(nets_by_split)
+    sizes = {name: len(nets) for name, nets in nets_by_split.items()}
+    return training.TensorModel(list(shapes), list(shapes.values()), sizes, groups)
 
-    Symbols in first-use order over every network of every split, each
-    with its shape; networks grouped by ``structure_key`` in order of first
+
+def reference_tensor_groups(nets_by_split: dict[str, list]) -> tuple[dict, list[tuple]]:
+    """Every symbol's shape, in first-use order over every network of every
+    split, and the networks grouped by ``structure_key`` in order of first
     use, each group as its first network, its members' corpus positions
-    and their gather.
-    """
+    and their gather."""
     shapes = {}
     for nets in nets_by_split.values():
         for net in nets:
             shapes.update(net.param_shapes())
     offsets = dict(zip(shapes, np.cumsum([0, *(int(np.prod(s)) for s in shapes.values())])))
-    sizes = {name: len(nets) for name, nets in nets_by_split.items()}
-    start = split_starts(sizes)
+    start = split_starts({name: len(nets) for name, nets in nets_by_split.items()})
     members: dict[tuple, list] = {}
     for name, nets in nets_by_split.items():
         for r, net in enumerate(nets):
             members.setdefault(tensornet.structure_key(net), []).append((start[name] + r, net))
-    groups = [(rows[0][1], np.array([at for at, _ in rows], dtype=np.intp),
-               reference_tensor_gather([net for _, net in rows], offsets))
-              for rows in members.values()]
-    return training.TensorModel(list(shapes), list(shapes.values()), sizes, groups)
+    return shapes, [(rows[0][1], np.array([at for at, _ in rows], dtype=np.intp),
+                     reference_tensor_gather([net for _, net in rows], offsets))
+                    for rows in members.values()]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,15 +278,7 @@ class TestCompileBatches:
         ]
         for circuit, exc in bad:
             with pytest.raises(exc):
-                compile_batch(circuit, reference_gather([circuit], {THETA: 0}))
-
-    def test_gather_needs_a_column_per_parametric_gate(self):
-        c = one_qubit_circuit(Gate(GateKind.RX, (0,), THETA), Gate(GateKind.H, (0,)),
-                              symbols=[THETA])
-        assert compile_batch(c, [[0], [0]]).gather.tolist() == [[0], [0]]
-        for gather in ([[0, 0]], [[]], [0]):
-            with pytest.raises(Error, match="1 parametric gates"):
-                compile_batch(c, gather)
+                compile_batch(circuit)
 
     def test_groups_by_structure(self):
         other = Symbol("x", "->s", 0)
@@ -296,8 +286,7 @@ class TestCompileBatches:
         b = one_qubit_circuit(Gate(GateKind.RX, (0,), other), symbols=[other])
         c = one_qubit_circuit(Gate(GateKind.RY, (0,), other), symbols=[other])
         assert structure_key(a) == structure_key(b) != structure_key(c)
-        gather = reference_gather([a, b], {THETA: 0, other: 1})
-        assert compile_batch(a, gather).gather.tolist() == [[0], [1]]
+        assert reference_gather([a, b], {THETA: 0, other: 1}).tolist() == [[0], [1]]
 
     def test_slot_never_matches_a_constant_angle(self):
         other = Symbol("x", "->s", 0)
@@ -312,8 +301,8 @@ class TestCompileBatches:
         once = one_qubit_circuit(rx, Gate(GateKind.RY, (0,), other), symbols=[THETA, other])
         twice = one_qubit_circuit(rx, ry, symbols=[THETA])
         assert structure_key(once) == structure_key(twice)
-        gather = reference_gather([once, twice], {THETA: 0, other: 1})
-        assert compile_batch(once, gather).gather.tolist() == [
+        assert compile_batch(once).n_slots == 2
+        assert reference_gather([once, twice], {THETA: 0, other: 1}).tolist() == [
             [0, 1],
             [0, 0],
         ]
@@ -375,8 +364,9 @@ class TestBatchProperties:
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
         assert len({structure_key(c) for c in circuits}) == 1
-        batch = compile_batch(circuits[0], reference_gather(circuits, offsets))
-        n = batch_forward(batch, theta)
+        batch = compile_batch(circuits[0])
+        angles = theta[reference_gather(circuits, offsets)]
+        n = batch_forward(batch, angles)
         # a random upstream g_p on p = N / D per row, chained to N as the
         # model's pullback does; a degenerate row keeps g_p as drawn
         g_p = rng.normal(size=n.shape)
@@ -384,12 +374,12 @@ class TestBatchProperties:
         alive = d[:, 0] >= SURVIVAL_EPS
         p = n / np.where(alive[:, None], d, 1.0)
         upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
-        u, vjp = batch_backward(batch, theta, lambda rows, _: upstream[rows])
+        u, vjp = batch_backward(batch, angles, lambda rows, _: upstream[rows])
         np.testing.assert_array_equal(u, n)  # the backward pass's own forward
-        assert vjp.shape == batch.gather.shape
+        assert vjp.shape == angles.shape
         # pulling back only the leading rows reads the same terms for them
         lead = len(circuits) - 1
-        u, led = batch_backward(batch, theta,
+        u, led = batch_backward(batch, angles,
                                 lambda rows, _: upstream[rows][: max(0, lead - rows.start)])
         np.testing.assert_array_equal(u, n)
         np.testing.assert_array_equal(led, vjp[:lead])
@@ -406,11 +396,9 @@ class TestBatchProperties:
             np.testing.assert_allclose(d_sym, want.jacobian @ g_p[r], rtol=0, atol=1e-12)
             fd = finite_difference(lambda v: sentence_distribution(c, v).probs, x)
             np.testing.assert_allclose(want.jacobian, fd, rtol=0, atol=1e-6)
-        # every slot on its own: the same batch with each slot reading a
-        # parameter of its own, differentiated numerically
-        per_slot = replace(batch, gather=np.arange(vjp.size).reshape(vjp.shape))
+        # every slot on its own, differentiated numerically
         fd = five_point_difference(
-            lambda a: float((upstream * batch_forward(per_slot, a)).sum()),
-            theta[batch.gather].ravel(),
+            lambda a: float((upstream * batch_forward(batch, a.reshape(angles.shape))).sum()),
+            angles.ravel(),
         )
         np.testing.assert_allclose(vjp.ravel(), fd, rtol=0, atol=1e-6)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import itertools
+import re
 import types
 from pathlib import Path
 
@@ -71,6 +72,7 @@ from oracles import (
     reference_gather,
     reference_networks,
     reference_padded_groups,
+    reference_tensor_groups,
     reference_tensor_model,
     split_starts,
 )
@@ -488,7 +490,7 @@ class TestCircuitBatching:
         model = CircuitModel.build(
             pattern_splits(), default_lexicon(), RewriteScheme.RE, ansatz
         )
-        rows = [rows_by_split(model, at) for _, at in model._groups]
+        rows = [rows_by_split(model, at) for _, at, _ in model._groups]
         assert [len(r["train"]) for r in rows] == [2, 2, 2, 2]
         assert [len(r["dev"]) for r in rows] == [1, 0, 0, 1]
         assert [len(r["test"]) for r in rows] == [0, 1, 1, 0]
@@ -500,7 +502,7 @@ class TestCircuitBatching:
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
         splits = pattern_splits()
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        batch, at = max(model._groups, key=lambda g: g[0].n_qubits)
+        batch, at, _ = max(model._groups, key=lambda g: g[0].n_qubits)
         assert batch.n_qubits == 9 and len(rows_by_split(model, at)["train"]) == 2
         assert 2**batch.n_qubits == simulator.BATCH_AMPLITUDES
         theta = model.init_params(rng)
@@ -519,10 +521,10 @@ class TestCircuitBatching:
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
         groups = model._groups
-        assert [len(rows_by_split(model, at)["train"]) for _, at in groups] == [3, 2, 2, 2]
+        assert [len(rows_by_split(model, at)["train"]) for _, at, _ in groups] == [3, 2, 2, 2]
         last = len(splits.train) - 1  # train rows lead the corpus
-        ((batch, at),) = [(b, at) for b, at in groups if last in at]
-        slots = batch.gather[list(at).index(last)].tolist()
+        ((at, gather),) = [(at, gather) for _, at, gather in groups if last in at]
+        slots = gather[list(at).index(last)].tolist()
         man = [i for i, s in enumerate(model.symbols) if s.word == "man"]  # symbol i, slot i
         assert man and [slots.count(i) for i in man] == [2] * len(man)
         theta = model.init_params(rng)
@@ -636,9 +638,10 @@ class TestTensorBatching:
                                   TensorAnsatzConfig(kind))
         # the sentence batches with "man cooks meal", its subject and
         # object positions gathering one tensor
-        ((batch, at),) = [(b, at) for b, at in model._groups if 8 in at]
+        ((batch, at, gather),) = [group for group in model._groups if 8 in group[1]]
         r = list(at).index(8)
-        assert sum(np.array_equal(g[r], batch.gather[0][r]) for g in batch.gather) == 2
+        pieces = [gather[r, cols] for cols in batch.columns]
+        assert sum(np.array_equal(g, pieces[0]) for g in pieces) == 2
         theta = model.init_params(rng)
         labels = splits.train.labels()
         grad, _, _ = model.grad_split("train", theta, labels)
@@ -653,7 +656,7 @@ class TestTensorBatching:
                                   TensorAnsatzConfig(kind))
         assert len(model._groups) == 4  # compiled at build
         for name in ("train", "dev", "test"):
-            assert all(len(rows_by_split(model, at)[name]) for _, at in model._groups)
+            assert all(len(rows_by_split(model, at)[name]) for _, at, _ in model._groups)
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_one_path_search_per_group(self, kind, monkeypatch, rng):
@@ -697,10 +700,10 @@ class TestBatchLifecycle:
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
     def test_groups_compiled_at_build_only(self, make, rng, monkeypatch):
         model = make()
-        batches = [batch for batch, _ in model._groups]
-        at = np.concatenate([at for _, at in model._groups])
+        batches = [batch for batch, _, _ in model._groups]
+        at = np.concatenate([at for _, at, _ in model._groups])
         assert sorted(at) == list(range(sum(model.sizes.values())))  # every split's rows
-        assert all((np.diff(at) > 0).all() for _, at in model._groups)  # ascending
+        assert all((np.diff(at) > 0).all() for _, at, _ in model._groups)  # ascending
 
         def no_compile(*args):
             raise AssertionError("a batch compiled after build")
@@ -708,7 +711,34 @@ class TestBatchLifecycle:
         monkeypatch.setattr(model._engine, "compile_batch", no_compile)
         for name in model.sizes:
             model.eval_split(name, model.init_params(rng))
-        assert all(a is b for a, b in zip([batch for batch, _ in model._groups], batches))
+        assert all(a is b for a, b in zip([batch for batch, _, _ in model._groups], batches))
+
+    @pytest.mark.parametrize("family", ("circuit", "tensor"))
+    def test_gather_needs_a_column_per_slot(self, family, toy_lexicon):
+        if family == "circuit":
+            w = Symbol("w", "->s", 0)
+            # constant gates fill no slot
+            gates = (Gate(GateKind.RX, (0,), w), Gate(GateKind.H, (0,)),
+                     Gate(GateKind.RZ, (0,), 0.5))
+            item = Circuit(1, gates, (), (0,), (w,))
+            shapes, make, slots = {w: ()}, CircuitModel, 1
+        else:
+            item = compile_network(parse_sentence(["Alice", "likes", "Bob"], toy_lexicon),
+                                   TensorAnsatzConfig(TensorAnsatz.TENSOR))
+            shapes, make, slots = item.param_shapes(), TensorModel, 12
+
+        def build(gather):
+            return make(list(shapes), list(shapes.values()), {"train": len(gather)},
+                        [(item, np.arange(len(gather)), gather)])
+
+        model = build(np.zeros((2, slots), dtype=np.intp))
+        ((batch, _, gather),) = model._groups
+        assert batch.n_slots == slots and gather.shape == (2, slots)
+        probs, _ = model.eval_split("train", np.ones(model.n_params))
+        assert probs.shape == (2, 2)
+        for bad in ((2, slots + 1), (2, slots - 1), (2,)):
+            with pytest.raises(Error, match=re.escape(f"gather of shape {bad} for {slots} slots")):
+                build(np.zeros(bad, dtype=np.intp))
 
     def test_rows_grouped_in_order_of_first_appearance(self):
         theta, other = Symbol("w", "->s", 0), Symbol("x", "->s", 0)
@@ -721,10 +751,10 @@ class TestBatchLifecycle:
         # over all splits, in order of first use with train first; a
         # group's train rows lead its batch
         model = reference_circuit_model({"train": [a, c, b], "dev": [d, b]})
-        rows = [rows_by_split(model, at) for _, at in model._groups]
+        rows = [rows_by_split(model, at) for _, at, _ in model._groups]
         assert [r["train"] for r in rows] == [[0, 2], [1], []]
         assert [r["dev"] for r in rows] == [[1], [], [0]]
-        assert model._groups[0][0].gather.tolist() == [[0], [1], [1]]
+        assert model._groups[0][2].tolist() == [[0], [1], [1]]
 
 
 class TestTensorFit:
@@ -772,13 +802,13 @@ def assert_same_tensor_model(model: TensorModel, nets_by_split) -> None:
     ref = reference_tensor_model(nets_by_split)
     assert (model.symbols, model.shapes, model.sizes) == (ref.symbols, ref.shapes, ref.sizes)
     assert len(model._groups) == len(ref._groups)
-    for (batch, at), (want, want_at) in zip(model._groups, ref._groups):
+    for (batch, at, gather), (want, want_at, want_gather) in zip(model._groups, ref._groups):
         assert at.tolist() == want_at.tolist()
-        assert (batch.shapes, batch.out_shape, batch.factor) == (
-            want.shapes, want.out_shape, want.factor)
+        assert (batch.shapes, batch.columns, batch.out_shape, batch.factor) == (
+            want.shapes, want.columns, want.out_shape, want.factor)
         assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
-        assert [(g.dtype, g.shape) for g in batch.gather] == [(g.dtype, g.shape) for g in want.gather]
-        assert [g.tobytes() for g in batch.gather] == [g.tobytes() for g in want.gather]
+        assert (gather.dtype, gather.shape) == (want_gather.dtype, want_gather.shape)
+        assert gather.tobytes() == want_gather.tobytes()
 
 
 class TestTensorBuild:
@@ -793,6 +823,35 @@ class TestTensorBuild:
             splits = generate_mc(seed)
             model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
             assert_same_tensor_model(model, reference_networks(splits, mc_lexicon, scheme, cfg))
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_steps_do_not_depend_on_the_row_count(self, kind, scheme, mc_lexicon, monkeypatch):
+        # a batch's path is searched once, for one row; searched at the
+        # group's real row count it gives the same steps
+        cfg = TensorAnsatzConfig(kind)
+        searched = []
+
+        def at_rows(n):
+            def search(subscripts, *operands, **kwargs):
+                searched.append(n)
+                resized = (np.empty((n, *op.shape[1:])) for op in operands)
+                return np.einsum_path(subscripts, *resized, **kwargs)
+            return search
+
+        for seed in range(4):
+            splits = generate_mc(seed)
+            model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
+            _, groups = reference_tensor_groups(reference_networks(splits, mc_lexicon, scheme, cfg))
+            assert len(model._groups) == len(groups)
+            for (batch, at, _), (first, want_at, _) in zip(model._groups, groups):
+                assert at.tolist() == want_at.tolist()
+                with monkeypatch.context() as m:
+                    m.setattr(tensornet, "np", numpy_with(einsum_path=at_rows(len(at))))
+                    want = tensornet.compile_batch(first)
+                assert [(s.inputs, s.subscripts, s.kept) for s in batch.steps] == [
+                    (s.inputs, s.subscripts, s.kept) for s in want.steps]
+        assert len(searched) == 16 and min(searched) > 1
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_two_shapes_of_one_structure_share_a_batch(self, kind, rng):
@@ -813,7 +872,7 @@ class TestTensorBuild:
         (_, shaped, _), _ = training._corpus_plan(splits, lexicon, RewriteScheme.RE,
                                                   training._place_network)
         assert [at.tolist() for _, at, _ in shaped] == [[0, 3], [1, 2, 4]]
-        ((_, at),) = model._groups
+        ((_, at, _),) = model._groups
         assert at.tolist() == [0, 1, 2, 3, 4]
         nets = reference_networks(splits, lexicon, RewriteScheme.RE, cfg)
         assert_same_tensor_model(model, nets)
@@ -925,7 +984,7 @@ class TestFitMatchesReference:
         splits = generate_mc(2)
         ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, 1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        wide = [rows_by_split(model, at) for batch, at in model._groups if batch.n_qubits == 9]
+        wide = [rows_by_split(model, at) for batch, at, _ in model._groups if batch.n_qubits == 9]
         assert [(len(r["train"]), len(r["dev"])) for r in wide] == [(25, 4)]
         cfg = TrainConfig(epochs=3, seed=1, optimizer=optimizer)
         ref = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
@@ -989,14 +1048,14 @@ def assert_same_groups(model: CircuitModel, circuits_by_split) -> None:
     assert model.symbols == symbols and model.n_params == len(symbols)
     assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
     assert len(model._groups) == len(groups)
-    for (batch, at), (first, gather, rows) in zip(model._groups, groups):
-        want = simulator.compile_batch(first, gather)
-        assert (batch.n_qubits, batch.ops) == (want.n_qubits, want.ops)
+    for (batch, at, gather), (first, want_gather, rows) in zip(model._groups, groups):
+        want = simulator.compile_batch(first)
+        assert (batch.n_qubits, batch.ops, batch.n_slots) == (want.n_qubits, want.ops, want.n_slots)
         assert batch.postselect == want.postselect
         assert batch.output_axis == want.output_axis
-        assert batch.gather.dtype == want.gather.dtype
-        assert batch.gather.tobytes() == want.gather.tobytes()
-        assert batch.gather.shape == want.gather.shape
+        assert gather.dtype == want_gather.dtype
+        assert gather.tobytes() == want_gather.tobytes()
+        assert gather.shape == want_gather.shape
         assert rows_by_split(model, at) == {name: r.tolist() for name, r in rows.items()}
 
 
@@ -1232,9 +1291,11 @@ def hosts_and_members(draw) -> list[Circuit]:
 
 
 def merged(circuits, offsets) -> list[tuple]:
-    """The batches a circuit model merges from one group per circuit."""
+    """The batches a circuit model merges from one group per circuit, its
+    padded slots reading the position past ``offsets``."""
     groups = [(c, np.array([r]), reference_gather([c], offsets)) for r, c in enumerate(circuits)]
-    return training._merge_groups(groups, simulator.structure_key, training._slot_map)
+    return training._merge_groups(groups, simulator.structure_key, training._slot_map,
+                                  len(offsets))
 
 
 class TestPaddedGroups:
@@ -1249,19 +1310,22 @@ class TestPaddedGroups:
         ((host, at, gather),) = merged(circuits, offsets)
         assert host is circuits[0]
         assert at.tolist() == list(range(len(circuits)))
-        batch = simulator.compile_batch(host, gather)
+        batch = simulator.compile_batch(host)
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
         with_zero = np.append(theta, 0.0)  # as _Model.evaluate stacks it
-        u = simulator.batch_forward(batch, with_zero)
+        u = simulator.batch_forward(batch, with_zero[gather])
         upstream = rng.normal(size=u.shape)
-        _, terms = simulator.batch_backward(batch, with_zero, lambda rows, _: upstream[rows])
+        _, terms = simulator.batch_backward(batch, with_zero[gather],
+                                            lambda rows, _: upstream[rows])
         for r in range(0, len(circuits), 2):  # each structure's own batch of two rows
-            own = simulator.compile_batch(circuits[r], reference_gather(circuits[r : r + 2], offsets))
-            assert u[r : r + 2].tobytes() == simulator.batch_forward(own, theta).tobytes()
-            _, want = simulator.batch_backward(own, theta, lambda rows, _: upstream[r : r + 2][rows])
-            real = gather[r : r + 2] >= 0
-            assert gather[r : r + 2][real].tolist() == own.gather.ravel().tolist()
+            own = reference_gather(circuits[r : r + 2], offsets)
+            alone = simulator.compile_batch(circuits[r])
+            assert u[r : r + 2].tobytes() == simulator.batch_forward(alone, theta[own]).tobytes()
+            _, want = simulator.batch_backward(alone, theta[own],
+                                               lambda rows, _: upstream[r : r + 2][rows])
+            real = gather[r : r + 2] < len(symbols)
+            assert gather[r : r + 2][real].tolist() == own.ravel().tolist()
             np.testing.assert_array_equal(terms[r : r + 2][real], want.ravel())
 
     @staticmethod
@@ -1302,7 +1366,7 @@ class TestPaddedGroups:
         circuits = self.pair([self.RX0, ry1, crz, self.RX0], [ry1, self.RX0])
         offsets = {s: i for i, s in enumerate(s for c in circuits for s in c.symbols)}
         ((_, _, gather),) = merged(circuits, offsets)
-        assert gather.tolist() == [[0, 1, 2, 3], [-1, 4, -1, 5]]
+        assert gather.tolist() == [[0, 1, 2, 3], [6, 4, 6, 5]]
 
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
     def test_bench_grid_histories_equal_per_structure_models(self, kind, mc_lexicon):
