@@ -20,19 +20,20 @@ rule; a controlled rotation takes a four-term rule with shifts ``+-pi/2,
 frequencies, so the plain two-term rule is not exact for them.
 :func:`shift_rule` holds both rules.
 
-Training runs batched, through the batch contract :mod:`qnlp.tensornet`
-shares: circuits of one :func:`structure_key` compile once, from one
-circuit's gates, into a :class:`CircuitBatch` (:func:`compile_batch`)
-whose slots are its parametric gates.  The model gathers each row's
-angles per slot, and :func:`batch_forward` gives every row's two weights
-``u`` (its unnormalized output marginal ``N``, whose sum is the survival
-norm) in one statevector pass over a ``(rows, 2, ..., 2)`` state, and
-:func:`batch_backward` returns ``u`` from its own forward pass and pulls
-the model's cotangent on ``u`` back to every parametric gate by adjoint
-differentiation: per chunk of rows, one forward pass, then the model's
-cotangent for the chunk's leading rows and one reverse sweep over those
-rows alone, with no shifted runs.  The model normalizes and chains the
-quotient rule.  The per-gate :func:`apply` and the per-sentence
+Training runs batched, on word blocks rather than sentences: a word's
+block acts on its own qubits only, so a sentence's amplitudes are its
+diagram's network with each box its block's map (:mod:`qnlp.training`
+contracts it with :mod:`qnlp.tensornet`).  Circuits of one
+:func:`structure_key` compile once, from one circuit's gates, into a
+:class:`CircuitBatch` (:func:`compile_batch`) whose slots are its
+parametric gates.  A circuit's map takes its first ``n_dom`` qubits as
+inputs, the others fed ``|0>``, to its outputs, its postselected qubits
+read at 0.  :func:`batch_forward` gives every row's map, at its row of
+slot angles, in one statevector pass over every row and input basis
+state, and :func:`batch_backward` pulls a complex cotangent on the maps
+back to every parametric gate by adjoint differentiation: one forward
+pass, then one reverse sweep from the cotangent, with no shifted runs.
+The per-gate :func:`apply` and the per-sentence
 :func:`sentence_distribution` and :func:`distribution_gradient` are the
 reference the batched path is tested against, shift rules against the
 adjoint.
@@ -262,11 +263,6 @@ def distribution_gradient(circuit: Circuit, params) -> DistributionGradient:
 
 # -- batched execution ----------------------------------------------------
 
-# Most amplitudes one chunk of batch rows holds, per state: a gradient
-# chunk holds two, the forward state and its upstream-weighted copy.  A
-# row wider than this runs alone.
-BATCH_AMPLITUDES = 2**14
-
 _1Q_KINDS = frozenset({GateKind.H}) | PARAMETRIC_1Q
 _2Q_KINDS = frozenset({GateKind.CNOT}) | PARAMETRIC_2Q
 
@@ -277,8 +273,8 @@ def structure_key(circuit: Circuit) -> tuple:
     The qubit count, then per gate its kind, its qubits, and its constant
     angle or, for a gate that reads a parameter, the :class:`Symbol` class
     (a marker that never equals an angle), then the postselected and
-    output qubits.  Sentences of one grammatical pattern under one ansatz
-    share a key whatever their words, a repeated word included.
+    output qubits.  Word blocks of one width under one ansatz share a key
+    whatever their words.
     """
     gates = tuple(
         (g.kind, g.qubits, Symbol if isinstance(g.param, Symbol) else g.param)
@@ -289,12 +285,15 @@ def structure_key(circuit: Circuit) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class CircuitBatch:
-    """Circuits of one structure, compiled once to run as one batch.
+    """Circuits of one structure, compiled once to run as one batch of maps.
 
-    Every parametric gate is a slot of its own, in gate order, so a symbol
-    read twice fills two slots.  The engine takes a ``(rows, n_slots)``
-    array of angles, row ``r``'s ``j``-th entry the angle its ``j``-th
-    parametric gate reads; nothing here depends on the row count.
+    A circuit's map takes its first ``n_dom`` qubits as inputs, the others
+    fed ``|0>``, to its outputs, its postselected qubits read at 0: row
+    ``r``'s map is flattened from a ``(2,) * (n_dom + len(outputs))``
+    tensor, input legs first, then the outputs in order.  Every parametric
+    gate is a slot of its own, in gate order, so a symbol read twice fills
+    two slots.  The engine takes a ``(rows, n_slots)`` array of angles;
+    nothing here depends on the row count.
     """
 
     n_qubits: int
@@ -302,22 +301,19 @@ class CircuitBatch:
     # slot or None, constant angle or None); a two-qubit gate's slices fix
     # its control to 1
     ops: tuple[tuple, ...]
-    postselect: tuple  # state index keeping outcome 0 of postselected qubits
-    output_axis: int  # axis of the output qubit after postselection
+    n_dom: int
+    cols: np.ndarray  # per output basis state, its flat state index
     n_slots: int
 
 
-def compile_batch(first: Circuit) -> CircuitBatch:
-    """Compile the circuits of ``first``'s :func:`structure_key` into a batch."""
-    if len(first.outputs) != 1:
-        raise WrongOutputArity(
-            f"expected exactly one output qubit, circuit has {len(first.outputs)}"
-        )
+def compile_batch(first: Circuit, n_dom: int) -> CircuitBatch:
+    """Compile the circuits of ``first``'s :func:`structure_key` into a batch
+    whose maps read their first ``n_dom`` qubits as inputs."""
     n = first.n_qubits
-    (output,) = first.outputs
-    post = set(first.postselect)
-    if output in post:
-        raise Error(f"output qubit {output} is postselected")
+    if sorted(first.postselect + first.outputs) != list(range(n)):
+        raise Error(f"each of the {n} qubits must be one output or postselected")
+    if not 0 <= n_dom <= n:
+        raise Error(f"{n_dom} input qubits for a {n}-qubit circuit")
 
     ops = []
     n_slots = 0
@@ -341,17 +337,19 @@ def compile_batch(first: Circuit) -> CircuitBatch:
             n_slots += 1
         else:
             ops.append((g.kind, tuple(low), tuple(high), None, g.param))
-    return CircuitBatch(
-        n_qubits=n,
-        ops=tuple(ops),
-        postselect=(slice(None),) + tuple(0 if q in post else slice(None) for q in range(n)),
-        output_axis=1 + sum(1 for q in range(output) if q not in post),
-        n_slots=n_slots,
-    )
+    cols = np.zeros(1, dtype=np.intp)
+    for q in first.outputs:  # the first output is the most significant
+        cols = (cols[:, None] + np.array([0, 1 << (n - 1 - q)])).ravel()
+    return CircuitBatch(n, tuple(ops), n_dom, cols, n_slots)
 
 
 def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
-    """Apply one gate in place to every row, each at its own angle."""
+    """Apply one gate in place to every row, each at its own angle.
+
+    Complex products are written out of place: NumPy can round an in-place
+    complex product over a one-element view differently from the same
+    product over a longer array, and a row must not depend on its batch.
+    """
     kind, low, high, slot, angle = op
     a, b = state[low], state[high]  # views: the target's 0 and 1 slices
     if kind is GateKind.H:
@@ -371,8 +369,8 @@ def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
         half = angles[:, slot].reshape((-1,) + (1,) * (a.ndim - 1)) / 2.0
     if kind is GateKind.RZ or kind is GateKind.CRZ:
         phase = np.exp(1j * half)
-        a *= np.conj(phase)
-        b *= phase
+        a[...] = a * np.conj(phase)
+        b[...] = b * phase
         return
     c, s = np.cos(half), np.sin(half)
     if kind is GateKind.RY:
@@ -391,38 +389,30 @@ def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
     b += ms * old
 
 
-def _chunks(batch: CircuitBatch, rows: int):
-    """Row slices of at most ``BATCH_AMPLITUDES`` amplitudes each; a row
-    wider than that runs alone."""
-    step = max(1, BATCH_AMPLITUDES >> batch.n_qubits)
-    return (slice(start, start + step) for start in range(0, rows, step))
-
-
-def _forward(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> None:
-    """Run every gate in place on the all-zero ``state``, each row from
-    ``|0...0>`` at its own row of slot ``angles``."""
-    state[(slice(None),) + (0,) * batch.n_qubits] = 1.0
+def _run(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Start the all-zero ``state``, which holds each row of ``angles``
+    once per input basis state in turn, in those basis states and run
+    every gate on it in place; returns the angles of every state row."""
+    a = batch.n_dom
+    inputs = np.arange(1 << a)
+    state.reshape(len(angles), 1 << a, 1 << a, -1)[:, inputs, inputs, 0] = 1.0
+    angles = np.repeat(angles, 1 << a, axis=0)
     for op in batch.ops:
         _apply_rows(state, op, angles)
+    return angles
 
 
-def _weights(batch: CircuitBatch, psi: np.ndarray) -> np.ndarray:
-    """Every row's unnormalized output marginal: the postselected
-    probabilities of ``psi`` summed per outcome of the output qubit."""
-    probs = np.abs(psi[batch.postselect]) ** 2
-    return np.moveaxis(probs, batch.output_axis, 1).reshape(len(psi), 2, -1).sum(axis=2)
+def _states(batch: CircuitBatch, rows: int) -> np.ndarray:
+    return np.zeros((rows << batch.n_dom,) + (2,) * batch.n_qubits, dtype=np.complex128)
 
 
 def batch_forward(batch: CircuitBatch, angles: np.ndarray) -> np.ndarray:
-    """Every row's two weights ``u``, its unnormalized output marginal (sum:
-    the survival norm), in one pass at its row of slot ``angles``."""
-    u = np.empty((len(angles), 2))
-    for chunk in _chunks(batch, len(angles)):
-        block = angles[chunk]
-        state = np.zeros((len(block),) + (2,) * batch.n_qubits, dtype=np.complex128)
-        _forward(batch, state, block)
-        u[chunk] = _weights(batch, state)
-    return u
+    """Every row's map at its row of slot ``angles``: ``(rows, 2**(n_dom +
+    n_outputs))`` complex, in one statevector pass over every row and
+    input basis state."""
+    state = _states(batch, len(angles))
+    _run(batch, state, angles)
+    return state.reshape(len(state), -1)[:, batch.cols].reshape(len(angles), -1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -445,53 +435,29 @@ def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, t: int) -> np.
     return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
 
 
-def batch_backward(batch: CircuitBatch, angles: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's weights ``u`` and, for the rows ``pull`` gives a cotangent,
-    ``sum_k g_u[r, k] * d u[r, k] / d slot j`` of every slot, laid out like
-    the leading rows of ``angles``: ``(rows, n_slots)``.
+def batch_backward(batch: CircuitBatch, angles: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``d Re <g, map> / d slot`` of every row and slot, ``(rows,
+    n_slots)``, for a complex cotangent ``g`` laid out like the maps.
 
-    Per chunk of rows, one forward pass gives ``psi`` and the chunk's
-    ``u``; ``pull(rows, u)`` takes the chunk's row slice and weights and
-    returns the cotangent ``g_u`` of its leading ``t`` rows, the rows to
-    differentiate, and ``t`` may be zero.  Those rows are pulled back by
-    adjoint differentiation: ``lam = W psi``, where ``W`` weights each
-    amplitude by the ``g_u`` of its output outcome and is zero off
-    postselection, so the weighted marginal is ``<psi|W|psi>``.  A reverse
-    sweep undoes every gate on ``lam`` and ``psi`` alike; before undoing a
-    gate ``exp(-i angle P/2)`` it reads that slot's derivative
-    ``Im <lam|P|psi>``, over the control-1 slices for a controlled
-    rotation.  ``lam`` sits just before ``psi`` in one buffer of twice the
-    chunk, so the ``t`` rows of each stack as one ``(2t, 2, ..., 2)`` state
-    and every inverse gate is one in-place update; memory stays within two
-    states of ``BATCH_AMPLITUDES`` per chunk.
+    One forward pass gives ``psi``, every row from every input basis
+    state; ``lam`` holds each input's row of ``g`` at the outputs, zero off
+    postselection, so ``Re <g, map>`` is ``Re <lam|psi>``.  A reverse sweep
+    undoes every gate on ``lam`` and ``psi`` alike; before undoing a gate
+    ``exp(-i angle P/2)`` it reads that slot's term ``Im <lam|P|psi> / 2``,
+    over the control-1 slices for a controlled rotation, and the terms of a
+    row's inputs sum.  ``lam`` sits just before ``psi`` in one buffer, so
+    every inverse gate is one in-place update on both.
     """
-    rows, slots = angles.shape
-    u = np.empty((rows, 2))
-    out = np.empty((rows, slots))
-    pulled = 0
-    for chunk in _chunks(batch, rows):
-        block = angles[chunk]
-        m = len(block)
-        buffer = np.zeros((2 * m,) + (2,) * batch.n_qubits, dtype=np.complex128)
-        psi = buffer[m:]
-        _forward(batch, psi, block)
-        u[chunk] = _weights(batch, psi)
-        g_u = pull(chunk, u[chunk])
-        t = len(g_u)
-        if t == 0:
-            continue
-        both = buffer[m - t : m + t]
-        kept = psi[:t][batch.postselect]
-        shape = [t] + [1] * (kept.ndim - 1)
-        shape[batch.output_axis] = 2
-        both[:t][batch.postselect] = kept * g_u.reshape(shape)
-        inverse = -np.concatenate([block[:t], block[:t]])
-        start = chunk.start
-        for kind, low, high, slot, angle in reversed(batch.ops):
-            if slot is not None:
-                out[start : start + t, slot] = _generator_term(kind, both[low], both[high], t)
-                if slot == 0:  # the first parametric gate: nothing left to read
-                    break
-            _apply_rows(both, (kind, low, high, slot, None if angle is None else -angle), inverse)
-        pulled = start + t
-    return u, out[:pulled]
+    rows, m = len(angles), len(angles) << batch.n_dom
+    buffer = _states(batch, 2 * rows)
+    inputs = _run(batch, buffer[m:], angles)
+    buffer[:m].reshape(m, -1)[:, batch.cols] = g.reshape(m, -1)
+    out = np.zeros((m, batch.n_slots))
+    inverse = -np.concatenate([inputs, inputs])
+    for kind, low, high, slot, angle in reversed(batch.ops):
+        if slot is not None:
+            out[:, slot] = _generator_term(kind, buffer[low], buffer[high], m)
+            if slot == 0:  # the first parametric gate: nothing left to read
+                break
+        _apply_rows(buffer, (kind, low, high, slot, None if angle is None else -angle), inverse)
+    return 0.5 * out.reshape(rows, 1 << batch.n_dom, batch.n_slots).sum(axis=1)

@@ -3,35 +3,37 @@
 A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
 one set of weights no matter how many sentences mention them.  Both model
-families build one way and run one loop over one engine contract, which
-:mod:`qnlp.simulator` and :mod:`qnlp.tensornet` both provide.  A build
-lowers one sentence per group of its corpus plan (below); the model merges
-the groups whose items share a ``structure_key``, and
-``compile_batch(first)`` compiles each merged group at build from one
-item.  An engine runs on values, not on the parameter vector: each batch
-has ``n_slots`` slots (a circuit's parametric gates, a network's
-flattened parameter tensor entries), and the model alone holds each
-batch's gather, one ``(rows, n_slots)`` array of parameter positions,
-rows in corpus order.  ``batch_forward(batch, values)`` takes a ``(rows,
-n_slots)`` array and gives each row two non-negative weights ``u``, and
+families contract each sentence's diagram with :mod:`qnlp.tensornet` and
+differ by one map stage (:meth:`_Model._values`) from a point's parameters
+to its value vector: a tensor model's values are its parameters, and a
+circuit model's are its words' block maps, each from one
+:mod:`qnlp.simulator` pass per word kind.  A build compiles one network
+per shape group of its corpus plan (below), the model merges the groups
+whose networks share a ``structure_key``, and ``compile_batch(first)``
+compiles each merged group at build from one network.  Each batch has
+``n_slots`` slots, its networks' flattened box tensor entries, and the
+model alone holds each batch's gather, one ``(rows, n_slots)`` array of
+value positions, rows in corpus order.  ``batch_forward(batch, values)``
+takes a ``(rows, n_slots)`` real or complex array and gives each row two
+non-negative weights ``u = |v|**2`` of its output vector ``v``, and
 ``batch_backward(batch, values, pull)`` gives ``u`` from its own forward
 pass and pulls the cotangent that ``pull`` returns for the leading rows
-back to their slots, one ``(t, n_slots)`` array.  A circuit's ``u`` is
-its unnormalized postselected output marginal, whose sum is the survival
-norm; a network's ``u`` is its squared real output vector.  One readout
-turns a split's ``u`` into probabilities ``p = u / sum(u)``, one pullback
-per row chains the loss back to ``u``, and one ``np.bincount`` over the
-gather sums the slots' gradient terms back per parameter, so a word
-repeated in a sentence gets the terms of both uses.
-:mod:`qnlp.simulator`'s ``sentence_distribution`` and
-``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
-``gradient_hole``, are the per-item reference of these paths.
+back to their slots.  A circuit's ``u`` is its unnormalized postselected
+output marginal, whose sum is the survival norm.  One readout turns a
+split's ``u`` into probabilities ``p = u / sum(u)``, one pullback per row
+chains the loss back to ``u``, one ``np.bincount`` over the gather (over
+the real and imaginary parts of a circuit model's) sums the slots'
+cotangents per value, so a word repeated in a sentence gets the terms of
+both uses, and the map stage pulls that back to the parameters
+(:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s ``sentence_distribution``
+and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
+and ``gradient_hole``, are the per-sentence reference of these paths.
 
 A request (:meth:`_Model.evaluate`) names several parameter points, each
-with a run of consecutive splits.  Every group serves it with one engine
-call: it stacks each point's rows of those splits, the ``k``-th point's
-gather offset by ``k * (n_params + 1)`` into the points' vectors, each
-followed by a 0, and passes the values the stacked gather reads.
+with a run of consecutive splits.  The map stage runs once for all the
+points, and every group serves the request with one contraction: it
+stacks each point's rows of those splits, the ``k``-th point's gather
+offset by ``k * n_values`` into the points' value vectors.
 ``eval_split`` and ``grad_split`` are requests for one split at one
 point.
 
@@ -61,10 +63,11 @@ Each family's first build adds its plan of the corpus, unless a placement
 raises: a word table, and the sentences grouped by their circuit layout
 or by their diagram with each box named by its index, each group with a
 word-index array.  On the MC corpus either plan has a group per sentence
-pattern.  A circuit model also runs a structure in the batch of a longer
-host whose extra gates all read a parameter (:func:`_merge_groups`); on
-the MC corpus under ``re_norm_cur_norm``, every cell with rotations is
-one group.
+pattern.  A circuit model lays every sentence out, for the checks of
+:func:`~qnlp.circuit.layout` and its parameter order, and contracts the
+network plan at one qubit per wire; that contraction does not depend on
+the ansatz, so the first circuit build on a corpus compiles it and keeps
+it with the plans, and every later build compiles its word blocks only.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from typing import Sequence
 import numpy as np
 
 from qnlp import simulator, tensornet
-from qnlp.circuit import (CircuitAnsatzConfig, Symbol, ZeroParameterModel, layout, lower,
+from qnlp.circuit import (Circuit, CircuitAnsatzConfig, Symbol, ZeroParameterModel, layout,
                           type_fingerprint, word_block)
 from qnlp.corpus import CorpusSplits
 from qnlp.diagram import Diagram
@@ -85,9 +88,10 @@ from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import Lexicon, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import WrongOutputArity
-from qnlp.tensornet import ParamNode, TensorAnsatzConfig, compile_network
-# Not called here: compile_circuit, which CircuitModel.build runs as its two
-# steps apart, and the per-item references of the batched paths.  They stay
+from qnlp.tensornet import (CupDeltaNode, ParamNode, TensorAnsatz, TensorAnsatzConfig,
+                            compile_network)
+# Not called here: compile_circuit, whose layout step CircuitModel.build
+# runs alone, and the per-item references of the batched paths.  They stay
 # importable from this module, where the benchmark's tracer wraps them by name.
 from qnlp.circuit import compile_circuit  # noqa: F401
 from qnlp.simulator import distribution_gradient, sentence_distribution  # noqa: F401
@@ -295,11 +299,11 @@ def _diagrams(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> 
 
 
 def _place_circuit(d: Diagram):
-    """A diagram's layout, keyed up to its words, and each block's word
-    entry ``(word, type fingerprint, block width)``."""
+    """A diagram's layout, keyed up to its words, with the diagram, and each
+    block's word entry ``(word, type fingerprint, block width)``."""
     lay = layout(d)
     key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect, lay.outputs)
-    return key, lay, [(word, fp, len(q)) for word, fp, q in lay.blocks]
+    return key, (lay, d), [(word, fp, len(q)) for word, fp, q in lay.blocks]
 
 
 def _place_network(d: Diagram):
@@ -364,7 +368,7 @@ def _pullback(u: np.ndarray, labels, n: int) -> np.ndarray:
     The cotangent chains through ``p = u / sum(u)``: ``(g - g . p) /
     (n sum(u))`` with ``g = d loss / d p``; it is zero on degenerate rows.
     Each row's depends on its own ``u`` and label only, so a split's rows
-    can be pulled back chunk by chunk.
+    can be pulled back group by group.
     """
     probs, degenerate = _readout(u)
     g = bce_grad(probs, labels)
@@ -381,41 +385,45 @@ class _Model:
     ``symbols`` are in first-use order, and ``shapes`` holds each one's
     shape (``()`` for a circuit angle); a symbol's entries follow the
     previous symbol's in the flat parameter vector.  ``sizes`` holds each
-    split's row count, in split order.  ``groups`` holds, per group of the
-    corpus plan, ``(first, at, gather)``: one item of the group, its
-    members' corpus positions (every split's rows in turn) and their
-    gather, ``gather[i, j]`` the parameter position that member ``i``
-    reads in the engine's slot ``j``.  The model merges them
-    (:func:`_merge_groups`) and compiles each batch once, through the
-    engine module its subclass names as ``_engine``.
+    split's row count, in split order.  A point's parameters map to its
+    value vector of ``n_values`` entries (:meth:`_values`): a tensor
+    model's is its parameter vector, a circuit model's holds its word
+    maps.  ``groups`` holds, per batch, ``(batch, at, gather)``: a compiled
+    :class:`~qnlp.tensornet.TensorBatch`, its rows' corpus positions
+    (every split's rows in turn), ascending, and their gather,
+    ``gather[i, j]`` the value that row ``i`` reads in the batch's slot
+    ``j``.
     """
 
-    _embed = None  # a family's slot map of a structure into a longer host's
-
     def __init__(self, symbols: Sequence[Symbol], shapes: Sequence[tuple],
-                 sizes: dict[str, int], groups: list):
+                 sizes: dict[str, int], groups: list, n_values: int | None = None):
         self.symbols = list(symbols)
         self.shapes = list(shapes)
         # symbol i owns the slice bounds[i]:bounds[i + 1] of the parameter vector
         self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
         self.n_params = self._bounds[-1]
+        self.n_values = self.n_params if n_values is None else n_values
         self.sizes = sizes
-        # per batch, the compiled batch, its rows' corpus positions, ascending,
-        # and their gather
-        self._groups = []
-        for first, at, gather in _merge_groups(groups, self._engine.structure_key,
-                                               self._embed, self.n_params):
-            batch = self._engine.compile_batch(first)
+        for batch, _, gather in groups:
             if gather.shape[1:] != (batch.n_slots,):
                 raise Error(f"gather of shape {gather.shape} for {batch.n_slots} slots")
-            self._groups.append((batch, at, gather))
+        self._groups = groups
         # per request shape, each group's stacked gather and output rows
         self._requests: dict[tuple, list] = {}
+
+    def _values(self, thetas: np.ndarray) -> np.ndarray:
+        """Each point's value vector, ``(points, n_values)``."""
+        return thetas
+
+    def _pull(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The parameter gradient at ``theta`` from its value vector's
+        cotangent ``g``."""
+        return g
 
     def _request(self, runs: tuple[tuple[str, ...], ...]) -> list:
         """Per group with rows in the request, its batch, its gather stacked
         over the runs of splits, the ``k``-th run's offset by ``k *
-        (n_params + 1)``, and where each of its rows lands in the request's
+        n_values``, and where each of its rows lands in the request's
         output, which holds every run's splits in turn."""
         plan = self._requests.get(runs)
         if plan is None:
@@ -434,28 +442,33 @@ class _Model:
                 dest = np.concatenate([base + at[a:b] - lo
                                        for (lo, _, base), (a, b) in zip(spans, rows)])
                 if len(dest):
-                    stacked = np.concatenate([gather[a:b] + k * (self.n_params + 1)
+                    stacked = np.concatenate([gather[a:b] + k * self.n_values
                                               for k, (a, b) in enumerate(rows)])
                     plan.append((batch, stacked, dest))
             self._requests[runs] = plan
         return plan
 
     def evaluate(self, points, labels=None):
-        """Readouts at several parameter points from one engine call per group.
+        """Readouts at several parameter points from one contraction per group.
 
         ``points`` is a sequence of ``(names, theta)``: a run of
-        consecutive split names and a parameter vector.  Every group stacks
-        each point's rows of its splits into one engine call, at the values
-        its stacked gather reads from the points' vectors, each followed by
-        the 0 that a padded slot reads.  Returns the gradient and, per
-        point, per split, its probabilities and degenerate count.  With
-        ``labels``, the labels of the first point's first split, the
-        mean-loss gradient of that split at the first point comes from the
-        same call: its rows lead every group's gather, and only they are
-        pulled back.  Without, the gradient is ``None``.
+        consecutive split names and a parameter vector of ``n_params``
+        entries.  Every group stacks each point's rows of its splits into
+        one contraction, at the entries its stacked gather reads from the
+        points' value vectors.  Returns the gradient and, per point, per
+        split, its probabilities and degenerate count.  With ``labels``,
+        the labels of the first point's first split, the mean-loss
+        gradient of that split at the first point comes from the same
+        call: its rows lead every group's gather, and only they are pulled
+        back, then summed per value and pulled through :meth:`_pull`.
+        Without, the gradient is ``None``.
         """
         runs = tuple(tuple(names) for names, _ in points)
-        theta = np.concatenate([np.append(vec, 0.0) for _, vec in points])
+        for _, vec in points:
+            if np.shape(vec) != (self.n_params,):
+                raise Error(f"expected {self.n_params} parameters, got {np.size(vec)}")
+        thetas = np.array([vec for _, vec in points], dtype=float)
+        values = self._values(thetas).ravel()
         u = np.empty((sum(self.sizes[n] for names in runs for n in names), 2))
         terms = None
         if labels is not None:
@@ -467,24 +480,24 @@ class _Model:
             # the first split's rows lead the output, as they lead the gather
             rows = () if labels is None else dest[dest < n]
             if not len(rows):
-                u[dest] = self._engine.batch_forward(batch, theta[gather])
+                u[dest] = tensornet.batch_forward(batch, values[gather])
                 continue
 
-            def pull(chunk, u_chunk, rows=rows):
-                stop = min(chunk.stop, len(rows))
-                if stop <= chunk.start:
-                    return np.empty((0, 2))
-                return _pullback(u_chunk[: stop - chunk.start], labels[rows[chunk.start : stop]], n)
+            def pull(u_rows, rows=rows):
+                return _pullback(u_rows[: len(rows)], labels[rows], n)
 
-            u[dest], group_terms = self._engine.batch_backward(batch, theta[gather], pull)
+            u[dest], group_terms = tensornet.batch_backward(batch, values[gather], pull)
             terms.append((gather[: len(group_terms)], group_terms))
         grad = None
         if terms is not None:
-            # in order, so a position gathered twice (a word repeated in a
-            # sentence) sums both terms; a padded slot's fall in the bin cut off
-            grad = np.bincount(np.concatenate([g.ravel() for g, _ in terms]),
-                               np.concatenate([t.ravel() for _, t in terms]),
-                               self.n_params)[: self.n_params]
+            # in order, so a value gathered twice (a word repeated in a
+            # sentence) sums both terms
+            index = np.concatenate([g.ravel() for g, _ in terms])
+            flat = np.concatenate([t.ravel() for _, t in terms])
+            g = np.bincount(index, flat.real, self.n_values)
+            if np.iscomplexobj(flat):
+                g = g + 1j * np.bincount(index, flat.imag, self.n_values)
+            grad = self._pull(thetas[0], g)
         readouts, at = [], 0
         for names in runs:
             readouts.append([])
@@ -523,111 +536,146 @@ class _Model:
         return theta
 
 
-def _slot_map(member: tuple, host: tuple) -> np.ndarray | None:
-    """Per parametric gate of the ``host`` structure, the member's slot that
-    runs there or ``-1``; ``None`` unless ``member`` is ``host`` with some
-    parametric gates left out.
-
-    Both are :func:`~qnlp.simulator.structure_key` keys, so the member must
-    share the host's qubit count, postselection and outputs.  The greedy
-    leftmost embedding decides exactly: a constant gate must match, and
-    matching an equal parametric gate early is never worse than later.
-    """
-    (n, gates, *ends), (host_n, host_gates, *host_ends) = member, host
-    if (n, ends) != (host_n, host_ends):
-        return None
-    cols, j, slot = [], 0, 0
-    for gate in host_gates:
-        parametric = gate[2] is Symbol
-        if j < len(gates) and gates[j] == gate:
-            j += 1
-            if parametric:
-                cols.append(slot)
-                slot += 1
-        elif parametric:
-            cols.append(-1)
-        else:
-            return None
-    return np.array(cols, dtype=np.intp) if j == len(gates) else None
-
-
-def _merge_groups(groups: list, key, embed, n_params: int) -> list[tuple]:
-    """One batch per host structure from the plan groups ``(first, at,
-    gather)``.
-
-    Taken longest first (a ``key``'s second entry), a group joins the first
-    host of its structure, or with ``embed`` (:func:`_slot_map`) the first
-    it embeds in, its gathers padded to the host's slots with ``n_params``;
-    else it becomes a host.  A padded slot reads the zero that
-    :meth:`_Model.evaluate` appends to each parameter vector; a rotation
-    at angle 0 is an exact identity, so a member row's weights
-    equal those of its own batch (unless that batch is one row, whose
-    in-place NumPy products can round differently in the last bit).  Per
-    host, in order of first use: its own first group's item, its rows'
-    corpus positions in ascending order, and their gathers in that order.
-    """
-    keys = [key(first) for first, _, _ in groups]
-    hosts: dict[tuple, list] = {}
-    for i in sorted(range(len(groups)), key=lambda i: -len(keys[i][1])):
-        first, at, gather = groups[i]
-        for host, parts in hosts.items():
-            if keys[i] == host:
-                parts.append(groups[i])
-                break
-            cols = None if embed is None else embed(keys[i], host)
-            if cols is not None:
-                padded = np.append(gather, np.full((len(gather), 1), n_params), axis=1)
-                parts.append((first, at, padded[:, cols]))
-                break
-        else:
-            hosts[keys[i]] = [groups[i]]
+def _merge_groups(groups: list, key) -> list[tuple]:
+    """One batch per ``key`` of the plan groups' items ``(first, at,
+    gather)``, in order of first use: its first group's item, its rows'
+    corpus positions in ascending order, and their gathers in that order."""
+    parts: dict[tuple, list] = {}
+    for group in groups:
+        parts.setdefault(key(group[0]), []).append(group)
     merged = []
-    for parts in (hosts[k] for k in dict.fromkeys(keys) if k in hosts):
-        at = np.concatenate([at for _, at, _ in parts])
+    for same in parts.values():
+        at = np.concatenate([at for _, at, _ in same])
         order = np.argsort(at)
-        merged.append((parts[0][0], at[order], np.concatenate([g for *_, g in parts])[order]))
+        merged.append((same[0][0], at[order], np.concatenate([g for *_, g in same])[order]))
     return merged
 
 
+_QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
+
+
+def _contractions(words: list, layouts: list) -> tuple[list, list]:
+    """A corpus's circuit contraction, the same under every ansatz, from
+    its circuit plan's words and layout groups.
+
+    A layout fixes its diagram up to the words and the order of the boxes,
+    so each group contracts its first diagram's network at one qubit per
+    wire, each node reading the word of its box's block (blocks are in
+    topological order).  Each box is its word's map, a ``(2,) * legs``
+    tensor with its input legs first, and each cup a delta scaled by ``1 /
+    sqrt(2)``, the Bell effect.  Returns per word, in the plan's order,
+    ``(inputs, outputs, columns)``: its input and output leg counts and the
+    columns of its map in a point's value vector; then the merged,
+    compiled batches.
+    """
+    legs = {}
+    for (_, d), _, ids in layouts:
+        for j, b in enumerate(d.topological_boxes()):
+            box = d.boxes[b]
+            legs.update(dict.fromkeys(ids[:, j].tolist(), (len(box.dom), len(box.cod))))
+    starts = np.cumsum([0, *(2 ** sum(legs[w]) for w in range(len(words)))])
+    maps = [(*legs[w], np.arange(starts[w], starts[w + 1])) for w in range(len(words))]
+    groups = []
+    for (lay, d), at, ids in layouts:
+        if len(lay.outputs) != 1:
+            raise WrongOutputArity(
+                f"expected exactly one output qubit, circuit has {len(lay.outputs)}")
+        topo = d.topological_boxes()  # box topo[j] holds block j's word
+        gather = [starts[ids[:, j], None] + np.arange(2 ** sum(legs[ids[0, j]]))
+                  for j in map(topo.index, range(len(d.boxes)))]
+        groups.append((compile_network(d, _QUBITS), at, np.concatenate(gather, axis=1)))
+
+    def key(net):
+        return tensornet.structure_key(net), sum(isinstance(n, CupDeltaNode) for n in net.nodes)
+
+    batches = []
+    for net, at, gather in _merge_groups(groups, key):
+        batch = tensornet.compile_batch(net)
+        batches.append((replace(batch, factor=batch.factor * 0.5 ** (key(net)[1] / 2)), at, gather))
+    return maps, batches
+
+
 class CircuitModel(_Model):
-    """A shared-parameter ensemble of sentence circuits, held by structure.
+    """A shared-parameter ensemble of sentence circuits, contracted as their
+    diagrams.
 
     A sentence's weights are its unnormalized postselected output
-    marginal, whose sum is the survival norm.  Each batch runs as one
-    batched statevector pass, for evaluation and for gradients; a
-    structure runs in the batch of a longer host it embeds in
-    (:func:`_slot_map`), at angle 0 in the slots it lacks.
+    marginal, whose sum is the survival norm.  Each word's block acts on
+    its own qubits only, so the sentence's output amplitudes are its
+    diagram's network with each box its word's block map and each cup the
+    Bell effect.  ``blocks`` holds per word kind (its input and output
+    counts) ``(batch, angles, columns)``: the compiled block, each word's
+    angles in the parameter vector and its map's columns in the value
+    vector.  One statevector pass per kind gives every word's map at
+    every point; the rest is the tensor model's contraction.
     """
 
-    _engine = simulator
-    _embed = staticmethod(_slot_map)
+    def __init__(self, symbols: Sequence[Symbol], sizes: dict[str, int], groups: list,
+                 blocks: list):
+        super().__init__(symbols, [()] * len(symbols), sizes, groups,
+                         sum(cols.size for *_, cols in blocks))
+        self._blocks = blocks
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               ansatz: CircuitAnsatzConfig) -> "CircuitModel":
-        """Lower one sentence per layout group of the corpus's circuit plan.
+        """Lay out every sentence of the corpus's circuit plan, then compile
+        one block per word kind.
 
         A word's angles sit together in the parameter vector, words in the
-        plan's order, so a box's gather columns are its word's offset plus
-        its block's slot indices.
+        circuit plan's order.  The contraction is held with the corpus's
+        plans, so a later build on the corpus compiles its blocks only.
         """
         (words, layouts, sizes), error = _corpus_plan(splits, lexicon, scheme, _place_circuit)
-        # lowered first: a sentence before a failed layout may have no parameters
-        circuits = [lower(lay, ansatz) for lay, _, _ in layouts]
-        if error is not None:
-            raise error
         slots = {k: len(word_block("", "", tuple(range(k)), ansatz)[1])
                  for k in {k for *_, k in words}}
+        # checked first: a sentence before a failed layout may have no parameters
+        for (lay, _), _, _ in layouts:
+            if not any(slots[len(q)] for *_, q in lay.blocks):
+                raise ZeroParameterModel(
+                    "no trainable parameters: every block in the circuit is empty")
+        if error is not None:
+            raise error
         counts = np.array([slots[k] for *_, k in words], dtype=np.intp)
         offsets = np.cumsum(counts) - counts
         symbols = [Symbol(word, fp, i) for (word, fp, _), n in zip(words, counts)
                    for i in range(n)]
         if not symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
-        groups = [(c, at, np.concatenate([offsets[ids[:, b], None] + np.arange(slots[len(q)])
-                                          for b, (*_, q) in enumerate(lay.blocks)], axis=1))
-                  for (lay, at, ids), c in zip(layouts, circuits)]
-        return cls(symbols, [()] * len(symbols), sizes, groups)
+        held = _front_end[2]  # the plans of the corpus laid out above
+        if _contractions not in held:
+            held[_contractions] = _contractions(words, layouts)
+        maps, groups = held[_contractions]
+        kinds: dict[tuple[int, int], list[int]] = {}
+        for w, (dom, cod, _) in enumerate(maps):
+            kinds.setdefault((dom, cod), []).append(w)
+        blocks = []
+        for (dom, cod), ws in kinds.items():
+            k = max(dom, cod)  # fresh qubits fed |0>, surplus ones postselected
+            gates, block_symbols = word_block("", "", tuple(range(k)), ansatz)
+            block = Circuit(k, tuple(gates), tuple(range(cod, k)), tuple(range(cod)),
+                            tuple(block_symbols))
+            batch = simulator.compile_batch(block, dom)
+            blocks.append((batch, offsets[ws, None] + np.arange(batch.n_slots),
+                           np.array([maps[w][2] for w in ws])))
+        return cls(symbols, sizes, groups, blocks)
+
+    def _values(self, thetas: np.ndarray) -> np.ndarray:
+        """Every word's map at each point, in one block pass per kind."""
+        values = np.empty((len(thetas), self.n_values), dtype=np.complex128)
+        for batch, angles, cols in self._blocks:
+            rows = thetas[:, angles].reshape(len(thetas) * len(angles), batch.n_slots)
+            values[:, cols] = simulator.batch_forward(batch, rows).reshape(len(thetas), *cols.shape)
+        return values
+
+    def _pull(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Each word's map cotangent pulled back through its block; every
+        angle belongs to one word."""
+        grad = np.zeros(self.n_params)
+        for batch, angles, cols in self._blocks:
+            if batch.n_slots:
+                grad[angles] = simulator.batch_backward(batch, theta[angles], g[cols])
+        return grad
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
@@ -646,8 +694,6 @@ class TensorModel(_Model):
     tree of pairwise steps, and its gradient is one reverse sweep over
     that tree.
     """
-
-    _engine = tensornet
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
@@ -680,7 +726,10 @@ class TensorModel(_Model):
             gather = [entries[firsts[ids[:, int(n.symbol.word)]] + n.symbol.index, None]
                       + np.arange(math.prod(n.shape)) for n in nodes]
             groups.append((net, at, np.concatenate(gather, axis=1)))
-        return cls([Symbol(*words[w], i) for w, i in keys], [pieces[k] for k in keys], sizes, groups)
+        batches = [(tensornet.compile_batch(net), at, gather)
+                   for net, at, gather in _merge_groups(groups, tensornet.structure_key)]
+        return cls([Symbol(*words[w], i) for w, i in keys], [pieces[k] for k in keys], sizes,
+                   batches)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]

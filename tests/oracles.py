@@ -6,12 +6,11 @@ instead of a stack scan, ``eval_tensor`` contracts a diagram's boxes in
 one einsum over its wires instead of lowering it to a network, the
 brute-force evaluator loops over explicit index assignments instead of
 calling einsum, the reference fit loop reads one split per model call
-instead of stacking splits and parameter points, the reference circuit
-and tensor groupings compile every sentence and group the circuits or
-networks by structure instead of lowering one sentence per plan group,
-and the padded merge embeds a structure in its host by a table over
-suffixes instead of a greedy scan, then pads each circuit with
-zero-angle gates explicitly.
+instead of stacking splits and parameter points, the reference tensor
+grouping compiles every sentence and groups the networks by structure
+instead of lowering one network per plan group, and the reference map
+of a circuit runs it gate by gate from each input basis state instead of
+as one batch.
 Slow is fine; these only ever see small inputs.
 """
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -62,8 +61,8 @@ def eval_tensor(
 ) -> np.ndarray:
     """Contract the diagram's multilinear meaning.
 
-    ``tensors`` maps box index to a dense array shaped like
-    :func:`box_shape`.  Cups and caps identify the indices of their two
+    ``tensors`` maps box index to a dense real or complex array shaped
+    like :func:`box_shape`.  Cups and caps identify the indices of their two
     wires (an unnormalized sum over equal indices).  The result is indexed
     by the open outputs in boundary order; a diagram with no open wires
     contracts to a scalar-shaped array.
@@ -101,7 +100,7 @@ def eval_tensor(
     for b, box in enumerate(d.boxes):
         expected = box_shape(box, dims)
         try:
-            arr = np.asarray(tensors[b], dtype=float)
+            arr = np.asarray(tensors[b], dtype=np.result_type(tensors[b], float))
         except KeyError:
             raise ShapeMismatch(f"no tensor for box {b} ({box.name!r})") from None
         if arr.shape != expected:
@@ -331,135 +330,29 @@ def reference_gather(circuits, offsets) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(circuits), len(rows[0]))
 
 
-def reference_groups(circuits_by_split: dict[str, list]):
-    """The circuit model's symbols and groups, sentence by sentence.
-
-    Symbols in first-use order over every circuit of every split; circuits
-    grouped by ``structure_key`` in order of first use, each group as its
-    first circuit, its gather and its rows per split.
-    """
-    symbols = list(dict.fromkeys(s for cs in circuits_by_split.values() for c in cs
-                                 for s in c.symbols))
-    offsets = {s: i for i, s in enumerate(symbols)}
-    members: dict[tuple, dict[str, list[int]]] = {}
-    for name, cs in circuits_by_split.items():
-        for r, c in enumerate(cs):
-            members.setdefault(simulator.structure_key(c), {}).setdefault(name, []).append(r)
-    groups = []
-    for rows in members.values():
-        cs = [circuits_by_split[name][r] for name, rs in rows.items() for r in rs]
-        groups.append((cs[0], reference_gather(cs, offsets),
-                       {name: np.array(rows.get(name, []), dtype=np.intp)
-                        for name in circuits_by_split}))
-    return symbols, groups
-
-
-# The symbol a padded gate reads in a reference circuit: its gather entry is
-# the model's n_params, which the model reads as angle 0.
-ZERO = Symbol("", "zero", -1)
-
-
-def leftmost_embedding(member: tuple, host: tuple) -> list[int] | None:
-    """Host position of each of ``member``'s gate keys in the leftmost
-    embedding whose unmatched host gates all read a parameter, or ``None``.
-
-    ``fits[i][j]`` records whether ``member[i:]`` embeds in ``host[j:]``,
-    filled from the back; the scan then matches a gate wherever the rest
-    still fits.
-    """
-    m, h = len(member), len(host)
-    fits = [[False] * (h + 1) for _ in range(m + 1)]
-    fits[m][h] = True
-    for i in range(m, -1, -1):
-        for j in range(h - 1, -1, -1):
-            skip = host[j][2] is Symbol and fits[i][j + 1]
-            fits[i][j] = skip or (i < m and member[i] == host[j] and fits[i + 1][j + 1])
-    if not fits[0][0]:
-        return None
-    at = []
-    for j in range(h):
-        i = len(at)
-        if i < m and member[i] == host[j] and fits[i + 1][j + 1]:
-            at.append(j)
-    return at
-
-
-def padded(circuit, host, at: list[int]):
-    """``circuit`` with the host's gates inserted where ``at`` skips them,
-    each reading :data:`ZERO`."""
-    gates = [replace(g, param=ZERO) for g in host.gates]
-    for j, g in zip(at, circuit.gates):
-        gates[j] = g
-    return replace(circuit, gates=tuple(gates))
-
-
-def reference_padded_groups(circuits_by_split: dict[str, list]):
-    """The circuit model's symbols and groups, structures merged by padding.
-
-    The structure groups of :func:`reference_groups`, taken longest first:
-    each joins the first host of equal qubit count, postselection and
-    outputs that it embeds in (:func:`leftmost_embedding`), or becomes a
-    host.  Every member circuit is padded with :data:`ZERO` gates
-    explicitly, must then share its host's ``structure_key``, and gives
-    its gather row with ``len(symbols)`` for ``ZERO``.  Groups keep the
-    structures' order of first use, each as its host's first circuit, the
-    gather of every row (split by split, in row order) and the rows per
-    split.
-    """
-    symbols, _ = reference_groups(circuits_by_split)
-    offsets = {s: i for i, s in enumerate(symbols)} | {ZERO: len(symbols)}
-    first: dict[tuple, object] = {}
-    for cs in circuits_by_split.values():
-        for c in cs:
-            first.setdefault(simulator.structure_key(c), c)
-    hosts: dict[tuple, tuple] = {}  # structure to (host structure, embedding)
-    for key in sorted(first, key=lambda k: len(k[1]), reverse=True):
-        for host in [k for k, (h, _) in hosts.items() if h == k]:
-            same_ends = (key[0], key[2:]) == (host[0], host[2:])
-            at = leftmost_embedding(key[1], host[1]) if same_ends else None
-            if at is not None:
-                hosts[key] = (host, at)
-                break
-        else:
-            hosts[key] = (key, list(range(len(key[1]))))
-    groups = []
-    for host in [k for k in first if hosts[k][0] == k]:
-        rows: dict[str, list[int]] = {name: [] for name in circuits_by_split}
-        gather = []
-        for name, cs in circuits_by_split.items():
-            for r, c in enumerate(cs):
-                key = simulator.structure_key(c)
-                if hosts[key][0] != host:
-                    continue
-                pad = padded(c, first[host], hosts[key][1])
-                assert simulator.structure_key(pad) == host
-                rows[name].append(r)
-                gather.append(reference_gather([pad], offsets)[0])
-        groups.append((first[host], np.array(gather, dtype=np.intp).reshape(len(gather), -1),
-                       {name: np.array(rs, dtype=np.intp) for name, rs in rows.items()}))
-    return symbols, groups
+def reference_map(circuit, theta, n_dom: int) -> np.ndarray:
+    """A circuit's map: per basis state of its first ``n_dom`` qubits, the
+    others at 0, the gates applied one by one with ``simulator.apply``,
+    then the amplitudes of its outputs, in order, with its postselected
+    qubits at 0.  Flat, the inputs most significant."""
+    n = circuit.n_qubits
+    angles = dict(zip(circuit.symbols, theta))
+    index = tuple(0 if q in circuit.postselect else slice(None) for q in range(n))
+    kept = [q for q in range(n) if q not in circuit.postselect]
+    out = []
+    for bits in itertools.product((0, 1), repeat=n_dom):
+        state = np.zeros((2,) * n, dtype=complex)
+        state[bits + (0,) * (n - n_dom)] = 1.0
+        for g in circuit.gates:
+            state = simulator.apply(state, g, angles[g.param] if isinstance(g.param, Symbol)
+                                    else g.param)
+        out.append(np.transpose(state[index], [kept.index(q) for q in circuit.outputs]).ravel())
+    return np.concatenate(out)
 
 
 def split_starts(sizes: dict[str, int]) -> dict[str, int]:
     """Each split's first corpus position: every split's rows in turn."""
     return dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))
-
-
-def reference_circuit_model(circuits_by_split: dict[str, list]) -> training.CircuitModel:
-    """A circuit model over hand-made or separately compiled circuits, one
-    group per structure."""
-    symbols, groups = reference_groups(circuits_by_split)
-    sizes = {name: len(cs) for name, cs in circuits_by_split.items()}
-    start = split_starts(sizes)
-    parts = [(first, np.concatenate([start[name] + rs for name, rs in rows.items()]), gather)
-             for first, gather, rows in groups]
-    return PerStructureCircuitModel(symbols, [()] * len(symbols), sizes, parts)
-
-
-class PerStructureCircuitModel(training.CircuitModel):
-    """A circuit model whose structures never run in a longer host's batch."""
-
-    _embed = None
 
 
 def reference_networks(splits, lexicon, scheme, cfg) -> dict[str, list]:
@@ -481,7 +374,8 @@ def reference_tensor_model(nets_by_split: dict[str, list]) -> training.TensorMod
     """A tensor model over separately compiled networks."""
     shapes, groups = reference_tensor_groups(nets_by_split)
     sizes = {name: len(nets) for name, nets in nets_by_split.items()}
-    return training.TensorModel(list(shapes), list(shapes.values()), sizes, groups)
+    batches = [(tensornet.compile_batch(first), at, gather) for first, at, gather in groups]
+    return training.TensorModel(list(shapes), list(shapes.values()), sizes, batches)
 
 
 def reference_tensor_groups(nets_by_split: dict[str, list]) -> tuple[dict, list[tuple]]:

@@ -35,7 +35,7 @@ from qnlp.simulator import (
     zero_state,
 )
 
-from oracles import finite_difference, five_point_difference, reference_gather
+from oracles import finite_difference, five_point_difference, reference_gather, reference_map
 
 
 def one_qubit_circuit(*gates: Gate, symbols=()) -> Circuit:
@@ -270,15 +270,30 @@ class TestCompileBatches:
     def test_rejects_what_the_reference_rejects(self):
         rx = Gate(GateKind.RX, (0,), THETA)
         bad = [
-            (Circuit(1, (rx,), (), (), (THETA,)), WrongOutputArity),
-            (Circuit(1, (Gate(GateKind.RX, (1,), THETA),), (), (0,), (THETA,)), IndexOutOfRange),
-            (Circuit(2, (Gate(GateKind.CNOT, (0, 0)),), (), (0,), ()), Error),
-            (Circuit(1, (Gate(GateKind.RZ, (0,)),), (), (0,), ()), Error),
-            (Circuit(2, (rx,), (0,), (0,), (THETA,)), Error),
+            (Circuit(1, (rx,), (), (), (THETA,)), 0, "must be one output or postselected"),
+            (Circuit(1, (Gate(GateKind.RX, (1,), THETA),), (), (0,), (THETA,)), 0, "out of range"),
+            (Circuit(2, (Gate(GateKind.CNOT, (0, 0)),), (1,), (0,), ()), 0, "cannot act on"),
+            (Circuit(1, (Gate(GateKind.RZ, (0,)),), (), (0,), ()), 0, "needs an angle"),
+            (Circuit(2, (rx,), (0,), (0,), (THETA,)), 0, "must be one output or postselected"),
+            (Circuit(2, (rx,), (0, 1), (1,), (THETA,)), 0, "must be one output or postselected"),
+            (Circuit(1, (rx,), (), (0,), (THETA,)), 2, "2 input qubits for a 1-qubit circuit"),
         ]
-        for circuit, exc in bad:
-            with pytest.raises(exc):
-                compile_batch(circuit)
+        for circuit, n_dom, match in bad:
+            with pytest.raises(Error, match=match):
+                compile_batch(circuit, n_dom)
+        with pytest.raises(IndexOutOfRange):
+            compile_batch(bad[1][0], 0)
+
+    def test_map_legs_are_inputs_then_outputs_in_order(self):
+        # CNOT(0 -> 1) from input qubit 0, qubit 1 fresh: |x> -> |x, x>,
+        # read with the outputs swapped and qubit 2 postselected
+        circuit = Circuit(3, (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.H, (2,))), (2,),
+                          (1, 0), ())
+        batch = compile_batch(circuit, 1)
+        maps = batch_forward(batch, np.zeros((1, 0)))
+        want = np.zeros((2, 2, 2))
+        want[0, 0, 0] = want[1, 1, 1] = 1 / np.sqrt(2)
+        np.testing.assert_allclose(maps, want.reshape(1, -1), rtol=0, atol=1e-15)
 
     def test_groups_by_structure(self):
         other = Symbol("x", "->s", 0)
@@ -301,7 +316,7 @@ class TestCompileBatches:
         once = one_qubit_circuit(rx, Gate(GateKind.RY, (0,), other), symbols=[THETA, other])
         twice = one_qubit_circuit(rx, ry, symbols=[THETA])
         assert structure_key(once) == structure_key(twice)
-        assert compile_batch(once).n_slots == 2
+        assert compile_batch(once, 0).n_slots == 2
         assert reference_gather([once, twice], {THETA: 0, other: 1}).tolist() == [
             [0, 1],
             [0, 0],
@@ -309,18 +324,19 @@ class TestCompileBatches:
 
 
 @st.composite
-def random_circuits(draw) -> list[Circuit]:
-    """One random circuit structure, as 1-3 rows that bind their own symbols.
+def random_circuits(draw, one_output: bool = False) -> tuple[list[Circuit], int]:
+    """One random circuit structure, as 1-3 rows that bind their own
+    symbols, and its input qubit count.
 
     1-3 qubits and 1-8 gates of every kind the width allows, between two
     layers of ``H``: the first puts every control in superposition and the
     last makes the branches interfere, without which a controlled
     rotation's half-integer frequency never shows and the two-term rule
     would pass for it.  A parametric gate reads a constant angle or a
-    symbol.  Each row binds its
-    symbol-reading gates to words ``w0, w1, ...`` in turn, each word read
-    by 1-3 gates, so rows share symbols as sentences of a corpus do.  Every
-    qubit but the output may be postselected.
+    symbol.  Each row binds its symbol-reading gates to words ``w0, w1,
+    ...`` in turn, each word read by 1-3 gates, so rows share symbols as
+    sentences of a corpus do.  Some qubits are outputs, in any order (one
+    with ``one_output``, and then no inputs), and the rest postselected.
     """
     n = draw(st.integers(1, 3))
     kinds = [k for k in GateKind if n > 1 or k in PARAMETRIC_1Q or k is GateKind.H]
@@ -336,8 +352,9 @@ def random_circuits(draw) -> list[Circuit]:
             param = draw(st.one_of(st.just(Symbol), st.floats(-2 * np.pi, 2 * np.pi)))
         gates.append(Gate(kind, qubits, param))
     gates += hadamards
-    output = draw(st.integers(0, n - 1))
-    post = tuple(q for q in range(n) if q != output and draw(st.booleans()))
+    outputs = tuple(draw(st.permutations(range(n)))[: 1 if one_output else draw(st.integers(0, n))])
+    post = tuple(q for q in range(n) if q not in outputs)
+    n_dom = 0 if one_output else draw(st.integers(0, n))
 
     def row() -> Circuit:
         uses: dict[Symbol, int] = {}
@@ -350,39 +367,42 @@ def random_circuits(draw) -> list[Circuit]:
                 uses[sym] = uses.get(sym, 0) + 1
                 g = Gate(g.kind, g.qubits, sym)
             bound.append(g)
-        return Circuit(n, tuple(bound), post, (output,), tuple(uses))
+        return Circuit(n, tuple(bound), post, outputs, tuple(uses))
 
-    return [row() for _ in range(draw(st.integers(1, 3)))]
+    return [row() for _ in range(draw(st.integers(1, 3)))], n_dom
+
+
+def angles_of(circuits, rng) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Random values of the circuits' symbols, every row's slot angles and
+    each symbol's position."""
+    symbols = list(dict.fromkeys(s for c in circuits for s in c.symbols))
+    offsets = {s: i for i, s in enumerate(symbols)}
+    theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
+    return theta, theta[reference_gather(circuits, offsets)], offsets
 
 
 class TestBatchProperties:
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-    @given(circuits=random_circuits(), seed=st.integers(0, 2**32 - 1))
-    def test_random_circuits_match_per_sentence_reference(self, circuits, seed):
-        symbols = list(dict.fromkeys(s for c in circuits for s in c.symbols))
-        offsets = {s: i for i, s in enumerate(symbols)}
+    @given(case=random_circuits(one_output=True), seed=st.integers(0, 2**32 - 1))
+    def test_random_circuits_match_per_sentence_reference(self, case, seed):
+        # a sentence circuit's map is its output amplitudes, so u = |map|**2
+        # is its unnormalized marginal N, whose sum is the survival norm D
+        circuits, _ = case
         rng = np.random.default_rng(seed)
-        theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
+        theta, angles, offsets = angles_of(circuits, rng)
         assert len({structure_key(c) for c in circuits}) == 1
-        batch = compile_batch(circuits[0])
-        angles = theta[reference_gather(circuits, offsets)]
-        n = batch_forward(batch, angles)
+        batch = compile_batch(circuits[0], 0)
+        amps = batch_forward(batch, angles)
+        n = np.abs(amps) ** 2
         # a random upstream g_p on p = N / D per row, chained to N as the
-        # model's pullback does; a degenerate row keeps g_p as drawn
+        # model's pullback does, and to the amplitudes as 2 amps g_u
         g_p = rng.normal(size=n.shape)
         d = n.sum(axis=1, keepdims=True)
         alive = d[:, 0] >= SURVIVAL_EPS
         p = n / np.where(alive[:, None], d, 1.0)
         upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
-        u, vjp = batch_backward(batch, angles, lambda rows, _: upstream[rows])
-        np.testing.assert_array_equal(u, n)  # the backward pass's own forward
+        vjp = batch_backward(batch, angles, 2.0 * amps * upstream)
         assert vjp.shape == angles.shape
-        # pulling back only the leading rows reads the same terms for them
-        lead = len(circuits) - 1
-        u, led = batch_backward(batch, angles,
-                                lambda rows, _: upstream[rows][: max(0, lead - rows.start)])
-        np.testing.assert_array_equal(u, n)
-        np.testing.assert_array_equal(led, vjp[:lead])
         for r, c in enumerate(circuits):
             x = theta[[offsets[s] for s in c.symbols]]
             want = distribution_gradient(c, x)
@@ -396,9 +416,40 @@ class TestBatchProperties:
             np.testing.assert_allclose(d_sym, want.jacobian @ g_p[r], rtol=0, atol=1e-12)
             fd = finite_difference(lambda v: sentence_distribution(c, v).probs, x)
             np.testing.assert_allclose(want.jacobian, fd, rtol=0, atol=1e-6)
-        # every slot on its own, differentiated numerically
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(case=random_circuits(), seed=st.integers(0, 2**32 - 1))
+    def test_random_maps_match_gate_by_gate_reference(self, case, seed):
+        circuits, n_dom = case
+        rng = np.random.default_rng(seed)
+        theta, angles, offsets = angles_of(circuits, rng)
+        batch = compile_batch(circuits[0], n_dom)
+        maps = batch_forward(batch, angles)
+        n_out = len(circuits[0].outputs)
+        assert maps.shape == (len(circuits), 2 ** (n_dom + n_out)) and maps.dtype == complex
+        for r, c in enumerate(circuits):
+            want = reference_map(c, theta[[offsets[s] for s in c.symbols]], n_dom)
+            np.testing.assert_allclose(maps[r], want, rtol=0, atol=1e-12)
+        # every slot on its own, differentiated numerically: Re <g, map>
+        g = rng.normal(size=maps.shape) + 1j * rng.normal(size=maps.shape)
+        vjp = batch_backward(batch, angles, g)
         fd = five_point_difference(
-            lambda a: float((upstream * batch_forward(batch, a.reshape(angles.shape))).sum()),
+            lambda a: float(np.vdot(g, batch_forward(batch, a.reshape(angles.shape))).real),
             angles.ravel(),
         )
         np.testing.assert_allclose(vjp.ravel(), fd, rtol=0, atol=1e-6)
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(case=random_circuits(), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    def test_rows_do_not_depend_on_the_batch(self, case, seed, picks):
+        # each row's map, alone and in a batch of any size and makeup,
+        # bit for bit: no product rounds by the length of its array
+        circuits, n_dom = case
+        _, angles, _ = angles_of(circuits, np.random.default_rng(seed))
+        batch = compile_batch(circuits[0], n_dom)
+        rows = [r % len(circuits) for r in picks]
+        together = batch_forward(batch, angles[rows])
+        for i, r in enumerate(rows):
+            alone = batch_forward(batch, angles[r : r + 1])
+            assert together[i : i + 1].tobytes() == alone.tobytes()

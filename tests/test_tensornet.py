@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qnlp import tensornet
 from qnlp.circuit import Symbol
+from qnlp.corpus import generate_mc
 from qnlp.diagram import Box, Diagram, Port, ShapeMismatch, Wire
 from qnlp.errors import Error
 from qnlp.pregroup import Base, PregroupType, SimpleType, parse_sentence, ty
@@ -36,7 +37,7 @@ from qnlp.tensornet import (
     validate_network,
 )
 
-from oracles import (WireDims, eval_tensor, finite_difference, random_assignment,
+from oracles import (WireDims, box_shape, eval_tensor, finite_difference, random_assignment,
                      reference_tensor_gather, tensor_train)
 
 N = SimpleType(Base.N, 0)
@@ -465,13 +466,13 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
         np.testing.assert_array_equal(u, v**2)
         g_u = rng.standard_normal(v.shape)
         up = 2.0 * v * g_u  # the cotangent of v, chained through u = v**2
-        pulled_u, terms = batch_backward(batch, values, lambda rows, _: g_u[rows])
+        pulled_u, terms = batch_backward(batch, values, lambda _: g_u)
         np.testing.assert_array_equal(pulled_u, u)  # the backward pass's own forward
         assert terms.shape == gather.shape
         grad = np.zeros_like(theta)
         np.add.at(grad, gather, terms)
         # pulling back only the leading row reads the same terms for it
-        pulled_u, led = batch_backward(batch, values, lambda rows, _: g_u[rows][:1])
+        pulled_u, led = batch_backward(batch, values, lambda _: g_u[:1])
         np.testing.assert_array_equal(pulled_u, u)
         np.testing.assert_allclose(led, terms[:1], rtol=1e-12, atol=1e-15)
         want = np.zeros_like(theta)
@@ -639,6 +640,86 @@ class TestBatchProperties:
     def test_random_networks_match_per_network_reference(self, nets, seed):
         groups = check_batches_against_reference(nets, np.random.default_rng(seed))
         assert len(groups) == 1
+
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(sentence=st.integers(0, 10**6),
+           scheme=st.sampled_from((RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM)),
+           seed=st.integers(0, 2**32 - 1), complex_rows=st.booleans(),
+           picks=st.lists(st.integers(0, 7), min_size=1, max_size=6))
+    def test_sentence_rows_do_not_depend_on_the_batch(self, sentence, scheme, seed,
+                                                      complex_rows, picks, corpus_diagrams):
+        # rows of a corpus sentence's network at one qubit per wire, as a
+        # circuit model contracts them.  Not every network has the property:
+        # a trace or a leg summed alone can round by the row count
+        d = rewrite(corpus_diagrams[sentence % len(corpus_diagrams)], scheme)
+        net = compile_network(d, QUBITS)
+        check_rows_alone_and_together(compile_batch(net), np.random.default_rng(seed),
+                                      complex_rows, picks)
+
+
+def check_rows_alone_and_together(batch, rng, complex_rows, picks) -> None:
+    """Each row's ``u``, alone and in a batch of the rows ``picks``, bit for bit."""
+    values = rng.standard_normal((max(picks) + 1, batch.n_slots))
+    if complex_rows:
+        values = values + 1j * rng.standard_normal(values.shape)
+    together = batch_forward(batch, values[picks])
+    for i, r in enumerate(picks):
+        assert together[i : i + 1].tobytes() == batch_forward(batch, values[r : r + 1]).tobytes()
+
+
+QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
+
+
+class TestComplexRows:
+    """Complex values, as a circuit model's word maps feed the batches."""
+
+    @pytest.mark.parametrize("scheme", (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM),
+                             ids=lambda s: s.value)
+    def test_corpus_matches_the_diagram(self, scheme, corpus_diagrams, rng):
+        # u = |v|**2 with v the diagram's complex contraction, and each
+        # slot's cotangent g has d(g_u . u) = Re(g) d(Re value) + Im(g) d(Im value)
+        diagrams = [rewrite(d, scheme) for d in corpus_diagrams[::7]]
+        rows_of: dict[tuple, list[int]] = {}
+        nets = [compile_network(d, QUBITS) for d in diagrams]
+        for r, net in enumerate(nets):
+            rows_of.setdefault(structure_key(net), []).append(r)
+        for rows in rows_of.values():
+            batch = compile_batch(nets[rows[0]])
+            boxes = [{b: rng.standard_normal(box_shape(box, WireDims()))
+                      + 1j * rng.standard_normal(box_shape(box, WireDims()))
+                      for b, box in enumerate(diagrams[r].boxes)} for r in rows]
+            values = np.array([np.concatenate([t.ravel() for t in row.values()]) for row in boxes])
+            u = batch_forward(batch, values)
+            for i, r in enumerate(rows):
+                v = eval_tensor(diagrams[r], boxes[i]).ravel()
+                np.testing.assert_allclose(u[i], np.abs(v) ** 2, rtol=1e-12, atol=1e-12)
+            g_u = rng.standard_normal(u.shape)
+            _, terms = batch_backward(batch, values, lambda _: g_u)
+
+            def loss(x):
+                return float((g_u * batch_forward(batch, x.reshape(values.shape))).sum())
+
+            for part, unit in ((terms.real, 1.0), (terms.imag, 1j)):
+                fd = finite_difference(lambda x: loss(values + unit * x.reshape(values.shape)),
+                                       np.zeros(values.size))
+                np.testing.assert_allclose(part.ravel(), fd, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("scheme", (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM),
+                             ids=lambda s: s.value)
+    def test_generated_corpus_rows_do_not_depend_on_the_batch(self, scheme, mc_lexicon, rng):
+        for seed in (0, 1):
+            splits = generate_mc(seed)
+            nets = [compile_network(rewrite(parse_sentence(list(ws), mc_lexicon), scheme), QUBITS)
+                    for lset in splits for ws in lset.sentences()]
+            rows_of: dict[tuple, list[int]] = {}
+            for r, net in enumerate(nets):
+                rows_of.setdefault(structure_key(net), []).append(r)
+            for rows in rows_of.values():
+                picks = list(range(len(rows)))
+                for complex_rows in (False, True):
+                    check_rows_alone_and_together(compile_batch(nets[rows[0]]), rng,
+                                                  complex_rows, picks)
 
 
 class TestJson:

@@ -5,25 +5,22 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import itertools
+import math
 import re
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qnlp.circuit import (
-    Circuit,
     CircuitAnsatz,
     CircuitAnsatzConfig,
-    Gate,
-    GateKind,
     Symbol,
     WidthOverflow,
     ZeroParameterModel,
     compile_circuit,
+    lower,
 )
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
 from qnlp.diagram import Port, Wire, validate
@@ -37,6 +34,7 @@ from qnlp.simulator import (
 )
 from qnlp import circuit, simulator, tensornet, training
 from qnlp.tensornet import (
+    ParamNode,
     TensorAnsatz,
     TensorAnsatzConfig,
     compile_network,
@@ -66,12 +64,9 @@ from qnlp.training import (
 
 from oracles import (
     finite_difference,
-    reference_circuit_model,
     reference_circuits,
     reference_fit,
-    reference_gather,
     reference_networks,
-    reference_padded_groups,
     reference_tensor_groups,
     reference_tensor_model,
     split_starts,
@@ -105,8 +100,7 @@ def rows_by_split(model, at) -> dict[str, list[int]]:
 
 
 def circuit_model(scheme=RewriteScheme.RE_NORM_CUR_NORM) -> CircuitModel:
-    ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1, n_single_qubit_params=2)
-    return CircuitModel.build(tiny_splits(), default_lexicon(), scheme, ansatz)
+    return CircuitModel.build(tiny_splits(), default_lexicon(), scheme, TINY_ANSATZ)
 
 
 def tensor_model(kind=TensorAnsatz.TENSOR) -> TensorModel:
@@ -495,38 +489,19 @@ class TestCircuitBatching:
         assert [len(r["dev"]) for r in rows] == [1, 0, 0, 1]
         assert [len(r["test"]) for r in rows] == [0, 1, 1, 0]
 
-    def test_group_wider_than_one_chunk(self, rng, monkeypatch):
-        # a chunk of one 9-qubit row, so the gradient's forward pass and
-        # reverse sweep run twice per group and join through the chunk slices
-        monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 2**9)
-        ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
-        splits = pattern_splits()
-        model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        batch, at, _ = max(model._groups, key=lambda g: g[0].n_qubits)
-        assert batch.n_qubits == 9 and len(rows_by_split(model, at)["train"]) == 2
-        assert 2**batch.n_qubits == simulator.BATCH_AMPLITUDES
-        theta = model.init_params(rng)
-        labels = splits.train.labels()
-        grad, probs, _ = model.grad_split("train", theta, labels)
-        circuits = reference_circuits(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        want_probs, want, _ = reference_split(model, circuits["train"], theta, labels)
-        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
-
     def test_repeated_word_fills_a_slot_per_use(self, rng):
-        # "man" twice reads each of its symbols at two gates; every gate is
-        # a batch slot of its own, so the sentence joins the "man cooks
-        # meal" group and its adjoint terms sum over both uses
+        # "man" twice: the sentence joins the "man cooks meal" group, its
+        # subject and object positions gather one map, and the map's
+        # cotangent sums over both uses before it reaches the angles
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
         groups = model._groups
         assert [len(rows_by_split(model, at)["train"]) for _, at, _ in groups] == [3, 2, 2, 2]
         last = len(splits.train) - 1  # train rows lead the corpus
-        ((at, gather),) = [(at, gather) for _, at, gather in groups if last in at]
-        slots = gather[list(at).index(last)].tolist()
-        man = [i for i, s in enumerate(model.symbols) if s.word == "man"]  # symbol i, slot i
-        assert man and [slots.count(i) for i in man] == [2] * len(man)
+        ((batch, at, gather),) = [(b, at, gather) for b, at, gather in groups if last in at]
+        subject, _, obj = (gather[list(at).index(last), cols] for cols in batch.columns)
+        np.testing.assert_array_equal(subject, obj)
         theta = model.init_params(rng)
         labels = splits.train.labels()
         probs, _ = model.eval_split("train", theta)
@@ -536,52 +511,64 @@ class TestCircuitBatching:
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
 
-    def test_degenerate_row(self):
-        # RX(pi) on the postselected qubit annihilates the state; the
-        # pullback gives such a row zero upstream, so it adds no gradient.
-        w, u, v = (Symbol(x, "->s", 0) for x in "wuv")
-        dead = Circuit(
-            2,
-            (Gate(GateKind.RX, (0,), w), Gate(GateKind.RX, (1,), u)),
-            postselect=(1,),
-            outputs=(0,),
-            symbols=(w, u),
-        )
-        alive = Circuit(1, (Gate(GateKind.RY, (0,), v),), (), (0,), (v,))
-        model = reference_circuit_model({"train": [dead, alive, dead]})
-        theta = np.array([0.4, np.pi, 1.1])
-        labels = [1, 0, 0]
+    def test_degenerate_row(self, rng):
+        # "man" at |-> and every verb at angle 0: the two train sentences
+        # whose subject is "man" read amplitude 0, so their pullback is zero
+        # and "man", "cooks" and "runs", read by them alone, get no gradient
+        model = circuit_model(RewriteScheme.RE)
+        theta = dead_man(model, model.init_params(rng))
+        labels = tiny_splits().train.labels()
         probs, degenerate = model.eval_split("train", theta)
         assert degenerate == 2
-        np.testing.assert_allclose(probs[[0, 2]], 0.5)
+        np.testing.assert_allclose(probs[[0, 1]], 0.5)
         grad, grad_probs, degenerate = model.grad_split("train", theta, labels)
         total = bce_loss(grad_probs, labels).mean()
         assert degenerate == 2
-        assert grad[0] == grad[1] == 0.0
-        want_probs, want, _ = reference_split(model, [dead, alive, dead], theta, labels)
+        alone = [i for i, s in enumerate(model.symbols) if s.word in ("man", "cooks", "runs")]
+        assert len(alone) == 6 and not grad[alone].any() and grad.any()
+        circuits = reference_circuits(tiny_splits(), default_lexicon(), RewriteScheme.RE,
+                                      TINY_ANSATZ)
+        want_probs, want, _ = reference_split(model, circuits["train"], theta, labels)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
         losses = [bce_loss(p, y) for p, y in zip(want_probs, labels)]
         assert total == pytest.approx(np.mean(losses), abs=1e-12)
 
     def test_nearly_dead_row_adds_no_gradient(self, rng):
-        # RX(pi - 1e-7) leaves a survival norm of about 2.5e-15: degenerate,
-        # though the marginal's derivative there is not zero
-        w, u = Symbol("w", "->s", 0), Symbol("u", "->s", 0)
-        dying = Circuit(
-            2,
-            (Gate(GateKind.RX, (0,), w), Gate(GateKind.RX, (1,), u)),
-            postselect=(1,),
-            outputs=(0,),
-            symbols=(w, u),
-        )
-        model = reference_circuit_model({"train": [dying]})
-        theta = np.array([0.4, np.pi - 1e-7])
+        # "man" 1e-7 off |->: a squared norm of about 5e-16, degenerate,
+        # though the amplitude's derivative there is not zero
+        def lset(name, items):
+            return LabeledSet(name, tuple((tuple(w.split()), y) for w, y in items))
+
+        splits = CorpusSplits(lset("train", [("man cooks meal", 1)]),
+                              lset("dev", [("woman bakes sauce", 1)]),
+                              lset("test", [("woman runs program", 0)]))
+        model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, TINY_ANSATZ)
+        theta = dead_man(model, model.init_params(rng))
+        theta[model.symbols.index(Symbol("man", "->n", 0))] -= 1e-7
         grad, grad_probs, degenerate = model.grad_split("train", theta, [1])
         total = bce_loss(grad_probs, [1]).mean()
         assert degenerate == 1
         np.testing.assert_array_equal(grad, 0.0)
         assert total == pytest.approx(np.log(2), abs=1e-12)
+
+
+TINY_ANSATZ = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1, n_single_qubit_params=2)
+VERBS = ("cooks", "runs", "bakes", "debugs", "executes", "prepares")
+
+
+def dead_man(model: CircuitModel, theta: np.ndarray) -> np.ndarray:
+    """``theta`` with "man" at |-> up to a phase, RZ(-pi/2) RX(pi/2) |0>,
+    and every verb at angle 0.  Under iqp on ``re`` a verb at angle 0 is
+    the uniform state, so every sentence whose subject is "man" reads
+    amplitude 0 up to rounding."""
+    theta = theta.copy()
+    for i, s in enumerate(model.symbols):
+        if s.word == "man":
+            theta[i] = (np.pi / 2, -np.pi / 2)[s.index]
+        elif s.word in VERBS:
+            theta[i] = 0.0
+    return theta
 
 
 def tensor_reference_split(model: TensorModel, nets, theta, labels):
@@ -708,53 +695,57 @@ class TestBatchLifecycle:
         def no_compile(*args):
             raise AssertionError("a batch compiled after build")
 
-        monkeypatch.setattr(model._engine, "compile_batch", no_compile)
+        monkeypatch.setattr(tensornet, "compile_batch", no_compile)
+        monkeypatch.setattr(simulator, "compile_batch", no_compile)
         for name in model.sizes:
             model.eval_split(name, model.init_params(rng))
         assert all(a is b for a, b in zip([batch for batch, _, _ in model._groups], batches))
 
     @pytest.mark.parametrize("family", ("circuit", "tensor"))
     def test_gather_needs_a_column_per_slot(self, family, toy_lexicon):
+        splits = CorpusSplits(*(LabeledSet(name, ((("Alice", "likes", "Bob"), 1),
+                                                  (("Bob", "likes", "Alice"), 0)))
+                                for name in ("train", "dev", "test")))
         if family == "circuit":
-            w = Symbol("w", "->s", 0)
-            # constant gates fill no slot
-            gates = (Gate(GateKind.RX, (0,), w), Gate(GateKind.H, (0,)),
-                     Gate(GateKind.RZ, (0,), 0.5))
-            item = Circuit(1, gates, (), (0,), (w,))
-            shapes, make, slots = {w: ()}, CircuitModel, 1
+            model = CircuitModel.build(splits, toy_lexicon, RewriteScheme.RE, TINY_ANSATZ)
         else:
-            item = compile_network(parse_sentence(["Alice", "likes", "Bob"], toy_lexicon),
-                                   TensorAnsatzConfig(TensorAnsatz.TENSOR))
-            shapes, make, slots = item.param_shapes(), TensorModel, 12
+            model = TensorModel.build(splits, toy_lexicon, RewriteScheme.RE,
+                                      TensorAnsatzConfig(TensorAnsatz.TENSOR))
+        ((batch, at, gather),) = model._groups
+        slots = 12  # two noun vectors and a verb's 2 x 2 x 2 tensor
 
-        def build(gather):
-            return make(list(shapes), list(shapes.values()), {"train": len(gather)},
-                        [(item, np.arange(len(gather)), gather)])
+        def rebuild(gather):
+            if family == "circuit":
+                return CircuitModel(model.symbols, model.sizes, [(batch, at, gather)],
+                                    model._blocks)
+            return TensorModel(model.symbols, model.shapes, model.sizes, [(batch, at, gather)])
 
-        model = build(np.zeros((2, slots), dtype=np.intp))
-        ((batch, _, gather),) = model._groups
-        assert batch.n_slots == slots and gather.shape == (2, slots)
-        probs, _ = model.eval_split("train", np.ones(model.n_params))
+        assert batch.n_slots == slots and gather.shape == (6, slots)
+        probs, _ = rebuild(gather).eval_split("train", np.ones(model.n_params))
         assert probs.shape == (2, 2)
-        for bad in ((2, slots + 1), (2, slots - 1), (2,)):
+        for bad in ((6, slots + 1), (6, slots - 1), (6,)):
             with pytest.raises(Error, match=re.escape(f"gather of shape {bad} for {slots} slots")):
-                build(np.zeros(bad, dtype=np.intp))
+                rebuild(np.zeros(bad, dtype=np.intp))
 
     def test_rows_grouped_in_order_of_first_appearance(self):
-        theta, other = Symbol("w", "->s", 0), Symbol("x", "->s", 0)
+        def lset(name, items):
+            return LabeledSet(name, tuple((tuple(w.split()), y) for w, y in items))
 
-        def one_gate(kind, sym):
-            return Circuit(1, (Gate(kind, (0,), sym),), (), (0,), (sym,))
-
-        a, b = one_gate(GateKind.RX, theta), one_gate(GateKind.RX, other)
-        c, d = one_gate(GateKind.RY, other), one_gate(GateKind.RZ, theta)
+        splits = CorpusSplits(
+            lset("train", [("man cooks meal", 1), ("skillful man prepares sauce", 0),
+                           ("woman bakes sauce", 1)]),
+            lset("dev", [("woman bakes tasty dinner", 1), ("man runs program", 0)]),
+            lset("test", [("man cooks meal", 1)]))
         # over all splits, in order of first use with train first; a
         # group's train rows lead its batch
-        model = reference_circuit_model({"train": [a, c, b], "dev": [d, b]})
+        model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, TINY_ANSATZ)
         rows = [rows_by_split(model, at) for _, at, _ in model._groups]
         assert [r["train"] for r in rows] == [[0, 2], [1], []]
         assert [r["dev"] for r in rows] == [[1], [], [0]]
-        assert model._groups[0][2].tolist() == [[0], [1], [1]]
+        assert [r["test"] for r in rows] == [[0], [], []]
+        batch, _, gather = model._groups[0]
+        subjects = gather[:, batch.columns[0]]  # man, woman, man, man
+        assert [np.array_equal(subjects[0], row) for row in subjects] == [True, False, True, True]
 
 
 class TestTensorFit:
@@ -932,6 +923,23 @@ class TestModelSurface:
         assert all(not np.any(g) for g in got.values())
         assert total == pytest.approx((3 * want_total + np.log(2)) / 4, abs=1e-12)
 
+    @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
+    def test_wrong_length_parameter_vectors_are_rejected(self, make, rng):
+        model = make()
+        theta = model.init_params(rng)
+        labels = tiny_splits().train.labels()
+        for bad in (theta[:-1], np.append(theta, 1.0)):
+            match = re.escape(f"expected {model.n_params} parameters, got {len(bad)}")
+            with pytest.raises(Error, match=match):
+                model.eval_split("train", bad)
+            with pytest.raises(Error, match=match):
+                model.grad_split("train", bad, labels)
+            for k in range(3):  # as an SPSA epoch asks: train and dev, then both probes
+                points = [(("train", "dev"), theta), (("train",), theta), (("train",), theta)]
+                points[k] = (points[k][0], bad)
+                with pytest.raises(Error, match=match):
+                    model.evaluate(points)
+
     def test_circuit_named_round_trip_gives_floats(self, rng):
         model = circuit_model()
         theta = model.init_params(rng)
@@ -977,20 +985,6 @@ class TestFitMatchesReference:
         assert_same_history(fit(build(), splits, cfg), reference_fit(build(), splits, cfg))
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=("spsa", "gd"))
-    def test_groups_spanning_several_chunks(self, optimizer, monkeypatch):
-        # 8 rows per 9-qubit chunk: the 9-qubit group's 25 train rows end in
-        # a chunk that also holds dev rows
-        monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 2**12)
-        splits = generate_mc(2)
-        ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, 1)
-        model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        wide = [rows_by_split(model, at) for batch, at, _ in model._groups if batch.n_qubits == 9]
-        assert [(len(r["train"]), len(r["dev"])) for r in wide] == [(25, 4)]
-        cfg = TrainConfig(epochs=3, seed=1, optimizer=optimizer)
-        ref = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        assert_same_history(fit(model, splits, cfg), reference_fit(ref, splits, cfg))
-
-    @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=("spsa", "gd"))
     @pytest.mark.parametrize("family", ("circuit", "tensor"))
     def test_repeated_word(self, family, optimizer):
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
@@ -1007,21 +1001,13 @@ class TestFitMatchesReference:
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=("spsa", "gd"))
     def test_degenerate_readout(self, optimizer):
-        # RX(pi) on the postselected qubit annihilates every row of one
-        # structure at any parameters; the other structure stays alive
-        def dead(word):
-            w = Symbol(word, "->s", 0)
-            gates = (Gate(GateKind.RX, (0,), w), Gate(GateKind.RX, (1,), np.pi))
-            return Circuit(2, gates, postselect=(1,), outputs=(0,), symbols=(w,))
-
-        def alive(word):
-            v = Symbol(word, "->s", 0)
-            return Circuit(1, (Gate(GateKind.RY, (0,), v),), (), (0,), (v,))
-
+        # the fit starts with every sentence whose subject is "man" at
+        # amplitude 0; under adaptive GD its words get no gradient and stay
         def build():
-            return reference_circuit_model({"train": [dead("a"), alive("b"), alive("c"), dead("d")],
-                                            "dev": [alive("b"), dead("a")],
-                                            "test": [dead("e"), alive("c")]})
+            model = circuit_model(RewriteScheme.RE)
+            draw = model.init_params
+            model.init_params = lambda rng: dead_man(model, draw(rng))
+            return model
 
         cfg = TrainConfig(epochs=4, seed=0, optimizer=optimizer)
         h = fit(build(), tiny_splits(), cfg)
@@ -1041,22 +1027,39 @@ class TestFitMatchesReference:
         assert_same_history(fit(build(), splits, cfg), reference_fit(build(), splits, cfg))
 
 
-def assert_same_groups(model: CircuitModel, circuits_by_split) -> None:
-    """The model's symbols and compiled groups equal those of the
-    per-sentence padded grouping of ``circuits_by_split``, bit for bit."""
-    symbols, groups = reference_padded_groups(circuits_by_split)
+QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
+
+
+def assert_same_circuit_model(model: CircuitModel, circuits_by_split, nets_by_split) -> None:
+    """The model's symbols are those of ``circuits_by_split`` in first-use
+    order, and its batches those of the per-sentence grouping of
+    ``nets_by_split`` (at one qubit per wire), each cup scaling a batch by
+    ``1 / sqrt(2)``, with every node gathering its word's map bit for bit.
+    The model's corpus must be the one held."""
+    symbols = list(dict.fromkeys(s for cs in circuits_by_split.values() for c in cs
+                                 for s in c.symbols))
     assert model.symbols == symbols and model.n_params == len(symbols)
     assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
+    held = training._front_end[2]
+    words, maps = held[training._place_circuit][0], held[training._contractions][0]
+    start = {(word, fp): cols[0] for (word, fp, _), (*_, cols) in zip(words, maps)}
+    nets = [net for ns in nets_by_split.values() for net in ns]
+    shapes, groups = reference_tensor_groups(nets_by_split)
+    assert model.n_values == sum(math.prod(shape) for shape in shapes.values())
     assert len(model._groups) == len(groups)
-    for (batch, at, gather), (first, want_gather, rows) in zip(model._groups, groups):
-        want = simulator.compile_batch(first)
-        assert (batch.n_qubits, batch.ops, batch.n_slots) == (want.n_qubits, want.ops, want.n_slots)
-        assert batch.postselect == want.postselect
-        assert batch.output_axis == want.output_axis
-        assert gather.dtype == want_gather.dtype
+    for (batch, at, gather), (first, want_at, _) in zip(model._groups, groups):
+        want = tensornet.compile_batch(first)
+        cups = sum(isinstance(node, tensornet.CupDeltaNode) for node in first.nodes)
+        assert at.tolist() == want_at.tolist()
+        assert (batch.shapes, batch.columns, batch.out_shape) == (
+            want.shapes, want.columns, want.out_shape)
+        assert batch.factor == pytest.approx(want.factor * 2 ** (-cups / 2), rel=1e-15)
+        assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
+        want_gather = np.array([np.concatenate([
+            start[node.symbol.word, node.symbol.type_fingerprint] + np.arange(math.prod(node.shape))
+            for node in nets[i].nodes if isinstance(node, ParamNode)]) for i in want_at])
+        assert (gather.dtype, gather.shape) == (want_gather.dtype, want_gather.shape)
         assert gather.tobytes() == want_gather.tobytes()
-        assert gather.shape == want_gather.shape
-        assert rows_by_split(model, at) == {name: r.tolist() for name, r in rows.items()}
 
 
 class TestFrontEndMemo:
@@ -1157,12 +1160,14 @@ class TestFrontEndMemo:
 
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
     def test_compiled_circuits_identical_on_hit_and_miss(self, kind, mc_lexicon):
-        # the plan's build against compile_circuit on every sentence, grouped
-        # by structure: on a generated corpus, and on one that repeats a word
+        # the plan's build against compile_circuit and compile_network on
+        # every sentence: on a generated corpus, and on one that repeats a word
         for splits in (generate_mc(3), pattern_splits(extra_train=[("man cooks man", 1)])):
             for scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM):
                 training._front_end = None  # the scheme's first build is a miss
                 fresh = self.fresh(splits, mc_lexicon, scheme)
+                nets = {name: [compile_network(d, QUBITS) for d in ds]
+                        for name, ds in fresh.items()}
                 for layers, rots in itertools.product(range(3), range(3)):
                     ansatz = CircuitAnsatzConfig(kind, layers, rots)
                     if layers == rots == 0:
@@ -1176,14 +1181,30 @@ class TestFrontEndMemo:
                     assert training._front_end[0] is key
                     want = {name: [compile_circuit(d, ansatz) for d in ds]
                             for name, ds in fresh.items()}
-                    assert_same_groups(first, want)
-                    assert_same_groups(again, want)
+                    assert_same_circuit_model(first, want, nets)
+                    assert_same_circuit_model(again, want, nets)
+                    assert len(first._blocks) == len(again._blocks)
+                    for (batch, angles, cols), (other, other_angles, other_cols) in zip(
+                            first._blocks, again._blocks):
+                        assert (batch.ops, batch.n_dom, batch.n_slots) == (
+                            other.ops, other.n_dom, other.n_slots)
+                        assert batch.cols.tolist() == other.cols.tolist()
+                        assert angles.tobytes() == other_angles.tobytes()
+                        assert cols.tobytes() == other_cols.tobytes()
 
     def test_layouts_made_once_and_lowered_per_config(self, mc_lexicon, monkeypatch):
-        validated, lowered = [], []
+        # each sentence is laid out once; a build lowers no sentence, only
+        # one block per word kind, and a later build reuses the contraction
+        validated, blocks = [], []
         monkeypatch.setattr(circuit, "validate", lambda d: validated.append(d) or validate(d))
-        monkeypatch.setattr(training, "lower",
-                            lambda lay, cfg: lowered.append(lay) or circuit.lower(lay, cfg))
+        compile_block = simulator.compile_batch
+        monkeypatch.setattr(simulator, "compile_batch",
+                            lambda c, n_dom: blocks.append(n_dom) or compile_block(c, n_dom))
+
+        def no_lower(*args):
+            raise AssertionError("a sentence circuit lowered")
+
+        monkeypatch.setattr(circuit, "lower", no_lower)
         splits, scheme = pattern_splits(), RewriteScheme.RE_NORM_CUR_NORM
         # the second config differs in its one-qubit blocks only, the third in all
         configs = [CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 2),
@@ -1191,14 +1212,20 @@ class TestFrontEndMemo:
                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 2, 1)]
         models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
         assert len(validated) == sum(len(lset) for lset in splits)
-        # one layout per sentence pattern, each lowered once per build
-        ((_, layouts, _),) = training._front_end[2].values()
-        assert len(layouts) == 4
-        assert lowered == [lay for lay, _, _ in layouts] * len(configs)
+        held = training._front_end[2]
+        _, layouts, _ = held[training._place_circuit]
+        assert len(layouts) == 4  # one layout per sentence pattern
+        maps, groups = held[training._contractions]
+        assert all(model._groups is groups for model in models)
+        kinds = {(dom, cod) for dom, cod, _ in maps}
+        assert kinds == {(0, 1), (1, 1), (2, 1)}  # nouns, adjectives, verbs
+        assert len(blocks) == len(kinds) * len(configs)
         fresh = self.fresh(splits, mc_lexicon, scheme)
+        nets = {name: [compile_network(d, QUBITS) for d in ds] for name, ds in fresh.items()}
         for cfg, model in zip(configs, models):
-            assert_same_groups(model, {name: [compile_circuit(d, cfg) for d in ds]
-                                       for name, ds in fresh.items()})
+            monkeypatch.setattr(circuit, "lower", lower)
+            assert_same_circuit_model(model, {name: [compile_circuit(d, cfg) for d in ds]
+                                              for name, ds in fresh.items()}, nets)
         assert models[0].n_params != models[1].n_params != models[2].n_params
 
     @staticmethod
@@ -1246,168 +1273,136 @@ class TestFrontEndMemo:
             assert training._front_end[2] == {}  # a plan with an error is not held
 
 
-PARAMETRIC = circuit.PARAMETRIC_1Q | circuit.PARAMETRIC_2Q
+def shift_rule_split(model: CircuitModel, diagrams, ansatz, theta, labels) -> np.ndarray:
+    """The mean-loss gradient of the sentences ``diagrams`` assembled from
+    ``distribution_gradient``'s shift rules, sentence by sentence."""
+    pos = {s: i for i, s in enumerate(model.symbols)}
+    grad = np.zeros(model.n_params)
+    for d, y in zip(diagrams, labels):
+        c = compile_circuit(d, ansatz)
+        idx = [pos[s] for s in c.symbols]
+        res = distribution_gradient(c, theta[idx])
+        np.add.at(grad, idx, res.jacobian @ bce_grad(res.probs, y) / len(diagrams))
+    return grad
 
 
-@st.composite
-def hosts_and_members(draw) -> list[Circuit]:
-    """A random host circuit and 1-3 members that leave out some of its
-    symbol-reading gates, each as two rows reading symbols of their own.
-
-    2-3 qubits and 1-10 gates of all seven kinds between two layers of
-    ``H``, so leaving a gate out changes the output.  A rotation reads a
-    symbol or a constant angle; only symbol-reading gates are left out.
-    Every qubit but the output may be postselected.  No batch is one row:
-    NumPy rounds an in-place complex product of one element differently
-    from a longer one's, so a one-row batch can differ in the last bit.
-    """
-    n = draw(st.integers(2, 3))
-    hadamards = [(GateKind.H, (q,), None) for q in range(n)]
-    gates = list(hadamards)
-    for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(tuple(GateKind)))
-        arity = 1 if kind is GateKind.H or kind in circuit.PARAMETRIC_1Q else 2
-        qubits = tuple(draw(st.permutations(range(n)))[:arity])
-        param = None
-        if kind in PARAMETRIC:
-            param = draw(st.one_of(st.just(Symbol), st.floats(-2 * np.pi, 2 * np.pi)))
-        gates.append((kind, qubits, param))
-    gates += hadamards
-    output = draw(st.integers(0, n - 1))
-    post = tuple(q for q in range(n) if q != output and draw(st.booleans()))
-    optional = [i for i, (*_, param) in enumerate(gates) if param is Symbol]
-
-    def bind(row: int, kept) -> Circuit:
-        syms = [Symbol(f"m{row}", "->s", j) for j in range(len(optional))]
-        bound = [Gate(kind, qubits, syms.pop(0) if param is Symbol else param)
-                 for i, (kind, qubits, param) in enumerate(gates) if i in kept]
-        return Circuit(n, tuple(bound), post, (output,),
-                       tuple(g.param for g in bound if isinstance(g.param, Symbol)))
-
-    everything = set(range(len(gates)))
-    kept = [everything] + [everything - set(draw(st.lists(st.sampled_from(optional), unique=True)))
-                           for _ in range(draw(st.integers(1, 3)) if optional else 0)]
-    return [bind(r, kept[r // 2]) for r in range(2 * len(kept))]
+def assert_matches_statevector(model: CircuitModel, diagrams, ansatz, named: dict,
+                               other: np.ndarray, seen: dict | None = None, keys=None) -> None:
+    """Every sentence's probabilities at the parameters ``named`` (symbol
+    name to angle) against ``sentence_distribution`` on its own circuit,
+    within 1e-12, from a request stacked with the point ``other``, whose
+    readout must equal that of ``other`` alone.  ``seen`` holds the
+    reference of the sentences checked before, under their ``keys``."""
+    theta = np.array([named[s.name] for s in model.symbols])
+    names = tuple(model.sizes)
+    _, (first, second) = model.evaluate([(names, theta), (names, other)])
+    _, (alone,) = model.evaluate([(names, other)])
+    for (p, degenerate), (want, want_degenerate) in zip(second, alone):
+        assert p.tobytes() == want.tobytes() and degenerate == want_degenerate
+    seen = {} if seen is None else seen
+    want = []
+    for key, d in zip(range(len(diagrams)) if keys is None else keys, diagrams):
+        if key not in seen:
+            c = compile_circuit(d, ansatz)
+            seen[key] = sentence_distribution(c, [named[s.name] for s in c.symbols]).probs
+        want.append(seen[key])
+    np.testing.assert_allclose(np.concatenate([p for p, _ in first]), want, rtol=0, atol=1e-12)
 
 
-def merged(circuits, offsets) -> list[tuple]:
-    """The batches a circuit model merges from one group per circuit, its
-    padded slots reading the position past ``offsets``."""
-    groups = [(c, np.array([r]), reference_gather([c], offsets)) for r, c in enumerate(circuits)]
-    return training._merge_groups(groups, simulator.structure_key, training._slot_map,
-                                  len(offsets))
+def named_point(model: CircuitModel, named: dict, rng) -> dict:
+    """``named`` with an angle for each of the model's symbols it lacks."""
+    for s in model.symbols:
+        named.setdefault(s.name, rng.uniform(0.0, 2.0 * np.pi))
+    return named
 
 
-class TestPaddedGroups:
-    """A structure that is another with some parametric gates left out runs
-    in that host's batch, its missing gates at angle 0."""
+class TestCircuitOracle:
+    """A circuit model contracts each sentence's diagram, its boxes the
+    words' block maps; the statevector simulation of the sentence's whole
+    circuit is the oracle."""
 
-    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-    @given(circuits=hosts_and_members(), seed=st.integers(0, 2**32 - 1))
-    def test_padded_rows_equal_their_own_batch(self, circuits, seed):
-        symbols = [s for c in circuits for s in c.symbols]
-        offsets = {s: i for i, s in enumerate(symbols)}
-        ((host, at, gather),) = merged(circuits, offsets)
-        assert host is circuits[0]
-        assert at.tolist() == list(range(len(circuits)))
-        batch = simulator.compile_batch(host)
-        rng = np.random.default_rng(seed)
-        theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
-        with_zero = np.append(theta, 0.0)  # as _Model.evaluate stacks it
-        u = simulator.batch_forward(batch, with_zero[gather])
-        upstream = rng.normal(size=u.shape)
-        _, terms = simulator.batch_backward(batch, with_zero[gather],
-                                            lambda rows, _: upstream[rows])
-        for r in range(0, len(circuits), 2):  # each structure's own batch of two rows
-            own = reference_gather(circuits[r : r + 2], offsets)
-            alone = simulator.compile_batch(circuits[r])
-            assert u[r : r + 2].tobytes() == simulator.batch_forward(alone, theta[own]).tobytes()
-            _, want = simulator.batch_backward(alone, theta[own],
-                                               lambda rows, _: upstream[r : r + 2][rows])
-            real = gather[r : r + 2] < len(symbols)
-            assert gather[r : r + 2][real].tolist() == own.ravel().tolist()
-            np.testing.assert_array_equal(terms[r : r + 2][real], want.ravel())
+    CELLS = ((1, 1), (2, 2), (0, 1), (1, 0))
 
-    @staticmethod
-    def pair(host_gates, member_gates, member_post=(), member_out=(0,)):
-        def make(gates, post, out, row):
-            syms = iter(Symbol(f"w{row}", "->s", j) for j in range(len(gates)))
-            bound = tuple(Gate(k, q, next(syms) if p is Symbol else p) for k, q, p in gates)
-            return Circuit(2, bound, post, out,
-                           tuple(g.param for g in bound if isinstance(g.param, Symbol)))
-        return [make(host_gates, (), (0,), 0), make(member_gates, member_post, member_out, 1)]
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", ANSATZE, ids=lambda k: k.value)
+    def test_probabilities_match_sentence_distribution(self, kind, scheme, mc_lexicon):
+        # one set of angles per cell across the three corpora, so each
+        # distinct sentence's circuit is simulated once
+        rng = np.random.default_rng(0)
+        named, seen = ({cell: {} for cell in self.CELLS} for _ in range(2))
+        for seed in range(3):
+            splits = generate_mc(seed)
+            diagrams = [d for ds in training._diagrams(splits, mc_lexicon, scheme).values()
+                        for d in ds]
+            sentences = [ws for lset in splits for ws in lset.sentences()]
+            for cell in self.CELLS:
+                ansatz = CircuitAnsatzConfig(kind, *cell)
+                model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+                assert_matches_statevector(model, diagrams, ansatz,
+                                           named_point(model, named[cell], rng),
+                                           model.init_params(rng), seen[cell], sentences)
+        assert all(len(diagrams) < len(seen[cell]) < 3 * len(diagrams) for cell in self.CELLS)
 
-    RX0 = (GateKind.RX, (0,), Symbol)
-
-    @pytest.mark.parametrize("left_out", [(GateKind.H, (1,), None),
-                                          (GateKind.CNOT, (0, 1), None),
-                                          (GateKind.RX, (1,), 0.5)],
-                             ids=("h", "cnot", "constant-angle"))
-    def test_unmatched_constant_gate_keeps_groups_apart(self, left_out):
-        circuits = self.pair([self.RX0, left_out, self.RX0], [self.RX0, self.RX0])
-        keys = [simulator.structure_key(c) for c in circuits]
-        assert training._slot_map(keys[1], keys[0]) is None
-        offsets = {s: i for i, s in enumerate(s for c in circuits for s in c.symbols)}
-        assert len(merged(circuits, offsets)) == 2
-
-    @pytest.mark.parametrize("ends", [{"member_post": (1,)}, {"member_out": (1,)}],
-                             ids=("postselect", "output"))
-    def test_other_ends_keep_groups_apart(self, ends):
-        circuits = self.pair([self.RX0, self.RX0], [self.RX0], **ends)
-        keys = [simulator.structure_key(c) for c in circuits]
-        assert training._slot_map(keys[1], keys[0]) is None
-        same = self.pair([self.RX0, self.RX0], [self.RX0])
-        keys = [simulator.structure_key(c) for c in same]
-        assert training._slot_map(keys[1], keys[0]).tolist() == [0, -1]  # leftmost
-
-    def test_member_gathers_pad_the_slots_they_lack(self):
-        ry1 = (GateKind.RY, (1,), Symbol)
-        crz = (GateKind.CRZ, (0, 1), Symbol)
-        circuits = self.pair([self.RX0, ry1, crz, self.RX0], [ry1, self.RX0])
-        offsets = {s: i for i, s in enumerate(s for c in circuits for s in c.symbols)}
-        ((_, _, gather),) = merged(circuits, offsets)
-        assert gather.tolist() == [[0, 1, 2, 3], [6, 4, 6, 5]]
-
-    @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
-    def test_bench_grid_histories_equal_per_structure_models(self, kind, mc_lexicon):
-        # the default corpus: every cell with rotations is one group, and
-        # five SPSA epochs give the per-structure model's history bit for bit
-        splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
-        diagrams = {lset.name: [rewrite(parse_sentence(list(ws), mc_lexicon), scheme)
-                                for ws in lset.sentences()] for lset in splits}
-        cfg = TrainConfig(epochs=5, seed=0, optimizer=SPSAConfig())
-        for layers, rots in itertools.product(range(3), range(3)):
-            if layers == rots == 0:
-                continue
-            ansatz = CircuitAnsatzConfig(kind, layers, rots)
-            model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-            per_structure = reference_circuit_model(
-                {name: [compile_circuit(d, ansatz) for d in ds] for name, ds in diagrams.items()})
-            assert len(model._groups) == 1
-            assert len(per_structure._groups) == (1 if rots == 0 else 4)
-            assert_same_history(fit(model, splits, cfg), fit(per_structure, splits, cfg))
-
-    @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 1, 1), (CircuitAnsatz.SIM14, 2, 2),
+    @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 2, 2), (CircuitAnsatz.SIM14, 1, 1),
                                       (CircuitAnsatz.SIM15, 1, 2),
-                                      (CircuitAnsatz.STRONGLY_ENTANGLING, 2, 1)],
+                                      (CircuitAnsatz.STRONGLY_ENTANGLING, 1, 1)],
                              ids=lambda c: f"{c[0].value}-L{c[1]}-r{c[2]}")
-    def test_adaptive_gd_matches_per_structure_model(self, cell, mc_lexicon, rng):
-        # the gradient sums its terms in another order, so within 1e-12
+    def test_gradient_matches_shift_rules(self, cell, mc_lexicon, rng):
         splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
         ansatz = CircuitAnsatzConfig(*cell)
         model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-        per_structure = reference_circuit_model(
-            reference_circuits(splits, mc_lexicon, scheme, ansatz))
         theta, labels = model.init_params(rng), splits.train.labels()
-        grad, probs, _ = model.grad_split("train", theta, labels)
-        want, want_probs, _ = per_structure.grad_split("train", theta, labels)
-        assert probs.tobytes() == want_probs.tobytes()
-        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
-        cfg = TrainConfig(epochs=5, seed=0, optimizer=AdaptiveGDConfig())
-        h, ref = fit(model, splits, cfg), fit(per_structure, splits, cfg)
-        np.testing.assert_allclose(h.train_loss, ref.train_loss, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h.val_loss, ref.val_loss, rtol=0, atol=1e-12)
-        assert (h.train_acc, h.val_acc, h.test_acc) == (ref.train_acc, ref.val_acc, ref.test_acc)
+        grad, _, _ = model.grad_split("train", theta, labels)
+        want = shift_rule_split(model, TestFrontEndMemo.fresh(splits, mc_lexicon, scheme)["train"],
+                                ansatz, theta, labels)
+        assert np.abs(grad - want).max() <= max(1e-9 * np.abs(want).max(), 1e-14)
+
+    @staticmethod
+    def hand_made(lexicon, train, dev, test, scheme):
+        def lset(name, items):
+            return LabeledSet(name, tuple((tuple(w.split()), y) for w, y in items))
+
+        lexicon = Lexicon.from_expressions(lexicon)
+        splits = CorpusSplits(lset("train", train), lset("dev", dev), lset("test", test))
+        diagrams = [d for ds in TestFrontEndMemo.fresh(splits, lexicon, scheme).values()
+                    for d in ds]
+        return splits, lexicon, diagrams
+
+    def check_hand_made(self, splits, lexicon, diagrams, scheme, kinds, rng) -> None:
+        """Word kinds ``{(inputs, outputs): words}``, probabilities at two
+        points and the train gradient against the sentences' circuits."""
+        for kind in ANSATZE:
+            ansatz = CircuitAnsatzConfig(kind, 1, 2)
+            model = CircuitModel.build(splits, lexicon, scheme, ansatz)
+            assert {(b.n_dom, len(b.cols).bit_length() - 1): len(angles)
+                    for b, angles, _ in model._blocks} == kinds
+            named = named_point(model, {}, rng)
+            assert_matches_statevector(model, diagrams, ansatz, named, model.init_params(rng))
+            theta, labels = model.named_to_params(named), splits.train.labels()
+            grad, _, _ = model.grad_split("train", theta, labels)
+            want = shift_rule_split(model, diagrams[: len(labels)], ansatz, theta, labels)
+            assert np.abs(grad - want).max() <= max(1e-9 * np.abs(want).max(), 1e-14)
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    def test_a_word_kind_of_one_word(self, scheme, rng):
+        # "likes" is the only verb: its kind is a one-row block batch at
+        # every point of a request but the stacked ones
+        splits, lexicon, diagrams = self.hand_made(
+            {"Alice": "n", "Bob": "n", "likes": "n.r@s@n.l"},
+            [("Alice likes Bob", 1), ("Bob likes Alice", 0)], [("Alice likes Alice", 1)],
+            [("Bob likes Bob", 0)], scheme)
+        verb = (0, 3) if scheme is RewriteScheme.RE else (2, 1)
+        self.check_hand_made(splits, lexicon, diagrams, scheme, {(0, 1): 2, verb: 1}, rng)
+
+    def test_blocks_with_fresh_and_surplus_qubits(self, rng):
+        # curried, "x" takes one input to two outputs, a fresh qubit fed
+        # |0>, and "y" one input to none, a surplus qubit postselected
+        splits, lexicon, diagrams = self.hand_made(
+            {"A": "n", "B": "n", "X": "n.r@s@n", "Y": "n.r"},
+            [("A X Y", 1), ("B X Y", 0)], [("A X Y", 1)], [("B X Y", 0)],
+            RewriteScheme.RE_NORM_CUR_NORM)
+        self.check_hand_made(splits, lexicon, diagrams, RewriteScheme.RE_NORM_CUR_NORM,
+                             {(0, 1): 2, (1, 2): 1, (1, 0): 1}, rng)
 
 
 class TestTracerContract:
