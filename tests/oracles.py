@@ -8,9 +8,10 @@ brute-force evaluator loops over explicit index assignments instead of
 calling einsum, the reference fit loop reads one split per model call
 instead of stacking splits and parameter points, the reference tensor
 grouping compiles every sentence and groups the networks by structure
-instead of lowering one network per plan group, and the reference map
+instead of lowering one network per plan group, the reference map
 of a circuit runs it gate by gate from each input basis state instead of
-as one batch.
+as one batch, and the per-structure circuit model simulates each
+sentence's whole circuit instead of contracting its words' block maps.
 Slow is fine; these only ever see small inputs.
 """
 
@@ -348,6 +349,56 @@ def reference_map(circuit, theta, n_dom: int) -> np.ndarray:
                                     else g.param)
         out.append(np.transpose(state[index], [kept.index(q) for q in circuit.outputs]).ravel())
     return np.concatenate(out)
+
+
+class PerStructureCircuitModel:
+    """A circuit model that runs every sentence's whole circuit: each
+    split's circuits of one ``simulator.structure_key`` as one batch with
+    no inputs, a row's two output amplitudes renormalized, and the
+    mean-loss gradient pulled back through ``simulator.batch_backward``
+    from each row's amplitudes.  No word maps and no contraction.  It has
+    ``eval_split`` and ``grad_split`` for :func:`reference_fit`, and the
+    symbols and initial draw of ``model``."""
+
+    def __init__(self, model: training.CircuitModel, circuits_by_split: dict[str, list]):
+        self.n_params, self.init_params = model.n_params, model.init_params
+        offsets = {s: i for i, s in enumerate(model.symbols)}
+        self.sizes = {name: len(circuits) for name, circuits in circuits_by_split.items()}
+        self.groups = {}
+        for name, circuits in circuits_by_split.items():
+            rows: dict[tuple, list[int]] = {}
+            for r, c in enumerate(circuits):
+                rows.setdefault(simulator.structure_key(c), []).append(r)
+            self.groups[name] = [(simulator.compile_batch(circuits[at[0]], 0), np.array(at),
+                                  reference_gather([circuits[r] for r in at], offsets))
+                                 for at in rows.values()]
+
+    def _read(self, name: str, theta: np.ndarray):
+        amps = np.zeros((self.sizes[name], 2), dtype=complex)
+        for batch, at, gather in self.groups[name]:
+            amps[at] = simulator.batch_forward(batch, theta[gather])
+        u = amps.real**2 + amps.imag**2
+        norm = u.sum(axis=1)
+        dead = norm < training.DEGENERATE_EPS
+        norm = np.where(dead, 1.0, norm)
+        probs = np.where(dead[:, None], 0.5, u / norm[:, None])
+        return amps, norm, dead, probs
+
+    def eval_split(self, name: str, theta: np.ndarray):
+        _, _, dead, probs = self._read(name, theta)
+        return probs, int(dead.sum())
+
+    def grad_split(self, name: str, theta: np.ndarray, labels):
+        # p_j = |a_j|^2 / D, so dL = sum_j c_j d|a_j|^2 with
+        # c_j = (dL/dp_j - sum_k p_k dL/dp_k) / D, and d|a|^2 = Re <2a, da>
+        amps, norm, dead, probs = self._read(name, theta)
+        dp = training.bce_grad(probs, np.asarray(labels)) / len(probs)
+        c = (dp - (dp * probs).sum(axis=1, keepdims=True)) / norm[:, None]
+        g = np.where(dead[:, None], 0.0, 2.0 * c * amps)
+        grad = np.zeros(self.n_params)
+        for batch, at, gather in self.groups[name]:
+            np.add.at(grad, gather, simulator.batch_backward(batch, theta[gather], g[at]))
+        return grad, probs, int(dead.sum())
 
 
 def split_starts(sizes: dict[str, int]) -> dict[str, int]:

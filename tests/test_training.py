@@ -63,6 +63,7 @@ from qnlp.training import (
 )
 
 from oracles import (
+    PerStructureCircuitModel,
     finite_difference,
     reference_circuits,
     reference_fit,
@@ -1403,6 +1404,63 @@ class TestCircuitOracle:
             RewriteScheme.RE_NORM_CUR_NORM)
         self.check_hand_made(splits, lexicon, diagrams, RewriteScheme.RE_NORM_CUR_NORM,
                              {(0, 1): 2, (1, 2): 1, (1, 0): 1}, rng)
+
+
+def assert_close_history(h: History, ref: History) -> None:
+    """Per-epoch losses within 1e-12; accuracies, test accuracy and
+    degenerate count equal."""
+    for field in ("train_loss", "val_loss"):
+        np.testing.assert_allclose(getattr(h, field), getattr(ref, field), rtol=0, atol=1e-12,
+                                   err_msg=field)
+    assert (h.train_acc, h.val_acc, h.test_acc) == (ref.train_acc, ref.val_acc, ref.test_acc)
+    assert h.degenerate_evals == ref.degenerate_evals
+
+
+class TestPaddedGroups:
+    """On the bench sweep's grid, where the structures of a corpus differ
+    only in the parametric gates a cell leaves out, a circuit model against
+    the per-structure model, which simulates every sentence's whole
+    circuit in one batch per structure, with no word maps and no
+    contraction."""
+
+    @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
+    def test_bench_grid_histories_equal_per_structure_models(self, kind, mc_lexicon):
+        # the default corpus and every trainable cell up to L2/r2: five
+        # SPSA epochs follow the per-structure model's history
+        splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
+        diagrams = {lset.name: [rewrite(parse_sentence(list(ws), mc_lexicon), scheme)
+                                for ws in lset.sentences()] for lset in splits}
+        cfg = TrainConfig(epochs=5, seed=0, optimizer=SPSAConfig())
+        for layers, rots in itertools.product(range(3), range(3)):
+            if layers == rots == 0:
+                continue
+            ansatz = CircuitAnsatzConfig(kind, layers, rots)
+            model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+            per_structure = PerStructureCircuitModel(
+                model, {name: [compile_circuit(d, ansatz) for d in ds]
+                        for name, ds in diagrams.items()})
+            h, ref = fit(model, splits, cfg), reference_fit(per_structure, splits, cfg)
+            assert_close_history(h, ref)
+            np.testing.assert_allclose(h.final_params, ref.final_params, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 1, 1), (CircuitAnsatz.SIM14, 2, 2),
+                                      (CircuitAnsatz.SIM15, 1, 2),
+                                      (CircuitAnsatz.STRONGLY_ENTANGLING, 2, 1)],
+                             ids=lambda c: f"{c[0].value}-L{c[1]}-r{c[2]}")
+    def test_adaptive_gd_matches_per_structure_model(self, cell, mc_lexicon, rng):
+        # the two sum their gradient terms in other orders, so within 1e-12
+        splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
+        ansatz = CircuitAnsatzConfig(*cell)
+        model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+        per_structure = PerStructureCircuitModel(
+            model, reference_circuits(splits, mc_lexicon, scheme, ansatz))
+        theta, labels = model.init_params(rng), splits.train.labels()
+        grad, probs, _ = model.grad_split("train", theta, labels)
+        want, want_probs, _ = per_structure.grad_split("train", theta, labels)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
+        cfg = TrainConfig(epochs=5, seed=0, optimizer=AdaptiveGDConfig())
+        assert_close_history(fit(model, splits, cfg), reference_fit(per_structure, splits, cfg))
 
 
 class TestTracerContract:
