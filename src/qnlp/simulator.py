@@ -23,9 +23,9 @@ frequencies, so the plain two-term rule is not exact for them.
 Training runs batched, on word blocks rather than sentences: a word's
 block acts on its own qubits only, so a sentence's amplitudes are its
 diagram's network with each box its block's map (:mod:`qnlp.training`
-contracts it with :mod:`qnlp.tensornet`).  Circuits of one
-:func:`structure_key` compile once, from one circuit's gates, into a
-:class:`CircuitBatch` (:func:`compile_batch`) whose slots are its
+contracts it with :mod:`qnlp.tensornet`).  Circuits with the same gates
+up to the symbols they read compile once, from one circuit's gates, into
+a :class:`CircuitBatch` (:func:`compile_batch`) whose slots are its
 parametric gates.  A circuit's map takes its first ``n_dom`` qubits as
 inputs, the others fed ``|0>``, to its outputs, its postselected qubits
 read at 0.  :func:`batch_forward` gives every row's map, at its row of
@@ -267,22 +267,6 @@ _1Q_KINDS = frozenset({GateKind.H}) | PARAMETRIC_1Q
 _2Q_KINDS = frozenset({GateKind.CNOT}) | PARAMETRIC_2Q
 
 
-def structure_key(circuit: Circuit) -> tuple:
-    """What circuits must share to run as one batch.
-
-    The qubit count, then per gate its kind, its qubits, and its constant
-    angle or, for a gate that reads a parameter, the :class:`Symbol` class
-    (a marker that never equals an angle), then the postselected and
-    output qubits.  Word blocks of one width under one ansatz share a key
-    whatever their words.
-    """
-    gates = tuple(
-        (g.kind, g.qubits, Symbol if isinstance(g.param, Symbol) else g.param)
-        for g in circuit.gates
-    )
-    return (circuit.n_qubits, gates, circuit.postselect, circuit.outputs)
-
-
 @dataclass(frozen=True, eq=False)
 class CircuitBatch:
     """Circuits of one structure, compiled once to run as one batch of maps.
@@ -307,8 +291,9 @@ class CircuitBatch:
 
 
 def compile_batch(first: Circuit, n_dom: int) -> CircuitBatch:
-    """Compile the circuits of ``first``'s :func:`structure_key` into a batch
-    whose maps read their first ``n_dom`` qubits as inputs."""
+    """Compile the circuits with ``first``'s gates, up to the symbols they
+    read, into a batch whose maps read their first ``n_dom`` qubits as
+    inputs."""
     n = first.n_qubits
     if sorted(first.postselect + first.outputs) != list(range(n)):
         raise Error(f"each of the {n} qubits must be one output or postselected")

@@ -7,22 +7,19 @@ families contract each sentence's diagram with :mod:`qnlp.tensornet` and
 differ by one map stage (:meth:`_Model._values`) from a point's parameters
 to its value vector: a tensor model's values are its parameters, and a
 circuit model's are its words' block maps, each from one
-:mod:`qnlp.simulator` pass per word kind.  A build compiles one network
-per shape group of its corpus plan (below), the model merges the groups
-whose networks share a ``structure_key``, and ``compile_batch(first)``
-compiles each merged group at build from one network.  Each batch has
-``n_slots`` slots, its networks' flattened box tensor entries, and the
-model alone holds each batch's gather, one ``(rows, n_slots)`` array of
-value positions, rows in corpus order.  ``batch_forward(batch, values)``
-takes a ``(rows, n_slots)`` real or complex array and gives each row two
-non-negative weights ``u = |v|**2`` of its output vector ``v``, and
-``batch_backward(batch, values, pull)`` gives ``u`` from its own forward
-pass and pulls the cotangent that ``pull`` returns for the leading rows
-back to their slots.  A circuit's ``u`` is its unnormalized postselected
-output marginal, whose sum is the survival norm.  One readout turns a
-split's ``u`` into probabilities ``p = u / sum(u)``, one pullback per row
-chains the loss back to ``u``, one ``np.bincount`` over the gather (over
-the real and imaginary parts of a circuit model's) sums the slots'
+:mod:`qnlp.simulator` pass per block width.  A build compiles one network
+per shape group of its corpus plan (below), and the model merges the
+groups whose networks share a ``structure_key`` and compiles each merged
+group once, holding its gather, one ``(rows, n_slots)`` array of value
+positions, rows in corpus order.  ``batch_forward(batch, values)`` gives
+each row two non-negative weights ``u = |v|**2`` of its output vector
+``v``, and ``batch_backward(batch, values, pull)`` also pulls the
+cotangent that ``pull`` returns for the leading rows back to their
+slots.  A circuit's ``u`` is its unnormalized postselected output
+marginal, whose sum is the survival norm.  One readout turns a split's
+``u`` into probabilities ``p = u / sum(u)``, one pullback per row chains
+the loss back to ``u``, one ``np.bincount`` over the gather (over the
+real and imaginary parts of a circuit model's) sums the slots'
 cotangents per value, so a word repeated in a sentence gets the terms of
 both uses, and the map stage pulls that back to the parameters
 (:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s ``sentence_distribution``
@@ -55,19 +52,18 @@ request.  Every readout passes the same checks, in the order the epochs
 define, so the histories equal those of a loop that reads one split per
 call.
 
-The parsed and rewritten diagrams of the most recent corpus are kept in
-the process, keyed on content: the scheme, each split's sentences, and the
-lexicon types of their words.  Cells of a sweep that share a corpus and a
-scheme parse it once per worker; a corpus that fails to parse is not kept.
-Each family's first build adds its plan of the corpus, unless a placement
-raises: a word table, and the sentences grouped by their circuit layout
-or by their diagram with each box named by its index, each group with a
-word-index array.  On the MC corpus either plan has a group per sentence
-pattern.  A circuit model lays every sentence out, for the checks of
-:func:`~qnlp.circuit.layout` and its parameter order, and contracts the
+The front end of the most recent corpus is kept in the process, keyed on
+content: the scheme, each split's sentences, and the lexicon types of
+their words.  It parses and rewrites one sentence per shape, the
+sentences whose words have the same types (4 on the MC corpus), and a
+corpus that fails to parse is not kept.  Each family's first build adds
+its plan, unless a placement raises: each shape is placed once, by its
+circuit layout or as itself, shapes of one key form a group, and each
+sentence fills a word table and its group's word-index array from its
+own words.  A circuit build lays out every shape, for the checks of
+:func:`~qnlp.circuit.layout` and the parameter order, and contracts the
 network plan at one qubit per wire; that contraction does not depend on
-the ansatz, so the first circuit build on a corpus compiles it and keeps
-it with the plans, and every later build compiles its word blocks only.
+the ansatz, so it is compiled once per corpus and kept with the plans.
 """
 
 from __future__ import annotations
@@ -90,8 +86,7 @@ from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import WrongOutputArity
 from qnlp.tensornet import (CupDeltaNode, ParamNode, TensorAnsatz, TensorAnsatzConfig,
                             compile_network)
-# Not called here: compile_circuit, whose layout step CircuitModel.build
-# runs alone, and the per-item references of the batched paths.  They stay
+# Not called here (the per-item references of the batched paths); they stay
 # importable from this module, where the benchmark's tracer wraps them by name.
 from qnlp.circuit import compile_circuit  # noqa: F401
 from qnlp.simulator import distribution_gradient, sentence_distribution  # noqa: F401
@@ -278,73 +273,85 @@ class TrainConfig:
 # -- models ---------------------------------------------------------------
 
 
-# The most recent corpus's key (the scheme, every split's sentences and
-# the lexicon types of their words), its parsed and rewritten diagrams and,
-# per placement a build has made, its plan.  One corpus only is held.
-_front_end: tuple[tuple, dict[str, list], dict] | None = None
+# The most recent corpus's key (the scheme, every split's sentences and the
+# lexicon types of their words), its shapes and, per placement, its plan.
+_front_end: tuple[tuple, tuple, dict] | None = None
 
 
-def _diagrams(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> dict[str, list]:
-    """Every split's parsed and rewritten diagrams, keyed by split name."""
+def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tuple:
+    """The corpus's ``(shapes, of, words, sizes)``.
+
+    Sentences whose words have the same lexicon types parse and rewrite to
+    one diagram up to its box names, box ``b`` named by word ``b``, so the
+    first is parsed and rewritten, with box ``b`` renamed ``str(b)``: their
+    shape.  ``of`` and ``words`` hold each sentence's shape and lowercased
+    words, every split's rows in turn; ``sizes`` each split's row count.
+    """
     global _front_end
     sentences = tuple((lset.name, lset.sentences()) for lset in splits)
-    words = dict.fromkeys(w for _, split in sentences for ws in split for w in ws)
-    key = (scheme, sentences, tuple((w, lexicon.lookup(w.lower())) for w in words))
+    types = {w: lexicon.lookup(w.lower())
+             for w in dict.fromkeys(w for _, split in sentences for ws in split for w in ws)}
+    key = (scheme, sentences, tuple(types.items()))
     if _front_end is None or _front_end[0] != key:
         _front_end = None  # hold one corpus, and none that failed to parse
-        diagrams = {name: [rewrite(parse_sentence(list(ws), lexicon), scheme) for ws in split]
-                    for name, split in sentences}
-        _front_end = (key, diagrams, {})
+        kinds, patterns, shapes, of = {}, {}, [], []
+        kind = {w: kinds.setdefault(t, len(kinds)) for w, t in types.items()}
+        for ws in (ws for _, split in sentences for ws in split):
+            of.append(patterns.setdefault(tuple(kind[w] for w in ws), len(shapes)))
+            if of[-1] == len(shapes):
+                d = rewrite(parse_sentence(list(ws), lexicon), scheme)
+                shapes.append(replace(d, boxes=tuple(replace(box, name=str(b))
+                                                     for b, box in enumerate(d.boxes))))
+        words = [tuple(map(str.lower, ws)) for _, split in sentences for ws in split]
+        _front_end = (key, (shapes, of, words, {name: len(s) for name, s in sentences}), {})
     return _front_end[1]
 
 
-def _place_circuit(d: Diagram):
-    """A diagram's layout, keyed up to its words, with the diagram, and each
-    block's word entry ``(word, type fingerprint, block width)``."""
-    lay = layout(d)
+def _place_circuit(shape: Diagram):
+    """A shape's layout key, ``(layout, shape)``, and per block ``(b, (fingerprint, width))``."""
+    lay = layout(shape)
     key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect, lay.outputs)
-    return key, (lay, d), [(word, fp, len(q)) for word, fp, q in lay.blocks]
+    return key, (lay, shape), [(int(b), (fp, len(q))) for b, fp, q in lay.blocks]
 
 
-def _place_network(d: Diagram):
-    """A diagram with each box named by its index, which is its shape up to
-    its words, and each box's word entry ``(word, type fingerprint)``."""
-    shape = replace(d, boxes=tuple(replace(box, name=str(b)) for b, box in enumerate(d.boxes)))
-    return shape, shape, [(box.name, type_fingerprint(box)) for box in d.boxes]
+def _place_network(shape: Diagram):
+    """A shape as its own key and item, and per box ``(b, (type fingerprint,))``."""
+    return shape, shape, [(b, (type_fingerprint(box),)) for b, box in enumerate(shape.boxes)]
 
 
 def _corpus_plan(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme, place):
     """A corpus's sentences grouped by ``place``, and the error of the
     first sentence whose placement raises.
 
-    ``place(d)`` gives a diagram's group key, an item for its group, and
-    per box its word entry.  The plan is ``(words, groups, sizes)``: the
-    word entries in first-use order; per group, in order of first use,
-    ``(item, at, ids)`` with its members' corpus positions ``at`` (every
-    split's rows in turn) and ``ids[i, b]``, member ``i``'s ``b``-th word
-    index; and each split's row count.  A plan without an error is held;
-    one with an error covers the sentences before that one only.
+    ``place(shape)`` gives a shape's group key, an item for its group, and
+    per block ``(b, rest)``, a sentence's word entry ``(words[b], *rest)``;
+    it reads no box name, so it runs once per shape.  The plan is ``(words,
+    groups, sizes)``: the word entries in first-use order; per group, in
+    order of first use, ``(item, at, ids)`` with its members' corpus
+    positions ``at`` and ``ids[i, j]``, member ``i``'s ``j``-th word index;
+    and each split's row count.  A plan without an error is held; one with
+    an error covers the sentences before that one only.
     """
-    diagrams = _diagrams(splits, lexicon, scheme)
+    shapes, of, names, sizes = _shapes(splits, lexicon, scheme)
     held = _front_end[2]
     if place in held:
         return held[place], None
-    words: dict[tuple, int] = {}
-    members: dict[tuple, tuple[object, list[int], list[list[int]]]] = {}
-    error = None
-    for at, d in enumerate(d for ds in diagrams.values() for d in ds):
-        try:
-            key, item, entries = place(d)
-        except Error as exc:
-            error = exc
-            break
-        _, ats, ids = members.setdefault(key, (item, [], []))
+    words, groups, placed, error = {}, {}, [], None  # placed: per shape, its group and entries
+    for at, (s, ws) in enumerate(zip(of, names)):
+        if s == len(placed):  # shapes are in order of first use
+            try:
+                key, item, entries = place(shapes[s])
+            except Error as exc:
+                error = exc
+                break
+            placed.append((groups.setdefault(key, (item, [], [])), entries))
+        (_, ats, ids), entries = placed[s]
         ats.append(at)
-        ids.append([words.setdefault(w, len(words)) for w in entries])
+        ids.append([words.setdefault((ws[b], *rest), len(words)) for b, rest in entries])
     plan = (list(words),
             [(item, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp))
-             for item, ats, ids in members.values()],
-            {name: len(ds) for name, ds in diagrams.items()})
+             for item, ats, ids in groups.values()],
+            sizes)
     if error is None:
         held[place] = plan
     return plan, error
@@ -603,11 +610,12 @@ class CircuitModel(_Model):
     marginal, whose sum is the survival norm.  Each word's block acts on
     its own qubits only, so the sentence's output amplitudes are its
     diagram's network with each box its word's block map and each cup the
-    Bell effect.  ``blocks`` holds per word kind (its input and output
-    counts) ``(batch, angles, columns)``: the compiled block, each word's
-    angles in the parameter vector and its map's columns in the value
-    vector.  One statevector pass per kind gives every word's map at
-    every point; the rest is the tensor model's contraction.
+    Bell effect.  ``blocks`` holds per block width and output count
+    ``(batch, angles, reads, columns)``: the block with its words' most
+    inputs (a word reads the others at 0), each word's angles, and where
+    its words' maps sit in the pass's flat output and in the value vector.
+    One statevector pass per block gives every word's map at every point;
+    the rest is the tensor model's contraction.
     """
 
     def __init__(self, symbols: Sequence[Symbol], sizes: dict[str, int], groups: list,
@@ -619,8 +627,8 @@ class CircuitModel(_Model):
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               ansatz: CircuitAnsatzConfig) -> "CircuitModel":
-        """Lay out every sentence of the corpus's circuit plan, then compile
-        one block per word kind.
+        """Lay out every sentence shape of the corpus's circuit plan, then
+        compile one block per width and output count.
 
         A word's angles sit together in the parameter vector, words in the
         circuit plan's order.  The contraction is held with the corpus's
@@ -646,35 +654,42 @@ class CircuitModel(_Model):
         if _contractions not in held:
             held[_contractions] = _contractions(words, layouts)
         maps, groups = held[_contractions]
-        kinds: dict[tuple[int, int], list[int]] = {}
+        widths: dict[tuple[int, int], list[int]] = {}
         for w, (dom, cod, _) in enumerate(maps):
-            kinds.setdefault((dom, cod), []).append(w)
+            widths.setdefault((max(dom, cod), cod), []).append(w)
         blocks = []
-        for (dom, cod), ws in kinds.items():
-            k = max(dom, cod)  # fresh qubits fed |0>, surplus ones postselected
+        for (k, cod), ws in widths.items():
+            n_dom = max(maps[w][0] for w in ws)  # fresh qubits fed |0>, surplus ones postselected
             gates, block_symbols = word_block("", "", tuple(range(k)), ansatz)
             block = Circuit(k, tuple(gates), tuple(range(cod, k)), tuple(range(cod)),
                             tuple(block_symbols))
-            batch = simulator.compile_batch(block, dom)
+            batch = simulator.compile_batch(block, n_dom)
+            # word j's map: its own inputs, the block's others at 0
+            reads = [((j << n_dom) + (np.arange(1 << maps[w][0]) << n_dom - maps[w][0]))[:, None]
+                     * (1 << cod) + np.arange(1 << cod) for j, w in enumerate(ws)]
             blocks.append((batch, offsets[ws, None] + np.arange(batch.n_slots),
-                           np.array([maps[w][2] for w in ws])))
+                           np.concatenate(reads, axis=None),
+                           np.concatenate([maps[w][2] for w in ws])))
         return cls(symbols, sizes, groups, blocks)
 
     def _values(self, thetas: np.ndarray) -> np.ndarray:
-        """Every word's map at each point, in one block pass per kind."""
+        """Every word's map at each point, in one block pass per width."""
         values = np.empty((len(thetas), self.n_values), dtype=np.complex128)
-        for batch, angles, cols in self._blocks:
+        for batch, angles, reads, cols in self._blocks:
             rows = thetas[:, angles].reshape(len(thetas) * len(angles), batch.n_slots)
-            values[:, cols] = simulator.batch_forward(batch, rows).reshape(len(thetas), *cols.shape)
+            maps = simulator.batch_forward(batch, rows).reshape(len(thetas), -1)
+            values[:, cols] = maps[:, reads]
         return values
 
     def _pull(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Each word's map cotangent pulled back through its block; every
-        angle belongs to one word."""
+        """Each word's map cotangent pulled back through its block, zero on
+        the inputs it reads at 0; every angle belongs to one word."""
         grad = np.zeros(self.n_params)
-        for batch, angles, cols in self._blocks:
+        for batch, angles, reads, cols in self._blocks:
             if batch.n_slots:
-                grad[angles] = simulator.batch_backward(batch, theta[angles], g[cols])
+                g_maps = np.zeros((len(angles), len(batch.cols) << batch.n_dom), dtype=complex)
+                g_maps.ravel()[reads] = g[cols]
+                grad[angles] = simulator.batch_backward(batch, theta[angles], g_maps)
         return grad
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from qnlp import simulator, tensornet, training
-from qnlp.circuit import Symbol, compile_circuit
+from qnlp.circuit import Symbol, compile_circuit, layout
 from qnlp.diagram import Box, Diagram, ShapeMismatch
 from qnlp.pregroup import Base, SimpleType, contractible, parse_sentence
 from qnlp.rewrite import rewrite
@@ -325,6 +325,23 @@ def reference_circuits(splits, lexicon, scheme, ansatz) -> dict[str, list]:
             for lset in splits}
 
 
+def reference_layout_groups(diagrams_by_split: dict[str, list]) -> tuple[list, list]:
+    """Every sentence laid out alone, grouped by its layout up to its words:
+    the word entries ``(word, type fingerprint, block width)`` in first-use
+    order, and per group, in order of first use, its members' corpus
+    positions (every split's rows in turn) and each member's word indices,
+    block by block."""
+    words, groups = {}, {}
+    for at, d in enumerate(d for ds in diagrams_by_split.values() for d in ds):
+        lay = layout(d)
+        key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect,
+               lay.outputs)
+        ats, ids = groups.setdefault(key, ([], []))
+        ats.append(at)
+        ids.append([words.setdefault((w, fp, len(q)), len(words)) for w, fp, q in lay.blocks])
+    return list(words), list(groups.values())
+
+
 def reference_gather(circuits, offsets) -> np.ndarray:
     """Per circuit, the parameter position each parametric gate reads."""
     rows = [[offsets[g.param] for g in c.gates if isinstance(g.param, Symbol)] for c in circuits]
@@ -351,9 +368,23 @@ def reference_map(circuit, theta, n_dom: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+def circuit_structure_key(circuit) -> tuple:
+    """What circuits must share to run as one ``simulator`` batch.
+
+    The qubit count, then per gate its kind, its qubits, and its constant
+    angle or, for a gate that reads a parameter, the :class:`Symbol` class
+    (a marker that never equals an angle), then the postselected and
+    output qubits.  Word blocks of one width under one ansatz share a key
+    whatever their words.
+    """
+    gates = tuple((g.kind, g.qubits, Symbol if isinstance(g.param, Symbol) else g.param)
+                  for g in circuit.gates)
+    return (circuit.n_qubits, gates, circuit.postselect, circuit.outputs)
+
+
 class PerStructureCircuitModel:
     """A circuit model that runs every sentence's whole circuit: each
-    split's circuits of one ``simulator.structure_key`` as one batch with
+    split's circuits of one :func:`circuit_structure_key` as one batch with
     no inputs, a row's two output amplitudes renormalized, and the
     mean-loss gradient pulled back through ``simulator.batch_backward``
     from each row's amplitudes.  No word maps and no contraction.  It has
@@ -368,7 +399,7 @@ class PerStructureCircuitModel:
         for name, circuits in circuits_by_split.items():
             rows: dict[tuple, list[int]] = {}
             for r, c in enumerate(circuits):
-                rows.setdefault(simulator.structure_key(c), []).append(r)
+                rows.setdefault(circuit_structure_key(c), []).append(r)
             self.groups[name] = [(simulator.compile_batch(circuits[at[0]], 0), np.array(at),
                                   reference_gather([circuits[r] for r in at], offsets))
                                  for at in rows.values()]

@@ -31,11 +31,16 @@ from qnlp.simulator import (
     compile_batch,
     distribution_gradient,
     sentence_distribution,
-    structure_key,
     zero_state,
 )
 
-from oracles import finite_difference, five_point_difference, reference_gather, reference_map
+from oracles import (
+    circuit_structure_key,
+    finite_difference,
+    five_point_difference,
+    reference_gather,
+    reference_map,
+)
 
 
 def one_qubit_circuit(*gates: Gate, symbols=()) -> Circuit:
@@ -300,7 +305,7 @@ class TestCompileBatches:
         a = one_qubit_circuit(Gate(GateKind.RX, (0,), THETA), symbols=[THETA])
         b = one_qubit_circuit(Gate(GateKind.RX, (0,), other), symbols=[other])
         c = one_qubit_circuit(Gate(GateKind.RY, (0,), other), symbols=[other])
-        assert structure_key(a) == structure_key(b) != structure_key(c)
+        assert circuit_structure_key(a) == circuit_structure_key(b) != circuit_structure_key(c)
         assert reference_gather([a, b], {THETA: 0, other: 1}).tolist() == [[0], [1]]
 
     def test_slot_never_matches_a_constant_angle(self):
@@ -308,14 +313,14 @@ class TestCompileBatches:
         rx = Gate(GateKind.RX, (0,), THETA)
         slot_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), other), symbols=[THETA, other])
         angle_1 = one_qubit_circuit(rx, Gate(GateKind.RX, (0,), 1.0), symbols=[THETA, other])
-        assert structure_key(slot_1) != structure_key(angle_1)
+        assert circuit_structure_key(slot_1) != circuit_structure_key(angle_1)
 
     def test_repeated_symbol_fills_a_slot_per_gate(self):
         other = Symbol("x", "->s", 0)
         rx, ry = Gate(GateKind.RX, (0,), THETA), Gate(GateKind.RY, (0,), THETA)
         once = one_qubit_circuit(rx, Gate(GateKind.RY, (0,), other), symbols=[THETA, other])
         twice = one_qubit_circuit(rx, ry, symbols=[THETA])
-        assert structure_key(once) == structure_key(twice)
+        assert circuit_structure_key(once) == circuit_structure_key(twice)
         assert compile_batch(once, 0).n_slots == 2
         assert reference_gather([once, twice], {THETA: 0, other: 1}).tolist() == [
             [0, 1],
@@ -390,7 +395,7 @@ class TestBatchProperties:
         circuits, _ = case
         rng = np.random.default_rng(seed)
         theta, angles, offsets = angles_of(circuits, rng)
-        assert len({structure_key(c) for c in circuits}) == 1
+        assert len({circuit_structure_key(c) for c in circuits}) == 1
         batch = compile_batch(circuits[0], 0)
         amps = batch_forward(batch, angles)
         n = np.abs(amps) ** 2

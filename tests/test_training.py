@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnlp.circuit import (
     CircuitAnsatz,
@@ -25,7 +27,7 @@ from qnlp.circuit import (
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
 from qnlp.diagram import Port, Wire, validate
 from qnlp.errors import Error
-from qnlp.pregroup import N, Lexicon, UnknownWord, parse_sentence
+from qnlp.pregroup import N, Lexicon, PregroupType, UnknownWord, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
     WrongOutputArity,
@@ -67,6 +69,7 @@ from oracles import (
     finite_difference,
     reference_circuits,
     reference_fit,
+    reference_layout_groups,
     reference_networks,
     reference_tensor_groups,
     reference_tensor_model,
@@ -1063,9 +1066,19 @@ def assert_same_circuit_model(model: CircuitModel, circuits_by_split, nets_by_sp
         assert gather.tobytes() == want_gather.tobytes()
 
 
+def held_diagrams(front) -> dict[str, list]:
+    """Every split's diagrams rebuilt from a front end ``(shapes, of,
+    words, sizes)``: each sentence's shape with box ``b`` named ``words[b]``."""
+    shapes, of, words, sizes = front
+    diagrams = [dataclasses.replace(shapes[s], boxes=tuple(
+        dataclasses.replace(box, name=ws[b]) for b, box in enumerate(shapes[s].boxes)))
+        for s, ws in zip(of, words)]
+    start = split_starts(sizes)
+    return {name: diagrams[start[name]:start[name] + n] for name, n in sizes.items()}
+
+
 class TestFrontEndMemo:
-    """The parsed and rewritten diagrams of the most recent corpus, and
-    its circuit plan."""
+    """The sentence shapes of the most recent corpus, and its plans."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
@@ -1081,53 +1094,58 @@ class TestFrontEndMemo:
                                 for name in ("train", "dev", "test")))
         # the same words under other types: s.n^l . n.n^l . n reduces to s
         other = Lexicon.from_expressions({"Alice": "s@n.l", "likes": "n@n.l", "Bob": "n"})
-        first = training._diagrams(splits, toy_lexicon, RewriteScheme.RE)
-        second = training._diagrams(splits, other, RewriteScheme.RE)
+        first = held_diagrams(training._shapes(splits, toy_lexicon, RewriteScheme.RE))
+        second = held_diagrams(training._shapes(splits, other, RewriteScheme.RE))
         assert first == self.fresh(splits, toy_lexicon, RewriteScheme.RE)
         assert second == self.fresh(splits, other, RewriteScheme.RE)
         assert first != second
 
     def test_scheme_is_part_of_the_key(self, mc_lexicon):
         splits = pattern_splits()
-        plain = training._diagrams(splits, mc_lexicon, RewriteScheme.RE)
-        normal = training._diagrams(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM)
+        plain = held_diagrams(training._shapes(splits, mc_lexicon, RewriteScheme.RE))
+        normal = held_diagrams(training._shapes(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM))
         assert plain == self.fresh(splits, mc_lexicon, RewriteScheme.RE)
         assert normal == self.fresh(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM)
         assert plain != normal
 
     def test_one_corpus_held(self, mc_lexicon, monkeypatch):
+        # one parse per sentence shape: pattern_splits has all four MC
+        # patterns, tiny_splits one
         parsed = []
         monkeypatch.setattr(training, "parse_sentence",
                             lambda words, lex: parsed.append(words) or parse_sentence(words, lex))
         a, b = pattern_splits(), tiny_splits()
-        first = training._diagrams(a, mc_lexicon, RewriteScheme.RE)
-        assert training._diagrams(a, mc_lexicon, RewriteScheme.RE) is first  # a hit
-        n = sum(len(lset) for lset in a)
-        assert len(parsed) == n
-        training._diagrams(b, mc_lexicon, RewriteScheme.RE)
-        assert training._front_end[1] == self.fresh(b, mc_lexicon, RewriteScheme.RE)
-        again = training._diagrams(a, mc_lexicon, RewriteScheme.RE)  # b pushed a out
+        first = training._shapes(a, mc_lexicon, RewriteScheme.RE)
+        assert training._shapes(a, mc_lexicon, RewriteScheme.RE) is first  # a hit
+        assert len(parsed) == len(first[0]) == 4
+        assert held_diagrams(first) == self.fresh(a, mc_lexicon, RewriteScheme.RE)
+        training._shapes(b, mc_lexicon, RewriteScheme.RE)
+        assert held_diagrams(training._front_end[1]) == self.fresh(b, mc_lexicon, RewriteScheme.RE)
+        again = training._shapes(a, mc_lexicon, RewriteScheme.RE)  # b pushed a out
         assert again is not first and again == first
-        assert len(parsed) == 2 * n + sum(len(lset) for lset in b)
+        assert len(parsed) == 4 + 1 + 4
 
     def test_unknown_word_is_not_cached(self, mc_lexicon):
         good = pattern_splits()
-        held = training._diagrams(good, mc_lexicon, RewriteScheme.RE)
+        held = training._shapes(good, mc_lexicon, RewriteScheme.RE)
         bad = CorpusSplits(LabeledSet("train", ((("man", "juggles", "meal"), 1),)),
                            good.dev, good.test)
         for _ in range(2):  # raised afresh, not served from the memo
             with pytest.raises(UnknownWord, match="juggles"):
-                training._diagrams(bad, mc_lexicon, RewriteScheme.RE)
+                training._shapes(bad, mc_lexicon, RewriteScheme.RE)
             assert training._front_end[1] is held
 
     def test_circuit_then_tensor_build_parse_once(self, mc_lexicon, monkeypatch):
-        parsed = []
+        parsed, validated = [], []
         monkeypatch.setattr(training, "parse_sentence",
                             lambda words, lex: parsed.append(words) or parse_sentence(words, lex))
+        monkeypatch.setattr(circuit, "validate", lambda d: validated.append(d) or validate(d))
         splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
         CircuitModel.build(splits, mc_lexicon, scheme, CircuitAnsatzConfig(CircuitAnsatz.IQP, 1))
         TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(TensorAnsatz.MPS))
-        assert len(parsed) == sum(len(lset) for lset in splits)
+        # once per sentence shape, not per sentence (130)
+        assert len(parsed) == len(validated) == 4
+        assert held_diagrams(training._front_end[1]) == self.fresh(splits, mc_lexicon, scheme)
 
     def test_each_family_places_every_sentence_once(self, mc_lexicon, monkeypatch):
         placed = {"circuit": 0, "network": 0}
@@ -1139,15 +1157,15 @@ class TestFrontEndMemo:
                 return place(d)
 
             monkeypatch.setattr(training, f"_place_{family}", counted)
+        # each family places every sentence shape once: 4 on generate_mc(0)
         splits, scheme = generate_mc(0), RewriteScheme.RE
-        n = sum(len(lset) for lset in splits)
         for _ in range(2):  # the second round's builds place none
             for layers in (1, 2):
                 CircuitModel.build(splits, mc_lexicon, scheme,
                                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, layers))
             for kind in TensorAnsatz:
                 TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
-            assert placed == {"circuit": n, "network": n}
+            assert placed == {"circuit": 4, "network": 4}
 
     def test_one_network_compiled_per_shape_group(self, mc_lexicon, monkeypatch):
         compiled = []
@@ -1185,17 +1203,19 @@ class TestFrontEndMemo:
                     assert_same_circuit_model(first, want, nets)
                     assert_same_circuit_model(again, want, nets)
                     assert len(first._blocks) == len(again._blocks)
-                    for (batch, angles, cols), (other, other_angles, other_cols) in zip(
+                    for (batch, *arrays), (other, *other_arrays) in zip(
                             first._blocks, again._blocks):
                         assert (batch.ops, batch.n_dom, batch.n_slots) == (
                             other.ops, other.n_dom, other.n_slots)
                         assert batch.cols.tolist() == other.cols.tolist()
-                        assert angles.tobytes() == other_angles.tobytes()
-                        assert cols.tobytes() == other_cols.tobytes()
+                        # each word's angles, map entries and value columns
+                        for a, b in zip(arrays, other_arrays, strict=True):
+                            assert a.tobytes() == b.tobytes()
 
     def test_layouts_made_once_and_lowered_per_config(self, mc_lexicon, monkeypatch):
-        # each sentence is laid out once; a build lowers no sentence, only
-        # one block per word kind, and a later build reuses the contraction
+        # each sentence shape is laid out once; a build lowers no sentence,
+        # only one block per block width, and a later build reuses the
+        # contraction
         validated, blocks = [], []
         monkeypatch.setattr(circuit, "validate", lambda d: validated.append(d) or validate(d))
         compile_block = simulator.compile_batch
@@ -1212,7 +1232,7 @@ class TestFrontEndMemo:
                    CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 1),
                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 2, 1)]
         models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
-        assert len(validated) == sum(len(lset) for lset in splits)
+        assert len(validated) == 4  # once per sentence shape, not per sentence
         held = training._front_end[2]
         _, layouts, _ = held[training._place_circuit]
         assert len(layouts) == 4  # one layout per sentence pattern
@@ -1220,7 +1240,9 @@ class TestFrontEndMemo:
         assert all(model._groups is groups for model in models)
         kinds = {(dom, cod) for dom, cod, _ in maps}
         assert kinds == {(0, 1), (1, 1), (2, 1)}  # nouns, adjectives, verbs
-        assert len(blocks) == len(kinds) * len(configs)
+        # one block per width: nouns share the adjectives' one-qubit block,
+        # read at input 0, and verbs have the two-qubit one
+        assert blocks == [1, 2] * len(configs)
         fresh = self.fresh(splits, mc_lexicon, scheme)
         nets = {name: [compile_network(d, QUBITS) for d in ds] for name, ds in fresh.items()}
         for cfg, model in zip(configs, models):
@@ -1333,7 +1355,7 @@ class TestCircuitOracle:
         named, seen = ({cell: {} for cell in self.CELLS} for _ in range(2))
         for seed in range(3):
             splits = generate_mc(seed)
-            diagrams = [d for ds in training._diagrams(splits, mc_lexicon, scheme).values()
+            diagrams = [d for ds in TestFrontEndMemo.fresh(splits, mc_lexicon, scheme).values()
                         for d in ds]
             sentences = [ws for lset in splits for ws in lset.sentences()]
             for cell in self.CELLS:
@@ -1376,7 +1398,7 @@ class TestCircuitOracle:
             ansatz = CircuitAnsatzConfig(kind, 1, 2)
             model = CircuitModel.build(splits, lexicon, scheme, ansatz)
             assert {(b.n_dom, len(b.cols).bit_length() - 1): len(angles)
-                    for b, angles, _ in model._blocks} == kinds
+                    for b, angles, *_ in model._blocks} == kinds
             named = named_point(model, {}, rng)
             assert_matches_statevector(model, diagrams, ansatz, named, model.init_params(rng))
             theta, labels = model.named_to_params(named), splits.train.labels()
@@ -1404,6 +1426,157 @@ class TestCircuitOracle:
             RewriteScheme.RE_NORM_CUR_NORM)
         self.check_hand_made(splits, lexicon, diagrams, RewriteScheme.RE_NORM_CUR_NORM,
                              {(0, 1): 2, (1, 2): 1, (1, 0): 1}, rng)
+
+    def test_words_of_one_block_width_share_a_pass(self, rng):
+        # curried, "P" maps no input to two outputs, "X" one and "Z" two:
+        # one two-qubit block read at two inputs serves all three
+        scheme = RewriteScheme.RE_NORM_CUR_NORM
+        splits, lexicon, diagrams = self.hand_made(
+            {"A": "n", "B": "n", "P": "s@n", "X": "n.r@s@n", "Y": "n.r", "Z": "n.r@n.r@s@n"},
+            [("A X Y", 1), ("P Y", 0), ("A B Z Y", 1), ("B X Y", 0)], [("P Y", 1)],
+            [("B A Z Y", 0)], scheme)
+        self.check_hand_made(splits, lexicon, diagrams, scheme,
+                             {(0, 1): 2, (2, 2): 3, (1, 0): 1}, rng)
+        # each word's map, bit for bit, is that of its block run at its own inputs
+        model = CircuitModel.build(splits, lexicon, scheme,
+                                   CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 2))
+        theta = model.init_params(rng)
+        values, inputs = model._values(theta[None])[0], set()
+        for batch, angles, reads, cols in model._blocks:
+            cod = len(batch.cols).bit_length() - 1
+            counts = np.bincount(reads >> batch.n_dom + cod, minlength=len(angles))
+            for a, n, end in zip(angles, counts, np.cumsum(counts)):
+                own = dataclasses.replace(batch, n_dom=int(n).bit_length() - 1 - cod)
+                inputs.add((batch.n_dom, own.n_dom))
+                want = simulator.batch_forward(own, theta[a][None]).ravel()
+                assert values[cols[end - n:end]].tobytes() == want.tobytes()
+        assert inputs == {(0, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+
+
+# the type of each word class a sentence uses, and the types a word may
+# list besides its own
+SLOTS = {"noun": "n", "adjective": "n@n.l", "verb": "n.r@s@n.l", "intransitive": "n.r@s"}
+DECOYS = ("s", "n", "n.r", "s@n.l", "n@n.l", "n.r@s", "n.r@s@n.l")
+
+
+@st.composite
+def random_corpora(draw):
+    """A random lexicon and a corpus over it.
+
+    Each word lists one to three candidate types: the type its sentences
+    use, at a random place among decoys, so the parser backtracks over
+    the combinations before it.  Sentences are a noun phrase (up to two
+    adjectives, then a noun) and an intransitive verb, or two noun phrases
+    around a transitive verb; words come from pools of one to three, so
+    they repeat, and each use is in lower, upper or title case.
+    """
+    lexicon, pools = {}, {}
+    for role, slot in SLOTS.items():
+        pools[role] = [f"{role}{i}" for i in range(draw(st.integers(1, 3)))]
+        for word in pools[role]:
+            types = draw(st.lists(st.sampled_from([t for t in DECOYS if t != slot]),
+                                  max_size=2, unique=True))
+            types.insert(draw(st.integers(0, len(types))), slot)
+            lexicon[word] = types
+
+    def phrase():
+        adjectives = draw(st.lists(st.sampled_from(pools["adjective"]), max_size=2))
+        return adjectives + [draw(st.sampled_from(pools["noun"]))]
+
+    def use(word):
+        return draw(st.sampled_from((str.lower, str.upper, str.title)))(word)
+
+    sentences = []
+    for _ in range(draw(st.integers(3, 7))):
+        if draw(st.booleans()):
+            words = phrase() + [draw(st.sampled_from(pools["verb"]))] + phrase()
+        else:
+            words = phrase() + [draw(st.sampled_from(pools["intransitive"]))]
+        sentences.append((tuple(map(use, words)), draw(st.integers(0, 1))))
+    cut = sorted(draw(st.lists(st.integers(1, len(sentences) - 1), min_size=2, max_size=2,
+                               unique=True)))
+    parts = (sentences[:cut[0]], sentences[cut[0]:cut[1]], sentences[cut[1]:])
+    splits = CorpusSplits(*(LabeledSet(name, tuple(part))
+                            for name, part in zip(("train", "dev", "test"), parts)))
+    return splits, Lexicon.from_expressions(lexicon)
+
+
+class TestShapeFrontEnd:
+    """The front end parses and rewrites one sentence per shape; every
+    sentence rebuilt from its shape and words is its own parse, and every
+    error is the one the per-sentence front end raises."""
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(corpus=random_corpora())
+    def test_random_lexicons_match_per_sentence_parses(self, corpus):
+        # Two shapes can share a layout while their boxes come in another
+        # order ("s@n.l n" and "n n.r@s", curried): the circuit plan groups
+        # them as one, as sentence-by-sentence layout grouping does, so the
+        # circuit model is checked against that grouping and the statevector
+        # of each sentence, not against a grouping of networks by structure.
+        splits, lexicon = corpus
+        ansatz, rng = CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 1), np.random.default_rng(0)
+        for scheme in RewriteScheme:
+            training._front_end = None
+            fresh = TestFrontEndMemo.fresh(splits, lexicon, scheme)
+            front = training._shapes(splits, lexicon, scheme)
+            assert held_diagrams(front) == fresh
+            assert len(front[0]) == len({tuple(map(lexicon.lookup, ws))  # one per pattern
+                                         for lset in splits for ws in lset.sentences()})
+            model = CircuitModel.build(splits, lexicon, scheme, ansatz)
+            assert model.symbols == list(dict.fromkeys(
+                s for ds in fresh.values() for d in ds for s in compile_circuit(d, ansatz).symbols))
+            words, layouts, _ = training._front_end[2][training._place_circuit]
+            want_words, want_groups = reference_layout_groups(fresh)
+            assert words == want_words
+            assert [(at.tolist(), ids.tolist()) for _, at, ids in layouts] == want_groups
+            assert_matches_statevector(model, [d for ds in fresh.values() for d in ds], ansatz,
+                                       named_point(model, {}, rng), model.init_params(rng))
+            nets = {name: [compile_network(d, QUBITS) for d in ds] for name, ds in fresh.items()}
+            assert_same_tensor_model(TensorModel.build(splits, lexicon, scheme, QUBITS), nets)
+
+    # a faulty sentence, the scheme it fails under, and the qubit limit
+    FAULTS = {
+        "unknown_word": ("man Juggles meal", RewriteScheme.RE, 20),
+        "no_reduction": ("man meal", RewriteScheme.RE, 20),
+        "curry": ("Loop", RewriteScheme.RE_NORM_CUR_NORM, 20),  # "loop" is cupped to itself
+        "layout": ("skillful skillful man cooks tasty tasty meal", RewriteScheme.RE, 10),
+    }
+
+    @pytest.mark.parametrize("k", (0, 6, 12))
+    @pytest.mark.parametrize("fault", tuple(FAULTS))
+    def test_errors_match_per_sentence_front_end(self, fault, k, mc_lexicon, monkeypatch):
+        # the faulty sentence is the k-th of 13, the first of its shape
+        sentence, scheme, max_qubits = self.FAULTS[fault]
+        monkeypatch.setattr(circuit, "MAX_QUBITS", max_qubits)
+        monkeypatch.setattr(training, "_front_end", None)
+        lexicon = Lexicon({**{w: mc_lexicon.lookup(w) for w in mc_lexicon.words()},
+                           "loop": (PregroupType.parse("s@n@n.r"),)})
+        items = [item for lset in pattern_splits() for item in lset.items]
+        items.insert(k, (tuple(sentence.split()), 1))
+        splits = CorpusSplits(LabeledSet("train", tuple(items[:9])),
+                              LabeledSet("dev", tuple(items[9:11])),
+                              LabeledSet("test", tuple(items[11:])))
+        ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 2)
+        for at, (words, _) in enumerate(items):  # the per-sentence front end
+            try:
+                compile_circuit(rewrite(parse_sentence(list(words), lexicon), scheme), ansatz)
+            except Error as exc:
+                want = exc
+                break
+        assert at == k
+        builds = [lambda: CircuitModel.build(splits, lexicon, scheme, ansatz)]
+        if fault != "layout":
+            builds.append(lambda: TensorModel.build(splits, lexicon, scheme,
+                                                    TensorAnsatzConfig(TensorAnsatz.TENSOR)))
+        for build in builds * 2:  # raised afresh, not served from the memo
+            with pytest.raises(Error) as got:
+                build()
+            assert (type(got.value), str(got.value)) == (type(want), str(want))
+            if fault == "layout":  # the corpus parses; its circuit plan is not held
+                assert training._front_end[2] == {}
+            else:
+                assert training._front_end is None
 
 
 def assert_close_history(h: History, ref: History) -> None:
