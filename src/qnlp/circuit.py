@@ -28,9 +28,8 @@ across a corpus, which is what ties weights during training.
 :func:`compile_circuit` is :func:`layout`, the ansatz-free work (validation,
 the cap and ``MAX_QUBITS`` checks, and placing every box and cup on qubits),
 then :func:`lower`, which emits the gates under one config.  A training
-build lays a corpus out once and lowers one sentence per layout group:
-sentences whose layouts differ only in their words get the same gates,
-each reading its own words' symbols.
+build lays out each sentence shape once, for its checks, and runs word
+blocks, not sentence circuits.
 """
 
 from __future__ import annotations

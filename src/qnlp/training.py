@@ -3,28 +3,29 @@
 A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
 one set of weights no matter how many sentences mention them.  Both model
-families contract each sentence's diagram with :mod:`qnlp.tensornet` and
-differ by one map stage (:meth:`_Model._values`) from a point's parameters
-to its value vector: a tensor model's values are its parameters, and a
-circuit model's are its words' block maps, each from one
-:mod:`qnlp.simulator` pass per block width.  A build compiles one network
-per shape group of its corpus plan (below), and the model merges the
-groups whose networks share a ``structure_key`` and compiles each merged
-group once, holding its gather, one ``(rows, n_slots)`` array of value
-positions, rows in corpus order.  ``batch_forward(batch, values)`` gives
-each row two non-negative weights ``u = |v|**2`` of its output vector
-``v``, and ``batch_backward(batch, values, pull)`` also pulls the
-cotangent that ``pull`` returns for the leading rows back to their
-slots.  A circuit's ``u`` is its unnormalized postselected output
-marginal, whose sum is the survival norm.  One readout turns a split's
-``u`` into probabilities ``p = u / sum(u)``, one pullback per row chains
-the loss back to ``u``, one ``np.bincount`` over the gather (over the
-real and imaginary parts of a circuit model's) sums the slots'
-cotangents per value, so a word repeated in a sentence gets the terms of
-both uses, and the map stage pulls that back to the parameters
-(:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s ``sentence_distribution``
-and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
-and ``gradient_hole``, are the per-sentence reference of these paths.
+families are built from one corpus plan (:func:`_shapes`) and one
+contraction build (:func:`_contraction`): each shape's network is compiled
+under a lowering, networks that share a ``structure_key`` and cup count
+form one batch, compiled once, and each batch holds its gather, one
+``(rows, n_slots)`` array of value positions, rows in corpus order.  The
+families differ by one map stage (:meth:`_Model._values`) from a point's
+parameters to its value vector: a tensor model's values are its
+parameters, and a circuit model's are its words' block maps, each from one
+:mod:`qnlp.simulator` pass per block width, contracted at one qubit per
+wire.  ``batch_forward(batch, values)`` gives each row two non-negative
+weights ``u = |v|**2`` of its output vector ``v``, and
+``batch_backward(batch, values, pull)`` also pulls the cotangent that
+``pull`` returns for the leading rows back to their slots.  A circuit's
+``u`` is its unnormalized postselected output marginal, whose sum is the
+survival norm.  One readout turns a split's ``u`` into probabilities
+``p = u / sum(u)``, one pullback per row chains the loss back to ``u``, one
+``np.bincount`` over the gather (over the real and imaginary parts of a
+circuit model's) sums the slots' cotangents per value, so a word repeated
+in a sentence gets the terms of both uses, and the map stage pulls that
+back to the parameters (:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s
+``sentence_distribution`` and ``distribution_gradient``, and
+:mod:`qnlp.tensornet`'s ``contract`` and ``gradient_hole``, are the
+per-sentence reference of these paths.
 
 A request (:meth:`_Model.evaluate`) names several parameter points, each
 with a run of consecutive splits.  The map stage runs once for all the
@@ -56,14 +57,11 @@ The front end of the most recent corpus is kept in the process, keyed on
 content: the scheme, each split's sentences, and the lexicon types of
 their words.  It parses and rewrites one sentence per shape, the
 sentences whose words have the same types (4 on the MC corpus), and a
-corpus that fails to parse is not kept.  Each family's first build adds
-its plan, unless a placement raises: each shape is placed once, by its
-circuit layout or as itself, shapes of one key form a group, and each
-sentence fills a word table and its group's word-index array from its
-own words.  A circuit build lays out every shape, for the checks of
-:func:`~qnlp.circuit.layout` and the parameter order, and contracts the
-network plan at one qubit per wire; that contraction does not depend on
-the ansatz, so it is compiled once per corpus and kept with the plans.
+corpus that fails to parse is not kept.  Each lowering's contraction is
+kept with it, and so is a circuit build's ansatz-free part: it lays out
+every shape once, for the checks of :func:`~qnlp.circuit.layout`, and
+scales the contraction at one qubit per wire by its cups, so a later
+build compiles its word blocks only.
 """
 
 from __future__ import annotations
@@ -79,7 +77,6 @@ from qnlp import simulator, tensornet
 from qnlp.circuit import (Circuit, CircuitAnsatzConfig, Symbol, ZeroParameterModel, layout,
                           type_fingerprint, word_block)
 from qnlp.corpus import CorpusSplits
-from qnlp.diagram import Diagram
 from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import Lexicon, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
@@ -274,18 +271,22 @@ class TrainConfig:
 
 
 # The most recent corpus's key (the scheme, every split's sentences and the
-# lexicon types of their words), its shapes and, per placement, its plan.
+# lexicon types of their words), its plan and, per lowering config, its
+# contraction, with the circuit's ansatz-free part under ``CircuitModel``.
 _front_end: tuple[tuple, tuple, dict] | None = None
 
 
 def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tuple:
-    """The corpus's ``(shapes, of, words, sizes)``.
+    """The corpus plan ``(shaped, words, sizes)``.
 
     Sentences whose words have the same lexicon types parse and rewrite to
     one diagram up to its box names, box ``b`` named by word ``b``, so the
     first is parsed and rewritten, with box ``b`` renamed ``str(b)``: their
-    shape.  ``of`` and ``words`` hold each sentence's shape and lowercased
-    words, every split's rows in turn; ``sizes`` each split's row count.
+    shape.  ``shaped`` holds per shape, in order of first use, ``(shape,
+    at, ids)``: its sentences' corpus positions (every split's rows in
+    turn) and ``ids[i, b]``, the index in ``words`` of sentence ``i``'s
+    word ``b``.  ``words`` holds the entries ``(lowercased word, type
+    fingerprint)`` in first-use box order, ``sizes`` each split's row count.
     """
     global _front_end
     sentences = tuple((lset.name, lset.sentences()) for lset in splits)
@@ -294,67 +295,68 @@ def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tu
     key = (scheme, sentences, tuple(types.items()))
     if _front_end is None or _front_end[0] != key:
         _front_end = None  # hold one corpus, and none that failed to parse
-        kinds, patterns, shapes, of = {}, {}, [], []
+        kinds, patterns, shaped, words = {}, {}, [], {}
         kind = {w: kinds.setdefault(t, len(kinds)) for w, t in types.items()}
-        for ws in (ws for _, split in sentences for ws in split):
-            of.append(patterns.setdefault(tuple(kind[w] for w in ws), len(shapes)))
-            if of[-1] == len(shapes):
+        for at, ws in enumerate(ws for _, split in sentences for ws in split):
+            s = patterns.setdefault(tuple(kind[w] for w in ws), len(shaped))
+            if s == len(shaped):
                 d = rewrite(parse_sentence(list(ws), lexicon), scheme)
-                shapes.append(replace(d, boxes=tuple(replace(box, name=str(b))
-                                                     for b, box in enumerate(d.boxes))))
-        words = [tuple(map(str.lower, ws)) for _, split in sentences for ws in split]
-        _front_end = (key, (shapes, of, words, {name: len(s) for name, s in sentences}), {})
+                shaped.append((replace(d, boxes=tuple(replace(box, name=str(b))
+                                                      for b, box in enumerate(d.boxes))),
+                               list(map(type_fingerprint, d.boxes)), [], []))
+            _, fps, ats, ids = shaped[s]
+            ats.append(at)
+            ids.append([words.setdefault((w.lower(), fp), len(words)) for w, fp in zip(ws, fps)])
+        plan = ([(shape, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp))
+                 for shape, _, ats, ids in shaped],
+                list(words), {name: len(split) for name, split in sentences})
+        _front_end = (key, plan, {})
     return _front_end[1]
 
 
-def _place_circuit(shape: Diagram):
-    """A shape's layout key, ``(layout, shape)``, and per block ``(b, (fingerprint, width))``."""
-    lay = layout(shape)
-    key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect, lay.outputs)
-    return key, (lay, shape), [(int(b), (fp, len(q))) for b, fp, q in lay.blocks]
+def _contraction(cfg: TensorAnsatzConfig) -> tuple[list, list, list]:
+    """The held corpus's contraction under the lowering ``cfg``, held with it.
 
-
-def _place_network(shape: Diagram):
-    """A shape as its own key and item, and per box ``(b, (type fingerprint,))``."""
-    return shape, shape, [(b, (type_fingerprint(box),)) for b, box in enumerate(shape.boxes)]
-
-
-def _corpus_plan(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme, place):
-    """A corpus's sentences grouped by ``place``, and the error of the
-    first sentence whose placement raises.
-
-    ``place(shape)`` gives a shape's group key, an item for its group, and
-    per block ``(b, rest)``, a sentence's word entry ``(words[b], *rest)``;
-    it reads no box name, so it runs once per shape.  The plan is ``(words,
-    groups, sizes)``: the word entries in first-use order; per group, in
-    order of first use, ``(item, at, ids)`` with its members' corpus
-    positions ``at`` and ``ids[i, j]``, member ``i``'s ``j``-th word index;
-    and each split's row count.  A plan without an error is held; one with
-    an error covers the sentences before that one only.
+    Each shape's network names each box by its index, so its parameter
+    node for piece ``i`` of box ``b`` reads, per sentence, piece ``i`` of
+    the word at ``ids[:, b]``.  Returns the pieces ``(word index, i)`` in
+    order and their shapes, a word's pieces together in the value vector;
+    then one batch per structure and cup count, in order of first use,
+    ``(batch, cups, at, gather)``: its networks compiled once, their rows'
+    corpus positions, ascending, and their gathers in that order.
     """
-    shapes, of, names, sizes = _shapes(splits, lexicon, scheme)
-    held = _front_end[2]
-    if place in held:
-        return held[place], None
-    words, groups, placed, error = {}, {}, [], None  # placed: per shape, its group and entries
-    for at, (s, ws) in enumerate(zip(of, names)):
-        if s == len(placed):  # shapes are in order of first use
-            try:
-                key, item, entries = place(shapes[s])
-            except Error as exc:
-                error = exc
-                break
-            placed.append((groups.setdefault(key, (item, [], [])), entries))
-        (_, ats, ids), entries = placed[s]
-        ats.append(at)
-        ids.append([words.setdefault((ws[b], *rest), len(words)) for b, rest in entries])
-    plan = (list(words),
-            [(item, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp))
-             for item, ats, ids in groups.values()],
-            sizes)
-    if error is None:
-        held[place] = plan
-    return plan, error
+    (shaped, _, _), held = _front_end[1:]
+    if cfg in held:
+        return held[cfg]
+    nets = [compile_network(shape, cfg) for shape, _, _ in shaped]
+    for net in nets:
+        if (size := math.prod(net.output_dims())) != 2:
+            raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
+    params = [[node for node in net.nodes if isinstance(node, ParamNode)] for net in nets]
+    pieces = {}  # (word index, piece) to the piece's shape
+    for nodes, (_, _, ids) in zip(params, shaped):
+        for node in nodes:
+            word_ids = ids[:, int(node.symbol.word)].tolist()
+            pieces.update(dict.fromkeys(((w, node.symbol.index) for w in word_ids), node.shape))
+    keys = sorted(pieces)
+    firsts = np.array([k for k, (_, i) in enumerate(keys) if i == 0])  # per word
+    entries = np.cumsum([0, *(math.prod(pieces[k]) for k in keys)])
+    merged: dict[tuple, list] = {}
+    for net, nodes, (_, at, ids) in zip(nets, params, shaped):
+        # per sentence, the flattened entries of its word's piece at each node
+        gather = [entries[firsts[ids[:, int(n.symbol.word)]] + n.symbol.index, None]
+                  + np.arange(math.prod(n.shape)) for n in nodes]
+        cups = sum(isinstance(node, CupDeltaNode) for node in net.nodes)
+        merged.setdefault((tensornet.structure_key(net), cups), []).append(
+            (net, at, np.concatenate(gather, axis=1)))
+    batches = []
+    for (_, cups), same in merged.items():
+        at = np.concatenate([at for _, at, _ in same])
+        order = np.argsort(at)
+        batches.append((tensornet.compile_batch(same[0][0]), cups, at[order],
+                        np.concatenate([gather for *_, gather in same])[order]))
+    held[cfg] = keys, [pieces[k] for k in keys], batches
+    return held[cfg]
 
 
 def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,6 +484,8 @@ class _Model:
             n = self.sizes[runs[0][0]]
             if n == 0:
                 raise EmptyEvalSet("no sentences to differentiate")
+            if len(labels) != n:
+                raise Error(f"expected {n} labels, got {len(labels)}")
             labels, terms = np.asarray(labels), []
         for batch, gather, dest in self._request(runs):
             # the first split's rows lead the output, as they lead the gather
@@ -543,63 +547,28 @@ class _Model:
         return theta
 
 
-def _merge_groups(groups: list, key) -> list[tuple]:
-    """One batch per ``key`` of the plan groups' items ``(first, at,
-    gather)``, in order of first use: its first group's item, its rows'
-    corpus positions in ascending order, and their gathers in that order."""
-    parts: dict[tuple, list] = {}
-    for group in groups:
-        parts.setdefault(key(group[0]), []).append(group)
-    merged = []
-    for same in parts.values():
-        at = np.concatenate([at for _, at, _ in same])
-        order = np.argsort(at)
-        merged.append((same[0][0], at[order], np.concatenate([g for *_, g in same])[order]))
-    return merged
-
-
 _QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
 
 
-def _contractions(words: list, layouts: list) -> tuple[list, list]:
-    """A corpus's circuit contraction, the same under every ansatz, from
-    its circuit plan's words and layout groups.
-
-    A layout fixes its diagram up to the words and the order of the boxes,
-    so each group contracts its first diagram's network at one qubit per
-    wire, each node reading the word of its box's block (blocks are in
-    topological order).  Each box is its word's map, a ``(2,) * legs``
-    tensor with its input legs first, and each cup a delta scaled by ``1 /
-    sqrt(2)``, the Bell effect.  Returns per word, in the plan's order,
-    ``(inputs, outputs, columns)``: its input and output leg counts and the
-    columns of its map in a point's value vector; then the merged,
-    compiled batches.
-    """
-    legs = {}
-    for (_, d), _, ids in layouts:
-        for j, b in enumerate(d.topological_boxes()):
-            box = d.boxes[b]
-            legs.update(dict.fromkeys(ids[:, j].tolist(), (len(box.dom), len(box.cod))))
-    starts = np.cumsum([0, *(2 ** sum(legs[w]) for w in range(len(words)))])
-    maps = [(*legs[w], np.arange(starts[w], starts[w + 1])) for w in range(len(words))]
-    groups = []
-    for (lay, d), at, ids in layouts:
-        if len(lay.outputs) != 1:
-            raise WrongOutputArity(
-                f"expected exactly one output qubit, circuit has {len(lay.outputs)}")
-        topo = d.topological_boxes()  # box topo[j] holds block j's word
-        gather = [starts[ids[:, j], None] + np.arange(2 ** sum(legs[ids[0, j]]))
-                  for j in map(topo.index, range(len(d.boxes)))]
-        groups.append((compile_network(d, _QUBITS), at, np.concatenate(gather, axis=1)))
-
-    def key(net):
-        return tensornet.structure_key(net), sum(isinstance(n, CupDeltaNode) for n in net.nodes)
-
-    batches = []
-    for net, at, gather in _merge_groups(groups, key):
-        batch = tensornet.compile_batch(net)
-        batches.append((replace(batch, factor=batch.factor * 0.5 ** (key(net)[1] / 2)), at, gather))
-    return maps, batches
+def _circuit_contraction(shaped: list) -> tuple[list, list, list]:
+    """The corpus's circuit contraction, the same under every ansatz: the
+    plan's word indices in order of first use over each sentence's blocks
+    (boxes in topological order), and per word in that order ``(inputs,
+    outputs, columns)``, its leg counts and its map's columns in the value
+    vector; then the batches of :func:`_contraction` at one qubit per wire,
+    each box its word's map, a ``(2,) * legs`` tensor with its input legs
+    first, and each cup scaled by ``1 / sqrt(2)``, the Bell effect."""
+    rows, legs = {}, {}
+    for d, at, ids in shaped:
+        rows.update(zip(at.tolist(), ids[:, list(d.topological_boxes())].tolist()))
+        for b, box in enumerate(d.boxes):
+            legs.update(dict.fromkeys(ids[:, b].tolist(), (len(box.dom), len(box.cod))))
+    _, shapes, batches = _contraction(_QUBITS)
+    starts = np.cumsum([0, *map(math.prod, shapes)])  # one piece per word
+    order = list(dict.fromkeys(w for at in range(len(rows)) for w in rows[at]))
+    maps = [(*legs[w], np.arange(starts[w], starts[w + 1])) for w in order]
+    return order, maps, [(replace(batch, factor=batch.factor * 0.5 ** (cups / 2)), at, gather)
+                  for batch, cups, at, gather in batches]
 
 
 class CircuitModel(_Model):
@@ -627,33 +596,31 @@ class CircuitModel(_Model):
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               ansatz: CircuitAnsatzConfig) -> "CircuitModel":
-        """Lay out every sentence shape of the corpus's circuit plan, then
-        compile one block per width and output count.
+        """Lay out every sentence shape, then compile one block per width
+        and output count.
 
         A word's angles sit together in the parameter vector, words in the
-        circuit plan's order.  The contraction is held with the corpus's
-        plans, so a later build on the corpus compiles its blocks only.
+        order :func:`~qnlp.circuit.compile_circuit` gives their symbols.
         """
-        (words, layouts, sizes), error = _corpus_plan(splits, lexicon, scheme, _place_circuit)
+        shaped, words, sizes = _shapes(splits, lexicon, scheme)
+        held = _front_end[2]
         slots = {k: len(word_block("", "", tuple(range(k)), ansatz)[1])
-                 for k in {k for *_, k in words}}
-        # checked first: a sentence before a failed layout may have no parameters
-        for (lay, _), _, _ in layouts:
-            if not any(slots[len(q)] for *_, q in lay.blocks):
+                 for k in {max(len(b.dom), len(b.cod)) for d, _, _ in shaped for b in d.boxes}}
+        cold = CircuitModel not in held
+        for d, _, _ in shaped:
+            if cold:
+                layout(d)  # for its checks
+            if not any(slots[max(len(b.dom), len(b.cod))] for b in d.boxes):
                 raise ZeroParameterModel(
                     "no trainable parameters: every block in the circuit is empty")
-        if error is not None:
-            raise error
-        counts = np.array([slots[k] for *_, k in words], dtype=np.intp)
+        if cold:
+            held[CircuitModel] = _circuit_contraction(shaped)
+        order, maps, groups = held[CircuitModel]
+        counts = np.array([slots[max(dom, cod)] for dom, cod, _ in maps], dtype=np.intp)
         offsets = np.cumsum(counts) - counts
-        symbols = [Symbol(word, fp, i) for (word, fp, _), n in zip(words, counts)
-                   for i in range(n)]
+        symbols = [Symbol(*words[w], i) for w, n in zip(order, counts) for i in range(n)]
         if not symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
-        held = _front_end[2]  # the plans of the corpus laid out above
-        if _contractions not in held:
-            held[_contractions] = _contractions(words, layouts)
-        maps, groups = held[_contractions]
         widths: dict[tuple[int, int], list[int]] = {}
         for w, (dom, cod, _) in enumerate(maps):
             widths.setdefault((max(dom, cod), cod), []).append(w)
@@ -713,38 +680,11 @@ class TensorModel(_Model):
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               cfg: TensorAnsatzConfig) -> "TensorModel":
-        """Compile one network per shape group of the corpus's network plan.
-
-        A group's network names each box by its index, so its parameter
-        node for piece ``i`` of box ``b`` reads, per member, piece ``i``
-        of the word at ``ids[:, b]``.  A word's pieces sit together in the
-        parameter vector, words in the plan's order.
-        """
-        # placing a network cannot fail; compiling it checks the diagram
-        (words, shaped, sizes), _ = _corpus_plan(splits, lexicon, scheme, _place_network)
-        nets = [compile_network(d, cfg) for d, _, _ in shaped]
-        for net in nets:
-            if (size := math.prod(net.output_dims())) != 2:
-                raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
-        params = [[node for node in net.nodes if isinstance(node, ParamNode)] for net in nets]
-        pieces = {}  # (word index, piece) to the piece's shape
-        for nodes, (_, _, ids) in zip(params, shaped):
-            for node in nodes:
-                word_ids = ids[:, int(node.symbol.word)].tolist()
-                pieces.update(dict.fromkeys(((w, node.symbol.index) for w in word_ids), node.shape))
-        keys = sorted(pieces)
-        firsts = np.array([k for k, (_, i) in enumerate(keys) if i == 0])  # per word
-        entries = np.cumsum([0, *(math.prod(pieces[k]) for k in keys)])
-        groups = []
-        for net, nodes, (_, at, ids) in zip(nets, params, shaped):
-            # per member, the flattened entries of its word's piece at each node
-            gather = [entries[firsts[ids[:, int(n.symbol.word)]] + n.symbol.index, None]
-                      + np.arange(math.prod(n.shape)) for n in nodes]
-            groups.append((net, at, np.concatenate(gather, axis=1)))
-        batches = [(tensornet.compile_batch(net), at, gather)
-                   for net, at, gather in _merge_groups(groups, tensornet.structure_key)]
-        return cls([Symbol(*words[w], i) for w, i in keys], [pieces[k] for k in keys], sizes,
-                   batches)
+        """The corpus's contraction under ``cfg``, one symbol per word piece."""
+        _, words, sizes = _shapes(splits, lexicon, scheme)
+        keys, shapes, batches = _contraction(cfg)
+        return cls([Symbol(*words[w], i) for w, i in keys], shapes, sizes,
+                   [(batch, at, gather) for batch, _, at, gather in batches])
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from qnlp import simulator, tensornet, training
-from qnlp.circuit import Symbol, compile_circuit, layout
+from qnlp.circuit import Symbol, compile_circuit
 from qnlp.diagram import Box, Diagram, ShapeMismatch
 from qnlp.pregroup import Base, SimpleType, contractible, parse_sentence
 from qnlp.rewrite import rewrite
@@ -323,23 +323,6 @@ def reference_circuits(splits, lexicon, scheme, ansatz) -> dict[str, list]:
     return {lset.name: [compile_circuit(rewrite(parse_sentence(list(words), lexicon), scheme),
                                         ansatz) for words in lset.sentences()]
             for lset in splits}
-
-
-def reference_layout_groups(diagrams_by_split: dict[str, list]) -> tuple[list, list]:
-    """Every sentence laid out alone, grouped by its layout up to its words:
-    the word entries ``(word, type fingerprint, block width)`` in first-use
-    order, and per group, in order of first use, its members' corpus
-    positions (every split's rows in turn) and each member's word indices,
-    block by block."""
-    words, groups = {}, {}
-    for at, d in enumerate(d for ds in diagrams_by_split.values() for d in ds):
-        lay = layout(d)
-        key = (lay.n_qubits, tuple(q for *_, q in lay.blocks), lay.cups, lay.postselect,
-               lay.outputs)
-        ats, ids = groups.setdefault(key, ([], []))
-        ats.append(at)
-        ids.append([words.setdefault((w, fp, len(q)), len(words)) for w, fp, q in lay.blocks])
-    return list(words), list(groups.values())
 
 
 def reference_gather(circuits, offsets) -> np.ndarray:

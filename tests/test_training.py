@@ -22,7 +22,9 @@ from qnlp.circuit import (
     WidthOverflow,
     ZeroParameterModel,
     compile_circuit,
+    layout,
     lower,
+    type_fingerprint,
 )
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
 from qnlp.diagram import Port, Wire, validate
@@ -69,7 +71,6 @@ from oracles import (
     finite_difference,
     reference_circuits,
     reference_fit,
-    reference_layout_groups,
     reference_networks,
     reference_tensor_groups,
     reference_tensor_model,
@@ -659,9 +660,15 @@ class TestTensorBatching:
             return np.einsum_path(*args, **kwargs)
 
         monkeypatch.setattr(tensornet, "np", numpy_with(einsum_path=counting_search))
+        monkeypatch.setattr(training, "_front_end", None)
         model = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
         assert len(model._groups) == len(searches) == 4  # one per group, during build
+        # the contraction is held with the corpus: a repeat build searches none
+        again = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
+                                  TensorAnsatzConfig(kind))
+        assert len(searches) == 4
+        assert all(a is b for (a, _, _), (b, _, _) in zip(again._groups, model._groups))
 
         def no_search(*args, **kwargs):
             raise AssertionError("contraction path searched after compile")
@@ -864,8 +871,7 @@ class TestTensorBuild:
                               lset("test", [("sun brings sun", 1)]))
         cfg = TensorAnsatzConfig(kind)
         model = TensorModel.build(splits, lexicon, RewriteScheme.RE, cfg)
-        (_, shaped, _), _ = training._corpus_plan(splits, lexicon, RewriteScheme.RE,
-                                                  training._place_network)
+        shaped, _, _ = training._shapes(splits, lexicon, RewriteScheme.RE)
         assert [at.tolist() for _, at, _ in shaped] == [[0, 3], [1, 2, 4]]
         ((_, at, _),) = model._groups
         assert at.tolist() == [0, 1, 2, 3, 4]
@@ -943,6 +949,18 @@ class TestModelSurface:
                 points[k] = (points[k][0], bad)
                 with pytest.raises(Error, match=match):
                     model.evaluate(points)
+
+    @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
+    def test_wrong_label_counts_are_rejected(self, make, rng):
+        model = make()
+        theta = model.init_params(rng)
+        labels = tiny_splits().train.labels()
+        for bad in (labels[:-1], (*labels, 1)):
+            match = re.escape(f"expected {len(labels)} labels, got {len(bad)}")
+            with pytest.raises(Error, match=match):
+                model.grad_split("train", theta, bad)
+            with pytest.raises(Error, match=match):  # the labels of the first point's first split
+                model.evaluate([(("train", "dev"), theta), (("train",), theta)], bad)
 
     def test_circuit_named_round_trip_gives_floats(self, rng):
         model = circuit_model()
@@ -1044,9 +1062,9 @@ def assert_same_circuit_model(model: CircuitModel, circuits_by_split, nets_by_sp
                                  for s in c.symbols))
     assert model.symbols == symbols and model.n_params == len(symbols)
     assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
-    held = training._front_end[2]
-    words, maps = held[training._place_circuit][0], held[training._contractions][0]
-    start = {(word, fp): cols[0] for (word, fp, _), (*_, cols) in zip(words, maps)}
+    _, words, _ = training._front_end[1]
+    order, maps, _ = training._front_end[2][CircuitModel]
+    start = {words[w]: cols[0] for w, (*_, cols) in zip(order, maps)}
     nets = [net for ns in nets_by_split.values() for net in ns]
     shapes, groups = reference_tensor_groups(nets_by_split)
     assert model.n_values == sum(math.prod(shape) for shape in shapes.values())
@@ -1066,19 +1084,24 @@ def assert_same_circuit_model(model: CircuitModel, circuits_by_split, nets_by_sp
         assert gather.tobytes() == want_gather.tobytes()
 
 
-def held_diagrams(front) -> dict[str, list]:
-    """Every split's diagrams rebuilt from a front end ``(shapes, of,
-    words, sizes)``: each sentence's shape with box ``b`` named ``words[b]``."""
-    shapes, of, words, sizes = front
-    diagrams = [dataclasses.replace(shapes[s], boxes=tuple(
-        dataclasses.replace(box, name=ws[b]) for b, box in enumerate(shapes[s].boxes)))
-        for s, ws in zip(of, words)]
+def held_diagrams(plan) -> dict[str, list]:
+    """Every split's diagrams rebuilt from a corpus plan ``(shaped, words,
+    sizes)``: each sentence's shape with box ``b`` named by its word ``b``,
+    whose entry carries that box's type fingerprint."""
+    shaped, words, sizes = plan
+    rebuilt = {}
+    for shape, at, ids in shaped:
+        for row, ws in zip(at.tolist(), ids.tolist()):
+            assert [words[w][1] for w in ws] == list(map(type_fingerprint, shape.boxes))
+            rebuilt[row] = dataclasses.replace(shape, boxes=tuple(
+                dataclasses.replace(box, name=words[w][0]) for box, w in zip(shape.boxes, ws)))
+    diagrams = [rebuilt[row] for row in range(len(rebuilt))]
     start = split_starts(sizes)
     return {name: diagrams[start[name]:start[name] + n] for name, n in sizes.items()}
 
 
 class TestFrontEndMemo:
-    """The sentence shapes of the most recent corpus, and its plans."""
+    """The plan of the most recent corpus, and its contractions."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
@@ -1122,7 +1145,8 @@ class TestFrontEndMemo:
         training._shapes(b, mc_lexicon, RewriteScheme.RE)
         assert held_diagrams(training._front_end[1]) == self.fresh(b, mc_lexicon, RewriteScheme.RE)
         again = training._shapes(a, mc_lexicon, RewriteScheme.RE)  # b pushed a out
-        assert again is not first and again == first
+        assert again is not first and held_diagrams(again) == held_diagrams(first)
+        assert again[1:] == first[1:]  # the word entries and split sizes
         assert len(parsed) == 4 + 1 + 4
 
     def test_unknown_word_is_not_cached(self, mc_lexicon):
@@ -1148,16 +1172,12 @@ class TestFrontEndMemo:
         assert held_diagrams(training._front_end[1]) == self.fresh(splits, mc_lexicon, scheme)
 
     def test_each_family_places_every_sentence_once(self, mc_lexicon, monkeypatch):
-        placed = {"circuit": 0, "network": 0}
-        for family in placed:
-            place = getattr(training, f"_place_{family}")
-
-            def counted(d, place=place, family=family):
-                placed[family] += 1
-                return place(d)
-
-            monkeypatch.setattr(training, f"_place_{family}", counted)
-        # each family places every sentence shape once: 4 on generate_mc(0)
+        laid, compiled = [], []
+        monkeypatch.setattr(training, "layout", lambda d: laid.append(d) or layout(d))
+        monkeypatch.setattr(training, "compile_network",
+                            lambda d, cfg: compiled.append(cfg) or compile_network(d, cfg))
+        # every sentence shape (4 on generate_mc(0)) is laid out once and
+        # compiled once per lowering; circuits contract the TENSOR one
         splits, scheme = generate_mc(0), RewriteScheme.RE
         for _ in range(2):  # the second round's builds place none
             for layers in (1, 2):
@@ -1165,7 +1185,27 @@ class TestFrontEndMemo:
                                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, layers))
             for kind in TensorAnsatz:
                 TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
-            assert placed == {"circuit": 4, "network": 4}
+            assert len(laid) == 4
+            assert [compiled.count(TensorAnsatzConfig(kind)) for kind in TensorAnsatz] == [4] * 3
+
+    def test_circuit_then_tensor_build_compile_each_structure_once(self, mc_lexicon,
+                                                                  monkeypatch):
+        # a circuit contracts the TENSOR lowering, so a tensor model under it
+        # shares every compiled batch and gather; the circuit's batches are
+        # those scaled by 1/sqrt(2) per cup
+        compiled, compile_batch = [], tensornet.compile_batch
+        monkeypatch.setattr(tensornet, "compile_batch",
+                            lambda net: compiled.append(net) or compile_batch(net))
+        splits, scheme = generate_mc(0), RewriteScheme.RE
+        model = CircuitModel.build(splits, mc_lexicon, scheme,
+                                   CircuitAnsatzConfig(CircuitAnsatz.IQP, 1))
+        tensor = TensorModel.build(splits, mc_lexicon, scheme, QUBITS)
+        assert len(compiled) == len(model._groups) == len(tensor._groups) == 4
+        for first, (batch, at, gather), (want, want_at, want_gather) in zip(
+                compiled, model._groups, tensor._groups):
+            assert batch.steps is want.steps and at is want_at and gather is want_gather
+            cups = sum(isinstance(node, tensornet.CupDeltaNode) for node in first.nodes)
+            assert cups and batch.factor == want.factor * 0.5 ** (cups / 2)
 
     def test_one_network_compiled_per_shape_group(self, mc_lexicon, monkeypatch):
         compiled = []
@@ -1233,10 +1273,8 @@ class TestFrontEndMemo:
                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 2, 1)]
         models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
         assert len(validated) == 4  # once per sentence shape, not per sentence
-        held = training._front_end[2]
-        _, layouts, _ = held[training._place_circuit]
-        assert len(layouts) == 4  # one layout per sentence pattern
-        maps, groups = held[training._contractions]
+        assert len(training._front_end[1][0]) == 4  # one shape per sentence pattern
+        _, maps, groups = training._front_end[2][CircuitModel]
         assert all(model._groups is groups for model in models)
         kinds = {(dom, cod) for dom, cod, _ in maps}
         assert kinds == {(0, 1), (1, 1), (2, 1)}  # nouns, adjectives, verbs
@@ -1509,11 +1547,6 @@ class TestShapeFrontEnd:
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(corpus=random_corpora())
     def test_random_lexicons_match_per_sentence_parses(self, corpus):
-        # Two shapes can share a layout while their boxes come in another
-        # order ("s@n.l n" and "n n.r@s", curried): the circuit plan groups
-        # them as one, as sentence-by-sentence layout grouping does, so the
-        # circuit model is checked against that grouping and the statevector
-        # of each sentence, not against a grouping of networks by structure.
         splits, lexicon = corpus
         ansatz, rng = CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 1), np.random.default_rng(0)
         for scheme in RewriteScheme:
@@ -1524,15 +1557,11 @@ class TestShapeFrontEnd:
             assert len(front[0]) == len({tuple(map(lexicon.lookup, ws))  # one per pattern
                                          for lset in splits for ws in lset.sentences()})
             model = CircuitModel.build(splits, lexicon, scheme, ansatz)
-            assert model.symbols == list(dict.fromkeys(
-                s for ds in fresh.values() for d in ds for s in compile_circuit(d, ansatz).symbols))
-            words, layouts, _ = training._front_end[2][training._place_circuit]
-            want_words, want_groups = reference_layout_groups(fresh)
-            assert words == want_words
-            assert [(at.tolist(), ids.tolist()) for _, at, ids in layouts] == want_groups
+            nets = {name: [compile_network(d, QUBITS) for d in ds] for name, ds in fresh.items()}
+            assert_same_circuit_model(model, {name: [compile_circuit(d, ansatz) for d in ds]
+                                              for name, ds in fresh.items()}, nets)
             assert_matches_statevector(model, [d for ds in fresh.values() for d in ds], ansatz,
                                        named_point(model, {}, rng), model.init_params(rng))
-            nets = {name: [compile_network(d, QUBITS) for d in ds] for name, ds in fresh.items()}
             assert_same_tensor_model(TensorModel.build(splits, lexicon, scheme, QUBITS), nets)
 
     # a faulty sentence, the scheme it fails under, and the qubit limit
