@@ -107,6 +107,8 @@ class ExperimentConfig:
         if min(self.seeds) < 0 or self.dataset_seed < 0:
             raise ConfigError(f"seeds and dataset_seed must be non-negative, got "
                               f"{list(self.seeds)} and {self.dataset_seed}")
+        if repeated := sorted({s for s in self.seeds if self.seeds.count(s) > 1}):
+            raise ConfigError(f"seeds must be distinct; {repeated} repeated in {list(self.seeds)}")
         if self.dataset_dir is not None and not isinstance(self.dataset_dir, str):
             raise ConfigError(f"dataset_dir must be a string, got {self.dataset_dir!r}")
         if len(self.split_sizes) != 3:

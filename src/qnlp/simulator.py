@@ -30,9 +30,10 @@ parametric gates.  A circuit's map takes its first ``n_dom`` qubits as
 inputs, the others fed ``|0>``, to its outputs, its postselected qubits
 read at 0.  :func:`batch_forward` gives every row's map, at its row of
 slot angles, in one statevector pass over every row and input basis
-state, and :func:`batch_backward` pulls a complex cotangent on the maps
-back to every parametric gate by adjoint differentiation: one forward
-pass, then one reverse sweep from the cotangent, with no shifted runs.
+state, and :func:`batch_backward` gives them too and pulls the complex
+cotangent its caller returns on them back to every parametric gate by
+adjoint differentiation: one forward pass, then one reverse sweep from
+the cotangent, with no shifted runs.
 The per-gate :func:`apply` and the per-sentence
 :func:`sentence_distribution` and :func:`distribution_gradient` are the
 reference the batched path is tested against, shift rules against the
@@ -374,17 +375,18 @@ def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
     b += ms * old
 
 
-def _run(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _run(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> tuple:
     """Start the all-zero ``state``, which holds each row of ``angles``
     once per input basis state in turn, in those basis states and run
-    every gate on it in place; returns the angles of every state row."""
+    every gate on it in place; returns the angles of every state row and
+    every row's map."""
     a = batch.n_dom
     inputs = np.arange(1 << a)
     state.reshape(len(angles), 1 << a, 1 << a, -1)[:, inputs, inputs, 0] = 1.0
     angles = np.repeat(angles, 1 << a, axis=0)
     for op in batch.ops:
         _apply_rows(state, op, angles)
-    return angles
+    return angles, state.reshape(len(state), -1)[:, batch.cols].reshape(len(state) >> a, -1)
 
 
 def _states(batch: CircuitBatch, rows: int) -> np.ndarray:
@@ -395,9 +397,7 @@ def batch_forward(batch: CircuitBatch, angles: np.ndarray) -> np.ndarray:
     """Every row's map at its row of slot ``angles``: ``(rows, 2**(n_dom +
     n_outputs))`` complex, in one statevector pass over every row and
     input basis state."""
-    state = _states(batch, len(angles))
-    _run(batch, state, angles)
-    return state.reshape(len(state), -1)[:, batch.cols].reshape(len(angles), -1)
+    return _run(batch, _states(batch, len(angles)), angles)[1]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -420,29 +420,33 @@ def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, t: int) -> np.
     return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
 
 
-def batch_backward(batch: CircuitBatch, angles: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``d Re <g, map> / d slot`` of every row and slot, ``(rows,
-    n_slots)``, for a complex cotangent ``g`` laid out like the maps.
+def batch_backward(batch: CircuitBatch, angles: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's map, as :func:`batch_forward` gives it, and ``d Re <g,
+    map> / d slot`` of the leading rows, ``(t, n_slots)``, for the complex
+    cotangent ``g = pull(maps)`` on their maps.
 
     One forward pass gives ``psi``, every row from every input basis
     state; ``lam`` holds each input's row of ``g`` at the outputs, zero off
     postselection, so ``Re <g, map>`` is ``Re <lam|psi>``.  A reverse sweep
-    undoes every gate on ``lam`` and ``psi`` alike; before undoing a gate
-    ``exp(-i angle P/2)`` it reads that slot's term ``Im <lam|P|psi> / 2``,
-    over the control-1 slices for a controlled rotation, and the terms of a
-    row's inputs sum.  ``lam`` sits just before ``psi`` in one buffer, so
-    every inverse gate is one in-place update on both.
+    undoes every gate on ``lam`` and the leading rows of ``psi`` alike;
+    before undoing a gate ``exp(-i angle P/2)`` it reads that slot's term
+    ``Im <lam|P|psi> / 2``, over the control-1 slices for a controlled
+    rotation, and the terms of a row's inputs sum.  ``lam`` sits just
+    before ``psi`` in one buffer, so every inverse gate is one in-place
+    update on both.
     """
     rows, m = len(angles), len(angles) << batch.n_dom
     buffer = _states(batch, 2 * rows)
-    inputs = _run(batch, buffer[m:], angles)
-    buffer[:m].reshape(m, -1)[:, batch.cols] = g.reshape(m, -1)
-    out = np.zeros((m, batch.n_slots))
-    inverse = -np.concatenate([inputs, inputs])
+    inputs, maps = _run(batch, buffer[m:], angles)
+    t = len(g := pull(maps)) << batch.n_dom
+    buffer = buffer[m - t : m + t]
+    buffer[:t].reshape(t, -1)[:, batch.cols] = g.reshape(t, -1)
+    out = np.zeros((t, batch.n_slots))
+    inverse = -np.concatenate([inputs[:t], inputs[:t]])
     for kind, low, high, slot, angle in reversed(batch.ops):
         if slot is not None:
-            out[:, slot] = _generator_term(kind, buffer[low], buffer[high], m)
+            out[:, slot] = _generator_term(kind, buffer[low], buffer[high], t)
             if slot == 0:  # the first parametric gate: nothing left to read
                 break
         _apply_rows(buffer, (kind, low, high, slot, None if angle is None else -angle), inverse)
-    return 0.5 * out.reshape(rows, 1 << batch.n_dom, batch.n_slots).sum(axis=1)
+    return maps, 0.5 * out.reshape(len(g), 1 << batch.n_dom, batch.n_slots).sum(axis=1)

@@ -23,18 +23,18 @@ one node is the network contracted with that node removed and its legs
 left open, chained with the upstream cotangent.  A parameter tensor used
 by several nodes accumulates one hole term per use.
 
-Training runs batched, and both model families contract through it:
+Training runs batched, and every model family contracts through it:
 networks of one :func:`structure_key` compile once, from one network's
 plan, into a :class:`TensorBatch` (:func:`compile_batch`) with an extra
 row label.  Its slots are the flattened entries of its parameter tensors,
 position after position, and the model gathers each row's values per
-slot: a tensor model's parameters, or a circuit model's word maps, which
-are complex.  The greedy path of the batch's einsum, searched once,
-becomes a tree of pairwise steps, each one plain einsum.
-:func:`batch_forward` walks the tree and reads out every row's weights
-``u = |v|**2`` from its output vector ``v`` (exactly ``v**2`` on real
-rows); :func:`batch_backward` walks it too, keeping the tree's nodes,
-chains the model's cotangent on ``u`` for the leading rows to ``2 v g_u``
+slot: in a sentence's network, each word's dense tensor (real, or a
+circuit's complex word map), and in a split word's :func:`_lower_word`
+network, its legs open, the word's pieces.  The greedy path of the
+batch's einsum, searched once, becomes a tree of pairwise steps, each one
+plain einsum.  :func:`batch_forward` walks the tree and gives every row's
+output vector ``v``; :func:`batch_backward` walks it too, keeping the
+tree's nodes, takes the caller's cotangent on ``v`` for the leading rows
 and gets every hole of those rows from one reverse sweep over the kept
 nodes, reading sibling operands conjugated.  The per-network
 :func:`contract` and :func:`gradient_hole` are the reference the batched
@@ -539,33 +539,25 @@ def _contract_rows(batch: TensorBatch, values: np.ndarray) -> tuple[list, np.nda
     return nodes, nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor
 
 
-def _weights(v: np.ndarray) -> np.ndarray:
-    """``|v|**2`` per entry; on real rows exactly ``v**2``."""
-    return v.real**2 + v.imag**2
-
-
 def batch_forward(batch: TensorBatch, values: np.ndarray) -> np.ndarray:
-    """Every row's weights ``u = |v|**2``."""
-    return _weights(_contract_rows(batch, values)[1])
+    """Every row's output vector ``v``, flattened: ``(rows, prod(out_shape))``."""
+    return _contract_rows(batch, values)[1]
 
 
 def batch_backward(batch: TensorBatch, values: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's weights ``u = |v|**2`` and, for the rows ``pull`` gives a
+    """Every row's output vector ``v`` and, for the rows ``pull`` gives a
     cotangent, the cotangent of every slot, laid out like the leading rows
     of ``values``: ``(rows, n_slots)``.
 
-    ``pull(u)`` takes every row's weights and returns the cotangent
-    ``g_u`` of the leading ``t`` rows to differentiate.  The cotangent
-    ``2 v g_u`` of ``v`` runs back down the tree over those rows of the
-    forward pass's nodes in one reverse sweep, each step reading its
-    sibling operands conjugated.  On real rows a slot's cotangent is
-    ``d(g_u . u)/d(value)``; on complex rows it is ``g`` with
-    ``d(g_u . u) = Re sum(conj(g) d(value))``.
+    ``pull(v)`` takes every row's output vector and returns the cotangent
+    ``g_v`` of the leading ``t`` rows to differentiate.  It runs back down
+    the tree over those rows of the forward pass's nodes in one reverse
+    sweep, each step reading its sibling operands conjugated.  On real rows
+    a slot's cotangent is ``d(g_v . v)/d(value)``; on complex rows it is
+    ``g`` with ``d Re(conj(g_v) . v) = Re sum(conj(g) d(value))``.
     """
     nodes, v = _contract_rows(batch, values)
-    u = _weights(v)
-    g_u = pull(u)
-    t = len(g_u)
+    t = len(g_v := pull(v))
     first = len(batch.shapes)  # node number of the first step's result
     # the rows to differentiate: parameter tensors and the output keep their
     # rows first, the other step results last
@@ -573,14 +565,13 @@ def batch_backward(batch: TensorBatch, values: np.ndarray, pull) -> tuple[np.nda
     nodes = [n[:t] if m < first or m == last else n[..., :t] for m, n in enumerate(nodes)]
     if np.iscomplexobj(v):
         nodes = [n.conj() for n in nodes]
-    g_v = 2.0 * v[:t] * g_u
     cotangent = {last: g_v.reshape((t,) + batch.out_shape) * batch.factor}
     for k in range(len(batch.steps) - 1, -1, -1):
         step, g = batch.steps[k], cotangent.pop(first + k)
         for node, (subscripts, eyes) in zip(step.inputs, step.cotangents):
             siblings = [nodes[m] for m in step.inputs if m != node]
             cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
-    return u, np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
+    return v, np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
 
 
 # -- serialization --------------------------------------------------------

@@ -2,30 +2,31 @@
 
 A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
-one set of weights no matter how many sentences mention them.  Both model
-families are built from one corpus plan (:func:`_shapes`) and one
-contraction build (:func:`_contraction`): each shape's network is compiled
-under a lowering, networks that share a ``structure_key`` and cup count
-form one batch, compiled once, and each batch holds its gather, one
-``(rows, n_slots)`` array of value positions, rows in corpus order.  The
-families differ by one map stage (:meth:`_Model._values`) from a point's
-parameters to its value vector: a tensor model's values are its
-parameters, and a circuit model's are its words' block maps, each from one
-:mod:`qnlp.simulator` pass per block width, contracted at one qubit per
-wire.  ``batch_forward(batch, values)`` gives each row two non-negative
-weights ``u = |v|**2`` of its output vector ``v``, and
-``batch_backward(batch, values, pull)`` also pulls the cotangent that
-``pull`` returns for the leading rows back to their slots.  A circuit's
-``u`` is its unnormalized postselected output marginal, whose sum is the
-survival norm.  One readout turns a split's ``u`` into probabilities
-``p = u / sum(u)``, one pullback per row chains the loss back to ``u``, one
-``np.bincount`` over the gather (over the real and imaginary parts of a
-circuit model's) sums the slots' cotangents per value, so a word repeated
-in a sentence gets the terms of both uses, and the map stage pulls that
-back to the parameters (:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s
-``sentence_distribution`` and ``distribution_gradient``, and
-:mod:`qnlp.tensornet`'s ``contract`` and ``gradient_hole``, are the
-per-sentence reference of these paths.
+one set of weights no matter how many sentences mention them.  Every model
+family is built from one corpus plan (:func:`_shapes`) and one contraction
+per wire dimension (:func:`_contraction`): each shape's network has one
+dense tensor per word box, networks that share a ``structure_key`` and
+cup count form one batch, compiled once, and each batch holds its gather,
+one ``(rows, n_slots)`` array of value positions, rows in corpus order.
+The families differ by one map stage (:meth:`_Model._values`) from a
+point's parameters to its value vector, every word's dense tensor: a
+tensor word of one node is its parameters, and the others are mapped in
+blocks, one engine pass each, :mod:`qnlp.tensornet` over an ``mps`` or
+``spider`` word's pieces and :mod:`qnlp.simulator` over a circuit block
+width, whose complex maps are contracted at one qubit per wire.  Both
+engines take ``batch_forward(batch, x)``, giving each row's output ``v``,
+and ``batch_backward(batch, x, pull)``, which also pulls the cotangent
+``pull(v)`` returns for the leading rows back to their slots.  A
+sentence's weights are ``u = |v|**2`` (a circuit's unnormalized
+postselected output marginal, whose sum is the survival norm).  One
+readout turns a split's ``u`` into probabilities ``p = u / sum(u)``, one
+pullback per row chains the loss back to ``v``, one ``np.bincount`` over
+the gather (over the real and imaginary parts of a circuit model's) sums
+the slots' cotangents per value, so a word repeated in a sentence gets the
+terms of both uses, and the map stage pulls that back to the parameters
+(:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s ``sentence_distribution``
+and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
+and ``gradient_hole``, are the per-sentence reference of these paths.
 
 A request (:meth:`_Model.evaluate`) names several parameter points, each
 with a run of consecutive splits.  The map stage runs once for all the
@@ -57,11 +58,11 @@ The front end of the most recent corpus is kept in the process, keyed on
 content: the scheme, each split's sentences, and the lexicon types of
 their words.  It parses and rewrites one sentence per shape, the
 sentences whose words have the same types (4 on the MC corpus), and a
-corpus that fails to parse is not kept.  Each lowering's contraction is
-kept with it, and so is a circuit build's ansatz-free part: it lays out
-every shape once, for the checks of :func:`~qnlp.circuit.layout`, and
-scales the contraction at one qubit per wire by its cups, so a later
-build compiles its word blocks only.
+corpus that fails to parse is not kept.  Each wire dimension's
+contraction is kept with it, and so is a circuit build's ansatz-free
+part: it lays out every shape once, for the checks of
+:func:`~qnlp.circuit.layout`, and scales the contraction at one qubit per
+wire by its cups, so a later build compiles its word blocks only.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ from qnlp.errors import ConfigError, Error
 from qnlp.pregroup import Lexicon, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import WrongOutputArity
-from qnlp.tensornet import (CupDeltaNode, ParamNode, TensorAnsatz, TensorAnsatzConfig,
-                            compile_network)
+from qnlp.tensornet import (CupDeltaNode, Network, ParamNode, TensorAnsatz, TensorAnsatzConfig,
+                            _lower_word, compile_network)
 # Not called here (the per-item references of the batched paths); they stay
 # importable from this module, where the benchmark's tracer wraps them by name.
 from qnlp.circuit import compile_circuit  # noqa: F401
@@ -271,7 +272,7 @@ class TrainConfig:
 
 
 # The most recent corpus's key (the scheme, every split's sentences and the
-# lexicon types of their words), its plan and, per lowering config, its
+# lexicon types of their words), its plan and, per ``(d_n, d_s)``, its
 # contraction, with the circuit's ansatz-free part under ``CircuitModel``.
 _front_end: tuple[tuple, tuple, dict] | None = None
 
@@ -314,49 +315,52 @@ def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tu
     return _front_end[1]
 
 
-def _contraction(cfg: TensorAnsatzConfig) -> tuple[list, list, list]:
-    """The held corpus's contraction under the lowering ``cfg``, held with it.
+def _contraction(d_n: int, d_s: int) -> tuple[list, np.ndarray, list, list]:
+    """The held corpus's contraction at wire dimensions ``d_n`` and
+    ``d_s``, held with it: each box one dense tensor, its word's.
 
-    Each shape's network names each box by its index, so its parameter
-    node for piece ``i`` of box ``b`` reads, per sentence, piece ``i`` of
-    the word at ``ids[:, b]``.  Returns the pieces ``(word index, i)`` in
-    order and their shapes, a word's pieces together in the value vector;
-    then one batch per structure and cup count, in order of first use,
-    ``(batch, cups, at, gather)``: its networks compiled once, their rows'
-    corpus positions, ascending, and their gathers in that order.
+    Each shape's network names each box by its index, so its node for box
+    ``b`` reads, per sentence, the tensor of the word at ``ids[:, b]``.
+    Returns each word's tensor shape and first entry in the value vector,
+    words in index order; then one group per structure and cup count, in
+    order of first use, ``(batch, at, gather)``: its networks compiled
+    once, their rows' corpus positions, ascending, and their gathers in
+    that order; and each group's cup count.
     """
     (shaped, _, _), held = _front_end[1:]
-    if cfg in held:
-        return held[cfg]
-    nets = [compile_network(shape, cfg) for shape, _, _ in shaped]
+    if (d_n, d_s) in held:
+        return held[d_n, d_s]
+    nets = [compile_network(shape, TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n, d_s))
+            for shape, _, _ in shaped]
     for net in nets:
         if (size := math.prod(net.output_dims())) != 2:
             raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
     params = [[node for node in net.nodes if isinstance(node, ParamNode)] for net in nets]
-    pieces = {}  # (word index, piece) to the piece's shape
-    for nodes, (_, _, ids) in zip(params, shaped):
-        for node in nodes:
-            word_ids = ids[:, int(node.symbol.word)].tolist()
-            pieces.update(dict.fromkeys(((w, node.symbol.index) for w in word_ids), node.shape))
-    keys = sorted(pieces)
-    firsts = np.array([k for k, (_, i) in enumerate(keys) if i == 0])  # per word
-    entries = np.cumsum([0, *(math.prod(pieces[k]) for k in keys)])
+    shapes = {w: node.shape for nodes, (_, _, ids) in zip(params, shaped) for node in nodes
+              for w in ids[:, int(node.symbol.word)].tolist()}  # per word index
+    shapes = [shapes[w] for w in range(len(shapes))]
+    starts = np.cumsum([0, *map(math.prod, shapes)])
     merged: dict[tuple, list] = {}
     for net, nodes, (_, at, ids) in zip(nets, params, shaped):
-        # per sentence, the flattened entries of its word's piece at each node
-        gather = [entries[firsts[ids[:, int(n.symbol.word)]] + n.symbol.index, None]
-                  + np.arange(math.prod(n.shape)) for n in nodes]
+        # per sentence, the flattened entries of its word's tensor at each node
+        gather = [starts[ids[:, int(n.symbol.word)], None] + np.arange(math.prod(n.shape))
+                  for n in nodes]
         cups = sum(isinstance(node, CupDeltaNode) for node in net.nodes)
         merged.setdefault((tensornet.structure_key(net), cups), []).append(
             (net, at, np.concatenate(gather, axis=1)))
-    batches = []
-    for (_, cups), same in merged.items():
+    groups = []
+    for same in merged.values():
         at = np.concatenate([at for _, at, _ in same])
         order = np.argsort(at)
-        batches.append((tensornet.compile_batch(same[0][0]), cups, at[order],
-                        np.concatenate([gather for *_, gather in same])[order]))
-    held[cfg] = keys, [pieces[k] for k in keys], batches
-    return held[cfg]
+        groups.append((tensornet.compile_batch(same[0][0]), at[order],
+                       np.concatenate([gather for *_, gather in same])[order]))
+    held[d_n, d_s] = shapes, starts, groups, [cups for _, cups in merged]
+    return held[d_n, d_s]
+
+
+def _weights(v: np.ndarray) -> np.ndarray:
+    """``|v|**2`` per entry; on real rows exactly ``v**2``."""
+    return v.real**2 + v.imag**2
 
 
 def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,63 +375,89 @@ def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, degenerate
 
 
-def _pullback(u: np.ndarray, labels, n: int) -> np.ndarray:
-    """d(mean loss)/du of some rows of a split of ``n`` rows.
+def _pullback(v: np.ndarray, labels, n: int) -> np.ndarray:
+    """d(mean loss)/dv of some rows of a split of ``n`` rows.
 
-    The cotangent chains through ``p = u / sum(u)``: ``(g - g . p) /
-    (n sum(u))`` with ``g = d loss / d p``; it is zero on degenerate rows.
-    Each row's depends on its own ``u`` and label only, so a split's rows
-    can be pulled back group by group.
+    The cotangent chains through ``u = |v|**2`` and ``p = u / sum(u)``:
+    ``2 v (g - g . p) / (n sum(u))`` with ``g = d loss / d p``; it is zero
+    on degenerate rows.  Each row's depends on its own ``v`` and label
+    only, so a split's rows can be pulled back group by group.
     """
+    u = _weights(v)
     probs, degenerate = _readout(u)
     g = bce_grad(probs, labels)
     norm = np.where(degenerate, 1.0, u.sum(axis=1))[:, None]
     g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm)
     g_u[degenerate] = 0.0
-    return g_u
+    return 2.0 * v * g_u
 
 
 class _Model:
-    """The parameter table, batches and evaluation loop both model
-    families share.
+    """The parameter table, map stage, batches and evaluation loop every
+    model family shares.
 
     ``symbols`` are in first-use order, and ``shapes`` holds each one's
     shape (``()`` for a circuit angle); a symbol's entries follow the
     previous symbol's in the flat parameter vector.  ``sizes`` holds each
-    split's row count, in split order.  A point's parameters map to its
-    value vector of ``n_values`` entries (:meth:`_values`): a tensor
-    model's is its parameter vector, a circuit model's holds its word
-    maps.  ``groups`` holds, per batch, ``(batch, at, gather)``: a compiled
-    :class:`~qnlp.tensornet.TensorBatch`, its rows' corpus positions
-    (every split's rows in turn), ascending, and their gather,
-    ``gather[i, j]`` the value that row ``i`` reads in the batch's slot
-    ``j``.
+    split's row count, in split order.  The map stage (:meth:`_values`)
+    gives a point's value vector of ``n_values`` entries, every word's
+    dense tensor, over ``blocks`` ``(engine, batch, params, reads, cols)``:
+    with no engine, the parameters ``params`` are the values ``cols``;
+    otherwise ``params[i]`` holds word ``i``'s slots of one engine pass,
+    and ``reads`` and ``cols`` say where the words' tensors sit in the
+    pass's flat output and in the value vector.  ``groups`` holds, per
+    batch, ``(batch, at, gather)``: a compiled
+    :class:`~qnlp.tensornet.TensorBatch`, its rows' corpus positions (every
+    split's rows in turn), ascending, and their gather, ``gather[i, j]``
+    the value that row ``i`` reads in the batch's slot ``j``.
     """
 
     def __init__(self, symbols: Sequence[Symbol], shapes: Sequence[tuple],
-                 sizes: dict[str, int], groups: list, n_values: int | None = None):
+                 sizes: dict[str, int], groups: list, blocks: list):
         self.symbols = list(symbols)
         self.shapes = list(shapes)
         # symbol i owns the slice bounds[i]:bounds[i + 1] of the parameter vector
         self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
         self.n_params = self._bounds[-1]
-        self.n_values = self.n_params if n_values is None else n_values
         self.sizes = sizes
         for batch, _, gather in groups:
             if gather.shape[1:] != (batch.n_slots,):
                 raise Error(f"gather of shape {gather.shape} for {batch.n_slots} slots")
         self._groups = groups
+        self._blocks = blocks
+        # per value, its place among the blocks' outputs laid side by side
+        self._order = np.argsort(np.concatenate([np.zeros(0, np.intp)] + [c for *_, c in blocks]))
+        self.n_values = len(self._order)
         # per request shape, each group's stacked gather and output rows
         self._requests: dict[tuple, list] = {}
 
     def _values(self, thetas: np.ndarray) -> np.ndarray:
-        """Each point's value vector, ``(points, n_values)``."""
-        return thetas
+        """Each point's value vector, ``(points, n_values)``, in one engine
+        pass per block."""
+        parts = [thetas[:, :0]]  # no values without blocks
+        for engine, batch, params, reads, _ in self._blocks:
+            x = thetas[:, params]
+            if engine is not None:
+                x = x.reshape(len(thetas) * len(params), batch.n_slots)
+                x = engine.batch_forward(batch, x).reshape(len(thetas), -1)[:, reads]
+            parts.append(x)
+        return np.concatenate(parts, axis=1)[:, self._order]
 
     def _pull(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The parameter gradient at ``theta`` from its value vector's
-        cotangent ``g``."""
-        return g
+        cotangent ``g``, pulled back through each block, zero on the pass's
+        entries no value reads; every parameter belongs to one word."""
+        grad = np.zeros(self.n_params)
+        for engine, batch, params, reads, cols in self._blocks:
+            if engine is None:
+                grad[params] = g[cols]
+            elif batch.n_slots:
+                def pull(v, reads=reads, cols=cols):
+                    g_v = np.zeros(v.shape, v.dtype)
+                    g_v.ravel()[reads] = g[cols]
+                    return g_v
+                grad[params] = engine.batch_backward(batch, theta[params], pull)[1]
+        return grad
 
     def _request(self, runs: tuple[tuple[str, ...], ...]) -> list:
         """Per group with rows in the request, its batch, its gather stacked
@@ -491,14 +521,12 @@ class _Model:
             # the first split's rows lead the output, as they lead the gather
             rows = () if labels is None else dest[dest < n]
             if not len(rows):
-                u[dest] = tensornet.batch_forward(batch, values[gather])
-                continue
-
-            def pull(u_rows, rows=rows):
-                return _pullback(u_rows[: len(rows)], labels[rows], n)
-
-            u[dest], group_terms = tensornet.batch_backward(batch, values[gather], pull)
-            terms.append((gather[: len(group_terms)], group_terms))
+                v = tensornet.batch_forward(batch, values[gather])
+            else:
+                v, group_terms = tensornet.batch_backward(
+                    batch, values[gather], lambda v: _pullback(v[: len(rows)], labels[rows], n))
+                terms.append((gather[: len(group_terms)], group_terms))
+            u[dest] = _weights(v)
         grad = None
         if terms is not None:
             # in order, so a value gathered twice (a word repeated in a
@@ -547,9 +575,6 @@ class _Model:
         return theta
 
 
-_QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
-
-
 def _circuit_contraction(shaped: list) -> tuple[list, list, list]:
     """The corpus's circuit contraction, the same under every ansatz: the
     plan's word indices in order of first use over each sentence's blocks
@@ -563,12 +588,11 @@ def _circuit_contraction(shaped: list) -> tuple[list, list, list]:
         rows.update(zip(at.tolist(), ids[:, list(d.topological_boxes())].tolist()))
         for b, box in enumerate(d.boxes):
             legs.update(dict.fromkeys(ids[:, b].tolist(), (len(box.dom), len(box.cod))))
-    _, shapes, batches = _contraction(_QUBITS)
-    starts = np.cumsum([0, *map(math.prod, shapes)])  # one piece per word
+    _, starts, groups, cups = _contraction(2, 2)
     order = list(dict.fromkeys(w for at in range(len(rows)) for w in rows[at]))
     maps = [(*legs[w], np.arange(starts[w], starts[w + 1])) for w in order]
-    return order, maps, [(replace(batch, factor=batch.factor * 0.5 ** (cups / 2)), at, gather)
-                  for batch, cups, at, gather in batches]
+    return order, maps, [(replace(batch, factor=batch.factor * 0.5 ** (c / 2)), at, gather)
+                         for (batch, at, gather), c in zip(groups, cups)]
 
 
 class CircuitModel(_Model):
@@ -579,19 +603,11 @@ class CircuitModel(_Model):
     marginal, whose sum is the survival norm.  Each word's block acts on
     its own qubits only, so the sentence's output amplitudes are its
     diagram's network with each box its word's block map and each cup the
-    Bell effect.  ``blocks`` holds per block width and output count
-    ``(batch, angles, reads, columns)``: the block with its words' most
-    inputs (a word reads the others at 0), each word's angles, and where
-    its words' maps sit in the pass's flat output and in the value vector.
-    One statevector pass per block gives every word's map at every point;
-    the rest is the tensor model's contraction.
+    Bell effect.  The map stage has one :mod:`~qnlp.simulator` block per
+    block width and output count, with its words' most inputs (a word
+    reads the others at 0), so one statevector pass per block gives every
+    word's map at every point; the rest is the tensor model's contraction.
     """
-
-    def __init__(self, symbols: Sequence[Symbol], sizes: dict[str, int], groups: list,
-                 blocks: list):
-        super().__init__(symbols, [()] * len(symbols), sizes, groups,
-                         sum(cols.size for *_, cols in blocks))
-        self._blocks = blocks
 
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
@@ -634,30 +650,10 @@ class CircuitModel(_Model):
             # word j's map: its own inputs, the block's others at 0
             reads = [((j << n_dom) + (np.arange(1 << maps[w][0]) << n_dom - maps[w][0]))[:, None]
                      * (1 << cod) + np.arange(1 << cod) for j, w in enumerate(ws)]
-            blocks.append((batch, offsets[ws, None] + np.arange(batch.n_slots),
+            blocks.append((simulator, batch, offsets[ws, None] + np.arange(batch.n_slots),
                            np.concatenate(reads, axis=None),
                            np.concatenate([maps[w][2] for w in ws])))
-        return cls(symbols, sizes, groups, blocks)
-
-    def _values(self, thetas: np.ndarray) -> np.ndarray:
-        """Every word's map at each point, in one block pass per width."""
-        values = np.empty((len(thetas), self.n_values), dtype=np.complex128)
-        for batch, angles, reads, cols in self._blocks:
-            rows = thetas[:, angles].reshape(len(thetas) * len(angles), batch.n_slots)
-            maps = simulator.batch_forward(batch, rows).reshape(len(thetas), -1)
-            values[:, cols] = maps[:, reads]
-        return values
-
-    def _pull(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Each word's map cotangent pulled back through its block, zero on
-        the inputs it reads at 0; every angle belongs to one word."""
-        grad = np.zeros(self.n_params)
-        for batch, angles, reads, cols in self._blocks:
-            if batch.n_slots:
-                g_maps = np.zeros((len(angles), len(batch.cols) << batch.n_dom), dtype=complex)
-                g_maps.ravel()[reads] = g[cols]
-                grad[angles] = simulator.batch_backward(batch, theta[angles], g_maps)
-        return grad
+        return cls(symbols, [()] * len(symbols), sizes, groups, blocks)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
@@ -680,11 +676,28 @@ class TensorModel(_Model):
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               cfg: TensorAnsatzConfig) -> "TensorModel":
-        """The corpus's contraction under ``cfg``, one symbol per word piece."""
+        """The corpus's contraction at ``cfg``'s wire dimensions, one symbol
+        per piece of each word as ``cfg`` lowers it, a word's pieces
+        together, words in index order.  A word lowered to one node reads
+        its tensor from its parameters; the words of one tensor shape that
+        ``cfg`` splits form one block, a batch of their lowered network.
+        """
         _, words, sizes = _shapes(splits, lexicon, scheme)
-        keys, shapes, batches = _contraction(cfg)
-        return cls([Symbol(*words[w], i) for w, i in keys], shapes, sizes,
-                   [(batch, at, gather) for batch, _, at, gather in batches])
+        shapes, starts, groups, _ = _contraction(cfg.d_n, cfg.d_s)
+        pieces, kinds = [], {}
+        for w, shape in enumerate(shapes):
+            nodes, edges, legs = _lower_word(Symbol(*words[w], 0), shape, cfg, 0)
+            at = sum(math.prod(node.shape) for node in pieces)
+            pieces += [node for node in nodes if isinstance(node, ParamNode)]
+            _, ids, cols = kinds.setdefault(shape if len(nodes) > 1 else None,
+                                            (Network(*map(tuple, (nodes, edges, legs))), [], []))
+            ids.append(np.arange(at, sum(math.prod(node.shape) for node in pieces)))
+            cols.append(np.arange(starts[w], starts[w + 1]))
+        blocks = [(None, None, np.concatenate(ids), None, np.concatenate(cols)) if shape is None
+                  else (tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
+                        np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
+        return cls([node.symbol for node in pieces], [node.shape for node in pieces], sizes,
+                   groups, blocks)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]

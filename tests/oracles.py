@@ -411,7 +411,8 @@ class PerStructureCircuitModel:
         g = np.where(dead[:, None], 0.0, 2.0 * c * amps)
         grad = np.zeros(self.n_params)
         for batch, at, gather in self.groups[name]:
-            np.add.at(grad, gather, simulator.batch_backward(batch, theta[gather], g[at]))
+            np.add.at(grad, gather, simulator.batch_backward(batch, theta[gather],
+                                                             lambda _, at=at: g[at])[1])
         return grad, probs, int(dead.sum())
 
 
@@ -436,11 +437,16 @@ def reference_tensor_gather(nets, offsets) -> np.ndarray:
 
 
 def reference_tensor_model(nets_by_split: dict[str, list]) -> training.TensorModel:
-    """A tensor model over separately compiled networks."""
+    """A tensor model over separately compiled networks, each network's
+    pieces gathered straight from the parameters: an ``mps`` or ``spider``
+    word's pieces are contracted inside every sentence's network, not
+    mapped to a dense tensor first."""
     shapes, groups = reference_tensor_groups(nets_by_split)
     sizes = {name: len(nets) for name, nets in nets_by_split.items()}
     batches = [(tensornet.compile_batch(first), at, gather) for first, at, gather in groups]
-    return training.TensorModel(list(shapes), list(shapes.values()), sizes, batches)
+    ids = np.arange(sum(int(np.prod(shape)) for shape in shapes.values()))
+    return training.TensorModel(list(shapes), list(shapes.values()), sizes, batches,
+                                [(None, None, ids, None, ids)])
 
 
 def reference_tensor_groups(nets_by_split: dict[str, list]) -> tuple[dict, list[tuple]]:

@@ -649,6 +649,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {flag} ")
         assert not results.exists()  # no run started
 
+    def test_sweep_rejects_repeated_seeds(self, tmp_path, capsys):
+        # two workers would train each run directory twice, at once
+        results = tmp_path / "results"
+        argv = ["sweep", "--ansatze", "iqp", "--max-layers", "1", "--max-rotations", "0",
+                "--seeds", "0,1,0", "--workers", "2", "--epochs", "2", "--results", str(results)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: seeds must be distinct; [0] repeated in [0, 1, 0]\n")
+        assert not results.exists()  # no run started
+
+    def test_train_rejects_repeated_seeds(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor",
+                                        "seeds": [1, 2, 1, 2, 3], "epochs": 2}))
+        assert main(["train", "--config", str(cfg_path), "--results", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: seeds must be distinct; [1, 2] repeated in [1, 2, 1, 2, 3]\n")
+        assert [p for p in tmp_path.iterdir() if p != cfg_path] == []  # no run started
+
     def test_train_tensor_sentence_dimension_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "d_s": 3}))

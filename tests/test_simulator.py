@@ -406,7 +406,8 @@ class TestBatchProperties:
         alive = d[:, 0] >= SURVIVAL_EPS
         p = n / np.where(alive[:, None], d, 1.0)
         upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
-        vjp = batch_backward(batch, angles, 2.0 * amps * upstream)
+        pulled, vjp = batch_backward(batch, angles, lambda maps: 2.0 * maps * upstream)
+        assert pulled.tobytes() == amps.tobytes()  # the backward pass's own forward
         assert vjp.shape == angles.shape
         for r, c in enumerate(circuits):
             x = theta[[offsets[s] for s in c.symbols]]
@@ -437,7 +438,10 @@ class TestBatchProperties:
             np.testing.assert_allclose(maps[r], want, rtol=0, atol=1e-12)
         # every slot on its own, differentiated numerically: Re <g, map>
         g = rng.normal(size=maps.shape) + 1j * rng.normal(size=maps.shape)
-        vjp = batch_backward(batch, angles, g)
+        _, vjp = batch_backward(batch, angles, lambda _: g)
+        # pulling back only the leading row reads the same terms for it
+        _, led = batch_backward(batch, angles, lambda _: g[:1])
+        np.testing.assert_allclose(led, vjp[:1], rtol=1e-12, atol=1e-15)
         fd = five_point_difference(
             lambda a: float(np.vdot(g, batch_forward(batch, a.reshape(angles.shape))).real),
             angles.ravel(),

@@ -440,7 +440,7 @@ class TestWideWordLowering:
 
 def check_batches_against_reference(nets: list[Network], rng) -> list:
     """Batched forward and backward passes against per-network ``contract``
-    and ``gradient_hole``, with a random cotangent on ``u`` per row; returns
+    and ``gradient_hole``, with a random cotangent on ``v`` per row; returns
     the groups as ``(rows, batch, gather)``."""
     shapes: dict[Symbol, tuple[int, ...]] = {}
     for net in nets:
@@ -461,19 +461,17 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
         assert batch.steps[-1].kept == (plan.n_labels, *plan.outputs)
         assert gather.shape == (len(rows), batch.n_slots)
         values = theta[gather]
-        u = batch_forward(batch, values)
-        v = tensornet._contract_rows(batch, values)[1]
-        np.testing.assert_array_equal(u, v**2)
-        g_u = rng.standard_normal(v.shape)
-        up = 2.0 * v * g_u  # the cotangent of v, chained through u = v**2
-        pulled_u, terms = batch_backward(batch, values, lambda _: g_u)
-        np.testing.assert_array_equal(pulled_u, u)  # the backward pass's own forward
+        v = batch_forward(batch, values)
+        assert v.shape == (len(rows), math.prod(batch.out_shape))
+        up = rng.standard_normal(v.shape)  # the cotangent of v
+        pulled, terms = batch_backward(batch, values, lambda _: up)
+        np.testing.assert_array_equal(pulled, v)  # the backward pass's own forward
         assert terms.shape == gather.shape
         grad = np.zeros_like(theta)
         np.add.at(grad, gather, terms)
         # pulling back only the leading row reads the same terms for it
-        pulled_u, led = batch_backward(batch, values, lambda _: g_u[:1])
-        np.testing.assert_array_equal(pulled_u, u)
+        pulled, led = batch_backward(batch, values, lambda _: up[:1])
+        np.testing.assert_array_equal(pulled, v)
         np.testing.assert_allclose(led, terms[:1], rtol=1e-12, atol=1e-15)
         want = np.zeros_like(theta)
         for r, i in enumerate(rows):
@@ -659,7 +657,7 @@ class TestBatchProperties:
 
 
 def check_rows_alone_and_together(batch, rng, complex_rows, picks) -> None:
-    """Each row's ``u``, alone and in a batch of the rows ``picks``, bit for bit."""
+    """Each row's ``v``, alone and in a batch of the rows ``picks``, bit for bit."""
     values = rng.standard_normal((max(picks) + 1, batch.n_slots))
     if complex_rows:
         values = values + 1j * rng.standard_normal(values.shape)
@@ -670,6 +668,41 @@ def check_rows_alone_and_together(batch, rng, complex_rows, picks) -> None:
 
 QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
 
+# every lowering that splits a word: mps at each bond dimension, spider at
+# each leg threshold
+SPLITS = [cfg(TensorAnsatz.MPS, bond_dim=b) for b in (1, 2, 3)] + [
+    cfg(TensorAnsatz.SPIDER, max_legs=k) for k in (2, 3, 4)]
+
+
+class TestWordMaps:
+    """A split word's network, its legs open, maps its pieces to its dense
+    tensor, as a tensor model's map stage runs it."""
+
+    @pytest.mark.parametrize("order", (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("lowering", SPLITS, ids=lambda c: f"{c.kind.value}-bond{c.bond_dim}"
+                             if c.kind is TensorAnsatz.MPS else f"spider-legs{c.max_legs}")
+    def test_rows_and_pullbacks_do_not_depend_on_the_batch(self, lowering, order):
+        # each row's map and its pullback, alone and in a batch that
+        # repeats rows, bit for bit
+        rng = np.random.default_rng(order)
+        shape = tuple(rng.choice([2, 3], size=order).tolist())
+        nodes, edges, legs = tensornet._lower_word(Symbol("w", "n", 0), shape, lowering, 0)
+        net = Network(tuple(nodes), tuple(edges), tuple(legs))
+        batch = compile_batch(net)
+        assert batch.out_shape == shape and batch.factor == 1.0
+        values = rng.standard_normal((4, batch.n_slots))
+        g = rng.standard_normal((4, math.prod(shape)))
+        picks = [3, 0, 3, 1, 2, 0]
+        together, terms = batch_backward(batch, values[picks], lambda _: g[picks])
+        np.testing.assert_array_equal(batch_forward(batch, values[picks]), together)
+        store = {node.symbol: values[0, cols].reshape(node.shape)
+                 for node, cols in zip(nodes, batch.columns)}
+        np.testing.assert_allclose(together[1], contract(net, store).ravel(), rtol=0, atol=1e-13)
+        for i, r in enumerate(picks):
+            alone, alone_terms = batch_backward(batch, values[r : r + 1], lambda _: g[r : r + 1])
+            assert together[i : i + 1].tobytes() == alone.tobytes()
+            assert terms[i : i + 1].tobytes() == alone_terms.tobytes()
+
 
 class TestComplexRows:
     """Complex values, as a circuit model's word maps feed the batches."""
@@ -677,8 +710,8 @@ class TestComplexRows:
     @pytest.mark.parametrize("scheme", (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM),
                              ids=lambda s: s.value)
     def test_corpus_matches_the_diagram(self, scheme, corpus_diagrams, rng):
-        # u = |v|**2 with v the diagram's complex contraction, and each
-        # slot's cotangent g has d(g_u . u) = Re(g) d(Re value) + Im(g) d(Im value)
+        # v is the diagram's complex contraction, and each slot's cotangent g
+        # has d Re(conj(g_v) . v) = Re(g) d(Re value) + Im(g) d(Im value)
         diagrams = [rewrite(d, scheme) for d in corpus_diagrams[::7]]
         rows_of: dict[tuple, list[int]] = {}
         nets = [compile_network(d, QUBITS) for d in diagrams]
@@ -690,15 +723,15 @@ class TestComplexRows:
                       + 1j * rng.standard_normal(box_shape(box, WireDims()))
                       for b, box in enumerate(diagrams[r].boxes)} for r in rows]
             values = np.array([np.concatenate([t.ravel() for t in row.values()]) for row in boxes])
-            u = batch_forward(batch, values)
+            v = batch_forward(batch, values)
             for i, r in enumerate(rows):
-                v = eval_tensor(diagrams[r], boxes[i]).ravel()
-                np.testing.assert_allclose(u[i], np.abs(v) ** 2, rtol=1e-12, atol=1e-12)
-            g_u = rng.standard_normal(u.shape)
-            _, terms = batch_backward(batch, values, lambda _: g_u)
+                want = eval_tensor(diagrams[r], boxes[i]).ravel()
+                np.testing.assert_allclose(v[i], want, rtol=1e-12, atol=1e-12)
+            g_v = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+            _, terms = batch_backward(batch, values, lambda _: g_v)
 
             def loss(x):
-                return float((g_u * batch_forward(batch, x.reshape(values.shape))).sum())
+                return float(np.vdot(g_v, batch_forward(batch, x.reshape(values.shape))).real)
 
             for part, unit in ((terms.real, 1.0), (terms.imag, 1j)):
                 fd = finite_difference(lambda x: loss(values + unit * x.reshape(values.shape)),

@@ -663,11 +663,16 @@ class TestTensorBatching:
         monkeypatch.setattr(training, "_front_end", None)
         model = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
-        assert len(model._groups) == len(searches) == 4  # one per group, during build
-        # the contraction is held with the corpus: a repeat build searches none
+        # one per group and one per word block, during build: under mps and
+        # spider the verbs' 2 x 2 x 2 tensors are split, the rest read whole
+        words = [batch for engine, batch, *_ in model._blocks if engine is not None]
+        assert len(words) == (kind is not TensorAnsatz.TENSOR)
+        assert len(model._groups) == 4 and len(searches) == 4 + len(words)
+        # the contraction is held with the corpus: a repeat build searches
+        # its word blocks only
         again = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
-        assert len(searches) == 4
+        assert len(searches) == 4 + 2 * len(words)
         assert all(a is b for (a, _, _), (b, _, _) in zip(again._groups, model._groups))
 
         def no_search(*args, **kwargs):
@@ -726,10 +731,8 @@ class TestBatchLifecycle:
         slots = 12  # two noun vectors and a verb's 2 x 2 x 2 tensor
 
         def rebuild(gather):
-            if family == "circuit":
-                return CircuitModel(model.symbols, model.sizes, [(batch, at, gather)],
-                                    model._blocks)
-            return TensorModel(model.symbols, model.shapes, model.sizes, [(batch, at, gather)])
+            return type(model)(model.symbols, model.shapes, model.sizes, [(batch, at, gather)],
+                               model._blocks)
 
         assert batch.n_slots == slots and gather.shape == (6, slots)
         probs, _ = rebuild(gather).eval_split("train", np.ones(model.n_params))
@@ -798,19 +801,42 @@ class TestTensorFit:
         assert len(h) == 2
 
 
-def assert_same_tensor_model(model: TensorModel, nets_by_split) -> None:
-    """The model's symbols, shapes and compiled batches equal those of the
-    per-sentence grouping of ``nets_by_split``, gathers bit for bit."""
-    ref = reference_tensor_model(nets_by_split)
+def assert_same_tensor_model(model: TensorModel, diagrams, cfg) -> None:
+    """The model's symbols and shapes equal those of every sentence of
+    ``diagrams`` (each split's, rewritten) compiled alone under ``cfg``.
+    Its batches and gathers equal, bit for bit, those of the per-sentence
+    grouping at ``cfg``'s wire dimensions with one dense tensor per box,
+    its value vector holding the words' tensors in that grouping's symbol
+    order.  Each word's tensor is its pieces contracted: one tensornet
+    block per tensor shape that ``cfg`` splits, the other words read
+    straight from their parameters."""
+    def compiled(cfg):
+        return reference_tensor_model({name: [compile_network(d, cfg) for d in ds]
+                                       for name, ds in diagrams.items()})
+
+    ref = compiled(cfg)
     assert (model.symbols, model.shapes, model.sizes) == (ref.symbols, ref.shapes, ref.sizes)
-    assert len(model._groups) == len(ref._groups)
-    for (batch, at, gather), (want, want_at, want_gather) in zip(model._groups, ref._groups):
+    dense = compiled(dataclasses.replace(cfg, kind=TensorAnsatz.TENSOR))
+    assert model.n_values == dense.n_params
+    assert len(model._groups) == len(dense._groups)
+    for (batch, at, gather), (want, want_at, want_gather) in zip(model._groups, dense._groups):
         assert at.tolist() == want_at.tolist()
         assert (batch.shapes, batch.columns, batch.out_shape, batch.factor) == (
             want.shapes, want.columns, want.out_shape, want.factor)
         assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
         assert (gather.dtype, gather.shape) == (want_gather.dtype, want_gather.shape)
         assert gather.tobytes() == want_gather.tobytes()
+    shapes = {shape for _, shape, _, _ in dense._tables()}
+    split = {shape for shape in shapes
+             if len(tensornet._lower_word(Symbol("", "", 0), shape, cfg, 0)[0]) > 1}
+    assert sorted(batch.out_shape for engine, batch, *_ in model._blocks if engine) == sorted(split)
+    assert sum(engine is None for engine, *_ in model._blocks) == (split != shapes)
+    theta = model.init_params(np.random.default_rng(0))
+    values, store = model._values(theta[None])[0], model.store(theta)
+    for symbol, shape, lo, hi in dense._tables():
+        nodes, edges, legs = tensornet._lower_word(symbol, shape, cfg, 0)
+        want = contract(tensornet.Network(tuple(nodes), tuple(edges), tuple(legs)), store)
+        np.testing.assert_allclose(values[lo:hi], want.ravel(), rtol=0, atol=1e-14)
 
 
 class TestTensorBuild:
@@ -824,14 +850,16 @@ class TestTensorBuild:
         for seed in range(4):
             splits = generate_mc(seed)
             model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
-            assert_same_tensor_model(model, reference_networks(splits, mc_lexicon, scheme, cfg))
+            assert_same_tensor_model(model, TestFrontEndMemo.fresh(splits, mc_lexicon, scheme), cfg)
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_steps_do_not_depend_on_the_row_count(self, kind, scheme, mc_lexicon, monkeypatch):
         # a batch's path is searched once, for one row; searched at the
-        # group's real row count it gives the same steps
+        # group's real row count it gives the same steps.  Every lowering
+        # contracts one dense tensor per box
         cfg = TensorAnsatzConfig(kind)
+        dense = TensorAnsatzConfig(TensorAnsatz.TENSOR)
         searched = []
 
         def at_rows(n):
@@ -844,7 +872,8 @@ class TestTensorBuild:
         for seed in range(4):
             splits = generate_mc(seed)
             model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
-            _, groups = reference_tensor_groups(reference_networks(splits, mc_lexicon, scheme, cfg))
+            _, groups = reference_tensor_groups(reference_networks(splits, mc_lexicon, scheme,
+                                                                   dense))
             assert len(model._groups) == len(groups)
             for (batch, at, _), (first, want_at, _) in zip(model._groups, groups):
                 assert at.tolist() == want_at.tolist()
@@ -876,7 +905,8 @@ class TestTensorBuild:
         ((_, at, _),) = model._groups
         assert at.tolist() == [0, 1, 2, 3, 4]
         nets = reference_networks(splits, lexicon, RewriteScheme.RE, cfg)
-        assert_same_tensor_model(model, nets)
+        assert_same_tensor_model(model, TestFrontEndMemo.fresh(splits, lexicon, RewriteScheme.RE),
+                                 cfg)
         theta = model.init_params(rng)
         labels = splits.train.labels()
         grad, probs, _ = model.grad_split("train", theta, labels)
@@ -1049,6 +1079,33 @@ class TestFitMatchesReference:
         assert_same_history(fit(build(), splits, cfg), reference_fit(build(), splits, cfg))
 
 
+class TestSplitNetworkOracle:
+    """An mps or spider model contracts each word's pieces to its dense
+    tensor before the sentence contraction.  Its oracle is a model over
+    every sentence compiled alone under the lowering, each word's pieces
+    contracted inside every sentence's network."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", (TensorAnsatz.MPS, TensorAnsatz.SPIDER),
+                             ids=lambda k: k.value)
+    def test_fit_follows_split_networks(self, kind, scheme, mc_lexicon):
+        splits, cfg = generate_mc(1), TensorAnsatzConfig(kind)
+        model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
+        oracle = reference_tensor_model(reference_networks(splits, mc_lexicon, scheme, cfg))
+        train = TrainConfig(epochs=20, seed=1, optimizer=AdaptiveGDConfig())
+        theta = model.init_params(np.random.default_rng(train.seed))  # fit's first draw
+        for lset in splits:
+            grad, probs, _ = model.grad_split(lset.name, theta, lset.labels())
+            want, want_probs, _ = oracle.grad_split(lset.name, theta, lset.labels())
+            np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+            assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+        h, ref = fit(model, splits, train), reference_fit(oracle, splits, train)
+        for field in ("train_loss", "val_loss"):
+            np.testing.assert_allclose(getattr(h, field), getattr(ref, field), rtol=0, atol=1e-9,
+                                       err_msg=field)
+        assert (h.train_acc, h.val_acc, h.test_acc) == (ref.train_acc, ref.val_acc, ref.test_acc)
+
+
 QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
 
 
@@ -1177,7 +1234,7 @@ class TestFrontEndMemo:
         monkeypatch.setattr(training, "compile_network",
                             lambda d, cfg: compiled.append(cfg) or compile_network(d, cfg))
         # every sentence shape (4 on generate_mc(0)) is laid out once and
-        # compiled once per lowering; circuits contract the TENSOR one
+        # compiled once, with a dense tensor per box, 2 per wire
         splits, scheme = generate_mc(0), RewriteScheme.RE
         for _ in range(2):  # the second round's builds place none
             for layers in (1, 2):
@@ -1185,14 +1242,16 @@ class TestFrontEndMemo:
                                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, layers))
             for kind in TensorAnsatz:
                 TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
+            # all three lowerings and the circuits share one contraction
             assert len(laid) == 4
-            assert [compiled.count(TensorAnsatzConfig(kind)) for kind in TensorAnsatz] == [4] * 3
+            assert compiled == [TensorAnsatzConfig(TensorAnsatz.TENSOR)] * 4
 
     def test_circuit_then_tensor_build_compile_each_structure_once(self, mc_lexicon,
                                                                   monkeypatch):
-        # a circuit contracts the TENSOR lowering, so a tensor model under it
-        # shares every compiled batch and gather; the circuit's batches are
-        # those scaled by 1/sqrt(2) per cup
+        # a circuit contracts the TENSOR lowering at 2 per wire, and so do
+        # mps and spider, so they share every compiled batch and gather; the
+        # circuit's batches are those scaled by 1/sqrt(2) per cup.  mps and
+        # spider compile only their word blocks
         compiled, compile_batch = [], tensornet.compile_batch
         monkeypatch.setattr(tensornet, "compile_batch",
                             lambda net: compiled.append(net) or compile_batch(net))
@@ -1206,16 +1265,26 @@ class TestFrontEndMemo:
             assert batch.steps is want.steps and at is want_at and gather is want_gather
             cups = sum(isinstance(node, tensornet.CupDeltaNode) for node in first.nodes)
             assert cups and batch.factor == want.factor * 0.5 ** (cups / 2)
+        for kind in (TensorAnsatz.MPS, TensorAnsatz.SPIDER):
+            split = TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
+            assert split._groups is tensor._groups
+            assert len(compiled) == 4 + (kind is TensorAnsatz.SPIDER) + 1  # a verb block each
+            assert compiled[-1].output_dims() == (2, 2, 2)
 
     def test_one_network_compiled_per_shape_group(self, mc_lexicon, monkeypatch):
         compiled = []
         monkeypatch.setattr(training, "compile_network",
-                            lambda d, cfg: compiled.append(d) or compile_network(d, cfg))
-        for kind in TensorAnsatz:
-            compiled.clear()
-            TensorModel.build(generate_mc(0), mc_lexicon, RewriteScheme.RE, TensorAnsatzConfig(kind))
-            assert len(compiled) == 4  # one per sentence pattern, not per sentence
-            assert all(box.name == str(b) for d in compiled for b, box in enumerate(d.boxes))
+                            lambda d, cfg: compiled.append((d, cfg)) or compile_network(d, cfg))
+        for kind in TensorAnsatz:  # one contraction per wire dimension, not per lowering
+            TensorModel.build(generate_mc(0), mc_lexicon, RewriteScheme.RE,
+                              TensorAnsatzConfig(kind))
+        assert len(compiled) == 4  # one per sentence pattern, not per sentence
+        assert {cfg for _, cfg in compiled} == {TensorAnsatzConfig(TensorAnsatz.TENSOR)}
+        assert all(box.name == str(b) for d, _ in compiled for b, box in enumerate(d.boxes))
+        TensorModel.build(generate_mc(0), mc_lexicon, RewriteScheme.RE,
+                          TensorAnsatzConfig(TensorAnsatz.MPS, d_n=3))
+        assert len(compiled) == 8
+        assert compiled[-1][1] == TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n=3)
 
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
     def test_compiled_circuits_identical_on_hit_and_miss(self, kind, mc_lexicon):
@@ -1243,7 +1312,7 @@ class TestFrontEndMemo:
                     assert_same_circuit_model(first, want, nets)
                     assert_same_circuit_model(again, want, nets)
                     assert len(first._blocks) == len(again._blocks)
-                    for (batch, *arrays), (other, *other_arrays) in zip(
+                    for (_, batch, *arrays), (_, other, *other_arrays) in zip(
                             first._blocks, again._blocks):
                         assert (batch.ops, batch.n_dom, batch.n_slots) == (
                             other.ops, other.n_dom, other.n_slots)
@@ -1436,7 +1505,7 @@ class TestCircuitOracle:
             ansatz = CircuitAnsatzConfig(kind, 1, 2)
             model = CircuitModel.build(splits, lexicon, scheme, ansatz)
             assert {(b.n_dom, len(b.cols).bit_length() - 1): len(angles)
-                    for b, angles, *_ in model._blocks} == kinds
+                    for _, b, angles, *_ in model._blocks} == kinds
             named = named_point(model, {}, rng)
             assert_matches_statevector(model, diagrams, ansatz, named, model.init_params(rng))
             theta, labels = model.named_to_params(named), splits.train.labels()
@@ -1480,7 +1549,7 @@ class TestCircuitOracle:
                                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 2))
         theta = model.init_params(rng)
         values, inputs = model._values(theta[None])[0], set()
-        for batch, angles, reads, cols in model._blocks:
+        for _, batch, angles, reads, cols in model._blocks:
             cod = len(batch.cols).bit_length() - 1
             counts = np.bincount(reads >> batch.n_dom + cod, minlength=len(angles))
             for a, n, end in zip(angles, counts, np.cumsum(counts)):
@@ -1562,7 +1631,10 @@ class TestShapeFrontEnd:
                                               for name, ds in fresh.items()}, nets)
             assert_matches_statevector(model, [d for ds in fresh.values() for d in ds], ansatz,
                                        named_point(model, {}, rng), model.init_params(rng))
-            assert_same_tensor_model(TensorModel.build(splits, lexicon, scheme, QUBITS), nets)
+            for kind in TensorAnsatz:
+                cfg = TensorAnsatzConfig(kind)
+                assert_same_tensor_model(TensorModel.build(splits, lexicon, scheme, cfg), fresh,
+                                         cfg)
 
     # a faulty sentence, the scheme it fails under, and the qubit limit
     FAULTS = {
@@ -1672,6 +1744,9 @@ class TestTracerContract:
         for cls in (CircuitModel, TensorModel):
             for attr in ("build", "eval_split", "grad_split"):
                 assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
+            # one map stage, the base class's, for every family
+            for attr in ("__init__", "_values", "_pull"):
+                assert attr not in cls.__dict__, f"{cls.__name__}.{attr}"
 
     def test_training_exposes_traced_functions(self):
         for name in (
