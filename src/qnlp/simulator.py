@@ -30,10 +30,11 @@ parametric gates.  A circuit's map takes its first ``n_dom`` qubits as
 inputs, the others fed ``|0>``, to its outputs, its postselected qubits
 read at 0.  :func:`batch_forward` gives every row's map, at its row of
 slot angles, in one statevector pass over every row and input basis
-state, and :func:`batch_backward` gives them too and pulls the complex
-cotangent its caller returns on them back to every parametric gate by
-adjoint differentiation: one forward pass, then one reverse sweep from
-the cotangent, with no shifted runs.
+state, and keeps the pass's state and angles as its tape;
+:func:`batch_backward` pulls a complex cotangent on the leading rows'
+maps back to every parametric gate by adjoint differentiation: one
+reverse sweep from the cotangent and the tape's state, with no second
+forward pass and no shifted runs.
 The per-gate :func:`apply` and the per-sentence
 :func:`sentence_distribution` and :func:`distribution_gradient` are the
 reference the batched path is tested against, shift rules against the
@@ -375,29 +376,21 @@ def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
     b += ms * old
 
 
-def _run(batch: CircuitBatch, state: np.ndarray, angles: np.ndarray) -> tuple:
-    """Start the all-zero ``state``, which holds each row of ``angles``
-    once per input basis state in turn, in those basis states and run
-    every gate on it in place; returns the angles of every state row and
-    every row's map."""
+def batch_forward(batch: CircuitBatch, angles: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Every row's map at its row of slot ``angles``: ``(rows, 2**(n_dom +
+    n_outputs))`` complex, in one statevector pass over every row and
+    input basis state; and the tape for :func:`batch_backward`: the pass's
+    state, which holds each row once per input basis state in turn, and
+    the angles of every state row."""
     a = batch.n_dom
     inputs = np.arange(1 << a)
+    state = np.zeros((len(angles) << a,) + (2,) * batch.n_qubits, dtype=np.complex128)
     state.reshape(len(angles), 1 << a, 1 << a, -1)[:, inputs, inputs, 0] = 1.0
     angles = np.repeat(angles, 1 << a, axis=0)
     for op in batch.ops:
         _apply_rows(state, op, angles)
-    return angles, state.reshape(len(state), -1)[:, batch.cols].reshape(len(state) >> a, -1)
-
-
-def _states(batch: CircuitBatch, rows: int) -> np.ndarray:
-    return np.zeros((rows << batch.n_dom,) + (2,) * batch.n_qubits, dtype=np.complex128)
-
-
-def batch_forward(batch: CircuitBatch, angles: np.ndarray) -> np.ndarray:
-    """Every row's map at its row of slot ``angles``: ``(rows, 2**(n_dom +
-    n_outputs))`` complex, in one statevector pass over every row and
-    input basis state."""
-    return _run(batch, _states(batch, len(angles)), angles)[1]
+    maps = state.reshape(len(state), -1)[:, batch.cols].reshape(len(state) >> a, -1)
+    return maps, (state, angles)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -420,33 +413,31 @@ def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, t: int) -> np.
     return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
 
 
-def batch_backward(batch: CircuitBatch, angles: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's map, as :func:`batch_forward` gives it, and ``d Re <g,
-    map> / d slot`` of the leading rows, ``(t, n_slots)``, for the complex
-    cotangent ``g = pull(maps)`` on their maps.
+def batch_backward(batch: CircuitBatch, tape: tuple, g: np.ndarray) -> np.ndarray:
+    """``d Re <g, map> / d slot`` of the leading ``len(g)`` rows of a
+    forward pass, ``(len(g), n_slots)``, for the complex cotangent ``g`` on
+    their maps.
 
-    One forward pass gives ``psi``, every row from every input basis
-    state; ``lam`` holds each input's row of ``g`` at the outputs, zero off
+    The ``tape`` holds ``psi``, every row from every input basis state;
+    ``lam`` holds each input's row of ``g`` at the outputs, zero off
     postselection, so ``Re <g, map>`` is ``Re <lam|psi>``.  A reverse sweep
     undoes every gate on ``lam`` and the leading rows of ``psi`` alike;
     before undoing a gate ``exp(-i angle P/2)`` it reads that slot's term
     ``Im <lam|P|psi> / 2``, over the control-1 slices for a controlled
     rotation, and the terms of a row's inputs sum.  ``lam`` sits just
-    before ``psi`` in one buffer, so every inverse gate is one in-place
-    update on both.
+    before a copy of those rows of ``psi`` in one buffer, so every inverse
+    gate is one in-place update on both, and the tape is left as it is.
     """
-    rows, m = len(angles), len(angles) << batch.n_dom
-    buffer = _states(batch, 2 * rows)
-    inputs, maps = _run(batch, buffer[m:], angles)
-    t = len(g := pull(maps)) << batch.n_dom
-    buffer = buffer[m - t : m + t]
+    state, angles = tape
+    t = len(g) << batch.n_dom
+    buffer = np.concatenate([np.zeros_like(state[:t]), state[:t]])
     buffer[:t].reshape(t, -1)[:, batch.cols] = g.reshape(t, -1)
     out = np.zeros((t, batch.n_slots))
-    inverse = -np.concatenate([inputs[:t], inputs[:t]])
+    inverse = -np.concatenate([angles[:t], angles[:t]])
     for kind, low, high, slot, angle in reversed(batch.ops):
         if slot is not None:
             out[:, slot] = _generator_term(kind, buffer[low], buffer[high], t)
             if slot == 0:  # the first parametric gate: nothing left to read
                 break
         _apply_rows(buffer, (kind, low, high, slot, None if angle is None else -angle), inverse)
-    return maps, 0.5 * out.reshape(len(g), 1 << batch.n_dom, batch.n_slots).sum(axis=1)
+    return 0.5 * out.reshape(len(g), 1 << batch.n_dom, batch.n_slots).sum(axis=1)

@@ -32,11 +32,11 @@ slot: in a sentence's network, each word's dense tensor (real, or a
 circuit's complex word map), and in a split word's :func:`_lower_word`
 network, its legs open, the word's pieces.  The greedy path of the
 batch's einsum, searched once, becomes a tree of pairwise steps, each one
-plain einsum.  :func:`batch_forward` walks the tree and gives every row's
-output vector ``v``; :func:`batch_backward` walks it too, keeping the
-tree's nodes, takes the caller's cotangent on ``v`` for the leading rows
-and gets every hole of those rows from one reverse sweep over the kept
-nodes, reading sibling operands conjugated.  The per-network
+plain einsum.  :func:`batch_forward` walks the tree, gives every row's
+output vector ``v`` and keeps the tree's nodes as its tape;
+:func:`batch_backward` takes the caller's cotangent on ``v`` for the
+leading rows and gets every hole of those rows from one reverse sweep
+over the tape's nodes, reading sibling operands conjugated.  The per-network
 :func:`contract` and :func:`gradient_hole` are the reference the batched
 path is tested against.
 """
@@ -528,42 +528,36 @@ def compile_batch(first: Network) -> TensorBatch:
                        bounds[-1], tuple(steps), first.output_dims(), plan.factor)
 
 
-def _contract_rows(batch: TensorBatch, values: np.ndarray) -> tuple[list, np.ndarray]:
-    """The tree's nodes, parameter tensors first, and every row's output
-    vector ``v``, flattened, contracted step by step from its row of
-    ``values``."""
+def batch_forward(batch: TensorBatch, values: np.ndarray) -> tuple[np.ndarray, list]:
+    """Every row's output vector ``v``, flattened, ``(rows, prod(out_shape))``,
+    contracted step by step from its row of ``values``, and the tape for
+    :func:`batch_backward`: the tree's nodes, parameter tensors first."""
     nodes = [values[:, cols].reshape((len(values),) + shape)
              for cols, shape in zip(batch.columns, batch.shapes)]
     for step in batch.steps:
         nodes.append(np.einsum(step.subscripts, *(nodes[m] for m in step.inputs), optimize=False))
-    return nodes, nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor
+    return nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor, nodes
 
 
-def batch_forward(batch: TensorBatch, values: np.ndarray) -> np.ndarray:
-    """Every row's output vector ``v``, flattened: ``(rows, prod(out_shape))``."""
-    return _contract_rows(batch, values)[1]
+def batch_backward(batch: TensorBatch, tape: list, g_v: np.ndarray) -> np.ndarray:
+    """The cotangent of every slot of the leading ``t = len(g_v)`` rows of
+    a forward pass, laid out like those rows of its values: ``(t,
+    n_slots)``.
 
-
-def batch_backward(batch: TensorBatch, values: np.ndarray, pull) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's output vector ``v`` and, for the rows ``pull`` gives a
-    cotangent, the cotangent of every slot, laid out like the leading rows
-    of ``values``: ``(rows, n_slots)``.
-
-    ``pull(v)`` takes every row's output vector and returns the cotangent
-    ``g_v`` of the leading ``t`` rows to differentiate.  It runs back down
-    the tree over those rows of the forward pass's nodes in one reverse
-    sweep, each step reading its sibling operands conjugated.  On real rows
-    a slot's cotangent is ``d(g_v . v)/d(value)``; on complex rows it is
-    ``g`` with ``d Re(conj(g_v) . v) = Re sum(conj(g) d(value))``.
+    ``g_v`` is the cotangent on those rows' ``v``.  It runs back down the
+    tree over those rows of the ``tape``'s nodes in one reverse sweep, each
+    step reading its sibling operands conjugated; the tape is left as it
+    is.  On real rows a slot's cotangent is ``d(g_v . v)/d(value)``; on
+    complex rows it is ``g`` with ``d Re(conj(g_v) . v) = Re sum(conj(g)
+    d(value))``.
     """
-    nodes, v = _contract_rows(batch, values)
-    t = len(g_v := pull(v))
+    t = len(g_v)
     first = len(batch.shapes)  # node number of the first step's result
     # the rows to differentiate: parameter tensors and the output keep their
     # rows first, the other step results last
-    last = len(nodes) - 1
-    nodes = [n[:t] if m < first or m == last else n[..., :t] for m, n in enumerate(nodes)]
-    if np.iscomplexobj(v):
+    last = len(tape) - 1
+    nodes = [n[:t] if m < first or m == last else n[..., :t] for m, n in enumerate(tape)]
+    if np.iscomplexobj(tape[last]):
         nodes = [n.conj() for n in nodes]
     cotangent = {last: g_v.reshape((t,) + batch.out_shape) * batch.factor}
     for k in range(len(batch.steps) - 1, -1, -1):
@@ -571,7 +565,7 @@ def batch_backward(batch: TensorBatch, values: np.ndarray, pull) -> tuple[np.nda
         for node, (subscripts, eyes) in zip(step.inputs, step.cotangents):
             siblings = [nodes[m] for m in step.inputs if m != node]
             cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
-    return v, np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
+    return np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
 
 
 # -- serialization --------------------------------------------------------

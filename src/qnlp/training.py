@@ -14,18 +14,20 @@ tensor word of one node is its parameters, and the others are mapped in
 blocks, one engine pass each, :mod:`qnlp.tensornet` over an ``mps`` or
 ``spider`` word's pieces and :mod:`qnlp.simulator` over a circuit block
 width, whose complex maps are contracted at one qubit per wire.  Both
-engines take ``batch_forward(batch, x)``, giving each row's output ``v``,
-and ``batch_backward(batch, x, pull)``, which also pulls the cotangent
-``pull(v)`` returns for the leading rows back to their slots.  A
-sentence's weights are ``u = |v|**2`` (a circuit's unnormalized
-postselected output marginal, whose sum is the survival norm).  One
-readout turns a split's ``u`` into probabilities ``p = u / sum(u)``, one
-pullback per row chains the loss back to ``v``, one ``np.bincount`` over
-the gather (over the real and imaginary parts of a circuit model's) sums
-the slots' cotangents per value, so a word repeated in a sentence gets the
-terms of both uses, and the map stage pulls that back to the parameters
-(:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s ``sentence_distribution``
-and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
+engines take ``batch_forward(batch, x)``, giving each row's output ``v``
+and a tape, and ``batch_backward(batch, tape, g_v)``, which pulls the
+cotangent on the leading rows' ``v`` back to their slots with no forward
+pass of its own.  A sentence's weights are ``u = |v|**2`` (a circuit's
+unnormalized postselected output marginal, whose sum is the survival
+norm).  One readout turns a request's ``u`` into probabilities ``p = u /
+sum(u)``, one pullback chains the loss back to the differentiated rows'
+``v``, each group's tape takes that to its slots, one ``np.bincount``
+over the gather (over the real and imaginary parts of a circuit model's)
+sums the slots' cotangents per value, so a word repeated in a sentence
+gets the terms of both uses, and the map stage pulls that back to the
+parameters from its blocks' tapes (:meth:`_Model._pull`).
+:mod:`qnlp.simulator`'s ``sentence_distribution`` and
+``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
 and ``gradient_hole``, are the per-sentence reference of these paths.
 
 A request (:meth:`_Model.evaluate`) names several parameter points, each
@@ -52,7 +54,7 @@ readout (the first epoch's, at the initial parameters, is not recorded),
 and the last epoch's dev readout and the test score share one closing
 request.  Every readout passes the same checks, in the order the epochs
 define, so the histories equal those of a loop that reads one split per
-call.
+call; an epoch scores all of its readouts with a few array calls.
 
 The front end of the most recent corpus is kept in the process, keyed on
 content: the scheme, each split's sentences, and the lexicon types of
@@ -62,7 +64,8 @@ corpus that fails to parse is not kept.  Each wire dimension's
 contraction is kept with it, and so is a circuit build's ansatz-free
 part: it lays out every shape once, for the checks of
 :func:`~qnlp.circuit.layout`, and scales the contraction at one qubit per
-wire by its cups, so a later build compiles its word blocks only.
+wire by its cups, so a later build compiles its word blocks only; a
+tensor build is kept whole per lowering config.
 """
 
 from __future__ import annotations
@@ -115,18 +118,20 @@ class BudgetExceeded(Error):
 
 
 def _picked(probs, label) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's probability of its labelled class, and the label one-hot."""
+    """Each row's probability of its labelled class, and the label as a mask."""
     p = np.asarray(probs, dtype=float)
     y = np.asarray(label) != 0
-    return np.where(y, p[..., 1], p[..., 0]), np.stack([~y, y], axis=-1)
+    return np.where(y, p[..., 1], p[..., 0]), y
 
 
 def bce_loss(probs, label):
     """Binary cross-entropy with probabilities clipped to [1e-7, 1-1e-7].
 
-    ``probs`` is one ``(2,)`` distribution with an int label, giving a
-    float, or a ``(B, 2)`` array with ``(B,)`` labels, giving ``(B,)``
-    per-row losses.
+    ``probs`` is a ``(B, 2)`` array with ``(B,)`` labels, giving ``(B,)``
+    per-row losses, or one ``(2,)`` distribution with an int label, giving
+    a float.  The fit loop scores whole readouts; the single-distribution
+    form stays for callers that score one sentence at a time, such as a
+    per-sentence reference loss.
     """
     picked, _ = _picked(probs, label)
     loss = -np.log(np.clip(picked, PROB_CLIP, 1.0 - PROB_CLIP))
@@ -135,10 +140,10 @@ def bce_loss(probs, label):
 
 def bce_grad(probs, label) -> np.ndarray:
     """d loss/d probs, shaped like ``probs``; zero where the clip is active."""
-    picked, onehot = _picked(probs, label)
+    picked, y = _picked(probs, label)
     active = (picked > PROB_CLIP) & (picked < 1.0 - PROB_CLIP)
     g = np.divide(-1.0, picked, out=np.zeros_like(picked), where=active)
-    return np.where(onehot, g[..., None], 0.0)
+    return np.where(np.stack([~y, y], axis=-1), g[..., None], 0.0)
 
 
 def predict(probs):
@@ -273,7 +278,9 @@ class TrainConfig:
 
 # The most recent corpus's key (the scheme, every split's sentences and the
 # lexicon types of their words), its plan and, per ``(d_n, d_s)``, its
-# contraction, with the circuit's ansatz-free part under ``CircuitModel``.
+# contraction, with the circuit's ansatz-free part under ``CircuitModel``
+# and each tensor lowering's symbols, shapes, groups and blocks under its
+# config.
 _front_end: tuple[tuple, tuple, dict] | None = None
 
 
@@ -358,36 +365,33 @@ def _contraction(d_n: int, d_s: int) -> tuple[list, np.ndarray, list, list]:
     return held[d_n, d_s]
 
 
-def _weights(v: np.ndarray) -> np.ndarray:
-    """``|v|**2`` per entry; on real rows exactly ``v**2``."""
-    return v.real**2 + v.imag**2
+def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probabilities ``p = u / sum(u)`` per row, the degenerate mask and
+    the norm each row was divided by.
 
-
-def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities ``p = u / sum(u)`` per row, and the degenerate mask.
-
-    A row whose sum is below ``DEGENERATE_EPS`` reads out as uniform.
+    A row whose sum is below ``DEGENERATE_EPS`` reads out as uniform, its
+    norm 1.
     """
     norm = u.sum(axis=1)
     degenerate = norm < DEGENERATE_EPS
-    probs = u / np.where(degenerate, 1.0, norm)[:, None]
+    norm = np.where(degenerate, 1.0, norm)
+    probs = u / norm[:, None]
     probs[degenerate] = 0.5
-    return probs, degenerate
+    return probs, degenerate, norm
 
 
-def _pullback(v: np.ndarray, labels, n: int) -> np.ndarray:
-    """d(mean loss)/dv of some rows of a split of ``n`` rows.
+def _pullback(v: np.ndarray, labels, n: int, readout: tuple) -> np.ndarray:
+    """d(mean loss)/dv of some rows of a split of ``n`` rows, from their
+    :func:`_readout`.
 
     The cotangent chains through ``u = |v|**2`` and ``p = u / sum(u)``:
     ``2 v (g - g . p) / (n sum(u))`` with ``g = d loss / d p``; it is zero
     on degenerate rows.  Each row's depends on its own ``v`` and label
-    only, so a split's rows can be pulled back group by group.
+    only.
     """
-    u = _weights(v)
-    probs, degenerate = _readout(u)
+    probs, degenerate, norm = readout
     g = bce_grad(probs, labels)
-    norm = np.where(degenerate, 1.0, u.sum(axis=1))[:, None]
-    g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm)
+    g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm[:, None])
     g_u[degenerate] = 0.0
     return 2.0 * v * g_u
 
@@ -428,42 +432,48 @@ class _Model:
         # per value, its place among the blocks' outputs laid side by side
         self._order = np.argsort(np.concatenate([np.zeros(0, np.intp)] + [c for *_, c in blocks]))
         self.n_values = len(self._order)
-        # per request shape, each group's stacked gather and output rows
+        # per request shape, its plan (:meth:`_request`)
         self._requests: dict[tuple, list] = {}
 
-    def _values(self, thetas: np.ndarray) -> np.ndarray:
+    def _values(self, thetas: np.ndarray, keep: bool) -> tuple[np.ndarray, list]:
         """Each point's value vector, ``(points, n_values)``, in one engine
-        pass per block."""
-        parts = [thetas[:, :0]]  # no values without blocks
+        pass per block; and with ``keep``, per engine block the first
+        point's outputs and the pass's tape, for :meth:`_pull`."""
+        parts, tapes = [thetas[:, :0]], []  # no values without blocks
         for engine, batch, params, reads, _ in self._blocks:
-            x = thetas[:, params]
+            x, tape = thetas[:, params], None
             if engine is not None:
-                x = x.reshape(len(thetas) * len(params), batch.n_slots)
-                x = engine.batch_forward(batch, x).reshape(len(thetas), -1)[:, reads]
+                x, tape = engine.batch_forward(
+                    batch, x.reshape(len(thetas) * len(params), batch.n_slots))
+                tape = (x[: len(params)], tape) if keep else None
+                x = x.reshape(len(thetas), -1)[:, reads]
             parts.append(x)
-        return np.concatenate(parts, axis=1)[:, self._order]
+            tapes.append(tape)
+        return np.concatenate(parts, axis=1)[:, self._order], tapes
 
-    def _pull(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The parameter gradient at ``theta`` from its value vector's
-        cotangent ``g``, pulled back through each block, zero on the pass's
-        entries no value reads; every parameter belongs to one word."""
+    def _pull(self, tapes: list, g: np.ndarray) -> np.ndarray:
+        """The parameter gradient at the first point of :meth:`_values`
+        from its value vector's cotangent ``g``, pulled back through each
+        block from its tape, zero on the pass's entries no value reads;
+        every parameter belongs to one word."""
         grad = np.zeros(self.n_params)
-        for engine, batch, params, reads, cols in self._blocks:
+        for (engine, batch, params, reads, cols), tape in zip(self._blocks, tapes):
             if engine is None:
                 grad[params] = g[cols]
             elif batch.n_slots:
-                def pull(v, reads=reads, cols=cols):
-                    g_v = np.zeros(v.shape, v.dtype)
-                    g_v.ravel()[reads] = g[cols]
-                    return g_v
-                grad[params] = engine.batch_backward(batch, theta[params], pull)[1]
+                v, tape = tape
+                g_v = np.zeros(v.shape, v.dtype)
+                g_v.ravel()[reads] = g[cols]
+                grad[params] = engine.batch_backward(batch, tape, g_v)
         return grad
 
-    def _request(self, runs: tuple[tuple[str, ...], ...]) -> list:
+    def _request(self, runs: tuple[tuple[str, ...], ...]) -> tuple[list, np.ndarray, np.ndarray]:
         """Per group with rows in the request, its batch, its gather stacked
         over the runs of splits, the ``k``-th run's offset by ``k *
-        n_values``, and where each of its rows lands in the request's
-        output, which holds every run's splits in turn."""
+        n_values``, the part of it that reads the first split, which leads
+        it, and those rows' slice of the first split's in group order; then
+        where each group's rows land in the request's output, every run's
+        splits in turn, and the positions of the first split's."""
         plan = self._requests.get(runs)
         if plan is None:
             order = list(self.sizes)
@@ -475,7 +485,8 @@ class _Model:
                     raise Error(f"splits {names} are not consecutive in {order}")
                 spans.append((bounds[first], bounds[first + len(names)], out))
                 out += bounds[first + len(names)] - bounds[first]
-            plan = []
+            n = self.sizes[runs[0][0]]
+            groups, dests, led = [], [np.zeros(0, np.intp)], 0
             for batch, at, gather in self._groups:
                 rows = [np.searchsorted(at, (lo, hi)) for lo, hi, _ in spans]
                 dest = np.concatenate([base + at[a:b] - lo
@@ -483,8 +494,12 @@ class _Model:
                 if len(dest):
                     stacked = np.concatenate([gather[a:b] + k * self.n_values
                                               for k, (a, b) in enumerate(rows)])
-                    plan.append((batch, stacked, dest))
-            self._requests[runs] = plan
+                    k = int(np.count_nonzero(dest < n))
+                    groups.append((batch, stacked, stacked[:k], slice(led, led + k)))
+                    dests.append(dest)
+                    led += k
+            dest = np.concatenate(dests)
+            plan = self._requests[runs] = groups, dest, np.flatnonzero(dest < n)
         return plan
 
     def evaluate(self, points, labels=None):
@@ -494,41 +509,39 @@ class _Model:
         consecutive split names and a parameter vector of ``n_params``
         entries.  Every group stacks each point's rows of its splits into
         one contraction, at the entries its stacked gather reads from the
-        points' value vectors.  Returns the gradient and, per point, per
-        split, its probabilities and degenerate count.  With ``labels``,
-        the labels of the first point's first split, the mean-loss
-        gradient of that split at the first point comes from the same
-        call: its rows lead every group's gather, and only they are pulled
-        back, then summed per value and pulled through :meth:`_pull`.
-        Without, the gradient is ``None``.
+        points' value vectors, and one readout serves every row.  Returns
+        the gradient and, per point, per split, its probabilities and
+        degenerate count.  With ``labels``, the labels of the first point's
+        first split, the mean-loss gradient of that split at the first
+        point comes from the same call: its rows lead every group's
+        gather, one pullback gives their cotangents, and each group's and
+        block's tape takes them back.  Without, the gradient is ``None``.
         """
         runs = tuple(tuple(names) for names, _ in points)
         for _, vec in points:
             if np.shape(vec) != (self.n_params,):
                 raise Error(f"expected {self.n_params} parameters, got {np.size(vec)}")
         thetas = np.array([vec for _, vec in points], dtype=float)
-        values = self._values(thetas).ravel()
-        u = np.empty((sum(self.sizes[n] for names in runs for n in names), 2))
-        terms = None
+        values, tapes = self._values(thetas, labels is not None)
+        values = values.ravel()
         if labels is not None:
             n = self.sizes[runs[0][0]]
             if n == 0:
                 raise EmptyEvalSet("no sentences to differentiate")
             if len(labels) != n:
                 raise Error(f"expected {n} labels, got {len(labels)}")
-            labels, terms = np.asarray(labels), []
-        for batch, gather, dest in self._request(runs):
-            # the first split's rows lead the output, as they lead the gather
-            rows = () if labels is None else dest[dest < n]
-            if not len(rows):
-                v = tensornet.batch_forward(batch, values[gather])
-            else:
-                v, group_terms = tensornet.batch_backward(
-                    batch, values[gather], lambda v: _pullback(v[: len(rows)], labels[rows], n))
-                terms.append((gather[: len(group_terms)], group_terms))
-            u[dest] = _weights(v)
+        groups, dest, lead = self._request(runs)
+        forwards = [tensornet.batch_forward(batch, values[gather]) for batch, gather, *_ in groups]
+        v = np.concatenate([np.zeros((0, 2)), *(v for v, _ in forwards)])
+        u = np.empty((sum(self.sizes[name] for names in runs for name in names), 2))
+        u[dest] = v.real**2 + v.imag**2  # on real rows exactly v**2
+        readout = _readout(u)
         grad = None
-        if terms is not None:
+        if labels is not None:
+            at = dest[lead]
+            g_v = _pullback(v[lead], np.asarray(labels)[at], n, [r[at] for r in readout])
+            terms = [(first, tensornet.batch_backward(batch, tape, g_v[rows]))
+                     for (batch, _, first, rows), (_, tape) in zip(groups, forwards) if len(first)]
             # in order, so a value gathered twice (a word repeated in a
             # sentence) sums both terms
             index = np.concatenate([g.ravel() for g, _ in terms])
@@ -536,15 +549,12 @@ class _Model:
             g = np.bincount(index, flat.real, self.n_values)
             if np.iscomplexobj(flat):
                 g = g + 1j * np.bincount(index, flat.imag, self.n_values)
-            grad = self._pull(thetas[0], g)
-        readouts, at = [], 0
-        for names in runs:
-            readouts.append([])
-            for name in names:
-                probs, degenerate = _readout(u[at : at + self.sizes[name]])
-                readouts[-1].append((probs, int(degenerate.sum())))
-                at += len(probs)
-        return grad, readouts
+            grad = self._pull(tapes, g)
+        probs, degenerate, _ = readout
+        ends = np.cumsum([self.sizes[name] for names in runs for name in names]).tolist()
+        splits = iter([(probs[a:b], int(np.count_nonzero(degenerate[a:b])))
+                       for a, b in zip([0, *ends], ends)])
+        return grad, [[next(splits) for _ in names] for names in runs]
 
     def eval_split(self, name: str, theta: np.ndarray):
         """Probabilities of every row of the split and its degenerate count."""
@@ -681,23 +691,29 @@ class TensorModel(_Model):
         together, words in index order.  A word lowered to one node reads
         its tensor from its parameters; the words of one tensor shape that
         ``cfg`` splits form one block, a batch of their lowered network.
+        All of it is held with the corpus per ``cfg``.
         """
         _, words, sizes = _shapes(splits, lexicon, scheme)
-        shapes, starts, groups, _ = _contraction(cfg.d_n, cfg.d_s)
-        pieces, kinds = [], {}
-        for w, shape in enumerate(shapes):
-            nodes, edges, legs = _lower_word(Symbol(*words[w], 0), shape, cfg, 0)
-            at = sum(math.prod(node.shape) for node in pieces)
-            pieces += [node for node in nodes if isinstance(node, ParamNode)]
-            _, ids, cols = kinds.setdefault(shape if len(nodes) > 1 else None,
-                                            (Network(*map(tuple, (nodes, edges, legs))), [], []))
-            ids.append(np.arange(at, sum(math.prod(node.shape) for node in pieces)))
-            cols.append(np.arange(starts[w], starts[w + 1]))
-        blocks = [(None, None, np.concatenate(ids), None, np.concatenate(cols)) if shape is None
-                  else (tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
-                        np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
-        return cls([node.symbol for node in pieces], [node.shape for node in pieces], sizes,
-                   groups, blocks)
+        held = _front_end[2]
+        if cfg not in held:
+            shapes, starts, groups, _ = _contraction(cfg.d_n, cfg.d_s)
+            pieces, kinds = [], {}
+            for w, shape in enumerate(shapes):
+                nodes, edges, legs = _lower_word(Symbol(*words[w], 0), shape, cfg, 0)
+                at = sum(math.prod(node.shape) for node in pieces)
+                pieces += [node for node in nodes if isinstance(node, ParamNode)]
+                net = Network(*map(tuple, (nodes, edges, legs)))
+                _, ids, cols = kinds.setdefault(shape if len(nodes) > 1 else None, (net, [], []))
+                ids.append(np.arange(at, sum(math.prod(node.shape) for node in pieces)))
+                cols.append(np.arange(starts[w], starts[w + 1]))
+            blocks = [(None, None, np.concatenate(ids), None, np.concatenate(cols))
+                      if shape is None else
+                      (tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
+                       np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
+            held[cfg] = ([node.symbol for node in pieces], [node.shape for node in pieces],
+                         groups, blocks)
+        symbols, piece_shapes, groups, blocks = held[cfg]
+        return cls(symbols, piece_shapes, sizes, groups, blocks)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]
@@ -713,18 +729,30 @@ class TensorModel(_Model):
 # -- fit loop -------------------------------------------------------------
 
 
-def _split_loss(probs: np.ndarray, labels: np.ndarray, split: str, epoch: int) -> float:
-    """Mean loss of a split; non-finite probabilities or a row count that
-    differs from the split's fail the fit.
+def _score(history: History, scored: list) -> tuple[list[float], list[float]]:
+    """The mean losses and accuracies of ``(split, epoch, labels, (probs,
+    degenerate))`` readouts; their degenerate rows count in ``history``.
 
-    The clip bounds the loss of finite probabilities, so the check on
-    them covers the loss too.
+    In order, a readout with non-finite probabilities, then one with a row
+    count other than its labels', fails the fit.  The clip bounds the loss
+    of finite probabilities, so the check on them covers the loss too.
     """
-    if not np.isfinite(probs).all():
-        raise NonFiniteLoss(f"{split} loss became non-finite at epoch {epoch}")
-    if np.shape(probs) != (len(labels), 2):
-        raise Error(f"{split} split: {len(labels)} sentences, probabilities {np.shape(probs)}")
-    return float(bce_loss(probs, labels).mean())
+    probs = [p for *_, (p, _) in scored]
+    if (any(np.shape(p) != (len(y), 2) for p, (_, _, y, _) in zip(probs, scored))
+            or not np.isfinite(all_probs := np.concatenate(probs)).all()):
+        for p, (split, epoch, labels, _) in zip(probs, scored):
+            if not np.isfinite(p).all():
+                raise NonFiniteLoss(f"{split} loss became non-finite at epoch {epoch}")
+            if np.shape(p) != (len(labels), 2):
+                raise Error(f"{split} split: {len(labels)} sentences, probabilities {np.shape(p)}")
+    history.degenerate_evals += sum(degenerate for *_, (_, degenerate) in scored)
+    labels = np.concatenate([y for _, _, y, _ in scored])
+    loss, hits = bce_loss(all_probs, labels), predict(all_probs) == labels
+    ends = np.cumsum([len(p) for p in probs]).tolist()
+    bounds = list(zip([0, *ends], ends))
+    # each mean as ``.mean()`` gives it, bit for bit
+    return ([float(np.add.reduce(loss[a:b]) / (b - a)) for a, b in bounds],
+            [int(np.count_nonzero(hits[a:b])) / (b - a) for a, b in bounds])
 
 
 def fit(
@@ -751,48 +779,35 @@ def fit(
     else:
         raise ConfigError(f"unknown optimizer config: {cfg.optimizer!r}")
 
-    def score(split: str, labels: np.ndarray, readout, epoch: int):
-        """Probabilities and checked mean loss of a ``(probs, degenerate)``
-        readout; counts its degenerate rows."""
-        probs, degenerate = readout
-        history.degenerate_evals += degenerate
-        return probs, _split_loss(probs, labels, split, epoch)
-
-    def record_dev(readout, epoch: int) -> None:
-        probs, loss = score("dev", dev_labels, readout, epoch)
-        history.val_loss.append(loss)
-        history.val_acc.append(accuracy(probs, dev_labels))
-
     start = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             raise BudgetExceeded(
                 f"epoch {epoch}: exceeded budget of {budget_seconds:.0f} s"
             )
-        # dev at this epoch's parameters is the previous epoch's dev readout
+        probes = []
         if spsa is not None:
             plus, minus = spsa.probes(theta)
-            _, ((train, dev), (train_plus,), (train_minus,)) = model.evaluate(
+            _, ((train, dev), *probes) = model.evaluate(
                 [(("train", "dev"), theta), (("train",), plus), (("train",), minus)])
         else:
             grad, ((train, dev),) = model.evaluate([(("train", "dev"), theta)], train_labels)
+        # dev at this epoch's parameters is the previous epoch's dev readout
+        losses, accs = _score(history, [("dev", epoch - 1, dev_labels, dev)] * (epoch > 1) + [
+            ("train", epoch, train_labels, readout) for readout in (train, *(r for r, in probes))])
         if epoch > 1:
-            record_dev(dev, epoch - 1)
-        probs, loss = score("train", train_labels, train, epoch)
-        history.train_loss.append(loss)
-        history.train_acc.append(accuracy(probs, train_labels))
-
-        if spsa is not None:
-            theta = spsa.step(theta, score("train", train_labels, train_plus, epoch)[1],
-                              score("train", train_labels, train_minus, epoch)[1])
-        else:
-            theta = adaptive.step(theta, grad)
+            history.val_loss.append(losses.pop(0))
+            history.val_acc.append(accs.pop(0))
+        history.train_loss.append(losses[0])
+        history.train_acc.append(accs[0])
+        theta = spsa.step(theta, *losses[1:]) if spsa is not None else adaptive.step(theta, grad)
 
     # the closing call: the last epoch's dev readout and the test score
-    test_labels = np.asarray(splits.test.labels())
     _, ((dev, test),) = model.evaluate([(("dev", "test"), theta)])
-    record_dev(dev, cfg.epochs)
-    test_probs, _ = score("test", test_labels, test, cfg.epochs)
-    history.test_acc = accuracy(test_probs, test_labels)
+    (val_loss, _), (val_acc, history.test_acc) = _score(
+        history, [("dev", cfg.epochs, dev_labels, dev),
+                  ("test", cfg.epochs, np.asarray(splits.test.labels()), test)])
+    history.val_loss.append(val_loss)
+    history.val_acc.append(val_acc)
     history.final_params = theta
     return history

@@ -27,6 +27,7 @@ import numpy as np
 from qnlp import simulator, tensornet, training
 from qnlp.circuit import Symbol, compile_circuit
 from qnlp.diagram import Box, Diagram, ShapeMismatch
+from qnlp.errors import Error
 from qnlp.pregroup import Base, SimpleType, contractible, parse_sentence
 from qnlp.rewrite import rewrite
 from qnlp.tensornet import ParamNode, compile_network
@@ -267,6 +268,20 @@ def five_point_difference(f: Callable[[np.ndarray], float], x: np.ndarray, h: fl
     return out
 
 
+def split_loss(probs: np.ndarray, labels: np.ndarray, split: str, epoch: int) -> float:
+    """Mean loss of a split; non-finite probabilities or a row count that
+    differs from the split's fail the fit, as in ``training.fit``.
+
+    The clip bounds the loss of finite probabilities, so the check on
+    them covers the loss too.
+    """
+    if not np.isfinite(probs).all():
+        raise training.NonFiniteLoss(f"{split} loss became non-finite at epoch {epoch}")
+    if np.shape(probs) != (len(labels), 2):
+        raise Error(f"{split} split: {len(labels)} sentences, probabilities {np.shape(probs)}")
+    return float(training.bce_loss(probs, labels).mean())
+
+
 def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
     """The fit loop one split at a time, through ``eval_split`` and ``grad_split``.
 
@@ -290,7 +305,7 @@ def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
     def score(split, labels, readout, epoch):
         probs, degenerate = readout
         history.degenerate_evals += degenerate
-        return probs, training._split_loss(probs, labels, split, epoch)
+        return probs, split_loss(probs, labels, split, epoch)
 
     for epoch in range(1, cfg.epochs + 1):
         if spsa is not None:
@@ -390,7 +405,7 @@ class PerStructureCircuitModel:
     def _read(self, name: str, theta: np.ndarray):
         amps = np.zeros((self.sizes[name], 2), dtype=complex)
         for batch, at, gather in self.groups[name]:
-            amps[at] = simulator.batch_forward(batch, theta[gather])
+            amps[at] = simulator.batch_forward(batch, theta[gather])[0]
         u = amps.real**2 + amps.imag**2
         norm = u.sum(axis=1)
         dead = norm < training.DEGENERATE_EPS
@@ -411,8 +426,8 @@ class PerStructureCircuitModel:
         g = np.where(dead[:, None], 0.0, 2.0 * c * amps)
         grad = np.zeros(self.n_params)
         for batch, at, gather in self.groups[name]:
-            np.add.at(grad, gather, simulator.batch_backward(batch, theta[gather],
-                                                             lambda _, at=at: g[at])[1])
+            _, tape = simulator.batch_forward(batch, theta[gather])
+            np.add.at(grad, gather, simulator.batch_backward(batch, tape, g[at]))
         return grad, probs, int(dead.sum())
 
 

@@ -295,7 +295,7 @@ class TestCompileBatches:
         circuit = Circuit(3, (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.H, (2,))), (2,),
                           (1, 0), ())
         batch = compile_batch(circuit, 1)
-        maps = batch_forward(batch, np.zeros((1, 0)))
+        maps, _ = batch_forward(batch, np.zeros((1, 0)))
         want = np.zeros((2, 2, 2))
         want[0, 0, 0] = want[1, 1, 1] = 1 / np.sqrt(2)
         np.testing.assert_allclose(maps, want.reshape(1, -1), rtol=0, atol=1e-15)
@@ -397,7 +397,7 @@ class TestBatchProperties:
         theta, angles, offsets = angles_of(circuits, rng)
         assert len({circuit_structure_key(c) for c in circuits}) == 1
         batch = compile_batch(circuits[0], 0)
-        amps = batch_forward(batch, angles)
+        amps, tape = batch_forward(batch, angles)
         n = np.abs(amps) ** 2
         # a random upstream g_p on p = N / D per row, chained to N as the
         # model's pullback does, and to the amplitudes as 2 amps g_u
@@ -406,8 +406,9 @@ class TestBatchProperties:
         alive = d[:, 0] >= SURVIVAL_EPS
         p = n / np.where(alive[:, None], d, 1.0)
         upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
-        pulled, vjp = batch_backward(batch, angles, lambda maps: 2.0 * maps * upstream)
-        assert pulled.tobytes() == amps.tobytes()  # the backward pass's own forward
+        vjp = batch_backward(batch, tape, 2.0 * amps * upstream)
+        # the reverse sweep leaves the forward's tape as it was
+        assert batch_backward(batch, tape, 2.0 * amps * upstream).tobytes() == vjp.tobytes()
         assert vjp.shape == angles.shape
         for r, c in enumerate(circuits):
             x = theta[[offsets[s] for s in c.symbols]]
@@ -430,7 +431,7 @@ class TestBatchProperties:
         rng = np.random.default_rng(seed)
         theta, angles, offsets = angles_of(circuits, rng)
         batch = compile_batch(circuits[0], n_dom)
-        maps = batch_forward(batch, angles)
+        maps, tape = batch_forward(batch, angles)
         n_out = len(circuits[0].outputs)
         assert maps.shape == (len(circuits), 2 ** (n_dom + n_out)) and maps.dtype == complex
         for r, c in enumerate(circuits):
@@ -438,15 +439,34 @@ class TestBatchProperties:
             np.testing.assert_allclose(maps[r], want, rtol=0, atol=1e-12)
         # every slot on its own, differentiated numerically: Re <g, map>
         g = rng.normal(size=maps.shape) + 1j * rng.normal(size=maps.shape)
-        _, vjp = batch_backward(batch, angles, lambda _: g)
+        vjp = batch_backward(batch, tape, g)
         # pulling back only the leading row reads the same terms for it
-        _, led = batch_backward(batch, angles, lambda _: g[:1])
+        led = batch_backward(batch, tape, g[:1])
         np.testing.assert_allclose(led, vjp[:1], rtol=1e-12, atol=1e-15)
         fd = five_point_difference(
-            lambda a: float(np.vdot(g, batch_forward(batch, a.reshape(angles.shape))).real),
+            lambda a: float(np.vdot(g, batch_forward(batch, a.reshape(angles.shape))[0]).real),
             angles.ravel(),
         )
         np.testing.assert_allclose(vjp.ravel(), fd, rtol=0, atol=1e-6)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(case=random_circuits(), seed=st.integers(0, 2**32 - 1), lead=st.integers(1, 3))
+    def test_backward_from_a_stored_tape(self, case, seed, lead):
+        # the leading rows' terms from the tape of a pass over more rows,
+        # kept while another pass runs, equal those after a fresh pass over
+        # the leading rows alone, bit for bit
+        circuits, n_dom = case
+        rng = np.random.default_rng(seed)
+        _, angles, _ = angles_of(circuits, rng)
+        batch = compile_batch(circuits[0], n_dom)
+        rows = np.concatenate([angles, angles[::-1]])
+        lead = min(lead, len(angles))
+        maps, tape = batch_forward(batch, rows)
+        batch_forward(batch, rows[::-1])
+        g = rng.normal(size=(lead, maps.shape[1])) + 1j * rng.normal(size=(lead, maps.shape[1]))
+        stored = batch_backward(batch, tape, g)
+        fresh = batch_backward(batch, batch_forward(batch, rows[:lead])[1], g)
+        assert stored.tobytes() == fresh.tobytes()
 
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(case=random_circuits(), seed=st.integers(0, 2**32 - 1),
@@ -458,7 +478,7 @@ class TestBatchProperties:
         _, angles, _ = angles_of(circuits, np.random.default_rng(seed))
         batch = compile_batch(circuits[0], n_dom)
         rows = [r % len(circuits) for r in picks]
-        together = batch_forward(batch, angles[rows])
+        together = batch_forward(batch, angles[rows])[0]
         for i, r in enumerate(rows):
-            alone = batch_forward(batch, angles[r : r + 1])
+            alone = batch_forward(batch, angles[r : r + 1])[0]
             assert together[i : i + 1].tobytes() == alone.tobytes()

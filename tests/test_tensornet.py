@@ -461,17 +461,18 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
         assert batch.steps[-1].kept == (plan.n_labels, *plan.outputs)
         assert gather.shape == (len(rows), batch.n_slots)
         values = theta[gather]
-        v = batch_forward(batch, values)
+        v, tape = batch_forward(batch, values)
         assert v.shape == (len(rows), math.prod(batch.out_shape))
         up = rng.standard_normal(v.shape)  # the cotangent of v
-        pulled, terms = batch_backward(batch, values, lambda _: up)
-        np.testing.assert_array_equal(pulled, v)  # the backward pass's own forward
+        terms = batch_backward(batch, tape, up)
+        # the reverse sweep leaves the forward's tape as it was
+        np.testing.assert_array_equal(batch_backward(batch, tape, up), terms)
         assert terms.shape == gather.shape
         grad = np.zeros_like(theta)
         np.add.at(grad, gather, terms)
         # pulling back only the leading row reads the same terms for it
-        pulled, led = batch_backward(batch, values, lambda _: up[:1])
-        np.testing.assert_array_equal(pulled, v)
+        led = batch_backward(batch, tape, up[:1])
+        np.testing.assert_array_equal(batch_forward(batch, values)[0], v)
         np.testing.assert_allclose(led, terms[:1], rtol=1e-12, atol=1e-15)
         want = np.zeros_like(theta)
         for r, i in enumerate(rows):
@@ -661,9 +662,9 @@ def check_rows_alone_and_together(batch, rng, complex_rows, picks) -> None:
     values = rng.standard_normal((max(picks) + 1, batch.n_slots))
     if complex_rows:
         values = values + 1j * rng.standard_normal(values.shape)
-    together = batch_forward(batch, values[picks])
+    together = batch_forward(batch, values[picks])[0]
     for i, r in enumerate(picks):
-        assert together[i : i + 1].tobytes() == batch_forward(batch, values[r : r + 1]).tobytes()
+        assert together[i : i + 1].tobytes() == batch_forward(batch, values[r : r + 1])[0].tobytes()
 
 
 QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
@@ -693,15 +694,35 @@ class TestWordMaps:
         values = rng.standard_normal((4, batch.n_slots))
         g = rng.standard_normal((4, math.prod(shape)))
         picks = [3, 0, 3, 1, 2, 0]
-        together, terms = batch_backward(batch, values[picks], lambda _: g[picks])
-        np.testing.assert_array_equal(batch_forward(batch, values[picks]), together)
+        together, tape = batch_forward(batch, values[picks])
+        terms = batch_backward(batch, tape, g[picks])
+        np.testing.assert_array_equal(batch_forward(batch, values[picks])[0], together)
         store = {node.symbol: values[0, cols].reshape(node.shape)
                  for node, cols in zip(nodes, batch.columns)}
         np.testing.assert_allclose(together[1], contract(net, store).ravel(), rtol=0, atol=1e-13)
         for i, r in enumerate(picks):
-            alone, alone_terms = batch_backward(batch, values[r : r + 1], lambda _: g[r : r + 1])
+            alone, tape = batch_forward(batch, values[r : r + 1])
+            alone_terms = batch_backward(batch, tape, g[r : r + 1])
             assert together[i : i + 1].tobytes() == alone.tobytes()
             assert terms[i : i + 1].tobytes() == alone_terms.tobytes()
+
+
+    @pytest.mark.parametrize("lowering", SPLITS, ids=lambda c: f"{c.kind.value}-bond{c.bond_dim}"
+                             if c.kind is TensorAnsatz.MPS else f"spider-legs{c.max_legs}")
+    def test_backward_from_a_stored_tape(self, lowering):
+        # a map stage keeps its blocks' tapes while the contraction runs:
+        # the terms from a stored tape equal those after a fresh pass, bit
+        # for bit
+        rng = np.random.default_rng(0)
+        nodes, edges, legs = tensornet._lower_word(Symbol("w", "n", 0), (2, 3, 2, 2), lowering, 0)
+        batch = compile_batch(Network(tuple(nodes), tuple(edges), tuple(legs)))
+        values = rng.standard_normal((5, batch.n_slots))
+        g = rng.standard_normal((5, math.prod(batch.out_shape)))
+        _, tape = batch_forward(batch, values)
+        batch_forward(batch, 2.0 * values[::-1])
+        stored = batch_backward(batch, tape, g)
+        fresh = batch_backward(batch, batch_forward(batch, values)[1], g)
+        assert stored.tobytes() == fresh.tobytes()
 
 
 class TestComplexRows:
@@ -723,15 +744,15 @@ class TestComplexRows:
                       + 1j * rng.standard_normal(box_shape(box, WireDims()))
                       for b, box in enumerate(diagrams[r].boxes)} for r in rows]
             values = np.array([np.concatenate([t.ravel() for t in row.values()]) for row in boxes])
-            v = batch_forward(batch, values)
+            v, tape = batch_forward(batch, values)
             for i, r in enumerate(rows):
                 want = eval_tensor(diagrams[r], boxes[i]).ravel()
                 np.testing.assert_allclose(v[i], want, rtol=1e-12, atol=1e-12)
             g_v = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-            _, terms = batch_backward(batch, values, lambda _: g_v)
+            terms = batch_backward(batch, tape, g_v)
 
             def loss(x):
-                return float(np.vdot(g_v, batch_forward(batch, x.reshape(values.shape))).real)
+                return float(np.vdot(g_v, batch_forward(batch, x.reshape(values.shape))[0]).real)
 
             for part, unit in ((terms.real, 1.0), (terms.imag, 1j)):
                 fd = finite_difference(lambda x: loss(values + unit * x.reshape(values.shape)),

@@ -36,7 +36,7 @@ from qnlp.simulator import (
     distribution_gradient,
     sentence_distribution,
 )
-from qnlp import circuit, simulator, tensornet, training
+from qnlp import circuit, experiment, simulator, tensornet, training
 from qnlp.tensornet import (
     ParamNode,
     TensorAnsatz,
@@ -389,6 +389,42 @@ class TestCircuitFit:
         assert h.train_acc == [0.5] * 3
         assert h.degenerate_evals == 3  # the train readout counted once per epoch
 
+    def test_dev_is_checked_before_train(self):
+        class DevBreaksModel(SplitModel):
+            # the third request reads dev at theta_3 as NaN and train with
+            # one row too few: dev, recorded as epoch 2's, is checked first
+            def __init__(self):
+                self.requests = 0
+
+            def eval_split(self, name, theta):
+                rows = len(getattr(tiny_splits(), name))
+                return np.full((rows, 2), np.nan if self.requests == 3 else 0.5), 0
+
+            def grad_split(self, name, theta, labels):
+                self.requests += 1
+                return np.ones(2), np.full((4 - (self.requests == 3), 2), 0.5), 0
+
+        with pytest.raises(NonFiniteLoss, match="dev loss became non-finite at epoch 2"):
+            fit(DevBreaksModel(), tiny_splits(),
+                TrainConfig(epochs=5, optimizer=AdaptiveGDConfig()))
+
+    def test_spsa_minus_probe_is_checked(self):
+        class MinusBreaksModel(SplitModel):
+            # train is read three times per request, the minus probe last;
+            # the second request's minus probe is NaN
+            def __init__(self):
+                self.train_reads = 0
+
+            def eval_split(self, name, theta):
+                self.train_reads += name == "train"
+                nan = name == "train" and self.train_reads == 6
+                return np.full((len(getattr(tiny_splits(), name)), 2), np.nan if nan else 0.5), 0
+
+        model = MinusBreaksModel()
+        with pytest.raises(NonFiniteLoss, match="train loss became non-finite at epoch 2"):
+            fit(model, tiny_splits(), TrainConfig(epochs=5))
+        assert model.train_reads == 6
+
     def test_zero_parameter_model_propagates(self):
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=0, n_single_qubit_params=0)
         with pytest.raises(ZeroParameterModel):
@@ -668,12 +704,13 @@ class TestTensorBatching:
         words = [batch for engine, batch, *_ in model._blocks if engine is not None]
         assert len(words) == (kind is not TensorAnsatz.TENSOR)
         assert len(model._groups) == 4 and len(searches) == 4 + len(words)
-        # the contraction is held with the corpus: a repeat build searches
-        # its word blocks only
+        # the contraction and each lowering's word blocks are held with the
+        # corpus: a repeat build searches nothing
         again = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
-        assert len(searches) == 4 + 2 * len(words)
+        assert len(searches) == 4 + len(words)
         assert all(a is b for (a, _, _), (b, _, _) in zip(again._groups, model._groups))
+        assert all(a[1] is b[1] for a, b in zip(again._blocks, model._blocks))
 
         def no_search(*args, **kwargs):
             raise AssertionError("contraction path searched after compile")
@@ -832,7 +869,7 @@ def assert_same_tensor_model(model: TensorModel, diagrams, cfg) -> None:
     assert sorted(batch.out_shape for engine, batch, *_ in model._blocks if engine) == sorted(split)
     assert sum(engine is None for engine, *_ in model._blocks) == (split != shapes)
     theta = model.init_params(np.random.default_rng(0))
-    values, store = model._values(theta[None])[0], model.store(theta)
+    values, store = model._values(theta[None], False)[0][0], model.store(theta)
     for symbol, shape, lo, hi in dense._tables():
         nodes, edges, legs = tensornet._lower_word(symbol, shape, cfg, 0)
         want = contract(tensornet.Network(tuple(nodes), tuple(edges), tuple(legs)), store)
@@ -913,6 +950,61 @@ class TestTensorBuild:
         want_probs, want = tensor_reference_split(model, nets["train"], theta, labels)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestRequestWork:
+    """A gradient request runs each map block and each group forward once,
+    then one readout over its rows and one pullback over the
+    differentiated split's; the map stage's pullback reads the blocks'
+    tapes and runs no forward pass of its own."""
+
+    @pytest.mark.parametrize("cfg", (TINY_ANSATZ, *map(TensorAnsatzConfig, KINDS)),
+                             ids=("circuit", *(k.value for k in KINDS)))
+    def test_one_pass_per_stage(self, cfg, monkeypatch, rng):
+        splits = pattern_splits()
+        family = CircuitModel if cfg is TINY_ANSATZ else TensorModel
+        model = family.build(splits, default_lexicon(), RewriteScheme.RE, cfg)
+        assert len(model._groups) == 4  # one per sentence pattern, each with train rows
+        theta = model.init_params(rng)
+        labels = splits.train.labels()
+        want, _ = model.evaluate([(("train", "dev"), theta)], labels)
+        steps, gates, calls = [], [], {"_pullback": 0, "_readout": 0}
+        apply_rows = simulator._apply_rows
+
+        def counting(name):
+            fn = getattr(training, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        def einsum(subscripts, *operands, **kwargs):
+            steps.append(subscripts)
+            return np.einsum(subscripts, *operands, **kwargs)
+
+        def gate(state, op, angles):
+            gates.append(op)
+            return apply_rows(state, op, angles)
+
+        monkeypatch.setattr(tensornet, "np", numpy_with(einsum=einsum))
+        monkeypatch.setattr(simulator, "_apply_rows", gate)
+        for name in calls:
+            monkeypatch.setattr(training, name, counting(name))
+        grad, _ = model.evaluate([(("train", "dev"), theta)], labels)
+
+        def passes(batch) -> int:
+            # a forward pass runs its batch's first gate or contraction
+            # step, which no reverse sweep runs
+            if isinstance(batch, simulator.CircuitBatch):
+                return sum(op is batch.ops[0] for op in gates)
+            return sum(s is batch.steps[0].subscripts for s in steps)
+
+        blocks = [batch for engine, batch, *_ in model._blocks if engine is not None]
+        assert [passes(batch) for batch in blocks] == [1] * len(blocks)
+        assert [passes(batch) for batch, _, _ in model._groups] == [1] * len(model._groups)
+        assert calls == {"_pullback": 1, "_readout": 1}
+        assert grad.tobytes() == want.tobytes()
 
 
 class TestModelSurface:
@@ -1548,14 +1640,14 @@ class TestCircuitOracle:
         model = CircuitModel.build(splits, lexicon, scheme,
                                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 2))
         theta = model.init_params(rng)
-        values, inputs = model._values(theta[None])[0], set()
+        values, inputs = model._values(theta[None], False)[0][0], set()
         for _, batch, angles, reads, cols in model._blocks:
             cod = len(batch.cols).bit_length() - 1
             counts = np.bincount(reads >> batch.n_dom + cod, minlength=len(angles))
             for a, n, end in zip(angles, counts, np.cumsum(counts)):
                 own = dataclasses.replace(batch, n_dom=int(n).bit_length() - 1 - cod)
                 inputs.add((batch.n_dom, own.n_dom))
-                want = simulator.batch_forward(own, theta[a][None]).ravel()
+                want = simulator.batch_forward(own, theta[a][None])[0].ravel()
                 assert values[cols[end - n:end]].tobytes() == want.tobytes()
         assert inputs == {(0, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
 
@@ -1760,6 +1852,23 @@ class TestTracerContract:
             "rewrite",
         ):
             assert callable(getattr(training, name, None)), name
+
+    def test_bce_loss_scores_one_distribution(self):
+        # the benchmark's gradient check scores one sentence per call
+        loss = training.bce_loss(np.array([0.3, 0.7]), 1)
+        assert type(loss) is float
+        assert loss == training.bce_loss(np.array([[0.3, 0.7]]), np.array([1]))[0]
+
+    def test_sweep_worker_returns_one_dict_per_job(self, tmp_path):
+        # the benchmark wraps the worker run_sweep maps over its jobs
+        cells = experiment.sweep_cells(ansatze=("iqp",), layer_range=(0, 1), rotation_range=(0,),
+                                       seeds=(0, 1), epochs=2)
+        jobs = [(cfg.to_dict(), seed, str(tmp_path), None) for cfg in cells for seed in cfg.seeds]
+        summaries = [experiment._sweep_worker(job) for job in jobs]
+        assert all(type(s) is dict for s in summaries)
+        assert [s["run_id"] for s in summaries] == [cfg.run_id(seed) for cfg in cells
+                                                    for seed in cfg.seeds]
+        assert [s["status"] for s in summaries] == ["zero_params"] * 2 + ["ok"] * 2
 
     @staticmethod
     def tracing():
