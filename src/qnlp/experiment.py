@@ -12,7 +12,9 @@ raised.  The budget is not part of the run id; the summary records it
 instead, so a run recorded as ``aborted`` is rerun under a larger budget
 or none, and skipped under the same or a smaller one.  The summary is
 written last, to a temporary file renamed into place, so a run cut short
-mid-write leaves no summary.
+mid-write leaves no summary.  A summary that is not a JSON object with a
+string ``status`` counts as absent: the run is rerun, and :func:`report`
+names the file in its error.
 
 A model with an empty symbol table cannot train; its summary records the
 accuracy fields as literal ``NaN`` (the grid report keeps those cells as
@@ -287,13 +289,13 @@ def run_one(
     budget is recorded in the summary instead of raised.  A stored summary
     is returned as it is unless its status is ``error``, or ``aborted``
     under a recorded budget that ``budget_seconds`` is absent or larger
-    than; either reruns the cell.
+    than; either reruns the cell, as does a summary that is not a JSON
+    object with a string ``status``.
     """
     run_id = cfg.run_id(seed)
     run_dir = results_root(root) / run_id
-    summary_path = run_dir / "summary.json"
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary = _read_summary(run_dir / "summary.json")
+    if summary is not None:
         status, recorded = summary["status"], summary.get("budget_seconds")
         if status == "aborted":  # rerun only if this call allows more time
             rerun = budget_seconds is None or recorded is None or budget_seconds > recorded
@@ -355,6 +357,16 @@ def _finish_run(run_dir: Path, summary: dict, history: History | None = None,
             (run_dir / "checkpoint.json").write_text(json.dumps(checkpoint) + "\n",
                                                      encoding="utf-8")
     _write_summary(run_dir, summary)
+
+
+def _read_summary(path: Path) -> dict | None:
+    """The run summary at ``path``; ``None`` if there is none or it is not
+    a JSON object with a string ``status``."""
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return None
+    return summary if isinstance(summary, dict) and isinstance(summary.get("status"), str) else None
 
 
 def _write_summary(run_dir: Path, summary: dict) -> None:
@@ -499,7 +511,10 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
     out = Path(out_dir) if out_dir is not None else base
     runs = []
     for run_dir in _iter_run_dirs(base):
-        summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+        summary = _read_summary(run_dir / "summary.json")
+        if summary is None:
+            raise Error(f"{run_dir / 'summary.json'}: not a run summary (a JSON object "
+                        "with a string status)")
         summary["_dir"] = run_dir
         runs.append(summary)
     if not runs:

@@ -13,8 +13,8 @@ The tensor meaning is preserved exactly, with the same box tensors.
 contains adjoint wires that meet plain wires in cups is replaced by a
 curried box consuming those plain wires as its domain, and the cups vanish.
 A transitive verb ``1 -> n.r@s@n.l`` with both adjoints cupped becomes a
-curried box ``n@n -> s``.  The tensor meaning is preserved under an axis
-permutation of the box tensor (:func:`bend_tensor`).
+curried box ``n@n -> s``.  The tensor meaning is preserved when the curried
+box's tensor is the word's tensor with the bent codomain axes moved first.
 
 The four preset schemes apply these passes in pipeline order:
 
@@ -29,9 +29,6 @@ The four preset schemes apply these passes in pipeline order:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-import numpy as np
 
 from qnlp.diagram import (
     Box,
@@ -141,30 +138,7 @@ def _shift_port(p: Port, owner: str, removed_index: int) -> Port:
 # -- currying -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurryInfo:
-    """How one word box was curried: which codomain legs became the domain."""
-
-    bent_cod_legs: tuple[int, ...]
-    n_cod: int
-
-
-def bend_tensor(tensor: np.ndarray, info: CurryInfo) -> np.ndarray:
-    """Axis permutation matching :func:`curry`.
-
-    The curried box reads its tensor as domain legs then codomain legs, so
-    the bent axes move to the front, original order preserved among
-    themselves and among the survivors.
-    """
-    remaining = [i for i in range(info.n_cod) if i not in info.bent_cod_legs]
-    return np.transpose(np.asarray(tensor), tuple(info.bent_cod_legs) + tuple(remaining))
-
-
 def curry(d: Diagram) -> Diagram:
-    return curry_with_info(d)[0]
-
-
-def curry_with_info(d: Diagram) -> tuple[Diagram, dict[int, CurryInfo]]:
     """Bend cupped arguments into word boxes.
 
     For every word box, each codomain leg carrying an adjoint type whose
@@ -172,9 +146,6 @@ def curry_with_info(d: Diagram) -> tuple[Diagram, dict[int, CurryInfo]]:
     becomes a domain leg of the new curried box and the cup disappears.
     An adjoint leg cupped to another adjoint wire, or cupped back to the
     same box, cannot be bent and raises :class:`CurryUnsupported`.
-
-    Returns the rewritten diagram and, per rewritten box index, the
-    :class:`CurryInfo` needed to re-shape its tensor.
     """
     cup_pairs = d.cup_pairs()
     partner_of: dict[int, tuple[int, int]] = {}
@@ -207,9 +178,8 @@ def curry_with_info(d: Diagram) -> tuple[Diagram, dict[int, CurryInfo]]:
             bends.setdefault(b, []).append((leg, c, partner))
 
     if not bends:
-        return d, {}
+        return d
 
-    infos: dict[int, CurryInfo] = {}
     new_boxes: list[Box] = []
     cod_leg_map: dict[tuple[int, int], int] = {}  # (box, old cod leg) -> new leg
     dom_slot: dict[int, tuple[int, int]] = {}  # partner wire -> (box, new dom leg)
@@ -235,7 +205,6 @@ def curry_with_info(d: Diagram) -> tuple[Diagram, dict[int, CurryInfo]]:
             cod_leg_map[(b, old_leg)] = new_leg
         new_cod = PregroupType(tuple(box.cod[leg] for leg in surviving))
         new_boxes.append(Box(box.name, new_dom, new_cod, BoxKind.CURRIED))
-        infos[b] = CurryInfo(tuple(bent_legs), len(box.cod))
 
     cup_index_map: dict[int, int] = {}
     for c in range(d.n_cups):
@@ -256,11 +225,10 @@ def curry_with_info(d: Diagram) -> tuple[Diagram, dict[int, CurryInfo]]:
             consumer = Port("cup", cup_index_map[consumer.index], consumer.leg)
         new_wires.append(Wire(wire.stype, producer, consumer))
 
-    out = Diagram(
+    return Diagram(
         boxes=tuple(new_boxes),
         wires=tuple(new_wires),
         n_cups=len(cup_index_map),
         n_caps=d.n_caps,
         n_outputs=d.n_outputs,
     )
-    return out, infos

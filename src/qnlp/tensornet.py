@@ -32,13 +32,14 @@ slot: in a sentence's network, each word's dense tensor (real, or a
 circuit's complex word map), and in a split word's :func:`_lower_word`
 network, its legs open, the word's pieces.  The greedy path of the
 batch's einsum, searched once, becomes a tree of pairwise steps, each one
-plain einsum.  :func:`batch_forward` walks the tree, gives every row's
-output vector ``v`` and keeps the tree's nodes as its tape;
-:func:`batch_backward` takes the caller's cotangent on ``v`` for the
-leading rows and gets every hole of those rows from one reverse sweep
-over the tape's nodes, reading sibling operands conjugated.  The per-network
-:func:`contract` and :func:`gradient_hole` are the reference the batched
-path is tested against.
+plain einsum, compiled with its reverse sweep.  :func:`batch_forward`
+walks the tree, gives every row's output vector ``v`` and keeps the tree's
+nodes, rows first, as its tape; :func:`batch_backward` takes the caller's
+cotangent on ``v`` for the leading rows and gets every hole of those rows
+from one reverse sweep over the tape, carrying the conjugate cotangent
+(Liao et al., arXiv:1903.09650) so that real and complex rows run the
+same einsums.  The per-network :func:`contract` and :func:`gradient_hole`
+are the reference the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -443,13 +444,12 @@ def structure_key(net: Network) -> tuple:
 @dataclass(frozen=True)
 class _Step:
     """One contraction of a batch's tree: the nodes it joins (numbered
-    parameter tensors first, then step results), its einsum, the labels it
-    keeps, and per input the einsum and bridges of that input's cotangent."""
+    parameter tensors first, then step results), its einsum, and per input
+    its cotangent's einsum, sibling nodes and identity bridges."""
 
     inputs: tuple[int, ...]
     subscripts: str
-    kept: tuple[int, ...]
-    cotangents: tuple[tuple[str, tuple[np.ndarray, ...]], ...]
+    cotangents: tuple[tuple[str, tuple[int, ...], tuple[np.ndarray, ...]], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,8 +460,8 @@ class TensorBatch:
     tensor at parameter position ``p`` (the plan's ``p``-th parameter
     node), flattened in C order, fills the columns ``columns[p]``; nothing
     here depends on the row count.  Every step carries one extra label for
-    the row axis, the largest label, so a step result keeps its rows on
-    its last axis; the last step keeps the row first, then the outputs.
+    the row axis, and every tree node keeps its rows on its first axis; the
+    last step keeps the outputs after it in their order.
     """
 
     shapes: tuple[tuple[int, ...], ...]  # per position, without the rows
@@ -477,20 +477,22 @@ def _subscripts(inputs, output) -> str:
     return ",".join(words[:-1]) + "->" + words[-1]
 
 
-def _cotangent(child, others, dims, bridge) -> tuple[str, tuple[np.ndarray, ...]]:
-    """The einsum of ``child``'s cotangent from the ``others``.  A repeated
-    label of ``child``, or one no other operand carries, becomes a fresh
-    label from ``bridge`` on, joined to it by an identity operand."""
+def _cotangent(j, inputs, subs, kept, dims, bridge) -> tuple:
+    """The cotangent of a step's ``j``-th input: its einsum from the step's
+    cotangent (labels ``kept``) and the other inputs, their node numbers,
+    and its identity bridges.  A repeated label of the input, or one no
+    other operand carries, becomes a fresh label from ``bridge`` on."""
+    others = [kept, *subs[:j], *subs[j + 1 :]]
     carried = {lab for sub in others for lab in sub}
-    inputs, result, eyes = list(others), [], []
-    for lab in child:
+    result, eyes = [], []
+    for lab in subs[j]:
         if lab in result or lab not in carried:
-            inputs.append((bridge + len(eyes), lab))
+            others.append((bridge + len(eyes), lab))
             eyes.append(np.eye(dims[lab]))
             lab = bridge + len(eyes) - 1
         result.append(lab)
     _check_labels(bridge + len(eyes))
-    return _subscripts(inputs, result), tuple(eyes)
+    return _subscripts(others, result), inputs[:j] + inputs[j + 1 :], tuple(eyes)
 
 
 def compile_batch(first: Network) -> TensorBatch:
@@ -517,11 +519,12 @@ def compile_batch(first: Network) -> TensorBatch:
     for joined in path[0][1:]:
         inputs = tuple(live.pop(i) for i in sorted(joined, reverse=True))
         subs = [labels[m] for m in inputs]
-        needed = {lab for m in live for lab in labels[m]}.union(out)
-        kept = tuple(sorted({lab for sub in subs for lab in sub} & needed)) if live else out
-        cotangents = tuple(_cotangent(sub, [kept, *subs[:j], *subs[j + 1 :]], dims, row + 1)
-                           for j, sub in enumerate(subs))
-        steps.append(_Step(inputs, _subscripts(subs, kept), kept, cotangents))
+        # every node's labels are the row, then its own
+        needed = {lab for m in live for lab in labels[m][1:]}.union(plan.outputs)
+        kept = (row, *sorted({lab for sub in subs for lab in sub[1:]} & needed)) if live else out
+        cotangents = tuple(_cotangent(j, inputs, subs, kept, dims, row + 1)
+                           for j in range(len(subs)))
+        steps.append(_Step(inputs, _subscripts(subs, kept), cotangents))
         live.append(len(labels))
         labels.append(kept)
     return TensorBatch(tuple(shape[1:] for shape in shapes), tuple(map(slice, bounds, bounds[1:])),
@@ -541,31 +544,25 @@ def batch_forward(batch: TensorBatch, values: np.ndarray) -> tuple[np.ndarray, l
 
 def batch_backward(batch: TensorBatch, tape: list, g_v: np.ndarray) -> np.ndarray:
     """The cotangent of every slot of the leading ``t = len(g_v)`` rows of
-    a forward pass, laid out like those rows of its values: ``(t,
-    n_slots)``.
+    a forward pass, laid out like those rows of its values: ``(t, n_slots)``.
 
-    ``g_v`` is the cotangent on those rows' ``v``.  It runs back down the
-    tree over those rows of the ``tape``'s nodes in one reverse sweep, each
-    step reading its sibling operands conjugated; the tape is left as it
-    is.  On real rows a slot's cotangent is ``d(g_v . v)/d(value)``; on
+    ``g_v`` is the cotangent on those rows' ``v``.  Its conjugate runs back
+    down the tree in one reverse sweep over the ``tape``, which is left as
+    it is, and the result is the conjugate of what reaches the parameter
+    tensors.  On real rows a slot's cotangent is ``d(g_v . v)/d(value)``; on
     complex rows it is ``g`` with ``d Re(conj(g_v) . v) = Re sum(conj(g)
     d(value))``.
     """
     t = len(g_v)
     first = len(batch.shapes)  # node number of the first step's result
-    # the rows to differentiate: parameter tensors and the output keep their
-    # rows first, the other step results last
-    last = len(tape) - 1
-    nodes = [n[:t] if m < first or m == last else n[..., :t] for m, n in enumerate(tape)]
-    if np.iscomplexobj(tape[last]):
-        nodes = [n.conj() for n in nodes]
-    cotangent = {last: g_v.reshape((t,) + batch.out_shape) * batch.factor}
+    cotangent = [None] * len(tape)
+    cotangent[-1] = np.conj(g_v).reshape((t,) + batch.out_shape) * batch.factor
     for k in range(len(batch.steps) - 1, -1, -1):
-        step, g = batch.steps[k], cotangent.pop(first + k)
-        for node, (subscripts, eyes) in zip(step.inputs, step.cotangents):
-            siblings = [nodes[m] for m in step.inputs if m != node]
-            cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
-    return np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
+        step, g = batch.steps[k], cotangent[first + k]
+        for node, (subscripts, siblings, eyes) in zip(step.inputs, step.cotangents):
+            cotangent[node] = np.einsum(subscripts, g, *(tape[m][:t] for m in siblings), *eyes,
+                                        optimize=False)
+    return np.conj(np.concatenate([g.reshape(t, -1) for g in cotangent[:first]], axis=1))
 
 
 # -- serialization --------------------------------------------------------

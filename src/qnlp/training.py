@@ -578,12 +578,6 @@ class _Model:
         """Name to float for a circuit angle, to nested lists for a tensor."""
         return {s.name: v.tolist() for s, v in self.store(theta).items()}
 
-    def named_to_params(self, named: dict) -> np.ndarray:
-        theta = np.empty(self.n_params)
-        for s, _, lo, hi in self._tables():
-            theta[lo:hi] = np.ravel(named[s.name])
-        return theta
-
 
 def _circuit_contraction(shaped: list) -> tuple[list, list, list]:
     """The corpus's circuit contraction, the same under every ansatz: the

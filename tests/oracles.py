@@ -11,7 +11,10 @@ grouping compiles every sentence and groups the networks by structure
 instead of lowering one network per plan group, the reference map
 of a circuit runs it gate by gate from each input basis state instead of
 as one batch, and the per-structure circuit model simulates each
-sentence's whole circuit instead of contracting its words' block maps.
+sentence's whole circuit instead of contracting its words' block maps,
+the reference reverse sweep reads every sibling conjugated instead of
+carrying the conjugate cotangent, and the curried boxes' bent legs are read
+off the diagram before currying instead of recorded by the pass.
 Slow is fine; these only ever see small inputs.
 """
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from qnlp import simulator, tensornet, training
 from qnlp.circuit import Symbol, compile_circuit
-from qnlp.diagram import Box, Diagram, ShapeMismatch
+from qnlp.diagram import Box, BoxKind, Diagram, ShapeMismatch
 from qnlp.errors import Error
 from qnlp.pregroup import Base, SimpleType, contractible, parse_sentence
 from qnlp.rewrite import rewrite
@@ -482,3 +485,65 @@ def reference_tensor_groups(nets_by_split: dict[str, list]) -> tuple[dict, list[
     return shapes, [(rows[0][1], np.array([at for at, _ in rows], dtype=np.intp),
                      reference_tensor_gather([net for _, net in rows], offsets))
                     for rows in members.values()]
+
+
+def reference_backward(batch, tape, g_v) -> np.ndarray:
+    """``tensornet.batch_backward`` by the uncompiled rule: the leading
+    ``t`` rows of every tape node sliced and, on complex rows, conjugated
+    up front, and each input's cotangent from the step's cotangent and the
+    step's other inputs, kept in a dict by node number."""
+    t = len(g_v)
+    nodes = [node[:t] for node in tape]
+    if np.iscomplexobj(tape[-1]):
+        nodes = [node.conj() for node in nodes]
+    first = len(batch.shapes)
+    cotangent = {len(tape) - 1: g_v.reshape((t,) + batch.out_shape) * batch.factor}
+    for k in range(len(batch.steps) - 1, -1, -1):
+        step, g = batch.steps[k], cotangent.pop(first + k)
+        for node, (subscripts, _, eyes) in zip(step.inputs, step.cotangents):
+            siblings = [nodes[m] for m in step.inputs if m != node]
+            cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
+    return np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
+
+
+@dataclass(frozen=True)
+class CurryInfo:
+    """How one word box is curried: which codomain legs become the domain."""
+
+    bent_cod_legs: tuple[int, ...]
+    n_cod: int
+
+
+def curry_infos(d: Diagram) -> dict[int, CurryInfo]:
+    """Per word box of ``d`` with a leg to bend, its :class:`CurryInfo`,
+    read off ``d`` alone: the box's adjoint codomain legs whose cup joins
+    them to a plain wire."""
+    partner = {}
+    for a, b in d.cup_pairs():
+        partner[a], partner[b] = b, a
+    infos = {}
+    for b, box in enumerate(d.boxes):
+        if box.kind is not BoxKind.WORD:
+            continue
+        cod = d.cod_wires(b)
+        bent = tuple(leg for leg, w in enumerate(cod) if not d.wires[w].stype.is_plain()
+                     and w in partner and d.wires[partner[w]].stype.is_plain())
+        if bent:
+            infos[b] = CurryInfo(bent, len(cod))
+    return infos
+
+
+def bend_tensor(tensor: np.ndarray, info: CurryInfo) -> np.ndarray:
+    """A word's tensor as its curried box reads it: the bent codomain axes
+    first, then the others, each in their original order."""
+    remaining = [i for i in range(info.n_cod) if i not in info.bent_cod_legs]
+    return np.transpose(np.asarray(tensor), tuple(info.bent_cod_legs) + tuple(remaining))
+
+
+def named_to_params(model, named: dict) -> np.ndarray:
+    """The parameter vector of ``model`` from each symbol name's value, as
+    ``model.params_to_named`` writes them."""
+    theta = np.empty(model.n_params)
+    for s, _, lo, hi in model._tables():
+        theta[lo:hi] = np.ravel(named[s.name])
+    return theta

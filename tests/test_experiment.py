@@ -205,6 +205,18 @@ class TestRunOne:
         again = run_one(cfg, 0, root=tmp_path)
         assert again["note"] == "already done"
 
+    @pytest.mark.parametrize("text", ['{"run_id": "x", "sta', "[]", '{"status": 1}'],
+                             ids=("truncated", "list", "number-status"))
+    def test_unreadable_summary_is_rerun(self, tmp_path, text):
+        cfg = small_cfg(epochs=1)
+        run_dir = tmp_path / cfg.run_id(0)
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text(text)
+        summary = run_one(cfg, 0, root=tmp_path)
+        assert summary["status"] == "ok"
+        assert json.loads((run_dir / "summary.json").read_text()) == summary
+        assert sorted(p.name for p in run_dir.glob("*summary*")) == ["summary.json"]
+
     def test_failed_summary_write_leaves_run_incomplete(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1)
         real_summarize = experiment.summarize
@@ -683,6 +695,16 @@ class TestCli:
 
     def test_report_empty_is_pipeline_error(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none")]) == 3
+
+    @pytest.mark.parametrize("text", ['{"run_id": "x", "sta', "[]"], ids=("truncated", "list"))
+    def test_report_unreadable_summary_is_pipeline_error(self, tmp_path, capsys, text):
+        run_one(small_cfg(epochs=1), 0, root=tmp_path)
+        bad = tmp_path / "broken-run" / "summary.json"
+        bad.parent.mkdir()
+        bad.write_text(text)
+        assert main(["report", "--results", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"error: {bad}: not a run summary (a JSON object "
+                                           "with a string status)\n")
 
     def test_dataset_round_trips_through_train(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -16,17 +16,9 @@ from qnlp.diagram import (
     validate,
 )
 from qnlp.pregroup import Base, PregroupType, SimpleType, parse_sentence, ty
-from qnlp.rewrite import (
-    CurryUnsupported,
-    RewriteScheme,
-    bend_tensor,
-    curry,
-    curry_with_info,
-    normal_form,
-    rewrite,
-)
+from qnlp.rewrite import CurryUnsupported, RewriteScheme, curry, normal_form, rewrite
 
-from oracles import WireDims, eval_tensor, random_assignment
+from oracles import WireDims, bend_tensor, curry_infos, eval_tensor, random_assignment
 from test_diagram import snake_diagram
 
 N = SimpleType(Base.N, 0)
@@ -155,7 +147,7 @@ class TestCurry:
     def test_semantics_preserved_on_corpus(self, corpus_diagrams, rng):
         for d in corpus_diagrams[::5]:
             a = random_assignment(d, DIMS, rng)
-            c, infos = curry_with_info(d)
+            c, infos = curry(d), curry_infos(d)
             got = eval_tensor(c, curried_assignment(d, c, infos, a), DIMS)
             want = eval_tensor(d, a, DIMS)
             np.testing.assert_allclose(got, want, atol=1e-10)
@@ -164,7 +156,7 @@ class TestCurry:
 class TestBendTensor:
     def test_verb_axes(self, toy_lexicon, rng):
         d = parse_sentence(["Alice", "likes", "Bob"], toy_lexicon)
-        _, infos = curry_with_info(d)
+        infos = curry_infos(d)
         info = infos[1]
         t = rng.standard_normal((2, 2, 2))
         bent = bend_tensor(t, info)

@@ -38,7 +38,7 @@ from qnlp.tensornet import (
 )
 
 from oracles import (WireDims, box_shape, eval_tensor, finite_difference, random_assignment,
-                     reference_tensor_gather, tensor_train)
+                     reference_backward, reference_tensor_gather, tensor_train)
 
 N = SimpleType(Base.N, 0)
 
@@ -458,7 +458,9 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
     assert sorted(np.concatenate([rows for rows, _, _ in groups])) == list(range(len(nets)))
     for rows, batch, gather in groups:
         plan = nets[rows[0]]._plan
-        assert batch.steps[-1].kept == (plan.n_labels, *plan.outputs)
+        # the last step keeps the row, then the outputs in their order
+        out = "".join(tensornet._LETTERS[lab] for lab in (plan.n_labels, *plan.outputs))
+        assert batch.steps[-1].subscripts.endswith("->" + out)
         assert gather.shape == (len(rows), batch.n_slots)
         values = theta[gather]
         v, tape = batch_forward(batch, values)
@@ -489,7 +491,7 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
 def bridges(batch) -> dict[int, int]:
     """Identity bridges of each tree node's cotangent, by node number."""
     return {node: len(eyes) for step in batch.steps
-            for node, (_, eyes) in zip(step.inputs, step.cotangents)}
+            for node, (_, _, eyes) in zip(step.inputs, step.cotangents)}
 
 
 class TestBatches:
@@ -774,6 +776,64 @@ class TestComplexRows:
                 for complex_rows in (False, True):
                     check_rows_alone_and_together(compile_batch(nets[rows[0]]), rng,
                                                   complex_rows, picks)
+
+
+def corpus_batches(corpus_diagrams) -> list:
+    """One batch per sentence pattern of the corpus at one qubit per wire,
+    under both rewrite schemes."""
+    batches = {}
+    for scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM_CUR_NORM):
+        for d in corpus_diagrams:
+            net = compile_network(rewrite(d, scheme), QUBITS)
+            batches.setdefault(structure_key(net), net)
+    return [compile_batch(net) for net in batches.values()]
+
+
+def word_batches() -> list:
+    """The lowered network of a word of each order 1-5 under every lowering
+    in ``SPLITS``, its legs open."""
+    rng = np.random.default_rng(5)
+    batches = []
+    for lowering in SPLITS:
+        for order in (1, 2, 3, 4, 5):
+            shape = tuple(rng.choice([2, 3], size=order).tolist())
+            nodes, edges, legs = tensornet._lower_word(Symbol("w", "n", 0), shape, lowering, 0)
+            batches.append(compile_batch(Network(tuple(nodes), tuple(edges), tuple(legs))))
+    return batches
+
+
+class TestTape:
+    """The forward's tape and the reverse sweep over it."""
+
+    def test_every_node_holds_its_rows_first(self, corpus_diagrams, rng):
+        # five rows, a count no leg dimension has; a node of rows (3, 0)
+        # holds those rows of the five-row pass's node
+        for batch in corpus_batches(corpus_diagrams) + word_batches():
+            values = rng.standard_normal((5, batch.n_slots))
+            _, tape = batch_forward(batch, values)
+            _, picked = batch_forward(batch, values[[3, 0]])
+            assert len(tape) == len(batch.shapes) + len(batch.steps)
+            for node, part in zip(tape, picked):
+                assert node.shape[0] == 5 and part.shape[0] == 2
+                np.testing.assert_allclose(part, node[[3, 0]], rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("complex_rows", (True, False), ids=("corpus-complex", "words-real"))
+    def test_backward_equals_the_conjugated_sibling_rule(self, complex_rows, corpus_diagrams,
+                                                         rng):
+        # every row and the leading rows, bit for bit
+        batches = corpus_batches(corpus_diagrams) if complex_rows else word_batches()
+        for batch in batches:
+            values = rng.standard_normal((4, batch.n_slots))
+            if complex_rows:
+                values = values + 1j * rng.standard_normal(values.shape)
+            v, tape = batch_forward(batch, values)
+            for t in (4, 2):
+                g_v = rng.standard_normal((t, v.shape[1]))
+                if complex_rows:
+                    g_v = g_v + 1j * rng.standard_normal(g_v.shape)
+                terms = batch_backward(batch, tape, g_v)
+                assert terms.dtype == values.dtype
+                assert terms.tobytes() == reference_backward(batch, tape, g_v).tobytes()
 
 
 class TestJson:
