@@ -289,8 +289,8 @@ def run_one(
     budget is recorded in the summary instead of raised.  A stored summary
     is returned as it is unless its status is ``error``, or ``aborted``
     under a recorded budget that ``budget_seconds`` is absent or larger
-    than; either reruns the cell, as does a summary that is not a JSON
-    object with a string ``status``.
+    than; either reruns the cell, as does a summary whose fields read here
+    are missing or mistyped (:func:`_read_summary`).
     """
     run_id = cfg.run_id(seed)
     run_dir = results_root(root) / run_id
@@ -359,14 +359,24 @@ def _finish_run(run_dir: Path, summary: dict, history: History | None = None,
     _write_summary(run_dir, summary)
 
 
+_SUMMARY_FIELDS = "a JSON object with a string run_id and status, an object config and a " \
+    "number or null budget_seconds"
+
+
 def _read_summary(path: Path) -> dict | None:
     """The run summary at ``path``; ``None`` if there is none or it is not
-    a JSON object with a string ``status``."""
+    :data:`_SUMMARY_FIELDS`, the fields ``run_one`` and ``report`` read."""
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):
         return None
-    return summary if isinstance(summary, dict) and isinstance(summary.get("status"), str) else None
+    if not isinstance(summary, dict):
+        return None
+    budget = summary.get("budget_seconds")
+    readable = (isinstance(summary.get("status"), str) and isinstance(summary.get("run_id"), str)
+                and isinstance(summary.get("config"), dict)
+                and (budget is None or type(budget) in (int, float)))  # a bool is no number
+    return summary if readable else None
 
 
 def _write_summary(run_dir: Path, summary: dict) -> None:
@@ -513,8 +523,7 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
     for run_dir in _iter_run_dirs(base):
         summary = _read_summary(run_dir / "summary.json")
         if summary is None:
-            raise Error(f"{run_dir / 'summary.json'}: not a run summary (a JSON object "
-                        "with a string status)")
+            raise Error(f"{run_dir / 'summary.json'}: not a run summary ({_SUMMARY_FIELDS})")
         summary["_dir"] = run_dir
         runs.append(summary)
     if not runs:

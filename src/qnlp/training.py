@@ -4,16 +4,21 @@ A model bundles the compiled artifacts of every sentence in a corpus under
 one shared parameter vector, so identical words with identical types train
 one set of weights no matter how many sentences mention them.  Every model
 family is built from one corpus plan (:func:`_shapes`) and one contraction
-per wire dimension (:func:`_contraction`): each shape's network has one
-dense tensor per word box, networks that share a ``structure_key`` and
-cup count form one batch, compiled once, and each batch holds its gather,
-one ``(rows, n_slots)`` array of value positions, rows in corpus order.
+per wire dimension (:func:`_contraction`).  A sentence shape that is a
+longer shape of the corpus without some modifier words, checked once per
+corpus (:func:`_embedding`), is contracted in that host's network, each
+box it lacks reading a constant pad, the identity on the modifier's wire
+(4 shapes, 1 host on the MC corpus).  Each host's network has one dense
+tensor per word box, networks that share a ``structure_key`` and cup
+count form one batch, compiled once, and each batch holds its gather, one
+``(rows, n_slots)`` array of value positions, rows in corpus order.
 The families differ by one map stage (:meth:`_Model._values`) from a
 point's parameters to its value vector, every word's dense tensor: a
 tensor word of one node is its parameters, and the others are mapped in
 blocks, one engine pass each, :mod:`qnlp.tensornet` over an ``mps`` or
 ``spider`` word's pieces and :mod:`qnlp.simulator` over a circuit block
-width, whose complex maps are contracted at one qubit per wire.  Both
+width, whose complex maps are contracted at one qubit per wire; the pads
+follow the words' tensors, and no parameter owns them.  Both
 engines take ``batch_forward(batch, x)``, giving each row's output ``v``
 and a tape, and ``batch_backward(batch, tape, g_v)``, which pulls the
 cotangent on the leading rows' ``v`` back to their slots with no forward
@@ -64,12 +69,14 @@ corpus that fails to parse is not kept.  Each wire dimension's
 contraction is kept with it, and so is a circuit build's ansatz-free
 part: it lays out every shape once, for the checks of
 :func:`~qnlp.circuit.layout`, and scales the contraction at one qubit per
-wire by its cups, so a later build compiles its word blocks only; a
-tensor build is kept whole per lowering config.
+wire by ``1 / sqrt(2)`` per cup and each pad by ``sqrt(2)`` per cup it
+brings, so a later build compiles its word blocks only; a tensor build is
+kept whole per lowering config.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -81,8 +88,9 @@ from qnlp import simulator, tensornet
 from qnlp.circuit import (Circuit, CircuitAnsatzConfig, Symbol, ZeroParameterModel, layout,
                           type_fingerprint, word_block)
 from qnlp.corpus import CorpusSplits
+from qnlp.diagram import Box, Diagram
 from qnlp.errors import ConfigError, Error
-from qnlp.pregroup import Lexicon, parse_sentence
+from qnlp.pregroup import Lexicon, PregroupType, parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import WrongOutputArity
 from qnlp.tensornet import (CupDeltaNode, Network, ParamNode, TensorAnsatz, TensorAnsatzConfig,
@@ -285,16 +293,21 @@ _front_end: tuple[tuple, tuple, dict] | None = None
 
 
 def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tuple:
-    """The corpus plan ``(shaped, words, sizes)``.
+    """The corpus plan ``(shaped, words, sizes, pads)``.
 
     Sentences whose words have the same lexicon types parse and rewrite to
     one diagram up to its box names, box ``b`` named by word ``b``, so the
     first is parsed and rewritten, with box ``b`` renamed ``str(b)``: their
     shape.  ``shaped`` holds per shape, in order of first use, ``(shape,
-    at, ids)``: its sentences' corpus positions (every split's rows in
-    turn) and ``ids[i, b]``, the index in ``words`` of sentence ``i``'s
-    word ``b``.  ``words`` holds the entries ``(lowercased word, type
-    fingerprint)`` in first-use box order, ``sizes`` each split's row count.
+    at, ids, (h, fill))``: its sentences' corpus positions (every split's
+    rows in turn), ``ids[i, b]``, the index in ``words`` of sentence
+    ``i``'s word ``b``, and its host (:func:`_hosts`): the index ``h`` of
+    the shape whose network its rows are contracted with, its own if none,
+    and per box of the host the pad it reads there or -1, where the shape's
+    boxes go in order.  ``words`` holds the entries ``(lowercased word,
+    type fingerprint)`` in first-use box order, ``sizes`` each split's row
+    count, and ``pads`` each pad's ``(type fingerprint, cups)``; pad ``k``
+    is read as entry ``len(words) + k``.
     """
     global _front_end
     sentences = tuple((lset.name, lset.sentences()) for lset in splits)
@@ -308,60 +321,149 @@ def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tu
         for at, ws in enumerate(ws for _, split in sentences for ws in split):
             s = patterns.setdefault(tuple(kind[w] for w in ws), len(shaped))
             if s == len(shaped):
-                d = rewrite(parse_sentence(list(ws), lexicon), scheme)
+                parsed = parse_sentence(list(ws), lexicon)
+                d = rewrite(parsed, scheme)
                 shaped.append((replace(d, boxes=tuple(replace(box, name=str(b))
                                                       for b, box in enumerate(d.boxes))),
-                               list(map(type_fingerprint, d.boxes)), [], []))
-            _, fps, ats, ids = shaped[s]
+                               list(map(type_fingerprint, d.boxes)), [], [],
+                               [b for b, box in enumerate(parsed.boxes) if _modifier(box.cod)]))
+            _, fps, ats, ids, _ = shaped[s]
             ats.append(at)
             ids.append([words.setdefault((w.lower(), fp), len(words)) for w, fp in zip(ws, fps)])
-        plan = ([(shape, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp))
-                 for shape, _, ats, ids in shaped],
-                list(words), {name: len(split) for name, split in sentences})
+        hosts, pads = _hosts([(shape, mods) for shape, *_, mods in shaped], len(words))
+        plan = ([(shape, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp), host)
+                 for (shape, _, ats, ids, _), host in zip(shaped, hosts)],
+                list(words), {name: len(split) for name, split in sentences}, pads)
         _front_end = (key, plan, {})
     return _front_end[1]
 
 
-def _contraction(d_n: int, d_s: int) -> tuple[list, np.ndarray, list, list]:
+def _modifier(t: PregroupType) -> bool:
+    """``x @ x.l``, before the word it modifies, or ``x.r @ x``, after it."""
+    return len(t) == 2 and (t[1] == t[0].l or t[0] == t[1].r)
+
+
+def _cups(box: Box) -> int:
+    """The cups an identity pad for a two-leg box brings: one for a cap
+    (two codomain legs), none for a wire, minus one for a cup."""
+    return (len(box.cod) - len(box.dom)) // 2
+
+
+def _hosts(shapes: list, n_words: int) -> tuple[list, list]:
+    """Per shape ``(h, fill)`` as :func:`_shapes` holds it, and the pads.
+
+    ``shapes`` holds each shape with its modifier boxes.  Taken longest
+    first, a shape joins the first host, in order of becoming one, that
+    :func:`_embedding` finds it in, else it becomes a host.  Each host box
+    it leaves out reads the pad of that box's type: the identity on the
+    modifier's wire, which no parameter owns.  Pads are numbered from
+    ``n_words`` in order of first use.
+    """
+    checked = []  # each shape with its modifiers, its network at two per wire and its key
+    for shape, modifiers in shapes:
+        try:
+            net = compile_network(shape, TensorAnsatzConfig(TensorAnsatz.TENSOR))
+            checked.append((shape, modifiers, net, tensornet.structure_key(net)))
+        except Error:  # its own host, hosting none; its build raises this where it did
+            checked.append((shape, modifiers, None, None))
+    hosts, found, pads = [], {}, {}
+    for s in sorted(range(len(shapes)), key=lambda s: -len(shapes[s][0].boxes)):
+        h, drop = next(((h, drop) for h in hosts
+                        if (drop := _embedding(checked[h], checked[s])) is not None), (s, ()))
+        if h == s:
+            hosts.append(s)
+        fill = np.full(len(shapes[h][0].boxes), -1, dtype=np.intp)
+        for b in drop:
+            box = shapes[h][0].boxes[b]
+            fill[b] = n_words + pads.setdefault((type_fingerprint(box), _cups(box)), len(pads))
+        found[s] = (h, fill)
+    return [found[s] for s in range(len(shapes))], list(pads)
+
+
+def _embedding(host: tuple, shape: tuple) -> tuple[int, ...] | None:
+    """The first set of the host's modifier boxes, in lexicographic order,
+    whose removal leaves the shape, or None; each is ``(diagram, modifier
+    boxes, network at two per wire, its structure key)``, both None if the
+    network does not compile.
+
+    The other boxes must have the shape's types in order, and the host's
+    network, each left-out box an identity, must contract to the shape's:
+    their parameter nodes, einsum labels and closed loops
+    (:func:`~qnlp.tensornet.structure_key`) are equal, so the two are one
+    multilinear map of the kept boxes' tensors at every wire dimension.
+    The pads' cups must also make up the cups the shape lacks, as the
+    circuit contraction weights each cup by ``1 / sqrt(2)``.
+    """
+    (d, modifiers, net, _), (want, _, _, key) = host, shape
+    if net is None or key is None:
+        return None
+    fps = list(map(type_fingerprint, want.boxes))
+    for drop in itertools.combinations(modifiers, len(d.boxes) - len(want.boxes)):
+        keep = [b for b in range(len(d.boxes)) if b not in drop]
+        if ([type_fingerprint(d.boxes[b]) for b in keep] != fps
+                or sum(_cups(d.boxes[b]) for b in drop) != d.n_cups - want.n_cups):
+            continue
+        nodes = list(net.nodes)  # one node per box, in box order, then the cups
+        for b in drop:
+            nodes[b] = CupDeltaNode(nodes[b].shape[0])
+        try:
+            if tensornet.structure_key(replace(net, nodes=tuple(nodes))) == key:
+                return drop
+        except Error:  # a pad whose legs are not one wire type, or joins two outputs
+            continue
+    return None
+
+
+def _contraction(d_n: int, d_s: int) -> tuple[list, np.ndarray, list, list, list]:
     """The held corpus's contraction at wire dimensions ``d_n`` and
     ``d_s``, held with it: each box one dense tensor, its word's.
 
-    Each shape's network names each box by its index, so its node for box
-    ``b`` reads, per sentence, the tensor of the word at ``ids[:, b]``.
-    Returns each word's tensor shape and first entry in the value vector,
-    words in index order; then one group per structure and cup count, in
-    order of first use, ``(batch, at, gather)``: its networks compiled
-    once, their rows' corpus positions, ascending, and their gathers in
-    that order; and each group's cup count.
+    Only hosts are compiled.  Each host's network names each box by its
+    index, so its node for box ``b`` reads, per row of the host and of the
+    shapes it hosts, the tensor of the word or pad at ``b``.  Returns each
+    word's tensor shape and the first entry of each word's and each pad's
+    tensor in the value vector, words in index order, pads after them;
+    then one group per structure and cup count, in order of first use,
+    ``(batch, at, gather)``: its networks compiled once, their rows'
+    corpus positions, ascending, and their gathers in that order; each
+    group's cup count; and each pad's tensor, flat.
     """
-    (shaped, _, _), held = _front_end[1:]
+    (shaped, words, _, pads), held = _front_end[1:]
     if (d_n, d_s) in held:
         return held[d_n, d_s]
-    nets = [compile_network(shape, TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n, d_s))
-            for shape, _, _ in shaped]
-    for net in nets:
+    rows: dict[int, list] = {}  # per host, its shapes' rows as word ids at its boxes
+    for _, at, ids, (h, fill) in shaped:
+        full = np.repeat(fill[None], len(at), axis=0)
+        full[:, fill < 0] = ids
+        rows.setdefault(h, []).append((at, full))
+    nets = {h: compile_network(shaped[h][0], TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n, d_s))
+            for h in rows}
+    for net in nets.values():
         if (size := math.prod(net.output_dims())) != 2:
             raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
-    params = [[node for node in net.nodes if isinstance(node, ParamNode)] for net in nets]
-    shapes = {w: node.shape for nodes, (_, _, ids) in zip(params, shaped) for node in nodes
-              for w in ids[:, int(node.symbol.word)].tolist()}  # per word index
-    shapes = [shapes[w] for w in range(len(shapes))]
+    params = {h: [node for node in net.nodes if isinstance(node, ParamNode)]
+              for h, net in nets.items()}
+    shapes = {w: node.shape for h, nodes in params.items() for node in nodes
+              for _, ids in rows[h] for w in ids[:, int(node.symbol.word)].tolist()}
+    shapes = [shapes[w] for w in range(len(words) + len(pads))]  # per word, then per pad
     starts = np.cumsum([0, *map(math.prod, shapes)])
     merged: dict[tuple, list] = {}
-    for net, nodes, (_, at, ids) in zip(nets, params, shaped):
-        # per sentence, the flattened entries of its word's tensor at each node
+    for h, net in nets.items():
+        ids = np.concatenate([ids for _, ids in rows[h]])
+        # per row, the flattened entries of its word's tensor at each node
         gather = [starts[ids[:, int(n.symbol.word)], None] + np.arange(math.prod(n.shape))
-                  for n in nodes]
+                  for n in params[h]]
         cups = sum(isinstance(node, CupDeltaNode) for node in net.nodes)
         merged.setdefault((tensornet.structure_key(net), cups), []).append(
-            (net, at, np.concatenate(gather, axis=1)))
+            (net, np.concatenate([at for at, _ in rows[h]]), np.concatenate(gather, axis=1)))
     groups = []
     for same in merged.values():
         at = np.concatenate([at for _, at, _ in same])
         order = np.argsort(at)
         groups.append((tensornet.compile_batch(same[0][0]), at[order],
                        np.concatenate([gather for *_, gather in same])[order]))
-    held[d_n, d_s] = shapes, starts, groups, [cups for _, cups in merged]
+    held[d_n, d_s] = (shapes[: len(words)], starts, groups, [cups for _, cups in merged],
+                      [np.eye(shape[0]).ravel() for shape in shapes[len(words):]])
     return held[d_n, d_s]
 
 
@@ -409,7 +511,8 @@ class _Model:
     with no engine, the parameters ``params`` are the values ``cols``;
     otherwise ``params[i]`` holds word ``i``'s slots of one engine pass,
     and ``reads`` and ``cols`` say where the words' tensors sit in the
-    pass's flat output and in the value vector.  ``groups`` holds, per
+    pass's flat output and in the value vector.  The constants ``pads``,
+    which no parameter owns, follow the words' tensors.  ``groups`` holds, per
     batch, ``(batch, at, gather)``: a compiled
     :class:`~qnlp.tensornet.TensorBatch`, its rows' corpus positions (every
     split's rows in turn), ascending, and their gather, ``gather[i, j]``
@@ -417,7 +520,7 @@ class _Model:
     """
 
     def __init__(self, symbols: Sequence[Symbol], shapes: Sequence[tuple],
-                 sizes: dict[str, int], groups: list, blocks: list):
+                 sizes: dict[str, int], groups: list, blocks: list, pads=np.zeros(0)):
         self.symbols = list(symbols)
         self.shapes = list(shapes)
         # symbol i owns the slice bounds[i]:bounds[i + 1] of the parameter vector
@@ -429,8 +532,11 @@ class _Model:
                 raise Error(f"gather of shape {gather.shape} for {batch.n_slots} slots")
         self._groups = groups
         self._blocks = blocks
-        # per value, its place among the blocks' outputs laid side by side
-        self._order = np.argsort(np.concatenate([np.zeros(0, np.intp)] + [c for *_, c in blocks]))
+        self._pads = np.asarray(pads)
+        # per value, its place among the blocks' outputs and the pads laid side by side
+        cols = np.concatenate([np.zeros(0, np.intp)] + [c for *_, c in blocks])
+        self._order = np.concatenate([np.argsort(cols),
+                                      np.arange(len(cols), len(cols) + len(self._pads))])
         self.n_values = len(self._order)
         # per request shape, its plan (:meth:`_request`)
         self._requests: dict[tuple, list] = {}
@@ -449,13 +555,15 @@ class _Model:
                 x = x.reshape(len(thetas), -1)[:, reads]
             parts.append(x)
             tapes.append(tape)
+        parts.append(np.broadcast_to(self._pads, (len(thetas), len(self._pads))))
         return np.concatenate(parts, axis=1)[:, self._order], tapes
 
     def _pull(self, tapes: list, g: np.ndarray) -> np.ndarray:
         """The parameter gradient at the first point of :meth:`_values`
         from its value vector's cotangent ``g``, pulled back through each
         block from its tape, zero on the pass's entries no value reads;
-        every parameter belongs to one word."""
+        every parameter belongs to one word, and the pads' cotangents are
+        dropped."""
         grad = np.zeros(self.n_params)
         for (engine, batch, params, reads, cols), tape in zip(self._blocks, tapes):
             if engine is None:
@@ -579,24 +687,27 @@ class _Model:
         return {s.name: v.tolist() for s, v in self.store(theta).items()}
 
 
-def _circuit_contraction(shaped: list) -> tuple[list, list, list]:
+def _circuit_contraction(shaped: list, pads: list) -> tuple[list, list, list, np.ndarray]:
     """The corpus's circuit contraction, the same under every ansatz: the
     plan's word indices in order of first use over each sentence's blocks
     (boxes in topological order), and per word in that order ``(inputs,
     outputs, columns)``, its leg counts and its map's columns in the value
     vector; then the batches of :func:`_contraction` at one qubit per wire,
     each box its word's map, a ``(2,) * legs`` tensor with its input legs
-    first, and each cup scaled by ``1 / sqrt(2)``, the Bell effect."""
+    first, and each cup scaled by ``1 / sqrt(2)``, the Bell effect; and
+    the plan's ``pads``, each scaled by ``sqrt(2)`` per cup it brings."""
     rows, legs = {}, {}
-    for d, at, ids in shaped:
+    for d, at, ids, _ in shaped:
         rows.update(zip(at.tolist(), ids[:, list(d.topological_boxes())].tolist()))
         for b, box in enumerate(d.boxes):
             legs.update(dict.fromkeys(ids[:, b].tolist(), (len(box.dom), len(box.cod))))
-    _, starts, groups, cups = _contraction(2, 2)
+    _, starts, groups, cups, eyes = _contraction(2, 2)
     order = list(dict.fromkeys(w for at in range(len(rows)) for w in rows[at]))
     maps = [(*legs[w], np.arange(starts[w], starts[w + 1])) for w in order]
-    return order, maps, [(replace(batch, factor=batch.factor * 0.5 ** (c / 2)), at, gather)
-                         for (batch, at, gather), c in zip(groups, cups)]
+    groups = [(replace(batch, factor=batch.factor * 0.5 ** (c / 2)), at, gather)
+              for (batch, at, gather), c in zip(groups, cups)]
+    scaled = [eye * 2.0 ** (c / 2) for eye, (_, c) in zip(eyes, pads)]
+    return order, maps, groups, np.concatenate([np.zeros(0), *scaled])
 
 
 class CircuitModel(_Model):
@@ -622,20 +733,20 @@ class CircuitModel(_Model):
         A word's angles sit together in the parameter vector, words in the
         order :func:`~qnlp.circuit.compile_circuit` gives their symbols.
         """
-        shaped, words, sizes = _shapes(splits, lexicon, scheme)
+        shaped, words, sizes, pads = _shapes(splits, lexicon, scheme)
         held = _front_end[2]
         slots = {k: len(word_block("", "", tuple(range(k)), ansatz)[1])
-                 for k in {max(len(b.dom), len(b.cod)) for d, _, _ in shaped for b in d.boxes}}
+                 for k in {max(len(b.dom), len(b.cod)) for d, *_ in shaped for b in d.boxes}}
         cold = CircuitModel not in held
-        for d, _, _ in shaped:
+        for d, *_ in shaped:
             if cold:
                 layout(d)  # for its checks
             if not any(slots[max(len(b.dom), len(b.cod))] for b in d.boxes):
                 raise ZeroParameterModel(
                     "no trainable parameters: every block in the circuit is empty")
         if cold:
-            held[CircuitModel] = _circuit_contraction(shaped)
-        order, maps, groups = held[CircuitModel]
+            held[CircuitModel] = _circuit_contraction(shaped, pads)
+        order, maps, groups, pad_values = held[CircuitModel]
         counts = np.array([slots[max(dom, cod)] for dom, cod, _ in maps], dtype=np.intp)
         offsets = np.cumsum(counts) - counts
         symbols = [Symbol(*words[w], i) for w, n in zip(order, counts) for i in range(n)]
@@ -657,7 +768,7 @@ class CircuitModel(_Model):
             blocks.append((simulator, batch, offsets[ws, None] + np.arange(batch.n_slots),
                            np.concatenate(reads, axis=None),
                            np.concatenate([maps[w][2] for w in ws])))
-        return cls(symbols, [()] * len(symbols), sizes, groups, blocks)
+        return cls(symbols, [()] * len(symbols), sizes, groups, blocks, pad_values)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
@@ -687,10 +798,10 @@ class TensorModel(_Model):
         ``cfg`` splits form one block, a batch of their lowered network.
         All of it is held with the corpus per ``cfg``.
         """
-        _, words, sizes = _shapes(splits, lexicon, scheme)
+        _, words, sizes, _ = _shapes(splits, lexicon, scheme)
         held = _front_end[2]
         if cfg not in held:
-            shapes, starts, groups, _ = _contraction(cfg.d_n, cfg.d_s)
+            shapes, starts, groups, _, pads = _contraction(cfg.d_n, cfg.d_s)
             pieces, kinds = [], {}
             for w, shape in enumerate(shapes):
                 nodes, edges, legs = _lower_word(Symbol(*words[w], 0), shape, cfg, 0)
@@ -705,9 +816,9 @@ class TensorModel(_Model):
                       (tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
                        np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
             held[cfg] = ([node.symbol for node in pieces], [node.shape for node in pieces],
-                         groups, blocks)
-        symbols, piece_shapes, groups, blocks = held[cfg]
-        return cls(symbols, piece_shapes, sizes, groups, blocks)
+                         groups, blocks, np.concatenate([np.zeros(0), *pads]))
+        symbols, piece_shapes, groups, blocks, pads = held[cfg]
+        return cls(symbols, piece_shapes, sizes, groups, blocks, pads)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]

@@ -217,6 +217,17 @@ class TestRunOne:
         assert json.loads((run_dir / "summary.json").read_text()) == summary
         assert sorted(p.name for p in run_dir.glob("*summary*")) == ["summary.json"]
 
+    def test_summary_with_mistyped_budget_is_rerun(self, tmp_path):
+        # a string budget cannot be compared with this call's
+        cfg = small_cfg(epochs=1)
+        run_dir = tmp_path / cfg.run_id(0)
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text(json.dumps(
+            {"run_id": cfg.run_id(0), "status": "aborted", "config": {}, "budget_seconds": "1"}))
+        summary = run_one(cfg, 0, root=tmp_path, budget_seconds=2.0)
+        assert summary["status"] == "ok" and summary["budget_seconds"] == 2.0
+        assert json.loads((run_dir / "summary.json").read_text()) == summary
+
     def test_failed_summary_write_leaves_run_incomplete(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1)
         real_summarize = experiment.summarize
@@ -696,15 +707,18 @@ class TestCli:
     def test_report_empty_is_pipeline_error(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none")]) == 3
 
-    @pytest.mark.parametrize("text", ['{"run_id": "x", "sta', "[]"], ids=("truncated", "list"))
+    @pytest.mark.parametrize("text", ['{"run_id": "x", "sta', "[]", '{"status": "ok"}',
+                                      '{"run_id": "x", "status": "ok", "config": []}'],
+                             ids=("truncated", "list", "no-run-id", "list-config"))
     def test_report_unreadable_summary_is_pipeline_error(self, tmp_path, capsys, text):
         run_one(small_cfg(epochs=1), 0, root=tmp_path)
         bad = tmp_path / "broken-run" / "summary.json"
         bad.parent.mkdir()
         bad.write_text(text)
         assert main(["report", "--results", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == (f"error: {bad}: not a run summary (a JSON object "
-                                           "with a string status)\n")
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not a run summary (a JSON object with a string run_id and status, "
+            "an object config and a number or null budget_seconds)\n")
 
     def test_dataset_round_trips_through_train(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnlp.circuit import (
+    Circuit,
     CircuitAnsatz,
     CircuitAnsatzConfig,
     Symbol,
@@ -68,10 +69,12 @@ from qnlp.training import (
 
 from oracles import (
     PerStructureCircuitModel,
+    eval_tensor,
     finite_difference,
     named_to_params,
     reference_circuits,
     reference_fit,
+    reference_map,
     reference_networks,
     reference_tensor_groups,
     reference_tensor_model,
@@ -522,27 +525,30 @@ class TestCircuitBatching:
             assert accuracy(probs, lset.labels()) == accuracy(want, lset.labels())
 
     def test_groups_follow_sentence_patterns(self):
+        # the three shorter MC patterns are the widest without adjectives:
+        # all four join its group
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=1)
         model = CircuitModel.build(
             pattern_splits(), default_lexicon(), RewriteScheme.RE, ansatz
         )
         rows = [rows_by_split(model, at) for _, at, _ in model._groups]
-        assert [len(r["train"]) for r in rows] == [2, 2, 2, 2]
-        assert [len(r["dev"]) for r in rows] == [1, 0, 0, 1]
-        assert [len(r["test"]) for r in rows] == [0, 1, 1, 0]
+        assert [len(r["train"]) for r in rows] == [8]
+        assert [len(r["dev"]) for r in rows] == [2]
+        assert [len(r["test"]) for r in rows] == [2]
 
     def test_repeated_word_fills_a_slot_per_use(self, rng):
-        # "man" twice: the sentence joins the "man cooks meal" group, its
-        # subject and object positions gather one map, and the map's
-        # cotangent sums over both uses before it reaches the angles
+        # "man" twice: the sentence joins the one group, its subject and
+        # object positions gather one map, and the map's cotangent sums
+        # over both uses before it reaches the angles
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
         groups = model._groups
-        assert [len(rows_by_split(model, at)["train"]) for _, at, _ in groups] == [3, 2, 2, 2]
+        assert [len(rows_by_split(model, at)["train"]) for _, at, _ in groups] == [9]
         last = len(splits.train) - 1  # train rows lead the corpus
         ((batch, at, gather),) = [(b, at, gather) for b, at, gather in groups if last in at]
-        subject, _, obj = (gather[list(at).index(last), cols] for cols in batch.columns)
+        # the host's boxes: adjective, subject, verb, adjective, object
+        _, subject, _, _, obj = (gather[list(at).index(last), cols] for cols in batch.columns)
         np.testing.assert_array_equal(subject, obj)
         theta = model.init_params(rng)
         labels = splits.train.labels()
@@ -680,10 +686,10 @@ class TestTensorBatching:
         assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-    def test_four_groups_per_split(self, kind):
+    def test_one_group_serves_every_split(self, kind):
         model = TensorModel.build(generate_mc(0), default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
-        assert len(model._groups) == 4  # compiled at build
+        assert len(model._groups) == 1  # compiled at build
         for name in ("train", "dev", "test"):
             assert all(len(rows_by_split(model, at)[name]) for _, at, _ in model._groups)
 
@@ -704,12 +710,12 @@ class TestTensorBatching:
         # spider the verbs' 2 x 2 x 2 tensors are split, the rest read whole
         words = [batch for engine, batch, *_ in model._blocks if engine is not None]
         assert len(words) == (kind is not TensorAnsatz.TENSOR)
-        assert len(model._groups) == 4 and len(searches) == 4 + len(words)
+        assert len(model._groups) == 1 and len(searches) == 1 + len(words)
         # the contraction and each lowering's word blocks are held with the
         # corpus: a repeat build searches nothing
         again = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
-        assert len(searches) == 4 + len(words)
+        assert len(searches) == 1 + len(words)
         assert all(a is b for (a, _, _), (b, _, _) in zip(again._groups, model._groups))
         assert all(a[1] is b[1] for a, b in zip(again._blocks, model._blocks))
 
@@ -789,15 +795,21 @@ class TestBatchLifecycle:
             lset("dev", [("woman bakes tasty dinner", 1), ("man runs program", 0)]),
             lset("test", [("man cooks meal", 1)]))
         # over all splits, in order of first use with train first; a
-        # group's train rows lead its batch
+        # group's train rows lead its batch.  Neither four-word pattern
+        # holds the other, and "man cooks meal" joins the first of them
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, TINY_ANSATZ)
         rows = [rows_by_split(model, at) for _, at, _ in model._groups]
-        assert [r["train"] for r in rows] == [[0, 2], [1], []]
-        assert [r["dev"] for r in rows] == [[1], [], [0]]
-        assert [r["test"] for r in rows] == [[0], [], []]
+        assert [r["train"] for r in rows] == [[0, 1, 2], []]
+        assert [r["dev"] for r in rows] == [[1], [0]]
+        assert [r["test"] for r in rows] == [[0], []]
         batch, _, gather = model._groups[0]
-        subjects = gather[:, batch.columns[0]]  # man, woman, man, man
-        assert [np.array_equal(subjects[0], row) for row in subjects] == [True, False, True, True]
+        adjectives, subjects = (gather[:, cols] for cols in batch.columns[:2])
+        # man, man, woman, man, man; only "skillful man prepares sauce"
+        # has its adjective, the others read one pad
+        assert [np.array_equal(subjects[0], row) for row in subjects] == [
+            True, True, False, True, True]
+        assert [np.array_equal(adjectives[0], row) for row in adjectives] == [
+            True, False, True, True, True]
 
 
 class TestTensorFit:
@@ -839,31 +851,71 @@ class TestTensorFit:
         assert len(h) == 2
 
 
+def host_network(nets: list, batch, at):
+    """The network, compiled alone, of one of a group's host rows: a row
+    whose own network has a parameter node per batch position."""
+    return next(nets[p] for p in at.tolist()
+                if sum(isinstance(n, ParamNode) for n in nets[p].nodes) == len(batch.shapes))
+
+
+def cup_count(net) -> int:
+    return sum(isinstance(node, tensornet.CupDeltaNode) for node in net.nodes)
+
+
+def assert_groups_contract_rows(model, nets_by_split: dict, start: dict, cup_weight: float):
+    """Every corpus row sits in one of the model's groups, whose rows are
+    ascending, and each group's batch is its host rows' network
+    (``nets_by_split``, every sentence compiled alone with one dense
+    tensor per box) compiled, scaled by ``cup_weight`` per cup.  At
+    random word tensors, ``start`` giving each ``(word, fingerprint)``'s
+    first entry in the value vector, and the model's pads after them,
+    every row of a batch contracts to its own network, each cup weighted
+    by ``cup_weight``, within 1e-12: a row that lacks some of its host's
+    modifiers reads pads there."""
+    nets = [net for ns in nets_by_split.values() for net in ns]
+    rows = np.concatenate([at for _, at, _ in model._groups]).tolist()
+    assert sorted(rows) == list(range(len(nets)))
+    values = np.random.default_rng(0).standard_normal(model.n_values)
+    values[model.n_values - len(model._pads):] = model._pads
+    for batch, at, gather in model._groups:
+        assert (np.diff(at) > 0).all()
+        host = host_network(nets, batch, at)
+        want = tensornet.compile_batch(host)
+        assert (batch.shapes, batch.columns, batch.out_shape) == (
+            want.shapes, want.columns, want.out_shape)
+        assert batch.factor == pytest.approx(want.factor * cup_weight ** cup_count(host),
+                                             rel=1e-15)
+        assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
+        v, _ = tensornet.batch_forward(batch, values[gather])
+        for row, p in zip(v, at.tolist()):
+            store = {n.symbol: values[start[n.symbol.word, n.symbol.type_fingerprint]:][
+                :math.prod(n.shape)].reshape(n.shape)
+                for n in nets[p].nodes if isinstance(n, ParamNode)}
+            np.testing.assert_allclose(
+                row, contract(nets[p], store).ravel() * cup_weight ** cup_count(nets[p]),
+                rtol=0, atol=1e-12)
+
+
 def assert_same_tensor_model(model: TensorModel, diagrams, cfg) -> None:
     """The model's symbols and shapes equal those of every sentence of
     ``diagrams`` (each split's, rewritten) compiled alone under ``cfg``.
-    Its batches and gathers equal, bit for bit, those of the per-sentence
-    grouping at ``cfg``'s wire dimensions with one dense tensor per box,
-    its value vector holding the words' tensors in that grouping's symbol
-    order.  Each word's tensor is its pieces contracted: one tensornet
-    block per tensor shape that ``cfg`` splits, the other words read
-    straight from their parameters."""
+    Its value vector holds the words' tensors in the symbol order of the
+    per-sentence model at ``cfg``'s wire dimensions with one dense tensor
+    per box, then the pads, and its groups contract every sentence as that
+    sentence's network alone (:func:`assert_groups_contract_rows`).  Each
+    word's tensor is its pieces contracted: one tensornet block per tensor
+    shape that ``cfg`` splits, the other words read straight from their
+    parameters."""
     def compiled(cfg):
-        return reference_tensor_model({name: [compile_network(d, cfg) for d in ds]
-                                       for name, ds in diagrams.items()})
+        return {name: [compile_network(d, cfg) for d in ds] for name, ds in diagrams.items()}
 
-    ref = compiled(cfg)
+    ref = reference_tensor_model(compiled(cfg))
     assert (model.symbols, model.shapes, model.sizes) == (ref.symbols, ref.shapes, ref.sizes)
-    dense = compiled(dataclasses.replace(cfg, kind=TensorAnsatz.TENSOR))
-    assert model.n_values == dense.n_params
-    assert len(model._groups) == len(dense._groups)
-    for (batch, at, gather), (want, want_at, want_gather) in zip(model._groups, dense._groups):
-        assert at.tolist() == want_at.tolist()
-        assert (batch.shapes, batch.columns, batch.out_shape, batch.factor) == (
-            want.shapes, want.columns, want.out_shape, want.factor)
-        assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
-        assert (gather.dtype, gather.shape) == (want_gather.dtype, want_gather.shape)
-        assert gather.tobytes() == want_gather.tobytes()
+    nets = compiled(dataclasses.replace(cfg, kind=TensorAnsatz.TENSOR))
+    dense = reference_tensor_model(nets)
+    assert model.n_values == dense.n_params + len(model._pads)
+    start = {(s.word, s.type_fingerprint): lo for s, _, lo, _ in dense._tables()}
+    assert_groups_contract_rows(model, nets, start, 1.0)
     shapes = {shape for _, shape, _, _ in dense._tables()}
     split = {shape for shape in shapes
              if len(tensornet._lower_word(Symbol("", "", 0), shape, cfg, 0)[0]) > 1}
@@ -913,16 +965,15 @@ class TestTensorBuild:
         for seed in range(4):
             splits = generate_mc(seed)
             model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
-            _, groups = reference_tensor_groups(reference_networks(splits, mc_lexicon, scheme,
-                                                                   dense))
-            assert len(model._groups) == len(groups)
-            for (batch, at, _), (first, want_at, _) in zip(model._groups, groups):
-                assert at.tolist() == want_at.tolist()
+            nets = [net for ns in reference_networks(splits, mc_lexicon, scheme, dense).values()
+                    for net in ns]
+            assert len(model._groups) == 1  # every MC pattern in its widest one's group
+            for batch, at, _ in model._groups:
                 with monkeypatch.context() as m:
                     m.setattr(tensornet, "np", numpy_with(einsum_path=at_rows(len(at))))
-                    want = tensornet.compile_batch(first)
+                    want = tensornet.compile_batch(host_network(nets, batch, at))
                 assert steps(batch) == steps(want)
-        assert len(searched) == 16 and min(searched) > 1
+        assert len(searched) == 4 and min(searched) > 1
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_two_shapes_of_one_structure_share_a_batch(self, kind, rng):
@@ -940,8 +991,8 @@ class TestTensorBuild:
                               lset("test", [("sun brings sun", 1)]))
         cfg = TensorAnsatzConfig(kind)
         model = TensorModel.build(splits, lexicon, RewriteScheme.RE, cfg)
-        shaped, _, _ = training._shapes(splits, lexicon, RewriteScheme.RE)
-        assert [at.tolist() for _, at, _ in shaped] == [[0, 3], [1, 2, 4]]
+        shaped, *_ = training._shapes(splits, lexicon, RewriteScheme.RE)
+        assert [at.tolist() for _, at, *_ in shaped] == [[0, 3], [1, 2, 4]]
         ((_, at, _),) = model._groups
         assert at.tolist() == [0, 1, 2, 3, 4]
         nets = reference_networks(splits, lexicon, RewriteScheme.RE, cfg)
@@ -953,6 +1004,125 @@ class TestTensorBuild:
         want_probs, want = tensor_reference_split(model, nets["train"], theta, labels)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
         assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def mixed_corpus(mc_lexicon) -> tuple[CorpusSplits, Lexicon]:
+    """All four MC patterns, and sentences of a noun and an intransitive
+    verb: every verb also lists ``n.r@s``, so "man cooks" has the pattern
+    of "man cooks meal" without its object, a noun, not a modifier."""
+    lexicon = Lexicon({**{w: mc_lexicon.lookup(w) for w in mc_lexicon.words()},
+                       **{v: tuple(map(PregroupType.parse, ("n.r@s@n.l", "n.r@s")))
+                          for v in VERBS}})
+
+    def more(lset, items):
+        return LabeledSet(lset.name, lset.items + tuple((tuple(w.split()), y) for w, y in items))
+
+    base = pattern_splits()
+    return CorpusSplits(more(base.train, [("man cooks", 1), ("woman debugs", 0)]),
+                        more(base.dev, [("woman bakes", 1)]),
+                        more(base.test, [("man runs", 0)])), lexicon
+
+
+HOST_FAMILIES = (CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 1),
+                 CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 2), *map(TensorAnsatzConfig, KINDS))
+HOST_IDS = ("sim14", "iqp", *(k.value for k in KINDS))
+
+
+def build(cfg, splits, lexicon, scheme):
+    family = TensorModel if isinstance(cfg, TensorAnsatzConfig) else CircuitModel
+    return family.build(splits, lexicon, scheme, cfg)
+
+
+class TestHostGroups:
+    """A sentence shape that is a longer shape of its corpus without some
+    modifiers joins that host's group, each box it lacks reading an
+    identity pad that no parameter owns; a shape with no host keeps its
+    own group."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("cfg", HOST_FAMILIES, ids=HOST_IDS)
+    def test_mixed_corpus_matches_per_sentence_oracles(self, cfg, scheme, mc_lexicon, rng):
+        splits, lexicon = mixed_corpus(mc_lexicon)
+        model = build(cfg, splits, lexicon, scheme)
+        # the MC patterns in the widest one's group; the intransitive
+        # sentences (train 8 and 9, dev 2, test 2) in their own
+        assert [at.tolist() for _, at, _ in model._groups] == [
+            [p for p in range(16) if p not in (8, 9, 12, 15)], [8, 9, 12, 15]]
+        theta = model.init_params(rng)
+        for lset in splits:
+            labels = lset.labels()
+            probs, degenerate = model.eval_split(lset.name, theta)
+            grad, grad_probs, _ = model.grad_split(lset.name, theta, labels)
+            np.testing.assert_array_equal(grad_probs, probs)
+            if isinstance(cfg, TensorAnsatzConfig):
+                nets = reference_networks(splits, lexicon, scheme, cfg)[lset.name]
+                want, want_grad = tensor_reference_split(model, nets, theta, labels)
+                assert degenerate == 0
+                assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+            else:
+                circuits = reference_circuits(splits, lexicon, scheme, cfg)[lset.name]
+                want, want_grad, want_degenerate = reference_split(model, circuits, theta, labels)
+                assert degenerate == want_degenerate
+                np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", HOST_FAMILIES, ids=HOST_IDS)
+    def test_pads_own_no_parameters(self, cfg, mc_lexicon):
+        # the symbols, their order and the initial draw are those of every
+        # sentence compiled alone; the value vector ends in one pad, the
+        # adjective's identity, scaled by sqrt(2) for the cup it brings in
+        # a circuit's ``re`` contraction
+        splits, lexicon = mixed_corpus(mc_lexicon)
+        for scheme in SCHEMES:
+            model = build(cfg, splits, lexicon, scheme)
+            fresh = TestFrontEndMemo.fresh(splits, lexicon, scheme)
+            if isinstance(cfg, TensorAnsatzConfig):
+                ref = reference_tensor_model({name: [compile_network(d, cfg) for d in ds]
+                                              for name, ds in fresh.items()})
+                table = ref.symbols, ref.shapes, ref.n_params
+                want, scale = ref.init_params(np.random.default_rng(7)), 1.0
+            else:
+                symbols = list(dict.fromkeys(s for ds in fresh.values() for d in ds
+                                             for s in compile_circuit(d, cfg).symbols))
+                table = symbols, [()] * len(symbols), len(symbols)
+                want = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=len(symbols))
+                scale = np.sqrt(2.0) if scheme is RewriteScheme.RE else 1.0
+            assert (model.symbols, model.shapes, model.n_params) == table
+            assert model.init_params(np.random.default_rng(7)).tobytes() == want.tobytes()
+            np.testing.assert_array_equal(model._pads, np.eye(2).ravel() * scale)
+            values = model._values(np.stack([model.init_params(np.random.default_rng(k))
+                                             for k in range(2)]), False)[0]
+            np.testing.assert_array_equal(values[:, -4:], np.stack([model._pads] * 2))
+
+    def test_candidate_failing_the_identity_check_is_refused(self, mc_lexicon, monkeypatch):
+        def shape(sentence):
+            return rewrite(parse_sentence(sentence.split(), mc_lexicon), RewriteScheme.RE)
+
+        def swapped(net):
+            # boxes 0 and 2 trade their wires: "meal cooks man" read with
+            # the subject's tensor first, the types of "man cooks meal"
+            other = {0: 2, 2: 0}
+
+            def leg(node_leg):
+                return other.get(node_leg[0], node_leg[0]), node_leg[1]
+
+            return dataclasses.replace(net, edges=tuple((leg(a), leg(b)) for a, b in net.edges),
+                                       outputs=tuple(map(leg, net.outputs)))
+
+        host, short = shape("skillful man cooks meal"), shape("man cooks meal")
+        host_net, short_net = compile_network(host, QUBITS), compile_network(short, QUBITS)
+        for net, want in ((short_net, (0,)), (swapped(short_net), None)):
+            assert training._embedding((host, [0], host_net, None),
+                                       (short, [], None, tensornet.structure_key(net))) == want
+        # a corpus whose check sees that network keeps the shape in its own
+        # group, though its types fit its host's
+        monkeypatch.setattr(training, "_front_end", None)
+        monkeypatch.setattr(training, "compile_network", lambda d, cfg: (
+            swapped if len(d.boxes) == 3 else lambda net: net)(compile_network(d, cfg)))
+        model = TensorModel.build(pattern_splits(), mc_lexicon, RewriteScheme.RE,
+                                  TensorAnsatzConfig(TensorAnsatz.TENSOR))
+        assert [at.tolist() for _, at, _ in model._groups] == [
+            [0, 1, 8], [2, 3, 4, 5, 6, 7, 9, 10, 11]]
 
 
 class TestRequestWork:
@@ -967,7 +1137,7 @@ class TestRequestWork:
         splits = pattern_splits()
         family = CircuitModel if cfg is TINY_ANSATZ else TensorModel
         model = family.build(splits, default_lexicon(), RewriteScheme.RE, cfg)
-        assert len(model._groups) == 4  # one per sentence pattern, each with train rows
+        assert len(model._groups) == 1  # every sentence pattern, with train rows
         theta = model.init_params(rng)
         labels = splits.train.labels()
         want, _ = model.evaluate([(("train", "dev"), theta)], labels)
@@ -1206,43 +1376,30 @@ QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 pe
 
 def assert_same_circuit_model(model: CircuitModel, circuits_by_split, nets_by_split) -> None:
     """The model's symbols are those of ``circuits_by_split`` in first-use
-    order, and its batches those of the per-sentence grouping of
-    ``nets_by_split`` (at one qubit per wire), each cup scaling a batch by
-    ``1 / sqrt(2)``, with every node gathering its word's map bit for bit.
+    order, its value vector holds every word's map of the per-sentence
+    networks ``nets_by_split`` (at one qubit per wire), then the pads, and
+    its groups contract every sentence as that sentence's network alone,
+    each cup weighted ``1 / sqrt(2)`` (:func:`assert_groups_contract_rows`).
     The model's corpus must be the one held."""
     symbols = list(dict.fromkeys(s for cs in circuits_by_split.values() for c in cs
                                  for s in c.symbols))
     assert model.symbols == symbols and model.n_params == len(symbols)
     assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
-    _, words, _ = training._front_end[1]
-    order, maps, _ = training._front_end[2][CircuitModel]
+    _, words, _, _ = training._front_end[1]
+    order, maps, _, _ = training._front_end[2][CircuitModel]
     start = {words[w]: cols[0] for w, (*_, cols) in zip(order, maps)}
-    nets = [net for ns in nets_by_split.values() for net in ns]
-    shapes, groups = reference_tensor_groups(nets_by_split)
-    assert model.n_values == sum(math.prod(shape) for shape in shapes.values())
-    assert len(model._groups) == len(groups)
-    for (batch, at, gather), (first, want_at, _) in zip(model._groups, groups):
-        want = tensornet.compile_batch(first)
-        cups = sum(isinstance(node, tensornet.CupDeltaNode) for node in first.nodes)
-        assert at.tolist() == want_at.tolist()
-        assert (batch.shapes, batch.columns, batch.out_shape) == (
-            want.shapes, want.columns, want.out_shape)
-        assert batch.factor == pytest.approx(want.factor * 2 ** (-cups / 2), rel=1e-15)
-        assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
-        want_gather = np.array([np.concatenate([
-            start[node.symbol.word, node.symbol.type_fingerprint] + np.arange(math.prod(node.shape))
-            for node in nets[i].nodes if isinstance(node, ParamNode)]) for i in want_at])
-        assert (gather.dtype, gather.shape) == (want_gather.dtype, want_gather.shape)
-        assert gather.tobytes() == want_gather.tobytes()
+    shapes, _ = reference_tensor_groups(nets_by_split)
+    assert model.n_values == sum(math.prod(shape) for shape in shapes.values()) + len(model._pads)
+    assert_groups_contract_rows(model, nets_by_split, start, 2 ** -0.5)
 
 
 def held_diagrams(plan) -> dict[str, list]:
     """Every split's diagrams rebuilt from a corpus plan ``(shaped, words,
-    sizes)``: each sentence's shape with box ``b`` named by its word ``b``,
-    whose entry carries that box's type fingerprint."""
-    shaped, words, sizes = plan
+    sizes, pads)``: each sentence's shape with box ``b`` named by its word
+    ``b``, whose entry carries that box's type fingerprint."""
+    shaped, words, sizes, _ = plan
     rebuilt = {}
-    for shape, at, ids in shaped:
+    for shape, at, ids, _ in shaped:
         for row, ws in zip(at.tolist(), ids.tolist()):
             assert [words[w][1] for w in ws] == list(map(type_fingerprint, shape.boxes))
             rebuilt[row] = dataclasses.replace(shape, boxes=tuple(
@@ -1329,7 +1486,8 @@ class TestFrontEndMemo:
         monkeypatch.setattr(training, "compile_network",
                             lambda d, cfg: compiled.append(cfg) or compile_network(d, cfg))
         # every sentence shape (4 on generate_mc(0)) is laid out once and
-        # compiled once, with a dense tensor per box, 2 per wire
+        # compiled once for the host check, with a dense tensor per box, 2
+        # per wire, and the one host once more for the contraction
         splits, scheme = generate_mc(0), RewriteScheme.RE
         for _ in range(2):  # the second round's builds place none
             for layers in (1, 2):
@@ -1339,7 +1497,7 @@ class TestFrontEndMemo:
                 TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
             # all three lowerings and the circuits share one contraction
             assert len(laid) == 4
-            assert compiled == [TensorAnsatzConfig(TensorAnsatz.TENSOR)] * 4
+            assert compiled == [TensorAnsatzConfig(TensorAnsatz.TENSOR)] * 5
 
     def test_circuit_then_tensor_build_compile_each_structure_once(self, mc_lexicon,
                                                                   monkeypatch):
@@ -1354,7 +1512,7 @@ class TestFrontEndMemo:
         model = CircuitModel.build(splits, mc_lexicon, scheme,
                                    CircuitAnsatzConfig(CircuitAnsatz.IQP, 1))
         tensor = TensorModel.build(splits, mc_lexicon, scheme, QUBITS)
-        assert len(compiled) == len(model._groups) == len(tensor._groups) == 4
+        assert len(compiled) == len(model._groups) == len(tensor._groups) == 1
         for first, (batch, at, gather), (want, want_at, want_gather) in zip(
                 compiled, model._groups, tensor._groups):
             assert batch.steps is want.steps and at is want_at and gather is want_gather
@@ -1363,7 +1521,7 @@ class TestFrontEndMemo:
         for kind in (TensorAnsatz.MPS, TensorAnsatz.SPIDER):
             split = TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
             assert split._groups is tensor._groups
-            assert len(compiled) == 4 + (kind is TensorAnsatz.SPIDER) + 1  # a verb block each
+            assert len(compiled) == 1 + (kind is TensorAnsatz.SPIDER) + 1  # a verb block each
             assert compiled[-1].output_dims() == (2, 2, 2)
 
     def test_one_network_compiled_per_shape_group(self, mc_lexicon, monkeypatch):
@@ -1373,12 +1531,14 @@ class TestFrontEndMemo:
         for kind in TensorAnsatz:  # one contraction per wire dimension, not per lowering
             TensorModel.build(generate_mc(0), mc_lexicon, RewriteScheme.RE,
                               TensorAnsatzConfig(kind))
-        assert len(compiled) == 4  # one per sentence pattern, not per sentence
+        # one per sentence pattern for the host check, not per sentence, and
+        # the host's for the contraction
+        assert len(compiled) == 5 and compiled[4][0] is compiled[1][0]
         assert {cfg for _, cfg in compiled} == {TensorAnsatzConfig(TensorAnsatz.TENSOR)}
         assert all(box.name == str(b) for d, _ in compiled for b, box in enumerate(d.boxes))
         TensorModel.build(generate_mc(0), mc_lexicon, RewriteScheme.RE,
                           TensorAnsatzConfig(TensorAnsatz.MPS, d_n=3))
-        assert len(compiled) == 8
+        assert len(compiled) == 6  # only the host at a new wire dimension
         assert compiled[-1][1] == TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n=3)
 
     @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
@@ -1438,7 +1598,7 @@ class TestFrontEndMemo:
         models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
         assert len(validated) == 4  # once per sentence shape, not per sentence
         assert len(training._front_end[1][0]) == 4  # one shape per sentence pattern
-        _, maps, groups = training._front_end[2][CircuitModel]
+        _, maps, groups, _ = training._front_end[2][CircuitModel]
         assert all(model._groups is groups for model in models)
         kinds = {(dom, cod) for dom, cod, _ in maps}
         assert kinds == {(0, 1), (1, 1), (2, 1)}  # nouns, adjectives, verbs
@@ -1567,6 +1727,38 @@ class TestCircuitOracle:
                                            named_point(model, named[cell], rng),
                                            model.init_params(rng), seen[cell], sentences)
         assert all(len(diagrams) < len(seen[cell]) < 3 * len(diagrams) for cell in self.CELLS)
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", ANSATZE, ids=lambda k: k.value)
+    def test_amplitudes_match_diagram_semantics(self, kind, scheme, mc_lexicon, rng):
+        # every MC shape, the three shorter ones as padded rows of the
+        # widest one's group: a sentence's amplitudes are its diagram's
+        # meaning with each box its word's block map and each cup the Bell
+        # effect, a 1 / sqrt(2) factor, contracted apart from tensornet
+        splits, ansatz = pattern_splits(), CircuitAnsatzConfig(kind, 1, 1)
+        model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
+        assert len(model._groups) == 1
+        theta = model.init_params(rng)
+        values = model._values(theta[None], False)[0][0]
+        amps = np.empty((sum(model.sizes.values()), 2), dtype=complex)
+        for batch, at, gather in model._groups:
+            amps[at] = tensornet.batch_forward(batch, values[gather])[0]
+        pos = {s: i for i, s in enumerate(model.symbols)}
+        diagrams = [d for ds in TestFrontEndMemo.fresh(splits, mc_lexicon, scheme).values()
+                    for d in ds]
+        assert len({len(d.boxes) for d in diagrams}) == 3  # 3, 4 and 5 words
+        for amp, d in zip(amps, diagrams):
+            maps = {}
+            for b, box in enumerate(d.boxes):
+                dom, cod = len(box.dom), len(box.cod)
+                gates, symbols = circuit.word_block(box.name, type_fingerprint(box),
+                                                    tuple(range(max(dom, cod))), ansatz)
+                block = Circuit(max(dom, cod), tuple(gates), tuple(range(cod, max(dom, cod))),
+                                tuple(range(cod)), tuple(symbols))
+                angles = theta[[pos[s] for s in symbols]]
+                maps[b] = reference_map(block, angles, dom).reshape((2,) * (dom + cod))
+            want = eval_tensor(d, maps).ravel() * 2 ** (-d.n_cups / 2)
+            np.testing.assert_allclose(amp, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 2, 2), (CircuitAnsatz.SIM14, 1, 1),
                                       (CircuitAnsatz.SIM15, 1, 2),
