@@ -359,8 +359,8 @@ def _finish_run(run_dir: Path, summary: dict, history: History | None = None,
     _write_summary(run_dir, summary)
 
 
-_SUMMARY_FIELDS = "a JSON object with a string run_id and status, an object config and a " \
-    "number or null budget_seconds"
+_SUMMARY_FIELDS = "a JSON object with a string run_id and status, an object config, a " \
+    "number test_acc and a number or null budget_seconds"
 
 
 def _read_summary(path: Path) -> dict | None:
@@ -375,7 +375,8 @@ def _read_summary(path: Path) -> dict | None:
     budget = summary.get("budget_seconds")
     readable = (isinstance(summary.get("status"), str) and isinstance(summary.get("run_id"), str)
                 and isinstance(summary.get("config"), dict)
-                and (budget is None or type(budget) in (int, float)))  # a bool is no number
+                and type(summary.get("test_acc")) in (int, float)  # a bool is no number
+                and (budget is None or type(budget) in (int, float)))
     return summary if readable else None
 
 
@@ -499,9 +500,12 @@ def _crossing_epoch(run_dir: Path) -> int | None:
     if not path.exists():
         return None
     with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if float(row["val_acc"]) >= 1.0:
-                return int(row["epoch"])
+        try:
+            for row in csv.DictReader(fh):
+                if float(row["val_acc"]) >= 1.0:
+                    return int(row["epoch"])
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
+            raise Error(f"{path}: not a metrics table ({exc!r})") from None
     return None
 
 
@@ -562,7 +566,7 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
         labels[row] = (cfg.scheme, cfg.dataset_tag(), cfg.optimizer, cfg.epochs,
                        cfg.ansatz, cfg.n_layers)
         cells.setdefault((row, cfg.n_single_qubit_params), []).append(
-            (s.get("status"), float(s.get("test_acc", float("nan")))))
+            (s.get("status"), float(s["test_acc"])))
 
     def cell(runs) -> str:
         if runs is None:

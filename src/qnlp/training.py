@@ -1,47 +1,47 @@
 """Loss, metrics, optimizers, and the end-to-end fit loop.
 
-A model bundles the compiled artifacts of every sentence in a corpus under
-one shared parameter vector, so identical words with identical types train
-one set of weights no matter how many sentences mention them.  Every model
-family is built from one corpus plan (:func:`_shapes`) and one contraction
-per wire dimension (:func:`_contraction`).  A sentence shape that is a
-longer shape of the corpus without some modifier words, checked once per
-corpus (:func:`_embedding`), is contracted in that host's network, each
-box it lacks reading a constant pad, the identity on the modifier's wire
-(4 shapes, 1 host on the MC corpus).  Each host's network has one dense
-tensor per word box, networks that share a ``structure_key`` and cup
-count form one batch, compiled once, and each batch holds its gather, one
-``(rows, n_slots)`` array of value positions, rows in corpus order.
-The families differ by one map stage (:meth:`_Model._values`) from a
-point's parameters to its value vector, every word's dense tensor: a
-tensor word of one node is its parameters, and the others are mapped in
-blocks, one engine pass each, :mod:`qnlp.tensornet` over an ``mps`` or
-``spider`` word's pieces and :mod:`qnlp.simulator` over a circuit block
-width, whose complex maps are contracted at one qubit per wire; the pads
-follow the words' tensors, and no parameter owns them.  Both
-engines take ``batch_forward(batch, x)``, giving each row's output ``v``
-and a tape, and ``batch_backward(batch, tape, g_v)``, which pulls the
-cotangent on the leading rows' ``v`` back to their slots with no forward
-pass of its own.  A sentence's weights are ``u = |v|**2`` (a circuit's
-unnormalized postselected output marginal, whose sum is the survival
-norm).  One readout turns a request's ``u`` into probabilities ``p = u /
-sum(u)``, one pullback chains the loss back to the differentiated rows'
-``v``, each group's tape takes that to its slots, one ``np.bincount``
-over the gather (over the real and imaginary parts of a circuit model's)
-sums the slots' cotangents per value, so a word repeated in a sentence
-gets the terms of both uses, and the map stage pulls that back to the
-parameters from its blocks' tapes (:meth:`_Model._pull`).
-:mod:`qnlp.simulator`'s ``sentence_distribution`` and
-``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract``
-and ``gradient_hole``, are the per-sentence reference of these paths.
+A model bundles every sentence of a corpus under one shared parameter
+vector, so identical words with identical types train one set of weights.
+It is built in three stages, the first two held with the corpus in the
+process for every later build on it:
 
-A request (:meth:`_Model.evaluate`) names several parameter points, each
-with a run of consecutive splits.  The map stage runs once for all the
-points, and every group serves the request with one contraction: it
-stacks each point's rows of those splits, the ``k``-th point's gather
-offset by ``k * n_values`` into the points' value vectors.
-``eval_split`` and ``grad_split`` are requests for one split at one
-point.
+* The corpus (:class:`_Corpus`, keyed on the scheme, each split's
+  sentences and the lexicon types of their words) parses and rewrites one
+  sentence per shape, the sentences whose words have the same types (4 on
+  the MC corpus).  A shape that is a longer shape without some modifier
+  words (:func:`_embedding`) is contracted in that host's network, each box
+  it lacks reading a pad, the identity on the modifier's wire.
+* A contraction (:class:`_Contraction`), one per wire dimension, reads a
+  value vector: every word's dense tensor, then the pads.  Host networks
+  of one ``structure_key`` and cup count form a :class:`_Group`, compiled
+  once, with its gather of value positions per row.  A circuit build
+  scales the contraction at one qubit per wire by ``1 / sqrt(2)`` per cup
+  and each pad by ``sqrt(2)`` per cup it brings.  Every model on the
+  corpus at its dimensions shares it, and its plan of each request shape.
+* A model (:class:`_Model`) is a parameter table and a map stage
+  (:meth:`_Model._values`) from parameters to the words' tensors: a tensor
+  word of one node is its parameters, the others are mapped in blocks
+  (:class:`_Block`), one engine pass each, :mod:`qnlp.tensornet` over an
+  ``mps`` or ``spider`` word's pieces and :mod:`qnlp.simulator` over a
+  circuit block width.  A circuit build lays out every shape once, for the
+  checks of :func:`~qnlp.circuit.layout`, and then compiles its blocks
+  only; a tensor build's map stage is held per lowering config.
+
+Both engines take ``batch_forward(batch, x)``, giving each row's output
+``v`` and a tape, and ``batch_backward(batch, tape, g_v)``, which pulls the
+cotangent on the leading rows' ``v`` back to their slots.  A sentence's
+weights are ``u = |v|**2`` (a circuit's unnormalized postselected output
+marginal).  A request (:meth:`_Model.evaluate`) names several parameter
+points, each with a run of consecutive splits: the map stage runs once for
+all of them, each group contracts every point's rows at once, the ``k``-th
+point's gather offset by ``k * n_values``, and one readout ``p = u /
+sum(u)`` serves every row.  A gradient is one pullback to the first
+split's ``v``, each group's tape to its slots, one ``np.bincount`` per
+value, so a word repeated in a sentence gets both terms, and the blocks'
+tapes to the parameters (:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s
+``sentence_distribution`` and ``distribution_gradient``, and
+:mod:`qnlp.tensornet`'s ``contract`` and ``gradient_hole``, are the
+per-sentence reference of these paths.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -60,18 +60,6 @@ and the last epoch's dev readout and the test score share one closing
 request.  Every readout passes the same checks, in the order the epochs
 define, so the histories equal those of a loop that reads one split per
 call; an epoch scores all of its readouts with a few array calls.
-
-The front end of the most recent corpus is kept in the process, keyed on
-content: the scheme, each split's sentences, and the lexicon types of
-their words.  It parses and rewrites one sentence per shape, the
-sentences whose words have the same types (4 on the MC corpus), and a
-corpus that fails to parse is not kept.  Each wire dimension's
-contraction is kept with it, and so is a circuit build's ansatz-free
-part: it lays out every shape once, for the checks of
-:func:`~qnlp.circuit.layout`, and scales the contraction at one qubit per
-wire by ``1 / sqrt(2)`` per cup and each pad by ``sqrt(2)`` per cup it
-brings, so a later build compiles its word blocks only; a tensor build is
-kept whole per lowering config.
 """
 
 from __future__ import annotations
@@ -284,37 +272,89 @@ class TrainConfig:
 # -- models ---------------------------------------------------------------
 
 
-# The most recent corpus's key (the scheme, every split's sentences and the
-# lexicon types of their words), its plan and, per ``(d_n, d_s)``, its
-# contraction, with the circuit's ansatz-free part under ``CircuitModel``
-# and each tensor lowering's symbols, shapes, groups and blocks under its
-# config.
-_front_end: tuple[tuple, tuple, dict] | None = None
+@dataclass(eq=False)
+class _Shape:
+    """The sentences of a corpus whose words have the same lexicon types."""
+
+    diagram: Diagram  # the first one's parse, rewritten, box ``b`` named ``str(b)``
+    at: np.ndarray  # their corpus positions, every split's rows in turn
+    ids: np.ndarray  # ``ids[i, b]``: the index in the words of sentence ``i``'s word ``b``
+    host: int  # the shape whose network its rows are contracted with (:func:`_hosts`)
+    fill: np.ndarray  # per host box, the pad read there, or -1 where its boxes go in order
 
 
-def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tuple:
-    """The corpus plan ``(shaped, words, sizes, pads)``.
+@dataclass(eq=False)
+class _Corpus:
+    """The front end of one corpus, and what is held with it; pad ``k`` is
+    entry ``len(words) + k``.  The circuits' contraction and words are held
+    under ``CircuitModel``, each tensor lowering's map stage under its config."""
 
-    Sentences whose words have the same lexicon types parse and rewrite to
-    one diagram up to its box names, box ``b`` named by word ``b``, so the
-    first is parsed and rewritten, with box ``b`` renamed ``str(b)``: their
-    shape.  ``shaped`` holds per shape, in order of first use, ``(shape,
-    at, ids, (h, fill))``: its sentences' corpus positions (every split's
-    rows in turn), ``ids[i, b]``, the index in ``words`` of sentence
-    ``i``'s word ``b``, and its host (:func:`_hosts`): the index ``h`` of
-    the shape whose network its rows are contracted with, its own if none,
-    and per box of the host the pad it reads there or -1, where the shape's
-    boxes go in order.  ``words`` holds the entries ``(lowercased word,
-    type fingerprint)`` in first-use box order, ``sizes`` each split's row
-    count, and ``pads`` each pad's ``(type fingerprint, cups)``; pad ``k``
-    is read as entry ``len(words) + k``.
-    """
+    key: tuple  # the scheme, every split's sentences and the lexicon types of their words
+    shapes: list[_Shape]  # in order of first use
+    words: list[tuple[str, str]]  # (lowercased word, type fingerprint), first-use box order
+    sizes: dict[str, int]  # each split's row count
+    pads: list[tuple[str, int]]  # (type fingerprint, cups)
+    contractions: dict = field(default_factory=dict)  # per (d_n, d_s)
+    stages: dict = field(default_factory=dict)
+
+    def contraction(self, d_n: int, d_s: int) -> _Contraction:
+        """The held contraction at wire dimensions ``d_n`` and ``d_s``, each
+        box one dense tensor.  Only hosts are compiled, each node for box
+        ``b`` reading per row the tensor of the word or pad at ``b``."""
+        if (d_n, d_s) in self.contractions:
+            return self.contractions[d_n, d_s]
+        rows: dict[int, list] = {}  # per host, its shapes' rows as word ids at its boxes
+        for shape in self.shapes:
+            full = np.repeat(shape.fill[None], len(shape.at), axis=0)
+            full[:, shape.fill < 0] = shape.ids
+            rows.setdefault(shape.host, []).append((shape.at, full))
+        nets = {h: compile_network(self.shapes[h].diagram,
+                                   TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n, d_s))
+                for h in rows}
+        for net in nets.values():
+            if (size := math.prod(net.output_dims())) != 2:
+                raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
+        params = {h: [node for node in net.nodes if isinstance(node, ParamNode)]
+                  for h, net in nets.items()}
+        shapes = {w: node.shape for h, nodes in params.items() for node in nodes
+                  for _, ids in rows[h] for w in ids[:, int(node.symbol.word)].tolist()}
+        shapes = [shapes[w] for w in range(len(self.words) + len(self.pads))]
+        starts = np.cumsum([0, *map(math.prod, shapes)])
+        merged: dict[tuple, list] = {}
+        for h, net in nets.items():
+            ids = np.concatenate([ids for _, ids in rows[h]])
+            # per row, the flattened entries of its word's tensor at each node
+            gather = [starts[ids[:, int(n.symbol.word)], None] + np.arange(math.prod(n.shape))
+                      for n in params[h]]
+            cups = sum(isinstance(node, CupDeltaNode) for node in net.nodes)
+            merged.setdefault((tensornet.structure_key(net), cups), []).append(
+                (net, np.concatenate([at for at, _ in rows[h]]), np.concatenate(gather, axis=1)))
+        groups = []
+        for (_, cups), same in merged.items():
+            at = np.concatenate([at for _, at, _ in same])
+            order = np.argsort(at)
+            groups.append(_Group(tensornet.compile_batch(same[0][0]), at[order],
+                                 np.concatenate([gather for *_, gather in same])[order], cups))
+        pads = [np.eye(shape[0]).ravel() for shape in shapes[len(self.words):]]
+        self.contractions[d_n, d_s] = _Contraction(self.sizes, shapes[: len(self.words)], starts,
+                                                   groups, np.concatenate([np.zeros(0), *pads]))
+        return self.contractions[d_n, d_s]
+
+
+# The most recent corpus; a corpus that fails to parse is not held.
+_front_end: _Corpus | None = None
+
+
+def _corpus(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> _Corpus:
+    """The held corpus of ``splits``, made afresh if its key changed.  The
+    sentences of one shape parse and rewrite to one diagram up to its box
+    names, so only the first is parsed and rewritten."""
     global _front_end
     sentences = tuple((lset.name, lset.sentences()) for lset in splits)
     types = {w: lexicon.lookup(w.lower())
              for w in dict.fromkeys(w for _, split in sentences for ws in split for w in ws)}
     key = (scheme, sentences, tuple(types.items()))
-    if _front_end is None or _front_end[0] != key:
+    if _front_end is None or _front_end.key != key:
         _front_end = None  # hold one corpus, and none that failed to parse
         kinds, patterns, shaped, words = {}, {}, [], {}
         kind = {w: kinds.setdefault(t, len(kinds)) for w, t in types.items()}
@@ -331,11 +371,11 @@ def _shapes(splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme) -> tu
             ats.append(at)
             ids.append([words.setdefault((w.lower(), fp), len(words)) for w, fp in zip(ws, fps)])
         hosts, pads = _hosts([(shape, mods) for shape, *_, mods in shaped], len(words))
-        plan = ([(shape, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp), host)
-                 for (shape, _, ats, ids, _), host in zip(shaped, hosts)],
-                list(words), {name: len(split) for name, split in sentences}, pads)
-        _front_end = (key, plan, {})
-    return _front_end[1]
+        _front_end = _Corpus(
+            key, [_Shape(d, np.array(ats, dtype=np.intp), np.array(ids, dtype=np.intp), h, fill)
+                  for (d, _, ats, ids, _), (h, fill) in zip(shaped, hosts)],
+            list(words), {name: len(split) for name, split in sentences}, pads)
+    return _front_end
 
 
 def _modifier(t: PregroupType) -> bool:
@@ -350,7 +390,7 @@ def _cups(box: Box) -> int:
 
 
 def _hosts(shapes: list, n_words: int) -> tuple[list, list]:
-    """Per shape ``(h, fill)`` as :func:`_shapes` holds it, and the pads.
+    """Per shape its host and fill (:class:`_Shape`), and the pads.
 
     ``shapes`` holds each shape with its modifier boxes.  Taken longest
     first, a shape joins the first host, in order of becoming one, that
@@ -414,66 +454,20 @@ def _embedding(host: tuple, shape: tuple) -> tuple[int, ...] | None:
     return None
 
 
-def _contraction(d_n: int, d_s: int) -> tuple[list, np.ndarray, list, list, list]:
-    """The held corpus's contraction at wire dimensions ``d_n`` and
-    ``d_s``, held with it: each box one dense tensor, its word's.
+@dataclass(eq=False)
+class _Group:
+    """Networks of one structure and cup count, contracted as one batch."""
 
-    Only hosts are compiled.  Each host's network names each box by its
-    index, so its node for box ``b`` reads, per row of the host and of the
-    shapes it hosts, the tensor of the word or pad at ``b``.  Returns each
-    word's tensor shape and the first entry of each word's and each pad's
-    tensor in the value vector, words in index order, pads after them;
-    then one group per structure and cup count, in order of first use,
-    ``(batch, at, gather)``: its networks compiled once, their rows'
-    corpus positions, ascending, and their gathers in that order; each
-    group's cup count; and each pad's tensor, flat.
-    """
-    (shaped, words, _, pads), held = _front_end[1:]
-    if (d_n, d_s) in held:
-        return held[d_n, d_s]
-    rows: dict[int, list] = {}  # per host, its shapes' rows as word ids at its boxes
-    for _, at, ids, (h, fill) in shaped:
-        full = np.repeat(fill[None], len(at), axis=0)
-        full[:, fill < 0] = ids
-        rows.setdefault(h, []).append((at, full))
-    nets = {h: compile_network(shaped[h][0], TensorAnsatzConfig(TensorAnsatz.TENSOR, d_n, d_s))
-            for h in rows}
-    for net in nets.values():
-        if (size := math.prod(net.output_dims())) != 2:
-            raise WrongOutputArity(f"expected a 2-dimensional sentence vector, got {size}")
-    params = {h: [node for node in net.nodes if isinstance(node, ParamNode)]
-              for h, net in nets.items()}
-    shapes = {w: node.shape for h, nodes in params.items() for node in nodes
-              for _, ids in rows[h] for w in ids[:, int(node.symbol.word)].tolist()}
-    shapes = [shapes[w] for w in range(len(words) + len(pads))]  # per word, then per pad
-    starts = np.cumsum([0, *map(math.prod, shapes)])
-    merged: dict[tuple, list] = {}
-    for h, net in nets.items():
-        ids = np.concatenate([ids for _, ids in rows[h]])
-        # per row, the flattened entries of its word's tensor at each node
-        gather = [starts[ids[:, int(n.symbol.word)], None] + np.arange(math.prod(n.shape))
-                  for n in params[h]]
-        cups = sum(isinstance(node, CupDeltaNode) for node in net.nodes)
-        merged.setdefault((tensornet.structure_key(net), cups), []).append(
-            (net, np.concatenate([at for at, _ in rows[h]]), np.concatenate(gather, axis=1)))
-    groups = []
-    for same in merged.values():
-        at = np.concatenate([at for _, at, _ in same])
-        order = np.argsort(at)
-        groups.append((tensornet.compile_batch(same[0][0]), at[order],
-                       np.concatenate([gather for *_, gather in same])[order]))
-    held[d_n, d_s] = (shapes[: len(words)], starts, groups, [cups for _, cups in merged],
-                      [np.eye(shape[0]).ravel() for shape in shapes[len(words):]])
-    return held[d_n, d_s]
+    batch: tensornet.TensorBatch  # compiled once
+    at: np.ndarray  # its rows' corpus positions, ascending
+    gather: np.ndarray  # ``gather[i, j]``: the value row ``i`` reads in slot ``j``
+    cups: int
 
 
 def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probabilities ``p = u / sum(u)`` per row, the degenerate mask and
-    the norm each row was divided by.
-
-    A row whose sum is below ``DEGENERATE_EPS`` reads out as uniform, its
-    norm 1.
-    """
+    the norm each row was divided by; a row whose sum is below
+    ``DEGENERATE_EPS`` reads out as uniform, its norm 1."""
     norm = u.sum(axis=1)
     degenerate = norm < DEGENERATE_EPS
     norm = np.where(degenerate, 1.0, norm)
@@ -484,13 +478,9 @@ def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _pullback(v: np.ndarray, labels, n: int, readout: tuple) -> np.ndarray:
     """d(mean loss)/dv of some rows of a split of ``n`` rows, from their
-    :func:`_readout`.
-
-    The cotangent chains through ``u = |v|**2`` and ``p = u / sum(u)``:
-    ``2 v (g - g . p) / (n sum(u))`` with ``g = d loss / d p``; it is zero
-    on degenerate rows.  Each row's depends on its own ``v`` and label
-    only.
-    """
+    :func:`_readout`: ``2 v (g - g . p) / (n sum(u))`` with ``g = d loss /
+    d p``, zero on degenerate rows.  Each row's depends on its own ``v`` and
+    label only."""
     probs, degenerate, norm = readout
     g = bce_grad(probs, labels)
     g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm[:, None])
@@ -498,82 +488,29 @@ def _pullback(v: np.ndarray, labels, n: int, readout: tuple) -> np.ndarray:
     return 2.0 * v * g_u
 
 
-class _Model:
-    """The parameter table, map stage, batches and evaluation loop every
-    model family shares.
+@dataclass(eq=False)
+class _Contraction:
+    """A corpus's contraction at one pair of wire dimensions, shared by
+    every model on the corpus at them, and its plan of each request shape
+    (:meth:`_request`).  A value vector holds each word's dense tensor,
+    then each pad's, which no parameter owns."""
 
-    ``symbols`` are in first-use order, and ``shapes`` holds each one's
-    shape (``()`` for a circuit angle); a symbol's entries follow the
-    previous symbol's in the flat parameter vector.  ``sizes`` holds each
-    split's row count, in split order.  The map stage (:meth:`_values`)
-    gives a point's value vector of ``n_values`` entries, every word's
-    dense tensor, over ``blocks`` ``(engine, batch, params, reads, cols)``:
-    with no engine, the parameters ``params`` are the values ``cols``;
-    otherwise ``params[i]`` holds word ``i``'s slots of one engine pass,
-    and ``reads`` and ``cols`` say where the words' tensors sit in the
-    pass's flat output and in the value vector.  The constants ``pads``,
-    which no parameter owns, follow the words' tensors.  ``groups`` holds, per
-    batch, ``(batch, at, gather)``: a compiled
-    :class:`~qnlp.tensornet.TensorBatch`, its rows' corpus positions (every
-    split's rows in turn), ascending, and their gather, ``gather[i, j]``
-    the value that row ``i`` reads in the batch's slot ``j``.
-    """
+    sizes: dict[str, int]  # each split's row count, in split order
+    shapes: list[tuple]  # each word tensor's shape
+    starts: np.ndarray  # where each word's, then each pad's, tensor starts, then the end
+    groups: list[_Group]  # one per structure and cup count, in order of first use
+    pads: np.ndarray  # the pads' tensors side by side
 
-    def __init__(self, symbols: Sequence[Symbol], shapes: Sequence[tuple],
-                 sizes: dict[str, int], groups: list, blocks: list, pads=np.zeros(0)):
-        self.symbols = list(symbols)
-        self.shapes = list(shapes)
-        # symbol i owns the slice bounds[i]:bounds[i + 1] of the parameter vector
-        self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
-        self.n_params = self._bounds[-1]
-        self.sizes = sizes
-        for batch, _, gather in groups:
-            if gather.shape[1:] != (batch.n_slots,):
-                raise Error(f"gather of shape {gather.shape} for {batch.n_slots} slots")
-        self._groups = groups
-        self._blocks = blocks
-        self._pads = np.asarray(pads)
-        # per value, its place among the blocks' outputs and the pads laid side by side
-        cols = np.concatenate([np.zeros(0, np.intp)] + [c for *_, c in blocks])
-        self._order = np.concatenate([np.argsort(cols),
-                                      np.arange(len(cols), len(cols) + len(self._pads))])
-        self.n_values = len(self._order)
-        # per request shape, its plan (:meth:`_request`)
-        self._requests: dict[tuple, list] = {}
+    def __post_init__(self):
+        for g in self.groups:
+            if g.gather.shape[1:] != (g.batch.n_slots,):
+                raise Error(f"gather of shape {g.gather.shape} for {g.batch.n_slots} slots")
+        self.n_values = int(self.starts[-1])
+        self.requests: dict[tuple, tuple] = {}
 
-    def _values(self, thetas: np.ndarray, keep: bool) -> tuple[np.ndarray, list]:
-        """Each point's value vector, ``(points, n_values)``, in one engine
-        pass per block; and with ``keep``, per engine block the first
-        point's outputs and the pass's tape, for :meth:`_pull`."""
-        parts, tapes = [thetas[:, :0]], []  # no values without blocks
-        for engine, batch, params, reads, _ in self._blocks:
-            x, tape = thetas[:, params], None
-            if engine is not None:
-                x, tape = engine.batch_forward(
-                    batch, x.reshape(len(thetas) * len(params), batch.n_slots))
-                tape = (x[: len(params)], tape) if keep else None
-                x = x.reshape(len(thetas), -1)[:, reads]
-            parts.append(x)
-            tapes.append(tape)
-        parts.append(np.broadcast_to(self._pads, (len(thetas), len(self._pads))))
-        return np.concatenate(parts, axis=1)[:, self._order], tapes
-
-    def _pull(self, tapes: list, g: np.ndarray) -> np.ndarray:
-        """The parameter gradient at the first point of :meth:`_values`
-        from its value vector's cotangent ``g``, pulled back through each
-        block from its tape, zero on the pass's entries no value reads;
-        every parameter belongs to one word, and the pads' cotangents are
-        dropped."""
-        grad = np.zeros(self.n_params)
-        for (engine, batch, params, reads, cols), tape in zip(self._blocks, tapes):
-            if engine is None:
-                grad[params] = g[cols]
-            elif batch.n_slots:
-                v, tape = tape
-                g_v = np.zeros(v.shape, v.dtype)
-                g_v.ravel()[reads] = g[cols]
-                grad[params] = engine.batch_backward(batch, tape, g_v)
-        return grad
+    def values(self, words: np.ndarray) -> np.ndarray:
+        """Each point's value vector from its words' tensors, one row each."""
+        return np.concatenate([words, np.repeat(self.pads[None], len(words), axis=0)], axis=1)
 
     def _request(self, runs: tuple[tuple[str, ...], ...]) -> tuple[list, np.ndarray, np.ndarray]:
         """Per group with rows in the request, its batch, its gather stacked
@@ -582,7 +519,7 @@ class _Model:
         it, and those rows' slice of the first split's in group order; then
         where each group's rows land in the request's output, every run's
         splits in turn, and the positions of the first split's."""
-        plan = self._requests.get(runs)
+        plan = self.requests.get(runs)
         if plan is None:
             order = list(self.sizes)
             bounds = np.cumsum([0, *self.sizes.values()])
@@ -595,56 +532,39 @@ class _Model:
                 out += bounds[first + len(names)] - bounds[first]
             n = self.sizes[runs[0][0]]
             groups, dests, led = [], [np.zeros(0, np.intp)], 0
-            for batch, at, gather in self._groups:
-                rows = [np.searchsorted(at, (lo, hi)) for lo, hi, _ in spans]
-                dest = np.concatenate([base + at[a:b] - lo
+            for group in self.groups:
+                rows = [np.searchsorted(group.at, (lo, hi)) for lo, hi, _ in spans]
+                dest = np.concatenate([base + group.at[a:b] - lo
                                        for (lo, _, base), (a, b) in zip(spans, rows)])
                 if len(dest):
-                    stacked = np.concatenate([gather[a:b] + k * self.n_values
+                    stacked = np.concatenate([group.gather[a:b] + k * self.n_values
                                               for k, (a, b) in enumerate(rows)])
                     k = int(np.count_nonzero(dest < n))
-                    groups.append((batch, stacked, stacked[:k], slice(led, led + k)))
+                    groups.append((group.batch, stacked, stacked[:k], slice(led, led + k)))
                     dests.append(dest)
                     led += k
             dest = np.concatenate(dests)
-            plan = self._requests[runs] = groups, dest, np.flatnonzero(dest < n)
+            plan = self.requests[runs] = groups, dest, np.flatnonzero(dest < n)
         return plan
 
-    def evaluate(self, points, labels=None):
-        """Readouts at several parameter points from one contraction per group.
-
-        ``points`` is a sequence of ``(names, theta)``: a run of
-        consecutive split names and a parameter vector of ``n_params``
-        entries.  Every group stacks each point's rows of its splits into
-        one contraction, at the entries its stacked gather reads from the
-        points' value vectors, and one readout serves every row.  Returns
-        the gradient and, per point, per split, its probabilities and
-        degenerate count.  With ``labels``, the labels of the first point's
-        first split, the mean-loss gradient of that split at the first
-        point comes from the same call: its rows lead every group's
-        gather, one pullback gives their cotangents, and each group's and
-        block's tape takes them back.  Without, the gradient is ``None``.
-        """
-        runs = tuple(tuple(names) for names, _ in points)
-        for _, vec in points:
-            if np.shape(vec) != (self.n_params,):
-                raise Error(f"expected {self.n_params} parameters, got {np.size(vec)}")
-        thetas = np.array([vec for _, vec in points], dtype=float)
-        values, tapes = self._values(thetas, labels is not None)
-        values = values.ravel()
+    def evaluate(self, words: np.ndarray, runs: tuple[tuple[str, ...], ...], labels=None):
+        """:meth:`_Model.evaluate` from each point's words' tensors, one row
+        per point, with their cotangent in place of the gradient.  With
+        labels, the first split's rows lead every group's gather."""
         if labels is not None:
             n = self.sizes[runs[0][0]]
             if n == 0:
                 raise EmptyEvalSet("no sentences to differentiate")
             if len(labels) != n:
                 raise Error(f"expected {n} labels, got {len(labels)}")
+        values = self.values(words).ravel()
         groups, dest, lead = self._request(runs)
         forwards = [tensornet.batch_forward(batch, values[gather]) for batch, gather, *_ in groups]
         v = np.concatenate([np.zeros((0, 2)), *(v for v, _ in forwards)])
         u = np.empty((sum(self.sizes[name] for names in runs for name in names), 2))
         u[dest] = v.real**2 + v.imag**2  # on real rows exactly v**2
         readout = _readout(u)
-        grad = None
+        g = None
         if labels is not None:
             at = dest[lead]
             g_v = _pullback(v[lead], np.asarray(labels)[at], n, [r[at] for r in readout])
@@ -657,12 +577,92 @@ class _Model:
             g = np.bincount(index, flat.real, self.n_values)
             if np.iscomplexobj(flat):
                 g = g + 1j * np.bincount(index, flat.imag, self.n_values)
-            grad = self._pull(tapes, g)
+            g = g[: words.shape[1]]  # the pads' cotangents reach no parameter
         probs, degenerate, _ = readout
         ends = np.cumsum([self.sizes[name] for names in runs for name in names]).tolist()
         splits = iter([(probs[a:b], int(np.count_nonzero(degenerate[a:b])))
                        for a, b in zip([0, *ends], ends)])
-        return grad, [[next(splits) for _ in names] for names in runs]
+        return g, [[next(splits) for _ in names] for names in runs]
+
+
+@dataclass(eq=False)
+class _Block:
+    """One pass of a map stage."""
+
+    engine: object  # ``simulator``, ``tensornet`` or None: the parameters are the values
+    batch: object  # the engine's compiled batch
+    params: np.ndarray  # ``params[i]``: word ``i``'s slots of the pass
+    reads: object  # where the words' tensors sit in the pass's flat output
+    cols: np.ndarray  # and in the value vector
+
+
+class _Model:
+    """The parameter table and map stage every model family shares, over
+    its corpus's held :class:`_Contraction`.
+
+    ``symbols`` are in first-use order, and ``shapes`` holds each one's
+    shape (``()`` for a circuit angle); a symbol's entries follow the
+    previous symbol's in the flat parameter vector.
+    """
+
+    def __init__(self, contraction: _Contraction, symbols: Sequence[Symbol],
+                 shapes: Sequence[tuple], blocks: list[_Block]):
+        self.contraction = contraction
+        self.symbols = list(symbols)
+        self.shapes = list(shapes)
+        # symbol i owns the slice bounds[i]:bounds[i + 1] of the parameter vector
+        self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
+        self.n_params = self._bounds[-1]
+        self._blocks = blocks
+        # per word entry, its place among the blocks' outputs laid side by side
+        self._order = np.argsort(np.concatenate([np.zeros(0, np.intp), *(b.cols for b in blocks)]))
+
+    def _values(self, thetas: np.ndarray, keep: bool) -> tuple[np.ndarray, list]:
+        """Each point's words' tensors, one row each, in one engine pass per
+        block; and with ``keep``, per engine block the first point's outputs
+        and the pass's tape, for :meth:`_pull`."""
+        parts, tapes = [thetas[:, :0]], []  # no values without blocks
+        for block in self._blocks:
+            x, tape = thetas[:, block.params], None
+            if block.engine is not None:
+                x, tape = block.engine.batch_forward(
+                    block.batch, x.reshape(len(thetas) * len(block.params), block.batch.n_slots))
+                tape = (x[: len(block.params)], tape) if keep else None
+                x = x.reshape(len(thetas), -1)[:, block.reads]
+            parts.append(x)
+            tapes.append(tape)
+        return np.concatenate(parts, axis=1)[:, self._order], tapes
+
+    def _pull(self, tapes: list, g: np.ndarray) -> np.ndarray:
+        """The parameter gradient at the first point of :meth:`_values`
+        from its words' cotangent ``g``, pulled back through each block
+        from its tape, zero on the pass's entries no value reads; every
+        parameter belongs to one word."""
+        grad = np.zeros(self.n_params)
+        for block, tape in zip(self._blocks, tapes):
+            if block.engine is None:
+                grad[block.params] = g[block.cols]
+            elif block.batch.n_slots:
+                v, tape = tape
+                g_v = np.zeros(v.shape, v.dtype)
+                g_v.ravel()[block.reads] = g[block.cols]
+                grad[block.params] = block.engine.batch_backward(block.batch, tape, g_v)
+        return grad
+
+    def evaluate(self, points, labels=None):
+        """Readouts at several points ``(names, theta)``, each a run of
+        consecutive split names and a parameter vector: the gradient, then
+        per point, per split, its probabilities and degenerate count.  With
+        ``labels``, the first point's first split's, the gradient is that
+        split's mean loss's at the first point; without, it is ``None``."""
+        runs = tuple(tuple(names) for names, _ in points)
+        for _, vec in points:
+            if np.shape(vec) != (self.n_params,):
+                raise Error(f"expected {self.n_params} parameters, got {np.size(vec)}")
+        thetas = np.array([vec for _, vec in points], dtype=float)
+        words, tapes = self._values(thetas, labels is not None)
+        g, readouts = self.contraction.evaluate(words, runs, labels)
+        return (None if g is None else self._pull(tapes, g)), readouts
 
     def eval_split(self, name: str, theta: np.ndarray):
         """Probabilities of every row of the split and its degenerate count."""
@@ -687,27 +687,25 @@ class _Model:
         return {s.name: v.tolist() for s, v in self.store(theta).items()}
 
 
-def _circuit_contraction(shaped: list, pads: list) -> tuple[list, list, list, np.ndarray]:
-    """The corpus's circuit contraction, the same under every ansatz: the
-    plan's word indices in order of first use over each sentence's blocks
-    (boxes in topological order), and per word in that order ``(inputs,
-    outputs, columns)``, its leg counts and its map's columns in the value
-    vector; then the batches of :func:`_contraction` at one qubit per wire,
-    each box its word's map, a ``(2,) * legs`` tensor with its input legs
-    first, and each cup scaled by ``1 / sqrt(2)``, the Bell effect; and
-    the plan's ``pads``, each scaled by ``sqrt(2)`` per cup it brings."""
+def _circuit_contraction(corpus: _Corpus) -> tuple[_Contraction, list]:
+    """The circuit contraction, the same under every ansatz: at one qubit
+    per wire, each box its word's ``(2,) * legs`` map, each cup scaled by
+    ``1 / sqrt(2)`` and each pad by ``sqrt(2)`` per cup it brings; then per
+    word, in first-use order over the blocks, ``(word, inputs, outputs, columns)``."""
     rows, legs = {}, {}
-    for d, at, ids, _ in shaped:
-        rows.update(zip(at.tolist(), ids[:, list(d.topological_boxes())].tolist()))
+    for shape in corpus.shapes:
+        d = shape.diagram
+        rows.update(zip(shape.at.tolist(), shape.ids[:, list(d.topological_boxes())].tolist()))
         for b, box in enumerate(d.boxes):
-            legs.update(dict.fromkeys(ids[:, b].tolist(), (len(box.dom), len(box.cod))))
-    _, starts, groups, cups, eyes = _contraction(2, 2)
-    order = list(dict.fromkeys(w for at in range(len(rows)) for w in rows[at]))
-    maps = [(*legs[w], np.arange(starts[w], starts[w + 1])) for w in order]
-    groups = [(replace(batch, factor=batch.factor * 0.5 ** (c / 2)), at, gather)
-              for (batch, at, gather), c in zip(groups, cups)]
-    scaled = [eye * 2.0 ** (c / 2) for eye, (_, c) in zip(eyes, pads)]
-    return order, maps, groups, np.concatenate([np.zeros(0), *scaled])
+            legs.update(dict.fromkeys(shape.ids[:, b].tolist(), (len(box.dom), len(box.cod))))
+    plain = corpus.contraction(2, 2)
+    order = dict.fromkeys(w for at in range(len(rows)) for w in rows[at])
+    words = [(w, *legs[w], np.arange(plain.starts[w], plain.starts[w + 1])) for w in order]
+    scale = [2.0 ** (c / 2) for _, c in corpus.pads]
+    pads = plain.pads * np.repeat(scale, np.diff(plain.starts[len(plain.shapes):]))
+    groups = [replace(g, batch=replace(g.batch, factor=g.batch.factor * 0.5 ** (g.cups / 2)))
+              for g in plain.groups]
+    return replace(plain, groups=groups, pads=pads), words
 
 
 class CircuitModel(_Model):
@@ -733,42 +731,44 @@ class CircuitModel(_Model):
         A word's angles sit together in the parameter vector, words in the
         order :func:`~qnlp.circuit.compile_circuit` gives their symbols.
         """
-        shaped, words, sizes, pads = _shapes(splits, lexicon, scheme)
-        held = _front_end[2]
+        corpus = _corpus(splits, lexicon, scheme)
         slots = {k: len(word_block("", "", tuple(range(k)), ansatz)[1])
-                 for k in {max(len(b.dom), len(b.cod)) for d, *_ in shaped for b in d.boxes}}
-        cold = CircuitModel not in held
-        for d, *_ in shaped:
+                 for k in {max(len(b.dom), len(b.cod)) for s in corpus.shapes
+                           for b in s.diagram.boxes}}
+        cold = CircuitModel not in corpus.stages
+        for shape in corpus.shapes:
             if cold:
-                layout(d)  # for its checks
-            if not any(slots[max(len(b.dom), len(b.cod))] for b in d.boxes):
+                layout(shape.diagram)  # for its checks
+            if not any(slots[max(len(b.dom), len(b.cod))] for b in shape.diagram.boxes):
                 raise ZeroParameterModel(
                     "no trainable parameters: every block in the circuit is empty")
         if cold:
-            held[CircuitModel] = _circuit_contraction(shaped, pads)
-        order, maps, groups, pad_values = held[CircuitModel]
-        counts = np.array([slots[max(dom, cod)] for dom, cod, _ in maps], dtype=np.intp)
+            corpus.contractions[CircuitModel], corpus.stages[CircuitModel] = \
+                _circuit_contraction(corpus)
+        words = corpus.stages[CircuitModel]
+        counts = np.array([slots[max(dom, cod)] for _, dom, cod, _ in words], dtype=np.intp)
         offsets = np.cumsum(counts) - counts
-        symbols = [Symbol(*words[w], i) for w, n in zip(order, counts) for i in range(n)]
+        symbols = [Symbol(*corpus.words[w], i) for (w, *_), n in zip(words, counts)
+                   for i in range(n)]
         if not symbols:
             raise ZeroParameterModel("no trainable parameters in any circuit")
         widths: dict[tuple[int, int], list[int]] = {}
-        for w, (dom, cod, _) in enumerate(maps):
-            widths.setdefault((max(dom, cod), cod), []).append(w)
+        for j, (_, dom, cod, _) in enumerate(words):
+            widths.setdefault((max(dom, cod), cod), []).append(j)
         blocks = []
-        for (k, cod), ws in widths.items():
-            n_dom = max(maps[w][0] for w in ws)  # fresh qubits fed |0>, surplus ones postselected
+        for (k, cod), js in widths.items():
+            n_dom = max(words[j][1] for j in js)  # fresh qubits fed |0>, surplus ones postselected
             gates, block_symbols = word_block("", "", tuple(range(k)), ansatz)
             block = Circuit(k, tuple(gates), tuple(range(cod, k)), tuple(range(cod)),
                             tuple(block_symbols))
             batch = simulator.compile_batch(block, n_dom)
             # word j's map: its own inputs, the block's others at 0
-            reads = [((j << n_dom) + (np.arange(1 << maps[w][0]) << n_dom - maps[w][0]))[:, None]
-                     * (1 << cod) + np.arange(1 << cod) for j, w in enumerate(ws)]
-            blocks.append((simulator, batch, offsets[ws, None] + np.arange(batch.n_slots),
-                           np.concatenate(reads, axis=None),
-                           np.concatenate([maps[w][2] for w in ws])))
-        return cls(symbols, [()] * len(symbols), sizes, groups, blocks, pad_values)
+            reads = [((i << n_dom) + (np.arange(1 << words[j][1]) << n_dom - words[j][1]))[:, None]
+                     * (1 << cod) + np.arange(1 << cod) for i, j in enumerate(js)]
+            blocks.append(_Block(simulator, batch, offsets[js, None] + np.arange(batch.n_slots),
+                                 np.concatenate(reads, axis=None),
+                                 np.concatenate([words[j][3] for j in js])))
+        return cls(corpus.contractions[CircuitModel], symbols, [()] * len(symbols), blocks)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, size=self.n_params)
@@ -791,34 +791,29 @@ class TensorModel(_Model):
     @classmethod
     def build(cls, splits: CorpusSplits, lexicon: Lexicon, scheme: RewriteScheme,
               cfg: TensorAnsatzConfig) -> "TensorModel":
-        """The corpus's contraction at ``cfg``'s wire dimensions, one symbol
-        per piece of each word as ``cfg`` lowers it, a word's pieces
-        together, words in index order.  A word lowered to one node reads
-        its tensor from its parameters; the words of one tensor shape that
-        ``cfg`` splits form one block, a batch of their lowered network.
-        All of it is held with the corpus per ``cfg``.
-        """
-        _, words, sizes, _ = _shapes(splits, lexicon, scheme)
-        held = _front_end[2]
-        if cfg not in held:
-            shapes, starts, groups, _, pads = _contraction(cfg.d_n, cfg.d_s)
+        """One symbol per piece of each word as ``cfg`` lowers it, words in
+        index order.  A word of one node reads its tensor from its
+        parameters; the words of one tensor shape that ``cfg`` splits form
+        one block.  The symbols, their shapes and the blocks are held."""
+        corpus = _corpus(splits, lexicon, scheme)
+        contraction = corpus.contraction(cfg.d_n, cfg.d_s)
+        if cfg not in corpus.stages:
             pieces, kinds = [], {}
-            for w, shape in enumerate(shapes):
-                nodes, edges, legs = _lower_word(Symbol(*words[w], 0), shape, cfg, 0)
+            for w, shape in enumerate(contraction.shapes):
+                nodes, edges, legs = _lower_word(Symbol(*corpus.words[w], 0), shape, cfg, 0)
                 at = sum(math.prod(node.shape) for node in pieces)
                 pieces += [node for node in nodes if isinstance(node, ParamNode)]
                 net = Network(*map(tuple, (nodes, edges, legs)))
                 _, ids, cols = kinds.setdefault(shape if len(nodes) > 1 else None, (net, [], []))
                 ids.append(np.arange(at, sum(math.prod(node.shape) for node in pieces)))
-                cols.append(np.arange(starts[w], starts[w + 1]))
-            blocks = [(None, None, np.concatenate(ids), None, np.concatenate(cols))
+                cols.append(np.arange(contraction.starts[w], contraction.starts[w + 1]))
+            blocks = [_Block(None, None, np.concatenate(ids), None, np.concatenate(cols))
                       if shape is None else
-                      (tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
-                       np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
-            held[cfg] = ([node.symbol for node in pieces], [node.shape for node in pieces],
-                         groups, blocks, np.concatenate([np.zeros(0), *pads]))
-        symbols, piece_shapes, groups, blocks, pads = held[cfg]
-        return cls(symbols, piece_shapes, sizes, groups, blocks, pads)
+                      _Block(tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
+                             np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
+            corpus.stages[cfg] = ([node.symbol for node in pieces],
+                                  [node.shape for node in pieces], blocks)
+        return cls(contraction, *corpus.stages[cfg])
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         chunks = [np.zeros(0)]

@@ -461,10 +461,15 @@ def reference_tensor_model(nets_by_split: dict[str, list]) -> training.TensorMod
     mapped to a dense tensor first."""
     shapes, groups = reference_tensor_groups(nets_by_split)
     sizes = {name: len(nets) for name, nets in nets_by_split.items()}
-    batches = [(tensornet.compile_batch(first), at, gather) for first, at, gather in groups]
-    ids = np.arange(sum(int(np.prod(shape)) for shape in shapes.values()))
-    return training.TensorModel(list(shapes), list(shapes.values()), sizes, batches,
-                                [(None, None, ids, None, ids)])
+    batches = [training._Group(tensornet.compile_batch(first), at, gather,
+                               sum(isinstance(n, tensornet.CupDeltaNode) for n in first.nodes))
+               for first, at, gather in groups]
+    # every symbol's tensor is one entry of the value vector, and there are no pads
+    starts = np.cumsum([0, *(int(np.prod(shape)) for shape in shapes.values())])
+    contraction = training._Contraction(sizes, list(shapes.values()), starts, batches, np.zeros(0))
+    ids = np.arange(contraction.n_values)
+    return training.TensorModel(contraction, list(shapes), list(shapes.values()),
+                                [training._Block(None, None, ids, None, ids)])
 
 
 def reference_tensor_groups(nets_by_split: dict[str, list]) -> tuple[dict, list[tuple]]:

@@ -228,6 +228,18 @@ class TestRunOne:
         assert summary["status"] == "ok" and summary["budget_seconds"] == 2.0
         assert json.loads((run_dir / "summary.json").read_text()) == summary
 
+    @pytest.mark.parametrize("test_acc", [None, True, "1.0"], ids=("null", "bool", "string"))
+    def test_summary_with_mistyped_test_acc_is_rerun(self, tmp_path, test_acc):
+        # report averages test_acc as a number
+        cfg = small_cfg(epochs=1)
+        path = tmp_path / cfg.run_id(0) / "summary.json"
+        run_one(cfg, 0, root=tmp_path)
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps({**stored, "test_acc": test_acc}))
+        summary = run_one(cfg, 0, root=tmp_path)
+        assert summary["status"] == "ok" and type(summary["test_acc"]) is float
+        assert json.loads(path.read_text()) == summary
+
     def test_failed_summary_write_leaves_run_incomplete(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1)
         real_summarize = experiment.summarize
@@ -718,7 +730,23 @@ class TestCli:
         assert main(["report", "--results", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
             f"error: {bad}: not a run summary (a JSON object with a string run_id and status, "
-            "an object config and a number or null budget_seconds)\n")
+            "an object config, a number test_acc and a number or null budget_seconds)\n")
+
+    def test_report_null_test_acc_is_pipeline_error(self, tmp_path, capsys):
+        cfg = small_cfg(epochs=1)
+        run_one(cfg, 0, root=tmp_path)
+        path = tmp_path / cfg.run_id(0) / "summary.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "test_acc": None}))
+        assert main(["report", "--results", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a run summary")
+
+    def test_report_unreadable_metrics_is_pipeline_error(self, tmp_path, capsys):
+        cfg = small_cfg(epochs=1)
+        run_one(cfg, 0, root=tmp_path)
+        path = tmp_path / cfg.run_id(0) / "metrics.csv"
+        path.write_text("epoch,train_loss,val_loss,train_acc,val_acc\n1,0.5,0.5,0.5,high\n")
+        assert main(["report", "--results", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a metrics table")
 
     def test_dataset_round_trips_through_train(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

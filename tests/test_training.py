@@ -103,9 +103,10 @@ def tiny_splits() -> CorpusSplits:
 
 def rows_by_split(model, at) -> dict[str, list[int]]:
     """A batch's corpus positions as each split's rows."""
-    start = split_starts(model.sizes)
+    sizes = model.contraction.sizes
+    start = split_starts(sizes)
     return {name: [int(p) - start[name] for p in at if 0 <= p - start[name] < size]
-            for name, size in model.sizes.items()}
+            for name, size in sizes.items()}
 
 
 def circuit_model(scheme=RewriteScheme.RE_NORM_CUR_NORM) -> CircuitModel:
@@ -531,7 +532,7 @@ class TestCircuitBatching:
         model = CircuitModel.build(
             pattern_splits(), default_lexicon(), RewriteScheme.RE, ansatz
         )
-        rows = [rows_by_split(model, at) for _, at, _ in model._groups]
+        rows = [rows_by_split(model, group.at) for group in model.contraction.groups]
         assert [len(r["train"]) for r in rows] == [8]
         assert [len(r["dev"]) for r in rows] == [2]
         assert [len(r["test"]) for r in rows] == [2]
@@ -543,10 +544,11 @@ class TestCircuitBatching:
         splits = pattern_splits(extra_train=[("man cooks man", 1)])
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.SIM14, n_layers=1)
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, ansatz)
-        groups = model._groups
-        assert [len(rows_by_split(model, at)["train"]) for _, at, _ in groups] == [9]
+        groups = model.contraction.groups
+        assert [len(rows_by_split(model, group.at)["train"]) for group in groups] == [9]
         last = len(splits.train) - 1  # train rows lead the corpus
-        ((batch, at, gather),) = [(b, at, gather) for b, at, gather in groups if last in at]
+        (group,) = [group for group in groups if last in group.at]
+        batch, at, gather = group.batch, group.at, group.gather
         # the host's boxes: adjective, subject, verb, adjective, object
         _, subject, _, _, obj = (gather[list(at).index(last), cols] for cols in batch.columns)
         np.testing.assert_array_equal(subject, obj)
@@ -673,9 +675,9 @@ class TestTensorBatching:
                                   TensorAnsatzConfig(kind))
         # the sentence batches with "man cooks meal", its subject and
         # object positions gathering one tensor
-        ((batch, at, gather),) = [group for group in model._groups if 8 in group[1]]
-        r = list(at).index(8)
-        pieces = [gather[r, cols] for cols in batch.columns]
+        (group,) = [group for group in model.contraction.groups if 8 in group.at]
+        r = list(group.at).index(8)
+        pieces = [group.gather[r, cols] for cols in group.batch.columns]
         assert sum(np.array_equal(g, pieces[0]) for g in pieces) == 2
         theta = model.init_params(rng)
         labels = splits.train.labels()
@@ -689,9 +691,10 @@ class TestTensorBatching:
     def test_one_group_serves_every_split(self, kind):
         model = TensorModel.build(generate_mc(0), default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
-        assert len(model._groups) == 1  # compiled at build
+        assert len(model.contraction.groups) == 1  # compiled at build
         for name in ("train", "dev", "test"):
-            assert all(len(rows_by_split(model, at)[name]) for _, at, _ in model._groups)
+            assert all(len(rows_by_split(model, group.at)[name])
+                       for group in model.contraction.groups)
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_one_path_search_per_group(self, kind, monkeypatch, rng):
@@ -708,16 +711,17 @@ class TestTensorBatching:
                                   TensorAnsatzConfig(kind))
         # one per group and one per word block, during build: under mps and
         # spider the verbs' 2 x 2 x 2 tensors are split, the rest read whole
-        words = [batch for engine, batch, *_ in model._blocks if engine is not None]
+        words = [block.batch for block in model._blocks if block.engine is not None]
         assert len(words) == (kind is not TensorAnsatz.TENSOR)
-        assert len(model._groups) == 1 and len(searches) == 1 + len(words)
+        assert len(model.contraction.groups) == 1 and len(searches) == 1 + len(words)
         # the contraction and each lowering's word blocks are held with the
         # corpus: a repeat build searches nothing
         again = TensorModel.build(splits, default_lexicon(), RewriteScheme.RE,
                                   TensorAnsatzConfig(kind))
         assert len(searches) == 1 + len(words)
-        assert all(a is b for (a, _, _), (b, _, _) in zip(again._groups, model._groups))
-        assert all(a[1] is b[1] for a, b in zip(again._blocks, model._blocks))
+        assert all(a.batch is b.batch
+                   for a, b in zip(again.contraction.groups, model.contraction.groups))
+        assert all(a.batch is b.batch for a, b in zip(again._blocks, model._blocks))
 
         def no_search(*args, **kwargs):
             raise AssertionError("contraction path searched after compile")
@@ -747,19 +751,20 @@ class TestBatchLifecycle:
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
     def test_groups_compiled_at_build_only(self, make, rng, monkeypatch):
         model = make()
-        batches = [batch for batch, _, _ in model._groups]
-        at = np.concatenate([at for _, at, _ in model._groups])
-        assert sorted(at) == list(range(sum(model.sizes.values())))  # every split's rows
-        assert all((np.diff(at) > 0).all() for _, at, _ in model._groups)  # ascending
+        groups, sizes = model.contraction.groups, model.contraction.sizes
+        batches = [group.batch for group in groups]
+        at = np.concatenate([group.at for group in groups])
+        assert sorted(at) == list(range(sum(sizes.values())))  # every split's rows
+        assert all((np.diff(group.at) > 0).all() for group in groups)  # ascending
 
         def no_compile(*args):
             raise AssertionError("a batch compiled after build")
 
         monkeypatch.setattr(tensornet, "compile_batch", no_compile)
         monkeypatch.setattr(simulator, "compile_batch", no_compile)
-        for name in model.sizes:
+        for name in sizes:
             model.eval_split(name, model.init_params(rng))
-        assert all(a is b for a, b in zip([batch for batch, _, _ in model._groups], batches))
+        assert all(a is b for a, b in zip([group.batch for group in groups], batches))
 
     @pytest.mark.parametrize("family", ("circuit", "tensor"))
     def test_gather_needs_a_column_per_slot(self, family, toy_lexicon):
@@ -771,15 +776,16 @@ class TestBatchLifecycle:
         else:
             model = TensorModel.build(splits, toy_lexicon, RewriteScheme.RE,
                                       TensorAnsatzConfig(TensorAnsatz.TENSOR))
-        ((batch, at, gather),) = model._groups
+        (group,) = model.contraction.groups
         slots = 12  # two noun vectors and a verb's 2 x 2 x 2 tensor
 
         def rebuild(gather):
-            return type(model)(model.symbols, model.shapes, model.sizes, [(batch, at, gather)],
-                               model._blocks)
+            contraction = dataclasses.replace(
+                model.contraction, groups=[dataclasses.replace(group, gather=gather)])
+            return type(model)(contraction, model.symbols, model.shapes, model._blocks)
 
-        assert batch.n_slots == slots and gather.shape == (6, slots)
-        probs, _ = rebuild(gather).eval_split("train", np.ones(model.n_params))
+        assert group.batch.n_slots == slots and group.gather.shape == (6, slots)
+        probs, _ = rebuild(group.gather).eval_split("train", np.ones(model.n_params))
         assert probs.shape == (2, 2)
         for bad in ((6, slots + 1), (6, slots - 1), (6,)):
             with pytest.raises(Error, match=re.escape(f"gather of shape {bad} for {slots} slots")):
@@ -798,12 +804,12 @@ class TestBatchLifecycle:
         # group's train rows lead its batch.  Neither four-word pattern
         # holds the other, and "man cooks meal" joins the first of them
         model = CircuitModel.build(splits, default_lexicon(), RewriteScheme.RE, TINY_ANSATZ)
-        rows = [rows_by_split(model, at) for _, at, _ in model._groups]
+        rows = [rows_by_split(model, group.at) for group in model.contraction.groups]
         assert [r["train"] for r in rows] == [[0, 1, 2], []]
         assert [r["dev"] for r in rows] == [[1], [0]]
         assert [r["test"] for r in rows] == [[0], []]
-        batch, _, gather = model._groups[0]
-        adjectives, subjects = (gather[:, cols] for cols in batch.columns[:2])
+        group = model.contraction.groups[0]
+        adjectives, subjects = (group.gather[:, cols] for cols in group.batch.columns[:2])
         # man, man, woman, man, man; only "skillful man prepares sauce"
         # has its adjective, the others read one pad
         assert [np.array_equal(subjects[0], row) for row in subjects] == [
@@ -873,11 +879,13 @@ def assert_groups_contract_rows(model, nets_by_split: dict, start: dict, cup_wei
     by ``cup_weight``, within 1e-12: a row that lacks some of its host's
     modifiers reads pads there."""
     nets = [net for ns in nets_by_split.values() for net in ns]
-    rows = np.concatenate([at for _, at, _ in model._groups]).tolist()
+    contraction = model.contraction
+    rows = np.concatenate([group.at for group in contraction.groups]).tolist()
     assert sorted(rows) == list(range(len(nets)))
-    values = np.random.default_rng(0).standard_normal(model.n_values)
-    values[model.n_values - len(model._pads):] = model._pads
-    for batch, at, gather in model._groups:
+    words = np.random.default_rng(0).standard_normal(contraction.n_values - len(contraction.pads))
+    values = contraction.values(words[None])[0]
+    for group in contraction.groups:
+        batch, at, gather = group.batch, group.at, group.gather
         assert (np.diff(at) > 0).all()
         host = host_network(nets, batch, at)
         want = tensornet.compile_batch(host)
@@ -910,17 +918,18 @@ def assert_same_tensor_model(model: TensorModel, diagrams, cfg) -> None:
         return {name: [compile_network(d, cfg) for d in ds] for name, ds in diagrams.items()}
 
     ref = reference_tensor_model(compiled(cfg))
-    assert (model.symbols, model.shapes, model.sizes) == (ref.symbols, ref.shapes, ref.sizes)
+    assert (model.symbols, model.shapes, model.contraction.sizes) == (
+        ref.symbols, ref.shapes, ref.contraction.sizes)
     nets = compiled(dataclasses.replace(cfg, kind=TensorAnsatz.TENSOR))
     dense = reference_tensor_model(nets)
-    assert model.n_values == dense.n_params + len(model._pads)
+    assert model.contraction.n_values == dense.n_params + len(model.contraction.pads)
     start = {(s.word, s.type_fingerprint): lo for s, _, lo, _ in dense._tables()}
     assert_groups_contract_rows(model, nets, start, 1.0)
     shapes = {shape for _, shape, _, _ in dense._tables()}
     split = {shape for shape in shapes
              if len(tensornet._lower_word(Symbol("", "", 0), shape, cfg, 0)[0]) > 1}
-    assert sorted(batch.out_shape for engine, batch, *_ in model._blocks if engine) == sorted(split)
-    assert sum(engine is None for engine, *_ in model._blocks) == (split != shapes)
+    assert sorted(b.batch.out_shape for b in model._blocks if b.engine) == sorted(split)
+    assert sum(block.engine is None for block in model._blocks) == (split != shapes)
     theta = model.init_params(np.random.default_rng(0))
     values, store = model._values(theta[None], False)[0][0], model.store(theta)
     for symbol, shape, lo, hi in dense._tables():
@@ -967,12 +976,12 @@ class TestTensorBuild:
             model = TensorModel.build(splits, mc_lexicon, scheme, cfg)
             nets = [net for ns in reference_networks(splits, mc_lexicon, scheme, dense).values()
                     for net in ns]
-            assert len(model._groups) == 1  # every MC pattern in its widest one's group
-            for batch, at, _ in model._groups:
+            assert len(model.contraction.groups) == 1  # every MC pattern in its widest one's group
+            for group in model.contraction.groups:
                 with monkeypatch.context() as m:
-                    m.setattr(tensornet, "np", numpy_with(einsum_path=at_rows(len(at))))
-                    want = tensornet.compile_batch(host_network(nets, batch, at))
-                assert steps(batch) == steps(want)
+                    m.setattr(tensornet, "np", numpy_with(einsum_path=at_rows(len(group.at))))
+                    want = tensornet.compile_batch(host_network(nets, group.batch, group.at))
+                assert steps(group.batch) == steps(want)
         assert len(searched) == 4 and min(searched) > 1
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
@@ -991,10 +1000,10 @@ class TestTensorBuild:
                               lset("test", [("sun brings sun", 1)]))
         cfg = TensorAnsatzConfig(kind)
         model = TensorModel.build(splits, lexicon, RewriteScheme.RE, cfg)
-        shaped, *_ = training._shapes(splits, lexicon, RewriteScheme.RE)
-        assert [at.tolist() for _, at, *_ in shaped] == [[0, 3], [1, 2, 4]]
-        ((_, at, _),) = model._groups
-        assert at.tolist() == [0, 1, 2, 3, 4]
+        corpus = training._corpus(splits, lexicon, RewriteScheme.RE)
+        assert [shape.at.tolist() for shape in corpus.shapes] == [[0, 3], [1, 2, 4]]
+        (group,) = model.contraction.groups
+        assert group.at.tolist() == [0, 1, 2, 3, 4]
         nets = reference_networks(splits, lexicon, RewriteScheme.RE, cfg)
         assert_same_tensor_model(model, TestFrontEndMemo.fresh(splits, lexicon, RewriteScheme.RE),
                                  cfg)
@@ -1046,7 +1055,7 @@ class TestHostGroups:
         model = build(cfg, splits, lexicon, scheme)
         # the MC patterns in the widest one's group; the intransitive
         # sentences (train 8 and 9, dev 2, test 2) in their own
-        assert [at.tolist() for _, at, _ in model._groups] == [
+        assert [group.at.tolist() for group in model.contraction.groups] == [
             [p for p in range(16) if p not in (8, 9, 12, 15)], [8, 9, 12, 15]]
         theta = model.init_params(rng)
         for lset in splits:
@@ -1089,10 +1098,13 @@ class TestHostGroups:
                 scale = np.sqrt(2.0) if scheme is RewriteScheme.RE else 1.0
             assert (model.symbols, model.shapes, model.n_params) == table
             assert model.init_params(np.random.default_rng(7)).tobytes() == want.tobytes()
-            np.testing.assert_array_equal(model._pads, np.eye(2).ravel() * scale)
-            values = model._values(np.stack([model.init_params(np.random.default_rng(k))
-                                             for k in range(2)]), False)[0]
-            np.testing.assert_array_equal(values[:, -4:], np.stack([model._pads] * 2))
+            pads = model.contraction.pads
+            np.testing.assert_array_equal(pads, np.eye(2).ravel() * scale)
+            words = model._values(np.stack([model.init_params(np.random.default_rng(k))
+                                            for k in range(2)]), False)[0]
+            assert words.shape[1] == model.contraction.n_values - len(pads)
+            values = model.contraction.values(words)
+            np.testing.assert_array_equal(values[:, -4:], np.stack([pads] * 2))
 
     def test_candidate_failing_the_identity_check_is_refused(self, mc_lexicon, monkeypatch):
         def shape(sentence):
@@ -1121,7 +1133,7 @@ class TestHostGroups:
             swapped if len(d.boxes) == 3 else lambda net: net)(compile_network(d, cfg)))
         model = TensorModel.build(pattern_splits(), mc_lexicon, RewriteScheme.RE,
                                   TensorAnsatzConfig(TensorAnsatz.TENSOR))
-        assert [at.tolist() for _, at, _ in model._groups] == [
+        assert [group.at.tolist() for group in model.contraction.groups] == [
             [0, 1, 8], [2, 3, 4, 5, 6, 7, 9, 10, 11]]
 
 
@@ -1137,7 +1149,7 @@ class TestRequestWork:
         splits = pattern_splits()
         family = CircuitModel if cfg is TINY_ANSATZ else TensorModel
         model = family.build(splits, default_lexicon(), RewriteScheme.RE, cfg)
-        assert len(model._groups) == 1  # every sentence pattern, with train rows
+        assert len(model.contraction.groups) == 1  # every sentence pattern, with train rows
         theta = model.init_params(rng)
         labels = splits.train.labels()
         want, _ = model.evaluate([(("train", "dev"), theta)], labels)
@@ -1173,9 +1185,10 @@ class TestRequestWork:
                 return sum(op is batch.ops[0] for op in gates)
             return sum(s is batch.steps[0].subscripts for s in steps)
 
-        blocks = [batch for engine, batch, *_ in model._blocks if engine is not None]
+        blocks = [block.batch for block in model._blocks if block.engine is not None]
         assert [passes(batch) for batch in blocks] == [1] * len(blocks)
-        assert [passes(batch) for batch, _, _ in model._groups] == [1] * len(model._groups)
+        groups = model.contraction.groups
+        assert [passes(group.batch) for group in groups] == [1] * len(groups)
         assert calls == {"_pullback": 1, "_readout": 1}
         assert grad.tobytes() == want.tobytes()
 
@@ -1384,29 +1397,29 @@ def assert_same_circuit_model(model: CircuitModel, circuits_by_split, nets_by_sp
     symbols = list(dict.fromkeys(s for cs in circuits_by_split.values() for c in cs
                                  for s in c.symbols))
     assert model.symbols == symbols and model.n_params == len(symbols)
-    assert model.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
-    _, words, _, _ = training._front_end[1]
-    order, maps, _, _ = training._front_end[2][CircuitModel]
-    start = {words[w]: cols[0] for w, (*_, cols) in zip(order, maps)}
+    contraction, corpus = model.contraction, training._front_end
+    assert contraction.sizes == {name: len(cs) for name, cs in circuits_by_split.items()}
+    start = {corpus.words[w]: cols[0] for w, *_, cols in corpus.stages[CircuitModel]}
     shapes, _ = reference_tensor_groups(nets_by_split)
-    assert model.n_values == sum(math.prod(shape) for shape in shapes.values()) + len(model._pads)
+    assert contraction.n_values == (sum(math.prod(shape) for shape in shapes.values())
+                                    + len(contraction.pads))
     assert_groups_contract_rows(model, nets_by_split, start, 2 ** -0.5)
 
 
-def held_diagrams(plan) -> dict[str, list]:
-    """Every split's diagrams rebuilt from a corpus plan ``(shaped, words,
-    sizes, pads)``: each sentence's shape with box ``b`` named by its word
-    ``b``, whose entry carries that box's type fingerprint."""
-    shaped, words, sizes, _ = plan
-    rebuilt = {}
-    for shape, at, ids, _ in shaped:
-        for row, ws in zip(at.tolist(), ids.tolist()):
-            assert [words[w][1] for w in ws] == list(map(type_fingerprint, shape.boxes))
-            rebuilt[row] = dataclasses.replace(shape, boxes=tuple(
-                dataclasses.replace(box, name=words[w][0]) for box, w in zip(shape.boxes, ws)))
+def held_diagrams(corpus) -> dict[str, list]:
+    """Every split's diagrams rebuilt from a held corpus: each sentence's
+    shape with box ``b`` named by its word ``b``, whose entry carries that
+    box's type fingerprint."""
+    words, rebuilt = corpus.words, {}
+    for shape in corpus.shapes:
+        boxes = shape.diagram.boxes
+        for row, ws in zip(shape.at.tolist(), shape.ids.tolist()):
+            assert [words[w][1] for w in ws] == list(map(type_fingerprint, boxes))
+            rebuilt[row] = dataclasses.replace(shape.diagram, boxes=tuple(
+                dataclasses.replace(box, name=words[w][0]) for box, w in zip(boxes, ws)))
     diagrams = [rebuilt[row] for row in range(len(rebuilt))]
-    start = split_starts(sizes)
-    return {name: diagrams[start[name]:start[name] + n] for name, n in sizes.items()}
+    start = split_starts(corpus.sizes)
+    return {name: diagrams[start[name]:start[name] + n] for name, n in corpus.sizes.items()}
 
 
 class TestFrontEndMemo:
@@ -1426,16 +1439,16 @@ class TestFrontEndMemo:
                                 for name in ("train", "dev", "test")))
         # the same words under other types: s.n^l . n.n^l . n reduces to s
         other = Lexicon.from_expressions({"Alice": "s@n.l", "likes": "n@n.l", "Bob": "n"})
-        first = held_diagrams(training._shapes(splits, toy_lexicon, RewriteScheme.RE))
-        second = held_diagrams(training._shapes(splits, other, RewriteScheme.RE))
+        first = held_diagrams(training._corpus(splits, toy_lexicon, RewriteScheme.RE))
+        second = held_diagrams(training._corpus(splits, other, RewriteScheme.RE))
         assert first == self.fresh(splits, toy_lexicon, RewriteScheme.RE)
         assert second == self.fresh(splits, other, RewriteScheme.RE)
         assert first != second
 
     def test_scheme_is_part_of_the_key(self, mc_lexicon):
         splits = pattern_splits()
-        plain = held_diagrams(training._shapes(splits, mc_lexicon, RewriteScheme.RE))
-        normal = held_diagrams(training._shapes(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM))
+        plain = held_diagrams(training._corpus(splits, mc_lexicon, RewriteScheme.RE))
+        normal = held_diagrams(training._corpus(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM))
         assert plain == self.fresh(splits, mc_lexicon, RewriteScheme.RE)
         assert normal == self.fresh(splits, mc_lexicon, RewriteScheme.RE_NORM_CUR_NORM)
         assert plain != normal
@@ -1447,26 +1460,27 @@ class TestFrontEndMemo:
         monkeypatch.setattr(training, "parse_sentence",
                             lambda words, lex: parsed.append(words) or parse_sentence(words, lex))
         a, b = pattern_splits(), tiny_splits()
-        first = training._shapes(a, mc_lexicon, RewriteScheme.RE)
-        assert training._shapes(a, mc_lexicon, RewriteScheme.RE) is first  # a hit
-        assert len(parsed) == len(first[0]) == 4
+        first = training._corpus(a, mc_lexicon, RewriteScheme.RE)
+        assert training._corpus(a, mc_lexicon, RewriteScheme.RE) is first  # a hit
+        assert len(parsed) == len(first.shapes) == 4
         assert held_diagrams(first) == self.fresh(a, mc_lexicon, RewriteScheme.RE)
-        training._shapes(b, mc_lexicon, RewriteScheme.RE)
-        assert held_diagrams(training._front_end[1]) == self.fresh(b, mc_lexicon, RewriteScheme.RE)
-        again = training._shapes(a, mc_lexicon, RewriteScheme.RE)  # b pushed a out
+        training._corpus(b, mc_lexicon, RewriteScheme.RE)
+        assert held_diagrams(training._front_end) == self.fresh(b, mc_lexicon, RewriteScheme.RE)
+        again = training._corpus(a, mc_lexicon, RewriteScheme.RE)  # b pushed a out
         assert again is not first and held_diagrams(again) == held_diagrams(first)
-        assert again[1:] == first[1:]  # the word entries and split sizes
+        # the word entries, split sizes and pads
+        assert (again.words, again.sizes, again.pads) == (first.words, first.sizes, first.pads)
         assert len(parsed) == 4 + 1 + 4
 
     def test_unknown_word_is_not_cached(self, mc_lexicon):
         good = pattern_splits()
-        held = training._shapes(good, mc_lexicon, RewriteScheme.RE)
+        held = training._corpus(good, mc_lexicon, RewriteScheme.RE)
         bad = CorpusSplits(LabeledSet("train", ((("man", "juggles", "meal"), 1),)),
                            good.dev, good.test)
         for _ in range(2):  # raised afresh, not served from the memo
             with pytest.raises(UnknownWord, match="juggles"):
-                training._shapes(bad, mc_lexicon, RewriteScheme.RE)
-            assert training._front_end[1] is held
+                training._corpus(bad, mc_lexicon, RewriteScheme.RE)
+            assert training._front_end is held
 
     def test_circuit_then_tensor_build_parse_once(self, mc_lexicon, monkeypatch):
         parsed, validated = [], []
@@ -1478,7 +1492,7 @@ class TestFrontEndMemo:
         TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(TensorAnsatz.MPS))
         # once per sentence shape, not per sentence (130)
         assert len(parsed) == len(validated) == 4
-        assert held_diagrams(training._front_end[1]) == self.fresh(splits, mc_lexicon, scheme)
+        assert held_diagrams(training._front_end) == self.fresh(splits, mc_lexicon, scheme)
 
     def test_each_family_places_every_sentence_once(self, mc_lexicon, monkeypatch):
         laid, compiled = [], []
@@ -1512,17 +1526,42 @@ class TestFrontEndMemo:
         model = CircuitModel.build(splits, mc_lexicon, scheme,
                                    CircuitAnsatzConfig(CircuitAnsatz.IQP, 1))
         tensor = TensorModel.build(splits, mc_lexicon, scheme, QUBITS)
-        assert len(compiled) == len(model._groups) == len(tensor._groups) == 1
-        for first, (batch, at, gather), (want, want_at, want_gather) in zip(
-                compiled, model._groups, tensor._groups):
-            assert batch.steps is want.steps and at is want_at and gather is want_gather
+        groups, want_groups = model.contraction.groups, tensor.contraction.groups
+        assert len(compiled) == len(groups) == len(want_groups) == 1
+        for first, group, want in zip(compiled, groups, want_groups):
+            assert (group.batch.steps is want.batch.steps and group.at is want.at
+                    and group.gather is want.gather)
             cups = sum(isinstance(node, tensornet.CupDeltaNode) for node in first.nodes)
-            assert cups and batch.factor == want.factor * 0.5 ** (cups / 2)
+            assert cups and group.batch.factor == want.batch.factor * 0.5 ** (cups / 2)
         for kind in (TensorAnsatz.MPS, TensorAnsatz.SPIDER):
             split = TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
-            assert split._groups is tensor._groups
+            assert split.contraction is tensor.contraction
             assert len(compiled) == 1 + (kind is TensorAnsatz.SPIDER) + 1  # a verb block each
             assert compiled[-1].output_dims() == (2, 2, 2)
+
+    def test_models_on_one_corpus_share_the_held_contraction(self, mc_lexicon):
+        # every circuit ansatz's map stage reads one contraction, and a fit
+        # plans each request shape once for all of them; the lowerings at
+        # one wire dimension share the unscaled one
+        splits, scheme = generate_mc(0), RewriteScheme.RE_NORM_CUR_NORM
+        cfg = TrainConfig(epochs=2, optimizer=SPSAConfig())
+        models, plans = [], []
+        for kind in CircuitAnsatz:
+            models.append(CircuitModel.build(splits, mc_lexicon, scheme,
+                                             CircuitAnsatzConfig(kind, 1, 2)))
+            fit(models[-1], splits, cfg)
+            plans.append(dict(models[-1].contraction.requests))
+        contraction = training._front_end.contractions[CircuitModel]
+        assert all(model.contraction is contraction for model in models)
+        assert len(plans[0]) == 2  # an epoch's request and the closing one
+        for later in plans[1:]:
+            assert later.keys() == plans[0].keys()
+            assert all(later[runs] is plan for runs, plan in plans[0].items())
+        tensors = [TensorModel.build(splits, mc_lexicon, scheme, TensorAnsatzConfig(kind))
+                   for kind in TensorAnsatz]
+        assert all(t.contraction is training._front_end.contraction(2, 2) for t in tensors)
+        assert contraction is not tensors[0].contraction  # the circuits' is scaled
+        assert contraction.groups[0].gather is tensors[0].contraction.groups[0].gather
 
     def test_one_network_compiled_per_shape_group(self, mc_lexicon, monkeypatch):
         compiled = []
@@ -1559,22 +1598,23 @@ class TestFrontEndMemo:
                                 CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
                         continue
                     first = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-                    key = training._front_end[0]
+                    key = training._front_end.key
                     again = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-                    assert training._front_end[0] is key
+                    assert training._front_end.key is key
                     want = {name: [compile_circuit(d, ansatz) for d in ds]
                             for name, ds in fresh.items()}
                     assert_same_circuit_model(first, want, nets)
                     assert_same_circuit_model(again, want, nets)
                     assert len(first._blocks) == len(again._blocks)
-                    for (_, batch, *arrays), (_, other, *other_arrays) in zip(
-                            first._blocks, again._blocks):
+                    for block, other_block in zip(first._blocks, again._blocks):
+                        batch, other = block.batch, other_block.batch
                         assert (batch.ops, batch.n_dom, batch.n_slots) == (
                             other.ops, other.n_dom, other.n_slots)
                         assert batch.cols.tolist() == other.cols.tolist()
                         # each word's angles, map entries and value columns
-                        for a, b in zip(arrays, other_arrays, strict=True):
-                            assert a.tobytes() == b.tobytes()
+                        for field in ("params", "reads", "cols"):
+                            assert (getattr(block, field).tobytes()
+                                    == getattr(other_block, field).tobytes())
 
     def test_layouts_made_once_and_lowered_per_config(self, mc_lexicon, monkeypatch):
         # each sentence shape is laid out once; a build lowers no sentence,
@@ -1597,10 +1637,11 @@ class TestFrontEndMemo:
                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 2, 1)]
         models = [CircuitModel.build(splits, mc_lexicon, scheme, cfg) for cfg in configs]
         assert len(validated) == 4  # once per sentence shape, not per sentence
-        assert len(training._front_end[1][0]) == 4  # one shape per sentence pattern
-        _, maps, groups, _ = training._front_end[2][CircuitModel]
-        assert all(model._groups is groups for model in models)
-        kinds = {(dom, cod) for dom, cod, _ in maps}
+        corpus = training._front_end
+        assert len(corpus.shapes) == 4  # one shape per sentence pattern
+        contraction = corpus.contractions[CircuitModel]
+        assert all(model.contraction is contraction for model in models)
+        kinds = {(dom, cod) for _, dom, cod, _ in corpus.stages[CircuitModel]}
         assert kinds == {(0, 1), (1, 1), (2, 1)}  # nouns, adjectives, verbs
         # one block per width: nouns share the adjectives' one-qubit block,
         # read at input 0, and verbs have the two-qubit one
@@ -1655,7 +1696,8 @@ class TestFrontEndMemo:
             for _ in range(2):
                 with pytest.raises(want):
                     CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-            assert training._front_end[2] == {}  # a plan with an error is not held
+            # a plan with an error is not held
+            assert training._front_end.contractions == training._front_end.stages == {}
 
 
 def shift_rule_split(model: CircuitModel, diagrams, ansatz, theta, labels) -> np.ndarray:
@@ -1679,7 +1721,7 @@ def assert_matches_statevector(model: CircuitModel, diagrams, ansatz, named: dic
     readout must equal that of ``other`` alone.  ``seen`` holds the
     reference of the sentences checked before, under their ``keys``."""
     theta = np.array([named[s.name] for s in model.symbols])
-    names = tuple(model.sizes)
+    names = tuple(model.contraction.sizes)
     _, (first, second) = model.evaluate([(names, theta), (names, other)])
     _, (alone,) = model.evaluate([(names, other)])
     for (p, degenerate), (want, want_degenerate) in zip(second, alone):
@@ -1737,12 +1779,13 @@ class TestCircuitOracle:
         # effect, a 1 / sqrt(2) factor, contracted apart from tensornet
         splits, ansatz = pattern_splits(), CircuitAnsatzConfig(kind, 1, 1)
         model = CircuitModel.build(splits, mc_lexicon, scheme, ansatz)
-        assert len(model._groups) == 1
+        contraction = model.contraction
+        assert len(contraction.groups) == 1
         theta = model.init_params(rng)
-        values = model._values(theta[None], False)[0][0]
-        amps = np.empty((sum(model.sizes.values()), 2), dtype=complex)
-        for batch, at, gather in model._groups:
-            amps[at] = tensornet.batch_forward(batch, values[gather])[0]
+        values = contraction.values(model._values(theta[None], False)[0])[0]
+        amps = np.empty((sum(contraction.sizes.values()), 2), dtype=complex)
+        for group in contraction.groups:
+            amps[group.at] = tensornet.batch_forward(group.batch, values[group.gather])[0]
         pos = {s: i for i, s in enumerate(model.symbols)}
         diagrams = [d for ds in TestFrontEndMemo.fresh(splits, mc_lexicon, scheme).values()
                     for d in ds]
@@ -1791,8 +1834,8 @@ class TestCircuitOracle:
         for kind in ANSATZE:
             ansatz = CircuitAnsatzConfig(kind, 1, 2)
             model = CircuitModel.build(splits, lexicon, scheme, ansatz)
-            assert {(b.n_dom, len(b.cols).bit_length() - 1): len(angles)
-                    for _, b, angles, *_ in model._blocks} == kinds
+            assert {(block.batch.n_dom, len(block.batch.cols).bit_length() - 1): len(block.params)
+                    for block in model._blocks} == kinds
             named = named_point(model, {}, rng)
             assert_matches_statevector(model, diagrams, ansatz, named, model.init_params(rng))
             theta, labels = named_to_params(model, named), splits.train.labels()
@@ -1836,7 +1879,8 @@ class TestCircuitOracle:
                                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 2))
         theta = model.init_params(rng)
         values, inputs = model._values(theta[None], False)[0][0], set()
-        for _, batch, angles, reads, cols in model._blocks:
+        for block in model._blocks:
+            batch, angles, reads, cols = block.batch, block.params, block.reads, block.cols
             cod = len(batch.cols).bit_length() - 1
             counts = np.bincount(reads >> batch.n_dom + cod, minlength=len(angles))
             for a, n, end in zip(angles, counts, np.cumsum(counts)):
@@ -1908,9 +1952,9 @@ class TestShapeFrontEnd:
         for scheme in RewriteScheme:
             training._front_end = None
             fresh = TestFrontEndMemo.fresh(splits, lexicon, scheme)
-            front = training._shapes(splits, lexicon, scheme)
+            front = training._corpus(splits, lexicon, scheme)
             assert held_diagrams(front) == fresh
-            assert len(front[0]) == len({tuple(map(lexicon.lookup, ws))  # one per pattern
+            assert len(front.shapes) == len({tuple(map(lexicon.lookup, ws))  # one per pattern
                                          for lset in splits for ws in lset.sentences()})
             model = CircuitModel.build(splits, lexicon, scheme, ansatz)
             nets = {name: [compile_network(d, QUBITS) for d in ds] for name, ds in fresh.items()}
@@ -1962,7 +2006,7 @@ class TestShapeFrontEnd:
                 build()
             assert (type(got.value), str(got.value)) == (type(want), str(want))
             if fault == "layout":  # the corpus parses; its circuit plan is not held
-                assert training._front_end[2] == {}
+                assert training._front_end.contractions == training._front_end.stages == {}
             else:
                 assert training._front_end is None
 
