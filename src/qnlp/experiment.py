@@ -240,11 +240,14 @@ def load_splits(cfg: ExperimentConfig) -> tuple[CorpusSplits, Lexicon]:
     return CorpusSplits(parts["train"], parts["dev"], parts["test"]), lexicon
 
 
+_METRICS = ("train_loss", "val_loss", "train_acc", "val_acc")  # metrics.csv's, after the epoch
+
+
 def _write_metrics_csv(path: Path, history: History) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "train_acc", "val_acc"])
-        rows = zip(history.train_loss, history.val_loss, history.train_acc, history.val_acc)
+        writer.writerow(["epoch", *_METRICS])
+        rows = zip(*(getattr(history, m) for m in _METRICS))
         writer.writerows([e, *map(repr, row)] for e, row in enumerate(rows, start=1))
 
 
@@ -359,8 +362,8 @@ def _finish_run(run_dir: Path, summary: dict, history: History | None = None,
     _write_summary(run_dir, summary)
 
 
-_SUMMARY_FIELDS = "a JSON object with a string run_id and status, an object config, a " \
-    "number test_acc and a number or null budget_seconds"
+_SUMMARY_FIELDS = "a JSON object with a string run_id and status, a config object that " \
+    "parses, a number test_acc and a number or null budget_seconds"
 
 
 def _read_summary(path: Path) -> dict | None:
@@ -377,7 +380,13 @@ def _read_summary(path: Path) -> dict | None:
                 and isinstance(summary.get("config"), dict)
                 and type(summary.get("test_acc")) in (int, float)  # a bool is no number
                 and (budget is None or type(budget) in (int, float)))
-    return summary if readable else None
+    if not readable:
+        return None
+    try:  # report reads it back as a config
+        ExperimentConfig.from_dict(summary["config"])
+    except Error:
+        return None
+    return summary
 
 
 def _write_summary(run_dir: Path, summary: dict) -> None:
@@ -494,19 +503,25 @@ def _iter_run_dirs(base: Path):
             yield child
 
 
-def _crossing_epoch(run_dir: Path) -> int | None:
-    """First epoch whose validation accuracy reaches 1.0, from metrics.csv."""
+def _read_metrics(run_dir: Path) -> tuple[list[dict], int | None]:
+    """The rows of a run's metrics.csv, none if it has none, and the first
+    epoch whose validation accuracy reaches 1.0.  A file without the epoch
+    and the four metric columns, or whose epochs and validation accuracies
+    up to that one do not parse, raises :class:`Error` naming it."""
     path = run_dir / "metrics.csv"
     if not path.exists():
-        return None
+        return [], None
     with path.open(newline="", encoding="utf-8") as fh:
         try:
-            for row in csv.DictReader(fh):
-                if float(row["val_acc"]) >= 1.0:
-                    return int(row["epoch"])
-        except (KeyError, TypeError, ValueError, csv.Error) as exc:
-            raise Error(f"{path}: not a metrics table ({exc!r})") from None
-    return None
+            reader = csv.DictReader(fh)
+            missing = [k for k in ("epoch", *_METRICS) if k not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"no column {missing[0]!r}")
+            rows = list(reader)
+            return rows, next((int(row["epoch"]) for row in rows
+                               if float(row["val_acc"]) >= 1.0), None)
+        except (TypeError, ValueError, csv.Error) as exc:
+            raise Error(f"{path}: not a metrics table ({exc})") from None
 
 
 def _fmt(value) -> str:
@@ -528,7 +543,7 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
         summary = _read_summary(run_dir / "summary.json")
         if summary is None:
             raise Error(f"{run_dir / 'summary.json'}: not a run summary ({_SUMMARY_FIELDS})")
-        summary["_dir"] = run_dir
+        summary["_metrics"], summary["_crossing"] = _read_metrics(run_dir)
         runs.append(summary)
     if not runs:
         raise EmptyResults(f"no completed runs under {base}")
@@ -545,7 +560,7 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
             cfg = s.get("config", {})
             writer.writerow([s["run_id"], *(cfg.get(k, "") for k in config_fields),
                              s.get("seed", ""), s.get("status", ""),
-                             *(_fmt(s.get(k)) for k in scores), _fmt(_crossing_epoch(s["_dir"])),
+                             *(_fmt(s.get(k)) for k in scores), _fmt(s["_crossing"]),
                              s.get("degenerate_evals", ""), _fmt(s.get("wall_seconds"))])
 
     # Accuracy grid: one row per configuration up to its seeds and rotation
@@ -588,13 +603,8 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
     with curves_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "epoch", "metric", "value"])
-        metrics = ("train_loss", "val_loss", "train_acc", "val_acc")
         for s in runs:
-            path = s["_dir"] / "metrics.csv"
-            if not path.exists():
-                continue
-            with path.open(newline="", encoding="utf-8") as mf:
-                for row in csv.DictReader(mf):
-                    writer.writerows([s["run_id"], row["epoch"], m, row[m]] for m in metrics)
+            writer.writerows([s["run_id"], row["epoch"], m, row[m]]
+                             for row in s["_metrics"] for m in _METRICS)
 
     return {"runs": runs_path, "grid": grid_path, "curves": curves_path}

@@ -31,17 +31,18 @@ Both engines take ``batch_forward(batch, x)``, giving each row's output
 ``v`` and a tape, and ``batch_backward(batch, tape, g_v)``, which pulls the
 cotangent on the leading rows' ``v`` back to their slots.  A sentence's
 weights are ``u = |v|**2`` (a circuit's unnormalized postselected output
-marginal).  A request (:meth:`_Model.evaluate`) names several parameter
-points, each with a run of consecutive splits: the map stage runs once for
-all of them, each group contracts every point's rows at once, the ``k``-th
-point's gather offset by ``k * n_values``, and one readout ``p = u /
-sum(u)`` serves every row.  A gradient is one pullback to the first
-split's ``v``, each group's tape to its slots, one ``np.bincount`` per
-value, so a word repeated in a sentence gets both terms, and the blocks'
-tapes to the parameters (:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s
-``sentence_distribution`` and ``distribution_gradient``, and
-:mod:`qnlp.tensornet`'s ``contract`` and ``gradient_hole``, are the
-per-sentence reference of these paths.
+marginal).  A request (:meth:`_Model.score`) names several parameter
+points, each with a run of consecutive splits, and a label per row.  The
+map stage writes every point's words' tensors into the value vectors held
+with the request's plan, whose pads are written once; each group contracts
+every point's rows at once; and one scoring pass (:func:`_scores`) gives
+every row's ``p = u / sum(u)``, loss and class, and for a gradient the
+first split's cotangent on ``u``.  That goes back through each group's
+tape to its slots, one ``np.bincount`` per value, so a word repeated in a
+sentence gets both terms, and the blocks' tapes to the parameters
+(:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s ``sentence_distribution``
+and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
+``gradient_hole``, are the per-sentence reference of these paths.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
 circuits (one paired probe per epoch, gain schedules ``a / (k + A)^alpha``
@@ -57,9 +58,9 @@ drawn before the call; under adaptive GD it reads train and dev at
 come from the gradient pass.  Dev at ``theta_k`` is epoch ``k - 1``'s dev
 readout (the first epoch's, at the initial parameters, is not recorded),
 and the last epoch's dev readout and the test score share one closing
-request.  Every readout passes the same checks, in the order the epochs
-define, so the histories equal those of a loop that reads one split per
-call; an epoch scores all of its readouts with a few array calls.
+request.  A fit binds each request shape's labels once, and every split's
+score passes the same checks, in the order the epochs define, so the
+histories equal those of a loop that reads one split per call.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ def bce_loss(probs, label):
 
     ``probs`` is a ``(B, 2)`` array with ``(B,)`` labels, giving ``(B,)``
     per-row losses, or one ``(2,)`` distribution with an int label, giving
-    a float.  The fit loop scores whole readouts; the single-distribution
-    form stays for callers that score one sentence at a time, such as a
-    per-sentence reference loss.
+    a float.  A fit's requests compute the same loss in :func:`_scores`;
+    this is for readouts from :meth:`_Model.evaluate` and for callers that
+    score one sentence at a time, such as a per-sentence reference loss.
     """
     picked, _ = _picked(probs, label)
     loss = -np.log(np.clip(picked, PROB_CLIP, 1.0 - PROB_CLIP))
@@ -230,7 +231,8 @@ class SPSA:
     def probes(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.k += 1
         self.c_k = self.cfg.c / self.k**self.cfg.gamma
-        self.delta = self.rng.choice([-1.0, 1.0], size=self.n)
+        # the draws of ``rng.choice([-1.0, 1.0], size=n)``, bit for bit, at half its cost
+        self.delta = 2.0 * self.rng.integers(0, 2, size=self.n) - 1.0
         return theta + self.c_k * self.delta, theta - self.c_k * self.delta
 
     def step(self, theta: np.ndarray, loss_plus: float, loss_minus: float) -> np.ndarray:
@@ -464,61 +466,93 @@ class _Group:
     cups: int
 
 
-def _readout(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probabilities ``p = u / sum(u)`` per row, the degenerate mask and
-    the norm each row was divided by; a row whose sum is below
-    ``DEGENERATE_EPS`` reads out as uniform, its norm 1."""
-    norm = u.sum(axis=1)
+def _run(index: np.ndarray):
+    """``index`` as a slice if it is a run of consecutive positions, whose
+    reads are views and writes block copies; else as it is."""
+    if index.ndim == 1 and len(index) and (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _scores(u: np.ndarray, labels: np.ndarray, ends: list[int], n: int) -> tuple[list, object]:
+    """One request's scoring pass over its rows' weights ``u``, every
+    point's splits in turn, split ``i`` ending at row ``ends[i]``.  A row
+    reads out as ``p = u / sum(u)``, uniform if its sum is below
+    ``DEGENERATE_EPS``, and scores as :func:`bce_loss` and :func:`predict`
+    against its label.  Per split: its probabilities, degenerate count,
+    mean loss (NaN if a probability is not finite) and accuracy; and with
+    ``n``, the cotangent on the first ``n`` rows' ``u`` of their mean loss,
+    ``(g - g . p) / (n sum(u))`` for ``g`` :func:`bce_grad`, zero on
+    degenerate rows."""
+    norm = u[:, 0] + u[:, 1]
     degenerate = norm < DEGENERATE_EPS
-    norm = np.where(degenerate, 1.0, norm)
+    norm[degenerate] = 1.0
     probs = u / norm[:, None]
     probs[degenerate] = 0.5
-    return probs, degenerate, norm
+    y = labels != 0
+    picked = np.where(y, probs[:, 1], probs[:, 0])
+    loss = -np.log(np.minimum(np.maximum(picked, PROB_CLIP), 1.0 - PROB_CLIP))
+    margin = probs[:, 1] - probs[:, 0]
+    # a finite probability lies in [0, 1], so the margin is finite unless one is not
+    loss[~np.isfinite(margin)] = np.nan
+    hits = (margin > TIE_EPS) == labels
+    scores = []
+    for a, b in zip([0, *ends], ends):
+        # the mean as ``.mean()`` gives it, bit for bit
+        mean, acc = (float(np.add.reduce(loss[a:b]) / (b - a)),
+                     int(np.count_nonzero(hits[a:b])) / (b - a)) if b > a else (np.nan, np.nan)
+        scores.append((probs[a:b], int(np.count_nonzero(degenerate[a:b])), mean, acc))
+    if not n:
+        return scores, None
+    y, picked = y[:n], picked[:n]
+    active = (picked > PROB_CLIP) & (picked < 1.0 - PROB_CLIP)
+    g = np.divide(-1.0, picked, out=np.zeros(n), where=active)
+    # ``g . p`` is ``g * picked``: d loss / d p is zero off the labelled class
+    g_u = (np.where(y[:, None] == np.arange(2), g[:, None], 0.0) - (g * picked)[:, None]) / (
+        n * norm[:n, None])
+    g_u[degenerate[:n]] = 0.0
+    return scores, g_u
 
 
-def _pullback(v: np.ndarray, labels, n: int, readout: tuple) -> np.ndarray:
-    """d(mean loss)/dv of some rows of a split of ``n`` rows, from their
-    :func:`_readout`: ``2 v (g - g . p) / (n sum(u))`` with ``g = d loss /
-    d p``, zero on degenerate rows.  Each row's depends on its own ``v`` and
-    label only."""
-    probs, degenerate, norm = readout
-    g = bce_grad(probs, labels)
-    g_u = (g - (g * probs).sum(axis=1, keepdims=True)) / (n * norm[:, None])
-    g_u[degenerate] = 0.0
-    return 2.0 * v * g_u
+@dataclass(eq=False)
+class _Plan:
+    """How a request of one shape runs over a contraction's groups."""
+
+    groups: list  # per group with rows: batch, gather, its first split's part and slice
+    dest: object  # where the groups' rows, side by side, land among the request's rows
+    lead: object  # the first split's rows among the groups' rows
+    at: object  # and among the request's rows
+    index: np.ndarray  # the first split's gathers, flat, side by side
+    ends: list[int]  # where each split's rows end, every run's splits in turn
+    values: np.ndarray  # a value vector per run: words each request writes, then the pads
 
 
 @dataclass(eq=False)
 class _Contraction:
     """A corpus's contraction at one pair of wire dimensions, shared by
     every model on the corpus at them, and its plan of each request shape
-    (:meth:`_request`).  A value vector holds each word's dense tensor,
-    then each pad's, which no parameter owns."""
+    (:meth:`plan`).  A value vector holds each word's dense tensor, then
+    each pad's, which no parameter owns."""
 
     sizes: dict[str, int]  # each split's row count, in split order
     shapes: list[tuple]  # each word tensor's shape
     starts: np.ndarray  # where each word's, then each pad's, tensor starts, then the end
     groups: list[_Group]  # one per structure and cup count, in order of first use
     pads: np.ndarray  # the pads' tensors side by side
+    dtype: type = float  # the words' tensors': complex for circuits' maps
 
     def __post_init__(self):
         for g in self.groups:
             if g.gather.shape[1:] != (g.batch.n_slots,):
                 raise Error(f"gather of shape {g.gather.shape} for {g.batch.n_slots} slots")
         self.n_values = int(self.starts[-1])
-        self.requests: dict[tuple, tuple] = {}
+        self.n_word_values = int(self.starts[len(self.shapes)])
+        self.requests: dict[tuple, _Plan] = {}
 
-    def values(self, words: np.ndarray) -> np.ndarray:
-        """Each point's value vector from its words' tensors, one row each."""
-        return np.concatenate([words, np.repeat(self.pads[None], len(words), axis=0)], axis=1)
-
-    def _request(self, runs: tuple[tuple[str, ...], ...]) -> tuple[list, np.ndarray, np.ndarray]:
-        """Per group with rows in the request, its batch, its gather stacked
-        over the runs of splits, the ``k``-th run's offset by ``k *
-        n_values``, the part of it that reads the first split, which leads
-        it, and those rows' slice of the first split's in group order; then
-        where each group's rows land in the request's output, every run's
-        splits in turn, and the positions of the first split's."""
+    def plan(self, runs: tuple[tuple[str, ...], ...]) -> _Plan:
+        """The held plan of a request that reads each run of consecutive
+        splits at its own point, its gathers the ``k``-th run's offset by
+        ``k * n_values``; the first split's rows lead each group's."""
         plan = self.requests.get(runs)
         if plan is None:
             order = list(self.sizes)
@@ -544,45 +578,44 @@ class _Contraction:
                     dests.append(dest)
                     led += k
             dest = np.concatenate(dests)
-            plan = self.requests[runs] = groups, dest, np.flatnonzero(dest < n)
+            lead = np.flatnonzero(dest < n)
+            values = np.zeros((len(runs), self.n_values), self.dtype)
+            values[:, self.n_word_values:] = self.pads
+            plan = self.requests[runs] = _Plan(
+                groups, _run(dest), _run(lead), _run(dest[lead]),
+                np.concatenate([np.zeros(0, np.intp), *(first.ravel() for _, _, first, _ in groups)]),
+                np.cumsum([self.sizes[name] for names in runs for name in names]).tolist(), values)
         return plan
 
-    def evaluate(self, words: np.ndarray, runs: tuple[tuple[str, ...], ...], labels=None):
-        """:meth:`_Model.evaluate` from each point's words' tensors, one row
-        per point, with their cotangent in place of the gradient.  With
-        labels, the first split's rows lead every group's gather."""
-        if labels is not None:
-            n = self.sizes[runs[0][0]]
-            if n == 0:
-                raise EmptyEvalSet("no sentences to differentiate")
-            if len(labels) != n:
-                raise Error(f"expected {n} labels, got {len(labels)}")
-        values = self.values(words).ravel()
-        groups, dest, lead = self._request(runs)
-        forwards = [tensornet.batch_forward(batch, values[gather]) for batch, gather, *_ in groups]
+    def evaluate(self, plan: _Plan, labels: np.ndarray, grad: bool):
+        """The request of ``plan``, whose value vectors hold its points'
+        words' tensors: the words' cotangent of the first split's mean loss
+        at the first point if ``grad``, else None, and per split its
+        :func:`_scores` against ``labels``, one per row of the request."""
+        n, rows = plan.ends[0], plan.ends[-1]
+        if grad and n == 0:
+            raise EmptyEvalSet("no sentences to differentiate")
+        if len(labels) != rows:
+            raise Error(f"expected {rows} labels, got {len(labels)}")
+        values = plan.values.ravel()
+        forwards = [tensornet.batch_forward(batch, values[gather])
+                    for batch, gather, *_ in plan.groups]
         v = np.concatenate([np.zeros((0, 2)), *(v for v, _ in forwards)])
-        u = np.empty((sum(self.sizes[name] for names in runs for name in names), 2))
-        u[dest] = v.real**2 + v.imag**2  # on real rows exactly v**2
-        readout = _readout(u)
-        g = None
-        if labels is not None:
-            at = dest[lead]
-            g_v = _pullback(v[lead], np.asarray(labels)[at], n, [r[at] for r in readout])
-            terms = [(first, tensornet.batch_backward(batch, tape, g_v[rows]))
-                     for (batch, _, first, rows), (_, tape) in zip(groups, forwards) if len(first)]
-            # in order, so a value gathered twice (a word repeated in a
-            # sentence) sums both terms
-            index = np.concatenate([g.ravel() for g, _ in terms])
-            flat = np.concatenate([t.ravel() for _, t in terms])
-            g = np.bincount(index, flat.real, self.n_values)
-            if np.iscomplexobj(flat):
-                g = g + 1j * np.bincount(index, flat.imag, self.n_values)
-            g = g[: words.shape[1]]  # the pads' cotangents reach no parameter
-        probs, degenerate, _ = readout
-        ends = np.cumsum([self.sizes[name] for names in runs for name in names]).tolist()
-        splits = iter([(probs[a:b], int(np.count_nonzero(degenerate[a:b])))
-                       for a, b in zip([0, *ends], ends)])
-        return g, [[next(splits) for _ in names] for names in runs]
+        u = np.empty((rows, 2))
+        u[plan.dest] = v.real**2 + v.imag**2  # on real rows exactly v**2
+        scores, g_u = _scores(u, np.asarray(labels), plan.ends, n if grad else 0)
+        if not grad:
+            return None, scores
+        g_v = 2.0 * v[plan.lead] * g_u[plan.at]
+        terms = [tensornet.batch_backward(batch, tape, g_v[part])
+                 for (batch, _, first, part), (_, tape) in zip(plan.groups, forwards) if len(first)]
+        # in order, so a value gathered twice (a word repeated in a sentence)
+        # sums both terms
+        flat = np.concatenate([t.ravel() for t in terms])
+        g = np.bincount(plan.index, flat.real, self.n_values)
+        if np.iscomplexobj(flat):
+            g = g + 1j * np.bincount(plan.index, flat.imag, self.n_values)
+        return g[: self.n_word_values], scores  # the pads' cotangents reach no parameter
 
 
 @dataclass(eq=False)
@@ -614,24 +647,24 @@ class _Model:
         self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
         self.n_params = self._bounds[-1]
         self._blocks = blocks
-        # per word entry, its place among the blocks' outputs laid side by side
-        self._order = np.argsort(np.concatenate([np.zeros(0, np.intp), *(b.cols for b in blocks)]))
+        # per block, its parameters and value columns, a run of either as a slice
+        self._maps = [(block, _run(block.params), _run(block.cols)) for block in blocks]
 
-    def _values(self, thetas: np.ndarray, keep: bool) -> tuple[np.ndarray, list]:
-        """Each point's words' tensors, one row each, in one engine pass per
-        block; and with ``keep``, per engine block the first point's outputs
-        and the pass's tape, for :meth:`_pull`."""
-        parts, tapes = [thetas[:, :0]], []  # no values without blocks
-        for block in self._blocks:
-            x, tape = thetas[:, block.params], None
+    def _values(self, thetas: np.ndarray, values: np.ndarray, keep: bool) -> list:
+        """Write each point's words' tensors to its row of ``values``, in
+        one engine pass per block; with ``keep``, give per engine block the
+        first point's outputs and the pass's tape, for :meth:`_pull`."""
+        tapes = []
+        for block, params, cols in self._maps:
+            x, tape = thetas[:, params], None
             if block.engine is not None:
                 x, tape = block.engine.batch_forward(
-                    block.batch, x.reshape(len(thetas) * len(block.params), block.batch.n_slots))
-                tape = (x[: len(block.params)], tape) if keep else None
+                    block.batch, x.reshape(len(thetas) * len(params), block.batch.n_slots))
+                tape = (x[: len(params)], tape) if keep else None
                 x = x.reshape(len(thetas), -1)[:, block.reads]
-            parts.append(x)
+            values[:, cols] = x
             tapes.append(tape)
-        return np.concatenate(parts, axis=1)[:, self._order], tapes
+        return tapes
 
     def _pull(self, tapes: list, g: np.ndarray) -> np.ndarray:
         """The parameter gradient at the first point of :meth:`_values`
@@ -639,30 +672,44 @@ class _Model:
         from its tape, zero on the pass's entries no value reads; every
         parameter belongs to one word."""
         grad = np.zeros(self.n_params)
-        for block, tape in zip(self._blocks, tapes):
+        for (block, params, cols), tape in zip(self._maps, tapes):
             if block.engine is None:
-                grad[block.params] = g[block.cols]
+                grad[params] = g[cols]
             elif block.batch.n_slots:
                 v, tape = tape
                 g_v = np.zeros(v.shape, v.dtype)
-                g_v.ravel()[block.reads] = g[block.cols]
-                grad[block.params] = block.engine.batch_backward(block.batch, tape, g_v)
+                g_v.ravel()[block.reads] = g[cols]
+                grad[params] = block.engine.batch_backward(block.batch, tape, g_v)
         return grad
 
-    def evaluate(self, points, labels=None):
-        """Readouts at several points ``(names, theta)``, each a run of
-        consecutive split names and a parameter vector: the gradient, then
-        per point, per split, its probabilities and degenerate count.  With
-        ``labels``, the first point's first split's, the gradient is that
-        split's mean loss's at the first point; without, it is ``None``."""
+    def score(self, points, labels: np.ndarray, grad: bool = False):
+        """Scores at several points ``(names, theta)``, each a run of
+        consecutive split names and a parameter vector, against one label
+        per row, every point's splits in turn: the gradient of the first
+        point's first split's mean loss there if ``grad``, else None, then
+        per point, per split, its :func:`_scores`."""
         runs = tuple(tuple(names) for names, _ in points)
         for _, vec in points:
             if np.shape(vec) != (self.n_params,):
                 raise Error(f"expected {self.n_params} parameters, got {np.size(vec)}")
-        thetas = np.array([vec for _, vec in points], dtype=float)
-        words, tapes = self._values(thetas, labels is not None)
-        g, readouts = self.contraction.evaluate(words, runs, labels)
-        return (None if g is None else self._pull(tapes, g)), readouts
+        plan = self.contraction.plan(runs)
+        tapes = self._values(np.array([vec for _, vec in points], dtype=float), plan.values, grad)
+        g, scores = self.contraction.evaluate(plan, labels, grad)
+        scores = iter(scores)
+        return (None if g is None else self._pull(tapes, g)), [
+            [next(scores) for _ in names] for names in runs]
+
+    def evaluate(self, points, labels=None):
+        """:meth:`score`'s probabilities and degenerate counts; ``labels``
+        are the first point's first split's, differentiated if given."""
+        sizes = [self.contraction.sizes[name] for names, _ in points for name in names]
+        rows = np.zeros(sum(sizes), np.intp)
+        if labels is not None:
+            if len(labels) != sizes[0]:
+                raise Error(f"expected {sizes[0]} labels, got {len(labels)}")
+            rows[: sizes[0]] = labels
+        grad, scores = self.score(points, rows, labels is not None)
+        return grad, [[split[:2] for split in run] for run in scores]
 
     def eval_split(self, name: str, theta: np.ndarray):
         """Probabilities of every row of the split and its degenerate count."""
@@ -705,7 +752,7 @@ def _circuit_contraction(corpus: _Corpus) -> tuple[_Contraction, list]:
     pads = plain.pads * np.repeat(scale, np.diff(plain.starts[len(plain.shapes):]))
     groups = [replace(g, batch=replace(g.batch, factor=g.batch.factor * 0.5 ** (g.cups / 2)))
               for g in plain.groups]
-    return replace(plain, groups=groups, pads=pads), words
+    return replace(plain, groups=groups, pads=pads, dtype=complex), words
 
 
 class CircuitModel(_Model):
@@ -829,44 +876,22 @@ class TensorModel(_Model):
 # -- fit loop -------------------------------------------------------------
 
 
-def _score(history: History, scored: list) -> tuple[list[float], list[float]]:
-    """The mean losses and accuracies of ``(split, epoch, labels, (probs,
-    degenerate))`` readouts; their degenerate rows count in ``history``.
-
-    In order, a readout with non-finite probabilities, then one with a row
-    count other than its labels', fails the fit.  The clip bounds the loss
-    of finite probabilities, so the check on them covers the loss too.
-    """
-    probs = [p for *_, (p, _) in scored]
-    if (any(np.shape(p) != (len(y), 2) for p, (_, _, y, _) in zip(probs, scored))
-            or not np.isfinite(all_probs := np.concatenate(probs)).all()):
-        for p, (split, epoch, labels, _) in zip(probs, scored):
-            if not np.isfinite(p).all():
-                raise NonFiniteLoss(f"{split} loss became non-finite at epoch {epoch}")
-            if np.shape(p) != (len(labels), 2):
-                raise Error(f"{split} split: {len(labels)} sentences, probabilities {np.shape(p)}")
-    history.degenerate_evals += sum(degenerate for *_, (_, degenerate) in scored)
-    labels = np.concatenate([y for _, _, y, _ in scored])
-    loss, hits = bce_loss(all_probs, labels), predict(all_probs) == labels
-    ends = np.cumsum([len(p) for p in probs]).tolist()
-    bounds = list(zip([0, *ends], ends))
-    # each mean as ``.mean()`` gives it, bit for bit
-    return ([float(np.add.reduce(loss[a:b]) / (b - a)) for a, b in bounds],
-            [int(np.count_nonzero(hits[a:b])) / (b - a) for a, b in bounds])
-
-
 def fit(
     model,
     splits: CorpusSplits,
     cfg: TrainConfig,
     budget_seconds: float | None = None,
 ) -> History:
-    """Train on the train split, tracking dev each epoch and test at the end."""
+    """Train on the train split, tracking dev each epoch and test at the end.
+
+    Each request shape's labels are bound once, in the order of its rows.  In
+    the order the epochs define, a split score with a non-finite probability,
+    then one with a row count other than its labels', fails the fit."""
     for lset in splits:
         if len(lset) == 0:
             raise EmptyEvalSet(f"split {lset.name!r} is empty")
-    train_labels = np.asarray(splits.train.labels())
-    dev_labels = np.asarray(splits.dev.labels())
+    labels = {lset.name: np.asarray(lset.labels()) for lset in splits}
+    bound: dict[tuple, np.ndarray] = {}  # per request shape
     rng = np.random.default_rng(cfg.seed)
     theta = model.init_params(rng)
     history = History()
@@ -879,35 +904,49 @@ def fit(
     else:
         raise ConfigError(f"unknown optimizer config: {cfg.optimizer!r}")
 
+    def request(points, grad=False):
+        runs = tuple(names for names, _ in points)
+        if runs not in bound:
+            bound[runs] = np.concatenate([labels[name] for names in runs for name in names])
+        return model.score(points, bound[runs], grad)
+
+    def scored(split: str, epoch: int, score: tuple, losses=None, accs=None) -> tuple:
+        """The split's mean loss and accuracy, appended to ``losses`` and ``accs``."""
+        probs, degenerate, loss, acc = score
+        if not math.isfinite(loss):
+            raise NonFiniteLoss(f"{split} loss became non-finite at epoch {epoch}")
+        if np.shape(probs) != (len(labels[split]), 2):
+            raise Error(f"{split} split: {len(labels[split])} sentences, "
+                        f"probabilities {np.shape(probs)}")
+        history.degenerate_evals += degenerate
+        if losses is not None:
+            losses.append(loss)
+            accs.append(acc)
+        return loss, acc
+
     start = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             raise BudgetExceeded(
                 f"epoch {epoch}: exceeded budget of {budget_seconds:.0f} s"
             )
-        probes = []
         if spsa is not None:
             plus, minus = spsa.probes(theta)
-            _, ((train, dev), *probes) = model.evaluate(
+            _, ((train, dev), *probes) = request(
                 [(("train", "dev"), theta), (("train",), plus), (("train",), minus)])
         else:
-            grad, ((train, dev),) = model.evaluate([(("train", "dev"), theta)], train_labels)
-        # dev at this epoch's parameters is the previous epoch's dev readout
-        losses, accs = _score(history, [("dev", epoch - 1, dev_labels, dev)] * (epoch > 1) + [
-            ("train", epoch, train_labels, readout) for readout in (train, *(r for r, in probes))])
-        if epoch > 1:
-            history.val_loss.append(losses.pop(0))
-            history.val_acc.append(accs.pop(0))
-        history.train_loss.append(losses[0])
-        history.train_acc.append(accs[0])
-        theta = spsa.step(theta, *losses[1:]) if spsa is not None else adaptive.step(theta, grad)
+            grad, ((train, dev),) = request([(("train", "dev"), theta)], True)
+        if epoch > 1:  # dev at this epoch's parameters is the previous epoch's
+            scored("dev", epoch - 1, dev, history.val_loss, history.val_acc)
+        scored("train", epoch, train, history.train_loss, history.train_acc)
+        if spsa is not None:
+            theta = spsa.step(theta, *(scored("train", epoch, probe)[0] for probe, in probes))
+        else:
+            theta = adaptive.step(theta, grad)
 
-    # the closing call: the last epoch's dev readout and the test score
-    _, ((dev, test),) = model.evaluate([(("dev", "test"), theta)])
-    (val_loss, _), (val_acc, history.test_acc) = _score(
-        history, [("dev", cfg.epochs, dev_labels, dev),
-                  ("test", cfg.epochs, np.asarray(splits.test.labels()), test)])
-    history.val_loss.append(val_loss)
-    history.val_acc.append(val_acc)
+    # the closing request: the last epoch's dev readout and the test score
+    _, ((dev, test),) = request([(("dev", "test"), theta)])
+    scored("dev", cfg.epochs, dev, history.val_loss, history.val_acc)
+    history.test_acc = scored("test", cfg.epochs, test)[1]
     history.final_params = theta
     return history

@@ -240,6 +240,17 @@ class TestRunOne:
         assert summary["status"] == "ok" and type(summary["test_acc"]) is float
         assert json.loads(path.read_text()) == summary
 
+    def test_summary_with_unparsable_config_is_rerun(self, tmp_path):
+        # report reads every circuit summary's config back as a config
+        cfg = small_cfg(epochs=1)
+        path = tmp_path / cfg.run_id(0) / "summary.json"
+        run_one(cfg, 0, root=tmp_path)
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps({**stored, "config": {**stored["config"], "n_layers": "x"}}))
+        summary = run_one(cfg, 0, root=tmp_path)
+        assert summary["status"] == "ok" and summary["config"] == stored["config"]
+        assert json.loads(path.read_text()) == summary
+
     def test_failed_summary_write_leaves_run_incomplete(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1)
         real_summarize = experiment.summarize
@@ -730,7 +741,8 @@ class TestCli:
         assert main(["report", "--results", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
             f"error: {bad}: not a run summary (a JSON object with a string run_id and status, "
-            "an object config, a number test_acc and a number or null budget_seconds)\n")
+            "a config object that parses, a number test_acc and a number or null "
+            "budget_seconds)\n")
 
     def test_report_null_test_acc_is_pipeline_error(self, tmp_path, capsys):
         cfg = small_cfg(epochs=1)
@@ -739,6 +751,26 @@ class TestCli:
         path.write_text(json.dumps({**json.loads(path.read_text()), "test_acc": None}))
         assert main(["report", "--results", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {path}: not a run summary")
+
+    def test_report_unparsable_config_is_pipeline_error(self, tmp_path, capsys):
+        cfg = small_cfg(epochs=1)
+        run_one(cfg, 0, root=tmp_path)
+        path = tmp_path / cfg.run_id(0) / "summary.json"
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps({**stored, "config": {"backend": "circuit", "ansatz": "iqp",
+                                                         "n_layers": "x"}}))
+        assert main(["report", "--results", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a run summary")
+
+    def test_report_metrics_without_a_column_is_pipeline_error(self, tmp_path, capsys):
+        # val_acc reaches 1.0 in its first row, so only the curves read train_loss
+        cfg = small_cfg(epochs=1)
+        run_one(cfg, 0, root=tmp_path)
+        path = tmp_path / cfg.run_id(0) / "metrics.csv"
+        path.write_text("epoch,val_acc\n1,1.0\n")
+        assert main(["report", "--results", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: not a metrics table (no column 'train_loss')\n")
 
     def test_report_unreadable_metrics_is_pipeline_error(self, tmp_path, capsys):
         cfg = small_cfg(epochs=1)

@@ -239,6 +239,16 @@ class TestSpsa:
         opt = SPSA(SPSAConfig(big_a=12.0), 2, 120, np.random.default_rng(0))
         assert opt.big_a == 12.0
 
+    @pytest.mark.parametrize("n", (1, 7, 45, 129))
+    def test_delta_draws_as_choice_does(self, n):
+        # the perturbation keeps the draws, and the generator state after
+        # them, of ``rng.choice([-1.0, 1.0], size=n)``
+        opt, rng = SPSA(SPSAConfig(), n, 50, np.random.default_rng(n)), np.random.default_rng(n)
+        for _ in range(50):
+            opt.probes(np.zeros(n))
+            assert opt.delta.tobytes() == rng.choice([-1.0, 1.0], size=n).tobytes()
+            assert opt.rng.bit_generator.state == rng.bit_generator.state
+
 
 class TestAdaptiveGd:
     def test_converges_on_convex_quadratic(self):
@@ -251,25 +261,36 @@ class TestAdaptiveGd:
 
 
 class SplitModel:
-    """A stand-in model that serves ``fit``'s requests one split at a time
-    from its ``eval_split`` and, for the differentiated split, ``grad_split``."""
+    """A stand-in model on ``tiny_splits()`` that serves ``fit``'s requests
+    one split at a time from its ``eval_split`` and, for the differentiated
+    split, ``grad_split``, scoring each readout against its slice of the
+    request's labels."""
 
     n_params = 2
 
     def init_params(self, rng):
         return np.zeros(2)
 
-    def evaluate(self, points, labels=None):
-        grad, readouts = None, []
+    def score(self, points, labels, grad=False):
+        sizes = {lset.name: len(lset) for lset in tiny_splits()}
+        ends = itertools.accumulate(sizes[name] for names, _ in points for name in names)
+        scores, at, gradient = [], 0, None
         for k, (names, theta) in enumerate(points):
-            readouts.append([])
-            for j, name in enumerate(names):
-                if labels is not None and k == j == 0:
-                    grad, *readout = self.grad_split(name, theta, labels)
+            scores.append([])
+            for j, (name, end) in enumerate(zip(names, ends)):
+                y, at = labels[at:end], end
+                if grad and k == j == 0:
+                    gradient, probs, degenerate = self.grad_split(name, theta, y)
                 else:
-                    readout = self.eval_split(name, theta)
-                readouts[-1].append(tuple(readout))
-        return grad, readouts
+                    probs, degenerate = self.eval_split(name, theta)
+                if not np.isfinite(probs).all():
+                    loss = acc = np.nan
+                elif np.shape(probs) != (len(y), 2):
+                    loss = acc = 0.0  # fit names the split
+                else:
+                    loss, acc = float(bce_loss(probs, y).mean()), accuracy(probs, y)
+                scores[-1].append((probs, degenerate, loss, acc))
+        return gradient, scores
 
 
 class TestCircuitFit:
@@ -857,6 +878,16 @@ class TestTensorFit:
         assert len(h) == 2
 
 
+def value_rows(model, thetas: np.ndarray) -> np.ndarray:
+    """Each point's value vector, one row each: its words' tensors as the
+    model's map stage writes them, then the pads."""
+    contraction = model.contraction
+    values = np.zeros((len(thetas), contraction.n_values), contraction.dtype)
+    values[:, contraction.n_word_values:] = contraction.pads
+    model._values(thetas, values, False)
+    return values
+
+
 def host_network(nets: list, batch, at):
     """The network, compiled alone, of one of a group's host rows: a row
     whose own network has a parameter node per batch position."""
@@ -883,7 +914,7 @@ def assert_groups_contract_rows(model, nets_by_split: dict, start: dict, cup_wei
     rows = np.concatenate([group.at for group in contraction.groups]).tolist()
     assert sorted(rows) == list(range(len(nets)))
     words = np.random.default_rng(0).standard_normal(contraction.n_values - len(contraction.pads))
-    values = contraction.values(words[None])[0]
+    values = np.concatenate([words, contraction.pads])
     for group in contraction.groups:
         batch, at, gather = group.batch, group.at, group.gather
         assert (np.diff(at) > 0).all()
@@ -931,7 +962,7 @@ def assert_same_tensor_model(model: TensorModel, diagrams, cfg) -> None:
     assert sorted(b.batch.out_shape for b in model._blocks if b.engine) == sorted(split)
     assert sum(block.engine is None for block in model._blocks) == (split != shapes)
     theta = model.init_params(np.random.default_rng(0))
-    values, store = model._values(theta[None], False)[0][0], model.store(theta)
+    values, store = value_rows(model, theta[None])[0], model.store(theta)
     for symbol, shape, lo, hi in dense._tables():
         nodes, edges, legs = tensornet._lower_word(symbol, shape, cfg, 0)
         want = contract(tensornet.Network(tuple(nodes), tuple(edges), tuple(legs)), store)
@@ -1100,10 +1131,9 @@ class TestHostGroups:
             assert model.init_params(np.random.default_rng(7)).tobytes() == want.tobytes()
             pads = model.contraction.pads
             np.testing.assert_array_equal(pads, np.eye(2).ravel() * scale)
-            words = model._values(np.stack([model.init_params(np.random.default_rng(k))
-                                            for k in range(2)]), False)[0]
-            assert words.shape[1] == model.contraction.n_values - len(pads)
-            values = model.contraction.values(words)
+            values = value_rows(model, np.stack([model.init_params(np.random.default_rng(k))
+                                                 for k in range(2)]))
+            assert model.contraction.n_word_values == model.contraction.n_values - len(pads)
             np.testing.assert_array_equal(values[:, -4:], np.stack([pads] * 2))
 
     def test_candidate_failing_the_identity_check_is_refused(self, mc_lexicon, monkeypatch):
@@ -1139,9 +1169,10 @@ class TestHostGroups:
 
 class TestRequestWork:
     """A gradient request runs each map block and each group forward once,
-    then one readout over its rows and one pullback over the
-    differentiated split's; the map stage's pullback reads the blocks'
-    tapes and runs no forward pass of its own."""
+    then one scoring pass over its rows, which also gives the
+    differentiated split's cotangent; the map stage's pullback reads the
+    blocks' tapes and runs no forward pass of its own.  A fit scores each
+    of its requests in one pass."""
 
     @pytest.mark.parametrize("cfg", (TINY_ANSATZ, *map(TensorAnsatzConfig, KINDS)),
                              ids=("circuit", *(k.value for k in KINDS)))
@@ -1153,16 +1184,12 @@ class TestRequestWork:
         theta = model.init_params(rng)
         labels = splits.train.labels()
         want, _ = model.evaluate([(("train", "dev"), theta)], labels)
-        steps, gates, calls = [], [], {"_pullback": 0, "_readout": 0}
-        apply_rows = simulator._apply_rows
+        steps, gates, passes_of = [], [], []
+        apply_rows, scores = simulator._apply_rows, training._scores
 
-        def counting(name):
-            fn = getattr(training, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
+        def scoring(*args):
+            passes_of.append(args[0].shape)
+            return scores(*args)
 
         def einsum(subscripts, *operands, **kwargs):
             steps.append(subscripts)
@@ -1174,8 +1201,7 @@ class TestRequestWork:
 
         monkeypatch.setattr(tensornet, "np", numpy_with(einsum=einsum))
         monkeypatch.setattr(simulator, "_apply_rows", gate)
-        for name in calls:
-            monkeypatch.setattr(training, name, counting(name))
+        monkeypatch.setattr(training, "_scores", scoring)
         grad, _ = model.evaluate([(("train", "dev"), theta)], labels)
 
         def passes(batch) -> int:
@@ -1189,8 +1215,18 @@ class TestRequestWork:
         assert [passes(batch) for batch in blocks] == [1] * len(blocks)
         groups = model.contraction.groups
         assert [passes(group.batch) for group in groups] == [1] * len(groups)
-        assert calls == {"_pullback": 1, "_readout": 1}
+        assert passes_of == [(len(splits.train) + len(splits.dev), 2)]
         assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("optimizer", (SPSAConfig(), AdaptiveGDConfig()), ids=("spsa", "gd"))
+    @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
+    @pytest.mark.parametrize("epochs", (1, 4))
+    def test_one_scoring_pass_per_fit_request(self, make, optimizer, epochs, monkeypatch):
+        # one per epoch, then the closing one for dev and test
+        model, passes, scores = make(), [], training._scores
+        monkeypatch.setattr(training, "_scores", lambda *args: passes.append(1) or scores(*args))
+        fit(model, tiny_splits(), TrainConfig(epochs=epochs, optimizer=optimizer))
+        assert len(passes) == epochs + 1
 
 
 class TestModelSurface:
@@ -1433,6 +1469,32 @@ class TestFrontEndMemo:
     def fresh(splits, lexicon, scheme):
         return {lset.name: [rewrite(parse_sentence(list(ws), lexicon), scheme)
                             for ws in lset.sentences()] for lset in splits}
+
+    @pytest.mark.parametrize("optimizer", (SPSAConfig(), AdaptiveGDConfig()), ids=("spsa", "gd"))
+    @pytest.mark.parametrize("family", ("circuit", "tensor"))
+    def test_labels_are_bound_per_fit(self, family, optimizer, mc_lexicon, monkeypatch):
+        # the key holds no labels: a corpus with every label flipped shares
+        # the held contraction and its plans, and each fit scores against
+        # its own labels
+        splits = generate_mc(0)
+        flipped = CorpusSplits(*(LabeledSet(lset.name, tuple((ws, 1 - y) for ws, y in lset.items))
+                                 for lset in splits))
+
+        def build(corpus):
+            if family == "circuit":
+                return CircuitModel.build(corpus, mc_lexicon, RewriteScheme.RE,
+                                          CircuitAnsatzConfig(CircuitAnsatz.IQP, 1))
+            return TensorModel.build(corpus, mc_lexicon, RewriteScheme.RE,
+                                     TensorAnsatzConfig(TensorAnsatz.TENSOR))
+
+        cfg = TrainConfig(epochs=4, seed=1, optimizer=optimizer)
+        models = [build(corpus) for corpus in (splits, flipped)]
+        assert models[0].contraction is models[1].contraction
+        together = [fit(model, corpus, cfg) for model, corpus in zip(models, (splits, flipped))]
+        assert together[0].train_loss != together[1].train_loss
+        for corpus, h in zip((splits, flipped), together):
+            monkeypatch.setattr(training, "_front_end", None)
+            assert_same_history(h, fit(build(corpus), corpus, cfg))
 
     def test_lexicon_types_are_part_of_the_key(self, toy_lexicon):
         splits = CorpusSplits(*(LabeledSet(name, ((("Alice", "likes", "Bob"), 1),))
@@ -1782,7 +1844,7 @@ class TestCircuitOracle:
         contraction = model.contraction
         assert len(contraction.groups) == 1
         theta = model.init_params(rng)
-        values = contraction.values(model._values(theta[None], False)[0])[0]
+        values = value_rows(model, theta[None])[0]
         amps = np.empty((sum(contraction.sizes.values()), 2), dtype=complex)
         for group in contraction.groups:
             amps[group.at] = tensornet.batch_forward(group.batch, values[group.gather])[0]
@@ -1878,7 +1940,7 @@ class TestCircuitOracle:
         model = CircuitModel.build(splits, lexicon, scheme,
                                    CircuitAnsatzConfig(CircuitAnsatz.SIM14, 1, 2))
         theta = model.init_params(rng)
-        values, inputs = model._values(theta[None], False)[0][0], set()
+        values, inputs = value_rows(model, theta[None])[0], set()
         for block in model._blocks:
             batch, angles, reads, cols = block.batch, block.params, block.reads, block.cols
             cod = len(batch.cols).bit_length() - 1
