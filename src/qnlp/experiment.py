@@ -94,6 +94,12 @@ class ExperimentConfig:
             value = getattr(self, key)
             if type(value) is not int:  # a bool or a float such as 2.0 too
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("seeds", "split_sizes"):
+            value = getattr(self, key)
+            # JSON gives lists; configs built in Python may give tuples
+            if not isinstance(value, (list, tuple)) or any(type(v) is not int for v in value):
+                raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
         if self.backend not in ("circuit", "tensor"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
         allowed = _CIRCUIT_ANSATZE if self.backend == "circuit" else _TENSOR_ANSATZE
@@ -152,21 +158,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
+        if unknown := set(obj) - set(cls.__dataclass_fields__):
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "backend" not in obj or "ansatz" not in obj:
             raise ConfigError("config needs at least 'backend' and 'ansatz'")
-        kwargs = dict(obj)
-        for key in [k for k in ("seeds", "split_sizes") if k in kwargs]:
-            value = kwargs[key]
-            # JSON gives lists; configs built in Python may give tuples
-            if not isinstance(value, (list, tuple)) or not all(type(v) is int for v in value):
-                raise ConfigError(f"{key} must be a list of integers, got {value!r}")
-            kwargs[key] = tuple(value)
         try:
-            return cls(**kwargs)
+            return cls(**obj)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
 

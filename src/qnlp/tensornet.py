@@ -32,14 +32,17 @@ slot: in a sentence's network, each word's dense tensor (real, or a
 circuit's complex word map), and in a split word's :func:`_lower_word`
 network, its legs open, the word's pieces.  The greedy path of the
 batch's einsum, searched once, becomes a tree of pairwise steps, each one
-plain einsum, compiled with its reverse sweep.  :func:`batch_forward`
-walks the tree, gives every row's output vector ``v`` and keeps the tree's
-nodes, rows first, as its tape; :func:`batch_backward` takes the caller's
-cotangent on ``v`` for the leading rows and gets every hole of those rows
-from one reverse sweep over the tape, carrying the conjugate cotangent
-(Liao et al., arXiv:1903.09650) so that real and complex rows run the
-same einsums.  The per-network :func:`contract` and :func:`gradient_hole`
-are the reference the batched path is tested against.
+plain einsum, compiled with its reverse sweep into operand lists the batch
+holds (per position its columns and shape, per step its einsum and inputs,
+one flat list of cotangents).  :func:`batch_forward` walks the tree, gives
+every row's output vector ``v`` and keeps the tree's nodes, rows first, as
+its tape; :func:`batch_backward` takes the caller's cotangent on ``v`` for
+the leading rows and gets every hole of those rows from one reverse sweep
+over the tape, carrying the conjugate cotangent (Liao et al.,
+arXiv:1903.09650) so that real and complex rows run the same einsums; on
+real rows ``conj()`` is the array itself.  The per-network :func:`contract`
+and :func:`gradient_hole` are the reference the batched path is tested
+against.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import enum
 import json
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -470,6 +473,20 @@ class TensorBatch:
     steps: tuple[_Step, ...]
     out_shape: tuple[int, ...]  # the output dimensions
     factor: float
+    leaves: list = field(init=False, repr=False)  # per position, its columns and shape
+    forward: list = field(init=False, repr=False)  # per step, its einsum and inputs
+    # per cotangent, the last step's first: (node, step result, einsum, siblings, eyes)
+    sweep: list = field(init=False, repr=False)
+
+    def __post_init__(self):  # the engines' operand lists, built again under ``replace``
+        first = len(self.shapes)  # node number of the first step's result
+        object.__setattr__(self, "leaves", [(cols, (-1, *shape))
+                                            for cols, shape in zip(self.columns, self.shapes)])
+        object.__setattr__(self, "forward", [(step.subscripts, step.inputs) for step in self.steps])
+        object.__setattr__(self, "sweep", [
+            (node, first + k, subscripts, siblings, eyes)
+            for k, step in reversed(list(enumerate(self.steps)))
+            for node, (subscripts, siblings, eyes) in zip(step.inputs, step.cotangents)])
 
 
 def _subscripts(inputs, output) -> str:
@@ -535,11 +552,11 @@ def batch_forward(batch: TensorBatch, values: np.ndarray) -> tuple[np.ndarray, l
     """Every row's output vector ``v``, flattened, ``(rows, prod(out_shape))``,
     contracted step by step from its row of ``values``, and the tape for
     :func:`batch_backward`: the tree's nodes, parameter tensors first."""
-    nodes = [values[:, cols].reshape((len(values),) + shape)
-             for cols, shape in zip(batch.columns, batch.shapes)]
-    for step in batch.steps:
-        nodes.append(np.einsum(step.subscripts, *(nodes[m] for m in step.inputs), optimize=False))
-    return nodes[-1].reshape(len(nodes[-1]), -1) * batch.factor, nodes
+    nodes = [values[:, cols].reshape(shape) for cols, shape in batch.leaves]
+    for subscripts, inputs in batch.forward:
+        nodes.append(np.einsum(subscripts, *[nodes[m] for m in inputs]))
+    v = nodes[-1].reshape(len(values), -1)
+    return (v if batch.factor == 1.0 else v * batch.factor), nodes
 
 
 def batch_backward(batch: TensorBatch, tape: list, g_v: np.ndarray) -> np.ndarray:
@@ -551,18 +568,17 @@ def batch_backward(batch: TensorBatch, tape: list, g_v: np.ndarray) -> np.ndarra
     it is, and the result is the conjugate of what reaches the parameter
     tensors.  On real rows a slot's cotangent is ``d(g_v . v)/d(value)``; on
     complex rows it is ``g`` with ``d Re(conj(g_v) . v) = Re sum(conj(g)
-    d(value))``.
+    d(value))``.  A real array's ``conj()`` is the array itself.
     """
     t = len(g_v)
-    first = len(batch.shapes)  # node number of the first step's result
     cotangent = [None] * len(tape)
-    cotangent[-1] = np.conj(g_v).reshape((t,) + batch.out_shape) * batch.factor
-    for k in range(len(batch.steps) - 1, -1, -1):
-        step, g = batch.steps[k], cotangent[first + k]
-        for node, (subscripts, siblings, eyes) in zip(step.inputs, step.cotangents):
-            cotangent[node] = np.einsum(subscripts, g, *(tape[m][:t] for m in siblings), *eyes,
-                                        optimize=False)
-    return np.conj(np.concatenate([g.reshape(t, -1) for g in cotangent[:first]], axis=1))
+    g = g_v.conj().reshape((t,) + batch.out_shape)
+    cotangent[-1] = g if batch.factor == 1.0 else g * batch.factor
+    for node, source, subscripts, siblings, eyes in batch.sweep:
+        cotangent[node] = np.einsum(subscripts, cotangent[source],
+                                    *[tape[m][:t] for m in siblings], *eyes)
+    leaves = [g.reshape(t, -1) for g in cotangent[: len(batch.shapes)]]
+    return (leaves[0] if len(leaves) == 1 else np.concatenate(leaves, axis=1)).conj()
 
 
 # -- serialization --------------------------------------------------------

@@ -252,12 +252,14 @@ class AdaptiveGD:
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        c = self.cfg
-        self.m = c.beta1 * self.m + (1 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1 - c.beta2) * grad**2
-        m_hat = self.m / (1 - c.beta1**self.t)
-        v_hat = self.v / (1 - c.beta2**self.t)
-        return theta - c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        c, m, v = self.cfg, self.m, self.v
+        m *= c.beta1  # in place, rounded as ``beta * m + (1 - beta) * grad`` is
+        m += (1 - c.beta1) * grad
+        v *= c.beta2
+        v += (1 - c.beta2) * np.square(grad)
+        root = np.sqrt(v / (1 - c.beta2**self.t))
+        root += c.eps
+        return theta - c.lr * (m / (1 - c.beta1**self.t)) / root
 
 
 @dataclass(frozen=True)
@@ -486,31 +488,38 @@ def _scores(u: np.ndarray, labels: np.ndarray, ends: list[int], n: int) -> tuple
     degenerate rows."""
     norm = u[:, 0] + u[:, 1]
     degenerate = norm < DEGENERATE_EPS
-    norm[degenerate] = 1.0
+    if fix := np.count_nonzero(degenerate):  # fix-ups and counts only if some row is
+        norm[degenerate] = 1.0
     probs = u / norm[:, None]
-    probs[degenerate] = 0.5
+    if fix:
+        probs[degenerate] = 0.5
     y = labels != 0
     picked = np.where(y, probs[:, 1], probs[:, 0])
     loss = -np.log(np.minimum(np.maximum(picked, PROB_CLIP), 1.0 - PROB_CLIP))
     margin = probs[:, 1] - probs[:, 0]
     # a finite probability lies in [0, 1], so the margin is finite unless one is not
-    loss[~np.isfinite(margin)] = np.nan
+    if np.count_nonzero(finite := np.isfinite(margin)) < len(margin):
+        loss[~finite] = np.nan
     hits = (margin > TIE_EPS) == labels
     scores = []
     for a, b in zip([0, *ends], ends):
         # the mean as ``.mean()`` gives it, bit for bit
-        mean, acc = (float(np.add.reduce(loss[a:b]) / (b - a)),
+        mean, acc = (float(np.add.reduce(loss[a:b])) / (b - a),
                      int(np.count_nonzero(hits[a:b])) / (b - a)) if b > a else (np.nan, np.nan)
-        scores.append((probs[a:b], int(np.count_nonzero(degenerate[a:b])), mean, acc))
+        scores.append((probs[a:b], int(np.count_nonzero(degenerate[a:b])) if fix else 0, mean, acc))
     if not n:
         return scores, None
     y, picked = y[:n], picked[:n]
     active = (picked > PROB_CLIP) & (picked < 1.0 - PROB_CLIP)
     g = np.divide(-1.0, picked, out=np.zeros(n), where=active)
-    # ``g . p`` is ``g * picked``: d loss / d p is zero off the labelled class
-    g_u = (np.where(y[:, None] == np.arange(2), g[:, None], 0.0) - (g * picked)[:, None]) / (
-        n * norm[:n, None])
-    g_u[degenerate[:n]] = 0.0
+    # ``g . p`` is ``g * picked``: d loss / d p is zero off the labelled class,
+    # so class 1's column is ``hot - g . p``, class 0's ``(g - hot) - g . p``
+    hot, gp, den = np.where(y, g, 0.0), g * picked, n * norm[:n]
+    g_u = np.empty((n, 2))
+    np.divide(g - hot - gp, den, out=g_u[:, 0])
+    np.divide(hot - gp, den, out=g_u[:, 1])
+    if fix:
+        g_u[degenerate[:n]] = 0.0
     return scores, g_u
 
 
@@ -600,9 +609,10 @@ class _Contraction:
         values = plan.values.ravel()
         forwards = [tensornet.batch_forward(batch, values[gather])
                     for batch, gather, *_ in plan.groups]
-        v = np.concatenate([np.zeros((0, 2)), *(v for v, _ in forwards)])
-        u = np.empty((rows, 2))
-        u[plan.dest] = v.real**2 + v.imag**2  # on real rows exactly v**2
+        v = forwards[0][0] if len(forwards) == 1 else np.concatenate(
+            [np.zeros((0, 2), self.dtype), *(v for v, _ in forwards)])
+        u = np.empty((rows, 2))  # on real rows ``v * v`` is ``v.real**2 + v.imag**2``, bit for bit
+        u[plan.dest] = v.real**2 + v.imag**2 if self.dtype is complex else v * v
         scores, g_u = _scores(u, np.asarray(labels), plan.ends, n if grad else 0)
         if not grad:
             return None, scores
@@ -611,9 +621,9 @@ class _Contraction:
                  for (batch, _, first, part), (_, tape) in zip(plan.groups, forwards) if len(first)]
         # in order, so a value gathered twice (a word repeated in a sentence)
         # sums both terms
-        flat = np.concatenate([t.ravel() for t in terms])
+        flat = terms[0].ravel() if len(terms) == 1 else np.concatenate([t.ravel() for t in terms])
         g = np.bincount(plan.index, flat.real, self.n_values)
-        if np.iscomplexobj(flat):
+        if self.dtype is complex:
             g = g + 1j * np.bincount(plan.index, flat.imag, self.n_values)
         return g[: self.n_word_values], scores  # the pads' cotangents reach no parameter
 

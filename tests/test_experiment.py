@@ -73,6 +73,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(seeds=())
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", (True,)),
+        ("seeds", (0, False)),
+        ("seeds", (1.0,)),
+        ("split_sizes", (70.0, 30, 30)),
+        ("split_sizes", (70, True, 30)),
+    ])
+    def test_seeds_and_split_sizes_must_be_ints(self, key, value):
+        # ``from_dict`` rejects these, so a run of such a config could not
+        # read its own summary back
+        with pytest.raises(ConfigError, match=f"{key} must be a list of integers"):
+            small_cfg(**{key: value})
+
+    def test_list_fields_read_back_as_tuples(self):
+        cfg = small_cfg(seeds=[2, 0], split_sizes=[10, 4, 4])
+        assert (cfg.seeds, cfg.split_sizes) == ((2, 0), (10, 4, 4))
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_run_id_distinguishes_runs(self):
         a = small_cfg().run_id(0)
         b = small_cfg().run_id(1)

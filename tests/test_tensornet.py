@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -834,6 +835,33 @@ class TestTape:
                 terms = batch_backward(batch, tape, g_v)
                 assert terms.dtype == values.dtype
                 assert terms.tobytes() == reference_backward(batch, tape, g_v).tobytes()
+
+    def test_real_rows_pull_back_to_a_real_array(self, corpus_diagrams, rng):
+        # a real array's conjugate is itself, so real rows pull back to a
+        # real array with the conjugated sibling rule's bits
+        for batch in corpus_batches(corpus_diagrams) + word_batches():
+            values = rng.standard_normal((4, batch.n_slots))
+            v, tape = batch_forward(batch, values)
+            g_v = rng.standard_normal((3, v.shape[1]))
+            terms = batch_backward(batch, tape, g_v)
+            assert terms.dtype == np.float64
+            assert terms.tobytes() == reference_backward(batch, tape, g_v).tobytes()
+
+    @pytest.mark.parametrize("factor", (0.5, 2.0 ** -1.5))
+    def test_replaced_factor_scales_both_passes(self, factor, corpus_diagrams, rng):
+        # ``dataclasses.replace`` builds the operand lists again, and the
+        # copy contracts with its own factor
+        for batch in corpus_batches(corpus_diagrams) + word_batches():
+            scaled = dataclasses.replace(batch, factor=factor)
+            values = rng.standard_normal((4, batch.n_slots))
+            v, tape = batch_forward(batch, values)
+            w, scaled_tape = batch_forward(scaled, values)
+            assert w.tobytes() == (v * factor).tobytes()
+            g_v = rng.standard_normal((3, v.shape[1]))
+            terms = batch_backward(scaled, scaled_tape, g_v)
+            assert terms.tobytes() == batch_backward(batch, tape, g_v * factor).tobytes()
+            np.testing.assert_allclose(terms, batch_backward(batch, tape, g_v) * factor,
+                                       rtol=1e-12, atol=1e-15)
 
 
 class TestJson:

@@ -259,6 +259,24 @@ class TestAdaptiveGd:
             theta = opt.step(theta, 2.0 * (theta - target))
         np.testing.assert_allclose(theta, target, atol=1e-4)
 
+    @pytest.mark.parametrize("n", (76, 124))
+    def test_in_place_step_equals_the_formula(self, n):
+        # the moments updated in place give the out-of-place formula's
+        # bits, step after step
+        rng, c = np.random.default_rng(n), AdaptiveGDConfig()
+        opt, theta = AdaptiveGD(c, n), rng.standard_normal(n)
+        m, v = np.zeros(n), np.zeros(n)
+        for t in range(1, 51):
+            grad = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3)
+            m = c.beta1 * m + (1 - c.beta1) * grad
+            v = c.beta2 * v + (1 - c.beta2) * grad**2
+            m_hat, v_hat = m / (1 - c.beta1**t), v / (1 - c.beta2**t)
+            want = theta - c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+            got = opt.step(theta, grad)
+            assert (got.tobytes(), opt.m.tobytes(), opt.v.tobytes()) == (
+                want.tobytes(), m.tobytes(), v.tobytes())
+            theta = got
+
 
 class SplitModel:
     """A stand-in model on ``tiny_splits()`` that serves ``fit``'s requests
@@ -1864,6 +1882,27 @@ class TestCircuitOracle:
                 maps[b] = reference_map(block, angles, dom).reshape((2,) * (dom + cod))
             want = eval_tensor(d, maps).ravel() * 2 ** (-d.n_cups / 2)
             np.testing.assert_allclose(amp, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    def test_probabilities_are_the_engine_rows_squared(self, scheme, mc_lexicon, rng):
+        # each split's probabilities are ``v.real**2 + v.imag**2`` of the
+        # engine's complex rows, normalized, bit for bit
+        splits = generate_mc(0)
+        model = CircuitModel.build(splits, mc_lexicon, scheme,
+                                   CircuitAnsatzConfig(CircuitAnsatz.IQP, 1, 1))
+        contraction = model.contraction
+        theta = model.init_params(rng)
+        values = value_rows(model, theta[None])[0]
+        u = np.empty((sum(contraction.sizes.values()), 2))
+        for group in contraction.groups:
+            v = tensornet.batch_forward(group.batch, values[group.gather])[0]
+            assert v.dtype == complex
+            u[group.at] = v.real**2 + v.imag**2
+        bounds = np.cumsum([0, *contraction.sizes.values()]).tolist()
+        for name, lo, hi in zip(contraction.sizes, bounds, bounds[1:]):
+            probs, degenerate = model.eval_split(name, theta)
+            want = u[lo:hi] / (u[lo:hi, 0] + u[lo:hi, 1])[:, None]
+            assert degenerate == 0 and probs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 2, 2), (CircuitAnsatz.SIM14, 1, 1),
                                       (CircuitAnsatz.SIM15, 1, 2),
