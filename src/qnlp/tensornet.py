@@ -32,9 +32,10 @@ slot: in a sentence's network, each word's dense tensor (real, or a
 circuit's complex word map), and in a split word's :func:`_lower_word`
 network, its legs open, the word's pieces.  The greedy path of the
 batch's einsum, searched once, becomes a tree of pairwise steps, each one
-plain einsum, compiled with its reverse sweep into operand lists the batch
-holds (per position its columns and shape, per step its einsum and inputs,
-one flat list of cotangents).  :func:`batch_forward` walks the tree, gives
+plain einsum, compiled into the two tuples the batch holds: ``forward``,
+per step its einsum and the nodes it joins, and ``sweep``, per step input,
+the last step's first, the einsum of its cotangent, the step's other
+inputs and its identity bridges.  :func:`batch_forward` walks the tree, gives
 every row's output vector ``v`` and keeps the tree's nodes, rows first, as
 its tape; :func:`batch_backward` takes the caller's cotangent on ``v`` for
 the leading rows and gets every hole of those rows from one reverse sweep
@@ -51,7 +52,7 @@ import enum
 import json
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -307,13 +308,11 @@ def compile_network(d: Diagram, cfg: TensorAnsatzConfig) -> Network:
 @dataclass(frozen=True)
 class _Plan:
     """Einsum labels of the parameter nodes ``params`` and the open legs,
-    fresh ``holes`` labels per parameter leg for ``gradient_hole``, and the
-    dimension product of the closed loops no labeled leg touches."""
+    and the dimension product of the closed loops no labeled leg touches."""
 
     params: tuple[int, ...]
     sublists: tuple[tuple[int, ...], ...]
     outputs: tuple[int, ...]
-    holes: tuple[tuple[int, ...], ...]
     n_labels: int
     factor: float
 
@@ -359,11 +358,9 @@ def _build_plan(net: Network) -> _Plan:
     outputs = tuple(label(leg) for leg in net.outputs)
     if len(set(outputs)) != len(outputs):
         raise Error("two open legs share one fused index; cannot contract")
-    n_labels = len(label_of)
-    holes = tuple(tuple(range(n_labels, n_labels + len(sub))) for sub in sublists)
     loops = {find(x) for x in range(len(dims))} - label_of.keys()
     factor = float(np.prod([dims[root] for root in loops]))
-    return _Plan(params, sublists, outputs, holes, n_labels, factor)
+    return _Plan(params, sublists, outputs, len(label_of), factor)
 
 
 def _check_labels(needed: int) -> None:
@@ -405,7 +402,8 @@ def gradient_hole(
     an identity operand, which keeps repeated or open classes well formed.
     """
     plan = net._plan
-    _check_labels(plan.n_labels + max(map(len, plan.holes), default=0))
+    fresh = range(plan.n_labels, plan.n_labels + max(map(len, plan.sublists), default=0))
+    _check_labels(fresh.stop)
     up = np.asarray(upstream, dtype=float)
     if up.shape != net.output_dims():
         raise ShapeMismatch(
@@ -415,7 +413,7 @@ def gradient_hole(
     tensors = [_store_tensor(store, node) for node in nodes]
 
     grads: dict[Symbol, np.ndarray] = {node.symbol: np.zeros(node.shape) for node in nodes}
-    for hole, (node, fresh) in enumerate(zip(nodes, plan.holes)):
+    for hole, node in enumerate(nodes):
         operands: list = []
         for i, sub in enumerate(plan.sublists):
             if i != hole:
@@ -423,7 +421,7 @@ def gradient_hole(
         operands += [up, plan.outputs]
         for dim, bridge, lab in zip(node.shape, fresh, plan.sublists[hole]):
             operands += [np.eye(dim), (bridge, lab)]
-        grads[node.symbol] += np.einsum(*operands, fresh) * plan.factor
+        grads[node.symbol] += np.einsum(*operands, fresh[: len(node.shape)]) * plan.factor
     return grads
 
 
@@ -444,17 +442,6 @@ def structure_key(net: Network) -> tuple:
     return (shapes, plan.sublists, plan.outputs, plan.factor, plan.n_labels)
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One contraction of a batch's tree: the nodes it joins (numbered
-    parameter tensors first, then step results), its einsum, and per input
-    its cotangent's einsum, sibling nodes and identity bridges."""
-
-    inputs: tuple[int, ...]
-    subscripts: str
-    cotangents: tuple[tuple[str, tuple[int, ...], tuple[np.ndarray, ...]], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class TensorBatch:
     """Networks of one structure, compiled once to contract as one batch.
@@ -463,30 +450,20 @@ class TensorBatch:
     tensor at parameter position ``p`` (the plan's ``p``-th parameter
     node), flattened in C order, fills the columns ``columns[p]``; nothing
     here depends on the row count.  Every step carries one extra label for
-    the row axis, and every tree node keeps its rows on its first axis; the
-    last step keeps the outputs after it in their order.
+    the row axis, and every tree node (numbered parameter tensors first,
+    then step results) keeps its rows on its first axis; the last step
+    keeps the outputs after it in their order.
     """
 
     shapes: tuple[tuple[int, ...], ...]  # per position, without the rows
     columns: tuple[slice, ...]  # per position, its slots
     n_slots: int
-    steps: tuple[_Step, ...]
+    forward: tuple  # per step: its einsum, the nodes it joins
+    # per step input, the last step's first: (node, step result, cotangent's einsum,
+    # the step's other inputs, identity bridges)
+    sweep: tuple
     out_shape: tuple[int, ...]  # the output dimensions
     factor: float
-    leaves: list = field(init=False, repr=False)  # per position, its columns and shape
-    forward: list = field(init=False, repr=False)  # per step, its einsum and inputs
-    # per cotangent, the last step's first: (node, step result, einsum, siblings, eyes)
-    sweep: list = field(init=False, repr=False)
-
-    def __post_init__(self):  # the engines' operand lists, built again under ``replace``
-        first = len(self.shapes)  # node number of the first step's result
-        object.__setattr__(self, "leaves", [(cols, (-1, *shape))
-                                            for cols, shape in zip(self.columns, self.shapes)])
-        object.__setattr__(self, "forward", [(step.subscripts, step.inputs) for step in self.steps])
-        object.__setattr__(self, "sweep", [
-            (node, first + k, subscripts, siblings, eyes)
-            for k, step in reversed(list(enumerate(self.steps)))
-            for node, (subscripts, siblings, eyes) in zip(step.inputs, step.cotangents)])
 
 
 def _subscripts(inputs, output) -> str:
@@ -532,27 +509,28 @@ def compile_batch(first: Network) -> TensorBatch:
     out = (row, *plan.outputs)
     dims = {lab: d for sub, shape in zip(labels, shapes) for lab, d in zip(sub, shape)}
     path = np.einsum_path(_subscripts(labels, out), *map(np.empty, shapes), optimize="greedy")
-    live, steps = list(range(len(labels))), []
+    live, forward, sweep = list(range(len(labels))), [], []
     for joined in path[0][1:]:
         inputs = tuple(live.pop(i) for i in sorted(joined, reverse=True))
         subs = [labels[m] for m in inputs]
         # every node's labels are the row, then its own
         needed = {lab for m in live for lab in labels[m][1:]}.union(plan.outputs)
         kept = (row, *sorted({lab for sub in subs for lab in sub[1:]} & needed)) if live else out
-        cotangents = tuple(_cotangent(j, inputs, subs, kept, dims, row + 1)
-                           for j in range(len(subs)))
-        steps.append(_Step(inputs, _subscripts(subs, kept), cotangents))
+        forward.append((_subscripts(subs, kept), inputs))
+        sweep[:0] = [(node, len(labels), *_cotangent(j, inputs, subs, kept, dims, row + 1))
+                     for j, node in enumerate(inputs)]
         live.append(len(labels))
         labels.append(kept)
     return TensorBatch(tuple(shape[1:] for shape in shapes), tuple(map(slice, bounds, bounds[1:])),
-                       bounds[-1], tuple(steps), first.output_dims(), plan.factor)
+                       bounds[-1], tuple(forward), tuple(sweep), first.output_dims(), plan.factor)
 
 
 def batch_forward(batch: TensorBatch, values: np.ndarray) -> tuple[np.ndarray, list]:
     """Every row's output vector ``v``, flattened, ``(rows, prod(out_shape))``,
     contracted step by step from its row of ``values``, and the tape for
     :func:`batch_backward`: the tree's nodes, parameter tensors first."""
-    nodes = [values[:, cols].reshape(shape) for cols, shape in batch.leaves]
+    nodes = [values[:, cols].reshape(-1, *shape)
+             for cols, shape in zip(batch.columns, batch.shapes)]
     for subscripts, inputs in batch.forward:
         nodes.append(np.einsum(subscripts, *[nodes[m] for m in inputs]))
     v = nodes[-1].reshape(len(values), -1)

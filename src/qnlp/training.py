@@ -91,7 +91,7 @@ from qnlp.simulator import distribution_gradient, sentence_distribution  # noqa:
 from qnlp.tensornet import contract, gradient_hole  # noqa: F401
 
 PROB_CLIP = 1e-7
-DEGENERATE_EPS = 1e-12
+DEGENERATE_EPS = simulator.SURVIVAL_EPS  # the simulator's rule: a norm below it reads uniform
 TIE_EPS = 1e-12
 
 
@@ -127,8 +127,9 @@ def bce_loss(probs, label):
     ``probs`` is a ``(B, 2)`` array with ``(B,)`` labels, giving ``(B,)``
     per-row losses, or one ``(2,)`` distribution with an int label, giving
     a float.  A fit's requests compute the same loss in :func:`_scores`;
-    this is for readouts from :meth:`_Model.evaluate` and for callers that
-    score one sentence at a time, such as a per-sentence reference loss.
+    this is for readouts from :meth:`_Model.eval_split` and
+    :meth:`_Model.grad_split` and for callers that score one sentence at a
+    time, such as a per-sentence reference loss.
     """
     picked, _ = _picked(probs, label)
     loss = -np.log(np.clip(picked, PROB_CLIP, 1.0 - PROB_CLIP))
@@ -709,26 +710,16 @@ class _Model:
         return (None if g is None else self._pull(tapes, g)), [
             [next(scores) for _ in names] for names in runs]
 
-    def evaluate(self, points, labels=None):
-        """:meth:`score`'s probabilities and degenerate counts; ``labels``
-        are the first point's first split's, differentiated if given."""
-        sizes = [self.contraction.sizes[name] for names, _ in points for name in names]
-        rows = np.zeros(sum(sizes), np.intp)
-        if labels is not None:
-            if len(labels) != sizes[0]:
-                raise Error(f"expected {sizes[0]} labels, got {len(labels)}")
-            rows[: sizes[0]] = labels
-        grad, scores = self.score(points, rows, labels is not None)
-        return grad, [[split[:2] for split in run] for run in scores]
-
     def eval_split(self, name: str, theta: np.ndarray):
         """Probabilities of every row of the split and its degenerate count."""
-        return self.evaluate([((name,), theta)])[1][0][0]
+        labels = np.zeros(self.contraction.sizes[name], np.intp)
+        _, [[(probs, degenerate, *_)]] = self.score([((name,), theta)], labels)
+        return probs, degenerate
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
         """Mean-loss gradient of the split, then the probabilities and
         degenerate count that :meth:`eval_split` returns."""
-        grad, [[(probs, degenerate)]] = self.evaluate([((name,), theta)], labels)
+        grad, [[(probs, degenerate, *_)]] = self.score([((name,), theta)], labels, True)
         return grad, probs, degenerate
 
     def _tables(self):

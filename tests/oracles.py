@@ -496,18 +496,23 @@ def reference_backward(batch, tape, g_v) -> np.ndarray:
     """``tensornet.batch_backward`` by the uncompiled rule: the leading
     ``t`` rows of every tape node sliced and, on complex rows, conjugated
     up front, and each input's cotangent from the step's cotangent and the
-    step's other inputs, kept in a dict by node number."""
+    step's other inputs as ``forward`` lists them, kept in a dict by node
+    number; ``sweep`` gives each input's einsum and identity bridges only."""
     t = len(g_v)
     nodes = [node[:t] for node in tape]
     if np.iscomplexobj(tape[-1]):
         nodes = [node.conj() for node in nodes]
     first = len(batch.shapes)
     cotangent = {len(tape) - 1: g_v.reshape((t,) + batch.out_shape) * batch.factor}
-    for k in range(len(batch.steps) - 1, -1, -1):
-        step, g = batch.steps[k], cotangent.pop(first + k)
-        for node, (subscripts, _, eyes) in zip(step.inputs, step.cotangents):
-            siblings = [nodes[m] for m in step.inputs if m != node]
+    sweep = iter(batch.sweep)
+    for k in range(len(batch.forward) - 1, -1, -1):
+        inputs, g = batch.forward[k][1], cotangent.pop(first + k)
+        for node in inputs:
+            at, source, subscripts, _, eyes = next(sweep)
+            assert (at, source) == (node, first + k)
+            siblings = [nodes[m] for m in inputs if m != node]
             cotangent[node] = np.einsum(subscripts, g, *siblings, *eyes, optimize=False)
+    assert next(sweep, None) is None
     return np.concatenate([cotangent[p].reshape(t, -1) for p in range(first)], axis=1)
 
 

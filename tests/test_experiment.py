@@ -821,6 +821,28 @@ class TestCli:
         results = tmp_path / "results"
         assert main(["train", "--config", str(cfg_path), "--results", str(results)]) == 0
 
+    @pytest.mark.parametrize("broken", ("directory", "malformed"))
+    def test_unreadable_dataset_file_fails_the_data_stage(self, broken, tmp_path, capsys):
+        # an OS error is named by its stage; a corpus error keeps its own message
+        data_dir = tmp_path / "data"
+        assert main(["dataset", "--seed", "1", "--sizes", "10", "4", "4",
+                     "--out", str(data_dir)]) == 0
+        train = data_dir / "train.tsv"
+        train.unlink()
+        if broken == "directory":
+            train.mkdir()
+            want = "error: stage data: [Errno 21] Is a directory"
+        else:
+            train.write_text("1 no tab\n")
+            want = f"error: {train}:1: expected 'label<TAB>sentence'"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"backend": "tensor", "ansatz": "tensor", "epochs": 1,
+                                        "dataset_dir": str(data_dir)}))
+        capsys.readouterr()
+        argv = ["train", "--config", str(cfg_path), "--results", str(tmp_path / "results")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(want)
+
     def test_results_env_var_is_honored(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(RESULTS_ENV, str(tmp_path / "envroot"))
         cfg_path = tmp_path / "cfg.json"

@@ -461,7 +461,7 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
         plan = nets[rows[0]]._plan
         # the last step keeps the row, then the outputs in their order
         out = "".join(tensornet._LETTERS[lab] for lab in (plan.n_labels, *plan.outputs))
-        assert batch.steps[-1].subscripts.endswith("->" + out)
+        assert batch.forward[-1][0].endswith("->" + out)
         assert gather.shape == (len(rows), batch.n_slots)
         values = theta[gather]
         v, tape = batch_forward(batch, values)
@@ -491,8 +491,7 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
 
 def bridges(batch) -> dict[int, int]:
     """Identity bridges of each tree node's cotangent, by node number."""
-    return {node: len(eyes) for step in batch.steps
-            for node, (_, _, eyes) in zip(step.inputs, step.cotangents)}
+    return {node: len(eyes) for node, *_, eyes in batch.sweep}
 
 
 class TestBatches:
@@ -813,7 +812,7 @@ class TestTape:
             values = rng.standard_normal((5, batch.n_slots))
             _, tape = batch_forward(batch, values)
             _, picked = batch_forward(batch, values[[3, 0]])
-            assert len(tape) == len(batch.shapes) + len(batch.steps)
+            assert len(tape) == len(batch.shapes) + len(batch.forward)
             for node, part in zip(tape, picked):
                 assert node.shape[0] == 5 and part.shape[0] == 2
                 np.testing.assert_allclose(part, node[[3, 0]], rtol=1e-13, atol=1e-13)

@@ -29,9 +29,9 @@ from qnlp.circuit import (
 )
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
 from qnlp.diagram import Port, Wire, validate
-from qnlp.errors import Error
-from qnlp.pregroup import N, Lexicon, PregroupType, UnknownWord, parse_sentence
-from qnlp.rewrite import RewriteScheme, rewrite
+from qnlp.errors import ConfigError, Error
+from qnlp.pregroup import N, S, Lexicon, PregroupType, UnknownWord, parse_sentence
+from qnlp.rewrite import RewriteScheme, normal_form, rewrite
 from qnlp.simulator import (
     WrongOutputArity,
     distribution_gradient,
@@ -69,6 +69,10 @@ from qnlp.training import (
 
 from oracles import (
     PerStructureCircuitModel,
+    WireDims,
+    bend_tensor,
+    curry_infos,
+    enumerate_reductions,
     eval_tensor,
     finite_difference,
     named_to_params,
@@ -78,6 +82,7 @@ from oracles import (
     reference_networks,
     reference_tensor_groups,
     reference_tensor_model,
+    random_assignment,
     split_starts,
 )
 
@@ -109,6 +114,12 @@ def rows_by_split(model, at) -> dict[str, list[int]]:
             for name, size in sizes.items()}
 
 
+def point_labels(splits: CorpusSplits, points) -> np.ndarray:
+    """One label per row of a request at ``points``, every point's splits in turn."""
+    labels = {lset.name: lset.labels() for lset in splits}
+    return np.array([y for names, _ in points for name in names for y in labels[name]], np.intp)
+
+
 def circuit_model(scheme=RewriteScheme.RE_NORM_CUR_NORM) -> CircuitModel:
     return CircuitModel.build(tiny_splits(), default_lexicon(), scheme, TINY_ANSATZ)
 
@@ -137,6 +148,18 @@ class TestLoss:
 
     def test_grad_zero_in_clip_region(self):
         np.testing.assert_allclose(bce_grad([1.0, 0.0], 1), [0.0, 0.0])
+
+    def test_non_finite_weight_reads_nan_loss(self):
+        # the first row's class 1 reads a finite 0 beside inf / inf, so its
+        # clipped loss would be finite; the split of that row reads NaN and
+        # the next split, a finite row, keeps its loss
+        with np.errstate(invalid="ignore"):
+            scores, _ = training._scores(np.array([[np.inf, 1.0], [1.0, 3.0]]),
+                                         np.array([1, 1]), [1, 2], 0)
+        (probs, degenerate, loss, _), (_, _, finite, acc) = scores
+        assert probs[0, 1] == 0.0 and np.isnan(probs[0, 0]) and degenerate == 0
+        assert np.isnan(loss)
+        assert finite == pytest.approx(-np.log(0.75)) and acc == 1.0
 
     def test_batched_rows_match_single_calls(self):
         # rows 1-3 sit in the clip region, below and above
@@ -343,6 +366,11 @@ class TestCircuitFit:
         with pytest.raises(EmptyEvalSet):
             fit(circuit_model(), broken, TrainConfig(epochs=1))
 
+    def test_unknown_optimizer_is_config_error(self):
+        cfg = TrainConfig(epochs=1, optimizer="adam")
+        with pytest.raises(ConfigError, match="unknown optimizer config: 'adam'"):
+            fit(circuit_model(), tiny_splits(), cfg)
+
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             fit(
@@ -468,6 +496,11 @@ class TestCircuitFit:
         with pytest.raises(NonFiniteLoss, match="train loss became non-finite at epoch 2"):
             fit(model, tiny_splits(), TrainConfig(epochs=5))
         assert model.train_reads == 6
+
+    def test_corpus_without_sentences_has_no_parameters(self):
+        empty = CorpusSplits(*(LabeledSet(name, ()) for name in ("train", "dev", "test")))
+        with pytest.raises(ZeroParameterModel, match="^no trainable parameters in any circuit$"):
+            CircuitModel.build(empty, default_lexicon(), RewriteScheme.RE, TINY_ANSATZ)
 
     def test_zero_parameter_model_propagates(self):
         ansatz = CircuitAnsatzConfig(kind=CircuitAnsatz.IQP, n_layers=0, n_single_qubit_params=0)
@@ -942,7 +975,7 @@ def assert_groups_contract_rows(model, nets_by_split: dict, start: dict, cup_wei
             want.shapes, want.columns, want.out_shape)
         assert batch.factor == pytest.approx(want.factor * cup_weight ** cup_count(host),
                                              rel=1e-15)
-        assert [s.subscripts for s in batch.steps] == [s.subscripts for s in want.steps]
+        assert [s for s, _ in batch.forward] == [s for s, _ in want.forward]
         v, _ = tensornet.batch_forward(batch, values[gather])
         for row, p in zip(v, at.tolist()):
             store = {n.symbol: values[start[n.symbol.word, n.symbol.type_fingerprint]:][
@@ -1018,7 +1051,7 @@ class TestTensorBuild:
             return search
 
         def steps(batch):  # each step's einsums and the nodes they read
-            return [(s.inputs, s.subscripts, [c[:2] for c in s.cotangents]) for s in batch.steps]
+            return batch.forward, [entry[:4] for entry in batch.sweep]
 
         for seed in range(4):
             splits = generate_mc(seed)
@@ -1200,8 +1233,9 @@ class TestRequestWork:
         model = family.build(splits, default_lexicon(), RewriteScheme.RE, cfg)
         assert len(model.contraction.groups) == 1  # every sentence pattern, with train rows
         theta = model.init_params(rng)
-        labels = splits.train.labels()
-        want, _ = model.evaluate([(("train", "dev"), theta)], labels)
+        points = [(("train", "dev"), theta)]
+        labels = point_labels(splits, points)
+        want, _ = model.score(points, labels, True)
         steps, gates, passes_of = [], [], []
         apply_rows, scores = simulator._apply_rows, training._scores
 
@@ -1220,14 +1254,14 @@ class TestRequestWork:
         monkeypatch.setattr(tensornet, "np", numpy_with(einsum=einsum))
         monkeypatch.setattr(simulator, "_apply_rows", gate)
         monkeypatch.setattr(training, "_scores", scoring)
-        grad, _ = model.evaluate([(("train", "dev"), theta)], labels)
+        grad, _ = model.score(points, labels, True)
 
         def passes(batch) -> int:
             # a forward pass runs its batch's first gate or contraction
             # step, which no reverse sweep runs
             if isinstance(batch, simulator.CircuitBatch):
                 return sum(op is batch.ops[0] for op in gates)
-            return sum(s is batch.steps[0].subscripts for s in steps)
+            return sum(s is batch.forward[0][0] for s in steps)
 
         blocks = [block.batch for block in model._blocks if block.engine is not None]
         assert [passes(batch) for batch in blocks] == [1] * len(blocks)
@@ -1310,7 +1344,7 @@ class TestModelSurface:
                 points = [(("train", "dev"), theta), (("train",), theta), (("train",), theta)]
                 points[k] = (points[k][0], bad)
                 with pytest.raises(Error, match=match):
-                    model.evaluate(points)
+                    model.score(points, point_labels(tiny_splits(), points))
 
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
     def test_wrong_label_counts_are_rejected(self, make, rng):
@@ -1321,8 +1355,33 @@ class TestModelSurface:
             match = re.escape(f"expected {len(labels)} labels, got {len(bad)}")
             with pytest.raises(Error, match=match):
                 model.grad_split("train", theta, bad)
-            with pytest.raises(Error, match=match):  # the labels of the first point's first split
-                model.evaluate([(("train", "dev"), theta), (("train",), theta)], bad)
+        points = [(("train", "dev"), theta), (("train",), theta)]
+        rows = point_labels(tiny_splits(), points)  # one per row of the request
+        for bad in (rows[:-1], np.append(rows, 1)):
+            match = re.escape(f"expected {len(rows)} labels, got {len(bad)}")
+            for grad in (False, True):
+                with pytest.raises(Error, match=match):
+                    model.score(points, bad, grad)
+
+    @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
+    def test_a_run_of_splits_must_be_consecutive(self, make, rng):
+        model = make()
+        points = [(("train", "test"), model.init_params(rng))]
+        with pytest.raises(Error, match=re.escape("splits ('train', 'test') are not consecutive")):
+            model.score(points, point_labels(tiny_splits(), points))
+
+    @pytest.mark.parametrize("family, cfg", (
+        (CircuitModel, TINY_ANSATZ), (TensorModel, TensorAnsatzConfig(TensorAnsatz.TENSOR))),
+        ids=("circuit", "tensor"))
+    def test_an_empty_split_has_no_gradient(self, family, cfg, rng):
+        splits = tiny_splits()
+        splits = CorpusSplits(splits.train, LabeledSet("dev", ()), splits.test)
+        model = family.build(splits, default_lexicon(), RewriteScheme.RE, cfg)
+        theta = model.init_params(rng)
+        probs, degenerate = model.eval_split("dev", theta)
+        assert probs.shape == (0, 2) and degenerate == 0
+        with pytest.raises(EmptyEvalSet, match="no sentences to differentiate"):
+            model.grad_split("dev", theta, ())
 
     def test_circuit_named_round_trip_gives_floats(self, rng):
         model = circuit_model()
@@ -1609,8 +1668,9 @@ class TestFrontEndMemo:
         groups, want_groups = model.contraction.groups, tensor.contraction.groups
         assert len(compiled) == len(groups) == len(want_groups) == 1
         for first, group, want in zip(compiled, groups, want_groups):
-            assert (group.batch.steps is want.batch.steps and group.at is want.at
-                    and group.gather is want.gather)
+            assert (group.batch.forward is want.batch.forward
+                    and group.batch.sweep is want.batch.sweep
+                    and group.at is want.at and group.gather is want.gather)
             cups = sum(isinstance(node, tensornet.CupDeltaNode) for node in first.nodes)
             assert cups and group.batch.factor == want.batch.factor * 0.5 ** (cups / 2)
         for kind in (TensorAnsatz.MPS, TensorAnsatz.SPIDER):
@@ -1802,9 +1862,10 @@ def assert_matches_statevector(model: CircuitModel, diagrams, ansatz, named: dic
     reference of the sentences checked before, under their ``keys``."""
     theta = np.array([named[s.name] for s in model.symbols])
     names = tuple(model.contraction.sizes)
-    _, (first, second) = model.evaluate([(names, theta), (names, other)])
-    _, (alone,) = model.evaluate([(names, other)])
-    for (p, degenerate), (want, want_degenerate) in zip(second, alone):
+    labels = np.zeros(sum(model.contraction.sizes.values()), np.intp)  # one per row
+    _, (first, second) = model.score([(names, theta), (names, other)], np.tile(labels, 2))
+    _, (alone,) = model.score([(names, other)], labels)
+    for (p, degenerate, *_), (want, want_degenerate, *_) in zip(second, alone):
         assert p.tobytes() == want.tobytes() and degenerate == want_degenerate
     seen = {} if seen is None else seen
     want = []
@@ -1813,7 +1874,7 @@ def assert_matches_statevector(model: CircuitModel, diagrams, ansatz, named: dic
             c = compile_circuit(d, ansatz)
             seen[key] = sentence_distribution(c, [named[s.name] for s in c.symbols]).probs
         want.append(seen[key])
-    np.testing.assert_allclose(np.concatenate([p for p, _ in first]), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.concatenate([p for p, *_ in first]), want, rtol=0, atol=1e-12)
 
 
 def named_point(model: CircuitModel, named: dict, rng) -> dict:
@@ -2067,6 +2128,39 @@ class TestShapeFrontEnd:
                 cfg = TensorAnsatzConfig(kind)
                 assert_same_tensor_model(TensorModel.build(splits, lexicon, scheme, cfg), fresh,
                                          cfg)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(corpus=random_corpora())
+    def test_random_lexicons_parse_as_brute_force(self, corpus):
+        # the parse takes the first type combination, in lexicon order, that
+        # some free-order reduction takes to s, and one of its reductions
+        splits, lexicon = corpus
+        for words in dict.fromkeys(ws for lset in splits for ws in lset.sentences()):
+            d = parse_sentence(list(words), lexicon)
+            combos = itertools.product(*(lexicon.lookup(w.lower()) for w in words))
+            combo, valid = next((combo, valid) for combo in combos if (
+                valid := enumerate_reductions([t for types in combo for t in types], [S])))
+            assert tuple(box.cod for box in d.boxes) == combo
+            start = np.cumsum([0, *map(len, combo)]).tolist()  # each word's first flat type
+            legs = [start[w.producer.index] + w.producer.leg for w in d.wires]
+            assert frozenset((legs[a], legs[b]) for a, b in d.cup_pairs()) in valid
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(corpus=random_corpora())
+    def test_random_lexicons_rewrite_preserving_semantics(self, corpus):
+        # a curried box reads its word's tensor with the bent legs first
+        splits, lexicon = corpus
+        dims, rng = WireDims(2, 3), np.random.default_rng(0)
+        for words in dict.fromkeys(ws for lset in splits for ws in lset.sentences()):
+            d = parse_sentence(list(words), lexicon)
+            tensors = random_assignment(d, dims, rng)
+            want = eval_tensor(d, tensors, dims)
+            infos = curry_infos(normal_form(d))
+            bent = {b: bend_tensor(t, infos[b]) if b in infos else t for b, t in tensors.items()}
+            for scheme in RewriteScheme:
+                curried = scheme in (RewriteScheme.RE_NORM_CUR, RewriteScheme.RE_NORM_CUR_NORM)
+                got = eval_tensor(rewrite(d, scheme), bent if curried else tensors, dims)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     # a faulty sentence, the scheme it fails under, and the qubit limit
     FAULTS = {
