@@ -10,6 +10,7 @@ ADJ N V ADJ N, giving 72 distinct sentences per topic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -58,6 +59,13 @@ class LabeledSet:
 
     def labels(self) -> tuple[int, ...]:
         return tuple(label for _, label in self.items)
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """:meth:`labels` as a read-only int array, built on first use."""
+        labels = np.array(self.labels(), dtype=np.intp)
+        labels.flags.writeable = False
+        return labels
 
     def vocabulary(self) -> frozenset[str]:
         return frozenset(w for words, _ in self.items for w in words)

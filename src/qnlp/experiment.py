@@ -35,7 +35,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -151,9 +151,9 @@ class ExperimentConfig:
         return TrainConfig(epochs=self.epochs, seed=seed, optimizer=optimizer)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["seeds"] = list(self.seeds)
-        out["split_sizes"] = list(self.split_sizes)
+        """Field by field, the tuple fields as lists, as JSON reads them back."""
+        out = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        out["seeds"], out["split_sizes"] = list(self.seeds), list(self.split_sizes)
         return out
 
     @classmethod
@@ -290,12 +290,14 @@ def run_one(
     is returned as it is unless its status is ``error``, or ``aborted``
     under a recorded budget that ``budget_seconds`` is absent or larger
     than; either reruns the cell, as does a summary whose fields read here
-    are missing or mistyped (:func:`_read_summary`).
+    are missing or mistyped (:func:`_read_summary`), or that is another
+    run's: its ``run_id`` or config not this cell's.
     """
     run_id = cfg.run_id(seed)
     run_dir = results_root(root) / run_id
+    config = _run_config(cfg, seed)
     summary = _read_summary(run_dir / "summary.json")
-    if summary is not None:
+    if summary is not None and summary["run_id"] == run_id and summary["config"] == config:
         status, recorded = summary["status"], summary.get("budget_seconds")
         if status == "aborted":  # rerun only if this call allows more time
             rerun = budget_seconds is None or recorded is None or budget_seconds > recorded
@@ -305,7 +307,6 @@ def run_one(
             return summary
 
     run_dir.mkdir(parents=True, exist_ok=True)
-    config = _run_config(cfg, seed)
     started = time.monotonic()
 
     def fail(stage: str, exc: Exception) -> Error:
@@ -540,6 +541,9 @@ def report(root: str | Path | None = None, out_dir: str | Path | None = None) ->
         summary = _read_summary(run_dir / "summary.json")
         if summary is None:
             raise Error(f"{run_dir / 'summary.json'}: not a run summary ({_SUMMARY_FIELDS})")
+        if summary["run_id"] != run_dir.name:
+            raise Error(f"{run_dir / 'summary.json'}: run_id {summary['run_id']!r} is not "
+                        f"its directory's name")
         summary["_metrics"], summary["_crossing"] = _read_metrics(run_dir)
         runs.append(summary)
     if not runs:

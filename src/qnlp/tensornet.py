@@ -41,7 +41,9 @@ its tape; :func:`batch_backward` takes the caller's cotangent on ``v`` for
 the leading rows and gets every hole of those rows from one reverse sweep
 over the tape, carrying the conjugate cotangent (Liao et al.,
 arXiv:1903.09650) so that real and complex rows run the same einsums; on
-real rows ``conj()`` is the array itself.  The per-network :func:`contract`
+real rows ``conj()`` is the array itself.  Both run on a :class:`Bound`
+pass, which a caller can hold to run again on new values with no
+allocation.  The per-network :func:`contract`
 and :func:`gradient_hole` are the reference the batched path is tested
 against.
 """
@@ -525,16 +527,62 @@ def compile_batch(first: Network) -> TensorBatch:
                        bounds[-1], tuple(forward), tuple(sweep), first.output_dims(), plan.factor)
 
 
+class Bound:
+    """A batch bound to ``values``, ``(rows, n_slots)``, its leading ``t``
+    rows differentiated into ``grad``, ``(t, n_slots)``.  Every array a pass
+    writes (the tape: the leaves, views of ``values``, then each step's
+    result; and the cotangents, each leaf's in its own columns of ``grad``)
+    and every einsum's operands are set up here once, so a pass only runs
+    the einsums into them (``out=``) and the caller reads each result
+    before the next pass."""
+
+    def __init__(self, batch: TensorBatch, values: np.ndarray, t: int = 0,
+                 grad: np.ndarray | None = None, tape: list | None = None):
+        self.batch, self.values = batch, values
+        self.steps, self.tape = [], tape
+        if tape is None:  # bind a forward pass to ``values``
+            self.tape = [values[:, cols].reshape(len(values), *shape)
+                         for cols, shape in zip(batch.columns, batch.shapes)]
+            for subscripts, inputs in batch.forward:
+                operands = [self.tape[m] for m in inputs]
+                words = subscripts.replace("->", ",").split(",")
+                dims = dict(zip("".join(words[:-1]), (d for op in operands for d in op.shape)))
+                self.tape.append(np.empty([dims[c] for c in words[-1]], values.dtype))
+                self.steps.append((subscripts, operands, self.tape[-1]))
+        if t:
+            self.grad = np.empty((t, batch.n_slots), self.tape[-1].dtype) if grad is None else grad
+            cotangent = [self.grad[:, cols].reshape(t, *shape)
+                         for cols, shape in zip(batch.columns, batch.shapes)]
+            cotangent += [np.empty((t, *node.shape[1:]), self.grad.dtype)
+                          for node in self.tape[len(cotangent):]]
+            self.g = cotangent[-1].reshape(t, -1)  # the cotangent on the leading rows' output
+            self.sweep = [(subscripts, [cotangent[source], *(self.tape[m][:t] for m in siblings),
+                                        *eyes], cotangent[node])
+                          for node, source, subscripts, siblings, eyes in batch.sweep]
+
+    def forward(self) -> np.ndarray:
+        """Every row's output vector ``v``, ``(rows, prod(out_shape))``."""
+        for subscripts, operands, out in self.steps:
+            np.einsum(subscripts, *operands, out=out)
+        v = self.tape[-1].reshape(len(self.values), -1)
+        return v if self.batch.factor == 1.0 else v * self.batch.factor
+
+    def backward(self, g_v: np.ndarray) -> np.ndarray:
+        """:func:`batch_backward` of the leading rows' ``v`` into ``grad``."""
+        np.conjugate(g_v, out=self.g)
+        if self.batch.factor != 1.0:
+            self.g *= self.batch.factor
+        for subscripts, operands, out in self.sweep:
+            np.einsum(subscripts, *operands, out=out)
+        return np.conjugate(self.grad, out=self.grad) if self.grad.dtype.kind == "c" else self.grad
+
+
 def batch_forward(batch: TensorBatch, values: np.ndarray) -> tuple[np.ndarray, list]:
     """Every row's output vector ``v``, flattened, ``(rows, prod(out_shape))``,
     contracted step by step from its row of ``values``, and the tape for
     :func:`batch_backward`: the tree's nodes, parameter tensors first."""
-    nodes = [values[:, cols].reshape(-1, *shape)
-             for cols, shape in zip(batch.columns, batch.shapes)]
-    for subscripts, inputs in batch.forward:
-        nodes.append(np.einsum(subscripts, *[nodes[m] for m in inputs]))
-    v = nodes[-1].reshape(len(values), -1)
-    return (v if batch.factor == 1.0 else v * batch.factor), nodes
+    bound = Bound(batch, values)
+    return bound.forward(), bound.tape
 
 
 def batch_backward(batch: TensorBatch, tape: list, g_v: np.ndarray) -> np.ndarray:
@@ -548,15 +596,8 @@ def batch_backward(batch: TensorBatch, tape: list, g_v: np.ndarray) -> np.ndarra
     complex rows it is ``g`` with ``d Re(conj(g_v) . v) = Re sum(conj(g)
     d(value))``.  A real array's ``conj()`` is the array itself.
     """
-    t = len(g_v)
-    cotangent = [None] * len(tape)
-    g = g_v.conj().reshape((t,) + batch.out_shape)
-    cotangent[-1] = g if batch.factor == 1.0 else g * batch.factor
-    for node, source, subscripts, siblings, eyes in batch.sweep:
-        cotangent[node] = np.einsum(subscripts, cotangent[source],
-                                    *[tape[m][:t] for m in siblings], *eyes)
-    leaves = [g.reshape(t, -1) for g in cotangent[: len(batch.shapes)]]
-    return (leaves[0] if len(leaves) == 1 else np.concatenate(leaves, axis=1)).conj()
+    grad = np.empty((len(g_v), batch.n_slots), np.result_type(tape[-1], g_v))
+    return Bound(batch, tape[0], len(g_v), grad, tape).backward(g_v)  # over the caller's tape
 
 
 # -- serialization --------------------------------------------------------

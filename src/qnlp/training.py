@@ -29,19 +29,22 @@ process for every later build on it:
 
 Both engines take ``batch_forward(batch, x)``, giving each row's output
 ``v`` and a tape, and ``batch_backward(batch, tape, g_v)``, which pulls the
-cotangent on the leading rows' ``v`` back to their slots.  A sentence's
-weights are ``u = |v|**2`` (a circuit's unnormalized postselected output
-marginal).  A request (:meth:`_Model.score`) names several parameter
-points, each with a run of consecutive splits, and a label per row.  The
-map stage writes every point's words' tensors into the value vectors held
-with the request's plan, whose pads are written once; each group contracts
-every point's rows at once; and one scoring pass (:func:`_scores`) gives
-every row's ``p = u / sum(u)``, loss and class, and for a gradient the
-first split's cotangent on ``u``.  That goes back through each group's
+cotangent on the leading rows' ``v`` back to their slots; a
+:class:`~qnlp.tensornet.Bound` pass is that code bound once to its rows,
+its arrays held with its plan or model.  A sentence's weights are ``u =
+|v|**2`` (a circuit's unnormalized postselected output marginal).  A
+request (:meth:`_Model.score`) names several parameter points, each with a
+run of consecutive splits, and a label per row.  The map stage writes
+every point's words' tensors into the value vectors held with the
+request's plan, each group's held pass contracts every point's rows, and
+the request gives every row's ``u``; for a gradient, the first split's
+cotangent on ``u`` (:func:`_cotangent`) goes back through each group's
 tape to its slots, one ``np.bincount`` per value, so a word repeated in a
 sentence gets both terms, and the blocks' tapes to the parameters
-(:meth:`_Model._pull`).  :mod:`qnlp.simulator`'s ``sentence_distribution``
-and ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
+(:meth:`_Model._pull`).  :func:`_scores` reads ``u`` out as ``p = u /
+sum(u)`` and scores it, over a stack of requests at once.
+:mod:`qnlp.simulator`'s ``sentence_distribution`` and
+``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
 ``gradient_hole``, are the per-sentence reference of these paths.
 
 Optimizers: simultaneous-perturbation stochastic approximation for
@@ -54,13 +57,15 @@ split is scored once after the final epoch, through the same checks.  Each
 epoch ``k`` is one request.  Under SPSA it reads train and dev at
 ``theta_k`` and train at ``theta_k +- c_k delta_k``, with ``delta_k``
 drawn before the call; under adaptive GD it reads train and dev at
-``theta_k`` and differentiates the train rows alone, so the train metrics
-come from the gradient pass.  Dev at ``theta_k`` is epoch ``k - 1``'s dev
-readout (the first epoch's, at the initial parameters, is not recorded),
-and the last epoch's dev readout and the test score share one closing
-request.  A fit binds each request shape's labels once, and every split's
-score passes the same checks, in the order the epochs define, so the
-histories equal those of a loop that reads one split per call.
+``theta_k`` and differentiates the train rows alone.  Dev at ``theta_k``
+is epoch ``k - 1``'s dev readout (the first epoch's is not recorded), and
+the last epoch's dev readout and the test score share one closing request.
+A fit stacks each request's ``u`` with its shape's, reads per epoch only
+what its step needs (the gradient, or the probes' losses) behind a
+finiteness guard, and scores the history from the stacks once at the end;
+a tripped guard checks that request's splits in the order the epochs
+define, so a fit fails as a loop that scores one split per call does, and
+its histories are that loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -114,13 +119,6 @@ class BudgetExceeded(Error):
 # -- loss and metrics -----------------------------------------------------
 
 
-def _picked(probs, label) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's probability of its labelled class, and the label as a mask."""
-    p = np.asarray(probs, dtype=float)
-    y = np.asarray(label) != 0
-    return np.where(y, p[..., 1], p[..., 0]), y
-
-
 def bce_loss(probs, label):
     """Binary cross-entropy with probabilities clipped to [1e-7, 1-1e-7].
 
@@ -131,17 +129,10 @@ def bce_loss(probs, label):
     :meth:`_Model.grad_split` and for callers that score one sentence at a
     time, such as a per-sentence reference loss.
     """
-    picked, _ = _picked(probs, label)
+    p = np.asarray(probs, dtype=float)
+    picked = np.where(np.asarray(label) != 0, p[..., 1], p[..., 0])
     loss = -np.log(np.clip(picked, PROB_CLIP, 1.0 - PROB_CLIP))
     return float(loss) if loss.ndim == 0 else loss
-
-
-def bce_grad(probs, label) -> np.ndarray:
-    """d loss/d probs, shaped like ``probs``; zero where the clip is active."""
-    picked, y = _picked(probs, label)
-    active = (picked > PROB_CLIP) & (picked < 1.0 - PROB_CLIP)
-    g = np.divide(-1.0, picked, out=np.zeros_like(picked), where=active)
-    return np.where(np.stack([~y, y], axis=-1), g[..., None], 0.0)
 
 
 def predict(probs):
@@ -477,58 +468,69 @@ def _run(index: np.ndarray):
     return index
 
 
-def _scores(u: np.ndarray, labels: np.ndarray, ends: list[int], n: int) -> tuple[list, object]:
-    """One request's scoring pass over its rows' weights ``u``, every
-    point's splits in turn, split ``i`` ending at row ``ends[i]``.  A row
-    reads out as ``p = u / sum(u)``, uniform if its sum is below
-    ``DEGENERATE_EPS``, and scores as :func:`bce_loss` and :func:`predict`
-    against its label.  Per split: its probabilities, degenerate count,
-    mean loss (NaN if a probability is not finite) and accuracy; and with
-    ``n``, the cotangent on the first ``n`` rows' ``u`` of their mean loss,
-    ``(g - g . p) / (n sum(u))`` for ``g`` :func:`bce_grad`, zero on
-    degenerate rows."""
-    norm = u[:, 0] + u[:, 1]
+def _readout(u: np.ndarray, labels: np.ndarray) -> tuple:
+    """Each row's ``p = u / sum(u)``, uniform if its sum is below
+    ``DEGENERATE_EPS``, over rows ``(..., rows, 2)``: the sums (1 where
+    degenerate), the degenerate rows, the probabilities, and each row's
+    probability of its labelled class."""
+    norm = u[..., 0] + u[..., 1]
     degenerate = norm < DEGENERATE_EPS
-    if fix := np.count_nonzero(degenerate):  # fix-ups and counts only if some row is
+    if fix := np.count_nonzero(degenerate):  # fix-ups only if some row is
         norm[degenerate] = 1.0
-    probs = u / norm[:, None]
+    probs = u / norm[..., None]
     if fix:
         probs[degenerate] = 0.5
-    y = labels != 0
-    picked = np.where(y, probs[:, 1], probs[:, 0])
+    return norm, degenerate, probs, np.where(labels != 0, probs[..., 1], probs[..., 0])
+
+
+def _scores(u: np.ndarray, labels: np.ndarray, ends: list[int]) -> tuple[np.ndarray, list]:
+    """The scoring pass over a stack of requests' row weights ``u``,
+    ``(..., rows, 2)``, against one label per row, split ``i`` ending at
+    row ``ends[i]``: each row read out by :func:`_readout` and scored as
+    :func:`bce_loss` and :func:`predict` against its label.  Gives the
+    probabilities and per split its degenerate counts, mean losses (NaN
+    where a probability is not finite) and accuracies, shaped like the
+    stack."""
+    _, degenerate, probs, picked = _readout(u, labels)
     loss = -np.log(np.minimum(np.maximum(picked, PROB_CLIP), 1.0 - PROB_CLIP))
-    margin = probs[:, 1] - probs[:, 0]
+    margin = probs[..., 1] - probs[..., 0]
     # a finite probability lies in [0, 1], so the margin is finite unless one is not
-    if np.count_nonzero(finite := np.isfinite(margin)) < len(margin):
+    if np.count_nonzero(finite := np.isfinite(margin)) < margin.size:
         loss[~finite] = np.nan
     hits = (margin > TIE_EPS) == labels
     scores = []
     for a, b in zip([0, *ends], ends):
+        size = b - a or np.nan  # an empty split's means are NaN
         # the mean as ``.mean()`` gives it, bit for bit
-        mean, acc = (float(np.add.reduce(loss[a:b])) / (b - a),
-                     int(np.count_nonzero(hits[a:b])) / (b - a)) if b > a else (np.nan, np.nan)
-        scores.append((probs[a:b], int(np.count_nonzero(degenerate[a:b])) if fix else 0, mean, acc))
-    if not n:
-        return scores, None
-    y, picked = y[:n], picked[:n]
+        scores.append((np.count_nonzero(degenerate[..., a:b], axis=-1),
+                       np.add.reduce(loss[..., a:b], axis=-1) / size,
+                       np.count_nonzero(hits[..., a:b], axis=-1) / size))
+    return probs, scores
+
+
+def _cotangent(u: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The cotangent on rows' ``u`` of their mean loss, ``(g - g . p) / (n
+    sum(u))`` for ``g`` the loss's derivative in ``p``, zero on degenerate
+    rows."""
+    n = len(u)
+    norm, degenerate, _, picked = _readout(u, labels)
     active = (picked > PROB_CLIP) & (picked < 1.0 - PROB_CLIP)
     g = np.divide(-1.0, picked, out=np.zeros(n), where=active)
     # ``g . p`` is ``g * picked``: d loss / d p is zero off the labelled class,
     # so class 1's column is ``hot - g . p``, class 0's ``(g - hot) - g . p``
-    hot, gp, den = np.where(y, g, 0.0), g * picked, n * norm[:n]
+    hot, gp, den = np.where(labels != 0, g, 0.0), g * picked, n * norm
     g_u = np.empty((n, 2))
     np.divide(g - hot - gp, den, out=g_u[:, 0])
     np.divide(hot - gp, den, out=g_u[:, 1])
-    if fix:
-        g_u[degenerate[:n]] = 0.0
-    return scores, g_u
+    g_u[degenerate] = 0.0
+    return g_u
 
 
 @dataclass(eq=False)
 class _Plan:
     """How a request of one shape runs over a contraction's groups."""
 
-    groups: list  # per group with rows: batch, gather, its first split's part and slice
+    groups: list  # per group with rows: its bound pass, gather, first split's part and slice
     dest: object  # where the groups' rows, side by side, land among the request's rows
     lead: object  # the first split's rows among the groups' rows
     at: object  # and among the request's rows
@@ -583,8 +585,9 @@ class _Contraction:
                 if len(dest):
                     stacked = np.concatenate([group.gather[a:b] + k * self.n_values
                                               for k, (a, b) in enumerate(rows)])
-                    k = int(np.count_nonzero(dest < n))
-                    groups.append((group.batch, stacked, stacked[:k], slice(led, led + k)))
+                    k = int(np.count_nonzero(dest < n))  # bound to its rows, the first k led
+                    groups.append((tensornet.Bound(group.batch, np.empty(stacked.shape, self.dtype),
+                                                   k), stacked, stacked[:k], slice(led, led + k)))
                     dests.append(dest)
                     led += k
             dest = np.concatenate(dests)
@@ -599,34 +602,32 @@ class _Contraction:
 
     def evaluate(self, plan: _Plan, labels: np.ndarray, grad: bool):
         """The request of ``plan``, whose value vectors hold its points'
-        words' tensors: the words' cotangent of the first split's mean loss
-        at the first point if ``grad``, else None, and per split its
-        :func:`_scores` against ``labels``, one per row of the request."""
+        words' tensors, against ``labels``, one per row of the request: the
+        words' cotangent of the first split's mean loss at the first point
+        if ``grad``, else None, and every row's weights ``u``."""
         n, rows = plan.ends[0], plan.ends[-1]
         if grad and n == 0:
             raise EmptyEvalSet("no sentences to differentiate")
         if len(labels) != rows:
             raise Error(f"expected {rows} labels, got {len(labels)}")
         values = plan.values.ravel()
-        forwards = [tensornet.batch_forward(batch, values[gather])
-                    for batch, gather, *_ in plan.groups]
-        v = forwards[0][0] if len(forwards) == 1 else np.concatenate(
-            [np.zeros((0, 2), self.dtype), *(v for v, _ in forwards)])
+        for bound, gather, *_ in plan.groups:  # every gather is in range: no check
+            values.take(gather, out=bound.values, mode="clip")
+        v = [bound.forward() for bound, *_ in plan.groups]
+        v = v[0] if len(v) == 1 else np.concatenate([np.zeros((0, 2), self.dtype), *v])
         u = np.empty((rows, 2))  # on real rows ``v * v`` is ``v.real**2 + v.imag**2``, bit for bit
         u[plan.dest] = v.real**2 + v.imag**2 if self.dtype is complex else v * v
-        scores, g_u = _scores(u, np.asarray(labels), plan.ends, n if grad else 0)
         if not grad:
-            return None, scores
-        g_v = 2.0 * v[plan.lead] * g_u[plan.at]
-        terms = [tensornet.batch_backward(batch, tape, g_v[part])
-                 for (batch, _, first, part), (_, tape) in zip(plan.groups, forwards) if len(first)]
+            return None, u
+        g_v = 2.0 * v[plan.lead] * _cotangent(u[:n], labels[:n])[plan.at]
+        terms = [bound.backward(g_v[part]) for bound, _, first, part in plan.groups if len(first)]
         # in order, so a value gathered twice (a word repeated in a sentence)
         # sums both terms
         flat = terms[0].ravel() if len(terms) == 1 else np.concatenate([t.ravel() for t in terms])
         g = np.bincount(plan.index, flat.real, self.n_values)
         if self.dtype is complex:
             g = g + 1j * np.bincount(plan.index, flat.imag, self.n_values)
-        return g[: self.n_word_values], scores  # the pads' cotangents reach no parameter
+        return g[: self.n_word_values], u  # the pads' cotangents reach no parameter
 
 
 @dataclass(eq=False)
@@ -650,7 +651,7 @@ class _Model:
     """
 
     def __init__(self, contraction: _Contraction, symbols: Sequence[Symbol],
-                 shapes: Sequence[tuple], blocks: list[_Block]):
+                 shapes: Sequence[tuple], blocks: list[_Block], scales: np.ndarray | None = None):
         self.contraction = contraction
         self.symbols = list(symbols)
         self.shapes = list(shapes)
@@ -658,19 +659,39 @@ class _Model:
         self._bounds = np.cumsum([0, *map(math.prod, self.shapes)]).tolist()
         self.n_params = self._bounds[-1]
         self._blocks = blocks
+        self._scales = scales  # a tensor model's, per entry: the scale of its initial draw
         # per block, its parameters and value columns, a run of either as a slice
         self._maps = [(block, _run(block.params), _run(block.cols)) for block in blocks]
+        self._passes: dict[int, list] = {}  # per point count, per block (:meth:`_bound`)
+
+    def _bound(self, points: int) -> list:
+        """Per block at ``points`` points, for a :mod:`qnlp.tensornet` one
+        its bound pass, the first point's words differentiated, and where
+        the pass's rows read the points' parameters; else None."""
+        if points not in self._passes:
+            self._passes[points] = [None if block.engine is not tensornet else (
+                tensornet.Bound(block.batch, np.empty((points * len(block.params),
+                                                       block.batch.n_slots)), len(block.params)),
+                (block.params + self.n_params * np.arange(points)[:, None, None]).reshape(
+                    -1, block.batch.n_slots)) for block in self._blocks]
+        return self._passes[points]
 
     def _values(self, thetas: np.ndarray, values: np.ndarray, keep: bool) -> list:
         """Write each point's words' tensors to its row of ``values``, in
-        one engine pass per block; with ``keep``, give per engine block the
-        first point's outputs and the pass's tape, for :meth:`_pull`."""
+        one engine pass per block; per engine block, give its tape for
+        :meth:`_pull`: a :mod:`qnlp.tensornet` block's bound pass, and with
+        ``keep`` a circuit block's first point's outputs and pass's tape."""
         tapes = []
-        for block, params, cols in self._maps:
-            x, tape = thetas[:, params], None
-            if block.engine is not None:
+        for (block, params, cols), bound in zip(self._maps, self._bound(len(thetas))):
+            if bound is not None:
+                tape, index = bound
+                thetas.take(index, out=tape.values, mode="clip")
+                x = tape.forward().reshape(len(thetas), -1)
+            elif block.engine is None:
+                x, tape = thetas[:, params], None
+            else:
                 x, tape = block.engine.batch_forward(
-                    block.batch, x.reshape(len(thetas) * len(params), block.batch.n_slots))
+                    block.batch, thetas[:, params].reshape(len(thetas) * len(params), -1))
                 tape = (x[: len(params)], tape) if keep else None
                 x = x.reshape(len(thetas), -1)[:, block.reads]
             values[:, cols] = x
@@ -686,6 +707,8 @@ class _Model:
         for (block, params, cols), tape in zip(self._maps, tapes):
             if block.engine is None:
                 grad[params] = g[cols]
+            elif isinstance(tape, tensornet.Bound):
+                grad[params] = tape.backward(g[cols].reshape(len(params), -1))
             elif block.batch.n_slots:
                 v, tape = tape
                 g_v = np.zeros(v.shape, v.dtype)
@@ -694,33 +717,35 @@ class _Model:
         return grad
 
     def score(self, points, labels: np.ndarray, grad: bool = False):
-        """Scores at several points ``(names, theta)``, each a run of
+        """A request at several points ``(names, theta)``, each a run of
         consecutive split names and a parameter vector, against one label
         per row, every point's splits in turn: the gradient of the first
-        point's first split's mean loss there if ``grad``, else None, then
-        per point, per split, its :func:`_scores`."""
+        point's first split's mean loss there if ``grad``, else None, and
+        every row's weights ``u``, ``(rows, 2)``."""
         runs = tuple(tuple(names) for names, _ in points)
         for _, vec in points:
             if np.shape(vec) != (self.n_params,):
                 raise Error(f"expected {self.n_params} parameters, got {np.size(vec)}")
         plan = self.contraction.plan(runs)
         tapes = self._values(np.array([vec for _, vec in points], dtype=float), plan.values, grad)
-        g, scores = self.contraction.evaluate(plan, labels, grad)
-        scores = iter(scores)
-        return (None if g is None else self._pull(tapes, g)), [
-            [next(scores) for _ in names] for names in runs]
+        g, u = self.contraction.evaluate(plan, np.asarray(labels), grad)
+        return (None if g is None else self._pull(tapes, g)), u
+
+    def _split(self, name: str, theta: np.ndarray, labels: np.ndarray, grad: bool) -> tuple:
+        """One split's request and its :func:`_scores`, a one-item stack."""
+        g, u = self.score([((name,), theta)], labels, grad)
+        probs, [(degenerate, _, _)] = _scores(u[None], labels, [len(u)])
+        return g, probs[0], int(degenerate[0])
 
     def eval_split(self, name: str, theta: np.ndarray):
         """Probabilities of every row of the split and its degenerate count."""
         labels = np.zeros(self.contraction.sizes[name], np.intp)
-        _, [[(probs, degenerate, *_)]] = self.score([((name,), theta)], labels)
-        return probs, degenerate
+        return self._split(name, theta, labels, False)[1:]
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):
         """Mean-loss gradient of the split, then the probabilities and
         degenerate count that :meth:`eval_split` returns."""
-        grad, [[(probs, degenerate, *_)]] = self.score([((name,), theta)], labels, True)
-        return grad, probs, degenerate
+        return self._split(name, theta, np.asarray(labels), True)
 
     def _tables(self):
         """Each symbol with its shape and its first and past-last entries."""
@@ -859,22 +884,56 @@ class TensorModel(_Model):
                       if shape is None else
                       _Block(tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
                              np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
-            corpus.stages[cfg] = ([node.symbol for node in pieces],
-                                  [node.shape for node in pieces], blocks)
+            shapes = [node.shape for node in pieces]
+            # a piece's entries are drawn at 1 / sqrt(its fan-in, every leg but the last)
+            scales = np.repeat([1.0 / np.sqrt(math.prod(shape[:-1])) for shape in shapes],
+                               list(map(math.prod, shapes)))
+            corpus.stages[cfg] = ([node.symbol for node in pieces], shapes, blocks, scales)
         return cls(contraction, *corpus.stages[cfg])
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        chunks = [np.zeros(0)]
-        for shape in self.shapes:
-            std = 1.0 / np.sqrt(math.prod(shape[:-1]))
-            chunks.append(rng.normal(0.0, std, size=math.prod(shape)))
-        return np.concatenate(chunks)
+        return rng.normal(0.0, self._scales)
 
     eval_split = _Model.eval_split
     grad_split = _Model.grad_split
 
 
 # -- fit loop -------------------------------------------------------------
+
+
+class _Stack:
+    """One request shape of a fit: its runs of splits, their labels, one
+    per row, and every request's row weights ``u``, ``(requests, rows, 2)``."""
+
+    def __init__(self, labels: dict, runs: tuple, requests: int, checks: tuple):
+        self.runs = runs
+        self.names = [name for run in runs for name in run]
+        self.ends = list(itertools.accumulate(len(labels[name]) for name in self.names))
+        self.labels = np.concatenate([labels[name] for name in self.names])
+        self.u = np.empty((requests, self.ends[-1], 2))
+        self.checks = checks  # the splits fit checks, in the order the epochs define: (index, lag)
+
+    def put(self, k: int, u: np.ndarray, epoch: int) -> None:
+        """Write request ``k``'s weights.  If one is not finite, or the rows
+        are not the request's, each checked split, recorded at ``epoch``
+        less its lag, is read from its rows first: one whose probabilities
+        are not all finite, then one whose rows ``u`` lacks, fails the fit."""
+        if u.shape != self.u.shape[1:] or not np.isfinite(u).all():
+            for i, lag in (check for check in self.checks if epoch > check[1]):
+                a, b = [0, *self.ends][i], self.ends[i]
+                if not np.isfinite(_readout(u[a:b], 0)[2]).all():
+                    raise NonFiniteLoss(f"{self.names[i]} loss became non-finite at "
+                                        f"epoch {epoch - lag}")
+                if u[a:b].shape != (b - a, 2):
+                    raise Error(f"{self.names[i]} split: {b - a} sentences, "
+                                f"probabilities {u[a:b].shape}")
+            if u.shape != self.u.shape[1:]:
+                raise Error(f"expected {self.ends[-1]} rows of weights, got {u.shape}")
+        self.u[k] = u
+
+    def scores(self) -> list:
+        """Per split, its degenerate counts, mean losses and accuracies, one per request."""
+        return _scores(self.u, self.labels, self.ends)[1]
 
 
 def fit(
@@ -885,17 +944,18 @@ def fit(
 ) -> History:
     """Train on the train split, tracking dev each epoch and test at the end.
 
-    Each request shape's labels are bound once, in the order of its rows.  In
-    the order the epochs define, a split score with a non-finite probability,
-    then one with a row count other than its labels', fails the fit."""
+    Each request's row weights go to the stack of its shape, whose labels
+    are bound once, and the history is scored from the stacks in one pass
+    each after the closing request.  An epoch reads only what its step
+    needs, and a guard: in the order the epochs define, a split score with
+    a non-finite probability, then one with a row count other than its
+    labels', fails the fit."""
     for lset in splits:
         if len(lset) == 0:
             raise EmptyEvalSet(f"split {lset.name!r} is empty")
-    labels = {lset.name: np.asarray(lset.labels()) for lset in splits}
-    bound: dict[tuple, np.ndarray] = {}  # per request shape
+    labels = {lset.name: lset.label_array for lset in splits}
     rng = np.random.default_rng(cfg.seed)
     theta = model.init_params(rng)
-    history = History()
 
     spsa = adaptive = None
     if isinstance(cfg.optimizer, SPSAConfig):
@@ -905,25 +965,12 @@ def fit(
     else:
         raise ConfigError(f"unknown optimizer config: {cfg.optimizer!r}")
 
-    def request(points, grad=False):
-        runs = tuple(names for names, _ in points)
-        if runs not in bound:
-            bound[runs] = np.concatenate([labels[name] for names in runs for name in names])
-        return model.score(points, bound[runs], grad)
-
-    def scored(split: str, epoch: int, score: tuple, losses=None, accs=None) -> tuple:
-        """The split's mean loss and accuracy, appended to ``losses`` and ``accs``."""
-        probs, degenerate, loss, acc = score
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(f"{split} loss became non-finite at epoch {epoch}")
-        if np.shape(probs) != (len(labels[split]), 2):
-            raise Error(f"{split} split: {len(labels[split])} sentences, "
-                        f"probabilities {np.shape(probs)}")
-        history.degenerate_evals += degenerate
-        if losses is not None:
-            losses.append(loss)
-            accs.append(acc)
-        return loss, acc
+    n = len(labels["train"])
+    probes = (("train",),) * 2 if spsa is not None else ()
+    # dev at an epoch's parameters is recorded as the previous epoch's
+    epochs = _Stack(labels, (("train", "dev"), *probes), cfg.epochs,
+                    ((1, 1), (0, 0), (2, 0), (3, 0))[: 2 + len(probes)])
+    closing = _Stack(labels, (("dev", "test"),), 1, ((0, 0), (1, 0)))
 
     start = time.monotonic()
     for epoch in range(1, cfg.epochs + 1):
@@ -933,21 +980,23 @@ def fit(
             )
         if spsa is not None:
             plus, minus = spsa.probes(theta)
-            _, ((train, dev), *probes) = request(
-                [(("train", "dev"), theta), (("train",), plus), (("train",), minus)])
+            _, u = model.score(list(zip(epochs.runs, (theta, plus, minus))), epochs.labels)
         else:
-            grad, ((train, dev),) = request([(("train", "dev"), theta)], True)
-        if epoch > 1:  # dev at this epoch's parameters is the previous epoch's
-            scored("dev", epoch - 1, dev, history.val_loss, history.val_acc)
-        scored("train", epoch, train, history.train_loss, history.train_acc)
+            grad, u = model.score([(epochs.runs[0], theta)], epochs.labels, True)
+        epochs.put(epoch - 1, u, epoch)
         if spsa is not None:
-            theta = spsa.step(theta, *(scored("train", epoch, probe)[0] for probe, in probes))
+            _, [(_, losses, _)] = _scores(u[-2 * n :].reshape(2, n, 2), labels["train"], [n])
+            theta = spsa.step(theta, *losses.tolist())
         else:
             theta = adaptive.step(theta, grad)
 
     # the closing request: the last epoch's dev readout and the test score
-    _, ((dev, test),) = request([(("dev", "test"), theta)])
-    scored("dev", cfg.epochs, dev, history.val_loss, history.val_acc)
-    history.test_acc = scored("test", cfg.epochs, test)[1]
-    history.final_params = theta
-    return history
+    _, u = model.score([(closing.runs[0], theta)], closing.labels)
+    closing.put(0, u, cfg.epochs)
+    (train, dev, *probed), (last, test) = epochs.scores(), closing.scores()
+    return History(
+        train_loss=train[1].tolist(), val_loss=[*dev[1][1:].tolist(), *last[1].tolist()],
+        train_acc=train[2].tolist(), val_acc=[*dev[2][1:].tolist(), *last[2].tolist()],
+        test_acc=float(test[2][0]), final_params=theta,
+        degenerate_evals=int(train[0].sum() + dev[0][1:].sum() + last[0][0] + test[0][0]
+                             + sum(counts.sum() for counts, *_ in probed)))

@@ -21,6 +21,7 @@ Slow is fine; these only ever see small inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Mapping
@@ -285,6 +286,17 @@ def split_loss(probs: np.ndarray, labels: np.ndarray, split: str, epoch: int) ->
     return float(training.bce_loss(probs, labels).mean())
 
 
+def bce_grad(probs, label) -> np.ndarray:
+    """d ``training.bce_loss``/d probs, shaped like ``probs``; zero where the
+    clip is active."""
+    p = np.asarray(probs, dtype=float)
+    y = np.asarray(label) != 0
+    picked = np.where(y, p[..., 1], p[..., 0])
+    active = (picked > training.PROB_CLIP) & (picked < 1.0 - training.PROB_CLIP)
+    g = np.divide(-1.0, picked, out=np.zeros_like(picked), where=active)
+    return np.where(np.stack([~y, y], axis=-1), g[..., None], 0.0)
+
+
 def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
     """The fit loop one split at a time, through ``eval_split`` and ``grad_split``.
 
@@ -295,8 +307,7 @@ def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
     readout's degenerate rows are counted, and every loss passes the same
     checks as in ``training.fit``.
     """
-    train_labels = np.asarray(splits.train.labels())
-    dev_labels = np.asarray(splits.dev.labels())
+    train_labels, dev_labels = splits.train.label_array, splits.dev.label_array
     rng = np.random.default_rng(cfg.seed)
     theta = model.init_params(rng)
     history = training.History()
@@ -329,7 +340,7 @@ def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
         history.val_loss.append(loss)
         history.val_acc.append(training.accuracy(probs, dev_labels))
 
-    test_labels = np.asarray(splits.test.labels())
+    test_labels = splits.test.label_array
     probs, _ = score("test", test_labels, model.eval_split("test", theta), cfg.epochs)
     history.test_acc = training.accuracy(probs, test_labels)
     history.final_params = theta
@@ -424,7 +435,7 @@ class PerStructureCircuitModel:
         # p_j = |a_j|^2 / D, so dL = sum_j c_j d|a_j|^2 with
         # c_j = (dL/dp_j - sum_k p_k dL/dp_k) / D, and d|a|^2 = Re <2a, da>
         amps, norm, dead, probs = self._read(name, theta)
-        dp = training.bce_grad(probs, np.asarray(labels)) / len(probs)
+        dp = bce_grad(probs, np.asarray(labels)) / len(probs)
         c = (dp - (dp * probs).sum(axis=1, keepdims=True)) / norm[:, None]
         g = np.where(dead[:, None], 0.0, 2.0 * c * amps)
         grad = np.zeros(self.n_params)
@@ -468,8 +479,21 @@ def reference_tensor_model(nets_by_split: dict[str, list]) -> training.TensorMod
     starts = np.cumsum([0, *(int(np.prod(shape)) for shape in shapes.values())])
     contraction = training._Contraction(sizes, list(shapes.values()), starts, batches, np.zeros(0))
     ids = np.arange(contraction.n_values)
-    return training.TensorModel(contraction, list(shapes), list(shapes.values()),
-                                [training._Block(None, None, ids, None, ids)])
+    model = training.TensorModel(contraction, list(shapes), list(shapes.values()),
+                                 [training._Block(None, None, ids, None, ids)])
+    model.init_params = lambda rng: reference_init_params(model.shapes, rng)
+    return model
+
+
+def reference_init_params(shapes, rng: np.random.Generator) -> np.ndarray:
+    """A tensor model's initial draw, one symbol at a time: each symbol's
+    entries normal with standard deviation one over the square root of its
+    tensor's size without the last leg."""
+    chunks = [np.zeros(0)]
+    for shape in shapes:
+        std = 1.0 / np.sqrt(math.prod(shape[:-1]))
+        chunks.append(rng.normal(0.0, std, size=math.prod(shape)))
+    return np.concatenate(chunks)
 
 
 def reference_tensor_groups(nets_by_split: dict[str, list]) -> tuple[dict, list[tuple]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from qnlp.corpus import (
@@ -124,3 +125,12 @@ class TestTsv:
         path.write_text("1\t\n")
         with pytest.raises(MalformedLine):
             load_tsv(path)
+
+
+def test_label_array_is_built_once_and_read_only():
+    lset = generate_mc(0).train
+    labels = lset.label_array
+    assert labels.dtype == np.intp and labels.tolist() == list(lset.labels())
+    assert lset.label_array is labels
+    with pytest.raises(ValueError, match="read-only"):
+        labels[0] = 1 - labels[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 import types
 
 import numpy as np
@@ -90,6 +91,20 @@ class TestConfig:
         cfg = small_cfg(seeds=[2, 0], split_sizes=[10, 4, 4])
         assert (cfg.seeds, cfg.split_sizes) == ((2, 0), (10, 4, 4))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_run_ids_are_pinned(self):
+        # a run id names an existing results directory: its text must not move
+        cfgs = (ExperimentConfig("circuit", "iqp"),
+                small_cfg(ansatz="sim14", scheme="re", n_layers=2, n_single_qubit_params=1,
+                          seeds=(0, 1, 2), epochs=5),
+                ExperimentConfig("tensor", "mps", scheme="re", bond_dim=3, optimizer="spsa",
+                                 dataset_dir="data/mc", dataset_seed=4))
+        assert [cfg.run_id(7) for cfg in cfgs] == [
+            "circuit_iqp_re_norm_cur_norm_L1_r3_gen0-70-30-30_4ef5024306_s7",
+            "circuit_sim14_re_L2_r1_gen0-10-4-4_323781dc69_s7",
+            "tensor_mps_re_L1_r3_mc_6fe75830f1_s7"]
+        assert all(type(v) is list for cfg in cfgs for k, v in cfg.to_dict().items()
+                   if k in ("seeds", "split_sizes"))
 
     def test_run_id_distinguishes_runs(self):
         a = small_cfg().run_id(0)
@@ -268,6 +283,26 @@ class TestRunOne:
         summary = run_one(cfg, 0, root=tmp_path)
         assert summary["status"] == "ok" and summary["config"] == stored["config"]
         assert json.loads(path.read_text()) == summary
+
+    def test_another_runs_summary_is_rerun(self, tmp_path):
+        # a finished iqp run's directory copied to a sim14 cell's name
+        iqp, sim14 = small_cfg(epochs=1), small_cfg(epochs=1, ansatz="sim14")
+        run_one(iqp, 0, root=tmp_path)
+        shutil.copytree(tmp_path / iqp.run_id(0), tmp_path / sim14.run_id(0))
+        summary = run_one(sim14, 0, root=tmp_path)
+        assert (summary["run_id"], summary["config"]["ansatz"]) == (sim14.run_id(0), "sim14")
+        assert json.loads((tmp_path / sim14.run_id(0) / "summary.json").read_text()) == summary
+
+    def test_summary_with_another_config_is_rerun(self, tmp_path):
+        # the cell's own run id over a config that is not the cell's
+        cfg = small_cfg(epochs=1)
+        path = tmp_path / cfg.run_id(0) / "summary.json"
+        run_one(cfg, 0, root=tmp_path)
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps({**stored, "note": "stale",
+                                    "config": {**stored["config"], "n_layers": 2}}))
+        summary = run_one(cfg, 0, root=tmp_path)
+        assert summary["note"] == "" and summary["config"] == stored["config"]
 
     def test_failed_summary_write_leaves_run_incomplete(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1)
@@ -769,6 +804,15 @@ class TestCli:
         path.write_text(json.dumps({**json.loads(path.read_text()), "test_acc": None}))
         assert main(["report", "--results", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {path}: not a run summary")
+
+    def test_report_names_a_summary_of_another_directory(self, tmp_path, capsys):
+        cfg = small_cfg(epochs=1)
+        run_one(cfg, 0, root=tmp_path)
+        shutil.copytree(tmp_path / cfg.run_id(0), tmp_path / cfg.run_id(1))
+        path = tmp_path / cfg.run_id(1) / "summary.json"
+        assert main(["report", "--results", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: run_id {cfg.run_id(0)!r} is not its directory's name")
 
     def test_report_unparsable_config_is_pipeline_error(self, tmp_path, capsys):
         cfg = small_cfg(epochs=1)

@@ -60,7 +60,6 @@ from qnlp.training import (
     TooFewEpochs,
     TrainConfig,
     accuracy,
-    bce_grad,
     bce_loss,
     fit,
     predict,
@@ -70,6 +69,7 @@ from qnlp.training import (
 from oracles import (
     PerStructureCircuitModel,
     WireDims,
+    bce_grad,
     bend_tensor,
     curry_infos,
     enumerate_reductions,
@@ -78,6 +78,7 @@ from oracles import (
     named_to_params,
     reference_circuits,
     reference_fit,
+    reference_init_params,
     reference_map,
     reference_networks,
     reference_tensor_groups,
@@ -153,13 +154,20 @@ class TestLoss:
         # the first row's class 1 reads a finite 0 beside inf / inf, so its
         # clipped loss would be finite; the split of that row reads NaN and
         # the next split, a finite row, keeps its loss
+        u = np.array([[np.inf, 1.0], [1.0, 3.0]])
         with np.errstate(invalid="ignore"):
-            scores, _ = training._scores(np.array([[np.inf, 1.0], [1.0, 3.0]]),
-                                         np.array([1, 1]), [1, 2], 0)
-        (probs, degenerate, loss, _), (_, _, finite, acc) = scores
+            probs, scores = training._scores(u, np.array([1, 1]), [1, 2])
+            # a stack of requests scores each one as it scores alone
+            stacked, stacked_scores = training._scores(np.stack([u[::-1], u]),
+                                                       np.array([1, 1]), [1, 2])
+        (degenerate, loss, _), (_, finite, acc) = scores
         assert probs[0, 1] == 0.0 and np.isnan(probs[0, 0]) and degenerate == 0
         assert np.isnan(loss)
         assert finite == pytest.approx(-np.log(0.75)) and acc == 1.0
+        assert stacked[1].tobytes() == probs.tobytes()
+        assert [[np.asarray(part)[1].tobytes() for part in split] for split in stacked_scores] \
+            == [[np.asarray(part).tobytes() for part in split] for split in scores]
+        assert np.isnan(stacked_scores[1][1][0]) and not np.isnan(stacked_scores[0][1][0])
 
     def test_batched_rows_match_single_calls(self):
         # rows 1-3 sit in the clip region, below and above
@@ -304,8 +312,10 @@ class TestAdaptiveGd:
 class SplitModel:
     """A stand-in model on ``tiny_splits()`` that serves ``fit``'s requests
     one split at a time from its ``eval_split`` and, for the differentiated
-    split, ``grad_split``, scoring each readout against its slice of the
-    request's labels."""
+    split, ``grad_split``, each readout its rows' weights in the request
+    (``p = u / sum(u)`` reads a distribution back as it is).  A readout's
+    own degenerate count is not passed on: ``fit`` counts the rows whose
+    weights sum below ``DEGENERATE_EPS``."""
 
     n_params = 2
 
@@ -315,23 +325,16 @@ class SplitModel:
     def score(self, points, labels, grad=False):
         sizes = {lset.name: len(lset) for lset in tiny_splits()}
         ends = itertools.accumulate(sizes[name] for names, _ in points for name in names)
-        scores, at, gradient = [], 0, None
+        rows, at, gradient = [], 0, None
         for k, (names, theta) in enumerate(points):
-            scores.append([])
             for j, (name, end) in enumerate(zip(names, ends)):
                 y, at = labels[at:end], end
                 if grad and k == j == 0:
-                    gradient, probs, degenerate = self.grad_split(name, theta, y)
+                    gradient, probs, _ = self.grad_split(name, theta, y)
                 else:
-                    probs, degenerate = self.eval_split(name, theta)
-                if not np.isfinite(probs).all():
-                    loss = acc = np.nan
-                elif np.shape(probs) != (len(y), 2):
-                    loss = acc = 0.0  # fit names the split
-                else:
-                    loss, acc = float(bce_loss(probs, y).mean()), accuracy(probs, y)
-                scores[-1].append((probs, degenerate, loss, acc))
-        return gradient, scores
+                    probs, _ = self.eval_split(name, theta)
+                rows.append(probs)
+        return gradient, np.concatenate(rows)
 
 
 class TestCircuitFit:
@@ -448,7 +451,7 @@ class TestCircuitFit:
 
             def grad_split(self, name, theta, labels):
                 # one degenerate row, and a readout eval_split would not give
-                return np.ones(2), np.array([[0.2, 0.8]] * 4), 1
+                return np.ones(2), np.array([[0.2, 0.8]] * 3 + [[0.0, 0.0]]), 1
 
         model = CountingModel()
         h = fit(model, tiny_splits(), TrainConfig(epochs=3, optimizer=AdaptiveGDConfig()))
@@ -456,9 +459,9 @@ class TestCircuitFit:
         # initial parameters, unrecorded), then dev and test in the closing call
         assert model.evaluated == ["dev", "dev", "dev", "dev", "test"]
         labels = tiny_splits().train.labels()
-        want = bce_loss(np.array([[0.2, 0.8]] * 4), labels).mean()
-        assert h.train_loss == [want] * 3
-        assert h.train_acc == [0.5] * 3
+        probs = np.array([[0.2, 0.8]] * 3 + [[0.5, 0.5]])  # the degenerate row reads uniform
+        assert h.train_loss == [bce_loss(probs, labels).mean()] * 3
+        assert h.train_acc == [accuracy(probs, labels)] * 3 != [accuracy(probs[[0] * 4], labels)] * 3
         assert h.degenerate_evals == 3  # the train readout counted once per epoch
 
     def test_dev_is_checked_before_train(self):
@@ -798,10 +801,10 @@ class TestTensorBatching:
         def no_search(*args, **kwargs):
             raise AssertionError("contraction path searched after compile")
 
-        def plain_einsum(*operands, optimize=False):
+        def plain_einsum(*operands, optimize=False, out=None):
             # np.einsum given a path still rebuilds its contraction list
             assert optimize is False
-            return np.einsum(*operands, optimize=False)
+            return np.einsum(*operands, optimize=False, out=out)
 
         monkeypatch.setattr(tensornet, "np",
                             numpy_with(einsum_path=no_search, einsum=plain_einsum))
@@ -1237,11 +1240,11 @@ class TestRequestWork:
         labels = point_labels(splits, points)
         want, _ = model.score(points, labels, True)
         steps, gates, passes_of = [], [], []
-        apply_rows, scores = simulator._apply_rows, training._scores
+        apply_rows, cotangent = simulator._apply_rows, training._cotangent
 
         def scoring(*args):
             passes_of.append(args[0].shape)
-            return scores(*args)
+            return cotangent(*args)
 
         def einsum(subscripts, *operands, **kwargs):
             steps.append(subscripts)
@@ -1253,7 +1256,7 @@ class TestRequestWork:
 
         monkeypatch.setattr(tensornet, "np", numpy_with(einsum=einsum))
         monkeypatch.setattr(simulator, "_apply_rows", gate)
-        monkeypatch.setattr(training, "_scores", scoring)
+        monkeypatch.setattr(training, "_cotangent", scoring)
         grad, _ = model.score(points, labels, True)
 
         def passes(batch) -> int:
@@ -1267,18 +1270,24 @@ class TestRequestWork:
         assert [passes(batch) for batch in blocks] == [1] * len(blocks)
         groups = model.contraction.groups
         assert [passes(group.batch) for group in groups] == [1] * len(groups)
-        assert passes_of == [(len(splits.train) + len(splits.dev), 2)]
+        assert passes_of == [(len(splits.train), 2)]  # the differentiated split's rows
         assert grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("optimizer", (SPSAConfig(), AdaptiveGDConfig()), ids=("spsa", "gd"))
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
     @pytest.mark.parametrize("epochs", (1, 4))
     def test_one_scoring_pass_per_fit_request(self, make, optimizer, epochs, monkeypatch):
-        # one per epoch, then the closing one for dev and test
+        # the history: one pass over the epochs' stack and one over the
+        # closing request's; under SPSA also each epoch's probe pair, which
+        # its step reads
         model, passes, scores = make(), [], training._scores
-        monkeypatch.setattr(training, "_scores", lambda *args: passes.append(1) or scores(*args))
+        monkeypatch.setattr(training, "_scores", lambda *args: passes.append(args[0].shape)
+                            or scores(*args))
         fit(model, tiny_splits(), TrainConfig(epochs=epochs, optimizer=optimizer))
-        assert len(passes) == epochs + 1
+        train, dev, test = (len(lset) for lset in tiny_splits())
+        spsa = isinstance(optimizer, SPSAConfig)
+        want = [(2, train, 2)] * epochs if spsa else []
+        assert passes == want + [(epochs, (3 if spsa else 1) * train + dev, 2), (1, dev + test, 2)]
 
 
 class TestModelSurface:
@@ -1328,6 +1337,18 @@ class TestModelSurface:
         assert {"cooks", "meal"} <= {name.split("|")[0] for name in got}
         assert all(not np.any(g) for g in got.values())
         assert total == pytest.approx((3 * want_total + np.log(2)) / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", tuple(TensorAnsatz), ids=lambda k: k.value)
+    def test_tensor_initial_draw_is_the_per_symbol_draw(self, kind, mc_lexicon):
+        # one draw of every entry at its scale: the per-symbol loop's bytes,
+        # and the generator left where the loop leaves it (SPSA draws next)
+        for corpus_seed in (0, 2):
+            model = TensorModel.build(generate_mc(corpus_seed), mc_lexicon, RewriteScheme.RE,
+                                      TensorAnsatzConfig(kind))
+            for seed in (0, 1, 7, 123):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                theta, want = model.init_params(rng), reference_init_params(model.shapes, ref)
+                assert theta.tobytes() == want.tobytes() and rng.random() == ref.random()
 
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
     def test_wrong_length_parameter_vectors_are_rejected(self, make, rng):
@@ -1863,10 +1884,10 @@ def assert_matches_statevector(model: CircuitModel, diagrams, ansatz, named: dic
     theta = np.array([named[s.name] for s in model.symbols])
     names = tuple(model.contraction.sizes)
     labels = np.zeros(sum(model.contraction.sizes.values()), np.intp)  # one per row
-    _, (first, second) = model.score([(names, theta), (names, other)], np.tile(labels, 2))
-    _, (alone,) = model.score([(names, other)], labels)
-    for (p, degenerate, *_), (want, want_degenerate, *_) in zip(second, alone):
-        assert p.tobytes() == want.tobytes() and degenerate == want_degenerate
+    _, both = model.score([(names, theta), (names, other)], np.tile(labels, 2))
+    _, alone = model.score([(names, other)], labels)
+    assert both[len(labels):].tobytes() == alone.tobytes()
+    first, _ = training._scores(both[: len(labels)], labels, [len(labels)])
     seen = {} if seen is None else seen
     want = []
     for key, d in zip(range(len(diagrams)) if keys is None else keys, diagrams):
@@ -1874,7 +1895,7 @@ def assert_matches_statevector(model: CircuitModel, diagrams, ansatz, named: dic
             c = compile_circuit(d, ansatz)
             seen[key] = sentence_distribution(c, [named[s.name] for s in c.symbols]).probs
         want.append(seen[key])
-    np.testing.assert_allclose(np.concatenate([p for p, *_ in first]), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(first, want, rtol=0, atol=1e-12)
 
 
 def named_point(model: CircuitModel, named: dict, rng) -> dict:
