@@ -24,18 +24,16 @@ Training runs batched, on word blocks rather than sentences: a word's
 block acts on its own qubits only, so a sentence's amplitudes are its
 diagram's network with each box its block's map (:mod:`qnlp.training`
 contracts it with :mod:`qnlp.tensornet`).  Circuits with the same gates
-up to the symbols they read compile once, from one circuit's gates, into
-a :class:`CircuitBatch` (:func:`compile_batch`) whose slots are its
-parametric gates.  A circuit's map takes its first ``n_dom`` qubits as
-inputs, the others fed ``|0>``, to its outputs, its postselected qubits
-read at 0.  :func:`batch_forward` gives every row's map, at its row of
-slot angles, in one statevector pass over every row and input basis
-state, and keeps the pass's state and angles as its tape;
-:func:`batch_backward` pulls a complex cotangent on the leading rows'
-maps back to every parametric gate by adjoint differentiation: one
-reverse sweep from the cotangent and the tape's state, with no second
-forward pass and no shifted runs.
-The per-gate :func:`apply` and the per-sentence
+up to the symbols they read compile once into a :class:`CircuitBatch`
+(:func:`compile_batch`) whose slots are its parametric gates; a map takes
+the first ``n_dom`` qubits as inputs, the others fed ``|0>``, to the
+outputs, postselected qubits read at 0.  A :class:`Bound` pass, the
+engine contract :mod:`qnlp.tensornet` shares, holds a batch's arrays for
+one row count: its ``forward`` gives every row's map in one statevector
+pass over every row and input basis state, and its ``backward`` pulls a
+complex cotangent on the leading rows' maps back to every parametric gate
+by adjoint differentiation, one reverse sweep from the pass's state with
+no shifted runs.  The per-gate :func:`apply` and the per-sentence
 :func:`sentence_distribution` and :func:`distribution_gradient` are the
 reference the batched path is tested against, shift rules against the
 adjoint.
@@ -376,23 +374,6 @@ def _apply_rows(state: np.ndarray, op: tuple, angles: np.ndarray) -> None:
     b += ms * old
 
 
-def batch_forward(batch: CircuitBatch, angles: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Every row's map at its row of slot ``angles``: ``(rows, 2**(n_dom +
-    n_outputs))`` complex, in one statevector pass over every row and
-    input basis state; and the tape for :func:`batch_backward`: the pass's
-    state, which holds each row once per input basis state in turn, and
-    the angles of every state row."""
-    a = batch.n_dom
-    inputs = np.arange(1 << a)
-    state = np.zeros((len(angles) << a,) + (2,) * batch.n_qubits, dtype=np.complex128)
-    state.reshape(len(angles), 1 << a, 1 << a, -1)[:, inputs, inputs, 0] = 1.0
-    angles = np.repeat(angles, 1 << a, axis=0)
-    for op in batch.ops:
-        _apply_rows(state, op, angles)
-    maps = state.reshape(len(state), -1)[:, batch.cols].reshape(len(state) >> a, -1)
-    return maps, (state, angles)
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``<x|y>`` of every row."""
     return (x.conj() * y).reshape(len(x), -1).sum(axis=1)
@@ -413,31 +394,54 @@ def _generator_term(kind: GateKind, a: np.ndarray, b: np.ndarray, t: int) -> np.
     return (_dot(lam_a, psi_b) + _dot(lam_b, psi_a)).imag
 
 
-def batch_backward(batch: CircuitBatch, tape: tuple, g: np.ndarray) -> np.ndarray:
-    """``d Re <g, map> / d slot`` of the leading ``len(g)`` rows of a
-    forward pass, ``(len(g), n_slots)``, for the complex cotangent ``g`` on
-    their maps.
+class Bound:
+    """A batch bound to ``values``, ``(rows, n_slots)`` angles, its leading
+    ``t`` rows differentiated.  The state, each row once per input basis
+    state in turn, and each state row's angles are made here, the reverse
+    sweep's arrays on the first :meth:`backward`; a pass overwrites them."""
 
-    The ``tape`` holds ``psi``, every row from every input basis state;
-    ``lam`` holds each input's row of ``g`` at the outputs, zero off
-    postselection, so ``Re <g, map>`` is ``Re <lam|psi>``.  A reverse sweep
-    undoes every gate on ``lam`` and the leading rows of ``psi`` alike;
-    before undoing a gate ``exp(-i angle P/2)`` it reads that slot's term
-    ``Im <lam|P|psi> / 2``, over the control-1 slices for a controlled
-    rotation, and the terms of a row's inputs sum.  ``lam`` sits just
-    before a copy of those rows of ``psi`` in one buffer, so every inverse
-    gate is one in-place update on both, and the tape is left as it is.
-    """
-    state, angles = tape
-    t = len(g) << batch.n_dom
-    buffer = np.concatenate([np.zeros_like(state[:t]), state[:t]])
-    buffer[:t].reshape(t, -1)[:, batch.cols] = g.reshape(t, -1)
-    out = np.zeros((t, batch.n_slots))
-    inverse = -np.concatenate([angles[:t], angles[:t]])
-    for kind, low, high, slot, angle in reversed(batch.ops):
-        if slot is not None:
-            out[:, slot] = _generator_term(kind, buffer[low], buffer[high], t)
-            if slot == 0:  # the first parametric gate: nothing left to read
-                break
-        _apply_rows(buffer, (kind, low, high, slot, None if angle is None else -angle), inverse)
-    return 0.5 * out.reshape(len(g), 1 << batch.n_dom, batch.n_slots).sum(axis=1)
+    def __init__(self, batch: CircuitBatch, values: np.ndarray, t: int = 0):
+        self.batch, self.values, self.t, self.sweep = batch, values, t, None
+        self.state = np.empty((len(values) << batch.n_dom,) + (2,) * batch.n_qubits, complex)
+        self.angles = np.empty((len(self.state), batch.n_slots))
+
+    def forward(self) -> np.ndarray:
+        """Every row's map at its row of angles, ``(rows, 2**(n_dom +
+        n_outputs))`` complex, from every input basis state at once."""
+        batch, rows, inputs = self.batch, len(self.values), np.arange(1 << self.batch.n_dom)
+        self.state.fill(0.0)
+        self.state.reshape(rows, len(inputs), len(inputs), -1)[:, inputs, inputs, 0] = 1.0
+        self.angles.reshape(rows, len(inputs), batch.n_slots)[...] = self.values[:, None]
+        for op in batch.ops:
+            _apply_rows(self.state, op, self.angles)
+        return self.state.reshape(len(self.state), -1)[:, batch.cols].reshape(rows, -1)
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        """``d Re <g, map> / d slot`` of the leading ``t`` rows after the
+        pass's forward, ``(t, n_slots)``, for the complex cotangent ``g`` on
+        their maps.  The state holds ``psi``, every row from every input
+        basis state; ``lam`` holds each input's row of ``g`` at the outputs,
+        zero off postselection, so ``Re <g, map>`` is ``Re <lam|psi>``.  A
+        reverse sweep undoes every gate on ``lam`` and the leading rows of
+        ``psi`` alike, first reading a gate ``exp(-i angle P/2)``'s term
+        ``Im <lam|P|psi> / 2``, over the control-1 slices for a controlled
+        rotation; a row's inputs' terms sum.  ``lam`` sits just before a copy
+        of those rows of ``psi`` in one buffer, so every inverse gate is one
+        in-place update on both, and the state is left as it is."""
+        batch, t = self.batch, self.t << self.batch.n_dom
+        if self.sweep is None:  # the buffer, its rows' inverse angles and the terms
+            self.sweep = (np.empty((2 * t,) + self.state.shape[1:], complex),
+                          np.empty((2 * t, batch.n_slots)), np.empty((t, batch.n_slots)))
+        buffer, inverse, terms = self.sweep
+        buffer[:t] = 0.0
+        buffer[:t].reshape(t, -1)[:, batch.cols] = g.reshape(t, -1)
+        buffer[t:] = self.state[:t]
+        np.negative(self.angles[:t], out=inverse.reshape(2, t, batch.n_slots))
+        for kind, low, high, slot, angle in reversed(batch.ops):
+            if slot is not None:
+                terms[:, slot] = _generator_term(kind, buffer[low], buffer[high], t)
+                if slot == 0:  # the first parametric gate: nothing left to read
+                    break
+            _apply_rows(buffer, (kind, low, high, slot, None if angle is None else -angle),
+                        inverse)
+        return 0.5 * terms.reshape(self.t, 1 << batch.n_dom, batch.n_slots).sum(axis=1)

@@ -27,24 +27,21 @@ Training runs batched, and every model family contracts through it:
 networks of one :func:`structure_key` compile once, from one network's
 plan, into a :class:`TensorBatch` (:func:`compile_batch`) with an extra
 row label.  Its slots are the flattened entries of its parameter tensors,
-position after position, and the model gathers each row's values per
-slot: in a sentence's network, each word's dense tensor (real, or a
-circuit's complex word map), and in a split word's :func:`_lower_word`
-network, its legs open, the word's pieces.  The greedy path of the
-batch's einsum, searched once, becomes a tree of pairwise steps, each one
-plain einsum, compiled into the two tuples the batch holds: ``forward``,
-per step its einsum and the nodes it joins, and ``sweep``, per step input,
-the last step's first, the einsum of its cotangent, the step's other
-inputs and its identity bridges.  :func:`batch_forward` walks the tree, gives
-every row's output vector ``v`` and keeps the tree's nodes, rows first, as
-its tape; :func:`batch_backward` takes the caller's cotangent on ``v`` for
-the leading rows and gets every hole of those rows from one reverse sweep
-over the tape, carrying the conjugate cotangent (Liao et al.,
-arXiv:1903.09650) so that real and complex rows run the same einsums; on
-real rows ``conj()`` is the array itself.  Both run on a :class:`Bound`
-pass, which a caller can hold to run again on new values with no
-allocation.  The per-network :func:`contract`
-and :func:`gradient_hole` are the reference the batched path is tested
+position after position: in a sentence's network each word's dense tensor
+(real, or a circuit's complex word map), and in a split word's
+:func:`_lower_word` network, its legs open, the word's pieces.  The
+greedy path of the batch's einsum, searched once, becomes a tree of
+pairwise steps compiled into two tuples: ``forward``, per step its einsum
+and the nodes it joins, and ``sweep``, per step input, the last step's
+first, the einsum of its cotangent, the step's other inputs and its
+identity bridges.  A :class:`Bound` pass, the engine contract
+:mod:`qnlp.simulator` shares, holds a batch's arrays for one row count:
+its ``forward`` walks the tree and gives every row's output vector ``v``,
+and its ``backward`` takes the cotangent on the leading rows' ``v`` back
+to their slots in one reverse sweep over the tree's nodes, carrying the
+conjugate cotangent (Liao et al., arXiv:1903.09650) so that real and
+complex rows run the same einsums.  The per-network :func:`contract` and
+:func:`gradient_hole` are the reference the batched path is tested
 against.
 """
 
@@ -529,36 +526,23 @@ def compile_batch(first: Network) -> TensorBatch:
 
 class Bound:
     """A batch bound to ``values``, ``(rows, n_slots)``, its leading ``t``
-    rows differentiated into ``grad``, ``(t, n_slots)``.  Every array a pass
-    writes (the tape: the leaves, views of ``values``, then each step's
-    result; and the cotangents, each leaf's in its own columns of ``grad``)
-    and every einsum's operands are set up here once, so a pass only runs
-    the einsums into them (``out=``) and the caller reads each result
-    before the next pass."""
+    rows differentiated.  The tape (the leaves, views of ``values``, then
+    each step's result) and every einsum's operands are made here, the
+    reverse sweep's (the cotangents, each leaf's in its own columns of
+    ``grad``) on the first :meth:`backward`; a pass only runs the einsums
+    into them (``out=``), overwriting what the last pass wrote."""
 
-    def __init__(self, batch: TensorBatch, values: np.ndarray, t: int = 0,
-                 grad: np.ndarray | None = None, tape: list | None = None):
-        self.batch, self.values = batch, values
-        self.steps, self.tape = [], tape
-        if tape is None:  # bind a forward pass to ``values``
-            self.tape = [values[:, cols].reshape(len(values), *shape)
-                         for cols, shape in zip(batch.columns, batch.shapes)]
-            for subscripts, inputs in batch.forward:
-                operands = [self.tape[m] for m in inputs]
-                words = subscripts.replace("->", ",").split(",")
-                dims = dict(zip("".join(words[:-1]), (d for op in operands for d in op.shape)))
-                self.tape.append(np.empty([dims[c] for c in words[-1]], values.dtype))
-                self.steps.append((subscripts, operands, self.tape[-1]))
-        if t:
-            self.grad = np.empty((t, batch.n_slots), self.tape[-1].dtype) if grad is None else grad
-            cotangent = [self.grad[:, cols].reshape(t, *shape)
-                         for cols, shape in zip(batch.columns, batch.shapes)]
-            cotangent += [np.empty((t, *node.shape[1:]), self.grad.dtype)
-                          for node in self.tape[len(cotangent):]]
-            self.g = cotangent[-1].reshape(t, -1)  # the cotangent on the leading rows' output
-            self.sweep = [(subscripts, [cotangent[source], *(self.tape[m][:t] for m in siblings),
-                                        *eyes], cotangent[node])
-                          for node, source, subscripts, siblings, eyes in batch.sweep]
+    def __init__(self, batch: TensorBatch, values: np.ndarray, t: int = 0):
+        self.batch, self.values, self.t = batch, values, t
+        self.tape = [values[:, cols].reshape(len(values), *shape)
+                     for cols, shape in zip(batch.columns, batch.shapes)]
+        self.steps, self.sweep = [], None
+        for subscripts, inputs in batch.forward:
+            operands = [self.tape[m] for m in inputs]
+            words = subscripts.replace("->", ",").split(",")
+            dims = dict(zip("".join(words[:-1]), (d for op in operands for d in op.shape)))
+            self.tape.append(np.empty([dims[c] for c in words[-1]], values.dtype))
+            self.steps.append((subscripts, operands, self.tape[-1]))
 
     def forward(self) -> np.ndarray:
         """Every row's output vector ``v``, ``(rows, prod(out_shape))``."""
@@ -568,36 +552,30 @@ class Bound:
         return v if self.batch.factor == 1.0 else v * self.batch.factor
 
     def backward(self, g_v: np.ndarray) -> np.ndarray:
-        """:func:`batch_backward` of the leading rows' ``v`` into ``grad``."""
+        """The cotangent of every slot of the leading ``t`` rows after the
+        pass's forward, ``(t, n_slots)``, for the cotangent ``g_v`` on their
+        ``v``: its conjugate runs back down the tree over the tape, which is
+        left as it is, and the result is the conjugate of what reaches the
+        leaves.  On real rows a slot's cotangent is ``d(g_v . v)/d(value)``
+        (``conj()`` is the array itself); on complex rows it is ``g`` with
+        ``d Re(conj(g_v) . v) = Re sum(conj(g) d(value))``."""
+        if self.sweep is None:
+            t, tape = self.t, self.tape
+            self.grad = np.empty((t, self.batch.n_slots), tape[-1].dtype)
+            cotangent = [self.grad[:, cols].reshape(t, *shape)
+                         for cols, shape in zip(self.batch.columns, self.batch.shapes)]
+            cotangent += [np.empty((t, *node.shape[1:]), self.grad.dtype)
+                          for node in tape[len(cotangent):]]
+            self.g = cotangent[-1].reshape(t, -1)  # the cotangent on the leading rows' output
+            self.sweep = [(subscripts, [cotangent[source], *(tape[m][:t] for m in siblings),
+                                        *eyes], cotangent[node])
+                          for node, source, subscripts, siblings, eyes in self.batch.sweep]
         np.conjugate(g_v, out=self.g)
         if self.batch.factor != 1.0:
             self.g *= self.batch.factor
         for subscripts, operands, out in self.sweep:
             np.einsum(subscripts, *operands, out=out)
         return np.conjugate(self.grad, out=self.grad) if self.grad.dtype.kind == "c" else self.grad
-
-
-def batch_forward(batch: TensorBatch, values: np.ndarray) -> tuple[np.ndarray, list]:
-    """Every row's output vector ``v``, flattened, ``(rows, prod(out_shape))``,
-    contracted step by step from its row of ``values``, and the tape for
-    :func:`batch_backward`: the tree's nodes, parameter tensors first."""
-    bound = Bound(batch, values)
-    return bound.forward(), bound.tape
-
-
-def batch_backward(batch: TensorBatch, tape: list, g_v: np.ndarray) -> np.ndarray:
-    """The cotangent of every slot of the leading ``t = len(g_v)`` rows of
-    a forward pass, laid out like those rows of its values: ``(t, n_slots)``.
-
-    ``g_v`` is the cotangent on those rows' ``v``.  Its conjugate runs back
-    down the tree in one reverse sweep over the ``tape``, which is left as
-    it is, and the result is the conjugate of what reaches the parameter
-    tensors.  On real rows a slot's cotangent is ``d(g_v . v)/d(value)``; on
-    complex rows it is ``g`` with ``d Re(conj(g_v) . v) = Re sum(conj(g)
-    d(value))``.  A real array's ``conj()`` is the array itself.
-    """
-    grad = np.empty((len(g_v), batch.n_slots), np.result_type(tape[-1], g_v))
-    return Bound(batch, tape[0], len(g_v), grad, tape).backward(g_v)  # over the caller's tape
 
 
 # -- serialization --------------------------------------------------------

@@ -27,23 +27,23 @@ process for every later build on it:
   checks of :func:`~qnlp.circuit.layout`, and then compiles its blocks
   only; a tensor build's map stage is held per lowering config.
 
-Both engines take ``batch_forward(batch, x)``, giving each row's output
-``v`` and a tape, and ``batch_backward(batch, tape, g_v)``, which pulls the
-cotangent on the leading rows' ``v`` back to their slots; a
-:class:`~qnlp.tensornet.Bound` pass is that code bound once to its rows,
-its arrays held with its plan or model.  A sentence's weights are ``u =
-|v|**2`` (a circuit's unnormalized postselected output marginal).  A
-request (:meth:`_Model.score`) names several parameter points, each with a
-run of consecutive splits, and a label per row.  The map stage writes
-every point's words' tensors into the value vectors held with the
-request's plan, each group's held pass contracts every point's rows, and
-the request gives every row's ``u``; for a gradient, the first split's
-cotangent on ``u`` (:func:`_cotangent`) goes back through each group's
-tape to its slots, one ``np.bincount`` per value, so a word repeated in a
-sentence gets both terms, and the blocks' tapes to the parameters
-(:meth:`_Model._pull`).  :func:`_scores` reads ``u`` out as ``p = u /
-sum(u)`` and scores it, over a stack of requests at once.
-:mod:`qnlp.simulator`'s ``sentence_distribution`` and
+Each engine runs a batch only as a bound pass, ``Bound(batch, x, t)``,
+its arrays made once and held with a request's plan (a group's) or a
+model (a block's, per point count): ``forward()`` gives each row's output
+``v`` and ``backward(g_v)`` pulls the cotangent on the leading ``t`` rows'
+``v`` back to their slots, binding its reverse sweep's arrays on its first
+call.  A sentence's weights are ``u = |v|**2`` (a circuit's unnormalized
+postselected output marginal).  A request (:meth:`_Model.score`) names
+several parameter points, each with a run of consecutive splits, and a
+label per row.  The map stage writes every point's words' tensors into the
+value vectors held with the request's plan, each group's pass contracts
+every point's rows, and the request gives every row's ``u``; for a
+gradient, the first split's cotangent on ``u`` (:func:`_cotangent`) goes
+back through each group's pass to its slots, one ``np.bincount`` per
+value, so a word repeated in a sentence gets both terms, and through the
+blocks' passes to the parameters (:meth:`_Model._pull`).  :func:`_scores`
+reads ``u`` out as ``p = u / sum(u)`` and scores it, over a stack of
+requests at once.  :mod:`qnlp.simulator`'s ``sentence_distribution`` and
 ``distribution_gradient``, and :mod:`qnlp.tensornet`'s ``contract`` and
 ``gradient_hole``, are the per-sentence reference of these paths.
 
@@ -61,8 +61,9 @@ drawn before the call; under adaptive GD it reads train and dev at
 is epoch ``k - 1``'s dev readout (the first epoch's is not recorded), and
 the last epoch's dev readout and the test score share one closing request.
 A fit stacks each request's ``u`` with its shape's, reads per epoch only
-what its step needs (the gradient, or the probes' losses) behind a
-finiteness guard, and scores the history from the stacks once at the end;
+what its step needs (the gradient, or the probes' losses, with their
+degenerate counts) behind a finiteness guard, and scores the rest of the
+history, the train and dev columns, from the stacks once at the end;
 a tripped guard checks that request's splits in the order the epochs
 define, so a fit fails as a loop that scores one split per call does, and
 its histories are that loop's, bit for bit.
@@ -639,6 +640,7 @@ class _Block:
     params: np.ndarray  # ``params[i]``: word ``i``'s slots of the pass
     reads: object  # where the words' tensors sit in the pass's flat output
     cols: np.ndarray  # and in the value vector
+    width: int = 0  # the entries of a pass row's output
 
 
 class _Model:
@@ -665,55 +667,43 @@ class _Model:
         self._passes: dict[int, list] = {}  # per point count, per block (:meth:`_bound`)
 
     def _bound(self, points: int) -> list:
-        """Per block at ``points`` points, for a :mod:`qnlp.tensornet` one
-        its bound pass, the first point's words differentiated, and where
-        the pass's rows read the points' parameters; else None."""
+        """Per engine block at ``points`` points, its bound pass, the first
+        point's words differentiated, where the pass's rows read the points'
+        parameters, and the cotangent on the first point's rows' outputs,
+        zero where no value reads them; None for the other blocks."""
         if points not in self._passes:
-            self._passes[points] = [None if block.engine is not tensornet else (
-                tensornet.Bound(block.batch, np.empty((points * len(block.params),
-                                                       block.batch.n_slots)), len(block.params)),
-                (block.params + self.n_params * np.arange(points)[:, None, None]).reshape(
-                    -1, block.batch.n_slots)) for block in self._blocks]
+            self._passes[points] = passes = []
+            for block in self._blocks:  # stacked, not reshaped: a block may have no slots
+                index = np.concatenate([block.params + k * self.n_params for k in range(points)])
+                passes.append(None if block.engine is None else (
+                    block.engine.Bound(block.batch, np.empty(index.shape), len(block.params)),
+                    index, np.zeros((len(block.params), block.width), self.contraction.dtype)))
         return self._passes[points]
 
-    def _values(self, thetas: np.ndarray, values: np.ndarray, keep: bool) -> list:
+    def _values(self, thetas: np.ndarray, values: np.ndarray) -> list:
         """Write each point's words' tensors to its row of ``values``, in
-        one engine pass per block; per engine block, give its tape for
-        :meth:`_pull`: a :mod:`qnlp.tensornet` block's bound pass, and with
-        ``keep`` a circuit block's first point's outputs and pass's tape."""
-        tapes = []
-        for (block, params, cols), bound in zip(self._maps, self._bound(len(thetas))):
-            if bound is not None:
-                tape, index = bound
-                thetas.take(index, out=tape.values, mode="clip")
-                x = tape.forward().reshape(len(thetas), -1)
-            elif block.engine is None:
-                x, tape = thetas[:, params], None
+        one engine pass per block, and give the passes for :meth:`_pull`."""
+        passes = self._bound(len(thetas))
+        for (block, params, cols), bound in zip(self._maps, passes):
+            if bound is None:
+                values[:, cols] = thetas[:, params]
             else:
-                x, tape = block.engine.batch_forward(
-                    block.batch, thetas[:, params].reshape(len(thetas) * len(params), -1))
-                tape = (x[: len(params)], tape) if keep else None
-                x = x.reshape(len(thetas), -1)[:, block.reads]
-            values[:, cols] = x
-            tapes.append(tape)
-        return tapes
+                thetas.take(bound[1], out=bound[0].values, mode="clip")
+                values[:, cols] = bound[0].forward().reshape(len(thetas), -1)[:, block.reads]
+        return passes
 
-    def _pull(self, tapes: list, g: np.ndarray) -> np.ndarray:
+    def _pull(self, passes: list, g: np.ndarray) -> np.ndarray:
         """The parameter gradient at the first point of :meth:`_values`
-        from its words' cotangent ``g``, pulled back through each block
-        from its tape, zero on the pass's entries no value reads; every
-        parameter belongs to one word."""
+        from its words' cotangent ``g``, pulled back through each block's
+        pass; every parameter belongs to one word."""
         grad = np.zeros(self.n_params)
-        for (block, params, cols), tape in zip(self._maps, tapes):
-            if block.engine is None:
+        for (block, params, cols), bound in zip(self._maps, passes):
+            if bound is None:
                 grad[params] = g[cols]
-            elif isinstance(tape, tensornet.Bound):
-                grad[params] = tape.backward(g[cols].reshape(len(params), -1))
-            elif block.batch.n_slots:
-                v, tape = tape
-                g_v = np.zeros(v.shape, v.dtype)
+            else:
+                bound, _, g_v = bound
                 g_v.ravel()[block.reads] = g[cols]
-                grad[params] = block.engine.batch_backward(block.batch, tape, g_v)
+                grad[params] = bound.backward(g_v)
         return grad
 
     def score(self, points, labels: np.ndarray, grad: bool = False):
@@ -727,9 +717,9 @@ class _Model:
             if np.shape(vec) != (self.n_params,):
                 raise Error(f"expected {self.n_params} parameters, got {np.size(vec)}")
         plan = self.contraction.plan(runs)
-        tapes = self._values(np.array([vec for _, vec in points], dtype=float), plan.values, grad)
+        passes = self._values(np.array([vec for _, vec in points], dtype=float), plan.values)
         g, u = self.contraction.evaluate(plan, np.asarray(labels), grad)
-        return (None if g is None else self._pull(tapes, g)), u
+        return (None if g is None else self._pull(passes, g)), u
 
     def _split(self, name: str, theta: np.ndarray, labels: np.ndarray, grad: bool) -> tuple:
         """One split's request and its :func:`_scores`, a one-item stack."""
@@ -840,7 +830,7 @@ class CircuitModel(_Model):
                      * (1 << cod) + np.arange(1 << cod) for i, j in enumerate(js)]
             blocks.append(_Block(simulator, batch, offsets[js, None] + np.arange(batch.n_slots),
                                  np.concatenate(reads, axis=None),
-                                 np.concatenate([words[j][3] for j in js])))
+                                 np.concatenate([words[j][3] for j in js]), 1 << n_dom + cod))
         return cls(corpus.contractions[CircuitModel], symbols, [()] * len(symbols), blocks)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -883,7 +873,8 @@ class TensorModel(_Model):
             blocks = [_Block(None, None, np.concatenate(ids), None, np.concatenate(cols))
                       if shape is None else
                       _Block(tensornet, tensornet.compile_batch(net), np.array(ids), slice(None),
-                             np.concatenate(cols)) for shape, (net, ids, cols) in kinds.items()]
+                             np.concatenate(cols), math.prod(shape))
+                      for shape, (net, ids, cols) in kinds.items()]
             shapes = [node.shape for node in pieces]
             # a piece's entries are drawn at 1 / sqrt(its fan-in, every leg but the last)
             scales = np.repeat([1.0 / np.sqrt(math.prod(shape[:-1])) for shape in shapes],
@@ -932,8 +923,10 @@ class _Stack:
         self.u[k] = u
 
     def scores(self) -> list:
-        """Per split, its degenerate counts, mean losses and accuracies, one per request."""
-        return _scores(self.u, self.labels, self.ends)[1]
+        """Per split of the first run, its degenerate counts, mean losses and
+        accuracies, one per request."""
+        ends = self.ends[: len(self.runs[0])]
+        return _scores(self.u[:, : ends[-1]], self.labels[: ends[-1]], ends)[1]
 
 
 def fit(
@@ -965,7 +958,7 @@ def fit(
     else:
         raise ConfigError(f"unknown optimizer config: {cfg.optimizer!r}")
 
-    n = len(labels["train"])
+    n, probed = len(labels["train"]), 0  # the probes' degenerate readouts
     probes = (("train",),) * 2 if spsa is not None else ()
     # dev at an epoch's parameters is recorded as the previous epoch's
     epochs = _Stack(labels, (("train", "dev"), *probes), cfg.epochs,
@@ -985,7 +978,8 @@ def fit(
             grad, u = model.score([(epochs.runs[0], theta)], epochs.labels, True)
         epochs.put(epoch - 1, u, epoch)
         if spsa is not None:
-            _, [(_, losses, _)] = _scores(u[-2 * n :].reshape(2, n, 2), labels["train"], [n])
+            _, [(dead, losses, _)] = _scores(u[-2 * n :].reshape(2, n, 2), labels["train"], [n])
+            probed += int(dead.sum())
             theta = spsa.step(theta, *losses.tolist())
         else:
             theta = adaptive.step(theta, grad)
@@ -993,10 +987,10 @@ def fit(
     # the closing request: the last epoch's dev readout and the test score
     _, u = model.score([(closing.runs[0], theta)], closing.labels)
     closing.put(0, u, cfg.epochs)
-    (train, dev, *probed), (last, test) = epochs.scores(), closing.scores()
+    (train, dev), (last, test) = epochs.scores(), closing.scores()
     return History(
         train_loss=train[1].tolist(), val_loss=[*dev[1][1:].tolist(), *last[1].tolist()],
         train_acc=train[2].tolist(), val_acc=[*dev[2][1:].tolist(), *last[2].tolist()],
         test_acc=float(test[2][0]), final_params=theta,
         degenerate_evals=int(train[0].sum() + dev[0][1:].sum() + last[0][0] + test[0][0]
-                             + sum(counts.sum() for counts, *_ in probed)))
+                             + probed))

@@ -272,6 +272,14 @@ def five_point_difference(f: Callable[[np.ndarray], float], x: np.ndarray, h: fl
     return out
 
 
+def pull_back(engine, batch, values: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A fresh ``engine.Bound`` pass over ``values``: its forward, then its
+    pullback of the cotangent ``g`` on the leading ``len(g)`` rows."""
+    bound = engine.Bound(batch, values, len(g))
+    bound.forward()
+    return bound.backward(g)
+
+
 def split_loss(probs: np.ndarray, labels: np.ndarray, split: str, epoch: int) -> float:
     """Mean loss of a split; non-finite probabilities or a row count that
     differs from the split's fail the fit, as in ``training.fit``.
@@ -398,7 +406,7 @@ class PerStructureCircuitModel:
     """A circuit model that runs every sentence's whole circuit: each
     split's circuits of one :func:`circuit_structure_key` as one batch with
     no inputs, a row's two output amplitudes renormalized, and the
-    mean-loss gradient pulled back through ``simulator.batch_backward``
+    mean-loss gradient pulled back through a ``simulator.Bound`` pass
     from each row's amplitudes.  No word maps and no contraction.  It has
     ``eval_split`` and ``grad_split`` for :func:`reference_fit`, and the
     symbols and initial draw of ``model``."""
@@ -419,7 +427,7 @@ class PerStructureCircuitModel:
     def _read(self, name: str, theta: np.ndarray):
         amps = np.zeros((self.sizes[name], 2), dtype=complex)
         for batch, at, gather in self.groups[name]:
-            amps[at] = simulator.batch_forward(batch, theta[gather])[0]
+            amps[at] = simulator.Bound(batch, theta[gather]).forward()
         u = amps.real**2 + amps.imag**2
         norm = u.sum(axis=1)
         dead = norm < training.DEGENERATE_EPS
@@ -440,8 +448,9 @@ class PerStructureCircuitModel:
         g = np.where(dead[:, None], 0.0, 2.0 * c * amps)
         grad = np.zeros(self.n_params)
         for batch, at, gather in self.groups[name]:
-            _, tape = simulator.batch_forward(batch, theta[gather])
-            np.add.at(grad, gather, simulator.batch_backward(batch, tape, g[at]))
+            bound = simulator.Bound(batch, theta[gather], len(at))
+            bound.forward()
+            np.add.at(grad, gather, bound.backward(g[at]))
         return grad, probs, int(dead.sum())
 
 
@@ -517,11 +526,12 @@ def reference_tensor_groups(nets_by_split: dict[str, list]) -> tuple[dict, list[
 
 
 def reference_backward(batch, tape, g_v) -> np.ndarray:
-    """``tensornet.batch_backward`` by the uncompiled rule: the leading
-    ``t`` rows of every tape node sliced and, on complex rows, conjugated
-    up front, and each input's cotangent from the step's cotangent and the
-    step's other inputs as ``forward`` lists them, kept in a dict by node
-    number; ``sweep`` gives each input's einsum and identity bridges only."""
+    """``tensornet.Bound.backward`` by the uncompiled rule: the leading
+    ``t = len(g_v)`` rows of every node of a pass's ``tape`` sliced and, on
+    complex rows, conjugated up front, and each input's cotangent from the
+    step's cotangent and the step's other inputs as ``forward`` lists them,
+    kept in a dict by node number; ``sweep`` gives each input's einsum and
+    identity bridges only."""
     t = len(g_v)
     nodes = [node[:t] for node in tape]
     if np.iscomplexobj(tape[-1]):

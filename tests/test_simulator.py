@@ -17,17 +17,18 @@ from qnlp.circuit import (
     GateKind,
     Symbol,
     compile_circuit,
+    word_block,
 )
+from qnlp import simulator
 from qnlp.errors import Error
 from qnlp.pregroup import parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 from qnlp.simulator import (
     SURVIVAL_EPS,
+    Bound,
     IndexOutOfRange,
     WrongOutputArity,
     apply,
-    batch_backward,
-    batch_forward,
     compile_batch,
     distribution_gradient,
     sentence_distribution,
@@ -38,6 +39,7 @@ from oracles import (
     circuit_structure_key,
     finite_difference,
     five_point_difference,
+    pull_back,
     reference_gather,
     reference_map,
 )
@@ -295,10 +297,13 @@ class TestCompileBatches:
         circuit = Circuit(3, (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.H, (2,))), (2,),
                           (1, 0), ())
         batch = compile_batch(circuit, 1)
-        maps, _ = batch_forward(batch, np.zeros((1, 0)))
+        bound = Bound(batch, np.zeros((1, 0)), 1)
+        maps = bound.forward()
         want = np.zeros((2, 2, 2))
         want[0, 0, 0] = want[1, 1, 1] = 1 / np.sqrt(2)
         np.testing.assert_allclose(maps, want.reshape(1, -1), rtol=0, atol=1e-15)
+        # a batch of no slots pulls back to no terms
+        assert bound.backward(np.ones_like(maps)).shape == (1, 0)
 
     def test_groups_by_structure(self):
         other = Symbol("x", "->s", 0)
@@ -386,6 +391,13 @@ def angles_of(circuits, rng) -> tuple[np.ndarray, np.ndarray, dict]:
     return theta, theta[reference_gather(circuits, offsets)], offsets
 
 
+def written(bound: Bound) -> list:
+    """Every array a pass writes: its angles, its state and the angles of
+    every state row, then its reverse sweep's buffer, inverse angles and
+    terms."""
+    return [bound.values, bound.state, bound.angles, *bound.sweep]
+
+
 class TestBatchProperties:
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(case=random_circuits(one_output=True), seed=st.integers(0, 2**32 - 1))
@@ -397,7 +409,8 @@ class TestBatchProperties:
         theta, angles, offsets = angles_of(circuits, rng)
         assert len({circuit_structure_key(c) for c in circuits}) == 1
         batch = compile_batch(circuits[0], 0)
-        amps, tape = batch_forward(batch, angles)
+        bound = Bound(batch, angles, len(angles))
+        amps = bound.forward()
         n = np.abs(amps) ** 2
         # a random upstream g_p on p = N / D per row, chained to N as the
         # model's pullback does, and to the amplitudes as 2 amps g_u
@@ -406,9 +419,9 @@ class TestBatchProperties:
         alive = d[:, 0] >= SURVIVAL_EPS
         p = n / np.where(alive[:, None], d, 1.0)
         upstream = np.where(alive[:, None], (g_p - (g_p * p).sum(axis=1, keepdims=True)) / d, g_p)
-        vjp = batch_backward(batch, tape, 2.0 * amps * upstream)
-        # the reverse sweep leaves the forward's tape as it was
-        assert batch_backward(batch, tape, 2.0 * amps * upstream).tobytes() == vjp.tobytes()
+        vjp = bound.backward(2.0 * amps * upstream)
+        # the reverse sweep leaves the forward's state as it was
+        assert bound.backward(2.0 * amps * upstream).tobytes() == vjp.tobytes()
         assert vjp.shape == angles.shape
         for r, c in enumerate(circuits):
             x = theta[[offsets[s] for s in c.symbols]]
@@ -431,7 +444,8 @@ class TestBatchProperties:
         rng = np.random.default_rng(seed)
         theta, angles, offsets = angles_of(circuits, rng)
         batch = compile_batch(circuits[0], n_dom)
-        maps, tape = batch_forward(batch, angles)
+        bound = Bound(batch, angles, len(angles))
+        maps = bound.forward()
         n_out = len(circuits[0].outputs)
         assert maps.shape == (len(circuits), 2 ** (n_dom + n_out)) and maps.dtype == complex
         for r, c in enumerate(circuits):
@@ -439,12 +453,12 @@ class TestBatchProperties:
             np.testing.assert_allclose(maps[r], want, rtol=0, atol=1e-12)
         # every slot on its own, differentiated numerically: Re <g, map>
         g = rng.normal(size=maps.shape) + 1j * rng.normal(size=maps.shape)
-        vjp = batch_backward(batch, tape, g)
+        vjp = bound.backward(g)
         # pulling back only the leading row reads the same terms for it
-        led = batch_backward(batch, tape, g[:1])
+        led = pull_back(simulator, batch, angles, g[:1])
         np.testing.assert_allclose(led, vjp[:1], rtol=1e-12, atol=1e-15)
         fd = five_point_difference(
-            lambda a: float(np.vdot(g, batch_forward(batch, a.reshape(angles.shape))[0]).real),
+            lambda a: float(np.vdot(g, Bound(batch, a.reshape(angles.shape)).forward()).real),
             angles.ravel(),
         )
         np.testing.assert_allclose(vjp.ravel(), fd, rtol=0, atol=1e-6)
@@ -452,21 +466,32 @@ class TestBatchProperties:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(case=random_circuits(), seed=st.integers(0, 2**32 - 1), lead=st.integers(1, 3))
     def test_backward_from_a_stored_tape(self, case, seed, lead):
-        # the leading rows' terms from the tape of a pass over more rows,
-        # kept while another pass runs, equal those after a fresh pass over
-        # the leading rows alone, bit for bit
+        # a held pass keeps its state as its tape: at A, then B, then A
+        # again it gives A's maps, and its leading rows' terms after its own
+        # forward equal those of a fresh pass over those rows alone, bit for
+        # bit, while another pass on the batch runs between; the two passes
+        # share no array
         circuits, n_dom = case
         rng = np.random.default_rng(seed)
         _, angles, _ = angles_of(circuits, rng)
         batch = compile_batch(circuits[0], n_dom)
-        rows = np.concatenate([angles, angles[::-1]])
-        lead = min(lead, len(angles))
-        maps, tape = batch_forward(batch, rows)
-        batch_forward(batch, rows[::-1])
-        g = rng.normal(size=(lead, maps.shape[1])) + 1j * rng.normal(size=(lead, maps.shape[1]))
-        stored = batch_backward(batch, tape, g)
-        fresh = batch_backward(batch, batch_forward(batch, rows[:lead])[1], g)
-        assert stored.tobytes() == fresh.tobytes()
+        a = np.concatenate([angles, angles[::-1]])
+        b = rng.uniform(0, 2 * np.pi, size=a.shape)
+        lead = min(lead, len(a))
+        held, other = Bound(batch, a.copy(), lead), Bound(batch, b, lead)
+        first = held.forward().copy()
+        g = rng.normal(size=(lead, first.shape[1])) + 1j * rng.normal(size=(lead, first.shape[1]))
+        fresh = pull_back(simulator, batch, a[:lead], g)
+        assert held.backward(g).tobytes() == fresh.tobytes()
+        for values in (b, a):
+            held.values[...] = values
+            maps = held.forward()
+            other.forward()
+            other.backward(g)
+        assert maps.tobytes() == first.tobytes()
+        assert held.backward(g).tobytes() == fresh.tobytes()
+        for x in written(held):
+            assert not any(np.shares_memory(x, y) for y in written(other))
 
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(case=random_circuits(), seed=st.integers(0, 2**32 - 1),
@@ -478,7 +503,48 @@ class TestBatchProperties:
         _, angles, _ = angles_of(circuits, np.random.default_rng(seed))
         batch = compile_batch(circuits[0], n_dom)
         rows = [r % len(circuits) for r in picks]
-        together = batch_forward(batch, angles[rows])[0]
+        together = Bound(batch, angles[rows]).forward()
         for i, r in enumerate(rows):
-            alone = batch_forward(batch, angles[r : r + 1])[0]
+            alone = Bound(batch, angles[r : r + 1]).forward()
             assert together[i : i + 1].tobytes() == alone.tobytes()
+
+
+class TestBlockMaps:
+    """Word blocks' maps, one row each, entry by entry."""
+
+    @pytest.mark.parametrize("kind", tuple(CircuitAnsatz), ids=lambda k: k.value)
+    def test_word_block_maps_are_gate_by_gate_amplitudes(self, kind):
+        # each entry of a one-row map, unnormalized, is the amplitude the
+        # block's gates, applied one by one with ``apply``, give from its
+        # input basis state: so a scale on the maps, which a readout
+        # normalizes away, shows here
+        rng = np.random.default_rng(len(kind.value))
+        for k, cod in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3)):
+            gates, symbols = word_block("w", "t", tuple(range(k)), CircuitAnsatzConfig(kind, 2, 3))
+            block = Circuit(k, tuple(gates), tuple(range(cod, k)), tuple(range(cod)),
+                            tuple(symbols))
+            theta = rng.uniform(0, 2 * np.pi, size=len(symbols))
+            for n_dom in range(k + 1):
+                maps = Bound(compile_batch(block, n_dom), theta[None]).forward()
+                want = reference_map(block, theta, n_dom)
+                assert maps.shape == (1, len(want))
+                np.testing.assert_allclose(maps[0], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_blocks_of_no_slots_build_and_run(self, k):
+        # an L0 block of several qubits, or one qubit at no rotations, has
+        # no gates: each of its rows maps an input basis state to itself at
+        # the outputs, the others read at 0, and pulls back to no terms
+        ansatz = CircuitAnsatzConfig(CircuitAnsatz.SIM14, 0, 0)
+        gates, symbols = word_block("w", "t", tuple(range(k)), ansatz)
+        assert gates == symbols == []
+        for cod in range(1, k + 1):
+            block = Circuit(k, (), tuple(range(cod, k)), tuple(range(cod)), ())
+            for n_dom in range(k + 1):
+                batch = compile_batch(block, n_dom)
+                assert batch.n_slots == 0
+                bound = Bound(batch, np.empty((3, 0)), 2)
+                maps = bound.forward()
+                want = reference_map(block, np.zeros(0), n_dom)
+                assert maps.shape == (3, len(want)) and (maps == want).all()
+                assert bound.backward(maps[:2]).shape == (2, 0)

@@ -25,8 +25,7 @@ from qnlp.tensornet import (
     SpiderCopyNode,
     TensorAnsatz,
     TensorAnsatzConfig,
-    batch_backward,
-    batch_forward,
+    Bound,
     compile_batch,
     compile_network,
     contract,
@@ -38,8 +37,8 @@ from qnlp.tensornet import (
     validate_network,
 )
 
-from oracles import (WireDims, box_shape, eval_tensor, finite_difference, random_assignment,
-                     reference_backward, reference_tensor_gather, tensor_train)
+from oracles import (WireDims, box_shape, eval_tensor, finite_difference, pull_back,
+                     random_assignment, reference_backward, reference_tensor_gather, tensor_train)
 
 N = SimpleType(Base.N, 0)
 
@@ -464,18 +463,19 @@ def check_batches_against_reference(nets: list[Network], rng) -> list:
         assert batch.forward[-1][0].endswith("->" + out)
         assert gather.shape == (len(rows), batch.n_slots)
         values = theta[gather]
-        v, tape = batch_forward(batch, values)
+        bound = Bound(batch, values, len(rows))
+        v = bound.forward().copy()
         assert v.shape == (len(rows), math.prod(batch.out_shape))
         up = rng.standard_normal(v.shape)  # the cotangent of v
-        terms = batch_backward(batch, tape, up)
+        terms = bound.backward(up).copy()
         # the reverse sweep leaves the forward's tape as it was
-        np.testing.assert_array_equal(batch_backward(batch, tape, up), terms)
+        np.testing.assert_array_equal(bound.backward(up), terms)
         assert terms.shape == gather.shape
         grad = np.zeros_like(theta)
         np.add.at(grad, gather, terms)
         # pulling back only the leading row reads the same terms for it
-        led = batch_backward(batch, tape, up[:1])
-        np.testing.assert_array_equal(batch_forward(batch, values)[0], v)
+        led = pull_back(tensornet, batch, values, up[:1])
+        np.testing.assert_array_equal(Bound(batch, values).forward(), v)
         np.testing.assert_allclose(led, terms[:1], rtol=1e-12, atol=1e-15)
         want = np.zeros_like(theta)
         for r, i in enumerate(rows):
@@ -495,8 +495,8 @@ def bridges(batch) -> dict[int, int]:
 
 
 class TestBatches:
-    """structure_key, compile_batch, batch_forward and batch_backward against
-    the per-network reference."""
+    """structure_key, compile_batch and a bound pass's forward and backward
+    against the per-network reference."""
 
     @pytest.mark.parametrize("kind", tuple(TensorAnsatz), ids=lambda k: k.value)
     def test_corpus_matches_per_network_reference(self, kind, corpus_diagrams, rng):
@@ -664,9 +664,9 @@ def check_rows_alone_and_together(batch, rng, complex_rows, picks) -> None:
     values = rng.standard_normal((max(picks) + 1, batch.n_slots))
     if complex_rows:
         values = values + 1j * rng.standard_normal(values.shape)
-    together = batch_forward(batch, values[picks])[0]
+    together = Bound(batch, values[picks]).forward()
     for i, r in enumerate(picks):
-        assert together[i : i + 1].tobytes() == batch_forward(batch, values[r : r + 1])[0].tobytes()
+        assert together[i : i + 1].tobytes() == Bound(batch, values[r : r + 1]).forward().tobytes()
 
 
 QUBITS = TensorAnsatzConfig(TensorAnsatz.TENSOR)  # a dense tensor per box, 2 per wire
@@ -696,15 +696,15 @@ class TestWordMaps:
         values = rng.standard_normal((4, batch.n_slots))
         g = rng.standard_normal((4, math.prod(shape)))
         picks = [3, 0, 3, 1, 2, 0]
-        together, tape = batch_forward(batch, values[picks])
-        terms = batch_backward(batch, tape, g[picks])
-        np.testing.assert_array_equal(batch_forward(batch, values[picks])[0], together)
+        bound = Bound(batch, values[picks], len(picks))
+        together, terms = bound.forward(), bound.backward(g[picks])
+        np.testing.assert_array_equal(Bound(batch, values[picks]).forward(), together)
         store = {node.symbol: values[0, cols].reshape(node.shape)
                  for node, cols in zip(nodes, batch.columns)}
         np.testing.assert_allclose(together[1], contract(net, store).ravel(), rtol=0, atol=1e-13)
         for i, r in enumerate(picks):
-            alone, tape = batch_forward(batch, values[r : r + 1])
-            alone_terms = batch_backward(batch, tape, g[r : r + 1])
+            bound = Bound(batch, values[r : r + 1], 1)
+            alone, alone_terms = bound.forward(), bound.backward(g[r : r + 1])
             assert together[i : i + 1].tobytes() == alone.tobytes()
             assert terms[i : i + 1].tobytes() == alone_terms.tobytes()
 
@@ -712,19 +712,35 @@ class TestWordMaps:
     @pytest.mark.parametrize("lowering", SPLITS, ids=lambda c: f"{c.kind.value}-bond{c.bond_dim}"
                              if c.kind is TensorAnsatz.MPS else f"spider-legs{c.max_legs}")
     def test_backward_from_a_stored_tape(self, lowering):
-        # a map stage keeps its blocks' tapes while the contraction runs:
-        # the terms from a stored tape equal those after a fresh pass, bit
-        # for bit
+        # a map stage holds a pass per block and point count, its tape
+        # stored: at A, then B, then A again it gives A's maps, and its
+        # terms after its own forward equal a fresh pass's, bit for bit,
+        # while another pass on the batch runs between; the two passes
+        # share no array they write
         rng = np.random.default_rng(0)
         nodes, edges, legs = tensornet._lower_word(Symbol("w", "n", 0), (2, 3, 2, 2), lowering, 0)
         batch = compile_batch(Network(tuple(nodes), tuple(edges), tuple(legs)))
-        values = rng.standard_normal((5, batch.n_slots))
-        g = rng.standard_normal((5, math.prod(batch.out_shape)))
-        _, tape = batch_forward(batch, values)
-        batch_forward(batch, 2.0 * values[::-1])
-        stored = batch_backward(batch, tape, g)
-        fresh = batch_backward(batch, batch_forward(batch, values)[1], g)
-        assert stored.tobytes() == fresh.tobytes()
+        a, b = rng.standard_normal((2, 5, batch.n_slots))
+        g = rng.standard_normal((3, math.prod(batch.out_shape)))
+        held, other = Bound(batch, a.copy(), 3), Bound(batch, b, 3)
+        first = held.forward().copy()
+        fresh = pull_back(tensornet, batch, a[:3], g).copy()
+        assert held.backward(g).tobytes() == fresh.tobytes()
+        for values in (b, a):
+            held.values[...] = values
+            v = held.forward()
+            other.forward()
+            other.backward(g)
+        assert v.tobytes() == first.tobytes()
+        assert held.backward(g).tobytes() == fresh.tobytes()
+        for x in written(held):
+            assert not any(np.shares_memory(x, y) for y in written(other))
+
+
+def written(bound: Bound) -> list:
+    """Every array a pass writes: its values and tape, then its reverse
+    sweep's cotangents."""
+    return [bound.values, *bound.tape, bound.grad, *(out for *_, out in bound.sweep)]
 
 
 class TestComplexRows:
@@ -746,15 +762,16 @@ class TestComplexRows:
                       + 1j * rng.standard_normal(box_shape(box, WireDims()))
                       for b, box in enumerate(diagrams[r].boxes)} for r in rows]
             values = np.array([np.concatenate([t.ravel() for t in row.values()]) for row in boxes])
-            v, tape = batch_forward(batch, values)
+            bound = Bound(batch, values, len(values))
+            v = bound.forward()
             for i, r in enumerate(rows):
                 want = eval_tensor(diagrams[r], boxes[i]).ravel()
                 np.testing.assert_allclose(v[i], want, rtol=1e-12, atol=1e-12)
             g_v = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-            terms = batch_backward(batch, tape, g_v)
+            terms = bound.backward(g_v)
 
             def loss(x):
-                return float(np.vdot(g_v, batch_forward(batch, x.reshape(values.shape))[0]).real)
+                return float(np.vdot(g_v, Bound(batch, x.reshape(values.shape)).forward()).real)
 
             for part, unit in ((terms.real, 1.0), (terms.imag, 1j)):
                 fd = finite_difference(lambda x: loss(values + unit * x.reshape(values.shape)),
@@ -810,10 +827,10 @@ class TestTape:
         # holds those rows of the five-row pass's node
         for batch in corpus_batches(corpus_diagrams) + word_batches():
             values = rng.standard_normal((5, batch.n_slots))
-            _, tape = batch_forward(batch, values)
-            _, picked = batch_forward(batch, values[[3, 0]])
-            assert len(tape) == len(batch.shapes) + len(batch.forward)
-            for node, part in zip(tape, picked):
+            every, picked = Bound(batch, values), Bound(batch, values[[3, 0]])
+            every.forward(), picked.forward()
+            assert len(every.tape) == len(batch.shapes) + len(batch.forward)
+            for node, part in zip(every.tape, picked.tape):
                 assert node.shape[0] == 5 and part.shape[0] == 2
                 np.testing.assert_allclose(part, node[[3, 0]], rtol=1e-13, atol=1e-13)
 
@@ -826,25 +843,27 @@ class TestTape:
             values = rng.standard_normal((4, batch.n_slots))
             if complex_rows:
                 values = values + 1j * rng.standard_normal(values.shape)
-            v, tape = batch_forward(batch, values)
             for t in (4, 2):
+                bound = Bound(batch, values, t)
+                v = bound.forward()
                 g_v = rng.standard_normal((t, v.shape[1]))
                 if complex_rows:
                     g_v = g_v + 1j * rng.standard_normal(g_v.shape)
-                terms = batch_backward(batch, tape, g_v)
+                terms = bound.backward(g_v)
                 assert terms.dtype == values.dtype
-                assert terms.tobytes() == reference_backward(batch, tape, g_v).tobytes()
+                assert terms.tobytes() == reference_backward(batch, bound.tape, g_v).tobytes()
 
     def test_real_rows_pull_back_to_a_real_array(self, corpus_diagrams, rng):
         # a real array's conjugate is itself, so real rows pull back to a
         # real array with the conjugated sibling rule's bits
         for batch in corpus_batches(corpus_diagrams) + word_batches():
             values = rng.standard_normal((4, batch.n_slots))
-            v, tape = batch_forward(batch, values)
+            bound = Bound(batch, values, 3)
+            v = bound.forward()
             g_v = rng.standard_normal((3, v.shape[1]))
-            terms = batch_backward(batch, tape, g_v)
+            terms = bound.backward(g_v)
             assert terms.dtype == np.float64
-            assert terms.tobytes() == reference_backward(batch, tape, g_v).tobytes()
+            assert terms.tobytes() == reference_backward(batch, bound.tape, g_v).tobytes()
 
     @pytest.mark.parametrize("factor", (0.5, 2.0 ** -1.5))
     def test_replaced_factor_scales_both_passes(self, factor, corpus_diagrams, rng):
@@ -853,13 +872,12 @@ class TestTape:
         for batch in corpus_batches(corpus_diagrams) + word_batches():
             scaled = dataclasses.replace(batch, factor=factor)
             values = rng.standard_normal((4, batch.n_slots))
-            v, tape = batch_forward(batch, values)
-            w, scaled_tape = batch_forward(scaled, values)
+            v, w = Bound(batch, values).forward(), Bound(scaled, values).forward()
             assert w.tobytes() == (v * factor).tobytes()
             g_v = rng.standard_normal((3, v.shape[1]))
-            terms = batch_backward(scaled, scaled_tape, g_v)
-            assert terms.tobytes() == batch_backward(batch, tape, g_v * factor).tobytes()
-            np.testing.assert_allclose(terms, batch_backward(batch, tape, g_v) * factor,
+            terms = pull_back(tensornet, scaled, values, g_v)
+            assert terms.tobytes() == pull_back(tensornet, batch, values, g_v * factor).tobytes()
+            np.testing.assert_allclose(terms, pull_back(tensornet, batch, values, g_v) * factor,
                                        rtol=1e-12, atol=1e-15)
 
 

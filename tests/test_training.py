@@ -938,7 +938,7 @@ def value_rows(model, thetas: np.ndarray) -> np.ndarray:
     contraction = model.contraction
     values = np.zeros((len(thetas), contraction.n_values), contraction.dtype)
     values[:, contraction.n_word_values:] = contraction.pads
-    model._values(thetas, values, False)
+    model._values(thetas, values)
     return values
 
 
@@ -979,7 +979,7 @@ def assert_groups_contract_rows(model, nets_by_split: dict, start: dict, cup_wei
         assert batch.factor == pytest.approx(want.factor * cup_weight ** cup_count(host),
                                              rel=1e-15)
         assert [s for s, _ in batch.forward] == [s for s, _ in want.forward]
-        v, _ = tensornet.batch_forward(batch, values[gather])
+        v = tensornet.Bound(batch, values[gather]).forward()
         for row, p in zip(v, at.tolist()):
             store = {n.symbol: values[start[n.symbol.word, n.symbol.type_fingerprint]:][
                 :math.prod(n.shape)].reshape(n.shape)
@@ -1225,8 +1225,9 @@ class TestRequestWork:
     """A gradient request runs each map block and each group forward once,
     then one scoring pass over its rows, which also gives the
     differentiated split's cotangent; the map stage's pullback reads the
-    blocks' tapes and runs no forward pass of its own.  A fit scores each
-    of its requests in one pass."""
+    blocks' held passes and runs no forward pass of its own.  A fit scores
+    each of its requests in one pass, and binds a reverse sweep only where
+    it differentiates."""
 
     @pytest.mark.parametrize("cfg", (TINY_ANSATZ, *map(TensorAnsatzConfig, KINDS)),
                              ids=("circuit", *(k.value for k in KINDS)))
@@ -1277,9 +1278,9 @@ class TestRequestWork:
     @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
     @pytest.mark.parametrize("epochs", (1, 4))
     def test_one_scoring_pass_per_fit_request(self, make, optimizer, epochs, monkeypatch):
-        # the history: one pass over the epochs' stack and one over the
-        # closing request's; under SPSA also each epoch's probe pair, which
-        # its step reads
+        # under SPSA each epoch's probe pair, which its step reads, and
+        # then the history: one pass over the train and dev columns of the
+        # epochs' stack and one over the closing request's
         model, passes, scores = make(), [], training._scores
         monkeypatch.setattr(training, "_scores", lambda *args: passes.append(args[0].shape)
                             or scores(*args))
@@ -1287,7 +1288,32 @@ class TestRequestWork:
         train, dev, test = (len(lset) for lset in tiny_splits())
         spsa = isinstance(optimizer, SPSAConfig)
         want = [(2, train, 2)] * epochs if spsa else []
-        assert passes == want + [(epochs, (3 if spsa else 1) * train + dev, 2), (1, dev + test, 2)]
+        assert passes == want + [(epochs, train + dev, 2), (1, dev + test, 2)]
+
+    @pytest.mark.parametrize("make", (circuit_model, lambda: tensor_model(TensorAnsatz.MPS)),
+                             ids=("circuit", "mps"))
+    def test_only_differentiated_requests_bind_a_reverse_sweep(self, make, monkeypatch):
+        # a held pass binds its reverse sweep's arrays on its first
+        # backward: none under SPSA, which differentiates nothing, and under
+        # adaptive GD those of the epoch request's groups and of the map
+        # stage at one point, never the closing request's
+        for optimizer in (SPSAConfig(), AdaptiveGDConfig()):
+            model = make()
+            monkeypatch.setattr(model.contraction, "requests", {})
+            fit(model, tiny_splits(), TrainConfig(epochs=2, optimizer=optimizer))
+            gd = isinstance(optimizer, AdaptiveGDConfig)
+            plans = model.contraction.requests
+            epoch = (("train", "dev"),) if gd else (("train", "dev"), ("train",), ("train",))
+            assert list(plans) == [epoch, (("dev", "test"),)]
+            swept = {runs: [bound.sweep is not None for bound, *_ in plan.groups]
+                     for runs, plan in plans.items()}
+            assert swept == {runs: [gd and runs[0] == ("train", "dev") and len(first) > 0
+                                    for _, _, first, _ in plan.groups]
+                             for runs, plan in plans.items()}
+            assert any(any(row) for row in swept.values()) == gd
+            blocks = {points: [bound[0].sweep is not None for bound in passes if bound]
+                      for points, passes in model._passes.items()}
+            assert blocks and blocks == {points: [gd] * len(row) for points, row in blocks.items()}
 
 
 class TestModelSurface:
@@ -1947,7 +1973,7 @@ class TestCircuitOracle:
         values = value_rows(model, theta[None])[0]
         amps = np.empty((sum(contraction.sizes.values()), 2), dtype=complex)
         for group in contraction.groups:
-            amps[group.at] = tensornet.batch_forward(group.batch, values[group.gather])[0]
+            amps[group.at] = tensornet.Bound(group.batch, values[group.gather]).forward()
         pos = {s: i for i, s in enumerate(model.symbols)}
         diagrams = [d for ds in TestFrontEndMemo.fresh(splits, mc_lexicon, scheme).values()
                     for d in ds]
@@ -1977,7 +2003,7 @@ class TestCircuitOracle:
         values = value_rows(model, theta[None])[0]
         u = np.empty((sum(contraction.sizes.values()), 2))
         for group in contraction.groups:
-            v = tensornet.batch_forward(group.batch, values[group.gather])[0]
+            v = tensornet.Bound(group.batch, values[group.gather]).forward()
             assert v.dtype == complex
             u[group.at] = v.real**2 + v.imag**2
         bounds = np.cumsum([0, *contraction.sizes.values()]).tolist()
@@ -2069,7 +2095,7 @@ class TestCircuitOracle:
             for a, n, end in zip(angles, counts, np.cumsum(counts)):
                 own = dataclasses.replace(batch, n_dom=int(n).bit_length() - 1 - cod)
                 inputs.add((batch.n_dom, own.n_dom))
-                want = simulator.batch_forward(own, theta[a][None])[0].ravel()
+                want = simulator.Bound(own, theta[a][None]).forward().ravel()
                 assert values[cols[end - n:end]].tobytes() == want.tobytes()
         assert inputs == {(0, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
 
@@ -2266,7 +2292,10 @@ class TestPaddedGroups:
 
     @pytest.mark.parametrize("cell", [(CircuitAnsatz.IQP, 1, 1), (CircuitAnsatz.SIM14, 2, 2),
                                       (CircuitAnsatz.SIM15, 1, 2),
-                                      (CircuitAnsatz.STRONGLY_ENTANGLING, 2, 1)],
+                                      (CircuitAnsatz.STRONGLY_ENTANGLING, 2, 1),
+                                      # blocks of no slots: the words' of two qubits at
+                                      # L0, then those of one at no rotations
+                                      (CircuitAnsatz.IQP, 0, 2), (CircuitAnsatz.SIM14, 1, 0)],
                              ids=lambda c: f"{c[0].value}-L{c[1]}-r{c[2]}")
     def test_adaptive_gd_matches_per_structure_model(self, cell, mc_lexicon, rng):
         # the two sum their gradient terms in other orders, so within 1e-12
