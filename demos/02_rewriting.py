@@ -4,8 +4,8 @@ Rewriting diagrams before compilation
 
 """
 
+from qnlp.circuit import layout
 from qnlp.corpus import default_lexicon
-from qnlp.diagram import count_stats
 from qnlp.pregroup import parse_sentence
 from qnlp.rewrite import RewriteScheme, rewrite
 
@@ -14,12 +14,13 @@ diagram = parse_sentence(["skillful", "man", "prepares", "tasty", "sauce"], lexi
 
 # Each scheme is a pipeline of passes; "re" leaves the parse untouched,
 # the "cur" stages bend verb and adjective wires so fewer cups remain.
+# The layout places the rewritten diagram on qubits, as a circuit build does.
 for scheme in RewriteScheme:
     out = rewrite(diagram, scheme)
-    stats = count_stats(out)
+    placed = layout(out)
     kinds = [box.kind.value for box in out.boxes]
-    print(f"{scheme.value:16s} cups={stats.n_cups} width={stats.max_width} "
-          f"open={stats.open_types} boxes={kinds}")
+    print(f"{scheme.value:16s} cups={out.n_cups} open={out.open_types()} boxes={kinds} "
+          f"qubits={placed.n_qubits} postselected={len(placed.postselect)}")
 
-# Fewer cups means fewer postselected qubits later: each cup costs a
+# Fewer cups means fewer postselected qubits: each cup costs a
 # Bell-effect measurement when the diagram becomes a circuit.

@@ -314,36 +314,6 @@ def validate(d: Diagram) -> list[Violation]:
     return out
 
 
-# -- statistics -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagramStats:
-    n_boxes: int
-    n_cups: int
-    max_width: int
-    open_types: PregroupType
-
-
-def count_stats(d: Diagram) -> DiagramStats:
-    """Box, cup, and width statistics of a diagram.
-
-    Width is the largest number of simultaneously live wires during a
-    top-to-bottom sweep in topological box order: cap wires are live from
-    the start, a wire consumed by a box dies when that box fires, and wires
-    feeding cups or outputs stay live to the bottom.
-    """
-    if not d.boxes and not d.wires:
-        return DiagramStats(0, 0, 0, PregroupType(()))
-    live = {w for w, wire in enumerate(d.wires) if wire.producer.owner == "cap"}
-    width = len(live)
-    for b in d.topological_boxes():
-        live -= set(d.dom_wires(b))
-        live |= set(d.cod_wires(b))
-        width = max(width, len(live))
-    return DiagramStats(len(d.boxes), d.n_cups, width, d.open_types())
-
-
 # -- serialization --------------------------------------------------------
 
 

@@ -136,7 +136,6 @@ def ty(expr: str) -> PregroupType:
 N = SimpleType(Base.N)
 S = SimpleType(Base.S)
 SENTENCE = PregroupType((S,))
-NOUN = PregroupType((N,))
 
 
 class Lexicon:
@@ -171,9 +170,6 @@ class Lexicon:
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":

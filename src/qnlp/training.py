@@ -98,11 +98,13 @@ from qnlp.tensornet import contract, gradient_hole  # noqa: F401
 
 PROB_CLIP = 1e-7
 DEGENERATE_EPS = simulator.SURVIVAL_EPS  # the simulator's rule: a norm below it reads uniform
+# a row reads class 1 only if ``p1 - p0 > TIE_EPS``: probabilities equal in
+# exact arithmetic differ by rounding, and a tie reads as class 0
 TIE_EPS = 1e-12
 
 
 class EmptyEvalSet(Error):
-    """Accuracy or loss over zero sentences is undefined."""
+    """A gradient or a fit split over zero sentences is undefined."""
 
 
 class TooFewEpochs(Error):
@@ -125,35 +127,15 @@ def bce_loss(probs, label):
 
     ``probs`` is a ``(B, 2)`` array with ``(B,)`` labels, giving ``(B,)``
     per-row losses, or one ``(2,)`` distribution with an int label, giving
-    a float.  A fit's requests compute the same loss in :func:`_scores`;
-    this is for readouts from :meth:`_Model.eval_split` and
-    :meth:`_Model.grad_split` and for callers that score one sentence at a
-    time, such as a per-sentence reference loss.
+    a float.  A fit scores its requests in :func:`_scores`, which gives the
+    same loss; this scores readouts of :meth:`_Model.eval_split` and
+    :meth:`_Model.grad_split` outside a fit, such as a per-sentence
+    reference loss or the benchmark's finite-difference gradient check.
     """
     p = np.asarray(probs, dtype=float)
     picked = np.where(np.asarray(label) != 0, p[..., 1], p[..., 0])
     loss = -np.log(np.clip(picked, PROB_CLIP, 1.0 - PROB_CLIP))
     return float(loss) if loss.ndim == 0 else loss
-
-
-def predict(probs):
-    """Argmax per distribution; ``|p1 - p0| <= TIE_EPS`` is a tie, read as 0.
-
-    Probabilities equal in exact arithmetic differ by rounding, so the
-    tolerance keeps the per-sentence and batched paths on one class.
-    """
-    p = np.asarray(probs, dtype=float)
-    cls = (p[..., 1] - p[..., 0] > TIE_EPS).astype(int)
-    return int(cls) if cls.ndim == 0 else cls
-
-
-def accuracy(dists, labels: Sequence[int]) -> float:
-    if len(dists) == 0:
-        raise EmptyEvalSet("no sentences to score")
-    if len(dists) != len(labels):
-        raise Error(f"{len(dists)} distributions vs {len(labels)} labels")
-    hits = int(np.count_nonzero(predict(dists) == np.asarray(labels)))
-    return hits / len(dists)
 
 
 @dataclass
@@ -487,11 +469,11 @@ def _readout(u: np.ndarray, labels: np.ndarray) -> tuple:
 def _scores(u: np.ndarray, labels: np.ndarray, ends: list[int]) -> tuple[np.ndarray, list]:
     """The scoring pass over a stack of requests' row weights ``u``,
     ``(..., rows, 2)``, against one label per row, split ``i`` ending at
-    row ``ends[i]``: each row read out by :func:`_readout` and scored as
-    :func:`bce_loss` and :func:`predict` against its label.  Gives the
-    probabilities and per split its degenerate counts, mean losses (NaN
-    where a probability is not finite) and accuracies, shaped like the
-    stack."""
+    row ``ends[i]``: each row read out by :func:`_readout`, its loss as
+    :func:`bce_loss` gives it, and a hit if its class, 1 only if ``p1 - p0
+    > TIE_EPS``, is its label.  Gives the probabilities and per split its
+    degenerate counts, mean losses (NaN where a probability is not finite)
+    and accuracies (NaN for an empty split), shaped like the stack."""
     _, degenerate, probs, picked = _readout(u, labels)
     loss = -np.log(np.minimum(np.maximum(picked, PROB_CLIP), 1.0 - PROB_CLIP))
     margin = probs[..., 1] - probs[..., 0]
@@ -569,6 +551,9 @@ class _Contraction:
         plan = self.requests.get(runs)
         if plan is None:
             order = list(self.sizes)
+            for name in itertools.chain(*runs):
+                if name not in self.sizes:
+                    raise Error(f"no split {name!r}; the corpus's splits are {order}")
             bounds = np.cumsum([0, *self.sizes.values()])
             spans, out = [], 0  # per run: its corpus positions and first output row
             for names in runs:
@@ -729,7 +714,7 @@ class _Model:
 
     def eval_split(self, name: str, theta: np.ndarray):
         """Probabilities of every row of the split and its degenerate count."""
-        labels = np.zeros(self.contraction.sizes[name], np.intp)
+        labels = np.zeros(self.contraction.plan(((name,),)).ends[0], np.intp)
         return self._split(name, theta, labels, False)[1:]
 
     def grad_split(self, name: str, theta: np.ndarray, labels: Sequence[int]):

@@ -305,6 +305,13 @@ def bce_grad(probs, label) -> np.ndarray:
     return np.where(np.stack([~y, y], axis=-1), g[..., None], 0.0)
 
 
+def hit_rate(probs, labels) -> float:
+    """The share of rows whose class, 1 only if ``p1 - p0 > training.TIE_EPS``
+    (a tie reads 0), is their label."""
+    p = np.asarray(probs, dtype=float)
+    return np.count_nonzero((p[:, 1] - p[:, 0] > training.TIE_EPS) == labels) / len(labels)
+
+
 def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
     """The fit loop one split at a time, through ``eval_split`` and ``grad_split``.
 
@@ -336,7 +343,7 @@ def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
             grad, *readout = model.grad_split("train", theta, train_labels)
         probs, loss = score("train", train_labels, readout, epoch)
         history.train_loss.append(loss)
-        history.train_acc.append(training.accuracy(probs, train_labels))
+        history.train_acc.append(hit_rate(probs, train_labels))
         if spsa is not None:
             plus, minus = spsa.probes(theta)
             loss_plus = score("train", train_labels, model.eval_split("train", plus), epoch)[1]
@@ -346,11 +353,11 @@ def reference_fit(model, splits, cfg: training.TrainConfig) -> training.History:
             theta = adaptive.step(theta, grad)
         probs, loss = score("dev", dev_labels, model.eval_split("dev", theta), epoch)
         history.val_loss.append(loss)
-        history.val_acc.append(training.accuracy(probs, dev_labels))
+        history.val_acc.append(hit_rate(probs, dev_labels))
 
     test_labels = splits.test.label_array
     probs, _ = score("test", test_labels, model.eval_split("test", theta), cfg.epochs)
-    history.test_acc = training.accuracy(probs, test_labels)
+    history.test_acc = hit_rate(probs, test_labels)
     history.final_params = theta
     return history
 

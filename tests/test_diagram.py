@@ -1,4 +1,4 @@
-"""Diagram structure, validation, statistics, tensor semantics, JSON."""
+"""Diagram structure, validation, tensor semantics, JSON."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from qnlp.diagram import (
     Port,
     ShapeMismatch,
     Wire,
-    count_stats,
     diagram_from_dict,
     diagram_to_dict,
     diagram_to_json,
@@ -130,21 +129,6 @@ class TestValidate:
         assert [(v.kind, v.message) for v in validate(output_past_boundary)] == [
             ("DanglingPort", "wire 1 consumed by missing output 1")
         ]
-
-
-class TestCountStats:
-    def test_transitive_sentence(self, toy_lexicon):
-        d = parse_sentence(["Alice", "likes", "Bob"], toy_lexicon)
-        st = count_stats(d)
-        assert st.n_boxes == 3
-        assert st.n_cups == 2
-        assert st.max_width == 5
-        assert str(st.open_types) == "s"
-
-    def test_empty(self):
-        st = count_stats(Diagram((), (), 0, 0, 0))
-        assert (st.n_boxes, st.n_cups, st.max_width) == (0, 0, 0)
-        assert len(st.open_types) == 0
 
 
 class TestEvalTensor:

@@ -497,6 +497,54 @@ class TestSweepAndReport:
         assert second[0]["note"] == "from first pass"
         assert first[0]["status"] == "ok"
 
+    @pytest.mark.parametrize("fault", (OSError, KeyboardInterrupt))
+    def test_interrupted_sweep_resumes_to_the_uninterrupted_summaries(self, fault, tmp_path,
+                                                                      monkeypatch):
+        # the k-th summary rename fails: an OSError is recorded as the cell's
+        # error and the sweep goes on, a KeyboardInterrupt stops it; either
+        # way a resumed sweep with no fault writes every summary as a sweep
+        # that never failed does
+        cells = sweep_cells(ansatze=("iqp", "sim14"), layer_range=(0, 1),
+                            rotation_range=(0, 1), epochs=3)
+
+        def stored(root):
+            assert not list(root.glob("*/.summary.json.*.tmp"))
+            out = {}
+            for path in sorted(root.glob("*/summary.json")):
+                summary = json.loads(path.read_text())
+                del summary["wall_seconds"]
+                out[path.parent.name] = json.dumps(summary, sort_keys=True)  # NaN reads as NaN
+            return out
+
+        run_sweep(cells, root=tmp_path / "clean", workers=1)
+        want, rename = stored(tmp_path / "clean"), experiment.os.replace
+        assert len(want) == len(cells)
+        for k in (1, 4, len(cells)):
+            calls = []
+
+            def failing(src, dst, k=k, calls=calls):
+                calls.append(dst)
+                if len(calls) == k:
+                    raise fault(f"rename {k} failed")
+                rename(src, dst)
+
+            root = tmp_path / f"fault-{k}"
+            monkeypatch.setattr(experiment.os, "replace", failing)
+            if fault is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    run_sweep(cells, root=root, workers=1)
+                assert len(calls) == k and len(stored(root)) == k - 1
+            else:
+                summaries = run_sweep(cells, root=root, workers=1)
+                # the failed cell's error summary is the rename after the fault
+                assert len(calls) == len(cells) + 1
+                assert [s["note"] for s in summaries if s["status"] == "error"] \
+                    == [f"rename {k} failed"]
+                assert len(stored(root)) == len(cells)
+            monkeypatch.setattr(experiment.os, "replace", rename)
+            run_sweep(cells, root=root, workers=1)
+            assert stored(root) == want, k
+
     def test_one_worker_sweep_generates_its_corpus_once(self, tmp_path, monkeypatch):
         made = []
         monkeypatch.setattr(experiment, "_generated", None)  # as in a fresh process

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qnlp import circuit
 from qnlp.diagram import (
     Box,
     BoxKind,
@@ -12,7 +13,6 @@ from qnlp.diagram import (
     InvalidDiagram,
     Port,
     Wire,
-    count_stats,
     validate,
 )
 from qnlp.pregroup import Base, PregroupType, SimpleType, parse_sentence, ty
@@ -101,8 +101,7 @@ class TestCurry:
         assert verb.kind is BoxKind.CURRIED
         assert str(verb.dom) == "n@n"
         assert str(verb.cod) == "s"
-        st = count_stats(c)
-        assert (st.n_boxes, st.n_cups, st.max_width) == (3, 0, 2)
+        assert (len(c.boxes), c.n_cups, circuit.layout(c).n_qubits) == (3, 0, 2)
 
     def test_adjective(self, mc_lexicon):
         d = parse_sentence(["skillful", "man", "cooks", "meal"], mc_lexicon)
