@@ -12,8 +12,10 @@ from qnlp.rewrite import RewriteScheme, rewrite
 lexicon = default_lexicon()
 diagram = parse_sentence(["skillful", "man", "prepares", "tasty", "sauce"], lexicon)
 
-# Each scheme is a pipeline of passes; "re" leaves the parse untouched,
-# the "cur" stages bend verb and adjective wires so fewer cups remain.
+# "re" leaves the parse untouched, and the "cur" schemes bend verb and
+# adjective wires so fewer cups remain.  The "norm" passes remove cap-cup
+# snakes, and a parse has no caps, so "re_norm" prints the same row as "re"
+# and "re_norm_cur_norm" the same row as "re_norm_cur".
 # The layout places the rewritten diagram on qubits, as a circuit build does.
 for scheme in RewriteScheme:
     out = rewrite(diagram, scheme)

@@ -26,7 +26,7 @@ index)``; equal words with equal types share symbols, within a sentence and
 across a corpus, which is what ties weights during training.
 
 :func:`compile_circuit` is :func:`layout`, the ansatz-free work (validation,
-the cap and ``MAX_QUBITS`` checks, and placing every box and cup on qubits),
+the ``MAX_QUBITS`` check, and placing every box and cup on qubits),
 then :func:`lower`, which emits the gates under one config.  A training
 build lays out each sentence shape once, for its checks, and runs word
 blocks, not sentence circuits.
@@ -227,9 +227,6 @@ def layout(d: Diagram) -> Layout:
     violations = validate(d)
     if violations:
         raise InvalidDiagram(violations)
-    if d.n_caps:
-        raise Error("cap wires are not supported by the circuit backend; "
-                    "run the normal-form pass first")
 
     wire_qubit: dict[int, int] = {}
     blocks = []

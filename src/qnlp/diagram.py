@@ -4,21 +4,21 @@ A diagram is a finite set of boxes (one per word, or per curried word) wired
 together by typed wires.  Every wire has exactly one producer and one
 consumer:
 
-* producers: a box codomain port, or one leg of a cap (a paired-wire state);
+* producers: a box codomain port;
 * consumers: a box domain port, one leg of a cup (a paired-wire effect), or
   an ordered open output of the diagram.
 
 Parsed sentences are a single row of word boxes whose output wires either
 meet in cups or flow to the open boundary.  Rewriting may replace word boxes
 by curried boxes that consume other boxes' outputs, giving a shallow acyclic
-graph.  Caps never appear in parsed sentences; they exist so rewrite passes
-and tests can express wire-straightening identities.
+graph.  No stage makes a cap (a paired-wire state), so the IR has none: a
+wire whose producer is not a box is a ``DanglingPort``.
 
 A diagram's meaning is multilinear: boxes are dense tensors indexed by
-domain then codomain wires, cups and caps are unnormalized index
-identifications (sum over equal indices), and the result is indexed by the
-open outputs in order.  :mod:`qnlp.tensornet` contracts it, and the test
-suite's oracles evaluate it independently.
+domain then codomain wires, cups are unnormalized index identifications
+(sum over equal indices), and the result is indexed by the open outputs in
+order.  :mod:`qnlp.tensornet` contracts it, and the test suite's oracles
+evaluate it independently.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class Box:
 class Port:
     """One endpoint slot of a wire.
 
-    ``owner`` is ``"box"``, ``"cup"``, ``"cap"``, or ``"out"``; ``index``
-    names the owning box/cup/cap or the output position; ``leg`` is the port
-    position within the owner (codomain leg for box producers, domain leg for
-    box consumers, 0/1 for cup and cap legs, 0 for outputs).
+    ``owner`` is ``"box"``, ``"cup"``, or ``"out"``; ``index`` names the
+    owning box or cup or the output position; ``leg`` is the port position
+    within the owner (codomain leg for box producers, domain leg for box
+    consumers, 0/1 for cup legs, 0 for outputs).
     """
 
     owner: str
@@ -92,7 +92,6 @@ class Diagram:
     boxes: tuple[Box, ...]
     wires: tuple[Wire, ...]
     n_cups: int
-    n_caps: int
     n_outputs: int
 
     # -- structural views -------------------------------------------------
@@ -105,15 +104,6 @@ class Diagram:
                 pairs.setdefault(wire.consumer.index, {})[wire.consumer.leg] = w
         return tuple(
             (pairs[c][0], pairs[c][1]) for c in range(self.n_cups)
-        )
-
-    def cap_pairs(self) -> tuple[tuple[int, int], ...]:
-        pairs: dict[int, dict[int, int]] = {}
-        for w, wire in enumerate(self.wires):
-            if wire.producer.owner == "cap":
-                pairs.setdefault(wire.producer.index, {})[wire.producer.leg] = w
-        return tuple(
-            (pairs[k][0], pairs[k][1]) for k in range(self.n_caps)
         )
 
     def open_wires(self) -> tuple[int, ...]:
@@ -172,11 +162,9 @@ class Diagram:
 def validate(d: Diagram) -> list[Violation]:
     """Structural validity checks; returns an empty list for a valid diagram.
 
-    Checks port coverage and wire typing, cup/cap contractibility, output
-    boundary coverage, acyclicity of box-to-box wiring, and (for cap-free
-    diagrams) planarity of the cups over the flat producer order.  Planarity
-    of diagrams holding caps is not decided here; the rewrite passes that
-    introduce caps keep them internal.
+    Checks port coverage and wire typing, cup contractibility and output
+    boundary coverage, then, for a diagram that passes those, acyclicity of
+    box-to-box wiring and planarity of the cups over the flat producer order.
     """
     out: list[Violation] = []
 
@@ -184,7 +172,7 @@ def validate(d: Diagram) -> list[Violation]:
     consumer_slots: dict[tuple[str, int, int], int] = {}
     for w, wire in enumerate(d.wires):
         p, c = wire.producer, wire.consumer
-        if p.owner not in ("box", "cap"):
+        if p.owner != "box":
             out.append(Violation("DanglingPort", f"wire {w} has producer kind {p.owner!r}"))
         if c.owner not in ("box", "cup", "out"):
             out.append(Violation("DanglingPort", f"wire {w} has consumer kind {c.owner!r}"))
@@ -223,13 +211,13 @@ def validate(d: Diagram) -> list[Violation]:
                 )
     for (owner, index, leg), w in consumer_slots.items():
         if owner == "box":
-            if index >= len(d.boxes) or leg >= len(d.boxes[index].dom):
+            if not (0 <= index < len(d.boxes) and 0 <= leg < len(d.boxes[index].dom)):
                 out.append(Violation("DanglingPort", f"wire {w} consumed by missing box port"))
         elif owner == "out" and not 0 <= index < d.n_outputs:
             out.append(Violation("DanglingPort", f"wire {w} consumed by missing output {index}"))
     for (owner, index, leg), w in producer_slots.items():
         if owner == "box":
-            if index >= len(d.boxes) or leg >= len(d.boxes[index].cod):
+            if not (0 <= index < len(d.boxes) and 0 <= leg < len(d.boxes[index].cod)):
                 out.append(Violation("DanglingPort", f"wire {w} produced by missing box port"))
 
     # Cups: two legs each, contractible left-to-right.
@@ -247,70 +235,58 @@ def validate(d: Diagram) -> list[Violation]:
                 Violation("NonContractibleCup", f"cup {c} joins {t} and {u}")
             )
 
-    # Caps: produce a pair (t, u) with t the right adjoint step of u.
-    for k in range(d.n_caps):
-        left = producer_slots.get(("cap", k, 0))
-        right = producer_slots.get(("cap", k, 1))
-        if left is None or right is None:
-            out.append(Violation("DanglingPort", f"cap {k} is missing a leg"))
-            continue
-        t, u = d.wires[left].stype, d.wires[right].stype
-        if not contractible(u, t):
-            out.append(
-                Violation("NonContractibleCap", f"cap {k} produces {t} and {u}")
-            )
-
     # Output boundary: positions 0..n_outputs-1 exactly once each.
     for i in range(d.n_outputs):
         if ("out", i, 0) not in consumer_slots:
             out.append(Violation("BadBoundary", f"output {i} unwired"))
 
-    # Acyclicity.
+    # Acyclicity and planarity read every port as a box's, cup's or output's.
+    if out:
+        return out
     try:
         d.topological_boxes()
     except InvalidDiagram as exc:
         out.extend(exc.violations)
 
     # Planarity of cups, decided over the flat left-to-right producer order.
-    if d.n_caps == 0:
-        offsets: list[int] = []
-        total = 0
-        for box in d.boxes:
-            offsets.append(total)
-            total += len(box.cod)
+    offsets: list[int] = []
+    total = 0
+    for box in d.boxes:
+        offsets.append(total)
+        total += len(box.cod)
 
-        def position(w: int) -> int:
-            p = d.wires[w].producer
-            return offsets[p.index] + p.leg
+    def position(w: int) -> int:
+        p = d.wires[w].producer
+        return offsets[p.index] + p.leg
 
-        intervals = []
-        for c, wl, wr in cups:
-            a, b = position(wl), position(wr)
-            if a > b:
-                a, b = b, a
-            intervals.append((a, b, c))
-        for i in range(len(intervals)):
-            a1, b1, c1 = intervals[i]
-            for j in range(i + 1, len(intervals)):
-                a2, b2, c2 = intervals[j]
-                lo, hi = sorted([(a1, b1), (a2, b2)])
-                if lo[0] < hi[0] < lo[1] < hi[1]:
-                    out.append(
-                        Violation(
-                            "PlanarityViolation",
-                            f"cups {c1} and {c2} cross",
-                        )
+    intervals = []
+    for c, wl, wr in cups:
+        a, b = position(wl), position(wr)
+        if a > b:
+            a, b = b, a
+        intervals.append((a, b, c))
+    for i in range(len(intervals)):
+        a1, b1, c1 = intervals[i]
+        for j in range(i + 1, len(intervals)):
+            a2, b2, c2 = intervals[j]
+            lo, hi = sorted([(a1, b1), (a2, b2)])
+            if lo[0] < hi[0] < lo[1] < hi[1]:
+                out.append(
+                    Violation(
+                        "PlanarityViolation",
+                        f"cups {c1} and {c2} cross",
                     )
-        open_positions = [position(w) for w in d.open_wires()]
-        for a, b, c in intervals:
-            for pos in open_positions:
-                if a < pos < b:
-                    out.append(
-                        Violation(
-                            "PlanarityViolation",
-                            f"cup {c} spans an open wire",
-                        )
+                )
+    open_positions = [position(w) for w in d.open_wires()]
+    for a, b, c in intervals:
+        for pos in open_positions:
+            if a < pos < b:
+                out.append(
+                    Violation(
+                        "PlanarityViolation",
+                        f"cup {c} spans an open wire",
                     )
+                )
     return out
 
 
@@ -346,7 +322,6 @@ def diagram_to_dict(d: Diagram) -> dict:
             for w in d.wires
         ],
         "n_cups": d.n_cups,
-        "n_caps": d.n_caps,
         "n_outputs": d.n_outputs,
     }
 
@@ -373,7 +348,6 @@ def diagram_from_dict(obj: Mapping) -> Diagram:
         boxes=boxes,
         wires=wires,
         n_cups=int(obj["n_cups"]),
-        n_caps=int(obj["n_caps"]),
         n_outputs=int(obj["n_outputs"]),
     )
 

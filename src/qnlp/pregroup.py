@@ -337,6 +337,5 @@ def _build_diagram(names, types, witness: ReductionWitness, _diagram):
         boxes=boxes,
         wires=wires,
         n_cups=len(witness.cups),
-        n_caps=0,
         n_outputs=len(witness.residual),
     )

@@ -1,13 +1,4 @@
-"""Diagram rewriting: normal form, currying, and the preset scheme pipeline.
-
-Two structural passes are provided.
-
-``normal_form`` straightens wires by eliminating cap-cup snake pairs: a wire
-that runs from a producer down into a cup whose partner rises from a cap
-whose other leg continues downward is replaced by one straight wire.  The
-pass fires snakes in deterministic leftmost order until none remain and is
-idempotent; a snake-free diagram comes back unchanged (structurally equal).
-The tensor meaning is preserved exactly, with the same box tensors.
+"""Diagram rewriting: currying and the preset scheme pipeline.
 
 ``curry`` bends arguments into function boxes: a word box whose codomain
 contains adjoint wires that meet plain wires in cups is replaced by a
@@ -16,14 +7,19 @@ A transitive verb ``1 -> n.r@s@n.l`` with both adjoints cupped becomes a
 curried box ``n@n -> s``.  The tensor meaning is preserved when the curried
 box's tensor is the word's tensor with the bent codomain axes moved first.
 
-The four preset schemes apply these passes in pipeline order:
+The paper's four schemes interleave currying with a normal-form pass that
+removes cap-cup snakes.  No diagram here holds a cap (parsing makes cups
+only, and currying removes cups), so that pass is the identity and the
+schemes come in equal pairs:
 
 ==================  ================================================
 ``re``              keep the parsed diagram as is
-``re_norm``         normal form
-``re_norm_cur``     normal form, then curry
-``re_norm_cur_norm``  normal form, curry, normal form again
+``re_norm``         the same as ``re``
+``re_norm_cur``     curry
+``re_norm_cur_norm``  the same as ``re_norm_cur``
 ==================  ================================================
+
+A grid over all four schemes therefore trains each model twice.
 """
 
 from __future__ import annotations
@@ -59,80 +55,11 @@ def rewrite(d: Diagram, scheme: RewriteScheme) -> Diagram:
     violations = validate(d)
     if violations:
         raise InvalidDiagram(violations)
-    if scheme is RewriteScheme.RE:
+    if scheme in (RewriteScheme.RE, RewriteScheme.RE_NORM):
         return d
-    if scheme is RewriteScheme.RE_NORM:
-        return normal_form(d)
-    if scheme is RewriteScheme.RE_NORM_CUR:
-        return curry(normal_form(d))
-    if scheme is RewriteScheme.RE_NORM_CUR_NORM:
-        return normal_form(curry(normal_form(d)))
+    if scheme in (RewriteScheme.RE_NORM_CUR, RewriteScheme.RE_NORM_CUR_NORM):
+        return curry(d)
     raise ValueError(f"unknown rewrite scheme: {scheme!r}")
-
-
-# -- normal form ----------------------------------------------------------
-
-
-def normal_form(d: Diagram) -> Diagram:
-    """Eliminate every cap-cup snake; idempotent, meaning-preserving."""
-    while True:
-        snake = _find_snake(d)
-        if snake is None:
-            return d
-        d = _yank(d, *snake)
-
-
-def _find_snake(d: Diagram) -> tuple[int, int] | None:
-    """First (cup, cap) pair forming a snake, scanning cups in index order."""
-    cap_of_wire = {}
-    for k, (wl, wr) in enumerate(d.cap_pairs()):
-        cap_of_wire[wl] = (k, wr)
-        cap_of_wire[wr] = (k, wl)
-    for c, (a, b) in enumerate(d.cup_pairs()):
-        # Prefer the right leg; either leg rising from a cap whose other leg
-        # is not this cup's other wire is a snake.
-        for leg, other in ((b, a), (a, b)):
-            hit = cap_of_wire.get(leg)
-            if hit is not None and hit[1] != other:
-                return c, hit[0]
-    return None
-
-
-def _yank(d: Diagram, cup: int, cap: int) -> Diagram:
-    """Replace the snake through (cup, cap) by one straight wire."""
-    cup_wires = d.cup_pairs()[cup]
-    cap_wires = d.cap_pairs()[cap]
-    shared = [w for w in cup_wires if w in cap_wires]
-    # The wire running cap -> cup dies; the cup's other wire keeps its
-    # producer and inherits the consumer of the cap's other wire.
-    dead = shared[0]
-    through = cup_wires[0] if cup_wires[1] == dead else cup_wires[1]
-    tail = cap_wires[0] if cap_wires[1] == dead else cap_wires[1]
-
-    removed = {dead, tail}
-    new_wires: list[Wire] = []
-    for w, wire in enumerate(d.wires):
-        if w in removed:
-            continue
-        producer, consumer, stype = wire.producer, wire.consumer, wire.stype
-        if w == through:
-            consumer = d.wires[tail].consumer
-        producer = _shift_port(producer, "cap", cap)
-        consumer = _shift_port(consumer, "cup", cup)
-        new_wires.append(Wire(stype, producer, consumer))
-    return Diagram(
-        boxes=d.boxes,
-        wires=tuple(new_wires),
-        n_cups=d.n_cups - 1,
-        n_caps=d.n_caps - 1,
-        n_outputs=d.n_outputs,
-    )
-
-
-def _shift_port(p: Port, owner: str, removed_index: int) -> Port:
-    if p.owner == owner and p.index > removed_index:
-        return Port(p.owner, p.index - 1, p.leg)
-    return p
 
 
 # -- currying -------------------------------------------------------------
@@ -229,6 +156,5 @@ def curry(d: Diagram) -> Diagram:
         boxes=tuple(new_boxes),
         wires=tuple(new_wires),
         n_cups=len(cup_index_map),
-        n_caps=d.n_caps,
         n_outputs=d.n_outputs,
     )

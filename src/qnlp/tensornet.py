@@ -10,9 +10,9 @@ compilation: each word box is placed as its lowered nodes, and the
 diagram's wires attach straight to the node legs that stand for the box's
 legs, so no dense network is built first.
 
-Cups become unnormalized delta nodes (identity matrices); a copy spider is
-the generalized Kronecker tensor, 1 exactly when all incident indices
-agree.  Contraction fuses delta- and spider-connected legs into shared
+A diagram's cups (it has no caps) become unnormalized delta nodes
+(identity matrices); a copy spider is the generalized Kronecker tensor, 1
+exactly when all incident indices agree.  Contraction fuses delta- and spider-connected legs into shared
 einsum indices rather than materializing those tensors.  This plan (the
 validation, the labels and the closed-loop factor) is built once per
 network, on first use, and cached on it.  The test suite evaluates
@@ -265,9 +265,6 @@ def compile_network(d: Diagram, cfg: TensorAnsatzConfig) -> Network:
     violations = validate(d)
     if violations:
         raise InvalidDiagram(violations)
-    if d.n_caps:
-        raise Error("cap wires are not supported by the tensor backend; "
-                    "run the normal-form pass first")
 
     nodes: list[Node] = []
     inner: list[tuple[Leg, Leg]] = []
@@ -282,13 +279,11 @@ def compile_network(d: Diagram, cfg: TensorAnsatzConfig) -> Network:
     first_cup = len(nodes)
     nodes += [CupDeltaNode(cfg.dim(d.wires[wl].stype.base)) for wl, _ in d.cup_pairs()]
 
-    def leg_of(port, producer: bool) -> Leg:
-        if port.owner == "box":
-            base = len(d.boxes[port.index].dom) if producer else 0
-            return box_legs[port.index][base + port.leg]
+    def leg_of(port, producer: bool) -> Leg:  # a valid diagram's ports are boxes' or cups'
         if port.owner == "cup":
             return (first_cup + port.index, port.leg)
-        raise Error(f"unsupported port owner: {port.owner}")
+        base = len(d.boxes[port.index].dom) if producer else 0
+        return box_legs[port.index][base + port.leg]
 
     edges: list[tuple[Leg, Leg]] = []
     outputs: list[Leg] = [(-1, -1)] * d.n_outputs

@@ -551,6 +551,8 @@ class _Contraction:
         plan = self.requests.get(runs)
         if plan is None:
             order = list(self.sizes)
+            if not runs or not all(runs):
+                raise Error(f"a request needs a point, and a split at each point: {runs}")
             for name in itertools.chain(*runs):
                 if name not in self.sizes:
                     raise Error(f"no split {name!r}; the corpus's splits are {order}")

@@ -51,4 +51,4 @@ def output_past_boundary() -> Diagram:
         Wire(s[0], Port("box", 0, 0), Port("out", 0, 0)),
         Wire(n[0], Port("box", 1, 0), Port("out", 1, 0)),
     )
-    return Diagram(boxes=boxes, wires=wires, n_cups=0, n_caps=0, n_outputs=1)
+    return Diagram(boxes=boxes, wires=wires, n_cups=0, n_outputs=1)

@@ -68,7 +68,7 @@ def eval_tensor(
     """Contract the diagram's multilinear meaning.
 
     ``tensors`` maps box index to a dense real or complex array shaped
-    like :func:`box_shape`.  Cups and caps identify the indices of their two
+    like :func:`box_shape`.  A cup identifies the indices of its two
     wires (an unnormalized sum over equal indices).  The result is indexed
     by the open outputs in boundary order; a diagram with no open wires
     contracts to a scalar-shaped array.
@@ -76,7 +76,7 @@ def eval_tensor(
     if dims is None:
         dims = WireDims()
 
-    # Union-find over wire ids: a cup or cap makes its two wires share an index.
+    # Union-find over wire ids: a cup makes its two wires share an index.
     parent = list(range(len(d.wires)))
 
     def find(x: int) -> int:
@@ -89,8 +89,6 @@ def eval_tensor(
         parent[find(x)] = find(y)
 
     for wl, wr in d.cup_pairs():
-        union(wl, wr)
-    for wl, wr in d.cap_pairs():
         union(wl, wr)
 
     labels: dict[int, int] = {}
@@ -118,29 +116,16 @@ def eval_tensor(
         sublists.append([label(w) for w in wire_ids])
 
     out_labels = [label(w) for w in d.open_wires()]
-
-    # A cap feeding a cup directly forms a closed loop touching no box; its
-    # contraction contributes a bare dimension factor.
-    loop_factor = 1.0
-    seen_loops: set[int] = set()
-    for w, wire in enumerate(d.wires):
-        root = find(w)
-        if root not in labels and root not in seen_loops:
-            seen_loops.add(root)
-            loop_factor *= dims.dim(wire.stype)
     if len(labels) > 52:
         raise ShapeMismatch("diagram has too many independent wires to contract")
-
     if not operands:
-        result = np.array(1.0)
-    else:
-        args: list[object] = []
-        for arr, subs in zip(operands, sublists):
-            args.append(arr)
-            args.append(subs)
-        args.append(out_labels)
-        result = np.einsum(*args)
-    return result * loop_factor
+        return np.array(1.0)
+    args: list[object] = []
+    for arr, subs in zip(operands, sublists):
+        args.append(arr)
+        args.append(subs)
+    args.append(out_labels)
+    return np.einsum(*args)
 
 
 def enumerate_reductions(
@@ -200,10 +185,6 @@ def brute_force_eval(diagram, assignment: dict, dims: Callable[[SimpleType], int
     for w, wire in enumerate(diagram.wires):
         if wire.consumer.owner == "cup":
             cup_wires.setdefault(wire.consumer.index, [None, None])[wire.consumer.leg] = w
-        if wire.producer.owner == "cap":
-            cup_wires.setdefault(("cap", wire.producer.index), [None, None])[
-                wire.producer.leg
-            ] = w
 
     for idx in itertools.product(*[range(d) for d in wire_dim]):
         term = complex(1.0)

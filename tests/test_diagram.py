@@ -38,7 +38,7 @@ def single_box_diagram(tensor_cod: str = "n") -> Diagram:
         Wire(t, Port("box", 0, leg), Port("out", leg, 0))
         for leg, t in enumerate(box.cod)
     )
-    return Diagram(boxes=(box,), wires=wires, n_cups=0, n_caps=0, n_outputs=len(wires))
+    return Diagram(boxes=(box,), wires=wires, n_cups=0, n_outputs=len(wires))
 
 
 def orthogonal_pair_diagram() -> Diagram:
@@ -48,30 +48,7 @@ def orthogonal_pair_diagram() -> Diagram:
         Wire(N, Port("box", 0, 0), Port("cup", 0, 0)),
         Wire(N.r, Port("box", 1, 0), Port("cup", 0, 1)),
     )
-    return Diagram(boxes=(left, right), wires=wires, n_cups=1, n_caps=0, n_outputs=0)
-
-
-def snake_diagram() -> Diagram:
-    """Box output runs through a cup whose partner rises from a cap.
-
-    Cap legs emit (adjoint, plain) left to right; the adjoint leg bends back
-    into the cup.
-    """
-    box = _state("alice", "n")
-    wires = (
-        Wire(N, Port("box", 0, 0), Port("cup", 0, 0)),
-        Wire(N.r, Port("cap", 0, 0), Port("cup", 0, 1)),
-        Wire(N, Port("cap", 0, 1), Port("out", 0, 0)),
-    )
-    return Diagram(boxes=(box,), wires=wires, n_cups=1, n_caps=1, n_outputs=1)
-
-
-def circle_diagram() -> Diagram:
-    wires = (
-        Wire(N, Port("cap", 0, 1), Port("cup", 0, 0)),
-        Wire(N.r, Port("cap", 0, 0), Port("cup", 0, 1)),
-    )
-    return Diagram(boxes=(), wires=wires, n_cups=1, n_caps=1, n_outputs=0)
+    return Diagram(boxes=(left, right), wires=wires, n_cups=1, n_outputs=0)
 
 
 class TestValidate:
@@ -91,7 +68,7 @@ class TestValidate:
             Wire(N.r, Port("box", 2, 0), Port("cup", 0, 1)),
             Wire(N.r, Port("box", 3, 0), Port("cup", 1, 1)),
         )
-        d = Diagram(boxes=boxes, wires=wires, n_cups=2, n_caps=0, n_outputs=0)
+        d = Diagram(boxes=boxes, wires=wires, n_cups=2, n_outputs=0)
         assert "PlanarityViolation" in [v.kind for v in validate(d)]
 
     def test_non_contractible_cup(self):
@@ -100,17 +77,44 @@ class TestValidate:
             Wire(N, Port("box", 0, 0), Port("cup", 0, 0)),
             Wire(N, Port("box", 1, 0), Port("cup", 0, 1)),
         )
-        d = Diagram(boxes=boxes, wires=wires, n_cups=1, n_caps=0, n_outputs=0)
+        d = Diagram(boxes=boxes, wires=wires, n_cups=1, n_outputs=0)
         assert "NonContractibleCup" in [v.kind for v in validate(d)]
 
     def test_dangling_output(self):
         d = single_box_diagram()
-        broken = Diagram(d.boxes, d.wires, 0, 0, n_outputs=2)
+        broken = Diagram(d.boxes, d.wires, 0, n_outputs=2)
         assert any(v.kind == "BadBoundary" for v in validate(broken))
 
-    def test_snake_and_circle_are_valid(self):
-        assert validate(snake_diagram()) == []
-        assert validate(circle_diagram()) == []
+    def test_a_cap_producer_is_a_dangling_port(self):
+        # a snake (a box's wire cupped to a cap's leg) and a circle (a cap
+        # cupped to itself): no stage makes a cap, so each is rejected
+        snake = Diagram((_state("alice", "n"),), (
+            Wire(N, Port("box", 0, 0), Port("cup", 0, 0)),
+            Wire(N.r, Port("cap", 0, 0), Port("cup", 0, 1)),
+            Wire(N, Port("cap", 0, 1), Port("out", 0, 0)),
+        ), n_cups=1, n_outputs=1)
+        circle = Diagram((), (
+            Wire(N, Port("cap", 0, 1), Port("cup", 0, 0)),
+            Wire(N.r, Port("cap", 0, 0), Port("cup", 0, 1)),
+        ), n_cups=1, n_outputs=0)
+        for d, capped in ((snake, (1, 2)), (circle, (0, 1))):
+            assert [(v.kind, v.message) for v in validate(d)] == [
+                ("DanglingPort", f"wire {w} has producer kind 'cap'") for w in capped
+            ]
+
+    @pytest.mark.parametrize("producer, consumer, message", (
+        (Port("box", 0, 0), Port("box", 5, 0), "wire 0 consumed by missing box port"),
+        (Port("box", 0, 0), Port("box", -1, 0), "wire 0 consumed by missing box port"),
+        (Port("box", 3, 0), Port("out", 0, 0), "wire 0 produced by missing box port"),
+        (Port("box", 0, -1), Port("out", 0, 0), "wire 0 produced by missing box port"),
+    ), ids=("consumer-box-past-end", "consumer-box-negative", "producer-box-past-end",
+            "producer-leg-negative"))
+    def test_a_port_past_the_boxes_is_reported(self, producer, consumer, message):
+        # reported, not raised: the acyclicity and planarity checks index
+        # boxes by port, so they run only on a diagram whose ports all exist
+        d = Diagram((_state("a", "n"),), (Wire(N, producer, consumer),),
+                    n_cups=0, n_outputs=int(consumer.owner == "out"))
+        assert ("DanglingPort", message) in [(v.kind, v.message) for v in validate(d)]
 
     def test_cup_missing_a_leg_is_reported(self, mc_lexicon):
         # re-route the object's cup wire to a second output; the planarity
@@ -119,7 +123,7 @@ class TestValidate:
         wires = list(d.wires)
         w = next(i for i, wire in enumerate(wires) if wire.consumer == Port("cup", 1, 1))
         wires[w] = Wire(wires[w].stype, wires[w].producer, Port("out", 1, 0))
-        broken = Diagram(d.boxes, tuple(wires), d.n_cups, d.n_caps, d.n_outputs + 1)
+        broken = Diagram(d.boxes, tuple(wires), d.n_cups, d.n_outputs + 1)
         violations = validate(broken)
         assert [(v.kind, v.message) for v in violations] == [
             ("DanglingPort", "cup 1 is missing a leg")
@@ -156,17 +160,9 @@ class TestEvalTensor:
             Wire(N, Port("box", 0, 1), Port("cup", 0, 0)),
             Wire(N.r, Port("box", 0, 2), Port("cup", 0, 1)),
         )
-        d = Diagram(boxes=boxes, wires=wires, n_cups=1, n_caps=0, n_outputs=1)
+        d = Diagram(boxes=boxes, wires=wires, n_cups=1, n_outputs=1)
         T = np.fromfunction(lambda i, j, k: i + j + k, (2, 2, 2))
         np.testing.assert_allclose(eval_tensor(d, {0: T}, DIMS), [2.0, 4.0])
-
-    def test_snake_is_identity(self):
-        d = snake_diagram()
-        v = np.array([0.3, -1.7])
-        np.testing.assert_allclose(eval_tensor(d, {0: v}, DIMS), v)
-
-    def test_circle_is_dimension(self):
-        np.testing.assert_allclose(eval_tensor(circle_diagram(), {}, DIMS), 2.0)
 
     def test_shape_mismatch(self):
         d = single_box_diagram("n")

@@ -665,7 +665,7 @@ class TestCli:
         w = next(i for i, wire in enumerate(wires) if wire.consumer == Port("cup", 1, 1))
         wires[w] = Wire(wires[w].stype, wires[w].producer, Port("out", 1, 0))
         path = tmp_path / "bad.json"
-        path.write_text(diagram_to_json(Diagram(d.boxes, tuple(wires), 2, 0, 1)))
+        path.write_text(diagram_to_json(Diagram(d.boxes, tuple(wires), 2, 1)))
         assert main(["rewrite", "--diagram", str(path)]) == 3
         assert "cup 1 is missing a leg" in capsys.readouterr().err
 
@@ -679,6 +679,25 @@ class TestCli:
         path.write_text(diagram_to_json(output_past_boundary))
         assert main([*argv, "--diagram", str(path)]) == 3
         assert "wire 1 consumed by missing output 1" in capsys.readouterr().err
+
+    # a snake, as diagram JSON once carried it: a box's wire cupped to one
+    # leg of a cap whose other leg is the output
+    SNAKE = {
+        "boxes": [{"name": "alice", "dom": "", "cod": "n", "kind": "word"}],
+        "wires": [
+            {"type": "n", "producer": ["box", 0, 0], "consumer": ["cup", 0, 0]},
+            {"type": "n.r", "producer": ["cap", 0, 0], "consumer": ["cup", 0, 1]},
+            {"type": "n", "producer": ["cap", 0, 1], "consumer": ["out", 0, 0]},
+        ],
+        "n_cups": 1, "n_caps": 1, "n_outputs": 1,
+    }
+
+    @pytest.mark.parametrize("command", ("rewrite", "compile"))
+    def test_a_capped_diagram_is_refused(self, command, tmp_path, capsys):
+        path = tmp_path / "snake.json"
+        path.write_text(json.dumps(self.SNAKE))
+        assert main([command, "--diagram", str(path)]) == 3
+        assert "DanglingPort: wire 1 has producer kind 'cap'" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["simulate", "--circuit", "/nonexistent.json"]) == 2

@@ -1,4 +1,4 @@
-"""Rewriting schemes: identity pass, snake elimination, currying."""
+"""Rewriting schemes: identity pass and currying."""
 
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from qnlp.diagram import (
     validate,
 )
 from qnlp.pregroup import Base, PregroupType, SimpleType, parse_sentence, ty
-from qnlp.rewrite import CurryUnsupported, RewriteScheme, curry, normal_form, rewrite
+from qnlp.rewrite import CurryUnsupported, RewriteScheme, curry, rewrite
 
 from oracles import WireDims, bend_tensor, curry_infos, eval_tensor, random_assignment
-from test_diagram import snake_diagram
 
 N = SimpleType(Base.N, 0)
 DIMS = WireDims(2, 2)
@@ -50,45 +49,19 @@ class TestSchemes:
         }
 
     def test_composition(self, toy_lexicon):
+        # no diagram holds a cap, so the normal-form steps leave it as it is
         d = parse_sentence(["Alice", "likes", "Bob"], toy_lexicon)
-        assert rewrite(d, RewriteScheme.RE_NORM) == normal_form(d)
-        assert rewrite(d, RewriteScheme.RE_NORM_CUR) == curry(normal_form(d))
-        assert rewrite(d, RewriteScheme.RE_NORM_CUR_NORM) == normal_form(
-            curry(normal_form(d))
-        )
+        assert curry(d) != d
+        assert rewrite(d, RewriteScheme.RE) is d
+        assert rewrite(d, RewriteScheme.RE_NORM) is d
+        assert rewrite(d, RewriteScheme.RE_NORM_CUR) == curry(d)
+        assert rewrite(d, RewriteScheme.RE_NORM_CUR_NORM) == curry(d)
 
     def test_rejects_invalid(self):
         boxes = (Box("a", PregroupType(()), ty("n")),)
-        broken = Diagram(boxes, (), 0, 0, 0)
+        broken = Diagram(boxes, (), 0, 0)
         with pytest.raises(InvalidDiagram):
             rewrite(broken, RewriteScheme.RE)
-
-
-class TestNormalForm:
-    def test_corpus_is_snake_free(self, corpus_diagrams):
-        for d in corpus_diagrams:
-            assert normal_form(d) == d
-
-    def test_snake_elimination(self):
-        d = snake_diagram()
-        nf = normal_form(d)
-        assert len(nf.wires) == len(d.wires) - 2
-        assert nf.n_cups == 0 and nf.n_caps == 0
-        assert validate(nf) == []
-        v = np.array([1.5, -0.5])
-        np.testing.assert_allclose(eval_tensor(nf, {0: v}, DIMS), v)
-
-    def test_idempotent(self):
-        d = snake_diagram()
-        once = normal_form(d)
-        assert normal_form(once) == once
-
-    def test_semantics_preserved(self, rng):
-        d = snake_diagram()
-        a = random_assignment(d, DIMS, rng)
-        np.testing.assert_allclose(
-            eval_tensor(normal_form(d), a, DIMS), eval_tensor(d, a, DIMS), atol=1e-12
-        )
 
 
 class TestCurry:
@@ -114,7 +87,7 @@ class TestCurry:
     def test_plain_diagram_unchanged(self):
         box = Box("alice", PregroupType(()), ty("n"))
         d = Diagram(
-            (box,), (Wire(N, Port("box", 0, 0), Port("out", 0, 0)),), 0, 0, 1
+            (box,), (Wire(N, Port("box", 0, 0), Port("out", 0, 0)),), 0, 1
         )
         assert curry(d) == d
 
@@ -127,7 +100,7 @@ class TestCurry:
             Wire(N.l.l, Port("box", 0, 0), Port("cup", 0, 0)),
             Wire(N.l, Port("box", 1, 0), Port("cup", 0, 1)),
         )
-        d = Diagram(boxes, wires, 1, 0, 0)
+        d = Diagram(boxes, wires, 1, 0)
         assert validate(d) == []
         with pytest.raises(CurryUnsupported):
             curry(d)
@@ -138,7 +111,7 @@ class TestCurry:
             Wire(N, Port("box", 0, 0), Port("cup", 0, 0)),
             Wire(N.r, Port("box", 0, 1), Port("cup", 0, 1)),
         )
-        d = Diagram((box,), wires, 1, 0, 0)
+        d = Diagram((box,), wires, 1, 0)
         assert validate(d) == []
         with pytest.raises(CurryUnsupported):
             curry(d)

@@ -133,7 +133,7 @@ class TestContract:
         wires = tuple(
             Wire(t, Port("box", 0, i), Port("out", i, 0)) for i, t in enumerate(box.cod)
         )
-        d = Diagram((box,), wires, 0, 0, 2)
+        d = Diagram((box,), wires, 0, 2)
         net = compile_network(d, cfg())
         store = random_store(net, rng)
         (value,) = store.values()
@@ -234,7 +234,7 @@ class TestValidateNetwork:
 class TestGradientHole:
     def test_single_param_is_upstream(self, rng):
         box = Box("t", PregroupType(()), ty("n"))
-        d = Diagram((box,), (Wire(N, Port("box", 0, 0), Port("out", 0, 0)),), 0, 0, 1)
+        d = Diagram((box,), (Wire(N, Port("box", 0, 0), Port("out", 0, 0)),), 0, 1)
         net = compile_network(d, cfg())
         store = random_store(net, rng)
         up = np.array([1.5, -2.0])
@@ -395,7 +395,7 @@ class TestMpsExpressivity:
         wires = tuple(
             Wire(N, Port("box", 0, i), Port("out", i, 0)) for i in range(3)
         )
-        d = Diagram((box,), wires, 0, 0, 3)
+        d = Diagram((box,), wires, 0, 3)
         net = compile_network(d, cfg(TensorAnsatz.MPS, bond_dim=2))
         target = rng.standard_normal((2, 2, 2))
         pieces = tensor_train(target, 2)
@@ -428,7 +428,7 @@ class TestWideWordLowering:
         wires = tuple(
             Wire(t, Port("box", 0, i), Port("out", i, 0)) for i, t in enumerate(types)
         )
-        d = Diagram((box,), wires, 0, 0, 5)
+        d = Diagram((box,), wires, 0, 5)
         net = compile_network(d, cfg(kind, d_n=2, d_s=3, **kw))
         assert sum(isinstance(n, SpiderCopyNode) for n in net.nodes) == n_spiders
         store = random_store(net, rng)
@@ -510,7 +510,7 @@ class TestBatches:
         wires = tuple(Wire(t, Port("box", 0, i), Port("out", i, 0)) for i, t in enumerate(types))
         nets = [
             compile_network(
-                Diagram((Box(kind.value, PregroupType(()), types),), wires, 0, 0, 3),
+                Diagram((Box(kind.value, PregroupType(()), types),), wires, 0, 3),
                 cfg(kind, d_s=3),
             )
             for kind in TensorAnsatz

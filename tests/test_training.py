@@ -28,10 +28,10 @@ from qnlp.circuit import (
     type_fingerprint,
 )
 from qnlp.corpus import CorpusSplits, LabeledSet, default_lexicon, generate_mc
-from qnlp.diagram import Port, Wire, validate
+from qnlp.diagram import validate
 from qnlp.errors import ConfigError, Error
-from qnlp.pregroup import N, S, Lexicon, PregroupType, UnknownWord, parse_sentence
-from qnlp.rewrite import RewriteScheme, normal_form, rewrite
+from qnlp.pregroup import S, Lexicon, PregroupType, UnknownWord, parse_sentence
+from qnlp.rewrite import RewriteScheme, curry, rewrite
 from qnlp.simulator import (
     WrongOutputArity,
     distribution_gradient,
@@ -1439,6 +1439,13 @@ class TestModelSurface:
             with pytest.raises(Error, match=match):
                 model.score([(names, theta) for names in runs], np.zeros(0, np.intp))
 
+    @pytest.mark.parametrize("make", (circuit_model, tensor_model), ids=("circuit", "tensor"))
+    def test_a_request_reads_a_split_at_every_point(self, make, rng):
+        model = make()
+        for points in ([], [((), model.init_params(rng))]):
+            with pytest.raises(Error, match="a request needs a point, and a split at each point"):
+                model.score(points, np.zeros(0, np.intp))
+
     @pytest.mark.parametrize("family, cfg", (
         (CircuitModel, TINY_ANSATZ), (TensorModel, TensorAnsatzConfig(TensorAnsatz.TENSOR))),
         ids=("circuit", "tensor"))
@@ -1863,23 +1870,17 @@ class TestFrontEndMemo:
                                               for name, ds in fresh.items()}, nets)
         assert models[0].n_params != models[1].n_params != models[2].n_params
 
-    @staticmethod
-    def capped(d):
-        """``d`` with a cap whose legs are two more outputs: valid, not compilable."""
-        o = d.n_outputs
-        legs = (Wire(N.r, Port("cap", 0, 0), Port("out", o)),
-                Wire(N, Port("cap", 0, 1), Port("out", o + 1)))
-        return dataclasses.replace(d, wires=d.wires + legs, n_caps=1, n_outputs=o + 2)
-
-    @pytest.mark.parametrize("fault", ("invalid", "cap", "width", "zero_params"))
+    @pytest.mark.parametrize("fault", ("invalid", "width", "zero_params"))
     def test_build_raises_what_compile_circuit_raises(self, fault, mc_lexicon, monkeypatch):
         splits, scheme = pattern_splits(), RewriteScheme.RE
         ansatz = CircuitAnsatzConfig(CircuitAnsatz.IQP, 0 if fault == "zero_params" else 1,
                                      0 if fault == "zero_params" else 2)
         if fault == "width":  # the two 5-qubit sentences lay out, the third overflows
             monkeypatch.setattr(circuit, "MAX_QUBITS", 6)
-        breaks = {"invalid": lambda d: dataclasses.replace(d, n_outputs=d.n_outputs + 1),
-                  "cap": self.capped}.get(fault, lambda d: d)
+
+        def breaks(d):  # "invalid": one output more than the diagram wires
+            return dataclasses.replace(d, n_outputs=d.n_outputs + 1) if fault == "invalid" else d
+
         fresh = [breaks(d) for ds in self.fresh(splits, mc_lexicon, scheme).values()
                  for d in ds]
         monkeypatch.setattr(training, "rewrite", lambda d, s: breaks(rewrite(d, s)))
@@ -2238,10 +2239,12 @@ class TestShapeFrontEnd:
 
     def test_random_lexicons_rewrite_preserving_semantics(self):
         # a curried box reads its word's tensor with the bent legs first; at
-        # least a fortieth of the sentences are ones currying leaves as they are
+        # least a fortieth of the sentences are ones currying leaves as they are.
+        # The draw is seeded by this function's source, so an edit redraws it:
+        # over 40 seeds, 30 examples fell short of a fortieth 5 times, 100 never
         dims, rng, uncurried = WireDims(2, 3), np.random.default_rng(0), []
 
-        @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
         @given(corpus=random_corpora())
         def check(corpus):
             splits, lexicon = corpus
@@ -2249,14 +2252,14 @@ class TestShapeFrontEnd:
                 d = parse_sentence(list(words), lexicon)
                 tensors = random_assignment(d, dims, rng)
                 want = eval_tensor(d, tensors, dims)
-                infos = curry_infos(normal_form(d))
+                infos = curry_infos(d)
                 bent = {b: bend_tensor(t, infos[b]) if b in infos else t
                         for b, t in tensors.items()}
                 for scheme in RewriteScheme:
                     curried = scheme in (RewriteScheme.RE_NORM_CUR, RewriteScheme.RE_NORM_CUR_NORM)
                     got = eval_tensor(rewrite(d, scheme), bent if curried else tensors, dims)
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-                uncurried.append(rewrite(d, RewriteScheme.RE_NORM_CUR) == normal_form(d))
+                uncurried.append(curry(d) == d)
 
         check()
         assert sum(uncurried) >= len(uncurried) / 40, (sum(uncurried), len(uncurried))
